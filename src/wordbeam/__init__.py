@@ -50,6 +50,7 @@ from .language_model import (
     NGRAMS_FORECAST,
     NgramModel,
     ScoringMode,
+    TrieScorer,
     WORD_BOUNDARY,
     WORDS,
     forecast_sample,
@@ -82,6 +83,7 @@ __all__ = [
     "RecognizerSim",
     "ScoringMode",
     "TrendConfig",
+    "TrieScorer",
     "TrendReport",
     "WORD_BOUNDARY",
     "WORDS",

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .evaluation import build_report, format_report_kv, format_report_table
 from .files import load_word_list, read_matrix_file, write_matrix_file
-from .language_model import NGRAMS, NGRAMS_FORECAST, NgramModel, ScoringMode, WORDS, forecast_sample
+from .language_model import NGRAMS, NGRAMS_FORECAST, NgramModel, ScoringMode, TrieScorer, WORDS, forecast_sample
 from .prefix_tree import PrefixTree
 from .synth import RecognizerSim, make_ensemble
 from .trends import TrendConfig, run_trend_experiment
@@ -150,7 +150,7 @@ def _alphabet_for(symbols: str, scheme: CodingScheme, path: str) -> Alphabet:
 
 
 class _DecodePipeline:
-    """Shared per-alphabet tree and model, rebuilt only when symbols change."""
+    """Shared per-alphabet tree, model and scorer, rebuilt only when symbols change."""
 
     def __init__(self, args):
         self.args = args
@@ -158,15 +158,15 @@ class _DecodePipeline:
         self.mode = None if args.mode == "bestpath" else _mode_from_args(args)
         self.words = load_word_list(args.dict_path) if args.dict_path else None
         self.lm_corpus = load_word_list(args.lm_corpus) if args.lm_corpus else None
-        self._cache: dict[str, tuple[Alphabet, PrefixTree | None, NgramModel | None]] = {}
+        self._cache: dict[str, tuple] = {}
 
     def decode_one(self, path: str, symbols: str, matrix: PosteriorMatrix) -> tuple[str, float]:
-        alphabet, tree, lm = self._setup(symbols, path)
+        alphabet, tree, lm, scorer = self._setup(symbols, path)
         if self.mode is None:
             label, likelihood = best_path_decode(matrix, alphabet)
         else:
             label, likelihood = decode(
-                matrix, alphabet, tree, lm, width=self.args.width, mode=self.mode
+                matrix, alphabet, tree, lm, width=self.args.width, mode=self.mode, scorer=scorer
             )
         return decode_label(label, self.scheme).text, likelihood
 
@@ -175,7 +175,7 @@ class _DecodePipeline:
         if cached is not None:
             return cached
         alphabet = _alphabet_for(symbols, self.scheme, path)
-        tree = lm = None
+        tree = lm = scorer = None
         if self.mode is not None:
             nonword = set(self.args.nonword_chars)
             if alphabet.separator is not None:
@@ -185,8 +185,9 @@ class _DecodePipeline:
             if self.mode.uses_lm:
                 corpus = self.lm_corpus if self.lm_corpus is not None else self.words
                 lm = NgramModel.train(corpus, self.args.order, self.args.smoothing_k)
-        self._cache[symbols] = (alphabet, tree, lm)
-        return alphabet, tree, lm
+            scorer = TrieScorer(tree, lm, self.mode)  # tables fill during decoding
+        self._cache[symbols] = (alphabet, tree, lm, scorer)
+        return self._cache[symbols]
 
 
 def cmd_decode(args) -> int:

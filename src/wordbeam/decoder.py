@@ -15,6 +15,8 @@ everything else uses the total. Beams are ranked by the product of the
 language-model score and the total mass. After the last frame, beams
 whose trailing prefix is not yet a complete word are extended by their
 most probable completion without consuming posterior mass.
+Language-model scores are read at each in-word beam's trie node from a
+``TrieScorer``, whose per-node tables fill on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Iterable, Iterator
 
 from .ctc import Alphabet, PosteriorMatrix
 from .errors import ConfigurationError, InputValidationError
-from .language_model import NgramModel, ScoringMode, WORDS
+from .language_model import NgramModel, ScoringMode, TrieScorer, WORDS
 from .prefix_tree import PrefixTree
 
 
@@ -60,10 +62,6 @@ class Beam:
         return self.p_blank + self.p_nonblank
 
     @property
-    def in_word_state(self) -> bool:
-        return bool(self.word_prefix)
-
-    @property
     def score(self) -> float:
         return self.p_text * (self.p_blank + self.p_nonblank)
 
@@ -89,16 +87,19 @@ def decode(
     lm: NgramModel | None = None,
     width: int = 25,
     mode: ScoringMode = WORDS,
+    scorer: TrieScorer | None = None,
 ) -> tuple[str, float]:
     """Run the dual-state word beam search and return (labeling, score).
 
     The reported score is the winning beam's ``p_text * p_total``, the
-    quantity the search ranks by.
+    quantity the search ranks by. Pass one ``scorer`` for (tree, lm, mode)
+    to every decode of a batch; without it, each call builds its own.
     """
+    scorer = _scorer_for(tree, lm, mode, scorer)
     beams: BeamSet = {}
-    for beams in frame_beams(m, alphabet, tree, lm, width, mode):
+    for beams in frame_beams(m, alphabet, tree, lm, width, mode, scorer):
         pass
-    final = complete_beams(beams, tree, lm, mode)
+    final = complete_beams(beams, tree, lm, mode, scorer)
     best = min(final.values(), key=_rank_key)
     return best.text, best.score
 
@@ -110,6 +111,7 @@ def frame_beams(
     lm: NgramModel | None = None,
     width: int = 25,
     mode: ScoringMode = WORDS,
+    scorer: TrieScorer | None = None,
 ) -> Iterator[BeamSet]:
     """Yield the merged beam set after each frame.
 
@@ -124,8 +126,7 @@ def frame_beams(
             f"matrix has {m.num_classes} classes but the alphabet implies "
             f"{alphabet.num_classes}"
         )
-    if mode.uses_lm and lm is None:
-        raise InputValidationError(f"scoring mode {mode.kind!r} requires a language model")
+    scorer = _scorer_for(tree, lm, mode, scorer)
     symbols = alphabet.symbols
     classified = tree.word_chars | tree.nonword_chars
     if set(symbols) != classified:
@@ -142,38 +143,32 @@ def frame_beams(
             "no beam can ever extend: the dictionary is empty and there are "
             "no non-word characters"
         )
-    return _run_frames(m, alphabet, tree, lm, width, mode, col, word_starts, nonword_exts)
+    return _run_frames(m, alphabet, width, scorer, col, word_starts, nonword_exts)
+
+
+def _scorer_for(tree: PrefixTree, lm: NgramModel | None, mode: ScoringMode,
+                scorer: TrieScorer | None) -> TrieScorer:
+    if scorer is None:
+        return TrieScorer(tree, lm, mode)
+    if scorer.tree is not tree or scorer.lm is not lm or scorer.mode != mode:
+        raise ConfigurationError("the scorer was built for another tree, model or mode")
+    return scorer
 
 
 def _run_frames(
     m: PosteriorMatrix,
     alphabet: Alphabet,
-    tree: PrefixTree,
-    lm: NgramModel | None,
     width: int,
-    mode: ScoringMode,
+    scorer: TrieScorer,
     col: dict[str, int],
     word_starts: list,
     nonword_exts: list,
 ) -> Iterator[BeamSet]:
     blank = alphabet.blank_index
     rows = m.probs.tolist()
-    kind = mode.kind
-    forecast_cache: dict[str, float] = {}
-    word_prob_cache: dict[str, float] = {}
+    kind = scorer.mode.kind
+    uses_forecast = scorer.mode.uses_forecast
     child_cache: dict[int, list] = {}
-
-    def word_prob(word: str) -> float:
-        p = word_prob_cache.get(word)
-        if p is None:
-            p = word_prob_cache[word] = lm.word_probability(word)
-        return p
-
-    def forecast(prefix: str) -> float:
-        p = forecast_cache.get(prefix)
-        if p is None:
-            p = forecast_cache[prefix] = lm.forecast_for_prefix(tree, prefix, mode)
-        return p
 
     def word_state_exts(node) -> list:
         # Children of the trie node, plus non-word characters once the
@@ -190,22 +185,16 @@ def _run_frames(
     nonword_state_exts += [(c, ci, None, False) for c, ci in nonword_exts]
 
     def extend(b: Beam, c: str, cidx: int, child, is_word_char: bool) -> Beam:
+        committed = b._committed
+        p_text = b.p_text
         if is_word_char:
             prefix = b.word_prefix + c
-            if kind == "words" or kind == "ngrams":
-                p_text = b.p_text
-                committed = b._committed
-            else:
-                committed = b._committed
-                p_text = committed * forecast(prefix)
+            if uses_forecast:
+                p_text = committed * scorer.forecast(child, prefix)
         else:
             prefix = ""
             if b.word_prefix and kind != "words":
-                committed = b._committed * word_prob(b.word_prefix)
-                p_text = committed
-            else:
-                committed = b._committed
-                p_text = b.p_text
+                committed = p_text = committed * scorer.word_probability(b._node, b.word_prefix)
         nb = Beam(b.text + c, prefix, 0.0, 0.0, p_text)
         nb._node = child
         nb._committed = committed
@@ -249,6 +238,7 @@ def complete_beams(
     tree: PrefixTree,
     lm: NgramModel | None = None,
     mode: ScoringMode = WORDS,
+    scorer: TrieScorer | None = None,
 ) -> BeamSet:
     """Extend beams ending in an incomplete prefix to their best completion.
 
@@ -256,24 +246,26 @@ def complete_beams(
     ``p_blank``/``p_nonblank``. Beams already ending in a complete word
     or in non-word state are unchanged. When a completion collides with
     an existing beam text, the masses are summed and the first beam's
-    language-model score (in text order) is kept.
+    language-model score (in text order) is kept. In the forecast modes a
+    completion scores the beam's committed score (its finished words'; a
+    hand-built beam's ``p_text``) times the remainder probability.
     """
-    if mode.uses_lm and lm is None:
-        raise InputValidationError(f"scoring mode {mode.kind!r} requires a language model")
+    scorer = _scorer_for(tree, lm, mode, scorer)
     items = beams.values() if isinstance(beams, dict) else beams
     out: BeamSet = {}
     for b in sorted(items, key=lambda x: x.text):
         text, word_prefix, p_text = b.text, b.word_prefix, b.p_text
-        if word_prefix and not tree.is_word(word_prefix):
-            word, remainder = _best_completion(word_prefix, tree, lm, mode)
-            text = text + remainder
+        node = b._node or tree._find(word_prefix)  # a hand-built beam carries no node
+        if word_prefix and node is None:
+            raise InputValidationError(f"beam prefix {word_prefix!r} is dead in the dictionary")
+        if word_prefix and not node.is_word:
+            remainder, end, prob = scorer.complete(node, word_prefix)
+            text += remainder
+            word_prefix += remainder
             if mode.kind == "ngrams":
-                p_text = b.p_text * lm.word_probability(word)
+                p_text = b.p_text * scorer.word_probability(end, word_prefix)
             elif mode.uses_forecast:
-                live = lm.forecast_for_prefix(tree, word_prefix, mode)
-                committed = b.p_text / live
-                p_text = committed * lm.remainder_probability(word_prefix, remainder)
-            word_prefix = word
+                p_text = b._committed * prob
         cur = out.get(text)
         if cur is None:
             out[text] = Beam(text, word_prefix, b.p_blank, b.p_nonblank, p_text)
@@ -281,22 +273,3 @@ def complete_beams(
             cur.p_blank += b.p_blank
             cur.p_nonblank += b.p_nonblank
     return out
-
-
-def _best_completion(
-    prefix: str,
-    tree: PrefixTree,
-    lm: NgramModel | None,
-    mode: ScoringMode,
-) -> tuple[str, str]:
-    if not mode.uses_lm or lm is None:
-        found = tree.first_completion(prefix)  # lexicographically first
-    else:
-        completions = tree.completions(prefix)
-        found = min(
-            completions,
-            key=lambda wr: (-lm.remainder_probability(prefix, wr[1]), wr[0]),
-        ) if completions else None
-    if found is None:
-        raise InputValidationError(f"beam prefix {prefix!r} is dead in the dictionary")
-    return found

@@ -5,10 +5,12 @@ itself) with add-k smoothing, which keeps every conditional strictly
 positive; the decoder's multiplicative ranking requires that. Contexts
 never cross word boundaries: only the trailing run of word characters
 of a hypothesis feeds the conditioning context.
+The decoder reads every model score from a ``TrieScorer``'s per-node tables.
 """
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -129,19 +131,6 @@ class NgramModel:
         k = self.smoothing_k
         return (count + k) / (total + k * self.num_outcomes)
 
-    def current_word_prefix(self, beam_text: str) -> str:
-        """Trailing run of vocabulary characters in ``beam_text``."""
-        i = len(beam_text)
-        while i and beam_text[i - 1] in self.vocabulary:
-            i -= 1
-        return beam_text[i:]
-
-    def score_extension(self, beam_text: str, c: str) -> float:
-        """Probability of seeing ``c`` next within the current partial word."""
-        if c != WORD_BOUNDARY and c not in self.vocabulary:
-            raise InputValidationError(f"character {c!r} is outside the model vocabulary")
-        return self.conditional(self.current_word_prefix(beam_text), c)
-
     def word_probability(self, word: str) -> float:
         """Chain probability of a whole word, boundary close included."""
         p = 1.0
@@ -158,24 +147,82 @@ class NgramModel:
             cur += ch
         return p * self.conditional(cur, WORD_BOUNDARY)
 
-    def forecast_for_prefix(self, tree: PrefixTree, prefix: str, mode: ScoringMode) -> float:
-        """Summed (or sampled-and-rescaled) completion probability of a prefix.
 
-        Returns 0 for a prefix with no completions; the decoder prunes
-        such beams.
-        """
-        completions = tree.completions(prefix)
-        n = len(completions)
-        if n == 0:
-            return 0.0
-        if mode.kind != "ngrams_forecast_sample" or mode.sample_size >= n:
-            return sum(self.remainder_probability(prefix, r) for _, r in completions)
-        rng = random.Random(f"forecast|{mode.seed}|{prefix}")
-        chosen = rng.sample(completions, mode.sample_size)
-        partial = sum(self.remainder_probability(prefix, r) for _, r in chosen)
-        return partial * (n / mode.sample_size)
+class TrieScorer:
+    """Language-model tables of one (trie, model, scoring mode), per trie node.
 
-    def score_forecast(self, tree: PrefixTree, beam_text: str, mode: ScoringMode) -> float:
-        if not mode.uses_forecast:
-            raise InputValidationError("forecast scoring requires a forecast mode")
-        return self.forecast_for_prefix(tree, self.current_word_prefix(beam_text), mode)
+    Each entry is filled the first time the search asks for it and reused
+    by every later decode given this scorer. Per node: the word probability;
+    the exact forecast ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``,
+    filled for the whole subtree at once (so it matches the per-completion
+    sum to a few ulps); the sampled forecast; and the best completion.
+    """
+
+    def __init__(self, tree: PrefixTree, lm: NgramModel | None = None,
+                 mode: ScoringMode = WORDS) -> None:
+        if mode.uses_lm and lm is None:
+            raise InputValidationError(f"scoring mode {mode.kind!r} requires a language model")
+        self.tree, self.lm, self.mode = tree, lm, mode
+        self._word: dict = {}
+        self._forecast: dict = {}
+        self._sampled: dict = {}
+        self._best: dict = {}
+
+    def word_probability(self, node, word: str) -> float:
+        """``NgramModel.word_probability`` of the word ending at ``node``."""
+        p = self._word.get(node)
+        if p is None:
+            p = self._word[node] = self.lm.word_probability(word)
+        return p
+
+    def forecast(self, node, prefix: str) -> float:
+        """Completion probability of the live ``prefix`` at ``node``; in the
+        sampling mode, summed over a seeded sample and rescaled (total / sampled)."""
+        if self.mode.kind != "ngrams_forecast_sample":
+            return self._exact_forecast(node, prefix)
+        f = self._sampled.get(node)
+        if f is None:
+            completions = self.tree.completions(prefix)
+            n, k = len(completions), self.mode.sample_size
+            if k >= n:
+                f = self._exact_forecast(node, prefix)
+            else:
+                chosen = random.Random(f"forecast|{self.mode.seed}|{prefix}").sample(completions, k)
+                f = sum(self.lm.remainder_probability(prefix, r) for _, r in chosen) * (n / k)
+            self._sampled[node] = f
+        return f
+
+    def _exact_forecast(self, node, prefix: str) -> float:
+        f = self._forecast.get(node)
+        if f is None:
+            cond = self.lm.conditional
+            f = cond(prefix, WORD_BOUNDARY) if node.is_word else 0.0
+            for c in sorted(node.children):
+                f += cond(prefix, c) * self._exact_forecast(node.children[c], prefix + c)
+            self._forecast[node] = f
+        return f
+
+    def complete(self, node, prefix: str) -> tuple[str, object, float]:
+        """(remainder, word node, remainder probability) of the completion of
+        the live ``prefix`` at ``node`` with the largest ``remainder_probability``,
+        ties to the smallest word (without a model, every probability is 1)."""
+        best = self._best.get(node)
+        if best is None:
+            best = self._best[node] = self._search(node, prefix)
+        return best
+
+    def _search(self, node, prefix: str) -> tuple[str, object, float]:
+        # Uniform-cost search: every factor is at most 1, so the first word end
+        # popped beats all unexplored completions. Products run left to right,
+        # bit-identical to ``remainder_probability``, and only prefixes at
+        # least as probable as the answer are visited.
+        cond = self.lm.conditional if self.mode.uses_lm else lambda _prefix, _c: 1.0
+        heap = [(-1.0, prefix, False, node)]
+        while True:
+            neg_p, text, at_end, cur = heapq.heappop(heap)
+            if at_end:
+                return text[len(prefix):], cur, -neg_p
+            if cur.is_word:
+                heapq.heappush(heap, (neg_p * cond(text, WORD_BOUNDARY), text, True, cur))
+            for c, child in cur.children.items():
+                heapq.heappush(heap, (neg_p * cond(text, c), text + c, False, child))

@@ -85,24 +85,6 @@ class PrefixTree:
         descend(node, "")
         return out
 
-    def first_completion(self, prefix: str) -> tuple[str, str] | None:
-        """Lexicographically first stored word with this prefix, or None.
-
-        Equivalent to ``completions(prefix)[0]`` without enumerating the
-        whole subtree.
-        """
-        node = self._find(prefix)
-        if node is None:
-            return None
-        suffix = ""
-        while not node.is_word:
-            if not node.children:
-                return None
-            ch = min(node.children)
-            suffix += ch
-            node = node.children[ch]
-        return prefix + suffix, suffix
-
     def is_word(self, s: str) -> bool:
         node = self._find(s)
         return node is not None and node.is_word

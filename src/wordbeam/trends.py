@@ -11,7 +11,7 @@ byte-identical across runs.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .coding import PLAIN, decode_label, extra_separator, augment_alphabet
 from .ctc import Alphabet, best_path_decode
@@ -19,7 +19,7 @@ from .decoder import decode
 from .ensemble import Hypothesis, vote
 from .errors import InputValidationError
 from .evaluation import word_accuracy
-from .language_model import WORDS
+from .language_model import TrieScorer
 from .prefix_tree import PrefixTree
 from .synth import RecognizerSim, make_ensemble
 
@@ -92,7 +92,7 @@ class TrendReport:
             "seed      " + "".join(f"n={c:<7}" for c in counts),
         ]
         for o in self.outcomes:
-            row = f"{o.seed:<10}" + "".join(f"{o.ensemble_accuracy[c]:<9.2f}" for c in counts)
+            row = f"{o.seed:<9} " + "".join(f"{o.ensemble_accuracy[c]:<9.2f}" for c in counts)
             lines.append(row.rstrip())
         lines.append(
             ("mean      " + "".join(f"{self.mean_ensemble(c):<9.2f}" for c in counts)).rstrip()
@@ -137,6 +137,8 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         word_chars = set(cfg.alphabet_characters)
         tree_plain = PrefixTree(dictionary, word_chars)
         tree_x = PrefixTree(dictionary, word_chars, {cfg.separator})
+        # One scorer per tree: a completion found by one decode serves the rest.
+        scorer_p, scorer_x = TrieScorer(tree_plain), TrieScorer(tree_x)
         base = RecognizerSim(
             alphabet=base_alphabet,
             frames_per_char=cfg.frames_per_char,
@@ -150,18 +152,12 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         hyps: list[list[Hypothesis]] = []
         bp_x_preds: list[str] = []
         for idx, sim in enumerate(members):
-            sim_x = RecognizerSim(
-                alphabet=aug_alphabet,
-                frames_per_char=sim.frames_per_char,
-                noise_level=sim.noise_level,
-                confusion_spread=sim.confusion_spread,
-                seed=sim.seed,
-            )
+            sim_x = replace(sim, alphabet=aug_alphabet)
             member_hyps: list[Hypothesis] = []
             for word in gt:
                 matrix = sim_x.emit(word, scheme_x)
                 text, likelihood = decode(
-                    matrix, aug_alphabet, tree_x, width=cfg.width, mode=WORDS
+                    matrix, aug_alphabet, tree_x, width=cfg.width, scorer=scorer_x
                 )
                 member_hyps.append(Hypothesis(decode_label(text, scheme_x).text, likelihood))
                 if idx == 0:
@@ -182,7 +178,7 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         sim_p = members[0]
         for word in gt:
             matrix = sim_p.emit(word, PLAIN)
-            text, _ = decode(matrix, base_alphabet, tree_plain, width=cfg.width, mode=WORDS)
+            text, _ = decode(matrix, base_alphabet, tree_plain, width=cfg.width, scorer=scorer_p)
             wbs_plain_preds.append(text)
             bp_text, _ = best_path_decode(matrix, base_alphabet)
             bp_plain_preds.append(bp_text)

@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import numpy as np
 
-from wordbeam import Alphabet, PosteriorMatrix, PrefixTree
+from wordbeam import Alphabet, NgramModel, PosteriorMatrix, PrefixTree, ScoringMode
 
 
 def random_matrix(rng: np.random.Generator, t: int, c: int) -> PosteriorMatrix:
@@ -102,3 +103,34 @@ def constrained_argmax(dist: dict[str, float], tree: PrefixTree) -> tuple[str, f
         candidates[text] = candidates.get(text, 0.0) + dist[labeling]
     best_text, best_mass = min(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
     return best_text, best_mass
+
+
+def trie_node(tree: PrefixTree, prefix: str):
+    """The trie node of a live prefix (None for a dead one), as the decoder holds it."""
+    return tree._find(prefix)
+
+
+def forecast_for_prefix(
+    lm: NgramModel, tree: PrefixTree, prefix: str, mode: ScoringMode
+) -> float:
+    """Forecast by enumeration: the remainder probabilities of every
+    completion summed, or of a seeded uniform sample of ``sample_size``
+    of them rescaled by (total / sampled). 0 for a dead prefix."""
+    completions = tree.completions(prefix)
+    n = len(completions)
+    if n == 0:
+        return 0.0
+    if mode.kind != "ngrams_forecast_sample" or mode.sample_size >= n:
+        return sum(lm.remainder_probability(prefix, r) for _, r in completions)
+    rng = random.Random(f"forecast|{mode.seed}|{prefix}")
+    chosen = rng.sample(completions, mode.sample_size)
+    partial = sum(lm.remainder_probability(prefix, r) for _, r in chosen)
+    return partial * (n / mode.sample_size)
+
+
+def best_completion(lm: NgramModel, tree: PrefixTree, prefix: str) -> tuple[str, float]:
+    """(word, remainder probability) of the most probable completion by
+    enumeration, ties to the lexicographically smallest word."""
+    scored = [(lm.remainder_probability(prefix, r), w) for w, r in tree.completions(prefix)]
+    p, word = min(scored, key=lambda pw: (-pw[0], pw[1]))
+    return word, p

@@ -19,6 +19,7 @@ from wordbeam import (
     NGRAMS_FORECAST,
     NgramModel,
     PrefixTree,
+    TrieScorer,
     best_path_decode,
     decode,
     forecast_sample,
@@ -30,7 +31,7 @@ from wordbeam import (
 from wordbeam.cli import EXIT_OK, main
 from wordbeam.trends import TrendConfig, run_trend_experiment
 
-from _support import constrained_argmax, naive_best_path, random_matrix
+from _support import constrained_argmax, naive_best_path, random_matrix, trie_node
 
 
 @contextmanager
@@ -111,17 +112,19 @@ def test_criterion_4_forecast_sampling_estimator():
         corpus = ["ab"] * 6 + ["ac"] * 3 + ["ad"] * 2 + ["ae", "af", "ag", "ah"]
         lm = NgramModel.train(corpus, order=2)
         tree = PrefixTree(sorted(set(corpus)), set("abcdefgh"))
-        exact = lm.forecast_for_prefix(tree, "a", NGRAMS_FORECAST)
-        draws = [
-            lm.forecast_for_prefix(tree, "a", forecast_sample(sample_size=3, seed=s))
-            for s in range(10_000)
-        ]
+        node = trie_node(tree, "a")
+
+        def forecast(mode):  # the value the decoder reads for prefix "a"
+            return TrieScorer(tree, lm, mode).forecast(node, "a")
+
+        exact = forecast(NGRAMS_FORECAST)
+        draws = [forecast(forecast_sample(sample_size=3, seed=s)) for s in range(10_000)]
         mean = sum(draws) / len(draws)
         var = sum((d - mean) ** 2 for d in draws) / (len(draws) - 1)
         se = (var / len(draws)) ** 0.5
         assert abs(mean - exact) <= 3 * se, f"mean {mean} vs exact {exact} (se {se})"
         # sample size >= number of completions: exact equality, not approximate
-        covering = lm.forecast_for_prefix(tree, "a", forecast_sample(sample_size=7, seed=1))
+        covering = forecast(forecast_sample(sample_size=7, seed=1))
         assert covering == exact
 
 

@@ -13,6 +13,7 @@ from wordbeam import (
     NgramModel,
     PosteriorMatrix,
     PrefixTree,
+    TrieScorer,
     WORDS,
     best_path_decode,
     complete_beams,
@@ -247,3 +248,47 @@ class TestCompleteBeams:
         )
         assert list(out) == ["abc"]
         assert out["abc"].p_total == pytest.approx(0.5)
+
+
+class TestSharedScorer:
+    def _setup(self):
+        rng = np.random.default_rng(8)
+        py_rng = __import__("random").Random(8)
+        alphabet = Alphabet("abc", separator="|")
+        words = sorted({"".join(py_rng.choice("abc") for _ in range(py_rng.randint(1, 4)))
+                        for _ in range(25)})
+        tree = PrefixTree(words, {"a", "b", "c"}, {"|"})
+        lm = NgramModel.train(words, order=2)
+        matrices = [random_matrix(rng, int(rng.integers(3, 9)), 5) for _ in range(6)]
+        return alphabet, tree, lm, matrices
+
+    def test_tables_filled_by_earlier_decodes_change_nothing(self):
+        alphabet, tree, lm, matrices = self._setup()
+        for mode in (WORDS, NGRAMS, NGRAMS_FORECAST, forecast_sample(3, seed=4)):
+            scorer = TrieScorer(tree, lm, mode)
+            for m in matrices:
+                shared = decode(m, alphabet, tree, lm, 8, mode, scorer=scorer)
+                assert shared == decode(m, alphabet, tree, lm, 8, mode)
+
+    def test_scorer_of_another_configuration_rejected(self):
+        alphabet, tree, lm, matrices = self._setup()
+        scorer = TrieScorer(tree, lm, NGRAMS)
+        with pytest.raises(ConfigurationError):
+            decode(matrices[0], alphabet, tree, lm, 8, NGRAMS_FORECAST, scorer=scorer)
+        with pytest.raises(ConfigurationError):
+            decode(matrices[0], alphabet, PrefixTree(["a"], {"a", "b", "c"}, {"|"}), lm, 8,
+                   NGRAMS, scorer=scorer)
+
+    def test_forecast_completion_scores_committed_times_remainder(self):
+        alphabet = Alphabet("abcd")
+        tree = PrefixTree(["abc", "abd"], set("abcd"))
+        lm = NgramModel.train(["abc", "abc", "abd"], order=2)
+        m = PosteriorMatrix([[0.9, 0.02, 0.02, 0.02, 0.04], [0.02, 0.9, 0.02, 0.02, 0.04]])
+        for mode in (NGRAMS_FORECAST, forecast_sample(1, seed=0)):
+            beams = None
+            for beams in frame_beams(m, alphabet, tree, lm, 50, mode):
+                pass
+            assert beams["ab"].p_text != 1.0  # ranked by the forecast of "ab"
+            out = complete_beams([beams["ab"]], tree, lm, mode)
+            # nothing committed before "ab", so the completion scores its remainder
+            assert out["abc"].p_text == pytest.approx(lm.remainder_probability("ab", "c"))

@@ -3,16 +3,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordbeam import (
     InputValidationError,
+    NGRAMS,
     NGRAMS_FORECAST,
     NgramModel,
     PrefixTree,
     ScoringMode,
+    TrieScorer,
     WORD_BOUNDARY,
     forecast_sample,
 )
+
+from _support import best_completion, forecast_for_prefix, trie_node
 
 WC = set("abcdefgh")
 
@@ -54,61 +59,52 @@ class TestTraining:
             NgramModel.train(["ab"], smoothing_k=0.0)
 
 
-class TestScoreExtension:
-    def test_observed_beats_unobserved(self):
-        lm = NgramModel.train(["ab"], order=2)
-        assert lm.score_extension("a", "b") > lm.score_extension("a", "a")
-
-    def test_context_is_current_word_only(self):
-        lm = NgramModel.train(["ab"], order=2)
-        # '|' is outside the vocabulary, so the word context restarts after it
-        assert lm.score_extension("ab|", "a") == lm.score_extension("", "a")
-
-    def test_rejects_out_of_vocabulary_character(self):
-        lm = NgramModel.train(["ab"], order=2)
-        with pytest.raises(InputValidationError):
-            lm.score_extension("a", "z")
-
-    def test_boundary_is_scoreable(self):
-        lm = NgramModel.train(["ab"], order=2)
-        assert lm.score_extension("ab", WORD_BOUNDARY) > 0
-
-
 class TestForecast:
+    """The forecasts and completions the decoder reads from its scorer."""
+
     def _fixture(self):
         lm = NgramModel.train(["abc", "abc", "abd"], order=2)
         tree = PrefixTree(["abc", "abd"], WC)
         return lm, tree
 
+    @staticmethod
+    def _forecast(lm, tree, prefix, mode):
+        return TrieScorer(tree, lm, mode).forecast(trie_node(tree, prefix), prefix)
+
     def test_hand_computed_remainders(self):
-        lm, _ = self._fixture()
+        lm, tree = self._fixture()
         # vocab {a,b,c,d} plus boundary: V = 5
         assert lm.remainder_probability("ab", "c") == pytest.approx((3 / 8) * (3 / 7))
         assert lm.remainder_probability("ab", "d") == pytest.approx((2 / 8) * (2 / 6))
+        remainder, _, p = TrieScorer(tree, lm, NGRAMS).complete(trie_node(tree, "ab"), "ab")
+        assert remainder == "c"
+        assert p == pytest.approx((3 / 8) * (3 / 7))
 
     def test_forecast_is_sum_over_completions(self):
         lm, tree = self._fixture()
         expected = sum(
             lm.remainder_probability("ab", r) for _, r in tree.completions("ab")
         )
-        assert lm.score_forecast(tree, "abc|ab", NGRAMS_FORECAST) == pytest.approx(expected)
-        assert lm.forecast_for_prefix(tree, "ab", NGRAMS_FORECAST) == pytest.approx(expected)
+        assert self._forecast(lm, tree, "ab", NGRAMS_FORECAST) == pytest.approx(expected)
+        assert forecast_for_prefix(lm, tree, "ab", NGRAMS_FORECAST) == pytest.approx(expected)
 
     def test_single_completion(self):
         lm = NgramModel.train(["abc"], order=2)
         tree = PrefixTree(["abc"], WC)
-        assert lm.forecast_for_prefix(tree, "ab", NGRAMS_FORECAST) == pytest.approx(
+        assert self._forecast(lm, tree, "ab", NGRAMS_FORECAST) == pytest.approx(
             lm.remainder_probability("ab", "c")
         )
 
     def test_dead_prefix_scores_zero(self):
         lm, tree = self._fixture()
-        assert lm.forecast_for_prefix(tree, "zz", NGRAMS_FORECAST) == 0.0
+        # The search only holds live prefixes: a dead one has no trie node.
+        assert trie_node(tree, "zz") is None
+        assert forecast_for_prefix(lm, tree, "zz", NGRAMS_FORECAST) == 0.0
 
     def test_sample_equals_exact_when_large_enough(self):
         lm, tree = self._fixture()
-        exact = lm.forecast_for_prefix(tree, "ab", NGRAMS_FORECAST)
-        sampled = lm.forecast_for_prefix(tree, "ab", forecast_sample(sample_size=2, seed=3))
+        exact = self._forecast(lm, tree, "ab", NGRAMS_FORECAST)
+        sampled = self._forecast(lm, tree, "ab", forecast_sample(sample_size=2, seed=3))
         assert sampled == exact  # 2 completions, sample of 2: no sampling happens
 
     def test_sampling_deterministic_per_seed(self):
@@ -116,8 +112,11 @@ class TestForecast:
         lm = NgramModel.train(corpus, order=2)
         tree = PrefixTree(corpus, WC)
         mode = forecast_sample(sample_size=3, seed=12)
-        first = lm.forecast_for_prefix(tree, "a", mode)
-        assert lm.forecast_for_prefix(tree, "a", mode) == first
+        scorer = TrieScorer(tree, lm, mode)
+        first = scorer.forecast(trie_node(tree, "a"), "a")
+        assert scorer.forecast(trie_node(tree, "a"), "a") == first
+        assert self._forecast(lm, tree, "a", mode) == first  # a fresh scorer agrees
+        assert first == forecast_for_prefix(lm, tree, "a", mode)  # same draw and arithmetic
 
     def test_sampling_estimator_unbiased(self):
         # skewed counts so the per-completion probabilities differ and the
@@ -125,15 +124,59 @@ class TestForecast:
         corpus = ["ab"] * 5 + ["ac"] * 3 + ["ad"] * 2 + ["ae", "af", "ag", "ah"]
         lm = NgramModel.train(corpus, order=2)
         tree = PrefixTree(sorted(set(corpus)), WC)
-        exact = lm.forecast_for_prefix(tree, "a", NGRAMS_FORECAST)
+        exact = self._forecast(lm, tree, "a", NGRAMS_FORECAST)
         draws = [
-            lm.forecast_for_prefix(tree, "a", forecast_sample(sample_size=3, seed=s))
+            self._forecast(lm, tree, "a", forecast_sample(sample_size=3, seed=s))
             for s in range(2000)
         ]
         mean = sum(draws) / len(draws)
         var = sum((d - mean) ** 2 for d in draws) / (len(draws) - 1)
         se = (var / len(draws)) ** 0.5
         assert abs(mean - exact) <= 3 * se
+
+
+class TestTrieScorerTables:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        words=st.lists(st.text("abc", min_size=1, max_size=5), min_size=1, max_size=12),
+        extra=st.lists(st.text("abcd", min_size=1, max_size=4), max_size=6),
+        order=st.integers(1, 3),
+        smoothing_k=st.sampled_from([0.5, 1.0]),
+        data=st.data(),
+    )
+    def test_tables_match_enumeration(self, words, extra, order, smoothing_k, data):
+        tree = PrefixTree(words, set("abc"))
+        lm = NgramModel.train(words + extra, order=order, smoothing_k=smoothing_k)
+        sample_mode = forecast_sample(sample_size=2, seed=order)
+        exact, sampled = TrieScorer(tree, lm, NGRAMS_FORECAST), TrieScorer(tree, lm, sample_mode)
+        prefixes = sorted({w[:i] for w in words for i in range(len(w) + 1)})
+        # Query the nodes in any order: each entry must not depend on which
+        # node filled the tables first.
+        for prefix in data.draw(st.permutations(prefixes)):
+            node = trie_node(tree, prefix)
+            if node.is_word:
+                assert exact.word_probability(node, prefix) == lm.word_probability(prefix)
+            assert exact.forecast(node, prefix) == pytest.approx(
+                forecast_for_prefix(lm, tree, prefix, NGRAMS_FORECAST), rel=1e-12)
+            assert sampled.forecast(node, prefix) == pytest.approx(
+                forecast_for_prefix(lm, tree, prefix, sample_mode), rel=1e-12)
+            remainder, end, p = exact.complete(node, prefix)
+            assert end is trie_node(tree, prefix + remainder) and end.is_word
+            # Bit-identical, ties included: the completion's products run in
+            # the order of remainder_probability's.
+            assert (prefix + remainder, p) == best_completion(lm, tree, prefix)
+
+    def test_completions_equal_in_exact_arithmetic(self):
+        # From "" the completions ba and bc score 0.25 * 0.7 and 0.58333 * 0.3
+        # after P(b): both 0.175 in exact arithmetic, but the rounded
+        # products differ, so a different product order picks another word.
+        words = ["a", "c", "ba", "bc", "bcba", "bcba"]
+        tree = PrefixTree(words, set("abc"))
+        lm = NgramModel.train(words, order=3, smoothing_k=0.5)
+        scorer = TrieScorer(tree, lm, NGRAMS)
+        for prefix in ("", "b"):
+            remainder, _, p = scorer.complete(trie_node(tree, prefix), prefix)
+            assert (prefix + remainder, p) == best_completion(lm, tree, prefix)
 
 
 class TestScoringMode:
@@ -144,9 +187,3 @@ class TestScoringMode:
     def test_sample_size_validated(self):
         with pytest.raises(InputValidationError):
             forecast_sample(sample_size=0)
-
-    def test_forecast_requires_forecast_mode(self):
-        lm = NgramModel.train(["ab"], order=2)
-        tree = PrefixTree(["ab"], WC)
-        with pytest.raises(InputValidationError):
-            lm.score_forecast(tree, "a", ScoringMode("words"))

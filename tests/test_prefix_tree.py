@@ -4,7 +4,9 @@ import random
 
 import pytest
 
-from wordbeam import InputValidationError, PrefixTree
+from wordbeam import InputValidationError, PrefixTree, TrieScorer
+
+from _support import trie_node
 
 WC = set("abcdefgh")
 
@@ -85,14 +87,21 @@ def test_random_dictionary_matches_scan():
 
 
 def test_first_completion_matches_full_enumeration():
+    # Words-mode completion (no model) is the lexicographically first word.
     rng = random.Random(44)
     words = ["".join(rng.choice("abc") for _ in range(rng.randint(1, 5))) for _ in range(40)]
     t = PrefixTree(words, WC)
+    scorer = TrieScorer(t)
     prefixes = {""} | {w[:k] for w in words for k in range(1, len(w) + 1)} | {"zz"}
     for prefix in prefixes:
         completions = t.completions(prefix)
-        first = t.first_completion(prefix)
-        assert first == (completions[0] if completions else None)
+        node = trie_node(t, prefix)
+        if node is None:
+            assert completions == []
+            continue
+        remainder, end, p = scorer.complete(node, prefix)
+        assert (prefix + remainder, remainder) == completions[0]
+        assert end.is_word and p == 1.0
 
 
 def test_next_chars_consistent_with_completions():
