@@ -227,8 +227,13 @@ def _read_hypothesis_tsv(path: str) -> list[tuple[str, str, float]]:
 
 def cmd_ensemble(args) -> int:
     paths = [Path(p) for p in args.inputs]
-    if all(p.is_dir() for p in paths):
+    dirs = [p.is_dir() for p in paths]
+    if all(dirs):
         per_member = _ensemble_from_dirs(args, paths)
+    elif any(dirs):
+        print("wordbeam ensemble: error: inputs must be all decode TSV files or all "
+              "matrix directories", file=sys.stderr)
+        return EXIT_USAGE
     else:
         per_member = [_read_hypothesis_tsv(str(p)) for p in paths]
     ids = [row[0] for row in per_member[0]]
@@ -262,10 +267,7 @@ def _ensemble_from_dirs(args, dirs: list[Path]) -> list[list[tuple[str, str, flo
     for d in dirs[1:]:
         other = sorted(p.name for p in d.iterdir() if p.is_file())
         if other != names:
-            bad = next(
-                iter(set(names) ^ set(other)),
-                "<none>",
-            )
+            bad = min(set(names) ^ set(other))
             raise DataFormatError(
                 f"matrix directories are misaligned, first mismatch at {bad!r}",
                 path=str(d),

@@ -155,7 +155,8 @@ class TrieScorer:
     by every later decode given this scorer. Per node: the word probability;
     the exact forecast ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``,
     filled for the whole subtree at once (so it matches the per-completion
-    sum to a few ulps); the sampled forecast; and the best completion.
+    sum to a few ulps); the completion count and the sampled forecast, drawn
+    by index so that no subtree is enumerated; and the best completion.
     """
 
     def __init__(self, tree: PrefixTree, lm: NgramModel | None = None,
@@ -166,6 +167,7 @@ class TrieScorer:
         self._word: dict = {}
         self._forecast: dict = {}
         self._sampled: dict = {}
+        self._counts: dict = {}
         self._best: dict = {}
 
     def word_probability(self, node, word: str) -> float:
@@ -182,15 +184,43 @@ class TrieScorer:
             return self._exact_forecast(node, prefix)
         f = self._sampled.get(node)
         if f is None:
-            completions = self.tree.completions(prefix)
-            n, k = len(completions), self.mode.sample_size
+            n, k = self._count(node), self.mode.sample_size
             if k >= n:
                 f = self._exact_forecast(node, prefix)
             else:
-                chosen = random.Random(f"forecast|{self.mode.seed}|{prefix}").sample(completions, k)
-                f = sum(self.lm.remainder_probability(prefix, r) for _, r in chosen) * (n / k)
+                # ``sample`` picks indices from the length alone, so drawing from
+                # ``range(n)`` chooses the same completions, in the same order, as
+                # drawing from the lexicographic list of them.
+                chosen = random.Random(f"forecast|{self.mode.seed}|{prefix}").sample(range(n), k)
+                f = sum(self.lm.remainder_probability(prefix, self._nth_remainder(node, i))
+                        for i in chosen) * (n / k)
             self._sampled[node] = f
         return f
+
+    def _count(self, node) -> int:
+        """Number of stored words at or below ``node``."""
+        n = self._counts.get(node)
+        if n is None:
+            n = int(node.is_word) + sum(self._count(child) for child in node.children.values())
+            self._counts[node] = n
+        return n
+
+    def _nth_remainder(self, node, i: int) -> str:
+        """Remainder of the ``i``-th completion below ``node``, in lexicographic order."""
+        remainder = ""
+        while True:
+            if node.is_word:
+                if i == 0:
+                    return remainder
+                i -= 1
+            for c in sorted(node.children):
+                child = node.children[c]
+                n = self._count(child)
+                if i < n:
+                    remainder += c
+                    node = child
+                    break
+                i -= n
 
     def _exact_forecast(self, node, prefix: str) -> float:
         f = self._forecast.get(node)

@@ -7,7 +7,17 @@ import random
 
 import numpy as np
 
-from wordbeam import Alphabet, NgramModel, PosteriorMatrix, PrefixTree, ScoringMode
+from wordbeam import (
+    WORDS,
+    Alphabet,
+    Beam,
+    NgramModel,
+    PosteriorMatrix,
+    PrefixTree,
+    ScoringMode,
+    TrieScorer,
+    complete_beams,
+)
 
 
 def random_matrix(rng: np.random.Generator, t: int, c: int) -> PosteriorMatrix:
@@ -134,3 +144,96 @@ def best_completion(lm: NgramModel, tree: PrefixTree, prefix: str) -> tuple[str,
     scored = [(lm.remainder_probability(prefix, r), w) for w, r in tree.completions(prefix)]
     p, word = min(scored, key=lambda pw: (-pw[0], pw[1]))
     return word, p
+
+
+def _rank_key(b: Beam):
+    return (-(b.p_text * (b.p_blank + b.p_nonblank)), b.text)
+
+
+def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree,
+                          lm: NgramModel | None = None, width: int = 25,
+                          mode: ScoringMode = WORDS, scorer: TrieScorer | None = None):
+    """The frame loop with one Beam per candidate, merged in a dict: yields
+    the uncut beam set after each frame, as ``frame_beams`` does."""
+    scorer = scorer or TrieScorer(tree, lm, mode)
+    col = alphabet.column_map()
+    root = tree._root
+    word_starts = [(c, col[c], root.children[c]) for c in sorted(root.children)]
+    nonword_exts = [(c, col[c]) for c in sorted(tree.nonword_chars)]
+    blank = alphabet.blank_index
+    rows = m.probs.tolist()
+    kind = scorer.mode.kind
+    uses_forecast = scorer.mode.uses_forecast
+    child_cache: dict[int, list] = {}
+
+    def word_state_exts(node) -> list:
+        exts = child_cache.get(id(node))
+        if exts is None:
+            exts = [(c, col[c], node.children[c], True) for c in sorted(node.children)]
+            if node.is_word:
+                exts = exts + [(c, ci, None, False) for c, ci in nonword_exts]
+            child_cache[id(node)] = exts
+        return exts
+
+    nonword_state_exts = [(c, ci, child, True) for c, ci, child in word_starts]
+    nonword_state_exts += [(c, ci, None, False) for c, ci in nonword_exts]
+
+    def extend(b: Beam, c: str, cidx: int, child, is_word_char: bool) -> Beam:
+        committed = b._committed
+        p_text = b.p_text
+        if is_word_char:
+            prefix = b.word_prefix + c
+            if uses_forecast:
+                p_text = committed * scorer.forecast(child, prefix)
+        else:
+            prefix = ""
+            if b.word_prefix and kind != "words":
+                committed = p_text = committed * scorer.word_probability(b._node, b.word_prefix)
+        nb = Beam(b.text + c, prefix, 0.0, 0.0, p_text)
+        nb._node = child
+        nb._committed = committed
+        nb._last_col = cidx
+        return nb
+
+    init = Beam()
+    init.p_blank = 1.0
+    beams: dict[str, Beam] = {"": init}
+    for row in rows:
+        ranked = sorted(beams.values(), key=_rank_key)[:width]
+        nxt: dict[str, Beam] = {}
+        blank_p = row[blank]
+        for b in ranked:
+            tot = b.p_blank + b.p_nonblank
+            cur = nxt.get(b.text)
+            if cur is None:
+                cur = Beam(b.text, b.word_prefix, 0.0, 0.0, b.p_text)
+                cur._node = b._node
+                cur._committed = b._committed
+                cur._last_col = b._last_col
+                nxt[b.text] = cur
+            if b.text:
+                cur.p_nonblank += b.p_nonblank * row[b._last_col]
+            cur.p_blank += tot * blank_p
+            exts = word_state_exts(b._node) if b.word_prefix else nonword_state_exts
+            for c, cidx, child, is_word_char in exts:
+                contrib = (b.p_blank if cidx == b._last_col else tot) * row[cidx]
+                text2 = b.text + c
+                nb = nxt.get(text2)
+                if nb is None:
+                    nb = extend(b, c, cidx, child, is_word_char)
+                    nxt[text2] = nb
+                nb.p_nonblank += contrib
+        beams = nxt
+        yield beams
+
+
+def reference_decode(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree,
+                     lm: NgramModel | None = None, width: int = 25,
+                     mode: ScoringMode = WORDS) -> tuple[str, float]:
+    """``decode`` driven by ``reference_frame_beams``."""
+    scorer = TrieScorer(tree, lm, mode)
+    beams: dict[str, Beam] = {}
+    for beams in reference_frame_beams(m, alphabet, tree, lm, width, mode, scorer):
+        pass
+    best = min(complete_beams(beams, tree, lm, mode, scorer).values(), key=_rank_key)
+    return best.text, best.score

@@ -225,6 +225,27 @@ class TestEnsembleCommand:
         err = capsys.readouterr().err
         assert "s1" in err or "zz" in err
 
+    def test_misaligned_directories_name_smallest_mismatch(self, tmp_path, capsys):
+        for d, prefix in (("a", "x"), ("b", "y")):
+            (tmp_path / d).mkdir()
+            for i in range(1, 6):
+                (tmp_path / d / f"{prefix}{i}.mat").write_text("", encoding="utf-8")
+        rc = main(["ensemble", str(tmp_path / "a"), str(tmp_path / "b"), "--mode", "bestpath"])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"wordbeam: data format error: {tmp_path / 'b'}: matrix directories are "
+            "misaligned, first mismatch at 'x1.mat'\n")
+
+    def test_directory_mixed_with_tsv_is_usage_error(self, tmp_path, capsys):
+        member = tmp_path / "member"
+        member.mkdir()
+        tsv = self._write(tmp_path, "h.tsv", [("s0", "cat", 0.9)])
+        rc = main(["ensemble", str(member), tsv])
+        assert rc == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == ("wordbeam ensemble: error: inputs must be all decode TSV files or all "
+                       "matrix directories\n")
+
     def test_single_recognizer_matches_decode(self, synth_setup, tmp_path, capsys):
         paths, dict_path = synth_setup
         args = ["--dict", dict_path, "--mode", "words", "--scheme", "extrasep"]

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordbeam import (
     Alphabet,
@@ -23,7 +24,7 @@ from wordbeam import (
     labeling_distribution,
 )
 
-from _support import constrained_argmax, random_matrix
+from _support import constrained_argmax, random_matrix, reference_decode, reference_frame_beams
 
 WC = set("abcdefgh")
 
@@ -292,3 +293,62 @@ class TestSharedScorer:
             out = complete_beams([beams["ab"]], tree, lm, mode)
             # nothing committed before "ab", so the completion scores its remainder
             assert out["abc"].p_text == pytest.approx(lm.remainder_probability("ab", "c"))
+
+
+WORD_CHARS = "abcdefghijkl"
+
+
+class TestFlatFrameLoop:
+    """The flat-candidate frame loop against the Beam-per-candidate reference."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        starts=st.lists(st.sampled_from(WORD_CHARS), min_size=10, max_size=12, unique=True),
+        tails=st.lists(st.text(WORD_CHARS[:5], max_size=4), min_size=1, max_size=30),
+        coding=st.sampled_from(["plain", "plain+space", "extrasep"]),
+        mode=st.sampled_from([WORDS, NGRAMS, NGRAMS_FORECAST, forecast_sample(2, seed=3)]),
+        order=st.integers(1, 3),
+        t=st.integers(1, 60),
+        width=st.integers(1, 40),
+        levels=st.sampled_from([0, 3]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_frames_and_decode_equal_reference(self, starts, tails, coding, mode, order, t,
+                                               width, levels, seed):
+        words = starts + [starts[i % len(starts)] + tail for i, tail in enumerate(tails)]
+        sep = "|" if coding == "extrasep" else None
+        chars = WORD_CHARS + (" " if coding == "plain+space" else "")
+        alphabet = Alphabet(chars, separator=sep)
+        nonword = set(alphabet.symbols) - set(WORD_CHARS)
+        tree = PrefixTree(words, set(WORD_CHARS), nonword)
+        lm = NgramModel.train(words, order=order)
+        rng = np.random.default_rng(seed)
+        if levels:  # few distinct values, so that scores tie and texts break the ties
+            arr = rng.integers(1, levels + 1, (t, alphabet.num_classes)).astype(float)
+            m = PosteriorMatrix(arr / arr.sum(axis=1, keepdims=True))
+        else:
+            m = random_matrix(rng, t, alphabet.num_classes)
+        frames = frame_beams(m, alphabet, tree, lm, width, mode)
+        reference = reference_frame_beams(m, alphabet, tree, lm, width, mode)
+        count = 0
+        for got, want in zip(frames, reference, strict=True):
+            assert len(got) == len(want)
+            assert {k: (b.word_prefix, b.p_blank, b.p_nonblank, b.p_text)
+                    for k, b in got.items()} == {
+                k: (b.word_prefix, b.p_blank, b.p_nonblank, b.p_text)
+                for k, b in want.items()}
+            count += 1
+        assert count == t
+        assert decode(m, alphabet, tree, lm, width, mode) == reference_decode(
+            m, alphabet, tree, lm, width, mode)
+
+    def test_frame_set_is_a_read_only_mapping(self):
+        alphabet = Alphabet("ab")
+        tree = PrefixTree(["ab", "b"], {"a", "b"})
+        m = PosteriorMatrix([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]])
+        first = next(iter(frame_beams(m, alphabet, tree)))
+        assert len(first) == 3
+        with pytest.raises(TypeError):
+            first["x"] = Beam("x")
+        assert sorted(first) == ["", "a", "b"]
+        assert first["a"] is first["a"]

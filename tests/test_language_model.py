@@ -136,6 +136,18 @@ class TestForecast:
 
 
 class TestTrieScorerTables:
+    def test_index_draw_picks_the_list_draw(self):
+        # The sampled forecast draws indices into the lexicographic
+        # completion list instead of drawing from the list itself.
+        for n in range(2, 400):
+            population = [f"w{i:03d}" for i in range(n)]
+            for k in (1, 3, 20, 60):
+                if k < n:
+                    seed = f"forecast|{k}|p{n}"
+                    chosen = random.Random(seed).sample(range(n), k)
+                    assert [population[i] for i in chosen] == random.Random(seed).sample(
+                        population, k)
+
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(
         words=st.lists(st.text("abc", min_size=1, max_size=5), min_size=1, max_size=12),
@@ -158,13 +170,34 @@ class TestTrieScorerTables:
                 assert exact.word_probability(node, prefix) == lm.word_probability(prefix)
             assert exact.forecast(node, prefix) == pytest.approx(
                 forecast_for_prefix(lm, tree, prefix, NGRAMS_FORECAST), rel=1e-12)
-            assert sampled.forecast(node, prefix) == pytest.approx(
-                forecast_for_prefix(lm, tree, prefix, sample_mode), rel=1e-12)
+            want = forecast_for_prefix(lm, tree, prefix, sample_mode)
+            if len(tree.completions(prefix)) > sample_mode.sample_size:
+                assert sampled.forecast(node, prefix) == want  # same draw, same sum order
+            else:  # the sample covers every completion: the exact table value
+                assert sampled.forecast(node, prefix) == pytest.approx(want, rel=1e-12)
             remainder, end, p = exact.complete(node, prefix)
             assert end is trie_node(tree, prefix + remainder) and end.is_word
             # Bit-identical, ties included: the completion's products run in
             # the order of remainder_probability's.
             assert (prefix + remainder, p) == best_completion(lm, tree, prefix)
+
+    def test_sampled_forecast_is_the_enumerated_draw(self):
+        # Samples of three or more terms: the sum runs in draw order.
+        rng = random.Random(5)
+        words = sorted({"".join(rng.choice("abcd") for _ in range(rng.randint(1, 6)))
+                        for _ in range(300)})
+        tree = PrefixTree(words, set("abcd"))
+        lm = NgramModel.train(words, order=2)
+        for k in (3, 20):
+            mode = forecast_sample(sample_size=k, seed=k)
+            scorer = TrieScorer(tree, lm, mode)
+            sampled = 0
+            for prefix in sorted({w[:i] for w in words for i in range(len(w))}):
+                if len(tree.completions(prefix)) > k:
+                    sampled += 1
+                    assert scorer.forecast(trie_node(tree, prefix), prefix) == (
+                        forecast_for_prefix(lm, tree, prefix, mode))
+            assert sampled >= 5
 
     def test_completions_equal_in_exact_arithmetic(self):
         # From "" the completions ba and bc score 0.25 * 0.7 and 0.58333 * 0.3
