@@ -27,12 +27,13 @@ from .ctc import (
     labeling_probability,
 )
 from .decoder import Beam, BeamSet, complete_beams, decode, frame_beams
-from .ensemble import Hypothesis, borda_vote, vote, winning_group_size
+from .ensemble import Hypothesis, vote, winning_group_size
 from .errors import (
     CapacityError,
     ConfigurationError,
     DataFormatError,
     InputValidationError,
+    UnreadableFileError,
     WordbeamError,
 )
 from .evaluation import (
@@ -85,12 +86,12 @@ __all__ = [
     "TrendConfig",
     "TrieScorer",
     "TrendReport",
+    "UnreadableFileError",
     "WORD_BOUNDARY",
     "WORDS",
     "WordbeamError",
     "augment_alphabet",
     "best_path_decode",
-    "borda_vote",
     "build_report",
     "choose_separator",
     "collapse",

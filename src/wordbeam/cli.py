@@ -14,16 +14,17 @@ from pathlib import Path
 from .coding import CodingScheme, PLAIN, decode_label, extra_separator, choose_separator
 from .ctc import Alphabet, PosteriorMatrix, best_path_decode
 from .decoder import decode
-from .ensemble import Hypothesis, borda_vote, vote, winning_group_size
+from .ensemble import Hypothesis, vote, winning_group_size
 from .errors import (
     CapacityError,
     ConfigurationError,
     DataFormatError,
     InputValidationError,
+    UnreadableFileError,
 )
 from .evaluation import build_report, format_report_kv, format_report_table
-from .files import load_word_list, read_matrix_file, write_matrix_file
-from .language_model import NGRAMS, NGRAMS_FORECAST, NgramModel, ScoringMode, TrieScorer, WORDS, forecast_sample
+from .files import load_word_list, read_matrix_file, read_text, write_matrix_file
+from .language_model import NGRAMS, NGRAMS_FORECAST, NgramModel, ScoringMode, WORDS, forecast_sample
 from .prefix_tree import PrefixTree
 from .synth import RecognizerSim, make_ensemble
 from .trends import TrendConfig, run_trend_experiment
@@ -75,13 +76,6 @@ def build_parser() -> _Parser:
         "inputs",
         nargs="+",
         help="either N decode-output TSV files or N directories of matrix files",
-    )
-    p.add_argument(
-        "--voting",
-        choices=("plurality", "borda"),
-        default="plurality",
-        help="borda ranks each recognizer's single hypothesis as a one-entry "
-             "ballot, so it degenerates to a pure likelihood vote here",
     )
     _add_decode_options(p)
     p.set_defaults(func=cmd_ensemble)
@@ -150,7 +144,7 @@ def _alphabet_for(symbols: str, scheme: CodingScheme, path: str) -> Alphabet:
 
 
 class _DecodePipeline:
-    """Shared per-alphabet tree, model and scorer, rebuilt only when symbols change."""
+    """Shared per-alphabet tree and model, rebuilt only when symbols change."""
 
     def __init__(self, args):
         self.args = args
@@ -161,12 +155,12 @@ class _DecodePipeline:
         self._cache: dict[str, tuple] = {}
 
     def decode_one(self, path: str, symbols: str, matrix: PosteriorMatrix) -> tuple[str, float]:
-        alphabet, tree, lm, scorer = self._setup(symbols, path)
+        alphabet, tree, lm = self._setup(symbols, path)
         if self.mode is None:
             label, likelihood = best_path_decode(matrix, alphabet)
         else:
             label, likelihood = decode(
-                matrix, alphabet, tree, lm, width=self.args.width, mode=self.mode, scorer=scorer
+                matrix, alphabet, tree, lm, width=self.args.width, mode=self.mode
             )
         return decode_label(label, self.scheme).text, likelihood
 
@@ -175,7 +169,7 @@ class _DecodePipeline:
         if cached is not None:
             return cached
         alphabet = _alphabet_for(symbols, self.scheme, path)
-        tree = lm = scorer = None
+        tree = lm = None
         if self.mode is not None:
             nonword = set(self.args.nonword_chars)
             if alphabet.separator is not None:
@@ -185,15 +179,21 @@ class _DecodePipeline:
             if self.mode.uses_lm:
                 corpus = self.lm_corpus if self.lm_corpus is not None else self.words
                 lm = NgramModel.train(corpus, self.args.order, self.args.smoothing_k)
-            scorer = TrieScorer(tree, lm, self.mode)  # tables fill during decoding
-        self._cache[symbols] = (alphabet, tree, lm, scorer)
+        self._cache[symbols] = (alphabet, tree, lm)
         return self._cache[symbols]
 
 
+def _dict_missing(args) -> bool:
+    """Report a dictionary mode run without ``--dict``; True when it was."""
+    if args.mode == "bestpath" or args.dict_path:
+        return False
+    print(f"wordbeam {args.command}: error: --dict is required unless --mode bestpath",
+          file=sys.stderr)
+    return True
+
+
 def cmd_decode(args) -> int:
-    if args.mode != "bestpath" and not args.dict_path:
-        print("wordbeam decode: error: --dict is required unless --mode bestpath",
-              file=sys.stderr)
+    if _dict_missing(args):
         return EXIT_USAGE
     pipeline = _DecodePipeline(args)
     lines = []
@@ -207,7 +207,7 @@ def cmd_decode(args) -> int:
 
 def _read_hypothesis_tsv(path: str) -> list[tuple[str, str, float]]:
     rows: list[tuple[str, str, float]] = []
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for i, raw in enumerate(read_text(path).split("\n"), start=1):
         if not raw.strip():
             continue
         fields = raw.split("\t")
@@ -229,6 +229,8 @@ def cmd_ensemble(args) -> int:
     paths = [Path(p) for p in args.inputs]
     dirs = [p.is_dir() for p in paths]
     if all(dirs):
+        if _dict_missing(args):
+            return EXIT_USAGE
         per_member = _ensemble_from_dirs(args, paths)
     elif any(dirs):
         print("wordbeam ensemble: error: inputs must be all decode TSV files or all "
@@ -251,18 +253,13 @@ def cmd_ensemble(args) -> int:
     lines = []
     for i, sample_id in enumerate(ids):
         hyps = [Hypothesis(rows[i][1], rows[i][2]) for rows in per_member]
-        if args.voting == "borda":
-            winner = borda_vote([[h] for h in hyps])
-        else:
-            winner = vote(hyps)
+        winner = vote(hyps)
         lines.append(f"{sample_id}\t{winner.text}\t{winning_group_size(hyps, winner)}")
     print("\n".join(lines))
     return EXIT_OK
 
 
 def _ensemble_from_dirs(args, dirs: list[Path]) -> list[list[tuple[str, str, float]]]:
-    if args.mode != "bestpath" and not args.dict_path:
-        raise ConfigurationError("--dict is required to decode matrix directories")
     names = sorted(p.name for p in dirs[0].iterdir() if p.is_file())
     for d in dirs[1:]:
         other = sorted(p.name for p in d.iterdir() if p.is_file())
@@ -288,7 +285,7 @@ def _ensemble_from_dirs(args, dirs: list[Path]) -> list[list[tuple[str, str, flo
 def _read_labels(path: str) -> list[str]:
     """Labels from a plain list or the second column of a TSV."""
     labels: list[str] = []
-    for raw in Path(path).read_text(encoding="utf-8").split("\n"):
+    for raw in read_text(path).split("\n"):
         line = raw.rstrip("\r")
         if not line.strip():
             continue
@@ -391,6 +388,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except UnreadableFileError as exc:
+        print(f"wordbeam: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except DataFormatError as exc:
         print(f"wordbeam: data format error: {exc}", file=sys.stderr)
         return EXIT_DATA

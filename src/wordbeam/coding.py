@@ -26,10 +26,6 @@ class CodingScheme:
         if self.separator is not None and len(self.separator) != 1:
             raise InputValidationError("separator must be a single character")
 
-    @property
-    def is_plain(self) -> bool:
-        return self.separator is None
-
 
 PLAIN = CodingScheme()
 

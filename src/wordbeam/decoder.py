@@ -15,14 +15,16 @@ everything else uses the total. Beams are ranked by the product of the
 language-model score and the total mass. After the last frame, beams
 whose trailing prefix is not yet a complete word are extended by their
 most probable completion without consuming posterior mass.
-Language-model scores are read at each in-word beam's trie node from a
-``TrieScorer``, whose per-node tables fill on first use.
+Language-model scores are read at each in-word beam's trie node from the
+``TrieScorer`` of (tree, model, mode), which the tree keeps: its per-node
+tables fill on first use and serve every later decode with that tree,
+model and mode.
 
-Within a frame, candidates are flat tuples ranked by (score, text) and a
-``Beam`` is built only for the ``width`` survivors. ``frame_beams``
-yields each frame's merged, uncut set as a read-only mapping whose Beams
-are built when a caller reads them; ``decode`` completes the last set
-uncut.
+The search state is one flat tuple per candidate, survivors included,
+carrying the word prefix of every word-character extension, ranked by
+(score, text). ``frame_beams`` yields each frame's merged, uncut set as
+a read-only mapping whose Beams are built when a caller reads them;
+``decode`` completes the last set uncut.
 """
 
 from __future__ import annotations
@@ -93,19 +95,16 @@ def decode(
     lm: NgramModel | None = None,
     width: int = 25,
     mode: ScoringMode = WORDS,
-    scorer: TrieScorer | None = None,
 ) -> tuple[str, float]:
     """Run the dual-state word beam search and return (labeling, score).
 
     The reported score is the winning beam's ``p_text * p_total``, the
-    quantity the search ranks by. Pass one ``scorer`` for (tree, lm, mode)
-    to every decode of a batch; without it, each call builds its own.
+    quantity the search ranks by.
     """
-    scorer = _scorer_for(tree, lm, mode, scorer)
     beams: Mapping[str, Beam] = {}
-    for beams in frame_beams(m, alphabet, tree, lm, width, mode, scorer):
+    for beams in frame_beams(m, alphabet, tree, lm, width, mode):
         pass
-    final = complete_beams(beams, tree, lm, mode, scorer)
+    final = complete_beams(beams, tree, lm, mode)
     best = min(final.values(), key=_rank_key)
     return best.text, best.score
 
@@ -117,7 +116,6 @@ def frame_beams(
     lm: NgramModel | None = None,
     width: int = 25,
     mode: ScoringMode = WORDS,
-    scorer: TrieScorer | None = None,
 ) -> Iterator[Mapping[str, Beam]]:
     """Yield the merged, uncut beam set after each frame.
 
@@ -133,7 +131,7 @@ def frame_beams(
             f"matrix has {m.num_classes} classes but the alphabet implies "
             f"{alphabet.num_classes}"
         )
-    scorer = _scorer_for(tree, lm, mode, scorer)
+    scorer = _scorer(tree, lm, mode)
     symbols = alphabet.symbols
     classified = tree.word_chars | tree.nonword_chars
     if set(symbols) != classified:
@@ -153,12 +151,12 @@ def frame_beams(
     return _run_frames(m, alphabet, width, scorer, col, word_starts, nonword_exts)
 
 
-def _scorer_for(tree: PrefixTree, lm: NgramModel | None, mode: ScoringMode,
-                scorer: TrieScorer | None) -> TrieScorer:
+def _scorer(tree: PrefixTree, lm: NgramModel | None, mode: ScoringMode) -> TrieScorer:
+    """The tree's scorer for (lm, mode), made on first use; words mode reads no model."""
+    key = (lm if mode.uses_lm else None, mode)
+    scorer = tree._scorers.get(key)
     if scorer is None:
-        return TrieScorer(tree, lm, mode)
-    if scorer.tree is not tree or scorer.lm is not lm or scorer.mode != mode:
-        raise ConfigurationError("the scorer was built for another tree, model or mode")
+        scorer = tree._scorers[key] = TrieScorer(tree, *key)
     return scorer
 
 
@@ -171,11 +169,12 @@ def _run_frames(
     word_starts: list,
     nonword_exts: list,
 ) -> Iterator[Mapping[str, Beam]]:
-    # A candidate is a flat tuple ranked on (-score, text); a Beam is built
-    # only for the ``width`` survivors and for the sets a caller reads. A
-    # full ``sorted`` runs in C: up to about 300 candidates (the median
-    # frame of a 50,000-word dictionary at width 25 has 266) it beats
-    # ``heapq.nsmallest``, whose loop runs in Python.
+    # Every candidate, a survivor's copy or an extension, is one flat tuple
+    # (-score, text, p_blank, p_nonblank, p_text, committed, node, last_col,
+    # word_prefix), ranked on (-score, text); texts are unique, so the
+    # comparison never reaches the rest. A full ``sorted`` runs in C: up to
+    # about 300 candidates (the median frame of a 50,000-word dictionary at
+    # width 25 has 266) it beats ``heapq.nsmallest``, whose loop runs in Python.
     #
     # This stays bit-exact with a loop that builds and merges a Beam per
     # candidate. Survivor texts are distinct and every symbol is one
@@ -184,7 +183,7 @@ def _run_frames(
     # p_nonblank is 0.0 plus at most two terms (its own repeat and the
     # extension), whose sum does not depend on their order. p_text and
     # committed come from the same memoised ``forecast``/``word_probability``
-    # reads, and the word prefix is built only when the scorer needs it.
+    # reads, with the same word prefix, built for every word-character extension.
     blank = alphabet.blank_index
     rows = m.probs.tolist()
     uses_lm = scorer.mode.uses_lm
@@ -202,67 +201,57 @@ def _run_frames(
         return exts
 
     nonword_state_exts = (word_starts, nonword_exts)
-    survivors = [Beam("", "", 1.0)]
+    survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, None, -1, "")]
     cands = None
     for row in rows:
         if cands is not None:
-            survivors = [_beam(c) for c in sorted(cands)[:width]]
+            survivors = sorted(cands)[:width]
         blank_p = row[blank]
         # Extensions of survivor ``text[:-1]`` by ``text[-1]`` merge into survivor ``text``.
-        texts = {b.text for b in survivors}
+        texts = {s[1] for s in survivors}
         merges: dict[str, dict[str, int]] = {}
-        for i, b in enumerate(survivors):
-            if b.text and b.text[:-1] in texts:
-                merges.setdefault(b.text[:-1], {})[b.text[-1]] = i
-        copy_nb = [b.p_nonblank * row[b._last_col] if b.text else 0.0 for b in survivors]
+        for i, s in enumerate(survivors):
+            text = s[1]
+            if text and text[:-1] in texts:
+                merges.setdefault(text[:-1], {})[text[-1]] = i
+        copy_nb = [s[3] * row[s[7]] if s[1] else 0.0 for s in survivors]
         cands = []
         append = cands.append
-        for b in survivors:
-            text, prefix, pb, last = b.text, b.word_prefix, b.p_blank, b._last_col
-            tot = pb + b.p_nonblank
+        for _, text, pb, pnb, p_text, committed, node, last, prefix in survivors:
+            tot = pb + pnb
             into = merges.get(text)
-            word_exts, sep_exts = word_state_exts(b._node) if prefix else nonword_state_exts
-            committed, p_text = b._committed, b.p_text
+            word_exts, sep_exts = word_state_exts(node) if prefix else nonword_state_exts
             for c, cidx, child in word_exts:
                 mass = (pb if cidx == last else tot) * row[cidx]
                 if into is not None and c in into:
                     copy_nb[into[c]] += mass
                     continue
-                if uses_forecast:
-                    p_text = committed * forecast(child, prefix + c)
-                append((-(p_text * mass), text + c, b, c, cidx, child, p_text, committed, mass))
+                word = prefix + c
+                p_ext = committed * forecast(child, word) if uses_forecast else p_text
+                append((-(p_ext * mass), text + c, 0.0, mass, p_ext, committed, child, cidx, word))
             if not sep_exts:
                 continue
             if prefix and uses_lm:
-                committed = p_text = committed * word_probability(b._node, prefix)
-            else:
-                p_text = b.p_text
+                committed = p_text = committed * word_probability(node, prefix)
             for c, cidx in sep_exts:
                 mass = (pb if cidx == last else tot) * row[cidx]
                 if into is not None and c in into:
                     copy_nb[into[c]] += mass
                     continue
-                append((-(p_text * mass), text + c, b, c, cidx, None, p_text, committed, mass))
-        for b, p_nonblank in zip(survivors, copy_nb):
-            p_blank = (b.p_blank + b.p_nonblank) * blank_p
-            append((-(b.p_text * (p_blank + p_nonblank)), b.text, b, None, p_blank, p_nonblank))
+                append((-(p_text * mass), text + c, 0.0, mass, p_text, committed, None, cidx, ""))
+        for (_, text, pb, pnb, p_text, committed, node, last, prefix), p_nonblank in zip(
+                survivors, copy_nb):
+            p_blank = (pb + pnb) * blank_p
+            append((-(p_text * (p_blank + p_nonblank)), text, p_blank, p_nonblank, p_text,
+                    committed, node, last, prefix))
         yield _FrameSet(cands)
 
 
 def _beam(cand: tuple) -> Beam:
-    """The Beam of a candidate: a survivor's copy ``(-score, text, beam, None,
-    p_blank, p_nonblank)`` or an extension ``(-score, text, parent, char,
-    column, child, p_text, committed, mass)``."""
-    if cand[3] is None:
-        _, text, b, _, p_blank, p_nonblank = cand
-        nb = Beam(text, b.word_prefix, p_blank, p_nonblank, b.p_text)
-        nb._node, nb._committed, nb._last_col = b._node, b._committed, b._last_col
-    else:
-        _, text, parent, char, column, child, p_text, committed, mass = cand
-        prefix = parent.word_prefix + char if child is not None else ""
-        nb = Beam(text, prefix, 0.0, mass, p_text)
-        nb._node, nb._committed, nb._last_col = child, committed, column
-    return nb
+    _, text, p_blank, p_nonblank, p_text, committed, node, last_col, word_prefix = cand
+    b = Beam(text, word_prefix, p_blank, p_nonblank, p_text)
+    b._node, b._committed, b._last_col = node, committed, last_col
+    return b
 
 
 class _FrameSet(Mapping):
@@ -298,7 +287,6 @@ def complete_beams(
     tree: PrefixTree,
     lm: NgramModel | None = None,
     mode: ScoringMode = WORDS,
-    scorer: TrieScorer | None = None,
 ) -> BeamSet:
     """Extend beams ending in an incomplete prefix to their best completion.
 
@@ -310,7 +298,7 @@ def complete_beams(
     completion scores the beam's committed score (its finished words'; a
     hand-built beam's ``p_text``) times the remainder probability.
     """
-    scorer = _scorer_for(tree, lm, mode, scorer)
+    scorer = _scorer(tree, lm, mode)
     items = beams.values() if isinstance(beams, Mapping) else beams
     out: BeamSet = {}
     for b in sorted(items, key=lambda x: x.text):

@@ -50,28 +50,3 @@ def vote(hypotheses: Sequence[Hypothesis]) -> Hypothesis:
 def winning_group_size(hypotheses: Sequence[Hypothesis], winner: Hypothesis) -> int:
     return sum(1 for h in hypotheses if h.text == winner.text)
 
-
-def borda_vote(ballots: Sequence[Sequence[Hypothesis]]) -> Hypothesis:
-    """Borda count over ranked ballots, best candidate first.
-
-    Kept for comparison experiments; plurality voting is the default
-    everywhere else. A candidate at rank r of an n-entry ballot earns
-    n - 1 - r points. Point ties fall to the highest likelihood seen,
-    then to the lexicographically smallest string.
-    """
-    ballots = [list(b) for b in ballots]
-    if not ballots or any(not b for b in ballots):
-        raise InputValidationError("borda_vote requires non-empty ranked ballots")
-    points: dict[str, int] = {}
-    best_by_text: dict[str, Hypothesis] = {}
-    for ballot in ballots:
-        n = len(ballot)
-        for rank, hyp in enumerate(ballot):
-            points[hyp.text] = points.get(hyp.text, 0) + (n - 1 - rank)
-            cur = best_by_text.get(hyp.text)
-            if cur is None or hyp.likelihood > cur.likelihood:
-                best_by_text[hyp.text] = hyp
-    winner_text = min(
-        points, key=lambda t: (-points[t], -best_by_text[t].likelihood, t)
-    )
-    return best_by_text[winner_text]

@@ -19,6 +19,10 @@ class ConfigurationError(WordbeamError, RuntimeError):
     """A decoder or CLI configuration can never produce output."""
 
 
+class UnreadableFileError(WordbeamError, OSError):
+    """A path names nothing that can be read as a file."""
+
+
 class DataFormatError(WordbeamError, ValueError):
     """A file does not conform to its expected line format."""
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from pathlib import Path
 
 from .ctc import PosteriorMatrix
-from .errors import DataFormatError, InputValidationError
+from .errors import DataFormatError, InputValidationError, UnreadableFileError
 
 _ESCAPES = {"\\": "\\\\", " ": "\\ ", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", " ": " ", "t": "\t", "n": "\n", "r": "\r"}
@@ -90,18 +90,30 @@ def parse_matrix(text: str, path: str = "<string>") -> tuple[str, PosteriorMatri
     return symbols, matrix
 
 
+def read_text(path: str | Path) -> str:
+    """The UTF-8 text of a file; an unreadable path or bytes that are not
+    UTF-8 raise a package error that names the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
+                              path=str(path)) from None
+    except OSError as exc:
+        raise UnreadableFileError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def write_matrix_file(path: str | Path, m: PosteriorMatrix, symbols: str) -> None:
     Path(path).write_text(serialize_matrix(m, symbols), encoding="utf-8")
 
 
 def read_matrix_file(path: str | Path) -> tuple[str, PosteriorMatrix]:
-    return parse_matrix(Path(path).read_text(encoding="utf-8"), path=str(path))
+    return parse_matrix(read_text(path), path=str(path))
 
 
 def load_word_list(path: str | Path) -> list[str]:
     """Words from a UTF-8 file, one per line; comments and blanks skipped."""
     words: list[str] = []
-    for i, raw in enumerate(Path(path).read_text(encoding="utf-8").split("\n"), start=1):
+    for i, raw in enumerate(read_text(path).split("\n"), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

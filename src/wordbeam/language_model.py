@@ -152,11 +152,13 @@ class TrieScorer:
     """Language-model tables of one (trie, model, scoring mode), per trie node.
 
     Each entry is filled the first time the search asks for it and reused
-    by every later decode given this scorer. Per node: the word probability;
-    the exact forecast ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``,
-    filled for the whole subtree at once (so it matches the per-completion
-    sum to a few ulps); the completion count and the sampled forecast, drawn
-    by index so that no subtree is enumerated; and the best completion.
+    by every later query; the decoder keeps one scorer per (model, mode) on
+    the tree, so every decode with that configuration shares its tables.
+    Per node: the word probability; the exact forecast
+    ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``, filled for the whole
+    subtree at once (so it matches the per-completion sum to a few ulps);
+    the completion count and the sampled forecast, drawn by index so that
+    no subtree is enumerated; and the best completion.
     """
 
     def __init__(self, tree: PrefixTree, lm: NgramModel | None = None,

@@ -20,8 +20,9 @@ class PrefixTree:
 
     ``word_chars`` are the characters legal inside words; ``nonword_chars``
     are legal outside them (separators, punctuation). The two sets must be
-    disjoint. After construction the tree is immutable and safe for any
-    number of concurrent readers.
+    disjoint. After construction its words and structure are immutable. It
+    also holds the decoder's language-model tables, one ``TrieScorer`` per
+    (model, scoring mode), made and filled as decodes first need them.
     """
 
     def __init__(
@@ -37,6 +38,7 @@ class PrefixTree:
             raise InputValidationError(f"characters {overlap!r} are both word and non-word")
         self._root = _Node()
         self._words: set[str] = set()
+        self._scorers: dict = {}
         for word in words:
             if not word:
                 raise InputValidationError("dictionary words must be non-empty")

@@ -119,17 +119,11 @@ class RecognizerSim:
         return [v / total for v in row]
 
 
-def make_ensemble(
-    base: RecognizerSim,
-    n: int,
-    jitter: float = 0.05,
-    base_seed: int | None = None,
-) -> list[RecognizerSim]:
+def make_ensemble(base: RecognizerSim, n: int, jitter: float = 0.05) -> list[RecognizerSim]:
     """Derive ``n`` recognizers with distinct seeds and jittered noise levels."""
     if n < 1:
         raise InputValidationError("ensemble size must be at least 1")
-    root = base.seed if base_seed is None else base_seed
-    rng = random.Random(f"ensemble|{root}")
+    rng = random.Random(f"ensemble|{base.seed}")
     sims: list[RecognizerSim] = []
     seen: set[int] = set()
     for _ in range(n):

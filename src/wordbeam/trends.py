@@ -19,7 +19,6 @@ from .decoder import decode
 from .ensemble import Hypothesis, vote
 from .errors import InputValidationError
 from .evaluation import word_accuracy
-from .language_model import TrieScorer
 from .prefix_tree import PrefixTree
 from .synth import RecognizerSim, make_ensemble
 
@@ -137,8 +136,6 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         word_chars = set(cfg.alphabet_characters)
         tree_plain = PrefixTree(dictionary, word_chars)
         tree_x = PrefixTree(dictionary, word_chars, {cfg.separator})
-        # One scorer per tree: a completion found by one decode serves the rest.
-        scorer_p, scorer_x = TrieScorer(tree_plain), TrieScorer(tree_x)
         base = RecognizerSim(
             alphabet=base_alphabet,
             frames_per_char=cfg.frames_per_char,
@@ -156,9 +153,7 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
             member_hyps: list[Hypothesis] = []
             for word in gt:
                 matrix = sim_x.emit(word, scheme_x)
-                text, likelihood = decode(
-                    matrix, aug_alphabet, tree_x, width=cfg.width, scorer=scorer_x
-                )
+                text, likelihood = decode(matrix, aug_alphabet, tree_x, width=cfg.width)
                 member_hyps.append(Hypothesis(decode_label(text, scheme_x).text, likelihood))
                 if idx == 0:
                     bp_text, _ = best_path_decode(matrix, aug_alphabet)
@@ -178,7 +173,7 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         sim_p = members[0]
         for word in gt:
             matrix = sim_p.emit(word, PLAIN)
-            text, _ = decode(matrix, base_alphabet, tree_plain, width=cfg.width, scorer=scorer_p)
+            text, _ = decode(matrix, base_alphabet, tree_plain, width=cfg.width)
             wbs_plain_preds.append(text)
             bp_text, _ = best_path_decode(matrix, base_alphabet)
             bp_plain_preds.append(bp_text)

@@ -235,5 +235,5 @@ def reference_decode(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree,
     beams: dict[str, Beam] = {}
     for beams in reference_frame_beams(m, alphabet, tree, lm, width, mode, scorer):
         pass
-    best = min(complete_beams(beams, tree, lm, mode, scorer).values(), key=_rank_key)
+    best = min(complete_beams(beams, tree, lm, mode).values(), key=_rank_key)
     return best.text, best.score

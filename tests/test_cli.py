@@ -167,6 +167,8 @@ class TestDecodeCommand:
         paths, _ = synth_setup
         rc = main(["decode", paths[0], "--mode", "words", "--scheme", "extrasep"])
         assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "wordbeam decode: error: --dict is required unless --mode bestpath\n")
 
     def test_malformed_matrix_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.mat"
@@ -209,14 +211,6 @@ class TestEnsembleCommand:
         main(["ensemble", a, b, c])
         assert capsys.readouterr().out.strip() == "s0\tdog\t1"
 
-    def test_borda_flag(self, tmp_path, capsys):
-        # single-hypothesis ballots degenerate to a likelihood vote
-        a = self._write(tmp_path, "a.tsv", [("s0", "cat", 0.1)])
-        b = self._write(tmp_path, "b.tsv", [("s0", "dog", 0.8)])
-        rc = main(["ensemble", a, b, "--voting", "borda"])
-        assert rc == EXIT_OK
-        assert capsys.readouterr().out.strip() == "s0\tdog\t1"
-
     def test_misaligned_ids_named(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.tsv", [("s0", "cat", 0.1), ("s1", "dog", 0.2)])
         b = self._write(tmp_path, "b.tsv", [("s0", "cat", 0.1), ("zz", "dog", 0.2)])
@@ -235,6 +229,14 @@ class TestEnsembleCommand:
         assert capsys.readouterr().err == (
             f"wordbeam: data format error: {tmp_path / 'b'}: matrix directories are "
             "misaligned, first mismatch at 'x1.mat'\n")
+
+    def test_directories_without_dict_is_usage_error(self, tmp_path, capsys):
+        for d in ("a", "b"):
+            (tmp_path / d).mkdir()
+        rc = main(["ensemble", str(tmp_path / "a"), str(tmp_path / "b"), "--mode", "words"])
+        assert rc == EXIT_USAGE
+        assert capsys.readouterr().err == (
+            "wordbeam ensemble: error: --dict is required unless --mode bestpath\n")
 
     def test_directory_mixed_with_tsv_is_usage_error(self, tmp_path, capsys):
         member = tmp_path / "member"
@@ -364,6 +366,30 @@ class TestReproduceTrendsCommand:
         assert rc == EXIT_OK
         text = out.read_text(encoding="utf-8")
         assert "ensemble" in text and "word-beam" in text
+
+
+class TestUnreadableInputs:
+    @pytest.mark.parametrize("command, bad, reason", [
+        (["decode", "{missing}", "--mode", "bestpath"], "missing", "No such file or directory"),
+        (["decode", "{dir}", "--mode", "bestpath"], "dir", "Is a directory"),
+        (["decode", "{mat}", "--mode", "words", "--dict", "{missing}"], "missing",
+         "No such file or directory"),
+        (["ensemble", "{missing}", "{missing}"], "missing", "No such file or directory"),
+        (["eval", "{missing}", "{mat}"], "missing", "No such file or directory"),
+    ])
+    def test_unreadable_path_is_usage_error(self, tmp_path, capsys, command, bad, reason):
+        write_matrix_file(tmp_path / "x.mat", PosteriorMatrix([[0.5, 0.5]]), "a")
+        places = {"missing": str(tmp_path / "missing.txt"), "dir": str(tmp_path),
+                  "mat": str(tmp_path / "x.mat")}
+        assert main([arg.format(**places) for arg in command]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"wordbeam: cannot read {places[bad]}: {reason}\n"
+
+    def test_non_utf8_bytes_are_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.mat"
+        bad.write_bytes(b"1 2\na\n0.5 0.5\n\xff\n")
+        assert main(["decode", str(bad), "--mode", "bestpath"]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"wordbeam: data format error: {bad}: not UTF-8 text: invalid start byte at byte 14\n")
 
 
 class TestUsage:

@@ -14,7 +14,6 @@ from wordbeam import (
     NgramModel,
     PosteriorMatrix,
     PrefixTree,
-    TrieScorer,
     WORDS,
     best_path_decode,
     complete_beams,
@@ -252,6 +251,8 @@ class TestCompleteBeams:
 
 
 class TestSharedScorer:
+    MODES = (WORDS, NGRAMS, NGRAMS_FORECAST, forecast_sample(3, seed=4))
+
     def _setup(self):
         rng = np.random.default_rng(8)
         py_rng = __import__("random").Random(8)
@@ -263,22 +264,43 @@ class TestSharedScorer:
         matrices = [random_matrix(rng, int(rng.integers(3, 9)), 5) for _ in range(6)]
         return alphabet, tree, lm, matrices
 
+    @staticmethod
+    def _count_conditionals(monkeypatch) -> list:
+        calls = []
+        conditional = NgramModel.conditional
+
+        def counted(self, word_prefix, c):
+            calls.append(c)
+            return conditional(self, word_prefix, c)
+
+        monkeypatch.setattr(NgramModel, "conditional", counted)
+        return calls
+
     def test_tables_filled_by_earlier_decodes_change_nothing(self):
         alphabet, tree, lm, matrices = self._setup()
-        for mode in (WORDS, NGRAMS, NGRAMS_FORECAST, forecast_sample(3, seed=4)):
-            scorer = TrieScorer(tree, lm, mode)
+        for mode in self.MODES:
             for m in matrices:
-                shared = decode(m, alphabet, tree, lm, 8, mode, scorer=scorer)
-                assert shared == decode(m, alphabet, tree, lm, 8, mode)
+                shared = decode(m, alphabet, tree, lm, 8, mode)
+                fresh = PrefixTree(tree.words(), tree.word_chars, tree.nonword_chars)
+                assert shared == decode(m, alphabet, fresh, lm, 8, mode)
 
-    def test_scorer_of_another_configuration_rejected(self):
+    def test_second_decode_reads_only_tables(self, monkeypatch):
         alphabet, tree, lm, matrices = self._setup()
-        scorer = TrieScorer(tree, lm, NGRAMS)
-        with pytest.raises(ConfigurationError):
-            decode(matrices[0], alphabet, tree, lm, 8, NGRAMS_FORECAST, scorer=scorer)
-        with pytest.raises(ConfigurationError):
-            decode(matrices[0], alphabet, PrefixTree(["a"], {"a", "b", "c"}, {"|"}), lm, 8,
-                   NGRAMS, scorer=scorer)
+        calls = self._count_conditionals(monkeypatch)
+        for mode in self.MODES[1:]:
+            first = decode(matrices[0], alphabet, tree, lm, 8, mode)
+            assert calls, mode  # the first decode filled tables
+            calls.clear()
+            assert decode(matrices[0], alphabet, tree, lm, 8, mode) == first
+            assert calls == [], mode
+
+    def test_equal_modes_share_one_set_of_tables(self, monkeypatch):
+        alphabet, tree, lm, matrices = self._setup()
+        decode(matrices[0], alphabet, tree, lm, 8, forecast_sample(3, seed=4))
+        calls = self._count_conditionals(monkeypatch)
+        decode(matrices[0], alphabet, tree, lm, 8, forecast_sample(3, seed=4))
+        assert calls == []
+        assert len(tree._scorers) == 1
 
     def test_forecast_completion_scores_committed_times_remainder(self):
         alphabet = Alphabet("abcd")

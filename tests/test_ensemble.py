@@ -1,10 +1,10 @@
-"""Plurality voting cascade and the Borda alternative."""
+"""Plurality voting cascade."""
 
 import random
 
 import pytest
 
-from wordbeam import Hypothesis, InputValidationError, borda_vote, vote, winning_group_size
+from wordbeam import Hypothesis, InputValidationError, vote, winning_group_size
 
 
 def hyp(*pairs):
@@ -79,16 +79,3 @@ class TestHypothesis:
         with pytest.raises(InputValidationError):
             Hypothesis("a", float("nan"))
 
-
-class TestBorda:
-    def test_consensus_runner_up_wins(self):
-        ballots = [
-            hyp(("x", 0.9), ("c", 0.5), ("y", 0.1)),
-            hyp(("y", 0.8), ("c", 0.6), ("x", 0.2)),
-            hyp(("c", 0.7), ("x", 0.4), ("y", 0.3)),
-        ]
-        assert borda_vote(ballots).text == "c"
-
-    def test_empty_ballot_rejected(self):
-        with pytest.raises(InputValidationError):
-            borda_vote([[]])
