@@ -34,6 +34,7 @@ from .errors import (
     DataFormatError,
     InputValidationError,
     UnreadableFileError,
+    UnwritablePathError,
     WordbeamError,
 )
 from .evaluation import (
@@ -87,6 +88,7 @@ __all__ = [
     "TrieScorer",
     "TrendReport",
     "UnreadableFileError",
+    "UnwritablePathError",
     "WORD_BOUNDARY",
     "WORDS",
     "WordbeamError",

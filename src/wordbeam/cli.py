@@ -21,6 +21,7 @@ from .errors import (
     DataFormatError,
     InputValidationError,
     UnreadableFileError,
+    UnwritablePathError,
 )
 from .evaluation import build_report, format_report_kv, format_report_table
 from .files import load_word_list, read_matrix_file, read_text, write_matrix_file
@@ -205,8 +206,22 @@ def cmd_decode(args) -> int:
     return EXIT_OK
 
 
-def _read_hypothesis_tsv(path: str) -> list[tuple[str, str, float]]:
-    rows: list[tuple[str, str, float]] = []
+def _cannot_write(path: str, exc: OSError) -> UnwritablePathError:
+    return UnwritablePathError(f"cannot write {path}: {exc.strerror or exc}")
+
+
+def _out_dir(path: str) -> Path:
+    """Create the output directory once the inputs are read and before any
+    output is computed, or fail naming it."""
+    try:
+        Path(path).mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise _cannot_write(path, exc) from exc
+    return Path(path)
+
+
+def _read_hypothesis_tsv(path: str) -> list[tuple[str, Hypothesis]]:
+    rows: list[tuple[str, Hypothesis]] = []
     for i, raw in enumerate(read_text(path).split("\n"), start=1):
         if not raw.strip():
             continue
@@ -216,12 +231,14 @@ def _read_hypothesis_tsv(path: str) -> list[tuple[str, str, float]]:
                 f"expected 'id<TAB>label<TAB>likelihood', got {raw!r}", path=path, line=i
             )
         try:
-            likelihood = float(fields[2])
+            hypothesis = Hypothesis(fields[1], float(fields[2]))
+        except InputValidationError as exc:  # negative or not finite
+            raise DataFormatError(f"{exc}, got {fields[2]!r}", path=path, line=i) from None
         except ValueError:
             raise DataFormatError(
                 f"malformed likelihood {fields[2]!r}", path=path, line=i
             ) from None
-        rows.append((fields[0], fields[1], likelihood))
+        rows.append((fields[0], hypothesis))
     return rows
 
 
@@ -252,14 +269,14 @@ def cmd_ensemble(args) -> int:
             )
     lines = []
     for i, sample_id in enumerate(ids):
-        hyps = [Hypothesis(rows[i][1], rows[i][2]) for rows in per_member]
+        hyps = [rows[i][1] for rows in per_member]
         winner = vote(hyps)
         lines.append(f"{sample_id}\t{winner.text}\t{winning_group_size(hyps, winner)}")
     print("\n".join(lines))
     return EXIT_OK
 
 
-def _ensemble_from_dirs(args, dirs: list[Path]) -> list[list[tuple[str, str, float]]]:
+def _ensemble_from_dirs(args, dirs: list[Path]) -> list[list[tuple[str, Hypothesis]]]:
     names = sorted(p.name for p in dirs[0].iterdir() if p.is_file())
     for d in dirs[1:]:
         other = sorted(p.name for p in d.iterdir() if p.is_file())
@@ -276,8 +293,7 @@ def _ensemble_from_dirs(args, dirs: list[Path]) -> list[list[tuple[str, str, flo
         for name in names:
             path = d / name
             symbols, matrix = read_matrix_file(path)
-            text, likelihood = pipeline.decode_one(str(path), symbols, matrix)
-            rows.append((name, text, likelihood))
+            rows.append((name, Hypothesis(*pipeline.decode_one(str(path), symbols, matrix))))
         per_member.append(rows)
     return per_member
 
@@ -302,12 +318,11 @@ def cmd_eval(args) -> int:
     preds = _read_labels(args.preds)
     gts = _read_labels(args.gt)
     vocab = load_word_list(args.train_vocab) if args.train_vocab else None
+    out = _out_dir(args.out_dir) if args.out_dir else None
     report = build_report(preds, gts, vocab, args.case_insensitive)
     table = format_report_table(report)
     kv = format_report_kv(report)
-    if args.out_dir:
-        out = Path(args.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
+    if out is not None:
         (out / "report.txt").write_text(table, encoding="utf-8")
         (out / "report.kv").write_text(kv, encoding="utf-8")
         print(f"wrote {out / 'report.txt'} and {out / 'report.kv'}")
@@ -339,10 +354,9 @@ def cmd_synth(args) -> int:
         seed=args.seed,
     )
     sims = make_ensemble(base, args.members, jitter=args.jitter)
+    out = _out_dir(args.out_dir)
     rng = random.Random(f"synth|{args.seed}")
     sample = [rng.choice(words) for _ in range(args.n_words)]
-    out = Path(args.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     pad = max(4, len(str(args.n_words - 1)))
     manifest = []
     for i, word in enumerate(sample):
@@ -374,12 +388,15 @@ def cmd_reproduce_trends(args) -> int:
         width=args.width,
         noise_level=args.noise,
     )
-    report = run_trend_experiment(config)
-    text = report.format()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        print(text, end="")
+    if not args.out:
+        print(run_trend_experiment(config).format(), end="")
+        return EXIT_OK
+    try:
+        out = open(args.out, "w", encoding="utf-8")  # fail before the run, not after it
+    except OSError as exc:
+        raise _cannot_write(args.out, exc) from exc
+    with out:
+        out.write(run_trend_experiment(config).format())
     return EXIT_OK
 
 
@@ -388,7 +405,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UnreadableFileError as exc:
+    except (UnreadableFileError, UnwritablePathError) as exc:
         print(f"wordbeam: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except DataFormatError as exc:

@@ -21,17 +21,20 @@ tables fill on first use and serve every later decode with that tree,
 model and mode.
 
 The search state is one flat tuple per candidate, survivors included,
-carrying the word prefix of every word-character extension, ranked by
-(score, text). ``frame_beams`` yields each frame's merged, uncut set as
-a read-only mapping whose Beams are built when a caller reads them;
-``decode`` completes the last set uncut.
+carrying the word prefix of every word-character extension and the
+candidate's last character, ranked by (score, text). Each posterior row
+is read by character, and the trie keeps every node's children in sorted
+order, so a decode builds no extension table of its own. ``frame_beams``
+yields each frame's merged, uncut set as a read-only mapping whose Beams
+are built when a caller reads them; ``decode`` completes the last set
+uncut.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 
-from .ctc import Alphabet, PosteriorMatrix
+from .ctc import Alphabet, PosteriorMatrix, _check_shape
 from .errors import ConfigurationError, InputValidationError
 from .language_model import NgramModel, ScoringMode, TrieScorer, WORDS
 from .prefix_tree import PrefixTree
@@ -46,7 +49,7 @@ class Beam:
     """
 
     __slots__ = ("text", "word_prefix", "p_blank", "p_nonblank", "p_text",
-                 "_node", "_committed", "_last_col")
+                 "_node", "_committed")
 
     def __init__(
         self,
@@ -63,7 +66,6 @@ class Beam:
         self.p_text = p_text
         self._node = None
         self._committed = p_text
-        self._last_col = -1
 
     @property
     def p_total(self) -> float:
@@ -126,29 +128,20 @@ def frame_beams(
     """
     if width < 1:
         raise InputValidationError("beam width must be at least 1")
-    if m.num_classes != alphabet.num_classes:
-        raise InputValidationError(
-            f"matrix has {m.num_classes} classes but the alphabet implies "
-            f"{alphabet.num_classes}"
-        )
+    _check_shape(m, alphabet)
     scorer = _scorer(tree, lm, mode)
-    symbols = alphabet.symbols
     classified = tree.word_chars | tree.nonword_chars
-    if set(symbols) != classified:
+    if set(alphabet.symbols) != classified:
         raise ConfigurationError(
             "alphabet symbols and the tree's word/non-word partition disagree on "
-            f"{sorted(set(symbols) ^ classified)!r}"
+            f"{sorted(set(alphabet.symbols) ^ classified)!r}"
         )
-    col = alphabet.column_map()
-    root = tree._root
-    word_starts = [(c, col[c], root.children[c]) for c in sorted(root.children)]
-    nonword_exts = [(c, col[c]) for c in sorted(tree.nonword_chars)]
-    if not word_starts and not nonword_exts:
+    if not tree._root.children and not tree.nonword_chars:
         raise ConfigurationError(
             "no beam can ever extend: the dictionary is empty and there are "
             "no non-word characters"
         )
-    return _run_frames(m, alphabet, width, scorer, col, word_starts, nonword_exts)
+    return _run_frames(m, alphabet, width, scorer, tree._root, sorted(tree.nonword_chars))
 
 
 def _scorer(tree: PrefixTree, lm: NgramModel | None, mode: ScoringMode) -> TrieScorer:
@@ -165,48 +158,39 @@ def _run_frames(
     alphabet: Alphabet,
     width: int,
     scorer: TrieScorer,
-    col: dict[str, int],
-    word_starts: list,
-    nonword_exts: list,
+    root,
+    nonword: list[str],
 ) -> Iterator[Mapping[str, Beam]]:
     # Every candidate, a survivor's copy or an extension, is one flat tuple
-    # (-score, text, p_blank, p_nonblank, p_text, committed, node, last_col,
-    # word_prefix), ranked on (-score, text); texts are unique, so the
-    # comparison never reaches the rest. A full ``sorted`` runs in C: up to
-    # about 300 candidates (the median frame of a 50,000-word dictionary at
-    # width 25 has 266) it beats ``heapq.nsmallest``, whose loop runs in Python.
+    # (-score, text, p_blank, p_nonblank, p_text, committed, node, last, word_prefix),
+    # where ``last`` is the last character of ``text``, ranked on (-score, text);
+    # texts are unique, so the comparison never reaches the rest. A full
+    # ``sorted`` runs in C: up to about 300 candidates (the median frame of a
+    # 50,000-word dictionary at width 25 has 266) it beats ``heapq.nsmallest``,
+    # whose loop runs in Python.
     #
     # This stays bit-exact with a loop that builds and merges a Beam per
     # candidate. Survivor texts are distinct and every symbol is one
     # character, so extension texts are unique, and an extension can only
     # merge into the copy of the survivor with the same text. That copy's
     # p_nonblank is 0.0 plus at most two terms (its own repeat and the
-    # extension), whose sum does not depend on their order. p_text and
-    # committed come from the same memoised ``forecast``/``word_probability``
-    # reads, with the same word prefix, built for every word-character extension.
-    blank = alphabet.blank_index
-    rows = m.probs.tolist()
+    # extension), whose sum does not depend on their order. Each row is read
+    # by character, which yields the same floats as reading it by column.
+    # p_text and committed come from the same memoised ``forecast``/
+    # ``word_probability`` reads, with the same word prefix, built for every
+    # word-character extension.
+    symbols, blank = alphabet.symbols, alphabet.blank_index
     uses_lm = scorer.mode.uses_lm
     uses_forecast = scorer.mode.uses_forecast
     forecast, word_probability = scorer.forecast, scorer.word_probability
-    child_cache: dict[int, tuple] = {}
-
-    def word_state_exts(node) -> tuple:
-        # Children of the trie node, plus non-word characters once the
-        # prefix is itself a complete word.
-        exts = child_cache.get(id(node))
-        if exts is None:
-            children = [(c, col[c], node.children[c]) for c in sorted(node.children)]
-            exts = child_cache[id(node)] = (children, nonword_exts if node.is_word else ())
-        return exts
-
-    nonword_state_exts = (word_starts, nonword_exts)
-    survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, None, -1, "")]
+    word_starts = root.children.items()
+    survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, None, "", "")]
     cands = None
-    for row in rows:
+    for r in m.probs.tolist():
         if cands is not None:
             survivors = sorted(cands)[:width]
-        blank_p = row[blank]
+        # The blank is the last column, so ``zip`` with the symbols leaves it out.
+        row, blank_p = dict(zip(symbols, r)), r[blank]
         # Extensions of survivor ``text[:-1]`` by ``text[-1]`` merge into survivor ``text``.
         texts = {s[1] for s in survivors}
         merges: dict[str, dict[str, int]] = {}
@@ -220,25 +204,30 @@ def _run_frames(
         for _, text, pb, pnb, p_text, committed, node, last, prefix in survivors:
             tot = pb + pnb
             into = merges.get(text)
-            word_exts, sep_exts = word_state_exts(node) if prefix else nonword_state_exts
-            for c, cidx, child in word_exts:
-                mass = (pb if cidx == last else tot) * row[cidx]
+            if prefix:
+                # Children of the trie node, plus non-word characters once the
+                # prefix is itself a complete word.
+                word_exts, sep_exts = node.children.items(), nonword if node.is_word else ()
+            else:
+                word_exts, sep_exts = word_starts, nonword
+            for c, child in word_exts:
+                mass = (pb if c == last else tot) * row[c]
                 if into is not None and c in into:
                     copy_nb[into[c]] += mass
                     continue
                 word = prefix + c
                 p_ext = committed * forecast(child, word) if uses_forecast else p_text
-                append((-(p_ext * mass), text + c, 0.0, mass, p_ext, committed, child, cidx, word))
+                append((-(p_ext * mass), text + c, 0.0, mass, p_ext, committed, child, c, word))
             if not sep_exts:
                 continue
             if prefix and uses_lm:
                 committed = p_text = committed * word_probability(node, prefix)
-            for c, cidx in sep_exts:
-                mass = (pb if cidx == last else tot) * row[cidx]
+            for c in sep_exts:
+                mass = (pb if c == last else tot) * row[c]
                 if into is not None and c in into:
                     copy_nb[into[c]] += mass
                     continue
-                append((-(p_text * mass), text + c, 0.0, mass, p_text, committed, None, cidx, ""))
+                append((-(p_text * mass), text + c, 0.0, mass, p_text, committed, None, c, ""))
         for (_, text, pb, pnb, p_text, committed, node, last, prefix), p_nonblank in zip(
                 survivors, copy_nb):
             p_blank = (pb + pnb) * blank_p
@@ -248,9 +237,9 @@ def _run_frames(
 
 
 def _beam(cand: tuple) -> Beam:
-    _, text, p_blank, p_nonblank, p_text, committed, node, last_col, word_prefix = cand
+    _, text, p_blank, p_nonblank, p_text, committed, node, _, word_prefix = cand
     b = Beam(text, word_prefix, p_blank, p_nonblank, p_text)
-    b._node, b._committed, b._last_col = node, committed, last_col
+    b._node, b._committed = node, committed
     return b
 
 

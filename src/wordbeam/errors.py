@@ -23,6 +23,10 @@ class UnreadableFileError(WordbeamError, OSError):
     """A path names nothing that can be read as a file."""
 
 
+class UnwritablePathError(WordbeamError, OSError):
+    """An output path cannot be created or written."""
+
+
 class DataFormatError(WordbeamError, ValueError):
     """A file does not conform to its expected line format."""
 

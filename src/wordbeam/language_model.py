@@ -215,8 +215,7 @@ class TrieScorer:
                 if i == 0:
                     return remainder
                 i -= 1
-            for c in sorted(node.children):
-                child = node.children[c]
+            for c, child in node.children.items():
                 n = self._count(child)
                 if i < n:
                     remainder += c
@@ -229,8 +228,8 @@ class TrieScorer:
         if f is None:
             cond = self.lm.conditional
             f = cond(prefix, WORD_BOUNDARY) if node.is_word else 0.0
-            for c in sorted(node.children):
-                f += cond(prefix, c) * self._exact_forecast(node.children[c], prefix + c)
+            for c, child in node.children.items():
+                f += cond(prefix, c) * self._exact_forecast(child, prefix + c)
             self._forecast[node] = f
         return f
 

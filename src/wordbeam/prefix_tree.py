@@ -20,8 +20,11 @@ class PrefixTree:
 
     ``word_chars`` are the characters legal inside words; ``nonword_chars``
     are legal outside them (separators, punctuation). The two sets must be
-    disjoint. After construction its words and structure are immutable. It
-    also holds the decoder's language-model tables, one ``TrieScorer`` per
+    disjoint. Words are inserted in sorted order, so every node's
+    ``children`` iterate in code-point order of their characters; the
+    decoder and ``TrieScorer`` walk children in that order without sorting.
+    After construction its words and structure are immutable. It also
+    holds the decoder's language-model tables, one ``TrieScorer`` per
     (model, scoring mode), made and filled as decodes first need them.
     """
 
@@ -47,9 +50,8 @@ class PrefixTree:
                 raise InputValidationError(
                     f"word {word!r} contains non-word character {bad!r}"
                 )
-            if word in self._words:
-                continue  # duplicates carry no extra information here
-            self._words.add(word)
+            self._words.add(word)  # duplicates carry no extra information here
+        for word in sorted(self._words):
             node = self._root
             for ch in word:
                 node = node.children.setdefault(ch, _Node())
@@ -81,8 +83,8 @@ class PrefixTree:
         def descend(cur: _Node, suffix: str) -> None:
             if cur.is_word:
                 out.append((prefix + suffix, suffix))
-            for ch in sorted(cur.children):
-                descend(cur.children[ch], suffix + ch)
+            for ch, child in cur.children.items():
+                descend(child, suffix + ch)
 
         descend(node, "")
         return out

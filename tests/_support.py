@@ -150,6 +150,12 @@ def _rank_key(b: Beam):
     return (-(b.p_text * (b.p_blank + b.p_nonblank)), b.text)
 
 
+class _RefBeam(Beam):
+    """A Beam that also keeps the column of its last character."""
+
+    __slots__ = ("_last_col",)
+
+
 def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree,
                           lm: NgramModel | None = None, width: int = 25,
                           mode: ScoringMode = WORDS, scorer: TrieScorer | None = None):
@@ -189,14 +195,14 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
             prefix = ""
             if b.word_prefix and kind != "words":
                 committed = p_text = committed * scorer.word_probability(b._node, b.word_prefix)
-        nb = Beam(b.text + c, prefix, 0.0, 0.0, p_text)
+        nb = _RefBeam(b.text + c, prefix, 0.0, 0.0, p_text)
         nb._node = child
         nb._committed = committed
         nb._last_col = cidx
         return nb
 
-    init = Beam()
-    init.p_blank = 1.0
+    init = _RefBeam()
+    init.p_blank, init._last_col = 1.0, -1
     beams: dict[str, Beam] = {"": init}
     for row in rows:
         ranked = sorted(beams.values(), key=_rank_key)[:width]
@@ -206,7 +212,7 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
             tot = b.p_blank + b.p_nonblank
             cur = nxt.get(b.text)
             if cur is None:
-                cur = Beam(b.text, b.word_prefix, 0.0, 0.0, b.p_text)
+                cur = _RefBeam(b.text, b.word_prefix, 0.0, 0.0, b.p_text)
                 cur._node = b._node
                 cur._committed = b._committed
                 cur._last_col = b._last_col

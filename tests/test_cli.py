@@ -211,6 +211,15 @@ class TestEnsembleCommand:
         main(["ensemble", a, b, c])
         assert capsys.readouterr().out.strip() == "s0\tdog\t1"
 
+    @pytest.mark.parametrize("likelihood", ["nan", "-1"])
+    def test_bad_likelihood_names_line(self, tmp_path, capsys, likelihood):
+        a = self._write(tmp_path, "a.tsv", [("s0", "cat", 0.1), ("s1", "dog", likelihood)])
+        b = self._write(tmp_path, "b.tsv", [("s0", "cat", 0.1), ("s1", "dog", 0.2)])
+        assert main(["ensemble", a, b]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"wordbeam: data format error: {a}:2: likelihood must be finite and "
+            f"non-negative, got {likelihood!r}\n")
+
     def test_misaligned_ids_named(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.tsv", [("s0", "cat", 0.1), ("s1", "dog", 0.2)])
         b = self._write(tmp_path, "b.tsv", [("s0", "cat", 0.1), ("zz", "dog", 0.2)])
@@ -390,6 +399,29 @@ class TestUnreadableInputs:
         assert main(["decode", str(bad), "--mode", "bestpath"]) == EXIT_DATA
         assert capsys.readouterr().err == (
             f"wordbeam: data format error: {bad}: not UTF-8 text: invalid start byte at byte 14\n")
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("command, bad, reason", [
+        (["eval", "{file}", "{file}", "--out-dir", "{file}"], "file", "File exists"),
+        (["synth", "--dict", "{file}", "--n-words", "2", "--out-dir", "{file}"], "file",
+         "File exists"),
+        (["reproduce-trends", "--seeds", "1", "--n-words", "5", "--members", "1",
+          "--out", "{nested}"], "nested", "No such file or directory"),
+    ])
+    def test_output_path_is_usage_error(self, tmp_path, capsys, monkeypatch, command, bad,
+                                        reason):
+        (tmp_path / "words.txt").write_text("abc\n", encoding="utf-8")
+        places = {"file": str(tmp_path / "words.txt"),
+                  "nested": str(tmp_path / "missing" / "report.txt")}
+
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking its output path")
+
+        for name in ("build_report", "write_matrix_file", "run_trend_experiment"):
+            monkeypatch.setattr(f"wordbeam.cli.{name}", no_work)
+        assert main([arg.format(**places) for arg in command]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"wordbeam: cannot write {places[bad]}: {reason}\n"
 
 
 class TestUsage:

@@ -80,6 +80,9 @@ def test_random_dictionary_matches_scan():
     for prefix in prefixes:
         assert t.next_chars(prefix) == scan_next_chars(set(words), prefix)
         assert t.completions(prefix) == scan_completions(words, prefix)
+        node = trie_node(t, prefix)
+        if node is not None:
+            assert list(node.children) == sorted(node.children)
     for w in words:
         assert t.is_word(w)
     for probe in ("", "zzz", "abcde", "da"):
