@@ -19,17 +19,13 @@ from .coding import (
 )
 from .ctc import (
     Alphabet,
-    ENUMERATION_CAP,
     PosteriorMatrix,
     best_path_decode,
     collapse,
-    labeling_distribution,
-    labeling_probability,
 )
 from .decoder import Beam, BeamSet, complete_beams, decode, frame_beams
 from .ensemble import Hypothesis, vote, winning_group_size
 from .errors import (
-    CapacityError,
     ConfigurationError,
     DataFormatError,
     InputValidationError,
@@ -67,12 +63,10 @@ __all__ = [
     "Alphabet",
     "Beam",
     "BeamSet",
-    "CapacityError",
     "CodingScheme",
     "ConfigurationError",
     "DataFormatError",
     "DecodedLabel",
-    "ENUMERATION_CAP",
     "EvalReport",
     "Hypothesis",
     "InputValidationError",
@@ -106,8 +100,6 @@ __all__ = [
     "format_report_kv",
     "format_report_table",
     "frame_beams",
-    "labeling_distribution",
-    "labeling_probability",
     "length_breakdown",
     "levenshtein",
     "make_ensemble",

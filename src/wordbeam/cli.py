@@ -16,7 +16,6 @@ from .ctc import Alphabet, PosteriorMatrix, best_path_decode
 from .decoder import decode
 from .ensemble import Hypothesis, vote, winning_group_size
 from .errors import (
-    CapacityError,
     ConfigurationError,
     DataFormatError,
     InputValidationError,
@@ -414,7 +413,7 @@ def main(argv: list[str] | None = None) -> int:
     except InputValidationError as exc:
         print(f"wordbeam: invalid input: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConfigurationError, CapacityError) as exc:
+    except ConfigurationError as exc:
         print(f"wordbeam: configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

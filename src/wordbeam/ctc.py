@@ -14,10 +14,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import CapacityError, InputValidationError
+from .errors import InputValidationError
 
 ROW_SUM_TOLERANCE = 1e-6
-ENUMERATION_CAP = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -140,50 +139,6 @@ def best_path_decode(m: PosteriorMatrix, alphabet: Alphabet) -> tuple[str, float
         path.append(j)
         likelihood *= float(row[j])
     return collapse(path, alphabet), likelihood
-
-
-def labeling_distribution(m: PosteriorMatrix, alphabet: Alphabet) -> dict[str, float]:
-    """Exhaustively enumerate all C^T paths, grouped by collapsed labeling.
-
-    This is the brute-force reference the beam decoders are checked
-    against; it shares no machinery with them. Enumeration is capped at
-    ``ENUMERATION_CAP`` paths.
-    """
-    _check_shape(m, alphabet)
-    t_max, c_max = m.num_frames, m.num_classes
-    if c_max ** t_max > ENUMERATION_CAP:
-        raise CapacityError(
-            f"{c_max}^{t_max} paths exceed the enumeration cap of {ENUMERATION_CAP}"
-        )
-    rows = m.probs.tolist()
-    blank = alphabet.blank_index
-    symbols = alphabet.symbols
-    dist: dict[str, float] = {}
-
-    def walk(t: int, labeling: str, last: int, prob: float) -> None:
-        if t == t_max:
-            dist[labeling] = dist.get(labeling, 0.0) + prob
-            return
-        row = rows[t]
-        for c in range(c_max):
-            p = prob * row[c]
-            if p == 0.0:
-                continue  # zero-probability subtree contributes nothing
-            walk(t + 1, labeling if (c == blank or c == last) else labeling + symbols[c], c, p)
-
-    walk(0, "", -1, 1.0)
-    return dist
-
-
-def labeling_probability(m: PosteriorMatrix, labeling: str, alphabet: Alphabet) -> float:
-    """Total probability of all paths collapsing to ``labeling``."""
-    if len(labeling) > m.num_frames:
-        return 0.0
-    symbols = set(alphabet.symbols)
-    for ch in labeling:
-        if ch not in symbols:
-            raise InputValidationError(f"labeling character {ch!r} is not in the alphabet")
-    return labeling_distribution(m, alphabet).get(labeling, 0.0)
 
 
 def _check_shape(m: PosteriorMatrix, alphabet: Alphabet) -> None:

@@ -24,15 +24,19 @@ The search state is one flat tuple per candidate, survivors included,
 carrying the word prefix of every word-character extension and the
 candidate's last character, ranked by (score, text). Each posterior row
 is read by character, and the trie keeps every node's children in sorted
-order, so a decode builds no extension table of its own. ``frame_beams``
-yields each frame's merged, uncut set as a read-only mapping whose Beams
-are built when a caller reads them; ``decode`` completes the last set
-uncut.
+order, so a decode builds no extension table of its own. Within a frame
+the search keeps a running lower bound on the ``width``-th best score
+and never builds an extension strictly below it, as the cut to ``width``
+would drop it anyway (the argument is in ``_run_frames``). ``frame_beams``
+yields, as read-only mappings whose Beams are built when a caller reads
+them, each frame's ``width`` survivors and, for the last frame, the
+merged, uncut set, which ``decode`` completes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
+from heapq import heapify, heapreplace
 
 from .ctc import Alphabet, PosteriorMatrix, _check_shape
 from .errors import ConfigurationError, InputValidationError
@@ -119,12 +123,16 @@ def frame_beams(
     width: int = 25,
     mode: ScoringMode = WORDS,
 ) -> Iterator[Mapping[str, Beam]]:
-    """Yield the merged, uncut beam set after each frame.
+    """Yield the beam set after each frame.
 
-    Each set is a read-only mapping from text to Beam whose ``len`` is
-    cheap and whose Beams are built when a caller reads them. Exposed for
-    instrumentation (mass bookkeeping can be audited frame by frame);
-    ``decode`` drives it to the end and completes the last set.
+    Every set but the last holds the frame's survivors: its at most
+    ``width`` best beams by (score, text), the ones the next frame
+    extends. The last set is the frame's merged, uncut set, as completion
+    may re-rank it; ``decode`` drives the generator to the end and
+    completes that set. Each set is a read-only mapping from text to Beam
+    whose ``len`` is cheap and whose Beams are built when a caller reads
+    them. Exposed for instrumentation (mass bookkeeping can be audited
+    frame by frame).
     """
     if width < 1:
         raise InputValidationError("beam width must be at least 1")
@@ -165,9 +173,7 @@ def _run_frames(
     # (-score, text, p_blank, p_nonblank, p_text, committed, node, last, word_prefix),
     # where ``last`` is the last character of ``text``, ranked on (-score, text);
     # texts are unique, so the comparison never reaches the rest. A full
-    # ``sorted`` runs in C: up to about 300 candidates (the median frame of a
-    # 50,000-word dictionary at width 25 has 266) it beats ``heapq.nsmallest``,
-    # whose loop runs in Python.
+    # ``sorted`` runs in C, which beats ``heapq.nsmallest`` at these sizes.
     #
     # This stays bit-exact with a loop that builds and merges a Beam per
     # candidate. Survivor texts are distinct and every symbol is one
@@ -177,18 +183,36 @@ def _run_frames(
     # extension), whose sum does not depend on their order. Each row is read
     # by character, which yields the same floats as reading it by column.
     # p_text and committed come from the same memoised ``forecast``/
-    # ``word_probability`` reads, with the same word prefix, built for every
-    # word-character extension.
+    # ``word_probability`` reads, with the same word prefix.
+    #
+    # Extensions that cannot survive the cut are never built. A frame with
+    # ``width`` survivors, other than the last, starts a min-heap with the
+    # ``width`` lower bounds ``p_text * (p_blank + own repeat)`` of the
+    # survivors' copies; ``thr`` is its smallest value. An extension scoring
+    # strictly below ``thr`` is skipped before its text or tuple is built; a
+    # kept one scoring above it replaces the smallest value, so ``thr`` rises
+    # as the frame goes on. This loses nothing:
+    # - the heap always holds lower bounds of ``width`` distinct candidates:
+    #   a copy's bound or an extension's exact score;
+    # - under round-to-nearest, adding non-negative terms and multiplying by
+    #   non-negative factors never lowers a value, so the merges added to a
+    #   copy later can only lift its score above its bound;
+    # - so an extension strictly below ``thr`` ranks below ``width`` other
+    #   candidates whatever its text, and the cut would drop it anyway.
+    # When every score has underflowed to 0.0, ``thr`` is 0.0 and nothing is
+    # skipped. Frames with fewer survivors keep an empty heap and skip
+    # nothing, and so does the last frame, which completion re-ranks uncut.
+    # Merges into copies are added in full, and forecasts are read before
+    # the test, so the tables fill as they would without it.
     symbols, blank = alphabet.symbols, alphabet.blank_index
     uses_lm = scorer.mode.uses_lm
     uses_forecast = scorer.mode.uses_forecast
     forecast, word_probability = scorer.forecast, scorer.word_probability
     word_starts = root.children.items()
+    rows = m.probs.tolist()
+    last_frame = len(rows) - 1
     survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, None, "", "")]
-    cands = None
-    for r in m.probs.tolist():
-        if cands is not None:
-            survivors = sorted(cands)[:width]
+    for t, r in enumerate(rows):
         # The blank is the last column, so ``zip`` with the symbols leaves it out.
         row, blank_p = dict(zip(symbols, r)), r[blank]
         # Extensions of survivor ``text[:-1]`` by ``text[-1]`` merge into survivor ``text``.
@@ -199,6 +223,11 @@ def _run_frames(
             if text and text[:-1] in texts:
                 merges.setdefault(text[:-1], {})[text[-1]] = i
         copy_nb = [s[3] * row[s[7]] if s[1] else 0.0 for s in survivors]
+        heap: list[float] = []
+        if t < last_frame and len(survivors) == width:
+            heap = [s[4] * ((s[2] + s[3]) * blank_p + nb) for s, nb in zip(survivors, copy_nb)]
+            heapify(heap)
+        thr = heap[0] if heap else -1.0
         cands = []
         append = cands.append
         for _, text, pb, pnb, p_text, committed, node, last, prefix in survivors:
@@ -215,9 +244,14 @@ def _run_frames(
                 if into is not None and c in into:
                     copy_nb[into[c]] += mass
                     continue
-                word = prefix + c
-                p_ext = committed * forecast(child, word) if uses_forecast else p_text
-                append((-(p_ext * mass), text + c, 0.0, mass, p_ext, committed, child, c, word))
+                p_ext = committed * forecast(child, prefix + c) if uses_forecast else p_text
+                score = p_ext * mass
+                if score < thr:
+                    continue
+                append((-score, text + c, 0.0, mass, p_ext, committed, child, c, prefix + c))
+                if score > thr and heap:
+                    heapreplace(heap, score)
+                    thr = heap[0]
             if not sep_exts:
                 continue
             if prefix and uses_lm:
@@ -227,13 +261,23 @@ def _run_frames(
                 if into is not None and c in into:
                     copy_nb[into[c]] += mass
                     continue
-                append((-(p_text * mass), text + c, 0.0, mass, p_text, committed, None, c, ""))
+                score = p_text * mass
+                if score < thr:
+                    continue
+                append((-score, text + c, 0.0, mass, p_text, committed, None, c, ""))
+                if score > thr and heap:
+                    heapreplace(heap, score)
+                    thr = heap[0]
         for (_, text, pb, pnb, p_text, committed, node, last, prefix), p_nonblank in zip(
                 survivors, copy_nb):
             p_blank = (pb + pnb) * blank_p
             append((-(p_text * (p_blank + p_nonblank)), text, p_blank, p_nonblank, p_text,
                     committed, node, last, prefix))
-        yield _FrameSet(cands)
+        if t < last_frame:
+            survivors = sorted(cands)[:width]
+            yield _FrameSet(survivors)
+        else:
+            yield _FrameSet(cands)
 
 
 def _beam(cand: tuple) -> Beam:
@@ -244,8 +288,9 @@ def _beam(cand: tuple) -> Beam:
 
 
 class _FrameSet(Mapping):
-    """Read-only text -> Beam view of one frame's candidates; its Beams are
-    built on first access, and ``len`` needs none."""
+    """Read-only text -> Beam view of one frame's survivors or, for the last
+    frame, its candidates; its Beams are built on first access, and ``len``
+    needs none."""
 
     __slots__ = ("_cands", "_beams")
 

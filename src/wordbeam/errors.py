@@ -11,10 +11,6 @@ class InputValidationError(WordbeamError, ValueError):
     """An argument violates a documented precondition."""
 
 
-class CapacityError(WordbeamError, RuntimeError):
-    """An exhaustive computation would exceed its enumeration cap."""
-
-
 class ConfigurationError(WordbeamError, RuntimeError):
     """A decoder or CLI configuration can never produce output."""
 

@@ -146,19 +146,23 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         members = make_ensemble(base, cfg.members, jitter=cfg.jitter)
 
         # Extra-separator lane: every member decodes the full word list.
+        # ``emit``, ``decode`` and ``best_path_decode`` are pure, and the word
+        # list repeats words, so each member decodes each distinct word once.
         hyps: list[list[Hypothesis]] = []
         bp_x_preds: list[str] = []
         for idx, sim in enumerate(members):
             sim_x = replace(sim, alphabet=aug_alphabet)
-            member_hyps: list[Hypothesis] = []
+            memo_x: dict[str, tuple[Hypothesis, str]] = {}
             for word in gt:
-                matrix = sim_x.emit(word, scheme_x)
-                text, likelihood = decode(matrix, aug_alphabet, tree_x, width=cfg.width)
-                member_hyps.append(Hypothesis(decode_label(text, scheme_x).text, likelihood))
-                if idx == 0:
-                    bp_text, _ = best_path_decode(matrix, aug_alphabet)
-                    bp_x_preds.append(decode_label(bp_text, scheme_x).text)
-            hyps.append(member_hyps)
+                if word not in memo_x:
+                    matrix = sim_x.emit(word, scheme_x)
+                    text, likelihood = decode(matrix, aug_alphabet, tree_x, width=cfg.width)
+                    bp_text = best_path_decode(matrix, aug_alphabet)[0] if idx == 0 else ""
+                    memo_x[word] = (Hypothesis(decode_label(text, scheme_x).text, likelihood),
+                                    decode_label(bp_text, scheme_x).text)
+            hyps.append([memo_x[word][0] for word in gt])
+            if idx == 0:
+                bp_x_preds = [memo_x[word][1] for word in gt]
 
         ensemble_accuracy: dict[int, float] = {}
         for count in cfg.member_counts:
@@ -168,15 +172,15 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
             ensemble_accuracy[count] = word_accuracy(voted, gt)
 
         # Plain lane: member 0 only, for the scheme and decoder grid.
-        wbs_plain_preds: list[str] = []
-        bp_plain_preds: list[str] = []
+        memo_p: dict[str, tuple[str, str]] = {}
         sim_p = members[0]
         for word in gt:
-            matrix = sim_p.emit(word, PLAIN)
-            text, _ = decode(matrix, base_alphabet, tree_plain, width=cfg.width)
-            wbs_plain_preds.append(text)
-            bp_text, _ = best_path_decode(matrix, base_alphabet)
-            bp_plain_preds.append(bp_text)
+            if word not in memo_p:
+                matrix = sim_p.emit(word, PLAIN)
+                text, _ = decode(matrix, base_alphabet, tree_plain, width=cfg.width)
+                memo_p[word] = (text, best_path_decode(matrix, base_alphabet)[0])
+        wbs_plain_preds = [memo_p[word][0] for word in gt]
+        bp_plain_preds = [memo_p[word][1] for word in gt]
 
         report.outcomes.append(
             SeedOutcome(

@@ -11,6 +11,7 @@ from wordbeam import (
     WORDS,
     Alphabet,
     Beam,
+    InputValidationError,
     NgramModel,
     PosteriorMatrix,
     PrefixTree,
@@ -23,6 +24,61 @@ from wordbeam import (
 def random_matrix(rng: np.random.Generator, t: int, c: int) -> PosteriorMatrix:
     arr = rng.random((t, c)) + 1e-3
     return PosteriorMatrix(arr / arr.sum(axis=1, keepdims=True))
+
+
+ENUMERATION_CAP = 10_000_000
+
+
+class CapacityError(RuntimeError):
+    """An exhaustive enumeration would exceed ``ENUMERATION_CAP`` paths."""
+
+
+def labeling_distribution(m: PosteriorMatrix, alphabet: Alphabet) -> dict[str, float]:
+    """Exhaustively enumerate all C^T paths, grouped by collapsed labeling.
+
+    This is the brute-force reference the beam decoders are checked
+    against; it shares no machinery with them. Enumeration is capped at
+    ``ENUMERATION_CAP`` paths.
+    """
+    if m.num_classes != alphabet.num_classes:
+        raise InputValidationError(
+            f"matrix has {m.num_classes} classes but the alphabet implies "
+            f"{alphabet.num_classes}"
+        )
+    t_max, c_max = m.num_frames, m.num_classes
+    if c_max ** t_max > ENUMERATION_CAP:
+        raise CapacityError(
+            f"{c_max}^{t_max} paths exceed the enumeration cap of {ENUMERATION_CAP}"
+        )
+    rows = m.probs.tolist()
+    blank = alphabet.blank_index
+    symbols = alphabet.symbols
+    dist: dict[str, float] = {}
+
+    def walk(t: int, labeling: str, last: int, prob: float) -> None:
+        if t == t_max:
+            dist[labeling] = dist.get(labeling, 0.0) + prob
+            return
+        row = rows[t]
+        for c in range(c_max):
+            p = prob * row[c]
+            if p == 0.0:
+                continue  # zero-probability subtree contributes nothing
+            walk(t + 1, labeling if (c == blank or c == last) else labeling + symbols[c], c, p)
+
+    walk(0, "", -1, 1.0)
+    return dist
+
+
+def labeling_probability(m: PosteriorMatrix, labeling: str, alphabet: Alphabet) -> float:
+    """Total probability of all paths collapsing to ``labeling``."""
+    if len(labeling) > m.num_frames:
+        return 0.0
+    symbols = set(alphabet.symbols)
+    for ch in labeling:
+        if ch not in symbols:
+            raise InputValidationError(f"labeling character {ch!r} is not in the alphabet")
+    return labeling_distribution(m, alphabet).get(labeling, 0.0)
 
 
 def itertools_distribution(m: PosteriorMatrix, alphabet: Alphabet) -> dict[str, float]:
@@ -160,7 +216,8 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
                           lm: NgramModel | None = None, width: int = 25,
                           mode: ScoringMode = WORDS, scorer: TrieScorer | None = None):
     """The frame loop with one Beam per candidate, merged in a dict: yields
-    the uncut beam set after each frame, as ``frame_beams`` does."""
+    the uncut beam set after each frame. ``frame_beams`` yields the top
+    ``width`` of each of these sets but the last, and the last uncut."""
     scorer = scorer or TrieScorer(tree, lm, mode)
     col = alphabet.column_map()
     root = tree._root

@@ -23,7 +23,6 @@ from wordbeam import (
     best_path_decode,
     decode,
     forecast_sample,
-    labeling_distribution,
     levenshtein,
     vote,
     word_accuracy,
@@ -31,7 +30,13 @@ from wordbeam import (
 from wordbeam.cli import EXIT_OK, main
 from wordbeam.trends import TrendConfig, run_trend_experiment
 
-from _support import constrained_argmax, naive_best_path, random_matrix, trie_node
+from _support import (
+    constrained_argmax,
+    labeling_distribution,
+    naive_best_path,
+    random_matrix,
+    trie_node,
+)
 
 
 @contextmanager

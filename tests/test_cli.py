@@ -122,8 +122,8 @@ class TestDecodeCommand:
             assert 0.0 < float(line.split("\t")[2]) <= 1.0
 
     def test_tiny_matrix_matches_library_oracle(self, tmp_path, capsys):
-        from wordbeam import PrefixTree, decode, labeling_distribution
-        from _support import constrained_argmax
+        from wordbeam import PrefixTree, decode
+        from _support import constrained_argmax, labeling_distribution
 
         m = PosteriorMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         path = tmp_path / "tiny.mat"

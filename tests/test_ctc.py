@@ -5,16 +5,20 @@ import pytest
 
 from wordbeam import (
     Alphabet,
-    CapacityError,
     InputValidationError,
     PosteriorMatrix,
     best_path_decode,
     collapse,
-    labeling_distribution,
-    labeling_probability,
 )
 
-from _support import itertools_distribution, naive_best_path, random_matrix
+from _support import (
+    CapacityError,
+    itertools_distribution,
+    labeling_distribution,
+    labeling_probability,
+    naive_best_path,
+    random_matrix,
+)
 
 AB = Alphabet("ab")  # columns: a=0, b=1, blank=2
 

@@ -1,5 +1,7 @@
 """Dual-state word beam search: bookkeeping, constraints and completion."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,16 +16,22 @@ from wordbeam import (
     NgramModel,
     PosteriorMatrix,
     PrefixTree,
+    RecognizerSim,
     WORDS,
     best_path_decode,
     complete_beams,
     decode,
     forecast_sample,
     frame_beams,
-    labeling_distribution,
 )
 
-from _support import constrained_argmax, random_matrix, reference_decode, reference_frame_beams
+from _support import (
+    constrained_argmax,
+    labeling_distribution,
+    random_matrix,
+    reference_decode,
+    reference_frame_beams,
+)
 
 WC = set("abcdefgh")
 
@@ -320,10 +328,20 @@ class TestSharedScorer:
 WORD_CHARS = "abcdefghijkl"
 
 
+def _entries(beams) -> dict:
+    return {k: (b.word_prefix, b.p_blank, b.p_nonblank, b.p_text) for k, b in beams.items()}
+
+
+def _top(beams, width: int) -> dict:
+    """The reference set cut to ``width`` by (-score, text), as the search cuts it."""
+    kept = sorted(beams.values(), key=lambda b: (-b.score, b.text))[:width]
+    return _entries({b.text: b for b in kept})
+
+
 class TestFlatFrameLoop:
     """The flat-candidate frame loop against the Beam-per-candidate reference."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
         starts=st.lists(st.sampled_from(WORD_CHARS), min_size=10, max_size=12, unique=True),
         tails=st.lists(st.text(WORD_CHARS[:5], max_size=4), min_size=1, max_size=30),
@@ -332,7 +350,7 @@ class TestFlatFrameLoop:
         order=st.integers(1, 3),
         t=st.integers(1, 60),
         width=st.integers(1, 40),
-        levels=st.sampled_from([0, 3]),
+        levels=st.sampled_from([0, 2, 3]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_frames_and_decode_equal_reference(self, starts, tails, coding, mode, order, t,
@@ -350,17 +368,15 @@ class TestFlatFrameLoop:
             m = PosteriorMatrix(arr / arr.sum(axis=1, keepdims=True))
         else:
             m = random_matrix(rng, t, alphabet.num_classes)
-        frames = frame_beams(m, alphabet, tree, lm, width, mode)
-        reference = reference_frame_beams(m, alphabet, tree, lm, width, mode)
-        count = 0
-        for got, want in zip(frames, reference, strict=True):
-            assert len(got) == len(want)
-            assert {k: (b.word_prefix, b.p_blank, b.p_nonblank, b.p_text)
-                    for k, b in got.items()} == {
-                k: (b.word_prefix, b.p_blank, b.p_nonblank, b.p_text)
-                for k, b in want.items()}
-            count += 1
-        assert count == t
+        frames = list(frame_beams(m, alphabet, tree, lm, width, mode))
+        reference = list(reference_frame_beams(m, alphabet, tree, lm, width, mode))
+        assert len(frames) == len(reference) == t
+        # Every frame but the last yields the reference's top ``width``; the
+        # last one yields the reference's uncut set, which completion re-ranks.
+        for got, want in zip(frames[:-1], reference[:-1]):
+            assert len(got) <= width
+            assert _entries(got) == _top(want, width)
+        assert _entries(frames[-1]) == _entries(reference[-1])
         assert decode(m, alphabet, tree, lm, width, mode) == reference_decode(
             m, alphabet, tree, lm, width, mode)
 
@@ -374,3 +390,23 @@ class TestFlatFrameLoop:
             first["x"] = Beam("x")
         assert sorted(first) == ["", "a", "b"]
         assert first["a"] is first["a"]
+
+
+class TestRealisticSize:
+    """One line of hundreds of frames over a dictionary of thousands of words."""
+
+    def test_long_line_decode_equals_reference(self):
+        py_rng = random.Random(2026)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        words = sorted({"".join(py_rng.choice(letters) for _ in range(py_rng.randint(2, 8)))
+                        for _ in range(6000)})
+        line = " ".join(py_rng.sample([w for w in words if len(w) >= 7], 13))
+        alphabet = Alphabet(letters + " ")
+        tree = PrefixTree(words, set(letters), {" "})
+        lm = NgramModel.train(words, order=2)
+        m = RecognizerSim(alphabet, frames_per_char=3, noise_level=0.3, seed=5).emit(line)
+        assert m.num_frames >= 400 and len(words) >= 5000
+        for mode in (WORDS, NGRAMS):
+            got = decode(m, alphabet, tree, lm, 25, mode)
+            assert got == reference_decode(m, alphabet, tree, lm, 25, mode), mode
+            assert got[1] > 0.0  # no underflow, so the cut was live

@@ -1,6 +1,11 @@
-"""Trend report layout."""
+"""Trend report layout and the experiment's per-member memo."""
 
-from wordbeam.trends import SeedOutcome, TrendConfig, TrendReport
+import hashlib
+import random
+from collections import Counter
+
+from wordbeam import trends
+from wordbeam.trends import SeedOutcome, TrendConfig, TrendReport, run_trend_experiment
 
 
 def _report(seed: int) -> TrendReport:
@@ -26,3 +31,29 @@ def test_long_seed_is_its_own_cell():
 def test_short_seed_keeps_the_column_layout():
     row = _seed_row(_report(7))
     assert row == "7         96.67    90.00    93.33    100.00"
+
+
+def test_each_member_decodes_each_distinct_word_once(monkeypatch):
+    # 80 words drawn from 20 per seed: most of the list repeats.
+    cfg = TrendConfig(seed=11, n_seeds=2, n_words=80, members=3, member_counts=(1, 3),
+                      dictionary_size=20, noise_level=0.6, width=6)
+    calls: Counter = Counter()
+    decode = trends.decode
+
+    def counted(m, alphabet, tree, **kwargs):
+        calls[alphabet, m.probs.tobytes()] += 1  # one matrix per (member, lane, word)
+        return decode(m, alphabet, tree, **kwargs)
+
+    monkeypatch.setattr(trends, "decode", counted)
+    report = run_trend_experiment(cfg).format()
+    distinct = 0
+    for k in range(cfg.n_seeds):
+        rng = random.Random(f"trend|{cfg.seed + 1000 * k}")
+        dictionary = trends._make_dictionary(rng, cfg)
+        distinct += len({rng.choice(dictionary) for _ in range(cfg.n_words)})
+    assert distinct < cfg.n_seeds * cfg.n_words / 2
+    assert set(calls.values()) == {1}
+    assert len(calls) == (cfg.members + 1) * distinct  # every member, plus the plain lane
+    # The report of the experiment that decoded every word of the list.
+    assert hashlib.sha256(report.encode()).hexdigest() == (
+        "c78374a097dc6ea44392d9c7eb950fd297ed0f73f38a631b60ac08d9e6e5d975")
