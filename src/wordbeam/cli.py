@@ -43,10 +43,21 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _at_least_one(text: str) -> int:
+    """An argparse type: an integer of at least 1, rejected before any work."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_decode_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dict", dest="dict_path", help="dictionary file, one word per line")
     p.add_argument("--mode", choices=_MODES, default="words")
-    p.add_argument("--width", type=int, default=25)
+    p.add_argument("--width", type=_at_least_one, default=25)
     p.add_argument("--scheme", choices=("plain", "extrasep"), default="plain")
     p.add_argument("--sep", default="|", help="separator character for --scheme extrasep")
     p.add_argument("--order", type=int, default=2, help="n-gram order")
@@ -104,10 +115,10 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("reproduce-trends", help="run the synthetic trend experiment")
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--seeds", type=int, default=5, help="number of experiment seeds")
-    p.add_argument("--n-words", type=int, default=1000)
-    p.add_argument("--members", type=int, default=10)
-    p.add_argument("--width", type=int, default=8)
+    p.add_argument("--seeds", type=_at_least_one, default=5, help="number of experiment seeds")
+    p.add_argument("--n-words", type=_at_least_one, default=1000)
+    p.add_argument("--members", type=_at_least_one, default=10)
+    p.add_argument("--width", type=_at_least_one, default=8)
     p.add_argument("--noise", type=float, default=TrendConfig().noise_level)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_reproduce_trends)
@@ -175,12 +186,31 @@ class _DecodePipeline:
             if alphabet.separator is not None:
                 nonword.add(alphabet.separator)
             word_chars = set(alphabet.characters) - nonword
-            tree = PrefixTree(self.words, word_chars, nonword)
+            try:
+                tree = PrefixTree(self.words, word_chars, nonword)
+            except InputValidationError:
+                self._raise_unspellable(word_chars, symbols)
+                raise
             if self.mode.uses_lm:
                 corpus = self.lm_corpus if self.lm_corpus is not None else self.words
                 lm = NgramModel.train(corpus, self.args.order, self.args.smoothing_k)
         self._cache[symbols] = (alphabet, tree, lm)
         return self._cache[symbols]
+
+    def _raise_unspellable(self, word_chars: set[str], symbols: str) -> None:
+        """Name the dictionary line of the first word the matrix alphabet
+        cannot spell, if there is one."""
+        word = next((w for w in self.words if not word_chars.issuperset(w)), None)
+        if word is None:
+            return
+        bad = next(ch for ch in word if ch not in word_chars)
+        path = self.args.dict_path
+        line = next((i for i, raw in enumerate(read_text(path).split("\n"), start=1)
+                     if raw.strip() == word), None)
+        raise DataFormatError(
+            f"word {word!r} has character {bad!r}, which is not a word character of "
+            f"the matrix alphabet {symbols!r}", path=path, line=line
+        )
 
 
 def _dict_missing(args) -> bool:

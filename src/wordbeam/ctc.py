@@ -9,6 +9,7 @@ scores are an open item.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -128,17 +129,14 @@ def collapse(path: Sequence[int], alphabet: Alphabet) -> str:
 def best_path_decode(m: PosteriorMatrix, alphabet: Alphabet) -> tuple[str, float]:
     """Greedy CTC decoding: per-frame argmax followed by collapse.
 
-    The likelihood is the product of the chosen per-frame maxima,
-    accumulated left to right.
+    Each frame takes its first maximal column (``argmax`` over the row).
+    The likelihood is the product of the per-frame maxima, multiplied in
+    frame order starting from 1.0, so it is bit-identical to a running
+    product over the rows.
     """
     _check_shape(m, alphabet)
-    path: list[int] = []
-    likelihood = 1.0
-    for row in m.probs:
-        j = int(np.argmax(row))
-        path.append(j)
-        likelihood *= float(row[j])
-    return collapse(path, alphabet), likelihood
+    path = m.probs.argmax(axis=1).tolist()
+    return collapse(path, alphabet), math.prod(m.probs.max(axis=1).tolist())
 
 
 def _check_shape(m: PosteriorMatrix, alphabet: Alphabet) -> None:

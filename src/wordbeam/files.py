@@ -2,13 +2,16 @@
 
 A matrix file is line oriented: a ``T C`` header, the non-blank alphabet
 as one backslash-escaped string (blank is implicit, last column), then T
-lines of C space-separated decimal floats. Word lists hold one word per
-line; ``#`` starts a comment line and blank lines are skipped.
+lines of C values separated by single spaces, each in Python ``float``
+syntax. Word lists hold one word per line; ``#`` starts a comment line
+and blank lines are skipped.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+
+import numpy as np
 
 from .ctc import PosteriorMatrix
 from .errors import DataFormatError, InputValidationError, UnreadableFileError
@@ -72,8 +75,26 @@ def parse_matrix(text: str, path: str = "<string>") -> tuple[str, PosteriorMatri
         raise DataFormatError(
             f"expected {t} value rows, found {len(lines) - 2}", path=path, line=len(lines)
         )
+    body = lines[2:]
+    try:
+        if not all(line.count(" ") == c - 1 for line in body):
+            raise ValueError("a row has the wrong number of fields")
+        # numpy converts each field with Python's float(), in one call
+        probs = np.array(" ".join(body).split(" "), dtype=np.float64).reshape(t, c)
+    except ValueError:
+        probs = _parse_rows(body, c, path)  # raises the first faulty row's error
+    try:
+        matrix = PosteriorMatrix(probs)
+    except InputValidationError as exc:
+        raise DataFormatError(str(exc), path=path) from exc
+    return symbols, matrix
+
+
+def _parse_rows(body: list[str], c: int, path: str) -> list[list[float]]:
+    """Parse value rows one at a time, raising the first faulty row's error
+    with its line number."""
     rows: list[list[float]] = []
-    for i, line in enumerate(lines[2:], start=3):
+    for i, line in enumerate(body, start=3):
         fields = line.split(" ")
         if len(fields) != c:
             raise DataFormatError(
@@ -83,11 +104,7 @@ def parse_matrix(text: str, path: str = "<string>") -> tuple[str, PosteriorMatri
             rows.append([float(f) for f in fields])
         except ValueError:
             raise DataFormatError(f"malformed float in row {line!r}", path=path, line=i) from None
-    try:
-        matrix = PosteriorMatrix(rows)
-    except InputValidationError as exc:
-        raise DataFormatError(str(exc), path=path) from exc
-    return symbols, matrix
+    return rows
 
 
 def read_text(path: str | Path) -> str:
@@ -117,7 +134,7 @@ def load_word_list(path: str | Path) -> list[str]:
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if any(ch.isspace() for ch in line):
+        if len(line.split()) != 1:
             raise DataFormatError(
                 f"word {line!r} contains embedded whitespace", path=str(path), line=i
             )

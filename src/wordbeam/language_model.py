@@ -93,23 +93,23 @@ class NgramModel:
             raise InputValidationError("n-gram order must be at least 1")
         if smoothing_k <= 0:
             raise InputValidationError("smoothing constant must be positive")
-        vocab: set[str] = set()
-        counts: dict[str, Counter] = {}
+        bad = next((word for word in corpus if not word or WORD_BOUNDARY in word), None)
+        if bad is not None:
+            raise InputValidationError("corpus words must be non-empty" if not bad
+                                       else "corpus word contains the boundary sentinel")
         pad = WORD_BOUNDARY * (order - 1)
-        for word in corpus:
-            if not word:
-                raise InputValidationError("corpus words must be non-empty")
-            if WORD_BOUNDARY in word:
-                raise InputValidationError("corpus word contains the boundary sentinel")
-            vocab.update(word)
-            seq = pad + word + WORD_BOUNDARY
-            for i in range(order - 1, len(seq)):
-                ctx = seq[i - order + 1 : i]
-                ctr = counts.get(ctx)
-                if ctr is None:
-                    ctr = counts[ctx] = Counter()
-                ctr[seq[i]] += 1
-        return cls(order, smoothing_k, frozenset(vocab), counts)
+        seqs = (pad + word + WORD_BOUNDARY for word in corpus)
+        windows = Counter(seq[i : i + order] for seq in seqs for i in range(len(seq) - order + 1))
+        # Split in first-occurrence order, so contexts, and each context's
+        # next characters, are inserted as a window-by-window count would.
+        counts: dict[str, Counter] = {}
+        for window, n in windows.items():
+            ctx = window[:-1]
+            ctr = counts.get(ctx)
+            if ctr is None:
+                ctr = counts[ctx] = Counter()
+            ctr[window[-1]] = n
+        return cls(order, smoothing_k, frozenset("".join(corpus)), counts)
 
     @property
     def num_outcomes(self) -> int:

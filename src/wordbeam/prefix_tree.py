@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from typing import Iterable
 
 from .errors import InputValidationError
@@ -45,17 +46,31 @@ class PrefixTree:
         for word in words:
             if not word:
                 raise InputValidationError("dictionary words must be non-empty")
-            bad = next((ch for ch in word if ch not in self.word_chars), None)
-            if bad is not None:
+            if not self.word_chars.issuperset(word):
+                bad = next(ch for ch in word if ch not in self.word_chars)
                 raise InputValidationError(
                     f"word {word!r} contains non-word character {bad!r}"
                 )
             self._words.add(word)  # duplicates carry no extra information here
-        for word in sorted(self._words):
-            node = self._root
-            for ch in word:
-                node = node.children.setdefault(ch, _Node())
-            node.is_word = True
+        # The insertion loop creates no reference cycles, so the cyclic
+        # collector is paused while it runs: its full collections would
+        # otherwise re-walk the growing tree several times over. Its young
+        # collections still visit the new nodes once it resumes.
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            for word in sorted(self._words):
+                node = self._root
+                for ch in word:
+                    children = node.children
+                    child = children.get(ch)
+                    if child is None:
+                        child = children[ch] = _Node()
+                    node = child
+                node.is_word = True
+        finally:
+            if collecting:
+                gc.enable()
 
     def _find(self, prefix: str) -> _Node | None:
         node = self._root

@@ -7,18 +7,24 @@ import random
 
 import numpy as np
 
+from collections import Counter
+
 from wordbeam import (
+    WORD_BOUNDARY,
     WORDS,
     Alphabet,
     Beam,
+    DataFormatError,
     InputValidationError,
     NgramModel,
     PosteriorMatrix,
     PrefixTree,
     ScoringMode,
     TrieScorer,
+    collapse,
     complete_beams,
 )
+from wordbeam.files import unescape_alphabet
 
 
 def random_matrix(rng: np.random.Generator, t: int, c: int) -> PosteriorMatrix:
@@ -120,6 +126,80 @@ def naive_best_path(m: PosteriorMatrix, alphabet: Alphabet) -> tuple[str, float]
             out.append(symbols[best])
         last = best
     return "".join(out), likelihood
+
+
+def reference_best_path(m: PosteriorMatrix, alphabet: Alphabet) -> tuple[str, float]:
+    """Best path one row at a time: ``np.argmax`` of each row and a running
+    product of the chosen values, starting from 1.0."""
+    path: list[int] = []
+    likelihood = 1.0
+    for row in m.probs:
+        j = int(np.argmax(row))
+        path.append(j)
+        likelihood *= float(row[j])
+    return collapse(path, alphabet), likelihood
+
+
+def reference_parse_matrix(text: str, path: str = "<string>") -> tuple[str, PosteriorMatrix]:
+    """Matrix file parser that converts each row's fields with ``float()``
+    as it reaches the row, so the first faulty row raises."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        raise DataFormatError("expected a 'T C' header and an alphabet line", path=path, line=1)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise DataFormatError(f"malformed header {lines[0]!r}", path=path, line=1)
+    try:
+        t, c = int(header[0]), int(header[1])
+    except ValueError:
+        raise DataFormatError(f"non-integer header {lines[0]!r}", path=path, line=1) from None
+    symbols = unescape_alphabet(lines[1], path=path, line=2)
+    if len(symbols) + 1 != c:
+        raise DataFormatError(
+            f"alphabet has {len(symbols)} symbols but header says C={c}", path=path, line=2
+        )
+    if len(lines) != 2 + t:
+        raise DataFormatError(
+            f"expected {t} value rows, found {len(lines) - 2}", path=path, line=len(lines)
+        )
+    rows: list[list[float]] = []
+    for i, line in enumerate(lines[2:], start=3):
+        fields = line.split(" ")
+        if len(fields) != c:
+            raise DataFormatError(
+                f"expected {c} values, found {len(fields)}", path=path, line=i
+            )
+        try:
+            rows.append([float(f) for f in fields])
+        except ValueError:
+            raise DataFormatError(f"malformed float in row {line!r}", path=path, line=i) from None
+    try:
+        matrix = PosteriorMatrix(rows)
+    except InputValidationError as exc:
+        raise DataFormatError(str(exc), path=path) from exc
+    return symbols, matrix
+
+
+def reference_ngram_counts(corpus, order: int) -> dict[str, Counter]:
+    """Per-context next-character counts, one window at a time, over
+    boundary-padded words; validates each word as it reaches it."""
+    counts: dict[str, Counter] = {}
+    pad = WORD_BOUNDARY * (order - 1)
+    for word in corpus:
+        if not word:
+            raise InputValidationError("corpus words must be non-empty")
+        if WORD_BOUNDARY in word:
+            raise InputValidationError("corpus word contains the boundary sentinel")
+        seq = pad + word + WORD_BOUNDARY
+        for i in range(order - 1, len(seq)):
+            ctx = seq[i - order + 1 : i]
+            ctr = counts.get(ctx)
+            if ctr is None:
+                ctr = counts[ctx] = Counter()
+            ctr[seq[i]] += 1
+    return counts
 
 
 def final_text(labeling: str, tree: PrefixTree) -> str | None:

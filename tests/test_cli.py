@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordbeam import (
     Alphabet,
@@ -21,7 +22,7 @@ from wordbeam.files import (
     write_matrix_file,
 )
 
-from _support import random_matrix
+from _support import random_matrix, reference_parse_matrix
 
 
 class TestMatrixFile:
@@ -66,6 +67,115 @@ class TestMatrixFile:
         symbols, parsed = read_matrix_file(path)
         assert symbols == "abc"
         assert np.array_equal(parsed.probs, m.probs)
+
+
+def _outcome(parse, text):
+    """What a parser makes of ``text``: its symbols and the bits of its
+    values, or its error's message, path and line."""
+    try:
+        symbols, m = parse(text, path="m.mat")
+    except DataFormatError as exc:
+        return ("error", str(exc), exc.path, exc.line)
+    return ("ok", symbols, m.probs.shape, m.probs.view(np.int64).tolist())
+
+
+_FORMATS = [repr, lambda v: format(v, ".17g"), lambda v: format(v, ".25f"),
+            lambda v: "+" + repr(v), lambda v: format(v, ".17e").upper()]
+
+
+@st.composite
+def _matrix_texts(draw):
+    """Serialized matrices whose rows sum to 1, with quantised rows (so
+    ties occur) and several spellings of each value."""
+    t, c = draw(st.integers(1, 6)), draw(st.integers(2, 5))
+    rows = []
+    for _ in range(t):
+        weights = draw(st.lists(st.integers(0, 3), min_size=c, max_size=c)
+                       .filter(lambda w: sum(w) > 0))
+        rows.append([w / sum(weights) for w in weights])
+    fmt = draw(st.sampled_from(_FORMATS))
+    body = [" ".join(fmt(v) for v in row) for row in rows]
+    return "\n".join([f"{t} {c}", "abcd"[: c - 1], *body]) + "\n"
+
+
+def _corrupt(text, fault, row):
+    """Apply one fault to value row ``row`` (0-based) of a matrix text."""
+    lines = text.split("\n")
+    i = 2 + row % (len(lines) - 3)
+    fields = lines[i].split(" ")
+    if fault == "drop field":
+        lines[i] = " ".join(fields[:-1])
+    elif fault == "extra field":
+        lines[i] += " 0"
+    elif fault == "bad float":
+        lines[i] = " ".join(["0.x"] + fields[1:])
+    elif fault == "tab":
+        lines[i] = lines[i].replace(" ", "\t", 1)
+    elif fault == "trailing space":
+        lines[i] += " "
+    elif fault == "blank row":
+        lines[i] = ""
+    elif fault in ("nan", "inf", "-0.5", "1e400"):
+        lines[i] = " ".join([fault] + fields[1:])
+    elif fault == "crlf":
+        return "\r\n".join(lines)
+    return "\n".join(lines)
+
+
+_FAULTS = ["drop field", "extra field", "bad float", "tab", "trailing space", "blank row",
+           "nan", "inf", "-0.5", "1e400", "crlf"]
+
+
+class TestBulkParse:
+    """``parse_matrix`` converts the whole body at once; the row-by-row
+    reference parser is the specification."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=_matrix_texts())
+    def test_valid_texts_give_the_same_bits(self, text):
+        got = _outcome(parse_matrix, text)
+        assert got[0] == "ok"
+        assert got == _outcome(reference_parse_matrix, text)
+
+    def test_random_matrices_round_trip_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        for t, c in ((1, 2), (30, 11), (200, 27)):
+            text = serialize_matrix(random_matrix(rng, t, c), "abcdefghijklmnopqrstuvwxyz"[: c - 1])
+            assert _outcome(parse_matrix, text) == _outcome(reference_parse_matrix, text)
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(text=_matrix_texts(),
+           faults=st.lists(st.tuples(st.sampled_from(_FAULTS), st.integers(0, 5)),
+                           min_size=1, max_size=3))
+    def test_faulty_texts_raise_the_reference_error(self, text, faults):
+        for fault, row in faults:
+            text = _corrupt(text, fault, row)
+        got = _outcome(parse_matrix, text)
+        assert got[0] == "error"
+        assert got == _outcome(reference_parse_matrix, text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("0 3\nab\n", "m.mat: posterior matrix must be two-dimensional"),
+        ("2 2\na\n0.5 0.5\n\n", "m.mat:4: expected 2 values, found 1"),
+        ("2 2\na\n0.5 0.5 \n0.5\t0.5\n", "m.mat:3: expected 2 values, found 3"),
+        ("3 2\na\n0.5 0.5\n0.5 x\n0.5\n", "m.mat:4: malformed float in row '0.5 x'"),
+        ("2 2\na\n0.5 nan\n-1 2\n", "m.mat: posterior matrix contains non-finite entries"),
+        ("1 2\na\n-0.5 1.5\n", "m.mat: posterior matrix contains negative entries"),
+    ])
+    def test_first_fault_names_its_line(self, text, message):
+        with pytest.raises(DataFormatError) as err:
+            parse_matrix(text, path="m.mat")
+        assert str(err.value) == message
+        assert _outcome(parse_matrix, text) == _outcome(reference_parse_matrix, text)
+
+    @pytest.mark.parametrize("row, values", [
+        ("1_0e-1 0", [1.0, 0.0]), ("٠.5 0.5", [0.5, 0.5]), ("0.5\x0b .5", [0.5, 0.5]),
+        ("+.5 0.5\r", [0.5, 0.5]), ("5e-1 5E-1", [0.5, 0.5]),
+    ])
+    def test_fields_take_python_float_syntax(self, row, values):
+        # A field is whatever float() accepts, surrounding whitespace included.
+        _, m = parse_matrix(f"1 2\na\n{row}\n")
+        assert m.probs.tolist() == [values]
 
 
 class TestWordList:
@@ -176,6 +286,16 @@ class TestDecodeCommand:
         rc = main(["decode", str(bad), "--mode", "bestpath"])
         assert rc == EXIT_DATA
         assert "bad.mat:3" in capsys.readouterr().err
+
+    def test_word_outside_alphabet_names_dictionary_line(self, tmp_path, capsys):
+        write_matrix_file(tmp_path / "x.mat", PosteriorMatrix([[0.25, 0.25, 0.5]]), "ab")
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("# words\nab\n\n  ba\nnaïve\nbna\n", encoding="utf-8")
+        rc = main(["decode", str(tmp_path / "x.mat"), "--dict", str(dict_path)])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"wordbeam: data format error: {dict_path}:5: word 'naïve' has character 'n', "
+            "which is not a word character of the matrix alphabet 'ab'\n")
 
     def test_unusable_configuration_exit_code(self, synth_setup, tmp_path, capsys):
         paths, _ = synth_setup
@@ -429,3 +549,34 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["decode", "x.mat", "--mode", "viterbi"])
         assert err.value.code == EXIT_USAGE
+
+    @pytest.mark.parametrize("command, flag", [
+        (["decode", "{mat}", "--dict", "{dict}"], "--width"),
+        (["ensemble", "{mat}", "{mat}", "--dict", "{dict}"], "--width"),
+        (["reproduce-trends"], "--width"),
+        (["reproduce-trends"], "--seeds"),
+        (["reproduce-trends"], "--members"),
+        (["reproduce-trends"], "--n-words"),
+    ])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, monkeypatch, command,
+                                               flag, value):
+        # Rejected by the parser, before any file is read or input made.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking its arguments")
+
+        for name in ("read_text", "read_matrix_file", "load_word_list", "run_trend_experiment"):
+            monkeypatch.setattr(f"wordbeam.cli.{name}", no_work)
+        places = {"mat": str(tmp_path / "x.mat"), "dict": str(tmp_path / "dict.txt")}
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(**places) for arg in command] + [flag, value])
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            f"error: argument {flag}: must be at least 1, got {int(value)}\n")
+
+    def test_non_integer_count_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["reproduce-trends", "--seeds", "two"])
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: argument --seeds: invalid int value: 'two'\n")

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordbeam import (
     Alphabet,
@@ -18,6 +19,7 @@ from _support import (
     labeling_probability,
     naive_best_path,
     random_matrix,
+    reference_best_path,
 )
 
 AB = Alphabet("ab")  # columns: a=0, b=1, blank=2
@@ -132,6 +134,21 @@ class TestBestPath:
         m = PosteriorMatrix([[0.5, 0.5]])
         with pytest.raises(InputValidationError):
             best_path_decode(m, Alphabet("ab"))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(c=st.integers(2, 5), data=st.data())
+    def test_matches_row_loop_bit_for_bit(self, c, data):
+        # Quantised rows tie often: the first maximal column must win, and
+        # the likelihood must be the same running product, bit for bit.
+        weights = data.draw(st.lists(
+            st.lists(st.integers(0, 3), min_size=c, max_size=c).filter(any),
+            min_size=1, max_size=40))
+        m = PosteriorMatrix([[w / sum(row) for w in row] for row in weights])
+        alphabet = Alphabet("abcd"[: c - 1])
+        label, likelihood = best_path_decode(m, alphabet)
+        ref_label, ref_likelihood = reference_best_path(m, alphabet)
+        assert label == ref_label
+        assert likelihood.hex() == ref_likelihood.hex()
 
 
 class TestLabelingProbability:

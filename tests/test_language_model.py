@@ -17,7 +17,7 @@ from wordbeam import (
     forecast_sample,
 )
 
-from _support import best_completion, forecast_for_prefix, trie_node
+from _support import best_completion, forecast_for_prefix, reference_ngram_counts, trie_node
 
 WC = set("abcdefgh")
 
@@ -51,6 +51,38 @@ class TestTraining:
     def test_empty_corpus_rejected(self):
         with pytest.raises(InputValidationError):
             NgramModel.train([])
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(corpus=st.lists(st.text("ab\u00e9", min_size=1, max_size=5), min_size=1,
+                           max_size=15),
+           bad=st.lists(st.tuples(st.integers(0, 15),
+                                  st.sampled_from(["", WORD_BOUNDARY, "a" + WORD_BOUNDARY])),
+                        max_size=2),
+           order=st.integers(1, 4))
+    def test_counts_match_window_loop(self, corpus, bad, order):
+        # Same counts in the same insertion order; for a bad corpus, the
+        # first offending word decides the message.
+        for i, word in bad:
+            corpus.insert(i, word)
+        try:
+            want = reference_ngram_counts(corpus, order)
+        except InputValidationError as exc:
+            with pytest.raises(InputValidationError) as err:
+                NgramModel.train(corpus, order=order)
+            assert str(err.value) == str(exc)
+            return
+        lm = NgramModel.train(corpus, order=order)
+        assert [(ctx, list(ctr.items())) for ctx, ctr in lm._counts.items()] == [
+            (ctx, list(ctr.items())) for ctx, ctr in want.items()]
+        assert lm.vocabulary == frozenset(ch for word in corpus for ch in word)
+
+    @pytest.mark.parametrize("corpus, message", [
+        (["ab", "", "a" + WORD_BOUNDARY], "corpus words must be non-empty"),
+        (["ab", "a" + WORD_BOUNDARY, ""], "corpus word contains the boundary sentinel"),
+    ])
+    def test_first_bad_word_decides_the_error(self, corpus, message):
+        with pytest.raises(InputValidationError, match=message):
+            NgramModel.train(corpus)
 
     def test_bad_order_and_k(self):
         with pytest.raises(InputValidationError):

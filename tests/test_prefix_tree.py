@@ -1,5 +1,6 @@
 """Trie construction, prefix queries and the linear-scan reference."""
 
+import gc
 import random
 
 import pytest
@@ -63,6 +64,29 @@ def test_rejects_empty_word():
 def test_rejects_nonword_character():
     with pytest.raises(InputValidationError):
         PrefixTree(["a|b"], WC, {"|"})
+
+
+def test_bad_word_error_names_first_word_and_character():
+    with pytest.raises(InputValidationError) as err:
+        PrefixTree(["ab", "hzy", "zq", "a|"], WC, {"|"})
+    assert str(err.value) == "word 'hzy' contains non-word character 'z'"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize("words", [["ab", "abc", "b"], ["ab", "ax"]])
+def test_collector_state_is_restored(enabled, words):
+    # The build pauses the cyclic collector; it must leave it as it found
+    # it, after a validation error ("ax") too.
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        try:
+            PrefixTree(words, WC)
+        except InputValidationError:
+            pass
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 def test_rejects_overlapping_sets():
