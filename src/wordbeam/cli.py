@@ -8,6 +8,7 @@ code path reads the clock or OS entropy.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -54,15 +55,26 @@ def _at_least_one(text: str) -> int:
     return n
 
 
+def _positive_finite(text: str) -> float:
+    """An argparse type: a finite float above 0, rejected before any work."""
+    try:
+        x = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not (math.isfinite(x) and x > 0):
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {x}")
+    return x
+
+
 def _add_decode_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dict", dest="dict_path", help="dictionary file, one word per line")
     p.add_argument("--mode", choices=_MODES, default="words")
     p.add_argument("--width", type=_at_least_one, default=25)
     p.add_argument("--scheme", choices=("plain", "extrasep"), default="plain")
     p.add_argument("--sep", default="|", help="separator character for --scheme extrasep")
-    p.add_argument("--order", type=int, default=2, help="n-gram order")
-    p.add_argument("--smoothing-k", type=float, default=1.0)
-    p.add_argument("--sample-size", type=int, default=20)
+    p.add_argument("--order", type=_at_least_one, default=2, help="n-gram order")
+    p.add_argument("--smoothing-k", type=_positive_finite, default=1.0)
+    p.add_argument("--sample-size", type=_at_least_one, default=20)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument(
         "--nonword-chars",

@@ -27,16 +27,21 @@ is read by character, and the trie keeps every node's children in sorted
 order, so a decode builds no extension table of its own. Within a frame
 the search keeps a running lower bound on the ``width``-th best score
 and never builds an extension strictly below it, as the cut to ``width``
-would drop it anyway (the argument is in ``_run_frames``). ``frame_beams``
-yields, as read-only mappings whose Beams are built when a caller reads
-them, each frame's ``width`` survivors and, for the last frame, the
-merged, uncut set, which ``decode`` completes.
+would drop it anyway; in ``words`` and ``ngrams`` mode it also skips a
+whole survivor whose best possible extension, ``p_text`` times its
+total mass times the row's largest non-blank value, is below that bound
+(the arguments are in ``_run_frames``). ``frame_beams`` yields, as
+read-only mappings whose Beams are built when a caller reads them, each
+frame's ``width`` survivors and, for the last frame, the merged, uncut
+set. ``decode`` completes that set's candidate tuples and takes the best
+of them, so it builds no Beam at all.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Iterator, Mapping
 from heapq import heapify, heapreplace
+from operator import itemgetter
 
 from .ctc import Alphabet, PosteriorMatrix, _check_shape
 from .errors import ConfigurationError, InputValidationError
@@ -89,11 +94,6 @@ class Beam:
 BeamSet = dict[str, Beam]
 
 
-def _rank_key(b: Beam):
-    # Highest score first; ties broken by lexicographic text for determinism.
-    return (-(b.p_text * (b.p_blank + b.p_nonblank)), b.text)
-
-
 def decode(
     m: PosteriorMatrix,
     alphabet: Alphabet,
@@ -110,9 +110,8 @@ def decode(
     beams: Mapping[str, Beam] = {}
     for beams in frame_beams(m, alphabet, tree, lm, width, mode):
         pass
-    final = complete_beams(beams, tree, lm, mode)
-    best = min(final.values(), key=_rank_key)
-    return best.text, best.score
+    neg_score, text = min(complete_beams(beams, tree, lm, mode)._cands)[:2]
+    return text, -neg_score
 
 
 def frame_beams(
@@ -203,7 +202,21 @@ def _run_frames(
     # skipped. Frames with fewer survivors keep an empty heap and skip
     # nothing, and so does the last frame, which completion re-ranks uncut.
     # Merges into copies are added in full, and forecasts are read before
-    # the test, so the tables fill as they would without it.
+    # the test.
+    #
+    # In ``words`` and ``ngrams`` mode a whole survivor is skipped, before
+    # any of its extensions, when none of them merges into a copy and
+    # ``p_text * (tot * row_max) < thr``, with ``row_max`` the row's largest
+    # non-blank value (computed only in frames with a heap, as ``thr`` is
+    # -1.0 in the others). In these modes ``p_text == committed``: a word
+    # extension scores ``p_text * mass`` and a non-word one
+    # ``p_text * word_probability * mass``, every ``mass`` is at most
+    # ``tot * row_max`` and every word probability at most 1, so, rounding
+    # being monotone, no extension of that survivor reaches ``thr``, which
+    # only rises. The forecast modes keep the per-extension test, as a
+    # child's forecast can exceed its parent's score. In ``ngrams`` mode a
+    # skipped survivor's ``word_probability`` is not read, so the tables
+    # fill less; their values do not change.
     symbols, blank = alphabet.symbols, alphabet.blank_index
     uses_lm = scorer.mode.uses_lm
     uses_forecast = scorer.mode.uses_forecast
@@ -228,11 +241,14 @@ def _run_frames(
             heap = [s[4] * ((s[2] + s[3]) * blank_p + nb) for s, nb in zip(survivors, copy_nb)]
             heapify(heap)
         thr = heap[0] if heap else -1.0
+        row_max = max(row.values()) if heap and not uses_forecast else 0.0
         cands = []
         append = cands.append
         for _, text, pb, pnb, p_text, committed, node, last, prefix in survivors:
             tot = pb + pnb
             into = merges.get(text)
+            if into is None and not uses_forecast and p_text * (tot * row_max) < thr:
+                continue
             if prefix:
                 # Children of the trie node, plus non-word characters once the
                 # prefix is itself a complete word.
@@ -288,9 +304,10 @@ def _beam(cand: tuple) -> Beam:
 
 
 class _FrameSet(Mapping):
-    """Read-only text -> Beam view of one frame's survivors or, for the last
-    frame, its candidates; its Beams are built on first access, and ``len``
-    needs none."""
+    """Read-only text -> Beam view of candidate tuples with unique texts: one
+    frame's survivors, the last frame's candidates, or their completions.
+    Its Beams are built on first access; ``len``, iteration and ``keys``
+    need none."""
 
     __slots__ = ("_cands", "_beams")
 
@@ -310,7 +327,7 @@ class _FrameSet(Mapping):
         return self._built()[text]
 
     def __iter__(self) -> Iterator[str]:
-        return iter(self._built())
+        return map(itemgetter(1), self._cands)
 
     def values(self):
         return self._built().values()
@@ -321,7 +338,7 @@ def complete_beams(
     tree: PrefixTree,
     lm: NgramModel | None = None,
     mode: ScoringMode = WORDS,
-) -> BeamSet:
+) -> Mapping[str, Beam]:
     """Extend beams ending in an incomplete prefix to their best completion.
 
     Posterior mass is never consumed: a completed beam keeps its
@@ -331,27 +348,45 @@ def complete_beams(
     language-model score (in text order) is kept. In the forecast modes a
     completion scores the beam's committed score (its finished words'; a
     hand-built beam's ``p_text``) times the remainder probability.
+
+    Returns a read-only text -> Beam mapping, like ``frame_beams``' sets,
+    whose Beams are built only when read. A set yielded by ``frame_beams``
+    is completed from its candidate tuples; other beams are first turned
+    into that form.
     """
     scorer = _scorer(tree, lm, mode)
-    items = beams.values() if isinstance(beams, Mapping) else beams
-    out: BeamSet = {}
-    for b in sorted(items, key=lambda x: x.text):
-        text, word_prefix, p_text = b.text, b.word_prefix, b.p_text
-        node = b._node or tree._find(word_prefix)  # a hand-built beam carries no node
-        if word_prefix and node is None:
-            raise InputValidationError(f"beam prefix {word_prefix!r} is dead in the dictionary")
-        if word_prefix and not node.is_word:
-            remainder, end, prob = scorer.complete(node, word_prefix)
+    if isinstance(beams, _FrameSet):
+        cands = beams._cands
+    else:
+        items = beams.values() if isinstance(beams, Mapping) else beams
+        cands = [_cand(b, tree) for b in items]
+    kind, uses_forecast = mode.kind, mode.uses_forecast
+    out: dict[str, tuple] = {}
+    for cand in sorted(cands, key=itemgetter(1)):
+        _, text, pb, pnb, p_text, committed, node, _, prefix = cand
+        if prefix and not node.is_word:
+            remainder, node, prob = scorer.complete(node, prefix)
             text += remainder
-            word_prefix += remainder
-            if mode.kind == "ngrams":
-                p_text = b.p_text * scorer.word_probability(end, word_prefix)
-            elif mode.uses_forecast:
-                p_text = b._committed * prob
+            prefix += remainder
+            if kind == "ngrams":
+                p_text = p_text * scorer.word_probability(node, prefix)
+            elif uses_forecast:
+                p_text = committed * prob
+            cand = (-(p_text * (pb + pnb)), text, pb, pnb, p_text, committed, node, text[-1],
+                    prefix)
         cur = out.get(text)
         if cur is None:
-            out[text] = Beam(text, word_prefix, b.p_blank, b.p_nonblank, p_text)
+            out[text] = cand
         else:
-            cur.p_blank += b.p_blank
-            cur.p_nonblank += b.p_nonblank
-    return out
+            pb, pnb, p_text = cur[2] + pb, cur[3] + pnb, cur[4]
+            out[text] = (-(p_text * (pb + pnb)), text, pb, pnb, p_text, *cur[5:])
+    return _FrameSet(list(out.values()))
+
+
+def _cand(b: Beam, tree: PrefixTree) -> tuple:
+    """The candidate tuple of a Beam; a hand-built Beam carries no trie node."""
+    node = b._node or tree._find(b.word_prefix)
+    if b.word_prefix and node is None:
+        raise InputValidationError(f"beam prefix {b.word_prefix!r} is dead in the dictionary")
+    return (-(b.p_text * (b.p_blank + b.p_nonblank)), b.text, b.p_blank, b.p_nonblank, b.p_text,
+            b._committed, node, b.text[-1:], b.word_prefix)

@@ -11,6 +11,7 @@ The decoder reads every model score from a ``TrieScorer``'s per-node tables.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from collections import Counter
 from dataclasses import dataclass
@@ -91,8 +92,8 @@ class NgramModel:
             raise InputValidationError("training corpus must be non-empty")
         if order < 1:
             raise InputValidationError("n-gram order must be at least 1")
-        if smoothing_k <= 0:
-            raise InputValidationError("smoothing constant must be positive")
+        if not (math.isfinite(smoothing_k) and smoothing_k > 0):
+            raise InputValidationError("smoothing constant must be positive and finite")
         bad = next((word for word in corpus if not word or WORD_BOUNDARY in word), None)
         if bad is not None:
             raise InputValidationError("corpus words must be non-empty" if not bad

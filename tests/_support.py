@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -22,7 +23,6 @@ from wordbeam import (
     ScoringMode,
     TrieScorer,
     collapse,
-    complete_beams,
 )
 from wordbeam.files import unescape_alphabet
 
@@ -370,13 +370,44 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
         yield beams
 
 
+def reference_complete_beams(beams, tree: PrefixTree, lm: NgramModel | None = None,
+                             mode: ScoringMode = WORDS,
+                             scorer: TrieScorer | None = None) -> dict[str, Beam]:
+    """Completion with one Beam per input and per output, merged in a dict
+    in text order: the reference for ``complete_beams``."""
+    scorer = scorer or TrieScorer(tree, lm, mode)
+    items = beams.values() if isinstance(beams, Mapping) else beams
+    out: dict[str, Beam] = {}
+    for b in sorted(items, key=lambda x: x.text):
+        text, word_prefix, p_text = b.text, b.word_prefix, b.p_text
+        node = b._node or tree._find(word_prefix)  # a hand-built beam carries no node
+        if word_prefix and node is None:
+            raise InputValidationError(f"beam prefix {word_prefix!r} is dead in the dictionary")
+        if word_prefix and not node.is_word:
+            remainder, end, prob = scorer.complete(node, word_prefix)
+            text += remainder
+            word_prefix += remainder
+            if mode.kind == "ngrams":
+                p_text = b.p_text * scorer.word_probability(end, word_prefix)
+            elif mode.uses_forecast:
+                p_text = b._committed * prob
+        cur = out.get(text)
+        if cur is None:
+            out[text] = Beam(text, word_prefix, b.p_blank, b.p_nonblank, p_text)
+        else:
+            cur.p_blank += b.p_blank
+            cur.p_nonblank += b.p_nonblank
+    return out
+
+
 def reference_decode(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree,
                      lm: NgramModel | None = None, width: int = 25,
                      mode: ScoringMode = WORDS) -> tuple[str, float]:
-    """``decode`` driven by ``reference_frame_beams``."""
+    """``decode`` driven by ``reference_frame_beams`` and
+    ``reference_complete_beams``, with a scorer of its own."""
     scorer = TrieScorer(tree, lm, mode)
     beams: dict[str, Beam] = {}
     for beams in reference_frame_beams(m, alphabet, tree, lm, width, mode, scorer):
         pass
-    best = min(complete_beams(beams, tree, lm, mode).values(), key=_rank_key)
+    best = min(reference_complete_beams(beams, tree, lm, mode, scorer).values(), key=_rank_key)
     return best.text, best.score

@@ -557,6 +557,11 @@ class TestUsage:
         (["reproduce-trends"], "--seeds"),
         (["reproduce-trends"], "--members"),
         (["reproduce-trends"], "--n-words"),
+        (["decode", "{mat}", "--dict", "{dict}", "--mode", "ngrams"], "--order"),
+        (["ensemble", "{mat}", "{mat}", "--dict", "{dict}"], "--order"),
+        (["decode", "{mat}", "--dict", "{dict}", "--mode", "ngrams-forecast-sample"],
+         "--sample-size"),
+        (["ensemble", "{mat}", "{mat}", "--dict", "{dict}"], "--sample-size"),
     ])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, monkeypatch, command,
@@ -573,6 +578,36 @@ class TestUsage:
         assert err.value.code == EXIT_USAGE
         assert capsys.readouterr().err.endswith(
             f"error: argument {flag}: must be at least 1, got {int(value)}\n")
+
+    @pytest.mark.parametrize("command", [
+        ["decode", "{mat}", "--dict", "{dict}", "--mode", "ngrams-forecast"],
+        ["ensemble", "{mat}", "{mat}", "--dict", "{dict}", "--mode", "ngrams"],
+    ])
+    @pytest.mark.parametrize("value, shown", [
+        ("nan", "nan"), ("inf", "inf"), ("-inf", "-inf"), ("0", "0.0"), ("-0.5", "-0.5"),
+    ])
+    def test_smoothing_k_must_be_positive_and_finite(self, tmp_path, capsys, monkeypatch,
+                                                     command, value, shown):
+        # A NaN or infinite k would make every probability NaN; rejected by the
+        # parser, before any file is read.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking its arguments")
+
+        for name in ("read_text", "read_matrix_file", "load_word_list"):
+            monkeypatch.setattr(f"wordbeam.cli.{name}", no_work)
+        places = {"mat": str(tmp_path / "x.mat"), "dict": str(tmp_path / "dict.txt")}
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(**places) for arg in command] + [f"--smoothing-k={value}"])
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            f"error: argument --smoothing-k: must be positive and finite, got {shown}\n")
+
+    def test_non_float_smoothing_k_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as err:
+            main(["decode", "x.mat", "--smoothing-k", "half"])
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: argument --smoothing-k: invalid float value: 'half'\n")
 
     def test_non_integer_count_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -29,6 +29,7 @@ from _support import (
     constrained_argmax,
     labeling_distribution,
     random_matrix,
+    reference_complete_beams,
     reference_decode,
     reference_frame_beams,
 )
@@ -350,11 +351,11 @@ class TestFlatFrameLoop:
         order=st.integers(1, 3),
         t=st.integers(1, 60),
         width=st.integers(1, 40),
-        levels=st.sampled_from([0, 2, 3]),
+        rows=st.sampled_from(["random", "levels2", "levels3", "peaked"]),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_frames_and_decode_equal_reference(self, starts, tails, coding, mode, order, t,
-                                               width, levels, seed):
+                                               width, rows, seed):
         words = starts + [starts[i % len(starts)] + tail for i, tail in enumerate(tails)]
         sep = "|" if coding == "extrasep" else None
         chars = WORD_CHARS + (" " if coding == "plain+space" else "")
@@ -363,11 +364,18 @@ class TestFlatFrameLoop:
         tree = PrefixTree(words, set(WORD_CHARS), nonword)
         lm = NgramModel.train(words, order=order)
         rng = np.random.default_rng(seed)
-        if levels:  # few distinct values, so that scores tie and texts break the ties
-            arr = rng.integers(1, levels + 1, (t, alphabet.num_classes)).astype(float)
+        c = alphabet.num_classes
+        if rows.startswith("levels"):  # few distinct values, so scores tie and texts break ties
+            arr = rng.integers(1, int(rows[-1]) + 1, (t, c)).astype(float)
             m = PosteriorMatrix(arr / arr.sum(axis=1, keepdims=True))
+        elif rows == "peaked":  # one column of each row holds at least 0.9, so whole
+            # survivors fall below the running bound and are skipped
+            arr = rng.random((t, c)) + 1e-3
+            arr = 0.1 * arr / arr.sum(axis=1, keepdims=True)
+            arr[np.arange(t), rng.integers(0, c, t)] += 0.9
+            m = PosteriorMatrix(arr)
         else:
-            m = random_matrix(rng, t, alphabet.num_classes)
+            m = random_matrix(rng, t, c)
         frames = list(frame_beams(m, alphabet, tree, lm, width, mode))
         reference = list(reference_frame_beams(m, alphabet, tree, lm, width, mode))
         assert len(frames) == len(reference) == t
@@ -388,8 +396,82 @@ class TestFlatFrameLoop:
         assert len(first) == 3
         with pytest.raises(TypeError):
             first["x"] = Beam("x")
-        assert sorted(first) == ["", "a", "b"]
+        assert sorted(first) == sorted(first.keys()) == ["", "a", "b"]
+        # Sizes and texts build no Beam, so a caller that only counts or
+        # compares texts (an instrumented run's completion counter) builds none.
+        assert first._beams is None
         assert first["a"] is first["a"]
+        completed = complete_beams(first, tree)
+        assert len(completed) == 3 and sorted(completed.keys()) == ["", "ab", "b"]
+        assert completed._beams is None
+        assert completed["ab"] is completed["ab"]
+
+
+MODES = (WORDS, NGRAMS, NGRAMS_FORECAST, forecast_sample(2, seed=3))
+
+
+class TestCompletionEqualsReference:
+    """``complete_beams`` on candidate tuples against the Beam-per-input reference."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        words=st.lists(st.text("abc", min_size=1, max_size=5), min_size=1, max_size=12),
+        mode=st.sampled_from(MODES),
+        t=st.integers(1, 8),
+        width=st.integers(1, 30),
+        seed=st.integers(0, 2**32 - 1),
+        hand=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["", "|", "a|", "ab|"]),
+                                st.floats(0, 1), st.floats(0, 1), st.floats(0.01, 1)),
+                      max_size=12),
+    )
+    def test_completion_equals_reference(self, words, mode, t, width, seed, hand):
+        alphabet = Alphabet("abc", separator="|")
+        tree = PrefixTree(words, set("abc"), {"|"})
+        lm = NgramModel.train(words, order=2)
+        m = random_matrix(np.random.default_rng(seed), t, alphabet.num_classes)
+        last = None
+        for last in frame_beams(m, alphabet, tree, lm, width, mode):
+            pass
+        # A live prefix often completes to another candidate's text, so the
+        # masses of the two are merged.
+        got = complete_beams(last, tree, lm, mode)
+        want = reference_complete_beams(list(last.values()), tree, lm, mode)
+        assert list(got) == list(want)
+        assert _entries(got) == _entries(want)
+        # Hand-built beams: any live prefix after a non-word head, texts repeating.
+        prefixes = sorted({w[:k] for w in words for k in range(len(w) + 1)})
+        beams = [Beam(head + prefixes[i % len(prefixes)], prefixes[i % len(prefixes)], pb, pnb,
+                      p_text) for i, head, pb, pnb, p_text in hand]
+        got = complete_beams(beams, tree, lm, mode)
+        want = reference_complete_beams(beams, tree, lm, mode)
+        assert list(got) == list(want)
+        assert _entries(got) == _entries(want)
+
+    def test_dead_prefix_is_rejected(self):
+        tree = PrefixTree(["abc"], WC)
+        with pytest.raises(InputValidationError, match="dead"):
+            complete_beams([Beam("ax", "ax", 0.1, 0.1)], tree)
+
+
+class TestSurvivorSkip:
+    def test_skipped_survivor_reads_no_word_probability(self):
+        # Width 2. After frame 0 the survivors are "a" (0.6) and "b" (0.3).
+        # Frame 1 starts with thr = 0.255 ("b"'s copy); "a" extends to "ab"
+        # (0.27), which lifts thr to 0.27. "b"'s best extension is at most
+        # 0.3 * 0.45 = 0.135, so "b" is skipped whole: its "b|" extension,
+        # which would read the word probability of "b", is never looked at,
+        # and "b" drops out at the cut.
+        alphabet = Alphabet("ab", separator="|")
+        tree = PrefixTree(["a", "ab", "b"], {"a", "b"}, {"|"})
+        lm = NgramModel.train(["a", "ab", "b"], order=2)
+        m = PosteriorMatrix([[0.6, 0.3, 0.05, 0.05],
+                             [0.1, 0.45, 0.05, 0.4],
+                             [0.1, 0.1, 0.4, 0.4]])
+        got = decode(m, alphabet, tree, lm, 2, NGRAMS)
+        filled = tree._scorers[(lm, NGRAMS)]._word
+        assert tree._find("a") in filled
+        assert tree._find("b") not in filled
+        assert got == reference_decode(m, alphabet, tree, lm, 2, NGRAMS)
 
 
 class TestRealisticSize:

@@ -87,8 +87,9 @@ class TestTraining:
     def test_bad_order_and_k(self):
         with pytest.raises(InputValidationError):
             NgramModel.train(["ab"], order=0)
-        with pytest.raises(InputValidationError):
-            NgramModel.train(["ab"], smoothing_k=0.0)
+        for k in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(InputValidationError, match="positive and finite"):
+                NgramModel.train(["ab"], smoothing_k=k)
 
 
 class TestForecast:
