@@ -407,16 +407,13 @@ class TestFlatFrameLoop:
         assert completed["ab"] is completed["ab"]
 
 
-MODES = (WORDS, NGRAMS, NGRAMS_FORECAST, forecast_sample(2, seed=3))
-
-
 class TestCompletionEqualsReference:
     """``complete_beams`` on candidate tuples against the Beam-per-input reference."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
         words=st.lists(st.text("abc", min_size=1, max_size=5), min_size=1, max_size=12),
-        mode=st.sampled_from(MODES),
+        mode=st.sampled_from(TestSharedScorer.MODES),
         t=st.integers(1, 8),
         width=st.integers(1, 30),
         seed=st.integers(0, 2**32 - 1),
