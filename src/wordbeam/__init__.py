@@ -3,20 +3,12 @@
 The package turns per-frame character posteriors into words: a
 dual-state beam search constrained by a dictionary prefix tree, with
 optional character n-gram scoring; plain or extra-separator label
-coding; plurality voting over recognizer ensembles; word-accuracy
-evaluation; and seeded synthetic recognizers for desk-scale benchmarks.
+coding, set by the alphabet; plurality voting over recognizer
+ensembles; word-accuracy evaluation; and seeded synthetic recognizers
+for desk-scale benchmarks.
 """
 
-from .coding import (
-    CodingScheme,
-    DecodedLabel,
-    PLAIN,
-    augment_alphabet,
-    choose_separator,
-    decode_label,
-    encode_label,
-    extra_separator,
-)
+from .coding import choose_separator, decode_label, encode_label
 from .ctc import (
     Alphabet,
     PosteriorMatrix,
@@ -63,17 +55,14 @@ __all__ = [
     "Alphabet",
     "Beam",
     "BeamSet",
-    "CodingScheme",
     "ConfigurationError",
     "DataFormatError",
-    "DecodedLabel",
     "EvalReport",
     "Hypothesis",
     "InputValidationError",
     "NGRAMS",
     "NGRAMS_FORECAST",
     "NgramModel",
-    "PLAIN",
     "PosteriorMatrix",
     "PrefixTree",
     "RecognizerSim",
@@ -86,7 +75,6 @@ __all__ = [
     "WORD_BOUNDARY",
     "WORDS",
     "WordbeamError",
-    "augment_alphabet",
     "best_path_decode",
     "build_report",
     "choose_separator",
@@ -95,7 +83,6 @@ __all__ = [
     "decode",
     "decode_label",
     "encode_label",
-    "extra_separator",
     "forecast_sample",
     "format_report_kv",
     "format_report_table",

@@ -12,7 +12,7 @@ import math
 import sys
 from pathlib import Path
 
-from .coding import CodingScheme, PLAIN, decode_label, extra_separator, choose_separator
+from .coding import choose_separator, decode_label
 from .ctc import Alphabet, PosteriorMatrix, best_path_decode
 from .decoder import decode
 from .ensemble import Hypothesis, vote, winning_group_size
@@ -66,12 +66,20 @@ def _positive_finite(text: str) -> float:
     return x
 
 
+def _separator(text: str) -> str:
+    """An argparse type: one character, or "" for the command's default."""
+    if len(text) > 1:
+        raise argparse.ArgumentTypeError(f"must be a single character, got {text!r}")
+    return text
+
+
 def _add_decode_options(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dict", dest="dict_path", help="dictionary file, one word per line")
     p.add_argument("--mode", choices=_MODES, default="words")
     p.add_argument("--width", type=_at_least_one, default=25)
     p.add_argument("--scheme", choices=("plain", "extrasep"), default="plain")
-    p.add_argument("--sep", default="|", help="separator character for --scheme extrasep")
+    p.add_argument("--sep", type=_separator, default="|",
+                   help="separator character for --scheme extrasep")
     p.add_argument("--order", type=_at_least_one, default=2, help="n-gram order")
     p.add_argument("--smoothing-k", type=_positive_finite, default=1.0)
     p.add_argument("--sample-size", type=_at_least_one, default=20)
@@ -113,15 +121,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("synth", help="generate synthetic recognizer outputs")
     p.add_argument("--dict", dest="dict_path", required=True)
-    p.add_argument("--n-words", type=int, default=50)
+    p.add_argument("--n-words", type=_at_least_one, default=50)
     p.add_argument("--noise", type=float, default=0.25)
     p.add_argument("--confusion-spread", type=float, default=1.5)
-    p.add_argument("--members", type=int, default=1)
+    p.add_argument("--members", type=_at_least_one, default=1)
     p.add_argument("--jitter", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--frames-per-char", type=int, default=4)
+    p.add_argument("--frames-per-char", type=_at_least_one, default=4)
     p.add_argument("--scheme", choices=("plain", "extrasep"), default="plain")
-    p.add_argument("--sep", default="", help="separator character (default: auto-pick)")
+    p.add_argument("--sep", type=_separator, default="",
+                   help="separator character (default: auto-pick)")
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
@@ -138,12 +147,6 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _scheme_from_args(args) -> CodingScheme:
-    if args.scheme == "extrasep":
-        return extra_separator(args.sep or "|")
-    return PLAIN
-
-
 def _mode_from_args(args) -> ScoringMode:
     name = args.mode
     if name == "words":
@@ -155,15 +158,12 @@ def _mode_from_args(args) -> ScoringMode:
     return forecast_sample(args.sample_size, args.seed)
 
 
-def _alphabet_for(symbols: str, scheme: CodingScheme, path: str) -> Alphabet:
-    if scheme.separator is None:
+def _alphabet_for(symbols: str, sep: str | None, path: str) -> Alphabet:
+    if sep is None:
         return Alphabet(symbols)
-    if not symbols.endswith(scheme.separator):
-        raise DataFormatError(
-            f"expected separator {scheme.separator!r} as the last alphabet symbol",
-            path=path,
-        )
-    return Alphabet(symbols[:-1], scheme.separator)
+    if not symbols.endswith(sep):
+        raise DataFormatError(f"expected separator {sep!r} as the last alphabet symbol", path=path)
+    return Alphabet(symbols[:-1], sep)
 
 
 class _DecodePipeline:
@@ -171,7 +171,7 @@ class _DecodePipeline:
 
     def __init__(self, args):
         self.args = args
-        self.scheme = _scheme_from_args(args)
+        self.sep = (args.sep or "|") if args.scheme == "extrasep" else None
         self.mode = None if args.mode == "bestpath" else _mode_from_args(args)
         self.words = load_word_list(args.dict_path) if args.dict_path else None
         self.lm_corpus = load_word_list(args.lm_corpus) if args.lm_corpus else None
@@ -185,13 +185,13 @@ class _DecodePipeline:
             label, likelihood = decode(
                 matrix, alphabet, tree, lm, width=self.args.width, mode=self.mode
             )
-        return decode_label(label, self.scheme).text, likelihood
+        return decode_label(label, alphabet), likelihood
 
     def _setup(self, symbols: str, path: str):
         cached = self._cache.get(symbols)
         if cached is not None:
             return cached
-        alphabet = _alphabet_for(symbols, self.scheme, path)
+        alphabet = _alphabet_for(symbols, self.sep, path)
         tree = lm = None
         if self.mode is not None:
             nonword = set(self.args.nonword_chars)
@@ -380,13 +380,8 @@ def cmd_synth(args) -> int:
     if not words:
         raise ConfigurationError("the dictionary file holds no words")
     characters = "".join(sorted({ch for w in words for ch in w}))
-    if args.scheme == "extrasep":
-        sep = args.sep or choose_separator(characters)
-        scheme = extra_separator(sep)
-        alphabet = Alphabet(characters, sep)
-    else:
-        scheme = PLAIN
-        alphabet = Alphabet(characters)
+    sep = (args.sep or choose_separator(characters)) if args.scheme == "extrasep" else None
+    alphabet = Alphabet(characters, sep)
     base = RecognizerSim(
         alphabet=alphabet,
         frames_per_char=args.frames_per_char,
@@ -406,7 +401,7 @@ def cmd_synth(args) -> int:
         member_dir = out / f"member_{k:02d}"
         member_dir.mkdir(exist_ok=True)
         for i, word in enumerate(sample):
-            matrix = sim.emit(word, scheme)
+            matrix = sim.emit(word)
             write_matrix_file(
                 member_dir / f"sample_{i:0{pad}d}.mat", matrix, alphabet.symbols
             )

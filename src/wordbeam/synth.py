@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, replace
 
-from .coding import PLAIN, CodingScheme, encode_label
+from .coding import encode_label
 from .ctc import Alphabet, PosteriorMatrix
 from .errors import InputValidationError
 
@@ -46,9 +46,9 @@ class RecognizerSim:
         if not 0.0 <= self.separator_noise_factor <= 1.0:
             raise InputValidationError("separator_noise_factor must lie in [0, 1]")
 
-    def emit(self, word: str, scheme: CodingScheme = PLAIN) -> PosteriorMatrix:
-        """Noisy posterior matrix for the encoded label of ``word``."""
-        label = encode_label(word, scheme)
+    def emit(self, word: str) -> PosteriorMatrix:
+        """Noisy posterior matrix for ``word``, coded by this recognizer's alphabet."""
+        label = encode_label(word, self.alphabet)
         if not label:
             raise InputValidationError("cannot emit a matrix for an empty label")
         col = self.alphabet.column_map()

@@ -4,8 +4,9 @@ For a handful of fixed seeds this builds a random dictionary, samples a
 ground-truth word list, derives an ensemble of simulated recognizers
 and measures word accuracy for best-path versus dictionary-constrained
 decoding, plain versus extra-separator coding, and growing ensemble
-sizes under plurality voting. Everything is seeded, so reports are
-byte-identical across runs.
+sizes under plurality voting. The two coding lanes differ only in the
+recognizer's alphabet and the tree. Everything is seeded, so reports
+are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field, replace
 
-from .coding import PLAIN, decode_label, extra_separator, augment_alphabet
+from .coding import decode_label
 from .ctc import Alphabet, best_path_decode
 from .decoder import decode
 from .ensemble import Hypothesis, vote
@@ -122,11 +123,28 @@ def _make_dictionary(rng: random.Random, cfg: TrendConfig) -> list[str]:
     return sorted(words)
 
 
+def _decode_words(
+    sim: RecognizerSim, tree: PrefixTree, words: list[str], width: int, best_path: bool
+) -> tuple[list[Hypothesis], list[str]]:
+    """Word-beam hypotheses and best-path texts ("" unless ``best_path``) for
+    ``words``, in list order. The calls are pure and the list repeats words,
+    so each distinct word is emitted and decoded once."""
+    alphabet = sim.alphabet
+    memo: dict[str, tuple[Hypothesis, str]] = {}
+    for word in words:
+        if word not in memo:
+            matrix = sim.emit(word)
+            text, likelihood = decode(matrix, alphabet, tree, width=width)
+            bp_text = best_path_decode(matrix, alphabet)[0] if best_path else ""
+            memo[word] = (Hypothesis(decode_label(text, alphabet), likelihood),
+                          decode_label(bp_text, alphabet))
+    return [memo[word][0] for word in words], [memo[word][1] for word in words]
+
+
 def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
     cfg = config
-    base_alphabet = Alphabet(cfg.alphabet_characters)
-    scheme_x = extra_separator(cfg.separator)
-    aug_alphabet = augment_alphabet(base_alphabet, scheme_x)
+    plain_alphabet = Alphabet(cfg.alphabet_characters)
+    sep_alphabet = Alphabet(cfg.alphabet_characters, cfg.separator)
     report = TrendReport(config=cfg)
     for k in range(cfg.n_seeds):
         seed = cfg.seed + 1000 * k
@@ -137,7 +155,7 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         tree_plain = PrefixTree(dictionary, word_chars)
         tree_x = PrefixTree(dictionary, word_chars, {cfg.separator})
         base = RecognizerSim(
-            alphabet=base_alphabet,
+            alphabet=plain_alphabet,
             frames_per_char=cfg.frames_per_char,
             noise_level=cfg.noise_level,
             confusion_spread=cfg.confusion_spread,
@@ -146,23 +164,12 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         members = make_ensemble(base, cfg.members, jitter=cfg.jitter)
 
         # Extra-separator lane: every member decodes the full word list.
-        # ``emit``, ``decode`` and ``best_path_decode`` are pure, and the word
-        # list repeats words, so each member decodes each distinct word once.
-        hyps: list[list[Hypothesis]] = []
-        bp_x_preds: list[str] = []
-        for idx, sim in enumerate(members):
-            sim_x = replace(sim, alphabet=aug_alphabet)
-            memo_x: dict[str, tuple[Hypothesis, str]] = {}
-            for word in gt:
-                if word not in memo_x:
-                    matrix = sim_x.emit(word, scheme_x)
-                    text, likelihood = decode(matrix, aug_alphabet, tree_x, width=cfg.width)
-                    bp_text = best_path_decode(matrix, aug_alphabet)[0] if idx == 0 else ""
-                    memo_x[word] = (Hypothesis(decode_label(text, scheme_x).text, likelihood),
-                                    decode_label(bp_text, scheme_x).text)
-            hyps.append([memo_x[word][0] for word in gt])
-            if idx == 0:
-                bp_x_preds = [memo_x[word][1] for word in gt]
+        lanes = [
+            _decode_words(replace(sim, alphabet=sep_alphabet), tree_x, gt, cfg.width, idx == 0)
+            for idx, sim in enumerate(members)
+        ]
+        hyps = [member_hyps for member_hyps, _ in lanes]
+        bp_x_preds = lanes[0][1]
 
         ensemble_accuracy: dict[int, float] = {}
         for count in cfg.member_counts:
@@ -171,22 +178,14 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
             ]
             ensemble_accuracy[count] = word_accuracy(voted, gt)
 
-        # Plain lane: member 0 only, for the scheme and decoder grid.
-        memo_p: dict[str, tuple[str, str]] = {}
-        sim_p = members[0]
-        for word in gt:
-            if word not in memo_p:
-                matrix = sim_p.emit(word, PLAIN)
-                text, _ = decode(matrix, base_alphabet, tree_plain, width=cfg.width)
-                memo_p[word] = (text, best_path_decode(matrix, base_alphabet)[0])
-        wbs_plain_preds = [memo_p[word][0] for word in gt]
-        bp_plain_preds = [memo_p[word][1] for word in gt]
+        # Plain lane: member 0 only, for the coding and decoder grid.
+        plain_hyps, bp_plain_preds = _decode_words(members[0], tree_plain, gt, cfg.width, True)
 
         report.outcomes.append(
             SeedOutcome(
                 seed=seed,
                 ensemble_accuracy=ensemble_accuracy,
-                wbs_plain=word_accuracy(wbs_plain_preds, gt),
+                wbs_plain=word_accuracy([h.text for h in plain_hyps], gt),
                 wbs_extrasep=word_accuracy([h.text for h in hyps[0]], gt),
                 bestpath_plain=word_accuracy(bp_plain_preds, gt),
                 bestpath_extrasep=word_accuracy(bp_x_preds, gt),

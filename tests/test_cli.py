@@ -9,7 +9,6 @@ from wordbeam import (
     DataFormatError,
     PosteriorMatrix,
     RecognizerSim,
-    extra_separator,
 )
 from wordbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wordbeam.files import (
@@ -194,13 +193,12 @@ class TestWordList:
 
 @pytest.fixture
 def synth_setup(tmp_path):
-    """Noiseless matrices for 'advocaat' under the extra-separator scheme."""
+    """Noiseless matrices for 'advocaat' under extra-separator coding."""
     alphabet = Alphabet("acdotv", separator="|")
-    scheme = extra_separator("|")
     sim = RecognizerSim(alphabet=alphabet, noise_level=0.0)
     paths = []
     for i, word in enumerate(["advocaat", "data", "toccata"]):
-        m = sim.emit(word, scheme)
+        m = sim.emit(word)
         path = tmp_path / f"w{i}.mat"
         write_matrix_file(path, m, alphabet.symbols)
         paths.append(str(path))
@@ -210,6 +208,14 @@ def synth_setup(tmp_path):
 
 
 class TestDecodeCommand:
+    def test_empty_separator_means_the_default(self, synth_setup, capsys):
+        paths, _ = synth_setup
+        command = ["decode", paths[0], "--mode", "bestpath", "--scheme", "extrasep"]
+        assert main(command) == EXIT_OK
+        default = capsys.readouterr().out
+        assert main(command + ["--sep", ""]) == EXIT_OK
+        assert capsys.readouterr().out == default
+
     def test_bestpath_noiseless(self, synth_setup, capsys):
         paths, _ = synth_setup
         rc = main(["decode", paths[0], "--mode", "bestpath", "--scheme", "extrasep"])
@@ -397,7 +403,6 @@ class TestEnsembleCommand:
 
     def test_directory_voting(self, tmp_path, capsys):
         alphabet = Alphabet("acdotv", separator="|")
-        scheme = extra_separator("|")
         dict_path = tmp_path / "dict.txt"
         dict_path.write_text("advocaat\ndata\ntoccata\n", encoding="utf-8")
         for k, noise in enumerate((0.25, 0.3, 0.35)):
@@ -405,7 +410,7 @@ class TestEnsembleCommand:
             d.mkdir()
             sim = RecognizerSim(alphabet=alphabet, noise_level=noise, seed=k)
             for i, word in enumerate(["advocaat", "toccata"]):
-                write_matrix_file(d / f"s{i}.mat", sim.emit(word, scheme), alphabet.symbols)
+                write_matrix_file(d / f"s{i}.mat", sim.emit(word), alphabet.symbols)
         rc = main(
             ["ensemble", str(tmp_path / "m0"), str(tmp_path / "m1"), str(tmp_path / "m2"),
              "--dict", str(dict_path), "--mode", "words", "--scheme", "extrasep"]
@@ -562,6 +567,9 @@ class TestUsage:
         (["decode", "{mat}", "--dict", "{dict}", "--mode", "ngrams-forecast-sample"],
          "--sample-size"),
         (["ensemble", "{mat}", "{mat}", "--dict", "{dict}"], "--sample-size"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--n-words"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--members"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--frames-per-char"),
     ])
     @pytest.mark.parametrize("value", ["0", "-3"])
     def test_counts_below_one_are_usage_errors(self, tmp_path, capsys, monkeypatch, command,
@@ -572,12 +580,36 @@ class TestUsage:
 
         for name in ("read_text", "read_matrix_file", "load_word_list", "run_trend_experiment"):
             monkeypatch.setattr(f"wordbeam.cli.{name}", no_work)
-        places = {"mat": str(tmp_path / "x.mat"), "dict": str(tmp_path / "dict.txt")}
+        places = {"mat": str(tmp_path / "x.mat"), "dict": str(tmp_path / "dict.txt"),
+                  "out": str(tmp_path / "out")}
         with pytest.raises(SystemExit) as err:
             main([arg.format(**places) for arg in command] + [flag, value])
         assert err.value.code == EXIT_USAGE
         assert capsys.readouterr().err.endswith(
             f"error: argument {flag}: must be at least 1, got {int(value)}\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["decode", "{mat}", "--dict", "{dict}", "--scheme", "extrasep"],
+        ["ensemble", "{mat}", "{mat}", "--dict", "{dict}", "--scheme", "extrasep"],
+        ["synth", "--dict", "{dict}", "--out-dir", "{out}", "--scheme", "extrasep"],
+    ])
+    def test_separator_longer_than_one_character_is_usage_error(self, tmp_path, capsys,
+                                                                monkeypatch, command):
+        # Rejected by the parser, before any file is read.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking its arguments")
+
+        for name in ("read_text", "read_matrix_file", "load_word_list"):
+            monkeypatch.setattr(f"wordbeam.cli.{name}", no_work)
+        places = {"mat": str(tmp_path / "x.mat"), "dict": str(tmp_path / "dict.txt"),
+                  "out": str(tmp_path / "out")}
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(**places) for arg in command] + ["--sep", "ab"])
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(
+            "error: argument --sep: must be a single character, got 'ab'\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", [
         ["decode", "{mat}", "--dict", "{dict}", "--mode", "ngrams-forecast"],

@@ -1,21 +1,14 @@
-"""Plain vs extra-separator label coding and alphabet augmentation."""
+"""Plain vs extra-separator label coding, set by the alphabet."""
 
 import random
 
 import pytest
 
-from wordbeam import (
-    Alphabet,
-    InputValidationError,
-    PLAIN,
-    augment_alphabet,
-    choose_separator,
-    decode_label,
-    encode_label,
-    extra_separator,
-)
+from wordbeam import Alphabet, InputValidationError, choose_separator, decode_label, encode_label
 
-BAR = extra_separator("|")
+LETTERS = "abcdefghijklmnopqrstuvwxyzàéüß"
+BAR = Alphabet("A" + LETTERS, separator="|")
+PLAIN = Alphabet("A" + LETTERS)
 
 
 class TestEncodeDecode:
@@ -33,61 +26,20 @@ class TestEncodeDecode:
             encode_label("a|b", BAR)
 
     def test_strip_trailing_separator(self):
-        decoded = decode_label("advocaat|", BAR)
-        assert decoded.text == "advocaat"
-        assert decoded.separator_present
+        assert decode_label("advocaat|", BAR) == "advocaat"
 
     def test_missing_separator_tolerated(self):
-        decoded = decode_label("advocaat", BAR)
-        assert decoded.text == "advocaat"
-        assert not decoded.separator_present
+        assert decode_label("advocaat", BAR) == "advocaat"
 
     def test_only_one_separator_stripped(self):
-        assert decode_label("ab||", BAR).text == "ab|"
+        assert decode_label("ab||", BAR) == "ab|"
 
     def test_round_trip_random_words(self):
         rng = random.Random(13)
-        letters = "abcdefghijklmnopqrstuvwxyzàéüß"
         for _ in range(1000):
-            word = "".join(rng.choice(letters) for _ in range(rng.randint(0, 12)))
-            assert decode_label(encode_label(word, BAR), BAR).text == word
-            assert decode_label(encode_label(word, PLAIN), PLAIN).text == word
-
-
-class TestAugmentAlphabet:
-    def test_extra_separator_adds_two_columns(self):
-        chars = "".join(chr(ord("0") + i) for i in range(10))
-        chars += "".join(chr(ord("a") + i) for i in range(26))
-        chars += "".join(chr(ord("A") + i) for i in range(26))
-        chars += "".join(chr(0x00C0 + i) for i in range(18))
-        assert len(chars) == 80
-        out = augment_alphabet(Alphabet(chars), BAR)
-        assert out.num_classes == 82
-        assert out.index_of("|") == 80
-        assert out.blank_index == 81
-
-    def test_52_character_inventory(self):
-        chars = "".join(chr(ord("a") + i) for i in range(26))
-        chars += "".join(chr(ord("A") + i) for i in range(26))
-        out = augment_alphabet(Alphabet(chars), BAR)
-        assert out.num_classes == 54
-        plain = augment_alphabet(Alphabet(chars), PLAIN)
-        assert plain.num_classes == 53
-
-    def test_order_preserved_and_blank_last(self):
-        a = Alphabet("zyx")
-        out = augment_alphabet(a, BAR)
-        assert out.characters == "zyx"
-        assert out.symbols == "zyx|"
-        assert out.blank_index == out.num_classes - 1
-
-    def test_collision_rejected(self):
-        with pytest.raises(InputValidationError):
-            augment_alphabet(Alphabet("ab|"), BAR)
-
-    def test_already_augmented_rejected(self):
-        with pytest.raises(InputValidationError):
-            augment_alphabet(Alphabet("ab", separator="#"), BAR)
+            word = "".join(rng.choice(LETTERS) for _ in range(rng.randint(0, 12)))
+            assert decode_label(encode_label(word, BAR), BAR) == word
+            assert decode_label(encode_label(word, PLAIN), PLAIN) == word
 
 
 class TestChooseSeparator:

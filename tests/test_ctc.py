@@ -1,5 +1,7 @@
 """Alphabet/matrix validation, collapse, best path and the path-sum oracle."""
 
+import string
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,12 +28,22 @@ AB = Alphabet("ab")  # columns: a=0, b=1, blank=2
 
 
 class TestAlphabet:
-    def test_layout(self):
-        a = Alphabet("xyz", separator="|")
-        assert a.symbols == "xyz|"
-        assert a.num_classes == 5
-        assert a.blank_index == 4
-        assert a.index_of("|") == 3
+    @pytest.mark.parametrize("characters", [
+        "xyz",
+        "zyx",
+        string.ascii_letters,  # 52 characters
+        string.digits + string.ascii_letters + "".join(chr(0xC0 + i) for i in range(18)),  # 80
+    ], ids=["xyz", "zyx", "52", "80"])
+    def test_layout(self, characters):
+        # Base characters in order, then the separator, then the blank.
+        n = len(characters)
+        a = Alphabet(characters, separator="|")
+        assert a.characters == characters
+        assert a.symbols == characters + "|"
+        assert a.num_classes == n + 2
+        assert a.index_of("|") == n
+        assert a.blank_index == n + 1
+        assert Alphabet(characters).num_classes == n + 1
 
     def test_duplicate_characters_rejected(self):
         with pytest.raises(InputValidationError):

@@ -6,13 +6,11 @@ import pytest
 from wordbeam import (
     Alphabet,
     InputValidationError,
-    PLAIN,
     PrefixTree,
     RecognizerSim,
     best_path_decode,
     decode,
     decode_label,
-    extra_separator,
     make_ensemble,
 )
 
@@ -25,11 +23,10 @@ def test_noiseless_emission_recovers_label():
 
 def test_noiseless_extra_separator_round_trip():
     a = Alphabet("acdotv", separator="|")
-    scheme = extra_separator("|")
     sim = RecognizerSim(alphabet=a, noise_level=0.0)
-    label, _ = best_path_decode(sim.emit("advocaat", scheme), a)
+    label, _ = best_path_decode(sim.emit("advocaat"), a)
     assert label == "advocaat|"
-    assert decode_label(label, scheme).text == "advocaat"
+    assert decode_label(label, a) == "advocaat"
 
 
 def test_emission_is_deterministic():
@@ -88,9 +85,8 @@ def test_separator_region_is_reliable():
     # Separator frames carry scaled-down noise, and no other frame leaks
     # mass onto the separator column.
     a = Alphabet("abcde", separator="|")
-    scheme = extra_separator("|")
     sim = RecognizerSim(alphabet=a, noise_level=0.5, seed=8, frames_per_char=3)
-    m = sim.emit("abcde", scheme)
+    m = sim.emit("abcde")
     sep_col = a.index_of("|")
     sep_frames = m.probs[-3:, sep_col]
     assert np.all(sep_frames > 0.5)
@@ -158,7 +154,7 @@ def test_dictionary_decoding_beats_best_path_at_noise_04():
     sim = RecognizerSim(alphabet=a, noise_level=0.4, seed=12, frames_per_char=3)
     bp = wbs = 0
     for w in words:
-        m = sim.emit(w, PLAIN)
+        m = sim.emit(w)
         bp += best_path_decode(m, a)[0] == w
         wbs += decode(m, a, tree, width=8)[0] == w
     assert wbs > bp
