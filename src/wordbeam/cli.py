@@ -55,14 +55,34 @@ def _at_least_one(text: str) -> int:
     return n
 
 
-def _positive_finite(text: str) -> float:
-    """An argparse type: a finite float above 0, rejected before any work."""
+def _float(text: str) -> float:
     try:
-        x = float(text)
+        return float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+
+
+def _positive_finite(text: str) -> float:
+    """An argparse type: a finite float above 0, rejected before any work."""
+    x = _float(text)
     if not (math.isfinite(x) and x > 0):
         raise argparse.ArgumentTypeError(f"must be positive and finite, got {x}")
+    return x
+
+
+def _non_negative_finite(text: str) -> float:
+    """An argparse type: a finite float of at least 0, rejected before any work."""
+    x = _float(text)
+    if not (math.isfinite(x) and x >= 0):
+        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {x}")
+    return x
+
+
+def _unit_interval(text: str) -> float:
+    """An argparse type: a float in [0, 1] (so not NaN), rejected before any work."""
+    x = _float(text)
+    if not 0.0 <= x <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {x}")
     return x
 
 
@@ -122,10 +142,10 @@ def build_parser() -> _Parser:
     p = sub.add_parser("synth", help="generate synthetic recognizer outputs")
     p.add_argument("--dict", dest="dict_path", required=True)
     p.add_argument("--n-words", type=_at_least_one, default=50)
-    p.add_argument("--noise", type=float, default=0.25)
-    p.add_argument("--confusion-spread", type=float, default=1.5)
+    p.add_argument("--noise", type=_unit_interval, default=0.25)
+    p.add_argument("--confusion-spread", type=_non_negative_finite, default=1.5)
     p.add_argument("--members", type=_at_least_one, default=1)
-    p.add_argument("--jitter", type=float, default=0.05)
+    p.add_argument("--jitter", type=_non_negative_finite, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--frames-per-char", type=_at_least_one, default=4)
     p.add_argument("--scheme", choices=("plain", "extrasep"), default="plain")
@@ -140,7 +160,7 @@ def build_parser() -> _Parser:
     p.add_argument("--n-words", type=_at_least_one, default=1000)
     p.add_argument("--members", type=_at_least_one, default=10)
     p.add_argument("--width", type=_at_least_one, default=8)
-    p.add_argument("--noise", type=float, default=TrendConfig().noise_level)
+    p.add_argument("--noise", type=_unit_interval, default=TrendConfig().noise_level)
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_reproduce_trends)
 

@@ -21,10 +21,12 @@ tables fill on first use and serve every later decode with that tree,
 model and mode.
 
 The search state is one flat tuple per candidate, survivors included,
-carrying the word prefix of every word-character extension and the
-candidate's last character, ranked by (score, text). Each posterior row
-is read by character, and the trie keeps every node's children in sorted
-order, so a decode builds no extension table of its own. Within a frame
+carrying the word prefix of every word-character extension, the integer
+id of its trie node and the candidate's last character, ranked by
+(score, text). Each posterior row is read by character, and the trie
+keeps every node's child characters as one sorted string, so a decode
+builds no extension table of its own; a child's id is computed only for
+an extension that is kept (or, in the forecast modes, scored). Within a frame
 the search keeps a running lower bound on the ``width``-th best score
 and never builds an extension strictly below it, as the cut to ``width``
 would drop it anyway; in ``words`` and ``ngrams`` mode it also skips a
@@ -143,12 +145,12 @@ def frame_beams(
             "alphabet symbols and the tree's word/non-word partition disagree on "
             f"{sorted(set(alphabet.symbols) ^ classified)!r}"
         )
-    if not tree._root.children and not tree.nonword_chars:
+    if not tree._kids[0] and not tree.nonword_chars:
         raise ConfigurationError(
             "no beam can ever extend: the dictionary is empty and there are "
             "no non-word characters"
         )
-    return _run_frames(m, alphabet, width, scorer, tree._root, sorted(tree.nonword_chars))
+    return _run_frames(m, alphabet, width, scorer, tree, sorted(tree.nonword_chars))
 
 
 def _scorer(tree: PrefixTree, lm: NgramModel | None, mode: ScoringMode) -> TrieScorer:
@@ -165,12 +167,13 @@ def _run_frames(
     alphabet: Alphabet,
     width: int,
     scorer: TrieScorer,
-    root,
+    tree: PrefixTree,
     nonword: list[str],
 ) -> Iterator[Mapping[str, Beam]]:
     # Every candidate, a survivor's copy or an extension, is one flat tuple
     # (-score, text, p_blank, p_nonblank, p_text, committed, node, last, word_prefix),
-    # where ``last`` is the last character of ``text``, ranked on (-score, text);
+    # where ``node`` is the trie node id of ``word_prefix`` (the root, 0, outside a
+    # word) and ``last`` is the last character of ``text``, ranked on (-score, text);
     # texts are unique, so the comparison never reaches the rest. A full
     # ``sorted`` runs in C, which beats ``heapq.nsmallest`` at these sizes.
     #
@@ -221,10 +224,10 @@ def _run_frames(
     uses_lm = scorer.mode.uses_lm
     uses_forecast = scorer.mode.uses_forecast
     forecast, word_probability = scorer.forecast, scorer.word_probability
-    word_starts = root.children.items()
+    tree_kids, first, is_word = tree._kids, tree._first, tree._is_word
     rows = m.probs.tolist()
     last_frame = len(rows) - 1
-    survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, None, "", "")]
+    survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, 0, "", "")]
     for t, r in enumerate(rows):
         # The blank is the last column, so ``zip`` with the symbols leaves it out.
         row, blank_p = dict(zip(symbols, r)), r[blank]
@@ -249,22 +252,26 @@ def _run_frames(
             into = merges.get(text)
             if into is None and not uses_forecast and p_text * (tot * row_max) < thr:
                 continue
-            if prefix:
-                # Children of the trie node, plus non-word characters once the
-                # prefix is itself a complete word.
-                word_exts, sep_exts = node.children.items(), nonword if node.is_word else ()
-            else:
-                word_exts, sep_exts = word_starts, nonword
-            for c, child in word_exts:
+            # Children of the trie node (the root's outside a word), plus
+            # non-word characters outside a word or once the prefix is itself
+            # a complete word. Child ``k``'s id, ``first[node] + k``, is
+            # computed only for an extension that is scored by its forecast
+            # or kept.
+            sep_exts = nonword if not prefix or is_word[node] else ()
+            for k, c in enumerate(tree_kids[node]):
                 mass = (pb if c == last else tot) * row[c]
                 if into is not None and c in into:
                     copy_nb[into[c]] += mass
                     continue
-                p_ext = committed * forecast(child, prefix + c) if uses_forecast else p_text
+                if uses_forecast:
+                    p_ext = committed * forecast(first[node] + k, prefix + c)
+                else:
+                    p_ext = p_text
                 score = p_ext * mass
                 if score < thr:
                     continue
-                append((-score, text + c, 0.0, mass, p_ext, committed, child, c, prefix + c))
+                append((-score, text + c, 0.0, mass, p_ext, committed, first[node] + k, c,
+                        prefix + c))
                 if score > thr and heap:
                     heapreplace(heap, score)
                     thr = heap[0]
@@ -280,7 +287,7 @@ def _run_frames(
                 score = p_text * mass
                 if score < thr:
                     continue
-                append((-score, text + c, 0.0, mass, p_text, committed, None, c, ""))
+                append((-score, text + c, 0.0, mass, p_text, committed, 0, c, ""))
                 if score > thr and heap:
                     heapreplace(heap, score)
                     thr = heap[0]
@@ -361,10 +368,11 @@ def complete_beams(
         items = beams.values() if isinstance(beams, Mapping) else beams
         cands = [_cand(b, tree) for b in items]
     kind, uses_forecast = mode.kind, mode.uses_forecast
+    is_word = tree._is_word
     out: dict[str, tuple] = {}
     for cand in sorted(cands, key=itemgetter(1)):
         _, text, pb, pnb, p_text, committed, node, _, prefix = cand
-        if prefix and not node.is_word:
+        if prefix and not is_word[node]:
             remainder, node, prob = scorer.complete(node, prefix)
             text += remainder
             prefix += remainder
@@ -385,7 +393,7 @@ def complete_beams(
 
 def _cand(b: Beam, tree: PrefixTree) -> tuple:
     """The candidate tuple of a Beam; a hand-built Beam carries no trie node."""
-    node = b._node or tree._find(b.word_prefix)
+    node = b._node if b._node is not None else tree._find(b.word_prefix)
     if b.word_prefix and node is None:
         raise InputValidationError(f"beam prefix {b.word_prefix!r} is dead in the dictionary")
     return (-(b.p_text * (b.p_blank + b.p_nonblank)), b.text, b.p_blank, b.p_nonblank, b.p_text,

@@ -150,7 +150,7 @@ class NgramModel:
 
 
 class TrieScorer:
-    """Language-model tables of one (trie, model, scoring mode), per trie node.
+    """Language-model tables of one (trie, model, scoring mode), per trie node id.
 
     Each entry is filled the first time the search asks for it and reused
     by every later query; the decoder keeps one scorer per (model, mode) on
@@ -173,14 +173,14 @@ class TrieScorer:
         self._counts: dict = {}
         self._best: dict = {}
 
-    def word_probability(self, node, word: str) -> float:
+    def word_probability(self, node: int, word: str) -> float:
         """``NgramModel.word_probability`` of the word ending at ``node``."""
         p = self._word.get(node)
         if p is None:
             p = self._word[node] = self.lm.word_probability(word)
         return p
 
-    def forecast(self, node, prefix: str) -> float:
+    def forecast(self, node: int, prefix: str) -> float:
         """Completion probability of the live ``prefix`` at ``node``; in the
         sampling mode, summed over a seeded sample and rescaled (total / sampled)."""
         if self.mode.kind != "ngrams_forecast_sample":
@@ -200,23 +200,24 @@ class TrieScorer:
             self._sampled[node] = f
         return f
 
-    def _count(self, node) -> int:
+    def _count(self, node: int) -> int:
         """Number of stored words at or below ``node``."""
         n = self._counts.get(node)
         if n is None:
-            n = int(node.is_word) + sum(self._count(child) for child in node.children.values())
+            n = self.tree._is_word[node] + sum(
+                self._count(child) for child, _ in self.tree._children(node))
             self._counts[node] = n
         return n
 
-    def _nth_remainder(self, node, i: int) -> str:
+    def _nth_remainder(self, node: int, i: int) -> str:
         """Remainder of the ``i``-th completion below ``node``, in lexicographic order."""
         remainder = ""
         while True:
-            if node.is_word:
+            if self.tree._is_word[node]:
                 if i == 0:
                     return remainder
                 i -= 1
-            for c, child in node.children.items():
+            for child, c in self.tree._children(node):
                 n = self._count(child)
                 if i < n:
                     remainder += c
@@ -224,17 +225,17 @@ class TrieScorer:
                     break
                 i -= n
 
-    def _exact_forecast(self, node, prefix: str) -> float:
+    def _exact_forecast(self, node: int, prefix: str) -> float:
         f = self._forecast.get(node)
         if f is None:
             cond = self.lm.conditional
-            f = cond(prefix, WORD_BOUNDARY) if node.is_word else 0.0
-            for c, child in node.children.items():
+            f = cond(prefix, WORD_BOUNDARY) if self.tree._is_word[node] else 0.0
+            for child, c in self.tree._children(node):
                 f += cond(prefix, c) * self._exact_forecast(child, prefix + c)
             self._forecast[node] = f
         return f
 
-    def complete(self, node, prefix: str) -> tuple[str, object, float]:
+    def complete(self, node: int, prefix: str) -> tuple[str, int, float]:
         """(remainder, word node, remainder probability) of the completion of
         the live ``prefix`` at ``node`` with the largest ``remainder_probability``,
         ties to the smallest word (without a model, every probability is 1)."""
@@ -243,18 +244,19 @@ class TrieScorer:
             best = self._best[node] = self._search(node, prefix)
         return best
 
-    def _search(self, node, prefix: str) -> tuple[str, object, float]:
+    def _search(self, node: int, prefix: str) -> tuple[str, int, float]:
         # Uniform-cost search: every factor is at most 1, so the first word end
         # popped beats all unexplored completions. Products run left to right,
         # bit-identical to ``remainder_probability``, and only prefixes at
         # least as probable as the answer are visited.
         cond = self.lm.conditional if self.mode.uses_lm else lambda _prefix, _c: 1.0
+        is_word, children = self.tree._is_word, self.tree._children
         heap = [(-1.0, prefix, False, node)]
         while True:
             neg_p, text, at_end, cur = heapq.heappop(heap)
             if at_end:
                 return text[len(prefix):], cur, -neg_p
-            if cur.is_word:
+            if is_word[cur]:
                 heapq.heappush(heap, (neg_p * cond(text, WORD_BOUNDARY), text, True, cur))
-            for c, child in cur.children.items():
+            for child, c in children(cur):
                 heapq.heappush(heap, (neg_p * cond(text, c), text + c, False, child))

@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-import gc
+from array import array
+from itertools import chain
 from typing import Iterable
 
+import numpy as np
+
 from .errors import InputValidationError
-
-
-class _Node:
-    __slots__ = ("children", "is_word")
-
-    def __init__(self) -> None:
-        self.children: dict[str, _Node] = {}
-        self.is_word = False
 
 
 class PrefixTree:
@@ -21,12 +16,18 @@ class PrefixTree:
 
     ``word_chars`` are the characters legal inside words; ``nonword_chars``
     are legal outside them (separators, punctuation). The two sets must be
-    disjoint. Words are inserted in sorted order, so every node's
-    ``children`` iterate in code-point order of their characters; the
-    decoder and ``TrieScorer`` walk children in that order without sorting.
-    After construction its words and structure are immutable. It also
-    holds the decoder's language-model tables, one ``TrieScorer`` per
+    disjoint. After construction its words and structure are immutable. It
+    also holds the decoder's language-model tables, one ``TrieScorer`` per
     (model, scoring mode), made and filled as decodes first need them.
+
+    The trie is stored as flat arrays over integer node ids, so no Python
+    object exists per node. Nodes are numbered in level order with the root
+    at 0, and a node's children have consecutive ids in code-point order of
+    their characters. Per node ``n``: ``_kids[n]`` is the string of its
+    child characters, sorted; ``_first[n]`` is the id of its first child,
+    so child ``k`` is ``_first[n] + k``; ``_is_word[n]`` is 1 when the
+    node ends a word. The decoder and ``TrieScorer`` hold node ids and
+    walk children in that order without sorting.
     """
 
     def __init__(
@@ -40,50 +41,33 @@ class PrefixTree:
         if self.word_chars & self.nonword_chars:
             overlap = sorted(self.word_chars & self.nonword_chars)
             raise InputValidationError(f"characters {overlap!r} are both word and non-word")
-        self._root = _Node()
-        self._words: set[str] = set()
         self._scorers: dict = {}
-        for word in words:
-            if not word:
-                raise InputValidationError("dictionary words must be non-empty")
-            if not self.word_chars.issuperset(word):
-                bad = next(ch for ch in word if ch not in self.word_chars)
-                raise InputValidationError(
-                    f"word {word!r} contains non-word character {bad!r}"
-                )
-            self._words.add(word)  # duplicates carry no extra information here
-        # The insertion loop creates no reference cycles, so the cyclic
-        # collector is paused while it runs: its full collections would
-        # otherwise re-walk the growing tree several times over. Its young
-        # collections still visit the new nodes once it resumes.
-        collecting = gc.isenabled()
-        gc.disable()
-        try:
-            for word in sorted(self._words):
-                node = self._root
-                for ch in word:
-                    children = node.children
-                    child = children.get(ch)
-                    if child is None:
-                        child = children[ch] = _Node()
-                    node = child
-                node.is_word = True
-        finally:
-            if collecting:
-                gc.enable()
+        words = list(words)
+        distinct = set(words)  # duplicates carry no extra information here
+        if "" in distinct or not self.word_chars.issuperset(chain.from_iterable(distinct)):
+            _raise_first_fault(words, self.word_chars)
+        self._size = len(distinct)
+        self._kids, self._first, self._is_word = _level_order(sorted(distinct))
 
-    def _find(self, prefix: str) -> _Node | None:
-        node = self._root
+    def _find(self, prefix: str) -> int | None:
+        """The node id of a live prefix, None for a dead one."""
+        kids, first = self._kids, self._first
+        node = 0
         for ch in prefix:
-            node = node.children.get(ch)
-            if node is None:
+            k = kids[node].find(ch)
+            if k < 0:
                 return None
+            node = first[node] + k
         return node
+
+    def _children(self, node: int) -> enumerate:
+        """``(child id, character)`` pairs of ``node``, in code-point order."""
+        return enumerate(self._kids[node], self._first[node])
 
     def next_chars(self, prefix: str) -> set[str]:
         """Characters ``c`` such that ``prefix + c`` is a prefix of a stored word."""
         node = self._find(prefix)
-        return set(node.children) if node is not None else set()
+        return set(self._kids[node]) if node is not None else set()
 
     def completions(self, prefix: str) -> list[tuple[str, str]]:
         """All stored words with the given prefix as ``(word, remainder)`` pairs.
@@ -95,10 +79,10 @@ class PrefixTree:
             return []
         out: list[tuple[str, str]] = []
 
-        def descend(cur: _Node, suffix: str) -> None:
-            if cur.is_word:
+        def descend(cur: int, suffix: str) -> None:
+            if self._is_word[cur]:
                 out.append((prefix + suffix, suffix))
-            for ch, child in cur.children.items():
+            for child, ch in self._children(cur):
                 descend(child, suffix + ch)
 
         descend(node, "")
@@ -106,13 +90,67 @@ class PrefixTree:
 
     def is_word(self, s: str) -> bool:
         node = self._find(s)
-        return node is not None and node.is_word
+        return node is not None and self._is_word[node] == 1
 
     def __contains__(self, s: str) -> bool:
         return self.is_word(s)
 
     def __len__(self) -> int:
-        return len(self._words)
+        return self._size
 
     def words(self) -> list[str]:
-        return sorted(self._words)
+        return [word for word, _ in self.completions("")]
+
+
+def _raise_first_fault(words: list[str], word_chars: frozenset[str]) -> None:
+    """Name the first word, in input order, that is empty or has a non-word character."""
+    for word in words:
+        if not word:
+            raise InputValidationError("dictionary words must be non-empty")
+        if not word_chars.issuperset(word):
+            bad = next(ch for ch in word if ch not in word_chars)
+            raise InputValidationError(f"word {word!r} contains non-word character {bad!r}")
+
+
+def _level_order(words: list[str]) -> tuple[list[str], array, bytearray]:
+    """``(kids, first, is_word)`` of the trie over sorted, distinct, non-empty words.
+
+    One pass over the words: each word shares its longest common prefix
+    with the one before it, and adds a node for every character after
+    that. Nodes are appended to per-depth lists, so each depth's nodes come
+    in lexicographic order of their prefixes, which is level order, and
+    each node's children come in code-point order. The lists are then
+    flattened: node ``n``'s children follow those of every node before it,
+    so its first child is 1 plus the number of children of nodes ``< n``
+    (a running sum, taken in numpy).
+    """
+    depth = max(map(len, words), default=0)
+    level_kids: list[list[str]] = [[""]] + [[] for _ in range(depth)]
+    level_word = [bytearray(1)] + [bytearray() for _ in range(depth)]
+    prev = ""
+    for word in words:
+        # The word sorts after ``prev``, so it is not a prefix of it: the scan
+        # stops at a differing character or, if ``prev`` is a prefix of the
+        # word, at the end of ``prev``.
+        shared = 0
+        try:
+            while prev[shared] == word[shared]:
+                shared += 1
+        except IndexError:
+            pass
+        # The node of the shared prefix gains child ``word[shared]``; each new
+        # node below it has one child so far, the word's next character, and
+        # the last one ends the word.
+        level_kids[shared][-1] += word[shared]
+        end = len(word)
+        for d in range(shared + 1, end):
+            level_kids[d].append(word[d])
+            level_word[d].append(0)
+        level_kids[end].append("")
+        level_word[end].append(1)
+        prev = word
+    kids = list(chain.from_iterable(level_kids))
+    ends = np.cumsum(np.fromiter(map(len, kids), np.intc, len(kids)), dtype=np.intc)
+    first = array("i", [1])  # C int, as np.intc
+    first.frombytes((ends[:-1] + 1).tobytes())
+    return kids, first, bytearray().join(level_word)

@@ -11,6 +11,7 @@ matrix is a pure function of those two values.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, replace
 
@@ -41,8 +42,8 @@ class RecognizerSim:
             raise InputValidationError("frames_per_char must be at least 1")
         if not 0.0 <= self.noise_level <= 1.0:
             raise InputValidationError("noise_level must lie in [0, 1]")
-        if self.confusion_spread < 0.0:
-            raise InputValidationError("confusion_spread must be non-negative")
+        if not (math.isfinite(self.confusion_spread) and self.confusion_spread >= 0.0):
+            raise InputValidationError("confusion_spread must be non-negative and finite")
         if not 0.0 <= self.separator_noise_factor <= 1.0:
             raise InputValidationError("separator_noise_factor must lie in [0, 1]")
 
@@ -123,6 +124,8 @@ def make_ensemble(base: RecognizerSim, n: int, jitter: float = 0.05) -> list[Rec
     """Derive ``n`` recognizers with distinct seeds and jittered noise levels."""
     if n < 1:
         raise InputValidationError("ensemble size must be at least 1")
+    if not (math.isfinite(jitter) and jitter >= 0.0):
+        raise InputValidationError("jitter must be non-negative and finite")
     rng = random.Random(f"ensemble|{base.seed}")
     sims: list[RecognizerSim] = []
     seen: set[int] = set()

@@ -251,9 +251,52 @@ def constrained_argmax(dist: dict[str, float], tree: PrefixTree) -> tuple[str, f
     return best_text, best_mass
 
 
-def trie_node(tree: PrefixTree, prefix: str):
-    """The trie node of a live prefix (None for a dead one), as the decoder holds it."""
+def trie_node(tree: PrefixTree, prefix: str) -> int | None:
+    """The trie node id of a live prefix (None for a dead one), as the decoder holds it."""
     return tree._find(prefix)
+
+
+class RefNode:
+    """A node of the reference trie: one object per prefix, children in a dict."""
+
+    __slots__ = ("children", "is_word")
+
+    def __init__(self) -> None:
+        self.children: dict[str, RefNode] = {}
+        self.is_word = False
+
+
+def reference_trie(words) -> RefNode:
+    """The root of a trie built by inserting each distinct word, in sorted
+    order, one character at a time."""
+    root = RefNode()
+    for word in sorted(set(words)):
+        node = root
+        for ch in word:
+            child = node.children.get(ch)
+            if child is None:
+                child = node.children[ch] = RefNode()
+            node = child
+        node.is_word = True
+    return root
+
+
+def reference_level_order(root: RefNode) -> tuple[list[str], list[int], list[int]]:
+    """``(kids, first, is_word)`` of a breadth-first walk of the reference
+    trie that visits children in sorted order of their characters: per node
+    in visiting order, its sorted child characters, the visiting index of
+    its first child, and 1 if it ends a word."""
+    kids: list[str] = []
+    first: list[int] = []
+    is_word: list[int] = []
+    queue = [root]
+    for node in queue:  # the queue grows as the walk goes
+        chars = sorted(node.children)
+        kids.append("".join(chars))
+        first.append(len(queue))
+        is_word.append(int(node.is_word))
+        queue.extend(node.children[c] for c in chars)
+    return kids, first, is_word
 
 
 def forecast_for_prefix(
@@ -297,29 +340,28 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
                           mode: ScoringMode = WORDS, scorer: TrieScorer | None = None):
     """The frame loop with one Beam per candidate, merged in a dict: yields
     the uncut beam set after each frame. ``frame_beams`` yields the top
-    ``width`` of each of these sets but the last, and the last uncut."""
+    ``width`` of each of these sets but the last, and the last uncut. The
+    trie is read through its prefix queries only; a Beam's ``_node`` is the
+    node id of its word prefix, as the scorer takes it."""
     scorer = scorer or TrieScorer(tree, lm, mode)
     col = alphabet.column_map()
-    root = tree._root
-    word_starts = [(c, col[c], root.children[c]) for c in sorted(root.children)]
     nonword_exts = [(c, col[c]) for c in sorted(tree.nonword_chars)]
     blank = alphabet.blank_index
     rows = m.probs.tolist()
     kind = scorer.mode.kind
     uses_forecast = scorer.mode.uses_forecast
-    child_cache: dict[int, list] = {}
+    exts_cache: dict[str, list] = {}
 
-    def word_state_exts(node) -> list:
-        exts = child_cache.get(id(node))
+    def exts_of(prefix: str) -> list:
+        """(character, column, child node id or None, is word character) per extension."""
+        exts = exts_cache.get(prefix)
         if exts is None:
-            exts = [(c, col[c], node.children[c], True) for c in sorted(node.children)]
-            if node.is_word:
+            exts = [(c, col[c], tree._find(prefix + c), True)
+                    for c in sorted(tree.next_chars(prefix))]
+            if not prefix or tree.is_word(prefix):
                 exts = exts + [(c, ci, None, False) for c, ci in nonword_exts]
-            child_cache[id(node)] = exts
+            exts_cache[prefix] = exts
         return exts
-
-    nonword_state_exts = [(c, ci, child, True) for c, ci, child in word_starts]
-    nonword_state_exts += [(c, ci, None, False) for c, ci in nonword_exts]
 
     def extend(b: Beam, c: str, cidx: int, child, is_word_char: bool) -> Beam:
         committed = b._committed
@@ -357,8 +399,7 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
             if b.text:
                 cur.p_nonblank += b.p_nonblank * row[b._last_col]
             cur.p_blank += tot * blank_p
-            exts = word_state_exts(b._node) if b.word_prefix else nonword_state_exts
-            for c, cidx, child, is_word_char in exts:
+            for c, cidx, child, is_word_char in exts_of(b.word_prefix):
                 contrib = (b.p_blank if cidx == b._last_col else tot) * row[cidx]
                 text2 = b.text + c
                 nb = nxt.get(text2)
@@ -380,10 +421,11 @@ def reference_complete_beams(beams, tree: PrefixTree, lm: NgramModel | None = No
     out: dict[str, Beam] = {}
     for b in sorted(items, key=lambda x: x.text):
         text, word_prefix, p_text = b.text, b.word_prefix, b.p_text
-        node = b._node or tree._find(word_prefix)  # a hand-built beam carries no node
+        # A hand-built beam carries no node; the root's id, 0, is falsy.
+        node = b._node if b._node is not None else tree._find(word_prefix)
         if word_prefix and node is None:
             raise InputValidationError(f"beam prefix {word_prefix!r} is dead in the dictionary")
-        if word_prefix and not node.is_word:
+        if word_prefix and not tree.is_word(word_prefix):
             remainder, end, prob = scorer.complete(node, word_prefix)
             text += remainder
             word_prefix += remainder

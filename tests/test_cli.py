@@ -589,6 +589,41 @@ class TestUsage:
             f"error: argument {flag}: must be at least 1, got {int(value)}\n")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command, flag, value, reason", [
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--noise", "1.5",
+         "must lie in [0, 1], got 1.5"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--noise", "-0.1",
+         "must lie in [0, 1], got -0.1"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--noise", "nan",
+         "must lie in [0, 1], got nan"),
+        (["reproduce-trends"], "--noise", "1.5", "must lie in [0, 1], got 1.5"),
+        (["reproduce-trends"], "--noise", "inf", "must lie in [0, 1], got inf"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--confusion-spread", "-1",
+         "must be non-negative and finite, got -1.0"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--confusion-spread", "inf",
+         "must be non-negative and finite, got inf"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}", "--members", "2"], "--jitter", "-1",
+         "must be non-negative and finite, got -1.0"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--jitter", "nan",
+         "must be non-negative and finite, got nan"),
+        (["synth", "--dict", "{dict}", "--out-dir", "{out}"], "--jitter", "x",
+         "invalid float value: 'x'"),
+    ])
+    def test_out_of_range_floats_are_usage_errors(self, tmp_path, capsys, monkeypatch, command,
+                                                  flag, value, reason):
+        # Rejected by the parser, before any file is read or input made.
+        def no_work(*args, **kwargs):
+            raise AssertionError("the command ran before checking its arguments")
+
+        for name in ("read_text", "read_matrix_file", "load_word_list", "run_trend_experiment"):
+            monkeypatch.setattr(f"wordbeam.cli.{name}", no_work)
+        places = {"dict": str(tmp_path / "dict.txt"), "out": str(tmp_path / "out")}
+        with pytest.raises(SystemExit) as err:
+            main([arg.format(**places) for arg in command] + [f"{flag}={value}"])
+        assert err.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f"error: argument {flag}: {reason}\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", [
         ["decode", "{mat}", "--dict", "{dict}", "--scheme", "extrasep"],
         ["ensemble", "{mat}", "{mat}", "--dict", "{dict}", "--scheme", "extrasep"],

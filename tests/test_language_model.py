@@ -199,7 +199,7 @@ class TestTrieScorerTables:
         # node filled the tables first.
         for prefix in data.draw(st.permutations(prefixes)):
             node = trie_node(tree, prefix)
-            if node.is_word:
+            if tree.is_word(prefix):
                 assert exact.word_probability(node, prefix) == lm.word_probability(prefix)
             assert exact.forecast(node, prefix) == pytest.approx(
                 forecast_for_prefix(lm, tree, prefix, NGRAMS_FORECAST), rel=1e-12)
@@ -209,7 +209,7 @@ class TestTrieScorerTables:
             else:  # the sample covers every completion: the exact table value
                 assert sampled.forecast(node, prefix) == pytest.approx(want, rel=1e-12)
             remainder, end, p = exact.complete(node, prefix)
-            assert end is trie_node(tree, prefix + remainder) and end.is_word
+            assert end == trie_node(tree, prefix + remainder) and tree.is_word(prefix + remainder)
             # Bit-identical, ties included: the completion's products run in
             # the order of remainder_probability's.
             assert (prefix + remainder, p) == best_completion(lm, tree, prefix)

@@ -2,12 +2,14 @@
 
 import gc
 import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordbeam import InputValidationError, PrefixTree, TrieScorer
 
-from _support import trie_node
+from _support import reference_level_order, reference_trie, trie_node
 
 WC = set("abcdefgh")
 
@@ -75,8 +77,8 @@ def test_bad_word_error_names_first_word_and_character():
 @pytest.mark.parametrize("enabled", [True, False])
 @pytest.mark.parametrize("words", [["ab", "abc", "b"], ["ab", "ax"]])
 def test_collector_state_is_restored(enabled, words):
-    # The build pauses the cyclic collector; it must leave it as it found
-    # it, after a validation error ("ax") too.
+    # The build leaves the cyclic collector as it found it, after a
+    # validation error ("ax") too.
     was = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -106,7 +108,7 @@ def test_random_dictionary_matches_scan():
         assert t.completions(prefix) == scan_completions(words, prefix)
         node = trie_node(t, prefix)
         if node is not None:
-            assert list(node.children) == sorted(node.children)
+            assert t._kids[node] == "".join(sorted(t._kids[node]))
     for w in words:
         assert t.is_word(w)
     for probe in ("", "zzz", "abcde", "da"):
@@ -128,7 +130,8 @@ def test_first_completion_matches_full_enumeration():
             continue
         remainder, end, p = scorer.complete(node, prefix)
         assert (prefix + remainder, remainder) == completions[0]
-        assert end.is_word and p == 1.0
+        assert end == trie_node(t, prefix + remainder) and t.is_word(prefix + remainder)
+        assert p == 1.0
 
 
 def test_next_chars_consistent_with_completions():
@@ -138,3 +141,69 @@ def test_next_chars_consistent_with_completions():
     for prefix in {w[:k] for w in words for k in range(len(w) + 1)}:
         from_completions = {r[0] for _, r in t.completions(prefix) if r}
         assert t.next_chars(prefix) == from_completions
+
+
+# Code points from three UTF-8 lengths and one astral character, so that
+# sorting by code point differs from sorting by UTF-8 or UTF-16 units.
+_TRIE_CHARS = "abcé€\U0001d11e"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(words=st.lists(st.text(_TRIE_CHARS, min_size=1, max_size=6), max_size=25),
+       probes=st.lists(st.text(_TRIE_CHARS + "z", max_size=7), max_size=10))
+def test_flat_layout_is_the_level_order_of_the_reference_trie(words, probes):
+    t = PrefixTree(words, set(_TRIE_CHARS))
+    root = reference_trie(words)
+    kids, first, is_word = reference_level_order(root)
+    assert t._kids == kids
+    assert list(t._first) == first
+    assert list(t._is_word) == is_word
+    # Prefix queries agree with a walk of the reference trie.
+    for prefix in {w[:i] for w in words for i in range(len(w) + 1)} | set(probes):
+        ref, ref_id = root, 0
+        for ch in prefix:
+            if ch not in ref.children:
+                ref = None
+                break
+            ref_id = first[ref_id] + kids[ref_id].index(ch)
+            ref = ref.children[ch]
+        if ref is None:
+            assert t._find(prefix) is None
+            assert t.next_chars(prefix) == set()
+            assert t.completions(prefix) == []
+            continue
+        assert t._find(prefix) == ref_id
+        assert t.next_chars(prefix) == set(ref.children)
+        assert t.is_word(prefix) == ref.is_word
+        out = []
+        stack = [(ref, "")]
+        while stack:
+            node, suffix = stack.pop()
+            if node.is_word:
+                out.append((prefix + suffix, suffix))
+            stack.extend((node.children[c], suffix + c) for c in sorted(node.children, reverse=True))
+        assert t.completions(prefix) == out
+    assert len(t) == len(set(words))
+    assert t.words() == sorted(set(words))
+
+
+def test_large_trie_keeps_little_memory_and_few_collector_objects():
+    # 50,000 words, the size of a lexicon the decoder must hold: the flat
+    # arrays keep a few MiB and add a handful of objects the cyclic
+    # collector tracks, where a trie of node objects kept about 46 MiB
+    # and 400k tracked objects of this dictionary.
+    rng = random.Random(50_000)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    words = ["".join(rng.choices(letters, k=rng.randint(2, 12))) for _ in range(50_000)]
+    gc.collect()
+    tracked = len(gc.get_objects())
+    tracemalloc.start()
+    try:
+        tree = PrefixTree(words, letters)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    gc.collect()
+    assert len(gc.get_objects()) - tracked < 100
+    assert retained < 15 * 2**20
+    assert len(tree) == len(set(words))

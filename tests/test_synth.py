@@ -114,6 +114,23 @@ class TestMakeEnsemble:
         with pytest.raises(InputValidationError):
             make_ensemble(base, 0)
 
+    @pytest.mark.parametrize("jitter", [-0.05, -1.0, float("nan"), float("inf")])
+    def test_bad_jitter(self, jitter):
+        # A negative jitter would draw from uniform(j, -j), acting as its
+        # absolute value; a NaN or infinite one makes no noise level.
+        base = RecognizerSim(alphabet=Alphabet("ab"), noise_level=0.3)
+        with pytest.raises(InputValidationError, match="jitter"):
+            make_ensemble(base, 2, jitter=jitter)
+
+    def test_zero_jitter_keeps_the_noise_level(self):
+        base = RecognizerSim(alphabet=Alphabet("ab"), noise_level=0.3)
+        assert {s.noise_level for s in make_ensemble(base, 4, jitter=0.0)} == {0.3}
+
+    @pytest.mark.parametrize("spread", [-1.0, float("nan"), float("inf")])
+    def test_bad_confusion_spread(self, spread):
+        with pytest.raises(InputValidationError, match="confusion_spread"):
+            RecognizerSim(alphabet=Alphabet("ab"), confusion_spread=spread)
+
 
 def _accuracy(decoder, sim, words, *decoder_args):
     hits = 0
