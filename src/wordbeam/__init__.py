@@ -15,7 +15,7 @@ from .ctc import (
     best_path_decode,
     collapse,
 )
-from .decoder import Beam, BeamSet, complete_beams, decode, frame_beams
+from .decoder import decode
 from .ensemble import Hypothesis, vote, winning_group_size
 from .errors import (
     ConfigurationError,
@@ -53,8 +53,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Alphabet",
-    "Beam",
-    "BeamSet",
     "ConfigurationError",
     "DataFormatError",
     "EvalReport",
@@ -79,14 +77,12 @@ __all__ = [
     "build_report",
     "choose_separator",
     "collapse",
-    "complete_beams",
     "decode",
     "decode_label",
     "encode_label",
     "forecast_sample",
     "format_report_kv",
     "format_report_table",
-    "frame_beams",
     "length_breakdown",
     "levenshtein",
     "make_ensemble",

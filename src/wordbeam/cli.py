@@ -328,12 +328,10 @@ def cmd_ensemble(args) -> int:
                 f"recognizer outputs are misaligned, first mismatch at {bad!r}",
                 path=str(p),
             )
-    lines = []
     for i, sample_id in enumerate(ids):
         hyps = [rows[i][1] for rows in per_member]
         winner = vote(hyps)
-        lines.append(f"{sample_id}\t{winner.text}\t{winning_group_size(hyps, winner)}")
-    print("\n".join(lines))
+        print(f"{sample_id}\t{winner.text}\t{winning_group_size(hyps, winner)}")
     return EXIT_OK
 
 

@@ -1,47 +1,57 @@
 """Dual-state word beam search over CTC posteriors.
 
-Each hypothesis (beam) is either inside a word or outside one. The
-trailing run of word characters of an in-word beam is always a live
-prefix of the dictionary trie, so the only legal word-character
-extensions are the trie's children; a non-word character may follow
-only once that prefix is a complete word. Out-of-word beams may extend
-with any non-word character or start a new dictionary word.
+Each hypothesis is either inside a word or outside one. The trailing
+run of word characters of an in-word hypothesis is always a live prefix
+of the dictionary trie, so the only legal word-character extensions are
+the trie's children; a non-word character may follow only once that
+prefix is a complete word. Out-of-word hypotheses may extend with any
+non-word character or start a new dictionary word.
 
-Per frame, each beam tracks the path mass ending in blank (``p_blank``)
-and in a non-blank (``p_nonblank``) separately, which makes merging of
-equal-text hypotheses and the repeated-character rule exact: extending
-with the beam's own last character may only use the blank-ending mass,
-everything else uses the total. Beams are ranked by the product of the
-language-model score and the total mass. After the last frame, beams
-whose trailing prefix is not yet a complete word are extended by their
-most probable completion without consuming posterior mass.
-Language-model scores are read at each in-word beam's trie node from the
-``TrieScorer`` of (tree, model, mode), which the tree keeps: its per-node
-tables fill on first use and serve every later decode with that tree,
-model and mode.
+Per frame, each hypothesis tracks the path mass ending in blank
+(``p_blank``) and in a non-blank (``p_nonblank``) separately, which makes
+merging of equal-text hypotheses and the repeated-character rule exact:
+extending with the hypothesis' own last character may only use the
+blank-ending mass, everything else uses the total. Hypotheses are ranked
+by the product of the language-model score and the total mass. After the
+last frame, hypotheses whose trailing prefix is not yet a complete word
+are extended by their most probable completion without consuming
+posterior mass. Language-model scores are read at each in-word
+hypothesis' trie node from the ``TrieScorer`` of (tree, model, mode),
+which the tree keeps: its per-node tables fill on first use and serve
+every later decode with that tree, model and mode.
 
-The search state is one flat tuple per candidate, survivors included,
-carrying the word prefix of every word-character extension, the integer
-id of its trie node and the candidate's last character, ranked by
-(score, text). Each posterior row is read by character, and the trie
-keeps every node's child characters as one sorted string, so a decode
-builds no extension table of its own; a child's id is computed only for
-an extension that is kept (or, in the forecast modes, scored). Within a frame
-the search keeps a running lower bound on the ``width``-th best score
-and never builds an extension strictly below it, as the cut to ``width``
-would drop it anyway; in ``words`` and ``ngrams`` mode it also skips a
-whole survivor whose best possible extension, ``p_text`` times its
-total mass times the row's largest non-blank value, is below that bound
-(the arguments are in ``_run_frames``). ``frame_beams`` yields, as
-read-only mappings whose Beams are built when a caller reads them, each
-frame's ``width`` survivors and, for the last frame, the merged, uncut
-set. ``decode`` completes that set's candidate tuples and takes the best
-of them, so it builds no Beam at all.
+The search state is one flat tuple per hypothesis, a candidate::
+
+    (-score, text, p_blank, p_nonblank, p_text, committed, node, last, word_prefix)
+
+``score`` is ``p_text * (p_blank + p_nonblank)``; ``p_text`` is the
+language-model score it is ranked by (1 in words mode) and ``committed``
+the score of its finished words alone, which the forecast modes multiply
+by a forecast or a completion's remainder probability. ``word_prefix``
+is the trailing run of word characters of ``text`` (empty outside a
+word), ``node`` the trie node id of that prefix (the root, 0, outside a
+word) and ``last`` the last character of ``text``. Texts are unique, so
+ranking on the tuple compares (-score, text) only.
+
+Each posterior row is read by character, and the trie keeps every
+node's child characters as one sorted string, so a decode builds no
+extension table of its own; a child's id is computed only for an
+extension that is kept (or, in the forecast modes, scored). Within a
+frame the search keeps a running lower bound on the ``width``-th best
+score and never builds an extension strictly below it, as the cut to
+``width`` would drop it anyway; in ``words`` and ``ngrams`` mode it also
+skips a whole survivor whose best possible extension, ``p_text`` times
+its total mass times the row's largest non-blank value, is below that
+bound (the arguments are in ``_run_frames``). ``decode`` runs two
+stages: ``frame_beams`` yields each frame's ``width`` survivors and, for
+the last frame, the merged, uncut set, as lists of candidates;
+``complete_beams`` completes that last set, and ``decode`` takes the
+best completed candidate.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator
 from heapq import heapify, heapreplace
 from operator import itemgetter
 
@@ -49,51 +59,6 @@ from .ctc import Alphabet, PosteriorMatrix, _check_shape
 from .errors import ConfigurationError, InputValidationError
 from .language_model import NgramModel, ScoringMode, TrieScorer, WORDS
 from .prefix_tree import PrefixTree
-
-
-class Beam:
-    """One decoding hypothesis.
-
-    ``word_prefix`` is the trailing run of word characters of ``text``;
-    the beam is in word state exactly when it is non-empty. ``p_text``
-    is the language-model score used for ranking (1 in words mode).
-    """
-
-    __slots__ = ("text", "word_prefix", "p_blank", "p_nonblank", "p_text",
-                 "_node", "_committed")
-
-    def __init__(
-        self,
-        text: str = "",
-        word_prefix: str = "",
-        p_blank: float = 0.0,
-        p_nonblank: float = 0.0,
-        p_text: float = 1.0,
-    ) -> None:
-        self.text = text
-        self.word_prefix = word_prefix
-        self.p_blank = p_blank
-        self.p_nonblank = p_nonblank
-        self.p_text = p_text
-        self._node = None
-        self._committed = p_text
-
-    @property
-    def p_total(self) -> float:
-        return self.p_blank + self.p_nonblank
-
-    @property
-    def score(self) -> float:
-        return self.p_text * (self.p_blank + self.p_nonblank)
-
-    def __repr__(self) -> str:
-        return (
-            f"Beam({self.text!r}, prefix={self.word_prefix!r}, pb={self.p_blank:.3g}, "
-            f"pnb={self.p_nonblank:.3g}, ptxt={self.p_text:.3g})"
-        )
-
-
-BeamSet = dict[str, Beam]
 
 
 def decode(
@@ -106,16 +71,17 @@ def decode(
 ) -> tuple[str, float]:
     """Run the dual-state word beam search and return (labeling, score).
 
-    The reported score is the winning beam's ``p_text * p_total``, the
-    quantity the search ranks by.
+    The reported score is the winning hypothesis' ``p_text * (p_blank +
+    p_nonblank)``, the quantity the search ranks by.
     """
-    beams: Mapping[str, Beam] = {}
-    for beams in frame_beams(m, alphabet, tree, lm, width, mode):
+    cands: list[tuple] = []
+    for cands in frame_beams(m, alphabet, tree, lm, width, mode):
         pass
-    neg_score, text = min(complete_beams(beams, tree, lm, mode)._cands)[:2]
+    neg_score, text = min(complete_beams(cands, tree, lm, mode))[:2]
     return text, -neg_score
 
 
+# The benchmark's tracer wraps the two stages below by name and reads their width/mode.
 def frame_beams(
     m: PosteriorMatrix,
     alphabet: Alphabet,
@@ -123,17 +89,13 @@ def frame_beams(
     lm: NgramModel | None = None,
     width: int = 25,
     mode: ScoringMode = WORDS,
-) -> Iterator[Mapping[str, Beam]]:
-    """Yield the beam set after each frame.
+) -> Iterator[list[tuple]]:
+    """Yield the candidates after each frame.
 
-    Every set but the last holds the frame's survivors: its at most
-    ``width`` best beams by (score, text), the ones the next frame
-    extends. The last set is the frame's merged, uncut set, as completion
-    may re-rank it; ``decode`` drives the generator to the end and
-    completes that set. Each set is a read-only mapping from text to Beam
-    whose ``len`` is cheap and whose Beams are built when a caller reads
-    them. Exposed for instrumentation (mass bookkeeping can be audited
-    frame by frame).
+    Every list but the last holds the frame's survivors: its at most
+    ``width`` best candidates by (score, text), the ones the next frame
+    extends. The last list is the frame's merged, uncut set, as completion
+    may re-rank it.
     """
     if width < 1:
         raise InputValidationError("beam width must be at least 1")
@@ -169,15 +131,12 @@ def _run_frames(
     scorer: TrieScorer,
     tree: PrefixTree,
     nonword: list[str],
-) -> Iterator[Mapping[str, Beam]]:
-    # Every candidate, a survivor's copy or an extension, is one flat tuple
-    # (-score, text, p_blank, p_nonblank, p_text, committed, node, last, word_prefix),
-    # where ``node`` is the trie node id of ``word_prefix`` (the root, 0, outside a
-    # word) and ``last`` is the last character of ``text``, ranked on (-score, text);
-    # texts are unique, so the comparison never reaches the rest. A full
-    # ``sorted`` runs in C, which beats ``heapq.nsmallest`` at these sizes.
+) -> Iterator[list[tuple]]:
+    # Every candidate, a survivor's copy or an extension, is one tuple of the
+    # layout in the module docstring. A full ``sorted`` runs in C, which beats
+    # ``heapq.nsmallest`` at these sizes.
     #
-    # This stays bit-exact with a loop that builds and merges a Beam per
+    # This stays bit-exact with a loop that builds and merges one object per
     # candidate. Survivor texts are distinct and every symbol is one
     # character, so extension texts are unique, and an extension can only
     # merge into the copy of the survivor with the same text. That copy's
@@ -298,79 +257,32 @@ def _run_frames(
                     committed, node, last, prefix))
         if t < last_frame:
             survivors = sorted(cands)[:width]
-            yield _FrameSet(survivors)
+            yield survivors
         else:
-            yield _FrameSet(cands)
-
-
-def _beam(cand: tuple) -> Beam:
-    _, text, p_blank, p_nonblank, p_text, committed, node, _, word_prefix = cand
-    b = Beam(text, word_prefix, p_blank, p_nonblank, p_text)
-    b._node, b._committed = node, committed
-    return b
-
-
-class _FrameSet(Mapping):
-    """Read-only text -> Beam view of candidate tuples with unique texts: one
-    frame's survivors, the last frame's candidates, or their completions.
-    Its Beams are built on first access; ``len``, iteration and ``keys``
-    need none."""
-
-    __slots__ = ("_cands", "_beams")
-
-    def __init__(self, cands: list) -> None:
-        self._cands = cands
-        self._beams: BeamSet | None = None
-
-    def _built(self) -> BeamSet:
-        if self._beams is None:
-            self._beams = {c[1]: _beam(c) for c in self._cands}
-        return self._beams
-
-    def __len__(self) -> int:
-        return len(self._cands)
-
-    def __getitem__(self, text: str) -> Beam:
-        return self._built()[text]
-
-    def __iter__(self) -> Iterator[str]:
-        return map(itemgetter(1), self._cands)
-
-    def values(self):
-        return self._built().values()
+            yield cands
 
 
 def complete_beams(
-    beams: Mapping[str, Beam] | Iterable[Beam],
+    beams: list[tuple],
     tree: PrefixTree,
     lm: NgramModel | None = None,
     mode: ScoringMode = WORDS,
-) -> Mapping[str, Beam]:
-    """Extend beams ending in an incomplete prefix to their best completion.
+) -> list[tuple]:
+    """Extend candidates ending in an incomplete prefix to their best completion.
 
-    Posterior mass is never consumed: a completed beam keeps its
-    ``p_blank``/``p_nonblank``. Beams already ending in a complete word
-    or in non-word state are unchanged. When a completion collides with
-    an existing beam text, the masses are summed and the first beam's
-    language-model score (in text order) is kept. In the forecast modes a
-    completion scores the beam's committed score (its finished words'; a
-    hand-built beam's ``p_text``) times the remainder probability.
-
-    Returns a read-only text -> Beam mapping, like ``frame_beams``' sets,
-    whose Beams are built only when read. A set yielded by ``frame_beams``
-    is completed from its candidate tuples; other beams are first turned
-    into that form.
+    Posterior mass is never consumed: a completed candidate keeps its
+    ``p_blank``/``p_nonblank``. Candidates already ending in a complete
+    word or in non-word state are unchanged. When a completion collides
+    with another candidate's text, the masses are summed and the first
+    candidate's language-model score (in text order) is kept. In the
+    forecast modes a completion scores the candidate's committed score
+    times the remainder probability. Returns the merged candidates.
     """
     scorer = _scorer(tree, lm, mode)
-    if isinstance(beams, _FrameSet):
-        cands = beams._cands
-    else:
-        items = beams.values() if isinstance(beams, Mapping) else beams
-        cands = [_cand(b, tree) for b in items]
     kind, uses_forecast = mode.kind, mode.uses_forecast
     is_word = tree._is_word
     out: dict[str, tuple] = {}
-    for cand in sorted(cands, key=itemgetter(1)):
+    for cand in sorted(beams, key=itemgetter(1)):
         _, text, pb, pnb, p_text, committed, node, _, prefix = cand
         if prefix and not is_word[node]:
             remainder, node, prob = scorer.complete(node, prefix)
@@ -388,13 +300,4 @@ def complete_beams(
         else:
             pb, pnb, p_text = cur[2] + pb, cur[3] + pnb, cur[4]
             out[text] = (-(p_text * (pb + pnb)), text, pb, pnb, p_text, *cur[5:])
-    return _FrameSet(list(out.values()))
-
-
-def _cand(b: Beam, tree: PrefixTree) -> tuple:
-    """The candidate tuple of a Beam; a hand-built Beam carries no trie node."""
-    node = b._node if b._node is not None else tree._find(b.word_prefix)
-    if b.word_prefix and node is None:
-        raise InputValidationError(f"beam prefix {b.word_prefix!r} is dead in the dictionary")
-    return (-(b.p_text * (b.p_blank + b.p_nonblank)), b.text, b.p_blank, b.p_nonblank, b.p_text,
-            b._committed, node, b.text[-1:], b.word_prefix)
+    return list(out.values())

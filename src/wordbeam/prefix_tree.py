@@ -20,14 +20,15 @@ class PrefixTree:
     also holds the decoder's language-model tables, one ``TrieScorer`` per
     (model, scoring mode), made and filled as decodes first need them.
 
-    The trie is stored as flat arrays over integer node ids, so no Python
-    object exists per node. Nodes are numbered in level order with the root
-    at 0, and a node's children have consecutive ids in code-point order of
-    their characters. Per node ``n``: ``_kids[n]`` is the string of its
-    child characters, sorted; ``_first[n]`` is the id of its first child,
-    so child ``k`` is ``_first[n] + k``; ``_is_word[n]`` is 1 when the
-    node ends a word. The decoder and ``TrieScorer`` hold node ids and
-    walk children in that order without sorting.
+    The trie is stored as flat arrays over integer node ids, and those
+    arrays are its interface: it has no per-node objects and no prefix
+    queries. Nodes are numbered in level order with the root at 0, and a
+    node's children have consecutive ids in code-point order of their
+    characters. Per node ``n``: ``_kids[n]`` is the string of its child
+    characters, sorted; ``_first[n]`` is the id of its first child, so
+    child ``k`` is ``_first[n] + k``; ``_is_word[n]`` is 1 when the node
+    ends a word. The decoder and ``TrieScorer`` hold node ids and walk
+    children in that order without sorting.
     """
 
     def __init__(
@@ -46,60 +47,11 @@ class PrefixTree:
         distinct = set(words)  # duplicates carry no extra information here
         if "" in distinct or not self.word_chars.issuperset(chain.from_iterable(distinct)):
             _raise_first_fault(words, self.word_chars)
-        self._size = len(distinct)
         self._kids, self._first, self._is_word = _level_order(sorted(distinct))
-
-    def _find(self, prefix: str) -> int | None:
-        """The node id of a live prefix, None for a dead one."""
-        kids, first = self._kids, self._first
-        node = 0
-        for ch in prefix:
-            k = kids[node].find(ch)
-            if k < 0:
-                return None
-            node = first[node] + k
-        return node
 
     def _children(self, node: int) -> enumerate:
         """``(child id, character)`` pairs of ``node``, in code-point order."""
         return enumerate(self._kids[node], self._first[node])
-
-    def next_chars(self, prefix: str) -> set[str]:
-        """Characters ``c`` such that ``prefix + c`` is a prefix of a stored word."""
-        node = self._find(prefix)
-        return set(self._kids[node]) if node is not None else set()
-
-    def completions(self, prefix: str) -> list[tuple[str, str]]:
-        """All stored words with the given prefix as ``(word, remainder)`` pairs.
-
-        The result is in lexicographic order of the word.
-        """
-        node = self._find(prefix)
-        if node is None:
-            return []
-        out: list[tuple[str, str]] = []
-
-        def descend(cur: int, suffix: str) -> None:
-            if self._is_word[cur]:
-                out.append((prefix + suffix, suffix))
-            for child, ch in self._children(cur):
-                descend(child, suffix + ch)
-
-        descend(node, "")
-        return out
-
-    def is_word(self, s: str) -> bool:
-        node = self._find(s)
-        return node is not None and self._is_word[node] == 1
-
-    def __contains__(self, s: str) -> bool:
-        return self.is_word(s)
-
-    def __len__(self) -> int:
-        return self._size
-
-    def words(self) -> list[str]:
-        return [word for word, _ in self.completions("")]
 
 
 def _raise_first_fault(words: list[str], word_chars: frozenset[str]) -> None:

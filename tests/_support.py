@@ -4,17 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
-from collections.abc import Mapping
+from collections import Counter
 
 import numpy as np
-
-from collections import Counter
 
 from wordbeam import (
     WORD_BOUNDARY,
     WORDS,
     Alphabet,
-    Beam,
     DataFormatError,
     InputValidationError,
     NgramModel,
@@ -202,73 +199,31 @@ def reference_ngram_counts(corpus, order: int) -> dict[str, Counter]:
     return counts
 
 
-def final_text(labeling: str, tree: PrefixTree) -> str | None:
-    """Map a labeling to the decoder's final text, or None if unreachable.
-
-    Fragments are maximal runs of word characters. Interior fragments
-    must be complete dictionary words; the trailing fragment may also be
-    a live incomplete prefix, in which case it is extended by its
-    lexicographically first completion (the words-mode completion rule).
-    """
-    fragments: list[str] = []
-    cur = ""
-    for ch in labeling:
-        if ch in tree.word_chars:
-            cur += ch
-        else:
-            if cur:
-                fragments.append(cur)
-                cur = ""
-            fragments.append("")  # marks a non-word character position
-    trailing = cur
-    for frag in fragments:
-        if frag and not tree.is_word(frag):
-            return None
-    if not trailing:
-        return labeling
-    if tree.is_word(trailing):
-        return labeling
-    completions = tree.completions(trailing)
-    if not completions:
-        return None
-    return labeling + completions[0][1]
-
-
-def constrained_argmax(dist: dict[str, float], tree: PrefixTree) -> tuple[str, float]:
-    """Exhaustive words-mode reference: best final text by total mass.
-
-    Masses of labelings folding into the same final text are summed,
-    mirroring the decoder's documented completion-merge contract; ties
-    break lexicographically.
-    """
-    candidates: dict[str, float] = {}
-    for labeling in sorted(dist):
-        text = final_text(labeling, tree)
-        if text is None:
-            continue
-        candidates[text] = candidates.get(text, 0.0) + dist[labeling]
-    best_text, best_mass = min(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
-    return best_text, best_mass
-
-
-def trie_node(tree: PrefixTree, prefix: str) -> int | None:
-    """The trie node id of a live prefix (None for a dead one), as the decoder holds it."""
-    return tree._find(prefix)
-
-
 class RefNode:
-    """A node of the reference trie: one object per prefix, children in a dict."""
+    """A node of the reference trie: one object per prefix, children in a
+    dict, and ``id``, its index in the level-order walk of the trie."""
 
-    __slots__ = ("children", "is_word")
+    __slots__ = ("children", "is_word", "id")
 
     def __init__(self) -> None:
         self.children: dict[str, RefNode] = {}
         self.is_word = False
+        self.id = -1
+
+
+def _breadth_first(root: RefNode) -> list[RefNode]:
+    """The nodes of a breadth-first walk that visits children in sorted order
+    of their characters."""
+    queue = [root]
+    for node in queue:  # the queue grows as the walk goes
+        queue.extend(node.children[c] for c in sorted(node.children))
+    return queue
 
 
 def reference_trie(words) -> RefNode:
     """The root of a trie built by inserting each distinct word, in sorted
-    order, one character at a time."""
+    order, one character at a time; each node's ``id`` is its index in
+    ``reference_level_order``'s walk, which equals the flat trie's node id."""
     root = RefNode()
     for word in sorted(set(words)):
         node = root
@@ -278,6 +233,8 @@ def reference_trie(words) -> RefNode:
                 child = node.children[ch] = RefNode()
             node = child
         node.is_word = True
+    for i, node in enumerate(_breadth_first(root)):
+        node.id = i
     return root
 
 
@@ -289,23 +246,98 @@ def reference_level_order(root: RefNode) -> tuple[list[str], list[int], list[int
     kids: list[str] = []
     first: list[int] = []
     is_word: list[int] = []
-    queue = [root]
-    for node in queue:  # the queue grows as the walk goes
-        chars = sorted(node.children)
-        kids.append("".join(chars))
-        first.append(len(queue))
+    seen = 1  # nodes visited or queued so far: the root
+    for node in _breadth_first(root):
+        kids.append("".join(sorted(node.children)))
+        first.append(seen)
         is_word.append(int(node.is_word))
-        queue.extend(node.children[c] for c in chars)
+        seen += len(node.children)
     return kids, first, is_word
 
 
-def forecast_for_prefix(
-    lm: NgramModel, tree: PrefixTree, prefix: str, mode: ScoringMode
-) -> float:
+def ref_find(root: RefNode, prefix: str) -> RefNode | None:
+    """The reference node of a live prefix, None for a dead one."""
+    node = root
+    for ch in prefix:
+        node = node.children.get(ch)
+        if node is None:
+            return None
+    return node
+
+
+def trie_node(root: RefNode, prefix: str) -> int | None:
+    """The trie node id of a live prefix (None for a dead one), as the decoder holds it."""
+    node = ref_find(root, prefix)
+    return None if node is None else node.id
+
+
+def reference_completions(root: RefNode, prefix: str) -> list[tuple[str, str]]:
+    """All words with the given prefix as ``(word, remainder)`` pairs, in
+    lexicographic order of the word; empty for a dead prefix."""
+    node = ref_find(root, prefix)
+    out: list[tuple[str, str]] = []
+    stack = [] if node is None else [(node, "")]
+    while stack:
+        node, suffix = stack.pop()
+        if node.is_word:
+            out.append((prefix + suffix, suffix))
+        stack.extend((node.children[c], suffix + c) for c in sorted(node.children, reverse=True))
+    return out
+
+
+def final_text(labeling: str, root: RefNode, word_chars) -> str | None:
+    """Map a labeling to the decoder's final text, or None if unreachable.
+
+    Fragments are maximal runs of word characters. Interior fragments
+    must be complete dictionary words; the trailing fragment may also be
+    a live incomplete prefix, in which case it is extended by its
+    lexicographically first completion (the words-mode completion rule).
+    """
+    fragments: list[str] = []
+    cur = ""
+    for ch in labeling:
+        if ch in word_chars:
+            cur += ch
+        else:
+            if cur:
+                fragments.append(cur)
+                cur = ""
+            fragments.append("")  # marks a non-word character position
+    trailing = cur
+    for frag in fragments:
+        node = ref_find(root, frag)
+        if frag and (node is None or not node.is_word):
+            return None
+    if not trailing:
+        return labeling
+    completions = reference_completions(root, trailing)
+    if not completions:
+        return None
+    return labeling + completions[0][1]
+
+
+def constrained_argmax(dist: dict[str, float], root: RefNode, word_chars) -> tuple[str, float]:
+    """Exhaustive words-mode reference: best final text by total mass.
+
+    Masses of labelings folding into the same final text are summed,
+    mirroring the decoder's documented completion-merge contract; ties
+    break lexicographically.
+    """
+    candidates: dict[str, float] = {}
+    for labeling in sorted(dist):
+        text = final_text(labeling, root, word_chars)
+        if text is None:
+            continue
+        candidates[text] = candidates.get(text, 0.0) + dist[labeling]
+    best_text, best_mass = min(candidates.items(), key=lambda kv: (-kv[1], kv[0]))
+    return best_text, best_mass
+
+
+def forecast_for_prefix(lm: NgramModel, root: RefNode, prefix: str, mode: ScoringMode) -> float:
     """Forecast by enumeration: the remainder probabilities of every
     completion summed, or of a seeded uniform sample of ``sample_size``
     of them rescaled by (total / sampled). 0 for a dead prefix."""
-    completions = tree.completions(prefix)
+    completions = reference_completions(root, prefix)
     n = len(completions)
     if n == 0:
         return 0.0
@@ -317,32 +349,84 @@ def forecast_for_prefix(
     return partial * (n / mode.sample_size)
 
 
-def best_completion(lm: NgramModel, tree: PrefixTree, prefix: str) -> tuple[str, float]:
+def best_completion(lm: NgramModel, root: RefNode, prefix: str) -> tuple[str, float]:
     """(word, remainder probability) of the most probable completion by
     enumeration, ties to the lexicographically smallest word."""
-    scored = [(lm.remainder_probability(prefix, r), w) for w, r in tree.completions(prefix)]
+    scored = [(lm.remainder_probability(prefix, r), w)
+              for w, r in reference_completions(root, prefix)]
     p, word = min(scored, key=lambda pw: (-pw[0], pw[1]))
     return word, p
 
 
+def candidate(root: RefNode, text: str, word_prefix: str, p_blank: float, p_nonblank: float,
+              p_text: float = 1.0) -> tuple:
+    """The decoder's candidate tuple of a hand-built hypothesis whose word
+    prefix is live; nothing is committed before it, so ``committed`` is
+    ``p_text``."""
+    node = trie_node(root, word_prefix)
+    assert node is not None, f"dead word prefix {word_prefix!r}"
+    return (-(p_text * (p_blank + p_nonblank)), text, p_blank, p_nonblank, p_text, p_text, node,
+            text[-1:], word_prefix)
+
+
+class Beam:
+    """One hypothesis of the reference search, as an object: the fields of a
+    candidate tuple by name, ``_node`` the trie node id of a non-empty
+    ``word_prefix``, ``_last_col`` the column of the last character."""
+
+    __slots__ = ("text", "word_prefix", "p_blank", "p_nonblank", "p_text", "_node",
+                 "_committed", "_last_col")
+
+    def __init__(self, text: str = "", word_prefix: str = "", p_blank: float = 0.0,
+                 p_nonblank: float = 0.0, p_text: float = 1.0) -> None:
+        self.text = text
+        self.word_prefix = word_prefix
+        self.p_blank = p_blank
+        self.p_nonblank = p_nonblank
+        self.p_text = p_text
+        self._node = None
+        self._committed = p_text
+        self._last_col = -1
+
+    @classmethod
+    def of(cls, cand: tuple) -> "Beam":
+        """The Beam of a candidate tuple."""
+        _, text, p_blank, p_nonblank, p_text, committed, node, _, word_prefix = cand
+        b = cls(text, word_prefix, p_blank, p_nonblank, p_text)
+        b._node, b._committed = node, committed
+        return b
+
+    @property
+    def score(self) -> float:
+        return self.p_text * (self.p_blank + self.p_nonblank)
+
+
+def entries(items) -> dict[str, tuple]:
+    """``{text: (word_prefix, p_blank, p_nonblank, p_text)}``, in order, of
+    candidate tuples or of Beams (a text -> Beam dict stands for its Beams):
+    the form in which the search and the reference search are compared."""
+    if isinstance(items, dict):
+        items = items.values()
+    out = {}
+    for x in items:
+        b = Beam.of(x) if isinstance(x, tuple) else x
+        out[b.text] = (b.word_prefix, b.p_blank, b.p_nonblank, b.p_text)
+    return out
+
+
 def _rank_key(b: Beam):
-    return (-(b.p_text * (b.p_blank + b.p_nonblank)), b.text)
-
-
-class _RefBeam(Beam):
-    """A Beam that also keeps the column of its last character."""
-
-    __slots__ = ("_last_col",)
+    return (-b.score, b.text)
 
 
 def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree,
-                          lm: NgramModel | None = None, width: int = 25,
+                          root: RefNode, lm: NgramModel | None = None, width: int = 25,
                           mode: ScoringMode = WORDS, scorer: TrieScorer | None = None):
     """The frame loop with one Beam per candidate, merged in a dict: yields
     the uncut beam set after each frame. ``frame_beams`` yields the top
     ``width`` of each of these sets but the last, and the last uncut. The
-    trie is read through its prefix queries only; a Beam's ``_node`` is the
-    node id of its word prefix, as the scorer takes it."""
+    dictionary is read from ``root``, the reference trie of ``tree``'s
+    words, whose node ids are the ones the scorer takes; ``tree`` gives
+    the non-word characters and the scorer."""
     scorer = scorer or TrieScorer(tree, lm, mode)
     col = alphabet.column_map()
     nonword_exts = [(c, col[c]) for c in sorted(tree.nonword_chars)]
@@ -356,9 +440,9 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
         """(character, column, child node id or None, is word character) per extension."""
         exts = exts_cache.get(prefix)
         if exts is None:
-            exts = [(c, col[c], tree._find(prefix + c), True)
-                    for c in sorted(tree.next_chars(prefix))]
-            if not prefix or tree.is_word(prefix):
+            node = ref_find(root, prefix)
+            exts = [(c, col[c], child.id, True) for c, child in sorted(node.children.items())]
+            if not prefix or node.is_word:
                 exts = exts + [(c, ci, None, False) for c, ci in nonword_exts]
             exts_cache[prefix] = exts
         return exts
@@ -374,15 +458,13 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
             prefix = ""
             if b.word_prefix and kind != "words":
                 committed = p_text = committed * scorer.word_probability(b._node, b.word_prefix)
-        nb = _RefBeam(b.text + c, prefix, 0.0, 0.0, p_text)
+        nb = Beam(b.text + c, prefix, 0.0, 0.0, p_text)
         nb._node = child
         nb._committed = committed
         nb._last_col = cidx
         return nb
 
-    init = _RefBeam()
-    init.p_blank, init._last_col = 1.0, -1
-    beams: dict[str, Beam] = {"": init}
+    beams: dict[str, Beam] = {"": Beam(p_blank=1.0)}
     for row in rows:
         ranked = sorted(beams.values(), key=_rank_key)[:width]
         nxt: dict[str, Beam] = {}
@@ -391,7 +473,7 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
             tot = b.p_blank + b.p_nonblank
             cur = nxt.get(b.text)
             if cur is None:
-                cur = _RefBeam(b.text, b.word_prefix, 0.0, 0.0, b.p_text)
+                cur = Beam(b.text, b.word_prefix, 0.0, 0.0, b.p_text)
                 cur._node = b._node
                 cur._committed = b._committed
                 cur._last_col = b._last_col
@@ -411,22 +493,21 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
         yield beams
 
 
-def reference_complete_beams(beams, tree: PrefixTree, lm: NgramModel | None = None,
-                             mode: ScoringMode = WORDS,
+def reference_complete_beams(beams, tree: PrefixTree, root: RefNode,
+                             lm: NgramModel | None = None, mode: ScoringMode = WORDS,
                              scorer: TrieScorer | None = None) -> dict[str, Beam]:
     """Completion with one Beam per input and per output, merged in a dict
-    in text order: the reference for ``complete_beams``."""
+    in text order: the reference for ``complete_beams``. ``beams`` are
+    Beams or a text -> Beam dict; each one's trie node is looked up in
+    ``root`` by its word prefix."""
     scorer = scorer or TrieScorer(tree, lm, mode)
-    items = beams.values() if isinstance(beams, Mapping) else beams
+    items = beams.values() if isinstance(beams, dict) else beams
     out: dict[str, Beam] = {}
     for b in sorted(items, key=lambda x: x.text):
         text, word_prefix, p_text = b.text, b.word_prefix, b.p_text
-        # A hand-built beam carries no node; the root's id, 0, is falsy.
-        node = b._node if b._node is not None else tree._find(word_prefix)
-        if word_prefix and node is None:
-            raise InputValidationError(f"beam prefix {word_prefix!r} is dead in the dictionary")
-        if word_prefix and not tree.is_word(word_prefix):
-            remainder, end, prob = scorer.complete(node, word_prefix)
+        node = ref_find(root, word_prefix)
+        if not node.is_word and word_prefix:
+            remainder, end, prob = scorer.complete(node.id, word_prefix)
             text += remainder
             word_prefix += remainder
             if mode.kind == "ngrams":
@@ -442,14 +523,15 @@ def reference_complete_beams(beams, tree: PrefixTree, lm: NgramModel | None = No
     return out
 
 
-def reference_decode(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree,
+def reference_decode(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree, root: RefNode,
                      lm: NgramModel | None = None, width: int = 25,
                      mode: ScoringMode = WORDS) -> tuple[str, float]:
     """``decode`` driven by ``reference_frame_beams`` and
     ``reference_complete_beams``, with a scorer of its own."""
     scorer = TrieScorer(tree, lm, mode)
     beams: dict[str, Beam] = {}
-    for beams in reference_frame_beams(m, alphabet, tree, lm, width, mode, scorer):
+    for beams in reference_frame_beams(m, alphabet, tree, root, lm, width, mode, scorer):
         pass
-    best = min(reference_complete_beams(beams, tree, lm, mode, scorer).values(), key=_rank_key)
+    best = min(reference_complete_beams(beams, tree, root, lm, mode, scorer).values(),
+               key=_rank_key)
     return best.text, best.score

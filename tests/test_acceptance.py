@@ -35,6 +35,7 @@ from _support import (
     labeling_distribution,
     naive_best_path,
     random_matrix,
+    reference_trie,
     trie_node,
 )
 
@@ -76,7 +77,7 @@ def test_criterion_1_decoder_oracle_equivalence():
             m = random_matrix(rng, t, alphabet.num_classes)
             got_label, got_p = decode(m, alphabet, tree, width=10_000)
             exp_label, exp_p = constrained_argmax(
-                labeling_distribution(m, alphabet), tree
+                labeling_distribution(m, alphabet), reference_trie(words), tree.word_chars
             )
             assert got_label == exp_label, f"instance {i}: {got_label!r} != {exp_label!r}"
             assert abs(got_p - exp_p) <= 1e-9, f"instance {i}"
@@ -117,7 +118,7 @@ def test_criterion_4_forecast_sampling_estimator():
         corpus = ["ab"] * 6 + ["ac"] * 3 + ["ad"] * 2 + ["ae", "af", "ag", "ah"]
         lm = NgramModel.train(corpus, order=2)
         tree = PrefixTree(sorted(set(corpus)), set("abcdefgh"))
-        node = trie_node(tree, "a")
+        node = trie_node(reference_trie(corpus), "a")
 
         def forecast(mode):  # the value the decoder reads for prefix "a"
             return TrieScorer(tree, lm, mode).forecast(node, "a")

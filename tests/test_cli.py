@@ -239,7 +239,7 @@ class TestDecodeCommand:
 
     def test_tiny_matrix_matches_library_oracle(self, tmp_path, capsys):
         from wordbeam import PrefixTree, decode
-        from _support import constrained_argmax, labeling_distribution
+        from _support import constrained_argmax, labeling_distribution, reference_trie
 
         m = PosteriorMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         path = tmp_path / "tiny.mat"
@@ -254,7 +254,7 @@ class TestDecodeCommand:
         _, label, likelihood = capsys.readouterr().out.strip().split("\t")
         tree = PrefixTree(["ab"], {"a", "b"})
         exp_label, exp_p = constrained_argmax(
-            labeling_distribution(m, Alphabet("ab")), tree
+            labeling_distribution(m, Alphabet("ab")), reference_trie(["ab"]), tree.word_chars
         )
         assert label == exp_label
         assert float(likelihood) == pytest.approx(exp_p, abs=1e-12)
@@ -336,6 +336,20 @@ class TestEnsembleCommand:
         c = self._write(tmp_path, "c.tsv", [("s0", "cow", 0.3)])
         main(["ensemble", a, b, c])
         assert capsys.readouterr().out.strip() == "s0\tdog\t1"
+
+    @pytest.mark.parametrize("inputs", ["tsv", "directories"])
+    def test_no_samples_print_nothing(self, tmp_path, capsys, inputs):
+        # One line per sample: members without samples give no output at all.
+        if inputs == "tsv":
+            args = [self._write(tmp_path, name, []) for name in ("a.tsv", "b.tsv")]
+        else:
+            (tmp_path / "dict.txt").write_text("ab\n", encoding="utf-8")
+            args = ["--dict", str(tmp_path / "dict.txt")]
+            for d in ("d1", "d2"):
+                (tmp_path / d).mkdir()
+                args.append(str(tmp_path / d))
+        assert main(["ensemble", *args]) == EXIT_OK
+        assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize("likelihood", ["nan", "-1"])
     def test_bad_likelihood_names_line(self, tmp_path, capsys, likelihood):

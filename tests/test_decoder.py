@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from wordbeam import (
     Alphabet,
-    Beam,
     ConfigurationError,
     InputValidationError,
     NGRAMS,
@@ -19,19 +18,23 @@ from wordbeam import (
     RecognizerSim,
     WORDS,
     best_path_decode,
-    complete_beams,
     decode,
     forecast_sample,
-    frame_beams,
 )
+from wordbeam.decoder import complete_beams, frame_beams
 
 from _support import (
+    Beam,
+    candidate,
     constrained_argmax,
+    entries,
     labeling_distribution,
     random_matrix,
     reference_complete_beams,
     reference_decode,
     reference_frame_beams,
+    reference_trie,
+    trie_node,
 )
 
 WC = set("abcdefgh")
@@ -43,7 +46,8 @@ class TestDecodeBasics:
         tree = PrefixTree(["ab"], {"a", "b"})
         m = PosteriorMatrix([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
         label, p = decode(m, alphabet, tree, width=10_000)
-        exp_label, exp_p = constrained_argmax(labeling_distribution(m, alphabet), tree)
+        exp_label, exp_p = constrained_argmax(labeling_distribution(m, alphabet),
+                                              reference_trie(["ab"]), tree.word_chars)
         assert label == exp_label == "ab"
         assert p == pytest.approx(exp_p, abs=1e-12)
 
@@ -61,10 +65,9 @@ class TestDecodeBasics:
         beams = None
         for beams in frame_beams(m, alphabet, tree, width=100):
             pass
-        a = beams["a"]
-        assert a.p_blank == pytest.approx(0.25)
-        assert a.p_nonblank == pytest.approx(0.5)
-        assert beams[""].p_total == pytest.approx(0.25)
+        last = entries(beams)
+        assert last["a"][1:3] == pytest.approx((0.25, 0.5))
+        assert sum(last[""][1:3]) == pytest.approx(0.25)
         label, p = decode(m, alphabet, tree, width=100)
         assert label == "a"
         assert p == pytest.approx(0.75)
@@ -118,7 +121,8 @@ class TestOracleEquivalence:
             t = int(rng.integers(2, 7))
             m = random_matrix(rng, t, alphabet.num_classes)
             label, p = decode(m, alphabet, tree, width=10_000)
-            exp_label, exp_p = constrained_argmax(labeling_distribution(m, alphabet), tree)
+            exp_label, exp_p = constrained_argmax(labeling_distribution(m, alphabet),
+                                                  reference_trie(words), tree.word_chars)
             assert label == exp_label, f"instance {i}"
             assert p == pytest.approx(exp_p, abs=1e-9)
 
@@ -132,7 +136,7 @@ class TestOracleEquivalence:
             m = random_matrix(rng, int(rng.integers(2, 6)), 5)
             label, _ = decode(m, alphabet, tree, width=50)
             for fragment in label.split("."):
-                assert fragment == "" or tree.is_word(fragment)
+                assert fragment == "" or fragment in words
 
     def test_monotone_width(self):
         rng = np.random.default_rng(5)
@@ -157,9 +161,7 @@ class TestOracleEquivalence:
         for _ in range(10):
             m = random_matrix(rng, int(rng.integers(1, 8)), 3)
             for beams in frame_beams(m, alphabet, tree, width=10**9):
-                assert sum(b.p_total for b in beams.values()) == pytest.approx(
-                    1.0, abs=1e-9
-                )
+                assert sum(c[2] + c[3] for c in beams) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestScoringModes:
@@ -220,43 +222,37 @@ class TestScoringModes:
 
 
 class TestCompleteBeams:
+    @staticmethod
+    def _complete(words, hand, lm=None, mode=WORDS, nonword=()):
+        """Complete hand-built ``(text, word_prefix, p_blank, p_nonblank)``
+        hypotheses over ``words``; the entries of the result."""
+        tree = PrefixTree(words, WC, nonword)
+        root = reference_trie(words)
+        return entries(complete_beams([candidate(root, *h) for h in hand], tree, lm, mode))
+
     def test_unique_completion(self):
-        tree = PrefixTree(["abc"], WC)
-        out = complete_beams([Beam("ab", "ab", 0.3, 0.2)], tree)
-        assert list(out) == ["abc"]
-        assert out["abc"].p_blank == 0.3
-        assert out["abc"].p_nonblank == 0.2
-        assert out["abc"].word_prefix == "abc"
+        out = self._complete(["abc"], [("ab", "ab", 0.3, 0.2)])
+        assert out == {"abc": ("abc", 0.3, 0.2, 1.0)}
 
     def test_complete_word_untouched(self):
-        tree = PrefixTree(["ab", "abc"], WC)
-        out = complete_beams([Beam("ab", "ab", 0.1, 0.1)], tree)
-        assert list(out) == ["ab"]
+        assert list(self._complete(["ab", "abc"], [("ab", "ab", 0.1, 0.1)])) == ["ab"]
 
     def test_nonword_state_untouched(self):
-        tree = PrefixTree(["ab"], WC, {"|"})
-        out = complete_beams([Beam("ab|", "", 0.1, 0.1)], tree)
-        assert list(out) == ["ab|"]
+        assert list(self._complete(["ab"], [("ab|", "", 0.1, 0.1)], nonword={"|"})) == ["ab|"]
 
     def test_lm_ranked_completion(self):
-        tree = PrefixTree(["abc", "abd"], WC)
         lm = NgramModel.train(["abc", "abc", "abd"], order=2)
-        out = complete_beams([Beam("ab", "ab", 0.2, 0.2)], tree, lm, NGRAMS)
+        out = self._complete(["abc", "abd"], [("ab", "ab", 0.2, 0.2)], lm, NGRAMS)
         assert list(out) == ["abc"]  # hand-checked: (3/8)(3/7) > (2/8)(2/6)
-        assert out["abc"].p_text == pytest.approx(lm.word_probability("abc"))
+        assert out["abc"][3] == pytest.approx(lm.word_probability("abc"))
 
     def test_lexicographic_completion_in_words_mode(self):
-        tree = PrefixTree(["abd", "abc"], WC)
-        out = complete_beams([Beam("ab", "ab", 0.2, 0.2)], tree)
-        assert list(out) == ["abc"]
+        assert list(self._complete(["abd", "abc"], [("ab", "ab", 0.2, 0.2)])) == ["abc"]
 
     def test_collision_sums_mass(self):
-        tree = PrefixTree(["abc"], WC)
-        out = complete_beams(
-            [Beam("ab", "ab", 0.1, 0.2), Beam("abc", "abc", 0.05, 0.15)], tree
-        )
+        out = self._complete(["abc"], [("ab", "ab", 0.1, 0.2), ("abc", "abc", 0.05, 0.15)])
         assert list(out) == ["abc"]
-        assert out["abc"].p_total == pytest.approx(0.5)
+        assert sum(out["abc"][1:3]) == pytest.approx(0.5)
 
 
 class TestSharedScorer:
@@ -271,7 +267,7 @@ class TestSharedScorer:
         tree = PrefixTree(words, {"a", "b", "c"}, {"|"})
         lm = NgramModel.train(words, order=2)
         matrices = [random_matrix(rng, int(rng.integers(3, 9)), 5) for _ in range(6)]
-        return alphabet, tree, lm, matrices
+        return alphabet, words, tree, lm, matrices
 
     @staticmethod
     def _count_conditionals(monkeypatch) -> list:
@@ -286,15 +282,15 @@ class TestSharedScorer:
         return calls
 
     def test_tables_filled_by_earlier_decodes_change_nothing(self):
-        alphabet, tree, lm, matrices = self._setup()
+        alphabet, words, tree, lm, matrices = self._setup()
         for mode in self.MODES:
             for m in matrices:
                 shared = decode(m, alphabet, tree, lm, 8, mode)
-                fresh = PrefixTree(tree.words(), tree.word_chars, tree.nonword_chars)
+                fresh = PrefixTree(words, tree.word_chars, tree.nonword_chars)
                 assert shared == decode(m, alphabet, fresh, lm, 8, mode)
 
     def test_second_decode_reads_only_tables(self, monkeypatch):
-        alphabet, tree, lm, matrices = self._setup()
+        alphabet, words, tree, lm, matrices = self._setup()
         calls = self._count_conditionals(monkeypatch)
         for mode in self.MODES[1:]:
             first = decode(matrices[0], alphabet, tree, lm, 8, mode)
@@ -304,7 +300,7 @@ class TestSharedScorer:
             assert calls == [], mode
 
     def test_equal_modes_share_one_set_of_tables(self, monkeypatch):
-        alphabet, tree, lm, matrices = self._setup()
+        alphabet, words, tree, lm, matrices = self._setup()
         decode(matrices[0], alphabet, tree, lm, 8, forecast_sample(3, seed=4))
         calls = self._count_conditionals(monkeypatch)
         decode(matrices[0], alphabet, tree, lm, 8, forecast_sample(3, seed=4))
@@ -320,27 +316,23 @@ class TestSharedScorer:
             beams = None
             for beams in frame_beams(m, alphabet, tree, lm, 50, mode):
                 pass
-            assert beams["ab"].p_text != 1.0  # ranked by the forecast of "ab"
-            out = complete_beams([beams["ab"]], tree, lm, mode)
+            ab = next(c for c in beams if c[1] == "ab")
+            assert ab[4] != 1.0  # ranked by the forecast of "ab"
+            out = entries(complete_beams([ab], tree, lm, mode))
             # nothing committed before "ab", so the completion scores its remainder
-            assert out["abc"].p_text == pytest.approx(lm.remainder_probability("ab", "c"))
+            assert out["abc"][3] == pytest.approx(lm.remainder_probability("ab", "c"))
 
 
 WORD_CHARS = "abcdefghijkl"
 
 
-def _entries(beams) -> dict:
-    return {k: (b.word_prefix, b.p_blank, b.p_nonblank, b.p_text) for k, b in beams.items()}
-
-
 def _top(beams, width: int) -> dict:
     """The reference set cut to ``width`` by (-score, text), as the search cuts it."""
-    kept = sorted(beams.values(), key=lambda b: (-b.score, b.text))[:width]
-    return _entries({b.text: b for b in kept})
+    return entries(sorted(beams.values(), key=lambda b: (-b.score, b.text))[:width])
 
 
 class TestFlatFrameLoop:
-    """The flat-candidate frame loop against the Beam-per-candidate reference."""
+    """The candidate-tuple frame loop against the Beam-per-candidate reference."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -376,39 +368,22 @@ class TestFlatFrameLoop:
             m = PosteriorMatrix(arr)
         else:
             m = random_matrix(rng, t, c)
+        root = reference_trie(words)
         frames = list(frame_beams(m, alphabet, tree, lm, width, mode))
-        reference = list(reference_frame_beams(m, alphabet, tree, lm, width, mode))
+        reference = list(reference_frame_beams(m, alphabet, tree, root, lm, width, mode))
         assert len(frames) == len(reference) == t
         # Every frame but the last yields the reference's top ``width``; the
         # last one yields the reference's uncut set, which completion re-ranks.
         for got, want in zip(frames[:-1], reference[:-1]):
             assert len(got) <= width
-            assert _entries(got) == _top(want, width)
-        assert _entries(frames[-1]) == _entries(reference[-1])
+            assert entries(got) == _top(want, width)
+        assert entries(frames[-1]) == entries(reference[-1])
         assert decode(m, alphabet, tree, lm, width, mode) == reference_decode(
-            m, alphabet, tree, lm, width, mode)
-
-    def test_frame_set_is_a_read_only_mapping(self):
-        alphabet = Alphabet("ab")
-        tree = PrefixTree(["ab", "b"], {"a", "b"})
-        m = PosteriorMatrix([[0.5, 0.3, 0.2], [0.2, 0.5, 0.3]])
-        first = next(iter(frame_beams(m, alphabet, tree)))
-        assert len(first) == 3
-        with pytest.raises(TypeError):
-            first["x"] = Beam("x")
-        assert sorted(first) == sorted(first.keys()) == ["", "a", "b"]
-        # Sizes and texts build no Beam, so a caller that only counts or
-        # compares texts (an instrumented run's completion counter) builds none.
-        assert first._beams is None
-        assert first["a"] is first["a"]
-        completed = complete_beams(first, tree)
-        assert len(completed) == 3 and sorted(completed.keys()) == ["", "ab", "b"]
-        assert completed._beams is None
-        assert completed["ab"] is completed["ab"]
+            m, alphabet, tree, root, lm, width, mode)
 
 
 class TestCompletionEqualsReference:
-    """``complete_beams`` on candidate tuples against the Beam-per-input reference."""
+    """``complete_beams`` against the Beam-per-input reference."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
@@ -424,30 +399,23 @@ class TestCompletionEqualsReference:
     def test_completion_equals_reference(self, words, mode, t, width, seed, hand):
         alphabet = Alphabet("abc", separator="|")
         tree = PrefixTree(words, set("abc"), {"|"})
+        root = reference_trie(words)
         lm = NgramModel.train(words, order=2)
         m = random_matrix(np.random.default_rng(seed), t, alphabet.num_classes)
         last = None
         for last in frame_beams(m, alphabet, tree, lm, width, mode):
             pass
+        # Hand-built candidates: any live prefix after a non-word head, texts repeating.
+        prefixes = sorted({w[:k] for w in words for k in range(len(w) + 1)})
+        hand_built = [candidate(root, head + prefixes[i % len(prefixes)],
+                                prefixes[i % len(prefixes)], pb, pnb, p_text)
+                      for i, head, pb, pnb, p_text in hand]
         # A live prefix often completes to another candidate's text, so the
         # masses of the two are merged.
-        got = complete_beams(last, tree, lm, mode)
-        want = reference_complete_beams(list(last.values()), tree, lm, mode)
-        assert list(got) == list(want)
-        assert _entries(got) == _entries(want)
-        # Hand-built beams: any live prefix after a non-word head, texts repeating.
-        prefixes = sorted({w[:k] for w in words for k in range(len(w) + 1)})
-        beams = [Beam(head + prefixes[i % len(prefixes)], prefixes[i % len(prefixes)], pb, pnb,
-                      p_text) for i, head, pb, pnb, p_text in hand]
-        got = complete_beams(beams, tree, lm, mode)
-        want = reference_complete_beams(beams, tree, lm, mode)
-        assert list(got) == list(want)
-        assert _entries(got) == _entries(want)
-
-    def test_dead_prefix_is_rejected(self):
-        tree = PrefixTree(["abc"], WC)
-        with pytest.raises(InputValidationError, match="dead"):
-            complete_beams([Beam("ax", "ax", 0.1, 0.1)], tree)
+        for cands in (last, hand_built):
+            got = complete_beams(cands, tree, lm, mode)
+            want = reference_complete_beams([Beam.of(c) for c in cands], tree, root, lm, mode)
+            assert list(entries(got).items()) == list(entries(want).items())
 
 
 class TestSurvivorSkip:
@@ -466,9 +434,10 @@ class TestSurvivorSkip:
                              [0.1, 0.1, 0.4, 0.4]])
         got = decode(m, alphabet, tree, lm, 2, NGRAMS)
         filled = tree._scorers[(lm, NGRAMS)]._word
-        assert tree._find("a") in filled
-        assert tree._find("b") not in filled
-        assert got == reference_decode(m, alphabet, tree, lm, 2, NGRAMS)
+        root = reference_trie(["a", "ab", "b"])
+        assert trie_node(root, "a") in filled
+        assert trie_node(root, "b") not in filled
+        assert got == reference_decode(m, alphabet, tree, root, lm, 2, NGRAMS)
 
 
 class TestRealisticSize:
@@ -485,7 +454,8 @@ class TestRealisticSize:
         lm = NgramModel.train(words, order=2)
         m = RecognizerSim(alphabet, frames_per_char=3, noise_level=0.3, seed=5).emit(line)
         assert m.num_frames >= 400 and len(words) >= 5000
+        root = reference_trie(words)
         for mode in (WORDS, NGRAMS):
             got = decode(m, alphabet, tree, lm, 25, mode)
-            assert got == reference_decode(m, alphabet, tree, lm, 25, mode), mode
+            assert got == reference_decode(m, alphabet, tree, root, lm, 25, mode), mode
             assert got[1] > 0.0  # no underflow, so the cut was live

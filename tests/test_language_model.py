@@ -17,7 +17,14 @@ from wordbeam import (
     forecast_sample,
 )
 
-from _support import best_completion, forecast_for_prefix, reference_ngram_counts, trie_node
+from _support import (
+    best_completion,
+    forecast_for_prefix,
+    reference_completions,
+    reference_ngram_counts,
+    reference_trie,
+    trie_node,
+)
 
 WC = set("abcdefgh")
 
@@ -97,69 +104,70 @@ class TestForecast:
 
     def _fixture(self):
         lm = NgramModel.train(["abc", "abc", "abd"], order=2)
-        tree = PrefixTree(["abc", "abd"], WC)
-        return lm, tree
+        words = ["abc", "abd"]
+        return lm, PrefixTree(words, WC), reference_trie(words)
 
     @staticmethod
-    def _forecast(lm, tree, prefix, mode):
-        return TrieScorer(tree, lm, mode).forecast(trie_node(tree, prefix), prefix)
+    def _forecast(lm, tree, root, prefix, mode):
+        return TrieScorer(tree, lm, mode).forecast(trie_node(root, prefix), prefix)
 
     def test_hand_computed_remainders(self):
-        lm, tree = self._fixture()
+        lm, tree, root = self._fixture()
         # vocab {a,b,c,d} plus boundary: V = 5
         assert lm.remainder_probability("ab", "c") == pytest.approx((3 / 8) * (3 / 7))
         assert lm.remainder_probability("ab", "d") == pytest.approx((2 / 8) * (2 / 6))
-        remainder, _, p = TrieScorer(tree, lm, NGRAMS).complete(trie_node(tree, "ab"), "ab")
+        remainder, _, p = TrieScorer(tree, lm, NGRAMS).complete(trie_node(root, "ab"), "ab")
         assert remainder == "c"
         assert p == pytest.approx((3 / 8) * (3 / 7))
 
     def test_forecast_is_sum_over_completions(self):
-        lm, tree = self._fixture()
+        lm, tree, root = self._fixture()
         expected = sum(
-            lm.remainder_probability("ab", r) for _, r in tree.completions("ab")
+            lm.remainder_probability("ab", r) for _, r in reference_completions(root, "ab")
         )
-        assert self._forecast(lm, tree, "ab", NGRAMS_FORECAST) == pytest.approx(expected)
-        assert forecast_for_prefix(lm, tree, "ab", NGRAMS_FORECAST) == pytest.approx(expected)
+        assert self._forecast(lm, tree, root, "ab", NGRAMS_FORECAST) == pytest.approx(expected)
+        assert forecast_for_prefix(lm, root, "ab", NGRAMS_FORECAST) == pytest.approx(expected)
 
     def test_single_completion(self):
         lm = NgramModel.train(["abc"], order=2)
         tree = PrefixTree(["abc"], WC)
-        assert self._forecast(lm, tree, "ab", NGRAMS_FORECAST) == pytest.approx(
+        root = reference_trie(["abc"])
+        assert self._forecast(lm, tree, root, "ab", NGRAMS_FORECAST) == pytest.approx(
             lm.remainder_probability("ab", "c")
         )
 
     def test_dead_prefix_scores_zero(self):
-        lm, tree = self._fixture()
+        lm, tree, root = self._fixture()
         # The search only holds live prefixes: a dead one has no trie node.
-        assert trie_node(tree, "zz") is None
-        assert forecast_for_prefix(lm, tree, "zz", NGRAMS_FORECAST) == 0.0
+        assert trie_node(root, "zz") is None
+        assert forecast_for_prefix(lm, root, "zz", NGRAMS_FORECAST) == 0.0
 
     def test_sample_equals_exact_when_large_enough(self):
-        lm, tree = self._fixture()
-        exact = self._forecast(lm, tree, "ab", NGRAMS_FORECAST)
-        sampled = self._forecast(lm, tree, "ab", forecast_sample(sample_size=2, seed=3))
+        lm, tree, root = self._fixture()
+        exact = self._forecast(lm, tree, root, "ab", NGRAMS_FORECAST)
+        sampled = self._forecast(lm, tree, root, "ab", forecast_sample(sample_size=2, seed=3))
         assert sampled == exact  # 2 completions, sample of 2: no sampling happens
 
     def test_sampling_deterministic_per_seed(self):
         corpus = [f"a{c}" for c in "bcdefgh"]
         lm = NgramModel.train(corpus, order=2)
-        tree = PrefixTree(corpus, WC)
+        tree, root = PrefixTree(corpus, WC), reference_trie(corpus)
         mode = forecast_sample(sample_size=3, seed=12)
         scorer = TrieScorer(tree, lm, mode)
-        first = scorer.forecast(trie_node(tree, "a"), "a")
-        assert scorer.forecast(trie_node(tree, "a"), "a") == first
-        assert self._forecast(lm, tree, "a", mode) == first  # a fresh scorer agrees
-        assert first == forecast_for_prefix(lm, tree, "a", mode)  # same draw and arithmetic
+        first = scorer.forecast(trie_node(root, "a"), "a")
+        assert scorer.forecast(trie_node(root, "a"), "a") == first
+        assert self._forecast(lm, tree, root, "a", mode) == first  # a fresh scorer agrees
+        assert first == forecast_for_prefix(lm, root, "a", mode)  # same draw and arithmetic
 
     def test_sampling_estimator_unbiased(self):
         # skewed counts so the per-completion probabilities differ and the
         # subsample estimate really varies
         corpus = ["ab"] * 5 + ["ac"] * 3 + ["ad"] * 2 + ["ae", "af", "ag", "ah"]
         lm = NgramModel.train(corpus, order=2)
-        tree = PrefixTree(sorted(set(corpus)), WC)
-        exact = self._forecast(lm, tree, "a", NGRAMS_FORECAST)
+        tree, root = PrefixTree(sorted(set(corpus)), WC), reference_trie(corpus)
+        exact = self._forecast(lm, tree, root, "a", NGRAMS_FORECAST)
         draws = [
-            self._forecast(lm, tree, "a", forecast_sample(sample_size=3, seed=s))
+            self._forecast(lm, tree, root, "a", forecast_sample(sample_size=3, seed=s))
             for s in range(2000)
         ]
         mean = sum(draws) / len(draws)
@@ -190,7 +198,7 @@ class TestTrieScorerTables:
         data=st.data(),
     )
     def test_tables_match_enumeration(self, words, extra, order, smoothing_k, data):
-        tree = PrefixTree(words, set("abc"))
+        tree, root = PrefixTree(words, set("abc")), reference_trie(words)
         lm = NgramModel.train(words + extra, order=order, smoothing_k=smoothing_k)
         sample_mode = forecast_sample(sample_size=2, seed=order)
         exact, sampled = TrieScorer(tree, lm, NGRAMS_FORECAST), TrieScorer(tree, lm, sample_mode)
@@ -198,38 +206,38 @@ class TestTrieScorerTables:
         # Query the nodes in any order: each entry must not depend on which
         # node filled the tables first.
         for prefix in data.draw(st.permutations(prefixes)):
-            node = trie_node(tree, prefix)
-            if tree.is_word(prefix):
+            node = trie_node(root, prefix)
+            if prefix in words:
                 assert exact.word_probability(node, prefix) == lm.word_probability(prefix)
             assert exact.forecast(node, prefix) == pytest.approx(
-                forecast_for_prefix(lm, tree, prefix, NGRAMS_FORECAST), rel=1e-12)
-            want = forecast_for_prefix(lm, tree, prefix, sample_mode)
-            if len(tree.completions(prefix)) > sample_mode.sample_size:
+                forecast_for_prefix(lm, root, prefix, NGRAMS_FORECAST), rel=1e-12)
+            want = forecast_for_prefix(lm, root, prefix, sample_mode)
+            if len(reference_completions(root, prefix)) > sample_mode.sample_size:
                 assert sampled.forecast(node, prefix) == want  # same draw, same sum order
             else:  # the sample covers every completion: the exact table value
                 assert sampled.forecast(node, prefix) == pytest.approx(want, rel=1e-12)
             remainder, end, p = exact.complete(node, prefix)
-            assert end == trie_node(tree, prefix + remainder) and tree.is_word(prefix + remainder)
+            assert end == trie_node(root, prefix + remainder) and prefix + remainder in words
             # Bit-identical, ties included: the completion's products run in
             # the order of remainder_probability's.
-            assert (prefix + remainder, p) == best_completion(lm, tree, prefix)
+            assert (prefix + remainder, p) == best_completion(lm, root, prefix)
 
     def test_sampled_forecast_is_the_enumerated_draw(self):
         # Samples of three or more terms: the sum runs in draw order.
         rng = random.Random(5)
         words = sorted({"".join(rng.choice("abcd") for _ in range(rng.randint(1, 6)))
                         for _ in range(300)})
-        tree = PrefixTree(words, set("abcd"))
+        tree, root = PrefixTree(words, set("abcd")), reference_trie(words)
         lm = NgramModel.train(words, order=2)
         for k in (3, 20):
             mode = forecast_sample(sample_size=k, seed=k)
             scorer = TrieScorer(tree, lm, mode)
             sampled = 0
             for prefix in sorted({w[:i] for w in words for i in range(len(w))}):
-                if len(tree.completions(prefix)) > k:
+                if len(reference_completions(root, prefix)) > k:
                     sampled += 1
-                    assert scorer.forecast(trie_node(tree, prefix), prefix) == (
-                        forecast_for_prefix(lm, tree, prefix, mode))
+                    assert scorer.forecast(trie_node(root, prefix), prefix) == (
+                        forecast_for_prefix(lm, root, prefix, mode))
             assert sampled >= 5
 
     def test_completions_equal_in_exact_arithmetic(self):
@@ -237,12 +245,12 @@ class TestTrieScorerTables:
         # after P(b): both 0.175 in exact arithmetic, but the rounded
         # products differ, so a different product order picks another word.
         words = ["a", "c", "ba", "bc", "bcba", "bcba"]
-        tree = PrefixTree(words, set("abc"))
+        tree, root = PrefixTree(words, set("abc")), reference_trie(words)
         lm = NgramModel.train(words, order=3, smoothing_k=0.5)
         scorer = TrieScorer(tree, lm, NGRAMS)
         for prefix in ("", "b"):
-            remainder, _, p = scorer.complete(trie_node(tree, prefix), prefix)
-            assert (prefix + remainder, p) == best_completion(lm, tree, prefix)
+            remainder, _, p = scorer.complete(trie_node(root, prefix), prefix)
+            assert (prefix + remainder, p) == best_completion(lm, root, prefix)
 
 
 class TestScoringMode:

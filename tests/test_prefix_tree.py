@@ -1,4 +1,5 @@
-"""Trie construction, prefix queries and the linear-scan reference."""
+"""Trie construction: the flat arrays against literal layouts, a linear scan and
+the reference trie."""
 
 import gc
 import random
@@ -9,9 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 from wordbeam import InputValidationError, PrefixTree, TrieScorer
 
-from _support import reference_level_order, reference_trie, trie_node
+from _support import reference_completions, reference_level_order, reference_trie, trie_node
 
 WC = set("abcdefgh")
+
+
+def layout(t: PrefixTree) -> tuple[list[str], list[int], list[int]]:
+    """``(kids, first, is_word)`` of a tree as plain lists."""
+    return t._kids, list(t._first), list(t._is_word)
 
 
 def scan_next_chars(words, prefix):
@@ -23,39 +29,28 @@ def scan_completions(words, prefix):
 
 
 def test_branching():
-    t = PrefixTree(["ab", "ac"], WC)
-    assert t.next_chars("a") == {"b", "c"}
+    # root -a-> 1, whose children b and c are nodes 2 and 3
+    assert layout(PrefixTree(["ab", "ac"], WC)) == (["a", "bc", "", ""], [1, 2, 4, 4],
+                                                   [0, 0, 1, 1])
 
 
 def test_empty_dictionary():
-    t = PrefixTree([], WC)
-    assert t.next_chars("") == set()
-    assert len(t) == 0
+    assert layout(PrefixTree([], WC)) == ([""], [1], [0])
 
 
 def test_dead_prefix():
-    t = PrefixTree(["ab"], WC)
-    assert t.next_chars("x") == set()
-
-
-def test_completions_include_remainders():
-    t = PrefixTree(["ab", "abc"], WC)
-    assert t.completions("ab") == [("ab", ""), ("abc", "c")]
-    assert t.completions("") == [("ab", "ab"), ("abc", "abc")]  # empty prefix: all words
+    # "a" is the root's only child and "b" the only one of "a": "x" and "ax" are dead
+    assert PrefixTree(["ab"], WC)._kids[:2] == ["a", "b"]
 
 
 def test_membership():
-    t = PrefixTree(["ab"], WC)
-    assert t.is_word("ab")
-    assert "ab" in t
-    assert not t.is_word("a")
-    assert "x" not in t
+    # "ab" ends a word at node 2, its prefix "a" (node 1) does not
+    t = PrefixTree(["ab", "abc"], WC)
+    assert layout(t) == (["a", "b", "c", ""], [1, 2, 3, 4], [0, 0, 1, 1])
 
 
 def test_deduplication():
-    t = PrefixTree(["ab", "ab", "ab"], WC)
-    assert len(t) == 1
-    assert t.words() == ["ab"]
+    assert layout(PrefixTree(["ab", "ab", "ab"], WC)) == layout(PrefixTree(["ab"], WC))
 
 
 def test_rejects_empty_word():
@@ -102,17 +97,16 @@ def test_random_dictionary_matches_scan():
         "".join(rng.choice("abcd") for _ in range(rng.randint(1, 5))) for _ in range(50)
     ]
     t = PrefixTree(words, WC)
+    root = reference_trie(words)
     prefixes = {""} | {w[:k] for w in words for k in range(1, len(w) + 1)} | {"zz", "ad"}
     for prefix in prefixes:
-        assert t.next_chars(prefix) == scan_next_chars(set(words), prefix)
-        assert t.completions(prefix) == scan_completions(words, prefix)
-        node = trie_node(t, prefix)
-        if node is not None:
-            assert t._kids[node] == "".join(sorted(t._kids[node]))
-    for w in words:
-        assert t.is_word(w)
-    for probe in ("", "zzz", "abcde", "da"):
-        assert t.is_word(probe) == (probe in set(words))
+        assert reference_completions(root, prefix) == scan_completions(words, prefix)
+        node = trie_node(root, prefix)
+        if node is None:
+            assert not scan_completions(words, prefix)
+            continue
+        assert t._kids[node] == "".join(sorted(scan_next_chars(set(words), prefix)))
+        assert t._is_word[node] == (prefix in set(words))
 
 
 def test_first_completion_matches_full_enumeration():
@@ -122,25 +116,17 @@ def test_first_completion_matches_full_enumeration():
     t = PrefixTree(words, WC)
     scorer = TrieScorer(t)
     prefixes = {""} | {w[:k] for w in words for k in range(1, len(w) + 1)} | {"zz"}
+    root = reference_trie(words)
     for prefix in prefixes:
-        completions = t.completions(prefix)
-        node = trie_node(t, prefix)
+        completions = scan_completions(words, prefix)
+        node = trie_node(root, prefix)
         if node is None:
             assert completions == []
             continue
         remainder, end, p = scorer.complete(node, prefix)
         assert (prefix + remainder, remainder) == completions[0]
-        assert end == trie_node(t, prefix + remainder) and t.is_word(prefix + remainder)
+        assert end == trie_node(root, prefix + remainder) and t._is_word[end]
         assert p == 1.0
-
-
-def test_next_chars_consistent_with_completions():
-    rng = random.Random(5)
-    words = ["".join(rng.choice("abc") for _ in range(rng.randint(1, 4))) for _ in range(30)]
-    t = PrefixTree(words, WC)
-    for prefix in {w[:k] for w in words for k in range(len(w) + 1)}:
-        from_completions = {r[0] for _, r in t.completions(prefix) if r}
-        assert t.next_chars(prefix) == from_completions
 
 
 # Code points from three UTF-8 lengths and one astral character, so that
@@ -158,33 +144,18 @@ def test_flat_layout_is_the_level_order_of_the_reference_trie(words, probes):
     assert t._kids == kids
     assert list(t._first) == first
     assert list(t._is_word) == is_word
-    # Prefix queries agree with a walk of the reference trie.
+    # A walk of the flat arrays reaches, for every live prefix, the node
+    # whose id the reference trie gives it, and no node for a dead one.
     for prefix in {w[:i] for w in words for i in range(len(w) + 1)} | set(probes):
-        ref, ref_id = root, 0
+        node = 0
         for ch in prefix:
-            if ch not in ref.children:
-                ref = None
+            k = t._kids[node].find(ch)
+            if k < 0:
+                node = None
                 break
-            ref_id = first[ref_id] + kids[ref_id].index(ch)
-            ref = ref.children[ch]
-        if ref is None:
-            assert t._find(prefix) is None
-            assert t.next_chars(prefix) == set()
-            assert t.completions(prefix) == []
-            continue
-        assert t._find(prefix) == ref_id
-        assert t.next_chars(prefix) == set(ref.children)
-        assert t.is_word(prefix) == ref.is_word
-        out = []
-        stack = [(ref, "")]
-        while stack:
-            node, suffix = stack.pop()
-            if node.is_word:
-                out.append((prefix + suffix, suffix))
-            stack.extend((node.children[c], suffix + c) for c in sorted(node.children, reverse=True))
-        assert t.completions(prefix) == out
-    assert len(t) == len(set(words))
-    assert t.words() == sorted(set(words))
+            node = t._first[node] + k
+        assert node == trie_node(root, prefix)
+    assert sum(t._is_word) == len(set(words))
 
 
 def test_large_trie_keeps_little_memory_and_few_collector_objects():
@@ -206,4 +177,4 @@ def test_large_trie_keeps_little_memory_and_few_collector_objects():
     gc.collect()
     assert len(gc.get_objects()) - tracked < 100
     assert retained < 15 * 2**20
-    assert len(tree) == len(set(words))
+    assert sum(tree._is_word) == len(set(words))
