@@ -179,11 +179,13 @@ def _mode_from_args(args) -> ScoringMode:
 
 
 def _alphabet_for(symbols: str, sep: str | None, path: str) -> Alphabet:
-    if sep is None:
-        return Alphabet(symbols)
-    if not symbols.endswith(sep):
-        raise DataFormatError(f"expected separator {sep!r} as the last alphabet symbol", path=path)
-    return Alphabet(symbols[:-1], sep)
+    """The alphabet of a matrix file's alphabet line; its faults name the file and line."""
+    try:
+        if sep is not None and not symbols.endswith(sep):
+            raise InputValidationError(f"expected separator {sep!r} as the last alphabet symbol")
+        return Alphabet(symbols) if sep is None else Alphabet(symbols[:-1], sep)
+    except InputValidationError as exc:
+        raise DataFormatError(str(exc), path=path, line=2) from None
 
 
 class _DecodePipeline:
@@ -215,14 +217,16 @@ class _DecodePipeline:
         tree = lm = None
         if self.mode is not None:
             nonword = set(self.args.nonword_chars)
-            if alphabet.separator is not None:
-                nonword.add(alphabet.separator)
             word_chars = set(alphabet.characters) - nonword
             try:
-                tree = PrefixTree(self.words, word_chars, nonword)
+                tree = PrefixTree(self.words, word_chars)
             except InputValidationError:
                 self._raise_unspellable(word_chars, symbols)
                 raise
+            unknown = sorted(nonword.difference(symbols))
+            if unknown:
+                raise ConfigurationError(f"--nonword-chars {unknown!r} are not symbols of the "
+                                         f"matrix alphabet {symbols!r}")
             if self.mode.uses_lm:
                 corpus = self.lm_corpus if self.lm_corpus is not None else self.words
                 lm = NgramModel.train(corpus, self.args.order, self.args.smoothing_k)

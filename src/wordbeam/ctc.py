@@ -88,10 +88,10 @@ class PosteriorMatrix:
         sums = arr.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)
         if bad.size:
-            raise InputValidationError(
-                f"row {int(bad[0])} sums to {sums[bad[0]]!r}; matrices are rejected, "
-                "not renormalized"
-            )
+            exc = InputValidationError(f"row {bad[0]} sums to {float(sums[bad[0]])!r}; "
+                                       "matrices are rejected, not renormalized")
+            exc.row = int(bad[0])  # 0-based, so a matrix file can name the row's line
+            raise exc
         arr.setflags(write=False)
         self.probs = arr
 

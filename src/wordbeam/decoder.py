@@ -5,7 +5,8 @@ run of word characters of an in-word hypothesis is always a live prefix
 of the dictionary trie, so the only legal word-character extensions are
 the trie's children; a non-word character may follow only once that
 prefix is a complete word. Out-of-word hypotheses may extend with any
-non-word character or start a new dictionary word.
+non-word character or start a new dictionary word. The non-word
+characters are the alphabet's symbols outside the tree's word characters.
 
 Per frame, each hypothesis tracks the path mass ending in blank
 (``p_blank``) and in a non-blank (``p_nonblank``) separately, which makes
@@ -95,24 +96,22 @@ def frame_beams(
     Every list but the last holds the frame's survivors: its at most
     ``width`` best candidates by (score, text), the ones the next frame
     extends. The last list is the frame's merged, uncut set, as completion
-    may re-rank it.
+    may re-rank it. Every word character of ``tree`` must be an alphabet symbol.
     """
     if width < 1:
         raise InputValidationError("beam width must be at least 1")
     _check_shape(m, alphabet)
     scorer = _scorer(tree, lm, mode)
-    classified = tree.word_chars | tree.nonword_chars
-    if set(alphabet.symbols) != classified:
-        raise ConfigurationError(
-            "alphabet symbols and the tree's word/non-word partition disagree on "
-            f"{sorted(set(alphabet.symbols) ^ classified)!r}"
-        )
-    if not tree._kids[0] and not tree.nonword_chars:
+    missing = tree.word_chars.difference(alphabet.symbols)
+    if missing:
+        raise ConfigurationError(f"word characters {sorted(missing)!r} are not alphabet symbols")
+    nonword = sorted(set(alphabet.symbols) - tree.word_chars)
+    if not tree._kids[0] and not nonword:
         raise ConfigurationError(
             "no beam can ever extend: the dictionary is empty and there are "
             "no non-word characters"
         )
-    return _run_frames(m, alphabet, width, scorer, tree, sorted(tree.nonword_chars))
+    return _run_frames(m, alphabet, width, scorer, tree, nonword)
 
 
 def _scorer(tree: PrefixTree, lm: NgramModel | None, mode: ScoringMode) -> TrieScorer:

@@ -1,4 +1,4 @@
-"""Character trie over a dictionary, split into word and non-word characters."""
+"""Character trie over a dictionary and the characters its words may use."""
 
 from __future__ import annotations
 
@@ -14,11 +14,12 @@ from .errors import InputValidationError
 class PrefixTree:
     """Trie over a deduplicated word list.
 
-    ``word_chars`` are the characters legal inside words; ``nonword_chars``
-    are legal outside them (separators, punctuation). The two sets must be
-    disjoint. After construction its words and structure are immutable. It
-    also holds the decoder's language-model tables, one ``TrieScorer`` per
-    (model, scoring mode), made and filled as decodes first need them.
+    ``word_chars`` are the characters legal inside words; the tree keeps no
+    others, so a decode's non-word characters (separators, punctuation) are
+    its alphabet's other symbols. After construction its words and structure
+    are immutable. It also holds the decoder's language-model tables, one
+    ``TrieScorer`` per (model, scoring mode), made and filled as decodes
+    first need them.
 
     The trie is stored as flat arrays over integer node ids, and those
     arrays are its interface: it has no per-node objects and no prefix
@@ -31,17 +32,8 @@ class PrefixTree:
     children in that order without sorting.
     """
 
-    def __init__(
-        self,
-        words: Iterable[str],
-        word_chars: Iterable[str],
-        nonword_chars: Iterable[str] = (),
-    ) -> None:
+    def __init__(self, words: Iterable[str], word_chars: Iterable[str]) -> None:
         self.word_chars = frozenset(word_chars)
-        self.nonword_chars = frozenset(nonword_chars)
-        if self.word_chars & self.nonword_chars:
-            overlap = sorted(self.word_chars & self.nonword_chars)
-            raise InputValidationError(f"characters {overlap!r} are both word and non-word")
         self._scorers: dict = {}
         words = list(words)
         distinct = set(words)  # duplicates carry no extra information here

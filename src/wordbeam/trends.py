@@ -5,8 +5,8 @@ ground-truth word list, derives an ensemble of simulated recognizers
 and measures word accuracy for best-path versus dictionary-constrained
 decoding, plain versus extra-separator coding, and growing ensemble
 sizes under plurality voting. The two coding lanes differ only in the
-recognizer's alphabet and the tree. Everything is seeded, so reports
-are byte-identical across runs.
+recognizer's alphabet; they share one tree per seed. Everything is
+seeded, so reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -151,9 +151,8 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         rng = random.Random(f"trend|{seed}")
         dictionary = _make_dictionary(rng, cfg)
         gt = [rng.choice(dictionary) for _ in range(cfg.n_words)]
-        word_chars = set(cfg.alphabet_characters)
-        tree_plain = PrefixTree(dictionary, word_chars)
-        tree_x = PrefixTree(dictionary, word_chars, {cfg.separator})
+        # One tree for both lanes: the separator is non-word as the tree lacks it.
+        tree = PrefixTree(dictionary, cfg.alphabet_characters)
         base = RecognizerSim(
             alphabet=plain_alphabet,
             frames_per_char=cfg.frames_per_char,
@@ -165,7 +164,7 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
 
         # Extra-separator lane: every member decodes the full word list.
         lanes = [
-            _decode_words(replace(sim, alphabet=sep_alphabet), tree_x, gt, cfg.width, idx == 0)
+            _decode_words(replace(sim, alphabet=sep_alphabet), tree, gt, cfg.width, idx == 0)
             for idx, sim in enumerate(members)
         ]
         hyps = [member_hyps for member_hyps, _ in lanes]
@@ -179,7 +178,7 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
             ensemble_accuracy[count] = word_accuracy(voted, gt)
 
         # Plain lane: member 0 only, for the coding and decoder grid.
-        plain_hyps, bp_plain_preds = _decode_words(members[0], tree_plain, gt, cfg.width, True)
+        plain_hyps, bp_plain_preds = _decode_words(members[0], tree, gt, cfg.width, True)
 
         report.outcomes.append(
             SeedOutcome(

@@ -175,7 +175,8 @@ def reference_parse_matrix(text: str, path: str = "<string>") -> tuple[str, Post
     try:
         matrix = PosteriorMatrix(rows)
     except InputValidationError as exc:
-        raise DataFormatError(str(exc), path=path) from exc
+        row = getattr(exc, "row", None)  # value row ``row`` is file line ``row + 3``
+        raise DataFormatError(str(exc), path=path, line=None if row is None else row + 3) from exc
     return symbols, matrix
 
 
@@ -426,10 +427,11 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
     ``width`` of each of these sets but the last, and the last uncut. The
     dictionary is read from ``root``, the reference trie of ``tree``'s
     words, whose node ids are the ones the scorer takes; ``tree`` gives
-    the non-word characters and the scorer."""
+    the word characters and the scorer. The non-word characters are the
+    alphabet's other symbols."""
     scorer = scorer or TrieScorer(tree, lm, mode)
     col = alphabet.column_map()
-    nonword_exts = [(c, col[c]) for c in sorted(tree.nonword_chars)]
+    nonword_exts = [(c, col[c]) for c in sorted(set(alphabet.symbols) - tree.word_chars)]
     blank = alphabet.blank_index
     rows = m.probs.tolist()
     kind = scorer.mode.kind

@@ -72,7 +72,7 @@ def test_criterion_1_decoder_oracle_equivalence():
             use_nonword = i % 2 == 1
             alphabet = Alphabet("abc" + ("." if use_nonword else ""))
             words = py_rng.sample(pool, py_rng.randint(1, 8))
-            tree = PrefixTree(words, set("abc"), {"."} if use_nonword else set())
+            tree = PrefixTree(words, set("abc"))
             t = int(rng.integers(2, 7))
             m = random_matrix(rng, t, alphabet.num_classes)
             got_label, got_p = decode(m, alphabet, tree, width=10_000)

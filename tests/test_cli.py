@@ -160,6 +160,8 @@ class TestBulkParse:
         ("3 2\na\n0.5 0.5\n0.5 x\n0.5\n", "m.mat:4: malformed float in row '0.5 x'"),
         ("2 2\na\n0.5 nan\n-1 2\n", "m.mat: posterior matrix contains non-finite entries"),
         ("1 2\na\n-0.5 1.5\n", "m.mat: posterior matrix contains negative entries"),
+        ("2 2\na\n0.5 0.5\n0.75 0.75\n",
+         "m.mat:4: row 1 sums to 1.5; matrices are rejected, not renormalized"),
     ])
     def test_first_fault_names_its_line(self, text, message):
         with pytest.raises(DataFormatError) as err:
@@ -302,6 +304,33 @@ class TestDecodeCommand:
         assert capsys.readouterr().err == (
             f"wordbeam: data format error: {dict_path}:5: word 'naïve' has character 'n', "
             "which is not a word character of the matrix alphabet 'ab'\n")
+
+    @pytest.mark.parametrize("symbols, scheme, message", [
+        ("aab", "plain", "alphabet characters must be pairwise distinct"),
+        ("|a|", "extrasep", "separator '|' collides with the alphabet"),
+    ])
+    def test_alphabet_fault_names_the_matrix_line(self, tmp_path, capsys, symbols, scheme,
+                                                  message):
+        path = tmp_path / "m.mat"
+        path.write_text(f"1 4\n{symbols}\n0.25 0.25 0.25 0.25\n", encoding="utf-8")
+        assert main(["decode", str(path), "--mode", "bestpath", "--scheme", scheme]) == EXIT_DATA
+        assert capsys.readouterr().err == f"wordbeam: data format error: {path}:2: {message}\n"
+
+    def test_nonword_chars_outside_the_alphabet(self, tmp_path, capsys):
+        # A configuration error where a tree is built; best path builds none.
+        path = tmp_path / "x.mat"
+        write_matrix_file(path, PosteriorMatrix([[0.25, 0.25, 0.5]]), "ab")
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("ab\n", encoding="utf-8")
+        command = ["decode", str(path), "--dict", str(dict_path), "--nonword-chars", "x"]
+        assert main(command + ["--mode", "words"]) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "wordbeam: configuration error: --nonword-chars ['x'] are not symbols of the "
+            "matrix alphabet 'ab'\n")
+        assert main(command + ["--mode", "bestpath"]) == EXIT_OK
+        ignored = capsys.readouterr().out
+        assert main(command[:-2] + ["--mode", "bestpath"]) == EXIT_OK
+        assert capsys.readouterr().out == ignored
 
     def test_unusable_configuration_exit_code(self, synth_setup, tmp_path, capsys):
         paths, _ = synth_setup

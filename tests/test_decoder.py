@@ -86,12 +86,23 @@ class TestDecodeBasics:
         with pytest.raises(ConfigurationError):
             decode(m, alphabet, tree)
 
-    def test_partition_mismatch(self):
-        alphabet = Alphabet("abc")
-        tree = PrefixTree(["ab"], {"a", "b"})  # 'c' is unclassified
-        m = PosteriorMatrix([[0.25, 0.25, 0.25, 0.25]])
-        with pytest.raises(ConfigurationError):
+    def test_word_character_missing_from_alphabet(self):
+        alphabet = Alphabet("ab")
+        tree = PrefixTree(["ab"], {"a", "b", "c"})  # 'c' spells no word, but is not a symbol
+        m = PosteriorMatrix([[0.4, 0.3, 0.3]])
+        with pytest.raises(ConfigurationError, match=r"\['c'\]"):
             decode(m, alphabet, tree)
+
+    def test_symbols_outside_word_chars_are_nonword(self):
+        # 'c' is no word character, so it may stand between words; the
+        # search reads it as a non-word character, like the reference.
+        alphabet = Alphabet("abc")
+        tree = PrefixTree(["ab"], {"a", "b"})
+        m = PosteriorMatrix([[0.1, 0.1, 0.7, 0.1], [0.7, 0.1, 0.1, 0.1], [0.1, 0.7, 0.1, 0.1]])
+        label, _ = decode(m, alphabet, tree, width=10_000)
+        exp_label, _ = constrained_argmax(labeling_distribution(m, alphabet),
+                                          reference_trie(["ab"]), tree.word_chars)
+        assert label == exp_label == "cab"
 
     def test_lm_required_for_ngram_modes(self):
         alphabet = Alphabet("ab")
@@ -115,9 +126,7 @@ class TestOracleEquivalence:
                 for p in __import__("itertools").product("abc", repeat=k)
             ]
             words = py_rng.sample(pool, py_rng.randint(1, 8))
-            tree = PrefixTree(
-                words, {"a", "b", "c"}, {"."} if use_nonword else set()
-            )
+            tree = PrefixTree(words, {"a", "b", "c"})
             t = int(rng.integers(2, 7))
             m = random_matrix(rng, t, alphabet.num_classes)
             label, p = decode(m, alphabet, tree, width=10_000)
@@ -132,7 +141,7 @@ class TestOracleEquivalence:
         alphabet = Alphabet("abc.")
         for _ in range(25):
             words = py_rng.sample(["a", "b", "ab", "abc", "ba", "ca", "cc"], 4)
-            tree = PrefixTree(words, {"a", "b", "c"}, {"."})
+            tree = PrefixTree(words, {"a", "b", "c"})
             m = random_matrix(rng, int(rng.integers(2, 6)), 5)
             label, _ = decode(m, alphabet, tree, width=50)
             for fragment in label.split("."):
@@ -153,11 +162,11 @@ class TestOracleEquivalence:
                 assert hi >= lo - 1e-12
 
     def test_mass_conservation_without_constraints(self):
-        # With every character classified non-word the search is
-        # unconstrained, so the merged beams must carry all path mass.
+        # With no word characters every symbol is non-word and the search
+        # is unconstrained, so the merged beams must carry all path mass.
         rng = np.random.default_rng(21)
         alphabet = Alphabet("ab")
-        tree = PrefixTree([], set(), {"a", "b"})
+        tree = PrefixTree([], set())
         for _ in range(10):
             m = random_matrix(rng, int(rng.integers(1, 8)), 3)
             for beams in frame_beams(m, alphabet, tree, width=10**9):
@@ -167,7 +176,7 @@ class TestOracleEquivalence:
 class TestScoringModes:
     def _setup(self):
         alphabet = Alphabet("ab", separator="|")
-        tree = PrefixTree(["ab"], {"a", "b"}, {"|"})
+        tree = PrefixTree(["ab"], {"a", "b"})
         m = PosteriorMatrix(
             [
                 [0.90, 0.04, 0.02, 0.04],
@@ -204,7 +213,7 @@ class TestScoringModes:
         # "ab|" has slightly more path mass than "aa|", but the model is
         # trained mostly on "aa" and flips the ranking at the transition.
         alphabet = Alphabet("ab", separator="|")
-        tree = PrefixTree(["aa", "ab"], {"a", "b"}, {"|"})
+        tree = PrefixTree(["aa", "ab"], {"a", "b"})
         lm = NgramModel.train(["aa", "aa", "aa", "ab"], order=2)
         m = PosteriorMatrix(
             [
@@ -223,10 +232,10 @@ class TestScoringModes:
 
 class TestCompleteBeams:
     @staticmethod
-    def _complete(words, hand, lm=None, mode=WORDS, nonword=()):
+    def _complete(words, hand, lm=None, mode=WORDS):
         """Complete hand-built ``(text, word_prefix, p_blank, p_nonblank)``
         hypotheses over ``words``; the entries of the result."""
-        tree = PrefixTree(words, WC, nonword)
+        tree = PrefixTree(words, WC)
         root = reference_trie(words)
         return entries(complete_beams([candidate(root, *h) for h in hand], tree, lm, mode))
 
@@ -238,7 +247,7 @@ class TestCompleteBeams:
         assert list(self._complete(["ab", "abc"], [("ab", "ab", 0.1, 0.1)])) == ["ab"]
 
     def test_nonword_state_untouched(self):
-        assert list(self._complete(["ab"], [("ab|", "", 0.1, 0.1)], nonword={"|"})) == ["ab|"]
+        assert list(self._complete(["ab"], [("ab|", "", 0.1, 0.1)])) == ["ab|"]
 
     def test_lm_ranked_completion(self):
         lm = NgramModel.train(["abc", "abc", "abd"], order=2)
@@ -264,7 +273,7 @@ class TestSharedScorer:
         alphabet = Alphabet("abc", separator="|")
         words = sorted({"".join(py_rng.choice("abc") for _ in range(py_rng.randint(1, 4)))
                         for _ in range(25)})
-        tree = PrefixTree(words, {"a", "b", "c"}, {"|"})
+        tree = PrefixTree(words, {"a", "b", "c"})
         lm = NgramModel.train(words, order=2)
         matrices = [random_matrix(rng, int(rng.integers(3, 9)), 5) for _ in range(6)]
         return alphabet, words, tree, lm, matrices
@@ -286,7 +295,7 @@ class TestSharedScorer:
         for mode in self.MODES:
             for m in matrices:
                 shared = decode(m, alphabet, tree, lm, 8, mode)
-                fresh = PrefixTree(words, tree.word_chars, tree.nonword_chars)
+                fresh = PrefixTree(words, tree.word_chars)
                 assert shared == decode(m, alphabet, fresh, lm, 8, mode)
 
     def test_second_decode_reads_only_tables(self, monkeypatch):
@@ -352,8 +361,7 @@ class TestFlatFrameLoop:
         sep = "|" if coding == "extrasep" else None
         chars = WORD_CHARS + (" " if coding == "plain+space" else "")
         alphabet = Alphabet(chars, separator=sep)
-        nonword = set(alphabet.symbols) - set(WORD_CHARS)
-        tree = PrefixTree(words, set(WORD_CHARS), nonword)
+        tree = PrefixTree(words, set(WORD_CHARS))
         lm = NgramModel.train(words, order=order)
         rng = np.random.default_rng(seed)
         c = alphabet.num_classes
@@ -398,7 +406,7 @@ class TestCompletionEqualsReference:
     )
     def test_completion_equals_reference(self, words, mode, t, width, seed, hand):
         alphabet = Alphabet("abc", separator="|")
-        tree = PrefixTree(words, set("abc"), {"|"})
+        tree = PrefixTree(words, set("abc"))
         root = reference_trie(words)
         lm = NgramModel.train(words, order=2)
         m = random_matrix(np.random.default_rng(seed), t, alphabet.num_classes)
@@ -427,7 +435,7 @@ class TestSurvivorSkip:
         # which would read the word probability of "b", is never looked at,
         # and "b" drops out at the cut.
         alphabet = Alphabet("ab", separator="|")
-        tree = PrefixTree(["a", "ab", "b"], {"a", "b"}, {"|"})
+        tree = PrefixTree(["a", "ab", "b"], {"a", "b"})
         lm = NgramModel.train(["a", "ab", "b"], order=2)
         m = PosteriorMatrix([[0.6, 0.3, 0.05, 0.05],
                              [0.1, 0.45, 0.05, 0.4],
@@ -450,7 +458,7 @@ class TestRealisticSize:
                         for _ in range(6000)})
         line = " ".join(py_rng.sample([w for w in words if len(w) >= 7], 13))
         alphabet = Alphabet(letters + " ")
-        tree = PrefixTree(words, set(letters), {" "})
+        tree = PrefixTree(words, set(letters))
         lm = NgramModel.train(words, order=2)
         m = RecognizerSim(alphabet, frames_per_char=3, noise_level=0.3, seed=5).emit(line)
         assert m.num_frames >= 400 and len(words) >= 5000

@@ -60,12 +60,12 @@ def test_rejects_empty_word():
 
 def test_rejects_nonword_character():
     with pytest.raises(InputValidationError):
-        PrefixTree(["a|b"], WC, {"|"})
+        PrefixTree(["a|b"], WC)
 
 
 def test_bad_word_error_names_first_word_and_character():
     with pytest.raises(InputValidationError) as err:
-        PrefixTree(["ab", "hzy", "zq", "a|"], WC, {"|"})
+        PrefixTree(["ab", "hzy", "zq", "a|"], WC)
     assert str(err.value) == "word 'hzy' contains non-word character 'z'"
 
 
@@ -84,11 +84,6 @@ def test_collector_state_is_restored(enabled, words):
         assert gc.isenabled() is enabled
     finally:
         (gc.enable if was else gc.disable)()
-
-
-def test_rejects_overlapping_sets():
-    with pytest.raises(InputValidationError):
-        PrefixTree(["a"], {"a", "b"}, {"b"})
 
 
 def test_random_dictionary_matches_scan():

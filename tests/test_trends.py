@@ -1,4 +1,4 @@
-"""Trend report layout and the experiment's per-member memo."""
+"""Trend report layout, the experiment's per-member memo and its one tree per seed."""
 
 import hashlib
 import random
@@ -33,10 +33,14 @@ def test_short_seed_keeps_the_column_layout():
     assert row == "7         96.67    90.00    93.33    100.00"
 
 
+# 80 words drawn from 20 per seed: most of the list repeats.
+_MEMO_CFG = TrendConfig(seed=11, n_seeds=2, n_words=80, members=3, member_counts=(1, 3),
+                        dictionary_size=20, noise_level=0.6, width=6)
+_MEMO_REPORT_SHA256 = "c78374a097dc6ea44392d9c7eb950fd297ed0f73f38a631b60ac08d9e6e5d975"
+
+
 def test_each_member_decodes_each_distinct_word_once(monkeypatch):
-    # 80 words drawn from 20 per seed: most of the list repeats.
-    cfg = TrendConfig(seed=11, n_seeds=2, n_words=80, members=3, member_counts=(1, 3),
-                      dictionary_size=20, noise_level=0.6, width=6)
+    cfg = _MEMO_CFG
     calls: Counter = Counter()
     decode = trends.decode
 
@@ -55,5 +59,29 @@ def test_each_member_decodes_each_distinct_word_once(monkeypatch):
     assert set(calls.values()) == {1}
     assert len(calls) == (cfg.members + 1) * distinct  # every member, plus the plain lane
     # The report of the experiment that decoded every word of the list.
-    assert hashlib.sha256(report.encode()).hexdigest() == (
-        "c78374a097dc6ea44392d9c7eb950fd297ed0f73f38a631b60ac08d9e6e5d975")
+    assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
+
+
+def test_both_lanes_share_one_tree_per_seed(monkeypatch):
+    cfg = _MEMO_CFG
+    built: list = []
+    alphabets: dict[int, set] = {}
+    tree_class, decode = trends.PrefixTree, trends.decode
+
+    def counted_tree(*args):
+        built.append(tree_class(*args))
+        return built[-1]
+
+    def recorded(m, alphabet, tree, **kwargs):
+        alphabets.setdefault(id(tree), set()).add(alphabet)
+        return decode(m, alphabet, tree, **kwargs)
+
+    monkeypatch.setattr(trends, "PrefixTree", counted_tree)
+    monkeypatch.setattr(trends, "decode", recorded)
+    report = run_trend_experiment(cfg).format()
+    assert len(built) == cfg.n_seeds
+    for tree in built:
+        # the plain and the extra-separator lane, through one words-mode scorer
+        assert {a.separator for a in alphabets[id(tree)]} == {None, cfg.separator}
+        assert len(tree._scorers) == 1
+    assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
