@@ -69,7 +69,9 @@ class PosteriorMatrix:
     """T x C row-stochastic matrix of per-frame class probabilities.
 
     Rows that do not sum to 1 within ``ROW_SUM_TOLERANCE`` are rejected
-    rather than renormalized, so producer bugs surface immediately.
+    rather than renormalized, so producer bugs surface immediately. A
+    non-finite or negative value, or a bad row sum, raises an error whose
+    ``row`` is the first faulty row (0-based); the checks run in that order.
     """
 
     __slots__ = ("probs",)
@@ -81,17 +83,19 @@ class PosteriorMatrix:
         t, c = arr.shape
         if t < 1 or c < 2:
             raise InputValidationError(f"posterior matrix needs T >= 1 and C >= 2, got {t}x{c}")
-        if not np.all(np.isfinite(arr)):
-            raise InputValidationError("posterior matrix contains non-finite entries")
-        if np.any(arr < 0.0):
-            raise InputValidationError("posterior matrix contains negative entries")
+        finite = np.isfinite(arr)
+        if not finite.all():
+            raise _row_fault(finite.all(axis=1).argmin(),
+                             "posterior matrix contains non-finite entries")
+        negative = arr < 0.0
+        if negative.any():
+            raise _row_fault(negative.any(axis=1).argmax(),
+                             "posterior matrix contains negative entries")
         sums = arr.sum(axis=1)
         bad = np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOLERANCE)
         if bad.size:
-            exc = InputValidationError(f"row {bad[0]} sums to {float(sums[bad[0]])!r}; "
-                                       "matrices are rejected, not renormalized")
-            exc.row = int(bad[0])  # 0-based, so a matrix file can name the row's line
-            raise exc
+            raise _row_fault(bad[0], f"row {bad[0]} sums to {float(sums[bad[0]])!r}; "
+                                     "matrices are rejected, not renormalized")
         arr.setflags(write=False)
         self.probs = arr
 
@@ -105,6 +109,13 @@ class PosteriorMatrix:
 
     def __repr__(self) -> str:
         return f"PosteriorMatrix({self.num_frames}x{self.num_classes})"
+
+
+def _row_fault(row, message: str) -> InputValidationError:
+    """The error of a faulty value row; ``row`` (0-based) lets a matrix file name its line."""
+    exc = InputValidationError(message)
+    exc.row = int(row)
+    return exc
 
 
 def collapse(path: Sequence[int], alphabet: Alphabet) -> str:

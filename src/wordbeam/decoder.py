@@ -23,16 +23,17 @@ every later decode with that tree, model and mode.
 
 The search state is one flat tuple per hypothesis, a candidate::
 
-    (-score, text, p_blank, p_nonblank, p_text, committed, node, last, word_prefix)
+    (-score, text, p_blank, p_nonblank, p_text, committed, node)
 
 ``score`` is ``p_text * (p_blank + p_nonblank)``; ``p_text`` is the
 language-model score it is ranked by (1 in words mode) and ``committed``
 the score of its finished words alone, which the forecast modes multiply
-by a forecast or a completion's remainder probability. ``word_prefix``
-is the trailing run of word characters of ``text`` (empty outside a
-word), ``node`` the trie node id of that prefix (the root, 0, outside a
-word) and ``last`` the last character of ``text``. Texts are unique, so
-ranking on the tuple compares (-score, text) only.
+by a forecast or a completion's remainder probability. ``node`` is the
+current word: the trie node id of the trailing run of word characters of
+``text``. Outside a word it is the root, 0, which is never a word, as
+the tree rejects empty words. The search never spells that run out;
+the ``TrieScorer`` takes the node alone. Texts are unique, so ranking on
+the tuple compares (-score, text) only.
 
 Each posterior row is read by character, and the trie keeps every
 node's child characters as one sorted string, so a decode builds no
@@ -143,7 +144,7 @@ def _run_frames(
     # extension), whose sum does not depend on their order. Each row is read
     # by character, which yields the same floats as reading it by column.
     # p_text and committed come from the same memoised ``forecast``/
-    # ``word_probability`` reads, with the same word prefix.
+    # ``word_probability`` reads, at the same trie node.
     #
     # Extensions that cannot survive the cut are never built. A frame with
     # ``width`` survivors, other than the last, starts a min-heap with the
@@ -185,7 +186,7 @@ def _run_frames(
     tree_kids, first, is_word = tree._kids, tree._first, tree._is_word
     rows = m.probs.tolist()
     last_frame = len(rows) - 1
-    survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, 0, "", "")]
+    survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, 0)]
     for t, r in enumerate(rows):
         # The blank is the last column, so ``zip`` with the symbols leaves it out.
         row, blank_p = dict(zip(symbols, r)), r[blank]
@@ -196,7 +197,7 @@ def _run_frames(
             text = s[1]
             if text and text[:-1] in texts:
                 merges.setdefault(text[:-1], {})[text[-1]] = i
-        copy_nb = [s[3] * row[s[7]] if s[1] else 0.0 for s in survivors]
+        copy_nb = [s[3] * row[s[1][-1]] if s[1] else 0.0 for s in survivors]
         heap: list[float] = []
         if t < last_frame and len(survivors) == width:
             heap = [s[4] * ((s[2] + s[3]) * blank_p + nb) for s, nb in zip(survivors, copy_nb)]
@@ -205,38 +206,38 @@ def _run_frames(
         row_max = max(row.values()) if heap and not uses_forecast else 0.0
         cands = []
         append = cands.append
-        for _, text, pb, pnb, p_text, committed, node, last, prefix in survivors:
+        for _, text, pb, pnb, p_text, committed, node in survivors:
             tot = pb + pnb
             into = merges.get(text)
             if into is None and not uses_forecast and p_text * (tot * row_max) < thr:
                 continue
             # Children of the trie node (the root's outside a word), plus
-            # non-word characters outside a word or once the prefix is itself
+            # non-word characters outside a word or once the node is itself
             # a complete word. Child ``k``'s id, ``first[node] + k``, is
             # computed only for an extension that is scored by its forecast
             # or kept.
-            sep_exts = nonword if not prefix or is_word[node] else ()
+            last = text[-1:]
+            sep_exts = nonword if not node or is_word[node] else ()
             for k, c in enumerate(tree_kids[node]):
                 mass = (pb if c == last else tot) * row[c]
                 if into is not None and c in into:
                     copy_nb[into[c]] += mass
                     continue
                 if uses_forecast:
-                    p_ext = committed * forecast(first[node] + k, prefix + c)
+                    p_ext = committed * forecast(first[node] + k)
                 else:
                     p_ext = p_text
                 score = p_ext * mass
                 if score < thr:
                     continue
-                append((-score, text + c, 0.0, mass, p_ext, committed, first[node] + k, c,
-                        prefix + c))
+                append((-score, text + c, 0.0, mass, p_ext, committed, first[node] + k))
                 if score > thr and heap:
                     heapreplace(heap, score)
                     thr = heap[0]
             if not sep_exts:
                 continue
-            if prefix and uses_lm:
-                committed = p_text = committed * word_probability(node, prefix)
+            if node and uses_lm:
+                committed = p_text = committed * word_probability(node)
             for c in sep_exts:
                 mass = (pb if c == last else tot) * row[c]
                 if into is not None and c in into:
@@ -245,15 +246,14 @@ def _run_frames(
                 score = p_text * mass
                 if score < thr:
                     continue
-                append((-score, text + c, 0.0, mass, p_text, committed, 0, c, ""))
+                append((-score, text + c, 0.0, mass, p_text, committed, 0))
                 if score > thr and heap:
                     heapreplace(heap, score)
                     thr = heap[0]
-        for (_, text, pb, pnb, p_text, committed, node, last, prefix), p_nonblank in zip(
-                survivors, copy_nb):
+        for (_, text, pb, pnb, p_text, committed, node), p_nonblank in zip(survivors, copy_nb):
             p_blank = (pb + pnb) * blank_p
             append((-(p_text * (p_blank + p_nonblank)), text, p_blank, p_nonblank, p_text,
-                    committed, node, last, prefix))
+                    committed, node))
         if t < last_frame:
             survivors = sorted(cands)[:width]
             yield survivors
@@ -282,17 +282,15 @@ def complete_beams(
     is_word = tree._is_word
     out: dict[str, tuple] = {}
     for cand in sorted(beams, key=itemgetter(1)):
-        _, text, pb, pnb, p_text, committed, node, _, prefix = cand
-        if prefix and not is_word[node]:
-            remainder, node, prob = scorer.complete(node, prefix)
+        _, text, pb, pnb, p_text, committed, node = cand
+        if node and not is_word[node]:
+            remainder, node, prob = scorer.complete(node)
             text += remainder
-            prefix += remainder
             if kind == "ngrams":
-                p_text = p_text * scorer.word_probability(node, prefix)
+                p_text = p_text * scorer.word_probability(node)
             elif uses_forecast:
                 p_text = committed * prob
-            cand = (-(p_text * (pb + pnb)), text, pb, pnb, p_text, committed, node, text[-1],
-                    prefix)
+            cand = (-(p_text * (pb + pnb)), text, pb, pnb, p_text, committed, node)
         cur = out.get(text)
         if cur is None:
             out[text] = cand

@@ -86,7 +86,7 @@ def parse_matrix(text: str, path: str = "<string>") -> tuple[str, PosteriorMatri
     try:
         matrix = PosteriorMatrix(probs)
     except InputValidationError as exc:
-        row = getattr(exc, "row", None)  # a row that does not sum to 1 is named by its line
+        row = getattr(exc, "row", None)  # a faulty value row is named by its line
         raise DataFormatError(str(exc), path=path, line=None if row is None else row + 3) from exc
     return symbols, matrix
 

@@ -134,10 +134,7 @@ class NgramModel:
 
     def word_probability(self, word: str) -> float:
         """Chain probability of a whole word, boundary close included."""
-        p = 1.0
-        for i, ch in enumerate(word):
-            p *= self.conditional(word[:i], ch)
-        return p * self.conditional(word, WORD_BOUNDARY)
+        return self.remainder_probability("", word)
 
     def remainder_probability(self, prefix: str, remainder: str) -> float:
         """Chain probability of completing ``prefix`` with ``remainder``."""
@@ -152,9 +149,12 @@ class NgramModel:
 class TrieScorer:
     """Language-model tables of one (trie, model, scoring mode), per trie node id.
 
-    Each entry is filled the first time the search asks for it and reused
-    by every later query; the decoder keeps one scorer per (model, mode) on
-    the tree, so every decode with that configuration shares its tables.
+    A query names the current word by its trie node alone. Each entry is
+    filled the first time the search asks for it, from the node's prefix,
+    which the scorer rebuilds from the trie (``PrefixTree._prefix``); every
+    later query reads the entry and builds no string. The decoder keeps one
+    scorer per (model, mode) on the tree, so every decode with that
+    configuration shares its tables.
     Per node: the word probability; the exact forecast
     ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``, filled for the whole
     subtree at once (so it matches the per-completion sum to a few ulps);
@@ -173,20 +173,22 @@ class TrieScorer:
         self._counts: dict = {}
         self._best: dict = {}
 
-    def word_probability(self, node: int, word: str) -> float:
+    def word_probability(self, node: int) -> float:
         """``NgramModel.word_probability`` of the word ending at ``node``."""
         p = self._word.get(node)
         if p is None:
-            p = self._word[node] = self.lm.word_probability(word)
+            p = self._word[node] = self.lm.word_probability(self.tree._prefix(node))
         return p
 
-    def forecast(self, node: int, prefix: str) -> float:
-        """Completion probability of the live ``prefix`` at ``node``; in the
+    def forecast(self, node: int) -> float:
+        """Completion probability of the live prefix at ``node``; in the
         sampling mode, summed over a seeded sample and rescaled (total / sampled)."""
         if self.mode.kind != "ngrams_forecast_sample":
-            return self._exact_forecast(node, prefix)
+            f = self._forecast.get(node)
+            return self._exact_forecast(node, self.tree._prefix(node)) if f is None else f
         f = self._sampled.get(node)
         if f is None:
+            prefix = self.tree._prefix(node)
             n, k = self._count(node), self.mode.sample_size
             if k >= n:
                 f = self._exact_forecast(node, prefix)
@@ -235,13 +237,13 @@ class TrieScorer:
             self._forecast[node] = f
         return f
 
-    def complete(self, node: int, prefix: str) -> tuple[str, int, float]:
+    def complete(self, node: int) -> tuple[str, int, float]:
         """(remainder, word node, remainder probability) of the completion of
-        the live ``prefix`` at ``node`` with the largest ``remainder_probability``,
+        the live prefix at ``node`` with the largest ``remainder_probability``,
         ties to the smallest word (without a model, every probability is 1)."""
         best = self._best.get(node)
         if best is None:
-            best = self._best[node] = self._search(node, prefix)
+            best = self._best[node] = self._search(node, self.tree._prefix(node))
         return best
 
     def _search(self, node: int, prefix: str) -> tuple[str, int, float]:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from array import array
+from bisect import bisect_right
 from itertools import chain
 from typing import Iterable
 
@@ -28,8 +29,10 @@ class PrefixTree:
     characters. Per node ``n``: ``_kids[n]`` is the string of its child
     characters, sorted; ``_first[n]`` is the id of its first child, so
     child ``k`` is ``_first[n] + k``; ``_is_word[n]`` is 1 when the node
-    ends a word. The decoder and ``TrieScorer`` hold node ids and walk
-    children in that order without sorting.
+    ends a word. A node id is the only form in which the decoder and
+    ``TrieScorer`` hold a prefix: they walk children in that order without
+    sorting, and a table that misses rebuilds its node's prefix with
+    ``_prefix``.
     """
 
     def __init__(self, words: Iterable[str], word_chars: Iterable[str]) -> None:
@@ -44,6 +47,21 @@ class PrefixTree:
     def _children(self, node: int) -> enumerate:
         """``(child id, character)`` pairs of ``node``, in code-point order."""
         return enumerate(self._kids[node], self._first[node])
+
+    def _prefix(self, node: int) -> str:
+        """The characters on the path from the root to ``node``.
+
+        Ids ascend with ``_first``, so a node's parent is the last node whose
+        first child is at or before it, and its character is the parent's
+        child string at its offset from that first child.
+        """
+        first, kids = self._first, self._kids
+        chars = []
+        while node:
+            parent = bisect_right(first, node) - 1
+            chars.append(kids[parent][node - first[parent]])
+            node = parent
+        return "".join(reversed(chars))
 
 
 def _raise_first_fault(words: list[str], word_chars: frozenset[str]) -> None:

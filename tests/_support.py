@@ -272,6 +272,15 @@ def trie_node(root: RefNode, prefix: str) -> int | None:
     return None if node is None else node.id
 
 
+def node_prefixes(root: RefNode) -> list[str]:
+    """The prefix of every reference node, indexed by its id."""
+    prefixes = {root.id: ""}
+    for node in _breadth_first(root):
+        for c, child in node.children.items():
+            prefixes[child.id] = prefixes[node.id] + c
+    return [prefixes[i] for i in range(len(prefixes))]
+
+
 def reference_completions(root: RefNode, prefix: str) -> list[tuple[str, str]]:
     """All words with the given prefix as ``(word, remainder)`` pairs, in
     lexicographic order of the word; empty for a dead prefix."""
@@ -362,12 +371,11 @@ def best_completion(lm: NgramModel, root: RefNode, prefix: str) -> tuple[str, fl
 def candidate(root: RefNode, text: str, word_prefix: str, p_blank: float, p_nonblank: float,
               p_text: float = 1.0) -> tuple:
     """The decoder's candidate tuple of a hand-built hypothesis whose word
-    prefix is live; nothing is committed before it, so ``committed`` is
-    ``p_text``."""
+    prefix is live, at that prefix's reference node; nothing is committed
+    before it, so ``committed`` is ``p_text``."""
     node = trie_node(root, word_prefix)
     assert node is not None, f"dead word prefix {word_prefix!r}"
-    return (-(p_text * (p_blank + p_nonblank)), text, p_blank, p_nonblank, p_text, p_text, node,
-            text[-1:], word_prefix)
+    return (-(p_text * (p_blank + p_nonblank)), text, p_blank, p_nonblank, p_text, p_text, node)
 
 
 class Beam:
@@ -390,10 +398,11 @@ class Beam:
         self._last_col = -1
 
     @classmethod
-    def of(cls, cand: tuple) -> "Beam":
-        """The Beam of a candidate tuple."""
-        _, text, p_blank, p_nonblank, p_text, committed, node, _, word_prefix = cand
-        b = cls(text, word_prefix, p_blank, p_nonblank, p_text)
+    def of(cls, cand: tuple, prefixes: list[str]) -> "Beam":
+        """The Beam of a candidate tuple, its word prefix read from
+        ``prefixes``, the ``node_prefixes`` of the reference trie."""
+        _, text, p_blank, p_nonblank, p_text, committed, node = cand
+        b = cls(text, prefixes[node], p_blank, p_nonblank, p_text)
         b._node, b._committed = node, committed
         return b
 
@@ -402,15 +411,17 @@ class Beam:
         return self.p_text * (self.p_blank + self.p_nonblank)
 
 
-def entries(items) -> dict[str, tuple]:
+def entries(items, root: RefNode | None = None) -> dict[str, tuple]:
     """``{text: (word_prefix, p_blank, p_nonblank, p_text)}``, in order, of
     candidate tuples or of Beams (a text -> Beam dict stands for its Beams):
-    the form in which the search and the reference search are compared."""
+    the form in which the search and the reference search are compared. A
+    candidate's word prefix is its node's in ``root``, the reference trie."""
     if isinstance(items, dict):
         items = items.values()
+    prefixes = None if root is None else node_prefixes(root)
     out = {}
     for x in items:
-        b = Beam.of(x) if isinstance(x, tuple) else x
+        b = Beam.of(x, prefixes) if isinstance(x, tuple) else x
         out[b.text] = (b.word_prefix, b.p_blank, b.p_nonblank, b.p_text)
     return out
 
@@ -455,11 +466,11 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
         if is_word_char:
             prefix = b.word_prefix + c
             if uses_forecast:
-                p_text = committed * scorer.forecast(child, prefix)
+                p_text = committed * scorer.forecast(child)
         else:
             prefix = ""
             if b.word_prefix and kind != "words":
-                committed = p_text = committed * scorer.word_probability(b._node, b.word_prefix)
+                committed = p_text = committed * scorer.word_probability(b._node)
         nb = Beam(b.text + c, prefix, 0.0, 0.0, p_text)
         nb._node = child
         nb._committed = committed
@@ -509,11 +520,11 @@ def reference_complete_beams(beams, tree: PrefixTree, root: RefNode,
         text, word_prefix, p_text = b.text, b.word_prefix, b.p_text
         node = ref_find(root, word_prefix)
         if not node.is_word and word_prefix:
-            remainder, end, prob = scorer.complete(node.id, word_prefix)
+            remainder, end, prob = scorer.complete(node.id)
             text += remainder
             word_prefix += remainder
             if mode.kind == "ngrams":
-                p_text = b.p_text * scorer.word_probability(end, word_prefix)
+                p_text = b.p_text * scorer.word_probability(end)
             elif mode.uses_forecast:
                 p_text = b._committed * prob
         cur = out.get(text)

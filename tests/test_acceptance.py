@@ -121,7 +121,7 @@ def test_criterion_4_forecast_sampling_estimator():
         node = trie_node(reference_trie(corpus), "a")
 
         def forecast(mode):  # the value the decoder reads for prefix "a"
-            return TrieScorer(tree, lm, mode).forecast(node, "a")
+            return TrieScorer(tree, lm, mode).forecast(node)
 
         exact = forecast(NGRAMS_FORECAST)
         draws = [forecast(forecast_sample(sample_size=3, seed=s)) for s in range(10_000)]

@@ -158,8 +158,10 @@ class TestBulkParse:
         ("2 2\na\n0.5 0.5\n\n", "m.mat:4: expected 2 values, found 1"),
         ("2 2\na\n0.5 0.5 \n0.5\t0.5\n", "m.mat:3: expected 2 values, found 3"),
         ("3 2\na\n0.5 0.5\n0.5 x\n0.5\n", "m.mat:4: malformed float in row '0.5 x'"),
-        ("2 2\na\n0.5 nan\n-1 2\n", "m.mat: posterior matrix contains non-finite entries"),
-        ("1 2\na\n-0.5 1.5\n", "m.mat: posterior matrix contains negative entries"),
+        ("2 2\na\n0.5 nan\n-1 2\n", "m.mat:3: posterior matrix contains non-finite entries"),
+        ("3 2\na\n0.5 0.5\n-1 2\n0.5 inf\n",
+         "m.mat:5: posterior matrix contains non-finite entries"),
+        ("1 2\na\n-0.5 1.5\n", "m.mat:3: posterior matrix contains negative entries"),
         ("2 2\na\n0.5 0.5\n0.75 0.75\n",
          "m.mat:4: row 1 sums to 1.5; matrices are rejected, not renormalized"),
     ])

@@ -29,6 +29,7 @@ from _support import (
     constrained_argmax,
     entries,
     labeling_distribution,
+    node_prefixes,
     random_matrix,
     reference_complete_beams,
     reference_decode,
@@ -65,7 +66,7 @@ class TestDecodeBasics:
         beams = None
         for beams in frame_beams(m, alphabet, tree, width=100):
             pass
-        last = entries(beams)
+        last = entries(beams, reference_trie(["a"]))
         assert last["a"][1:3] == pytest.approx((0.25, 0.5))
         assert sum(last[""][1:3]) == pytest.approx(0.25)
         label, p = decode(m, alphabet, tree, width=100)
@@ -237,7 +238,7 @@ class TestCompleteBeams:
         hypotheses over ``words``; the entries of the result."""
         tree = PrefixTree(words, WC)
         root = reference_trie(words)
-        return entries(complete_beams([candidate(root, *h) for h in hand], tree, lm, mode))
+        return entries(complete_beams([candidate(root, *h) for h in hand], tree, lm, mode), root)
 
     def test_unique_completion(self):
         out = self._complete(["abc"], [("ab", "ab", 0.3, 0.2)])
@@ -327,7 +328,7 @@ class TestSharedScorer:
                 pass
             ab = next(c for c in beams if c[1] == "ab")
             assert ab[4] != 1.0  # ranked by the forecast of "ab"
-            out = entries(complete_beams([ab], tree, lm, mode))
+            out = entries(complete_beams([ab], tree, lm, mode), reference_trie(["abc", "abd"]))
             # nothing committed before "ab", so the completion scores its remainder
             assert out["abc"][3] == pytest.approx(lm.remainder_probability("ab", "c"))
 
@@ -384,8 +385,8 @@ class TestFlatFrameLoop:
         # last one yields the reference's uncut set, which completion re-ranks.
         for got, want in zip(frames[:-1], reference[:-1]):
             assert len(got) <= width
-            assert entries(got) == _top(want, width)
-        assert entries(frames[-1]) == entries(reference[-1])
+            assert entries(got, root) == _top(want, width)
+        assert entries(frames[-1], root) == entries(reference[-1])
         assert decode(m, alphabet, tree, lm, width, mode) == reference_decode(
             m, alphabet, tree, root, lm, width, mode)
 
@@ -420,10 +421,12 @@ class TestCompletionEqualsReference:
                       for i, head, pb, pnb, p_text in hand]
         # A live prefix often completes to another candidate's text, so the
         # masses of the two are merged.
+        prefixes = node_prefixes(root)
         for cands in (last, hand_built):
             got = complete_beams(cands, tree, lm, mode)
-            want = reference_complete_beams([Beam.of(c) for c in cands], tree, root, lm, mode)
-            assert list(entries(got).items()) == list(entries(want).items())
+            want = reference_complete_beams([Beam.of(c, prefixes) for c in cands], tree, root,
+                                            lm, mode)
+            assert list(entries(got, root).items()) == list(entries(want).items())
 
 
 class TestSurvivorSkip:

@@ -109,14 +109,14 @@ class TestForecast:
 
     @staticmethod
     def _forecast(lm, tree, root, prefix, mode):
-        return TrieScorer(tree, lm, mode).forecast(trie_node(root, prefix), prefix)
+        return TrieScorer(tree, lm, mode).forecast(trie_node(root, prefix))
 
     def test_hand_computed_remainders(self):
         lm, tree, root = self._fixture()
         # vocab {a,b,c,d} plus boundary: V = 5
         assert lm.remainder_probability("ab", "c") == pytest.approx((3 / 8) * (3 / 7))
         assert lm.remainder_probability("ab", "d") == pytest.approx((2 / 8) * (2 / 6))
-        remainder, _, p = TrieScorer(tree, lm, NGRAMS).complete(trie_node(root, "ab"), "ab")
+        remainder, _, p = TrieScorer(tree, lm, NGRAMS).complete(trie_node(root, "ab"))
         assert remainder == "c"
         assert p == pytest.approx((3 / 8) * (3 / 7))
 
@@ -154,8 +154,8 @@ class TestForecast:
         tree, root = PrefixTree(corpus, WC), reference_trie(corpus)
         mode = forecast_sample(sample_size=3, seed=12)
         scorer = TrieScorer(tree, lm, mode)
-        first = scorer.forecast(trie_node(root, "a"), "a")
-        assert scorer.forecast(trie_node(root, "a"), "a") == first
+        first = scorer.forecast(trie_node(root, "a"))
+        assert scorer.forecast(trie_node(root, "a")) == first
         assert self._forecast(lm, tree, root, "a", mode) == first  # a fresh scorer agrees
         assert first == forecast_for_prefix(lm, root, "a", mode)  # same draw and arithmetic
 
@@ -208,15 +208,15 @@ class TestTrieScorerTables:
         for prefix in data.draw(st.permutations(prefixes)):
             node = trie_node(root, prefix)
             if prefix in words:
-                assert exact.word_probability(node, prefix) == lm.word_probability(prefix)
-            assert exact.forecast(node, prefix) == pytest.approx(
+                assert exact.word_probability(node) == lm.word_probability(prefix)
+            assert exact.forecast(node) == pytest.approx(
                 forecast_for_prefix(lm, root, prefix, NGRAMS_FORECAST), rel=1e-12)
             want = forecast_for_prefix(lm, root, prefix, sample_mode)
             if len(reference_completions(root, prefix)) > sample_mode.sample_size:
-                assert sampled.forecast(node, prefix) == want  # same draw, same sum order
+                assert sampled.forecast(node) == want  # same draw, same sum order
             else:  # the sample covers every completion: the exact table value
-                assert sampled.forecast(node, prefix) == pytest.approx(want, rel=1e-12)
-            remainder, end, p = exact.complete(node, prefix)
+                assert sampled.forecast(node) == pytest.approx(want, rel=1e-12)
+            remainder, end, p = exact.complete(node)
             assert end == trie_node(root, prefix + remainder) and prefix + remainder in words
             # Bit-identical, ties included: the completion's products run in
             # the order of remainder_probability's.
@@ -236,7 +236,7 @@ class TestTrieScorerTables:
             for prefix in sorted({w[:i] for w in words for i in range(len(w))}):
                 if len(reference_completions(root, prefix)) > k:
                     sampled += 1
-                    assert scorer.forecast(trie_node(root, prefix), prefix) == (
+                    assert scorer.forecast(trie_node(root, prefix)) == (
                         forecast_for_prefix(lm, root, prefix, mode))
             assert sampled >= 5
 
@@ -249,7 +249,7 @@ class TestTrieScorerTables:
         lm = NgramModel.train(words, order=3, smoothing_k=0.5)
         scorer = TrieScorer(tree, lm, NGRAMS)
         for prefix in ("", "b"):
-            remainder, _, p = scorer.complete(trie_node(root, prefix), prefix)
+            remainder, _, p = scorer.complete(trie_node(root, prefix))
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
 
 

@@ -10,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 from wordbeam import InputValidationError, PrefixTree, TrieScorer
 
-from _support import reference_completions, reference_level_order, reference_trie, trie_node
+from _support import (
+    node_prefixes,
+    reference_completions,
+    reference_level_order,
+    reference_trie,
+    trie_node,
+)
 
 WC = set("abcdefgh")
 
@@ -118,7 +124,7 @@ def test_first_completion_matches_full_enumeration():
         if node is None:
             assert completions == []
             continue
-        remainder, end, p = scorer.complete(node, prefix)
+        remainder, end, p = scorer.complete(node)
         assert (prefix + remainder, remainder) == completions[0]
         assert end == trie_node(root, prefix + remainder) and t._is_word[end]
         assert p == 1.0
@@ -140,7 +146,8 @@ def test_flat_layout_is_the_level_order_of_the_reference_trie(words, probes):
     assert list(t._first) == first
     assert list(t._is_word) == is_word
     # A walk of the flat arrays reaches, for every live prefix, the node
-    # whose id the reference trie gives it, and no node for a dead one.
+    # whose id the reference trie gives it, and no node for a dead one; and
+    # ``_prefix`` walks every node back to its prefix.
     for prefix in {w[:i] for w in words for i in range(len(w) + 1)} | set(probes):
         node = 0
         for ch in prefix:
@@ -150,6 +157,7 @@ def test_flat_layout_is_the_level_order_of_the_reference_trie(words, probes):
                 break
             node = t._first[node] + k
         assert node == trie_node(root, prefix)
+    assert [t._prefix(n) for n in range(len(kids))] == node_prefixes(root)
     assert sum(t._is_word) == len(set(words))
 
 
