@@ -49,13 +49,25 @@ stages: ``frame_beams`` yields each frame's ``width`` survivors and, for
 the last frame, the merged, uncut set, as lists of candidates;
 ``complete_beams`` completes that last set, and ``decode`` takes the
 best completed candidate.
+
+``decode_batch`` runs the ``words``-mode search of many matrices at
+once and returns, bit for bit, what ``decode`` returns for each: every
+numpy step moves all live decodes one frame, over one array per field
+of all their survivors, with the same float operations in the same
+order (the arguments are in ``_run_batch``). Its per-step overhead makes
+a batch of one about three times slower than ``decode``, so it pays only
+for many decodes at once; the trend experiment uses it, the command
+line and the language-model modes use ``decode``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Iterator, Sequence
 from heapq import heapify, heapreplace
+from itertools import repeat
 from operator import itemgetter
+
+import numpy as np
 
 from .ctc import Alphabet, PosteriorMatrix, _check_shape
 from .errors import ConfigurationError, InputValidationError
@@ -99,6 +111,19 @@ def frame_beams(
     extends. The last list is the frame's merged, uncut set, as completion
     may re-rank it. Every word character of ``tree`` must be an alphabet symbol.
     """
+    scorer, nonword = _prepare(m, alphabet, tree, lm, width, mode)
+    return _run_frames(m, alphabet, width, scorer, tree, nonword)
+
+
+def _prepare(
+    m: PosteriorMatrix,
+    alphabet: Alphabet,
+    tree: PrefixTree,
+    lm: NgramModel | None,
+    width: int,
+    mode: ScoringMode,
+) -> tuple[TrieScorer, list[str]]:
+    """Check a decode's arguments; return its scorer and sorted non-word characters."""
     if width < 1:
         raise InputValidationError("beam width must be at least 1")
     _check_shape(m, alphabet)
@@ -112,7 +137,7 @@ def frame_beams(
             "no beam can ever extend: the dictionary is empty and there are "
             "no non-word characters"
         )
-    return _run_frames(m, alphabet, width, scorer, tree, nonword)
+    return scorer, nonword
 
 
 def _scorer(tree: PrefixTree, lm: NgramModel | None, mode: ScoringMode) -> TrieScorer:
@@ -298,3 +323,290 @@ def complete_beams(
             pb, pnb, p_text = cur[2] + pb, cur[3] + pnb, cur[4]
             out[text] = (-(p_text * (pb + pnb)), text, pb, pnb, p_text, *cur[5:])
     return list(out.values())
+
+
+def decode_batch(
+    matrices: Sequence[PosteriorMatrix],
+    alphabet: Alphabet,
+    tree: PrefixTree,
+    width: int = 25,
+) -> list[tuple[str, float]]:
+    """``[decode(m, alphabet, tree, width=width) for m in matrices]``, bit for bit.
+
+    A ``words``-mode search that moves every live decode one frame per
+    numpy step; the arguments are checked as ``decode`` checks them, all
+    before the first frame.
+    """
+    if not matrices:
+        return []
+    scorer, nonword = _prepare(matrices[0], alphabet, tree, None, width, WORDS)
+    for m in matrices[1:]:
+        _check_shape(m, alphabet)
+    return _run_batch(matrices, alphabet, width, scorer, tree, nonword)
+
+
+# Rows of the batched search's integer state: the decode, the trie node (the
+# current word), the text's last column (the blank for the empty text), the
+# text's id, its parent text's id (-1 for the empty text), the id of the text
+# before the current word (the text itself outside a word), and the slot of
+# the last character in the parent's extensions (see ``_extension_table``).
+# A new extension's id is -1 until it is kept, and so is its word-start id if
+# it leaves the word.
+_DEC, _NODE, _LAST, _TID, _PTID, _WST, _SLOT = range(7)
+
+
+def _run_batch(
+    matrices: Sequence[PosteriorMatrix],
+    alphabet: Alphabet,
+    width: int,
+    scorer: TrieScorer,
+    tree: PrefixTree,
+    nonword: list[str],
+) -> list[tuple[str, float]]:
+    # The batch holds the survivors of every live decode, grouped by decode,
+    # one array per field, and performs ``_run_frames``' float operations in
+    # ``words`` mode, where ``p_text`` and ``committed`` are 1.0 and every
+    # product with them is the identity:
+    # - an extension's mass is ``(pb if c == last else tot) * row[c]``, and it
+    #   scores its mass;
+    # - a copy keeps ``p_blank = tot * blank`` and ``p_nonblank = pnb *
+    #   row[last] + merged mass``; the merge is an array join, as survivor
+    #   ``j`` takes the extension of the survivor whose text is ``j``'s parent
+    #   text by ``j``'s last character;
+    # - an extension strictly below the smallest copy lower bound of a decode
+    #   with ``width`` survivors (not on its last frame) is dropped before any
+    #   candidate row is built: the first bound of ``_run_frames``' heap, so
+    #   it drops only what the cut drops;
+    # - the cut ranks on (decode, -score); texts are built and compared only
+    #   in a decode whose ``width``-th and next scores tie.
+    # Texts are ids of a text trie per decode, canonical, so the join compares
+    # ids. A decode's candidates on its last frame go, uncut, to
+    # ``_complete_batch``. Arrays by decode span the whole batch, finished
+    # decodes too.
+    c, blank = alphabet.num_classes, alphabet.blank_index
+    lengths = np.array([m.num_frames for m in matrices], np.int32)
+    probs = np.concatenate([m.probs for m in matrices]).ravel()
+    row0 = (np.cumsum(lengths, dtype=np.int32) - lengths) * c  # each decode's first row
+    last_frame = lengths - 1
+    ext_count, ext_ptr, ext_node, ext_col = _extension_table(tree, alphabet, nonword)
+    n = len(matrices)
+    texts = _Texts(alphabet.symbols, n)
+    state = np.zeros((7, n), np.int32)
+    state[_DEC] = state[_TID] = state[_WST] = np.arange(n)
+    state[_LAST] = blank
+    state[_PTID] = -1
+    pb, pnb = np.ones(n), np.zeros(n)
+    found: list[tuple[str, float] | None] = [None] * n
+    endings = set(last_frame.tolist())
+    for t in range(int(lengths.max())):
+        dec, node, last, tid = state[_DEC], state[_NODE], state[_LAST], state[_TID]
+        s = len(dec)
+        row = row0[dec] + np.int32(t * c)
+        tot = pb + pnb
+        p_blank = tot * probs[row + blank]
+        own = pnb * probs[row + last]  # 0.0 for the empty text, whose p_nonblank is 0.0
+        # Survivor i's extensions are rows ``start[i]`` on of these arrays.
+        count = ext_count[node]
+        start = np.cumsum(count, dtype=np.int32) - count
+        src = np.repeat(np.arange(s, dtype=np.int32), count)
+        slot = np.arange(len(src), dtype=np.int32) - np.repeat(start, count)
+        ext = np.repeat(ext_ptr[node], count) + slot
+        e_node, e_col = ext_node[ext], ext_col[ext]
+        at = row[src]
+        at += e_col
+        mass = probs[at]
+        base = tot[src]
+        same = np.flatnonzero(e_col == last[src])  # the repeat rule
+        base[same] = pb[src[same]]
+        mass *= base
+        # Merges: survivor ``j`` whose parent text is survivor ``i``'s takes
+        # i's extension by j's last character, row ``start[i] + slot[j]``.
+        # The entry past the last text id stays -1, for the parent id -1.
+        survivor = np.full(len(texts.keys) + 1, -1, np.int32)
+        survivor[tid] = np.arange(s)
+        i = survivor[state[_PTID]]
+        j = np.flatnonzero(i >= 0)
+        merged = start[i[j]] + state[_SLOT, j]
+        p_nonblank = own.copy()
+        p_nonblank[j] += mass[merged]
+        # The cut's bound, per decode with ``width`` survivors before its last
+        # frame; -1.0 keeps every extension.
+        bound = np.full(n, np.inf)
+        np.minimum.at(bound, dec, p_blank + own)
+        bound[(np.bincount(dec, minlength=n) < width) | (last_frame <= t)] = -1.0
+        keep = mass >= bound[dec][src]
+        keep[merged] = False
+        x = np.flatnonzero(keep)
+        xs = src[x]
+        cand = np.concatenate((state, state[:, xs]), axis=1)
+        new = cand[:, s:]
+        new[_NODE], new[_LAST], new[_PTID], new[_TID] = e_node[x], e_col[x], tid[xs], -1
+        new[_SLOT] = slot[x]
+        new[_WST, e_node[x] == 0] = -1
+        cand_pb = np.concatenate((p_blank, np.zeros(len(x))))
+        cand_pnb = np.concatenate((p_nonblank, mass[x]))
+        if t in endings:
+            ends = last_frame[cand[_DEC]] == t
+            _complete_batch(cand[:, ends], cand_pb[ends], cand_pnb[ends], scorer, tree, texts,
+                            found)
+            go = ~ends
+            cand, cand_pb, cand_pnb = cand[:, go], cand_pb[go], cand_pnb[go]
+        sel = _cut(cand, cand_pb + cand_pnb, width, n, texts)
+        state, pb, pnb = cand[:, sel], cand_pb[sel], cand_pnb[sel]
+        texts.name(state)
+    return found
+
+
+def _cut(cand: np.ndarray, score: np.ndarray, width: int, n: int, texts: _Texts) -> np.ndarray:
+    """Indices of each decode's ``width`` best candidates by (-score, text), grouped by decode."""
+    # Best score first, then a stable sort by decode; fewer than 2**16
+    # decodes sort on 16-bit keys, which numpy radix-sorts.
+    order = np.argsort(score)[::-1]
+    sdec = cand[_DEC, order]
+    order = order[np.argsort(sdec.astype(np.uint16) if n <= 1 << 16 else sdec, kind="stable")]
+    sdec = cand[_DEC, order]
+    sizes = np.bincount(sdec, minlength=n)
+    heads = np.cumsum(sizes) - sizes
+    keep = np.arange(len(sdec)) - heads[sdec] < width
+    over = heads[sizes > width]
+    if over.size:
+        ranked = score[order]
+        for head in over[ranked[over + width - 1] == ranked[over + width]].tolist():
+            # The cut splits a run of equal scores: keep its smallest texts.
+            tied = ranked[head + width - 1]
+            lo, hi = head + width - 1, head + width
+            while lo > head and ranked[lo - 1] == tied:
+                lo -= 1
+            while hi < len(sdec) and sdec[hi] == sdec[head] and ranked[hi] == tied:
+                hi += 1
+            run = sorted(range(lo, hi), key=lambda p: texts.of(cand[:, order[p]]))
+            keep[lo:hi] = False
+            keep[run[:head + width - lo]] = True
+    return order[keep]
+
+
+def _complete_batch(
+    cand: np.ndarray,
+    pb: np.ndarray,
+    pnb: np.ndarray,
+    scorer: TrieScorer,
+    tree: PrefixTree,
+    texts: _Texts,
+    found: list[tuple[str, float] | None],
+) -> None:
+    # ``complete_beams`` and ``decode``'s pick for the decodes that end on
+    # this frame, over their uncut candidates, new ones without text ids. A
+    # completed in-word text is its word-start text plus the prefix of its
+    # completed node, so in-word candidates that complete to one text are
+    # those with one (word-start id, completed node), as text ids belong to
+    # one decode; their masses are summed in text order: two terms in either
+    # order, more in Python. A text outside a word ends in a non-word
+    # character or is empty, so it is no other candidate's completed text:
+    # each such candidate is a group of its own.
+    node = cand[_NODE]
+    word = node.copy()
+    is_open = (node != 0) & (np.frombuffer(tree._is_word, np.uint8)[node] == 0)
+    word[is_open] = [scorer.complete(v)[1] for v in node[is_open].tolist()]
+    key = np.where(word != 0, cand[_WST].astype(np.int64) * len(tree._kids) + word,
+                   -1 - np.arange(len(word)))
+    order = np.argsort(key)
+    key = key[order]
+    heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+    sizes = np.diff(np.r_[heads, len(key)])
+    group_pb = np.add.reduceat(pb[order], heads)
+    group_pnb = np.add.reduceat(pnb[order], heads)
+    for g in np.flatnonzero(sizes > 2).tolist():
+        members = sorted(order[heads[g]:heads[g] + sizes[g]].tolist(),
+                         key=lambda q: texts.of(cand[:, q]))
+        a, b = float(pb[members[0]]), float(pnb[members[0]])
+        for q in members[1:]:
+            a, b = a + float(pb[q]), b + float(pnb[q])
+        group_pb[g], group_pnb[g] = a, b
+    score = group_pb + group_pnb
+    # Each decode's best groups, then the smallest of their completed texts.
+    first = order[heads]
+    dec = cand[_DEC, first]
+    best = np.full(len(found), -1.0)
+    np.maximum.at(best, dec, score)
+    top = np.flatnonzero(score == best[dec])
+    for q, d, value in zip(first[top].tolist(), dec[top].tolist(), score[top].tolist()):
+        if word[q]:
+            text = texts.text(int(cand[_WST, q])) + tree._prefix(int(word[q]))
+        else:
+            text = texts.of(cand[:, q])
+        if found[d] is None or text < found[d][0]:
+            found[d] = (text, value)
+
+
+def _extension_table(tree: PrefixTree, alphabet: Alphabet, nonword: list[str]) -> tuple:
+    """``(count, ptr, node, col)``: per trie node ``n``, the extensions a
+    hypothesis there may take.
+
+    Rows ``ptr[n]`` to ``ptr[n] + count[n] - 1`` of ``(node, col)`` are its
+    children in order, then, at the root or a word end, the non-word
+    characters (node 0); an extension's slot is its row less ``ptr[n]``.
+    """
+    col = alphabet.column_map()
+    first = np.frombuffer(tree._first, np.intc)
+    kids = np.fromiter(map(len, tree._kids), np.intc, len(tree._kids))
+    opens = np.frombuffer(tree._is_word, np.uint8).astype(bool)
+    opens[0] = True
+    count = kids + opens * np.intc(len(nonword))
+    ptr = np.cumsum(count, dtype=np.intc) - count
+    owner = np.repeat(np.arange(len(count)), count)
+    k = np.arange(len(owner)) - ptr[owner]
+    is_kid = k < kids[owner]
+    node = np.where(is_kid, first[owner] + k, 0).astype(np.intc)
+    node_col = np.array([0] + [col[ch] for ch in "".join(tree._kids)], np.intc)
+    cols = node_col[node]
+    nonword_col = np.array([col[ch] for ch in nonword], np.intc)
+    cols[~is_kid] = nonword_col[(k - kids[owner])[~is_kid]]
+    return count, ptr, node, cols
+
+
+class _Texts:
+    """The texts of one batched search, as canonical ids.
+
+    Ids ``0`` to ``n - 1`` are the decodes' empty texts; text ``parent +
+    symbols[col]`` has the id first handed to ``(parent, col)``, so the
+    equal texts of one decode always share one id, even when a text is
+    dropped and later built again.
+    """
+
+    def __init__(self, symbols: str, n: int) -> None:
+        self.symbols = symbols
+        self.base = len(symbols) + 1  # a key is ``parent * base + col``
+        self.ids: dict[int, int] = {}
+        self.keys = [-1] * n  # by id
+
+    def name(self, cand: np.ndarray) -> None:
+        """Give ids to the candidates that have none (and word-start ids outside a word).
+
+        The texts of one decode's candidates are distinct, so no two of them
+        need the same new id.
+        """
+        new = np.flatnonzero(cand[_TID] < 0)
+        keys = cand[_PTID, new].astype(np.int64) * self.base + cand[_LAST, new]
+        ids = np.fromiter(map(self.ids.get, keys.tolist(), repeat(-1)), np.int32, len(new))
+        unseen = np.flatnonzero(ids < 0)
+        fresh = keys[unseen].tolist()
+        fresh_ids = range(len(self.keys), len(self.keys) + len(fresh))
+        ids[unseen] = fresh_ids
+        self.ids.update(zip(fresh, fresh_ids))
+        self.keys += fresh
+        cand[_TID, new] = ids
+        start = np.flatnonzero(cand[_WST] < 0)
+        cand[_WST, start] = cand[_TID, start]
+
+    def text(self, i: int) -> str:
+        chars = []
+        while self.keys[i] >= 0:
+            i, col = divmod(self.keys[i], self.base)
+            chars.append(self.symbols[col])
+        return "".join(reversed(chars))
+
+    def of(self, cand: np.ndarray) -> str:
+        """The text of one candidate column, named or not."""
+        if cand[_TID] >= 0:
+            return self.text(int(cand[_TID]))
+        return self.text(int(cand[_PTID])) + self.symbols[cand[_LAST]]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from collections import Counter
 
@@ -82,6 +83,44 @@ def labeling_probability(m: PosteriorMatrix, labeling: str, alphabet: Alphabet) 
         if ch not in symbols:
             raise InputValidationError(f"labeling character {ch!r} is not in the alphabet")
     return labeling_distribution(m, alphabet).get(labeling, 0.0)
+
+
+def forward_probability(m: PosteriorMatrix, labeling: str, alphabet: Alphabet) -> float:
+    """Total probability of all paths collapsing to ``labeling``, by the CTC
+    forward pass (Graves et al., 2006) in O(T * len(labeling)).
+
+    After each frame the forward variables are rescaled by a power of two,
+    exact for normal doubles, so that the largest stays near 1; the result
+    is the final mass times the summed scale, below the normal range only
+    where the probability is.
+    """
+    col = alphabet.column_map()
+    blank = alphabet.blank_index
+    states = [blank]  # the labeling with a blank around each symbol
+    for ch in labeling:
+        states += [col[ch], blank]
+    states = np.array(states)
+    # A symbol state may also be entered from two states back, the previous
+    # symbol, unless the two symbols are equal.
+    skip = np.zeros(len(states), bool)
+    skip[3::2] = states[3::2] != states[1:-2:2]
+    alpha = np.zeros(len(states))
+    alpha[:2] = 1.0  # a path starts in the leading blank or on the first symbol
+    exponent = 0
+    for t, row in enumerate(m.probs):
+        if t:
+            prev = alpha
+            alpha = prev.copy()
+            alpha[1:] += prev[:-1]
+            alpha[2:] += np.where(skip[2:], prev[:-2], 0.0)
+        alpha *= row[states]
+        top = float(alpha.max())
+        if top > 0.0:
+            shift = math.frexp(top)[1]
+            alpha = np.ldexp(alpha, -shift)
+            exponent += shift
+    # A path ends in the trailing blank or on the last symbol.
+    return math.ldexp(float(alpha[-2:].sum() if labeling else alpha[-1]), exponent)
 
 
 def itertools_distribution(m: PosteriorMatrix, alphabet: Alphabet) -> dict[str, float]:

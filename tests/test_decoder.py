@@ -1,6 +1,7 @@
 """Dual-state word beam search: bookkeeping, constraints and completion."""
 
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -21,13 +22,15 @@ from wordbeam import (
     decode,
     forecast_sample,
 )
-from wordbeam.decoder import complete_beams, frame_beams
+from wordbeam import decoder
+from wordbeam.decoder import complete_beams, decode_batch, frame_beams
 
 from _support import (
     Beam,
     candidate,
     constrained_argmax,
     entries,
+    forward_probability,
     labeling_distribution,
     node_prefixes,
     random_matrix,
@@ -336,6 +339,28 @@ class TestSharedScorer:
 WORD_CHARS = "abcdefghijkl"
 
 
+def _matrix(rows: str, rng: np.random.Generator, t: int, c: int) -> PosteriorMatrix:
+    """A ``t`` x ``c`` matrix of one kind of rows."""
+    if rows.startswith("levels"):  # few distinct values, so scores tie and texts break ties
+        arr = rng.integers(1, int(rows[-1]) + 1, (t, c)).astype(float)
+        return PosteriorMatrix(arr / arr.sum(axis=1, keepdims=True))
+    if rows == "peaked":  # one column of each row holds at least 0.9, so whole
+        # survivors fall below the running bound and are skipped
+        arr = rng.random((t, c)) + 1e-3
+        arr = 0.1 * arr / arr.sum(axis=1, keepdims=True)
+        arr[np.arange(t), rng.integers(0, c, t)] += 0.9
+        return PosteriorMatrix(arr)
+    if rows == "uniform":  # every equal-length extension ties
+        return PosteriorMatrix(np.full((t, c), 1.0 / c))
+    return random_matrix(rng, t, c)
+
+
+def _coded(coding: str) -> Alphabet:
+    """The alphabet of one of three codings over ``WORD_CHARS``."""
+    sep = "|" if coding == "extrasep" else None
+    return Alphabet(WORD_CHARS + (" " if coding == "plain+space" else ""), separator=sep)
+
+
 def _top(beams, width: int) -> dict:
     """The reference set cut to ``width`` by (-score, text), as the search cuts it."""
     return entries(sorted(beams.values(), key=lambda b: (-b.score, b.text))[:width])
@@ -359,24 +384,10 @@ class TestFlatFrameLoop:
     def test_frames_and_decode_equal_reference(self, starts, tails, coding, mode, order, t,
                                                width, rows, seed):
         words = starts + [starts[i % len(starts)] + tail for i, tail in enumerate(tails)]
-        sep = "|" if coding == "extrasep" else None
-        chars = WORD_CHARS + (" " if coding == "plain+space" else "")
-        alphabet = Alphabet(chars, separator=sep)
+        alphabet = _coded(coding)
         tree = PrefixTree(words, set(WORD_CHARS))
         lm = NgramModel.train(words, order=order)
-        rng = np.random.default_rng(seed)
-        c = alphabet.num_classes
-        if rows.startswith("levels"):  # few distinct values, so scores tie and texts break ties
-            arr = rng.integers(1, int(rows[-1]) + 1, (t, c)).astype(float)
-            m = PosteriorMatrix(arr / arr.sum(axis=1, keepdims=True))
-        elif rows == "peaked":  # one column of each row holds at least 0.9, so whole
-            # survivors fall below the running bound and are skipped
-            arr = rng.random((t, c)) + 1e-3
-            arr = 0.1 * arr / arr.sum(axis=1, keepdims=True)
-            arr[np.arange(t), rng.integers(0, c, t)] += 0.9
-            m = PosteriorMatrix(arr)
-        else:
-            m = random_matrix(rng, t, c)
+        m = _matrix(rows, np.random.default_rng(seed), t, alphabet.num_classes)
         root = reference_trie(words)
         frames = list(frame_beams(m, alphabet, tree, lm, width, mode))
         reference = list(reference_frame_beams(m, alphabet, tree, root, lm, width, mode))
@@ -470,3 +481,128 @@ class TestRealisticSize:
             got = decode(m, alphabet, tree, lm, 25, mode)
             assert got == reference_decode(m, alphabet, tree, root, lm, 25, mode), mode
             assert got[1] > 0.0  # no underflow, so the cut was live
+
+
+def _exact(results) -> list[tuple[str, str]]:
+    """(text, score bits) pairs, so that equal lists are bit for bit equal."""
+    return [(text, score.hex()) for text, score in results]
+
+
+class TestDecodeBatch:
+    """``decode_batch`` against the scalar search, decode by decode."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @given(
+        starts=st.lists(st.sampled_from(WORD_CHARS), min_size=10, max_size=12, unique=True),
+        tails=st.lists(st.text(WORD_CHARS[:5], max_size=4), min_size=1, max_size=30),
+        coding=st.sampled_from(["plain", "plain+space", "extrasep"]),
+        lengths=st.lists(st.integers(1, 60), max_size=12),
+        width=st.integers(1, 40),
+        rows=st.sampled_from(["random", "levels2", "levels3", "peaked", "uniform"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_batch_equals_scalar(self, starts, tails, coding, lengths, width, rows, seed):
+        words = starts + [starts[i % len(starts)] + tail for i, tail in enumerate(tails)]
+        alphabet = _coded(coding)
+        tree = PrefixTree(words, set(WORD_CHARS))
+        rng = np.random.default_rng(seed)
+        matrices = [_matrix(rows, rng, t, alphabet.num_classes) for t in lengths]
+        want = [decode(m, alphabet, tree, width=width) for m in matrices]
+        assert _exact(decode_batch(matrices, alphabet, tree, width)) == _exact(want)
+
+    def test_text_order_decides_a_tie_across_the_cut(self):
+        # Frame 0 leaves "" (0.5) and a tie at the cut of width 2: "b" and
+        # " " (0.25 each). The smaller text, " ", survives, though the
+        # extension by the trie child "b" comes first. Keeping "b" instead
+        # would end in ("b", 0.3125).
+        alphabet = Alphabet("b ")
+        tree = PrefixTree(["b"], {"b"})
+        m = PosteriorMatrix([[0.25, 0.25, 0.5], [0.25, 0.25, 0.5]])
+        first = next(iter(frame_beams(m, alphabet, tree, width=2)))
+        assert sorted(c[1] for c in first) == ["", " "]
+        other = PosteriorMatrix([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5], [0.6, 0.2, 0.2]])
+        got = decode_batch([m, other, m], alphabet, tree, 2)
+        assert got[0] == got[2] == (" ", 0.3125)
+        assert _exact(got) == _exact([decode(x, alphabet, tree, width=2) for x in (m, other, m)])
+
+    def test_three_or_more_candidates_complete_to_one_word(self):
+        # Every non-empty text of the last frame is a prefix of "abcd" and
+        # completes to it, so their masses are summed, in text order.
+        alphabet = Alphabet("abcd")
+        tree = PrefixTree(["abcd"], set("abcd"))
+        rng = np.random.default_rng(8)
+        matrices = [random_matrix(rng, t, 5) for t in (3, 4, 5, 6) * 10]
+        last = list(frame_beams(matrices[0], alphabet, tree, width=10))[-1]
+        assert sorted(c[1] for c in last) == ["", "a", "ab", "abc"]
+        got = decode_batch(matrices, alphabet, tree, 10)
+        assert {text for text, _ in got} == {"abcd"}
+        assert _exact(got) == _exact([decode(m, alphabet, tree, width=10) for m in matrices])
+
+    @pytest.mark.parametrize("words, word_chars, symbols, width, classes, error", [
+        (["ab"], "ab", "ab", 0, 3, InputValidationError),   # width below 1
+        (["ab"], "ab", "ab", 5, 4, InputValidationError),   # a matrix of the wrong width
+        (["ab"], "abc", "ab", 5, 3, ConfigurationError),    # word character "c" no symbol
+        ([], "ab", "ab", 5, 3, ConfigurationError),         # nothing can ever extend
+    ])
+    def test_errors_come_before_any_frame(self, monkeypatch, words, word_chars, symbols, width,
+                                          classes, error):
+        alphabet = Alphabet(symbols)
+        tree = PrefixTree(words, set(word_chars))
+        good = PosteriorMatrix([[0.4, 0.3, 0.3]])
+        # A faulty matrix is named even at the end of the batch.
+        matrices = [good, good, PosteriorMatrix(np.full((1, classes), 1.0 / classes))]
+        with pytest.raises(error) as scalar:
+            [decode(m, alphabet, tree, width=width) for m in matrices]
+
+        def searched(*args):
+            raise AssertionError("the batch was searched")
+
+        monkeypatch.setattr(decoder, "_run_batch", searched)
+        with pytest.raises(error) as batched:
+            decode_batch(matrices, alphabet, tree, width)
+        assert str(batched.value) == str(scalar.value)
+
+    def test_empty_batch(self):
+        assert decode_batch([], Alphabet("a"), PrefixTree(["a"], {"a"}), 3) == []
+
+
+class TestForwardOracle:
+    """The last frame's masses against the CTC forward pass, past enumeration's T <= 6."""
+
+    def test_forward_pass_equals_enumeration(self):
+        rng = np.random.default_rng(3)
+        alphabet = Alphabet("ab")
+        for t in range(1, 7):
+            m = random_matrix(rng, t, 3)
+            dist = labeling_distribution(m, alphabet)
+            for labeling in ("", "a", "b", "ab", "aa", "aba", "abab", "bbb"):
+                assert forward_probability(m, labeling, alphabet) == pytest.approx(
+                    dist.get(labeling, 0.0), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(word=st.text("abcd", min_size=1, max_size=8), t=st.integers(1, 300),
+           rows=st.sampled_from(["spelled", "random"]), seed=st.integers(0, 2**32 - 1))
+    def test_unpruned_masses_are_forward_probabilities(self, word, t, rows, seed):
+        # One word and no non-word characters: every text is a prefix of the
+        # word, so width len(word) + 1 prunes nothing, and each text's mass
+        # is the probability of its labeling.
+        alphabet = Alphabet("".join(dict.fromkeys(word)))
+        tree = PrefixTree([word], set(word))
+        rng = np.random.default_rng(seed)
+        c = alphabet.num_classes
+        if rows == "spelled":  # peaked rows, the peaks spelling the word between blanks
+            arr = rng.random((t, c)) + 1e-3
+            arr = 0.1 * arr / arr.sum(axis=1, keepdims=True)
+            col = alphabet.column_map()
+            peaks = [c - 1 if k % 2 else col[word[k * len(word) // t]] for k in range(t)]
+            arr[np.arange(t), peaks] += 0.9
+            m = PosteriorMatrix(arr)
+        else:
+            m = random_matrix(rng, t, c)
+        last = list(frame_beams(m, alphabet, tree, width=len(word) + 1))[-1]
+        normal = [cand for cand in last if cand[2] + cand[3] >= sys.float_info.min]
+        assert normal
+        for _, text, p_blank, p_nonblank, *_ in normal:
+            assert word.startswith(text)
+            assert p_blank + p_nonblank == pytest.approx(
+                forward_probability(m, text, alphabet), rel=1e-9, abs=0.0)

@@ -1,4 +1,4 @@
-"""Trend report layout, the experiment's per-member memo and its one tree per seed."""
+"""Trend report layout, the experiment's per-member memo, its batches and its one tree per seed."""
 
 import hashlib
 import random
@@ -42,13 +42,16 @@ _MEMO_REPORT_SHA256 = "c78374a097dc6ea44392d9c7eb950fd297ed0f73f38a631b60ac08d9e
 def test_each_member_decodes_each_distinct_word_once(monkeypatch):
     cfg = _MEMO_CFG
     calls: Counter = Counter()
-    decode = trends.decode
+    batches: list[int] = []
+    decode_batch = trends.decode_batch
 
-    def counted(m, alphabet, tree, **kwargs):
-        calls[alphabet, m.probs.tobytes()] += 1  # one matrix per (member, lane, word)
-        return decode(m, alphabet, tree, **kwargs)
+    def counted(matrices, alphabet, tree, width):
+        batches.append(len(matrices))
+        for m in matrices:
+            calls[alphabet, m.probs.tobytes()] += 1  # one matrix per (member, lane, word)
+        return decode_batch(matrices, alphabet, tree, width)
 
-    monkeypatch.setattr(trends, "decode", counted)
+    monkeypatch.setattr(trends, "decode_batch", counted)
     report = run_trend_experiment(cfg).format()
     distinct = 0
     for k in range(cfg.n_seeds):
@@ -58,6 +61,7 @@ def test_each_member_decodes_each_distinct_word_once(monkeypatch):
     assert distinct < cfg.n_seeds * cfg.n_words / 2
     assert set(calls.values()) == {1}
     assert len(calls) == (cfg.members + 1) * distinct  # every member, plus the plain lane
+    assert max(batches) <= trends.BATCH_DECODES
     # The report of the experiment that decoded every word of the list.
     assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
 
@@ -66,22 +70,29 @@ def test_both_lanes_share_one_tree_per_seed(monkeypatch):
     cfg = _MEMO_CFG
     built: list = []
     alphabets: dict[int, set] = {}
-    tree_class, decode = trends.PrefixTree, trends.decode
+    tree_class, decode_batch = trends.PrefixTree, trends.decode_batch
 
     def counted_tree(*args):
         built.append(tree_class(*args))
         return built[-1]
 
-    def recorded(m, alphabet, tree, **kwargs):
+    def recorded(matrices, alphabet, tree, width):
         alphabets.setdefault(id(tree), set()).add(alphabet)
-        return decode(m, alphabet, tree, **kwargs)
+        return decode_batch(matrices, alphabet, tree, width)
 
     monkeypatch.setattr(trends, "PrefixTree", counted_tree)
-    monkeypatch.setattr(trends, "decode", recorded)
+    monkeypatch.setattr(trends, "decode_batch", recorded)
     report = run_trend_experiment(cfg).format()
     assert len(built) == cfg.n_seeds
     for tree in built:
         # the plain and the extra-separator lane, through one words-mode scorer
         assert {a.separator for a in alphabets[id(tree)]} == {None, cfg.separator}
         assert len(tree._scorers) == 1
+    assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
+
+
+def test_the_report_does_not_depend_on_the_batch_size(monkeypatch):
+    # Batches of 7 split every lane, and the last batch of a lane runs short.
+    monkeypatch.setattr(trends, "BATCH_DECODES", 7)
+    report = run_trend_experiment(_MEMO_CFG).format()
     assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
