@@ -27,13 +27,16 @@ from .evaluation import build_report, format_report_kv, format_report_table
 from .files import load_word_list, read_matrix_file, read_text, write_matrix_file
 from .language_model import NGRAMS, NGRAMS_FORECAST, NgramModel, ScoringMode, WORDS, forecast_sample
 from .prefix_tree import PrefixTree
-from .synth import RecognizerSim, make_ensemble
+from .synth import RecognizerSim, emit_many, make_ensemble
 from .trends import TrendConfig, run_trend_experiment
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CONFIG = 3
+
+# Matrices ``synth`` emits as one batch (``emit_many``) before writing them.
+SYNTH_BATCH = 100
 
 _MODES = ("bestpath", "words", "ngrams", "ngrams-forecast", "ngrams-forecast-sample")
 
@@ -422,11 +425,12 @@ def cmd_synth(args) -> int:
     for k, sim in enumerate(sims):
         member_dir = out / f"member_{k:02d}"
         member_dir.mkdir(exist_ok=True)
-        for i, word in enumerate(sample):
-            matrix = sim.emit(word)
-            write_matrix_file(
-                member_dir / f"sample_{i:0{pad}d}.mat", matrix, alphabet.symbols
-            )
+        for at in range(0, len(sample), SYNTH_BATCH):
+            chunk = sample[at:at + SYNTH_BATCH]
+            for i, matrix in enumerate(emit_many([(sim, word) for word in chunk]), at):
+                write_matrix_file(
+                    member_dir / f"sample_{i:0{pad}d}.mat", matrix, alphabet.symbols
+                )
     (out / "ground_truth.tsv").write_text("\n".join(manifest) + "\n", encoding="utf-8")
     print(f"wrote {args.members} member(s) x {args.n_words} matrices under {out}")
     return EXIT_OK

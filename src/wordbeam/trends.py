@@ -6,8 +6,9 @@ and measures word accuracy for best-path versus dictionary-constrained
 decoding, plain versus extra-separator coding, and growing ensemble
 sizes under plurality voting. The two coding lanes differ only in the
 recognizer's alphabet; they share one tree per seed. Each distinct
-(member, word) of a lane is decoded once, by batched word beam searches
-(``decoder.decode_batch``) of at most ``BATCH_DECODES`` matrices each.
+(member, word) of a lane is emitted and decoded once, in batches of at
+most ``BATCH_DECODES`` jobs: a batched emission (``synth.emit_many``)
+and a batched word beam search (``decoder.decode_batch``) each.
 Everything is seeded, so reports are byte-identical across runs.
 """
 
@@ -24,7 +25,7 @@ from .ensemble import Hypothesis, vote
 from .errors import InputValidationError
 from .evaluation import word_accuracy
 from .prefix_tree import PrefixTree
-from .synth import RecognizerSim, make_ensemble
+from .synth import RecognizerSim, emit_many, make_ensemble
 
 
 @dataclass(frozen=True)
@@ -141,26 +142,35 @@ def _decode_lane(
     for ``words``, in list order, and the first member's best-path texts.
 
     The calls are pure and the list repeats words, so each distinct (member,
-    word) is emitted and decoded once. The decodes run as batched searches of
-    at most ``BATCH_DECODES`` matrices. A batch's recognizers and matrices
-    are made when it is next, and the best path is taken as its matrix is
-    emitted, so the first matrix comes before any other work of the lane.
+    word) is emitted and decoded once. A batch of at most ``BATCH_DECODES``
+    jobs is emitted (``emit_many``) when it is next, and decoded as one
+    batched search. The lane's first matrix is emitted alone, by
+    ``RecognizerSim.emit``, and its best path taken before any other job is
+    made, so the first matrix comes before any other work of the lane.
     """
     distinct = list(dict.fromkeys(words))
     sims = (replace(member, alphabet=alphabet) for member in members)
     jobs = ((k, sim, word) for k, sim in enumerate(sims) for word in distinct)
     best_path: dict[str, str] = {}
     found: list[tuple[str, float]] = []
-    while True:
-        matrices = []
-        for k, sim, word in islice(jobs, BATCH_DECODES):
-            matrices.append(sim.emit(word))
+
+    def take_best_paths(batch, matrices) -> None:
+        for (k, _, word), matrix in zip(batch, matrices):
             if not k:
-                text = best_path_decode(matrices[-1], alphabet)[0]
-                best_path[word] = decode_label(text, alphabet)
+                best_path[word] = decode_label(best_path_decode(matrix, alphabet)[0], alphabet)
+
+    head = list(islice(jobs, 1))
+    matrices = [sim.emit(word) for _, sim, word in head]
+    take_best_paths(head, matrices)
+    while True:
+        batch = list(islice(jobs, BATCH_DECODES - len(matrices)))
+        rest = emit_many([(sim, word) for _, sim, word in batch])
+        take_best_paths(batch, rest)
+        matrices += rest
         if not matrices:
             break
         found += decode_batch(matrices, alphabet, tree, width)
+        matrices = []
     hyps = []
     for at in range(0, len(found), len(distinct)):
         by_word = {word: Hypothesis(decode_label(text, alphabet), likelihood)

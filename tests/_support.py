@@ -18,9 +18,11 @@ from wordbeam import (
     NgramModel,
     PosteriorMatrix,
     PrefixTree,
+    RecognizerSim,
     ScoringMode,
     TrieScorer,
     collapse,
+    encode_label,
 )
 from wordbeam.files import unescape_alphabet
 
@@ -587,3 +589,77 @@ def reference_decode(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree, r
     best = min(reference_complete_beams(beams, tree, root, lm, mode, scorer).values(),
                key=_rank_key)
     return best.text, best.score
+
+
+def reference_emit(sim: RecognizerSim, word: str) -> PosteriorMatrix:
+    """``sim.emit(word)`` one row at a time, each draw a call of the
+    stdlib generator: the reference for the batched emitter."""
+    label = encode_label(word, sim.alphabet)
+    if not label:
+        raise InputValidationError("cannot emit a matrix for an empty label")
+    col = sim.alphabet.column_map()
+    targets: list[int] = []
+    for ch in label:
+        if ch not in col:
+            raise InputValidationError(
+                f"label character {ch!r} is not in the recognizer alphabet"
+            )
+        targets.append(col[ch])
+    rng = random.Random(f"emit|{sim.seed}|{label}")
+    blank = sim.alphabet.blank_index
+    c_max = sim.alphabet.num_classes
+    sep_col = None
+    if sim.alphabet.separator is not None:
+        sep_col = col[sim.alphabet.separator]
+    rows: list[list[float]] = []
+    for i, target in enumerate(targets):
+        if i:
+            rows.append(reference_row(rng, sim, c_max, blank, sim.noise_level, sep_col))
+        noise = sim.noise_level
+        if target == sep_col:
+            noise = noise * sim.separator_noise_factor
+        for _ in range(sim.frames_per_char):
+            rows.append(reference_row(rng, sim, c_max, target, noise, sep_col))
+    return PosteriorMatrix(rows)
+
+
+def reference_row(rng, sim: RecognizerSim, c_max: int, target: int, noise: float,
+                  sep_col: int | None) -> list[float]:
+    """One emitted row; ``rng`` needs ``expovariate``, ``randrange`` and ``random``."""
+    if noise == 0.0:
+        row = [0.0] * c_max
+        row[target] = 1.0
+        return row
+    peak = 1.0 - noise * rng.expovariate(1.0)
+    if peak < 0.02:
+        peak = 0.02
+    leak = 1.0 - peak
+    share = sim.confusion_spread / (sim.confusion_spread + 1.0)
+    excluded = {target}
+    if sep_col is not None and target != sep_col:
+        excluded.add(sep_col)
+    j = target
+    while j in excluded:
+        j = rng.randrange(c_max)
+    weights = [rng.random() for _ in range(c_max)]
+    for idx in excluded:
+        weights[idx] = 0.0
+    wsum = _sum_left_to_right(weights)
+    if wsum == 0.0:
+        weights = [float(i not in excluded) for i in range(c_max)]
+        wsum = _sum_left_to_right(weights)
+    diffuse = leak * (1.0 - share)
+    row = [diffuse * w / wsum for w in weights]
+    row[j] += leak * share
+    row[target] += peak
+    total = _sum_left_to_right(row)
+    return [v / total for v in row]
+
+
+def _sum_left_to_right(values: list[float]) -> float:
+    """``sum`` of floats as Python adds them up to 3.11: one at a time, left
+    to right (3.12 compensates the rounding, which can move the last bit)."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total

@@ -512,6 +512,20 @@ class TestSynthCommand:
         b = (tmp_path / "run2" / "member_00" / "sample_0000.mat").read_bytes()
         assert a == b
 
+    def test_output_does_not_depend_on_the_emission_batch(self, tmp_path, monkeypatch):
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("cat\ndog\ncow\n", encoding="utf-8")
+        common = ["synth", "--dict", str(dict_path), "--n-words", "10", "--members", "2",
+                  "--noise", "0.3", "--seed", "5"]
+        assert main([*common, "--out-dir", str(tmp_path / "one")]) == EXIT_OK
+        monkeypatch.setattr("wordbeam.cli.SYNTH_BATCH", 3)  # the last batch of a member runs short
+        assert main([*common, "--out-dir", str(tmp_path / "threes")]) == EXIT_OK
+        files = sorted(p.relative_to(tmp_path / "one")
+                       for p in (tmp_path / "one").rglob("*") if p.is_file())
+        assert len(files) == 2 * 10 + 1
+        for name in files:
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "threes" / name).read_bytes()
+
     def test_decode_eval_round_trip(self, tmp_path, capsys):
         dict_path = tmp_path / "dict.txt"
         dict_path.write_text("cat\ndog\ncow\n", encoding="utf-8")

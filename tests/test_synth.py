@@ -1,7 +1,9 @@
-"""Synthetic recognizer determinism, validity and noise behaviour."""
+"""Synthetic recognizer determinism, validity, noise behaviour and the
+batched emitter's bit identity with the one-row-at-a-time reference."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wordbeam import (
     Alphabet,
@@ -13,6 +15,8 @@ from wordbeam import (
     decode_label,
     make_ensemble,
 )
+from wordbeam import synth
+from _support import reference_emit, reference_row
 
 def test_noiseless_emission_recovers_label():
     a = Alphabet("abdefgiln")
@@ -79,6 +83,18 @@ def test_parameter_validation():
         RecognizerSim(alphabet=Alphabet("ab"), frames_per_char=0)
     with pytest.raises(InputValidationError):
         RecognizerSim(alphabet=Alphabet("ab"), separator_noise_factor=2.0)
+
+
+@pytest.mark.parametrize("fpc", [2.5, 3.0, "3", None])
+def test_non_integer_frames_per_char_rejected(fpc):
+    with pytest.raises(InputValidationError, match="frames_per_char"):
+        RecognizerSim(alphabet=Alphabet("ab"), frames_per_char=fpc)
+
+
+def test_numpy_integer_frames_per_char_accepted():
+    a = Alphabet("ab")
+    sim = RecognizerSim(alphabet=a, frames_per_char=np.int64(2), noise_level=0.3, seed=1)
+    assert sim.emit("ab").probs.tobytes() == reference_emit(sim, "ab").probs.tobytes()
 
 
 def test_separator_region_is_reliable():
@@ -175,3 +191,83 @@ def test_dictionary_decoding_beats_best_path_at_noise_04():
         bp += best_path_decode(m, a)[0] == w
         wbs += decode(m, a, tree, width=8)[0] == w
     assert wbs > bp
+
+
+# With and without a separator, and one-symbol alphabets, where a confusion
+# column takes the most tries (one column of four values is allowed).
+_ALPHABETS = [
+    Alphabet("abcdefghij", "|"),
+    Alphabet("abcdefghij"),
+    Alphabet("a"),
+    Alphabet("a", "|"),
+    Alphabet("xyz", "#"),
+]
+
+
+@st.composite
+def _emit_jobs(draw):
+    alphabet = draw(st.sampled_from(_ALPHABETS))
+    sim = RecognizerSim(
+        alphabet=alphabet,
+        frames_per_char=draw(st.integers(1, 4)),
+        noise_level=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
+        confusion_spread=draw(st.sampled_from([0.0, 1.5]) | st.floats(0.0, 20.0)),
+        seed=draw(st.integers(0, 2**48)),
+        separator_noise_factor=draw(st.sampled_from([0.0, 0.35, 1.0]) | st.floats(0.0, 1.0)),
+    )
+    return sim, draw(st.text(alphabet.characters, min_size=1, max_size=8))
+
+
+class TestBatchedEmission:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(st.lists(_emit_jobs(), min_size=1, max_size=30))
+    def test_bit_identical_to_the_reference(self, jobs):
+        expected = [reference_emit(sim, word).probs.tobytes() for sim, word in jobs]
+        assert [m.probs.tobytes() for m in synth.emit_many(jobs)] == expected
+        sim, word = jobs[0]
+        assert sim.emit(word).probs.tobytes() == expected[0]
+
+    def test_trend_sized_batch(self):
+        # A batch as a trend lane makes: ten members, jittered noise, 100 jobs.
+        base = RecognizerSim(Alphabet("abcdefghij", "|"), frames_per_char=3,
+                             noise_level=0.37, confusion_spread=1.5, seed=5)
+        words = ["abc", "jihgf", "aaaa", "bead", "cafe", "jab", "hide", "fig", "dig", "ace"]
+        jobs = [(sim, word) for sim in make_ensemble(base, 10) for word in words]
+        got = [m.probs.tobytes() for m in synth.emit_many(jobs)]
+        assert got == [reference_emit(sim, word).probs.tobytes() for sim, word in jobs]
+
+    def test_empty_batch(self):
+        assert synth.emit_many([]) == []
+
+    def test_a_bad_job_fails_the_batch(self):
+        sim = RecognizerSim(alphabet=Alphabet("ab"), noise_level=0.3)
+        with pytest.raises(InputValidationError, match="not in the recognizer alphabet"):
+            synth.emit_many([(sim, "ab"), (sim, "abz")])
+
+    @pytest.mark.parametrize("separator", [None, "|"])
+    def test_all_zero_weights_spread_the_leak_evenly(self, separator):
+        # Every allowed weight drawing 0.0 is far too rare to meet in a
+        # stream, so the rows are built from scripted draws.
+        class Scripted:
+            def expovariate(self, lambd):
+                return 0.75
+
+            def randrange(self, n):
+                return 1
+
+            def random(self):
+                return 0.0
+
+        alphabet = Alphabet("abc", separator)
+        sim = RecognizerSim(alphabet=alphabet, noise_level=0.4, confusion_spread=1.5)
+        c_max = alphabet.num_classes
+        sep_col = None if separator is None else alphabet.index_of(separator)
+        targets = [0, 2, c_max - 1] + ([] if sep_col is None else [sep_col])
+        expected = [reference_row(Scripted(), sim, c_max, t, 0.4, sep_col) for t in targets]
+        got = synth._noisy_rows(
+            np.full(len(targets), 0.75), np.ones(len(targets), dtype=int),
+            np.zeros((len(targets), c_max)), np.array(targets),
+            np.full(len(targets), -1 if sep_col is None else sep_col),
+            np.full(len(targets), 0.4), np.full(len(targets), 1.5 / 2.5),
+        )
+        assert got.tobytes() == np.array(expected).tobytes()

@@ -96,3 +96,32 @@ def test_the_report_does_not_depend_on_the_batch_size(monkeypatch):
     monkeypatch.setattr(trends, "BATCH_DECODES", 7)
     report = run_trend_experiment(_MEMO_CFG).format()
     assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
+
+
+def test_first_matrix_is_emitted_alone_and_best_path_decoded_first(monkeypatch):
+    # A command's set-up ends at its first decode, less the time spent
+    # emitting before it: the first matrix comes from ``RecognizerSim.emit``
+    # alone and is best-path decoded before anything else is emitted.
+    events: list[str] = []
+    emit, emit_many = trends.RecognizerSim.emit, trends.emit_many
+    best_path_decode = trends.best_path_decode
+
+    def recorded_emit(self, word):
+        events.append("emit")
+        return emit(self, word)
+
+    def recorded_emit_many(pairs):
+        events.append("emit_many")
+        return emit_many(pairs)
+
+    def recorded_best_path(m, alphabet):
+        events.append("best_path")
+        return best_path_decode(m, alphabet)
+
+    monkeypatch.setattr(trends.RecognizerSim, "emit", recorded_emit)
+    monkeypatch.setattr(trends, "emit_many", recorded_emit_many)
+    monkeypatch.setattr(trends, "best_path_decode", recorded_best_path)
+    report = run_trend_experiment(_MEMO_CFG).format()
+    assert events[:3] == ["emit", "best_path", "emit_many"]
+    assert "emit_many" in events[events.index("emit", 1):]  # each lane batches its rest
+    assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
