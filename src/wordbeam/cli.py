@@ -10,11 +10,12 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from collections.abc import Callable
 from pathlib import Path
 
+from . import decoder
 from .coding import choose_separator, decode_label
 from .ctc import Alphabet, PosteriorMatrix, best_path_decode
-from .decoder import decode
 from .ensemble import Hypothesis, vote, winning_group_size
 from .errors import (
     ConfigurationError,
@@ -37,6 +38,9 @@ EXIT_CONFIG = 3
 
 # Matrices ``synth`` emits as one batch (``emit_many``) before writing them.
 SYNTH_BATCH = 100
+# Matrices of one alphabet that ``decode`` and ``ensemble`` search as one
+# batch (``decode_batch``) in ``words`` mode; it bounds the matrices held.
+DECODE_BATCH = 20
 
 _MODES = ("bestpath", "words", "ngrams", "ngrams-forecast", "ngrams-forecast-sample")
 
@@ -191,6 +195,23 @@ def _alphabet_for(symbols: str, sep: str | None, path: str) -> Alphabet:
         raise DataFormatError(str(exc), path=path, line=2) from None
 
 
+# The benchmark's set-up clock stops at the first call of ``decode`` or
+# ``best_path_decode`` as this module looks them up (bench/README.md).
+def decode(
+    matrices: list[PosteriorMatrix],
+    alphabet: Alphabet,
+    tree: PrefixTree,
+    lm: NgramModel | None,
+    width: int,
+    mode: ScoringMode,
+) -> list[tuple[str, float]]:
+    """``decoder.decode`` of each matrix; several in ``words`` mode run as one
+    ``decode_batch``, which returns the same bit for bit."""
+    if mode is WORDS and len(matrices) > 1:
+        return decoder.decode_batch(matrices, alphabet, tree, width)
+    return [decoder.decode(m, alphabet, tree, lm, width, mode) for m in matrices]
+
+
 class _DecodePipeline:
     """Shared per-alphabet tree and model, rebuilt only when symbols change."""
 
@@ -202,15 +223,40 @@ class _DecodePipeline:
         self.lm_corpus = load_word_list(args.lm_corpus) if args.lm_corpus else None
         self._cache: dict[str, tuple] = {}
 
-    def decode_one(self, path: str, symbols: str, matrix: PosteriorMatrix) -> tuple[str, float]:
-        alphabet, tree, lm = self._setup(symbols, path)
-        if self.mode is None:
-            label, likelihood = best_path_decode(matrix, alphabet)
-        else:
-            label, likelihood = decode(
-                matrix, alphabet, tree, lm, width=self.args.width, mode=self.mode
-            )
-        return decode_label(label, alphabet), likelihood
+    def decode_files(self, paths: list, row: Callable[[int, str, float], object]) -> list:
+        """Read and decode each matrix file; return ``row(i, label,
+        likelihood)`` of each file ``paths[i]``, in file order.
+
+        Each file is read and its alphabet set up in file order, so the first
+        fault in that order is the one raised. Best path and the language-model
+        modes then decode the file at once; ``words`` mode collects each
+        alphabet's matrices and decodes them ``DECODE_BATCH`` at a time.
+        """
+        batch = DECODE_BATCH if self.mode is WORDS else 1
+        rows: list = [None] * len(paths)
+        pending: dict[str, list[tuple[int, PosteriorMatrix]]] = {}
+        for i, path in enumerate(paths):
+            symbols, matrix = read_matrix_file(path)
+            alphabet, tree, lm = self._setup(symbols, str(path))
+            if self.mode is None:
+                label, likelihood = best_path_decode(matrix, alphabet)
+                rows[i] = row(i, decode_label(label, alphabet), likelihood)
+                continue
+            group = pending.setdefault(symbols, [])
+            group.append((i, matrix))
+            if len(group) == batch:
+                self._decode(symbols, pending.pop(symbols), row, rows)
+        for symbols, group in pending.items():
+            self._decode(symbols, group, row, rows)
+        return rows
+
+    def _decode(self, symbols: str, group: list[tuple[int, PosteriorMatrix]],
+                row: Callable[[int, str, float], object], rows: list) -> None:
+        """Decode the matrices of one alphabet into their places in ``rows``."""
+        alphabet, tree, lm = self._cache[symbols]
+        found = decode([m for _, m in group], alphabet, tree, lm, self.args.width, self.mode)
+        for (i, _), (label, likelihood) in zip(group, found):
+            rows[i] = row(i, decode_label(label, alphabet), likelihood)
 
     def _setup(self, symbols: str, path: str):
         cached = self._cache.get(symbols)
@@ -233,6 +279,9 @@ class _DecodePipeline:
             if self.mode.uses_lm:
                 corpus = self.lm_corpus if self.lm_corpus is not None else self.words
                 lm = NgramModel.train(corpus, self.args.order, self.args.smoothing_k)
+            # A batch is decoded after later files are read, so its faults
+            # must show here, at its first file.
+            decoder._prepare(alphabet, tree, lm, self.args.width, self.mode)
         self._cache[symbols] = (alphabet, tree, lm)
         return self._cache[symbols]
 
@@ -264,12 +313,9 @@ def _dict_missing(args) -> bool:
 def cmd_decode(args) -> int:
     if _dict_missing(args):
         return EXIT_USAGE
-    pipeline = _DecodePipeline(args)
-    lines = []
-    for path in args.matrices:
-        symbols, matrix = read_matrix_file(path)
-        text, likelihood = pipeline.decode_one(path, symbols, matrix)
-        lines.append(f"{path}\t{text}\t{likelihood!r}")
+    paths = args.matrices
+    lines = _DecodePipeline(args).decode_files(
+        paths, lambda i, text, likelihood: f"{paths[i]}\t{text}\t{likelihood!r}")
     print("\n".join(lines))
     return EXIT_OK
 
@@ -352,16 +398,11 @@ def _ensemble_from_dirs(args, dirs: list[Path]) -> list[list[tuple[str, Hypothes
                 f"matrix directories are misaligned, first mismatch at {bad!r}",
                 path=str(d),
             )
-    pipeline = _DecodePipeline(args)
-    per_member = []
-    for d in dirs:
-        rows = []
-        for name in names:
-            path = d / name
-            symbols, matrix = read_matrix_file(path)
-            rows.append((name, Hypothesis(*pipeline.decode_one(str(path), symbols, matrix))))
-        per_member.append(rows)
-    return per_member
+    n = len(names)
+    rows = _DecodePipeline(args).decode_files(
+        [d / name for d in dirs for name in names],
+        lambda i, text, likelihood: (names[i % n], Hypothesis(text, likelihood)))
+    return [rows[k * n:(k + 1) * n] for k in range(len(dirs))]
 
 
 def _read_labels(path: str) -> list[str]:

@@ -56,8 +56,11 @@ numpy step moves all live decodes one frame, over one array per field
 of all their survivors, with the same float operations in the same
 order (the arguments are in ``_run_batch``). Its per-step overhead makes
 a batch of one about three times slower than ``decode``, so it pays only
-for many decodes at once; the trend experiment uses it, the command
-line and the language-model modes use ``decode``.
+for many decodes at once: the trend experiment and the command line's
+``words`` mode use it for groups of matrices, and a lone matrix and the
+language-model modes use ``decode``. A batch's memory stays bounded: it
+reads the trie through a few arrays by node, and its table of texts
+keeps only those a survivor can still reach.
 """
 
 from __future__ import annotations
@@ -111,22 +114,27 @@ def frame_beams(
     extends. The last list is the frame's merged, uncut set, as completion
     may re-rank it. Every word character of ``tree`` must be an alphabet symbol.
     """
-    scorer, nonword = _prepare(m, alphabet, tree, lm, width, mode)
+    scorer, nonword = _prepare(alphabet, tree, lm, width, mode, m)
     return _run_frames(m, alphabet, width, scorer, tree, nonword)
 
 
 def _prepare(
-    m: PosteriorMatrix,
     alphabet: Alphabet,
     tree: PrefixTree,
     lm: NgramModel | None,
     width: int,
     mode: ScoringMode,
+    m: PosteriorMatrix | None = None,
 ) -> tuple[TrieScorer, list[str]]:
-    """Check a decode's arguments; return its scorer and sorted non-word characters."""
+    """Check a decode's arguments; return its scorer and sorted non-word characters.
+
+    Without a matrix it checks all the rest, so that a caller can report
+    an unusable configuration before it has read any matrix.
+    """
     if width < 1:
         raise InputValidationError("beam width must be at least 1")
-    _check_shape(m, alphabet)
+    if m is not None:
+        _check_shape(m, alphabet)
     scorer = _scorer(tree, lm, mode)
     missing = tree.word_chars.difference(alphabet.symbols)
     if missing:
@@ -339,7 +347,7 @@ def decode_batch(
     """
     if not matrices:
         return []
-    scorer, nonword = _prepare(matrices[0], alphabet, tree, None, width, WORDS)
+    scorer, nonword = _prepare(alphabet, tree, None, width, WORDS, matrices[0])
     for m in matrices[1:]:
         _check_shape(m, alphabet)
     return _run_batch(matrices, alphabet, width, scorer, tree, nonword)
@@ -349,7 +357,7 @@ def decode_batch(
 # current word), the text's last column (the blank for the empty text), the
 # text's id, its parent text's id (-1 for the empty text), the id of the text
 # before the current word (the text itself outside a word), and the slot of
-# the last character in the parent's extensions (see ``_extension_table``).
+# the last character in the parent's extensions (see ``_node_arrays``).
 # A new extension's id is -1 until it is kept, and so is its word-start id if
 # it leaves the word.
 _DEC, _NODE, _LAST, _TID, _PTID, _WST, _SLOT = range(7)
@@ -379,16 +387,18 @@ def _run_batch(
     #   it drops only what the cut drops;
     # - the cut ranks on (decode, -score); texts are built and compared only
     #   in a decode whose ``width``-th and next scores tie.
-    # Texts are ids of a text trie per decode, canonical, so the join compares
-    # ids. A decode's candidates on its last frame go, uncut, to
-    # ``_complete_batch``. Arrays by decode span the whole batch, finished
-    # decodes too.
+    # Texts are ids of a text trie per decode, canonical among the texts a
+    # survivor can reach, so the join compares ids; every ``_COMPACT_AT`` new
+    # texts the trie forgets the others. A decode's candidates on its last
+    # frame go, uncut, to ``_complete_batch``. Arrays by decode span the whole
+    # batch, finished decodes too.
     c, blank = alphabet.num_classes, alphabet.blank_index
     lengths = np.array([m.num_frames for m in matrices], np.int32)
     probs = np.concatenate([m.probs for m in matrices]).ravel()
     row0 = (np.cumsum(lengths, dtype=np.int32) - lengths) * c  # each decode's first row
     last_frame = lengths - 1
-    ext_count, ext_ptr, ext_node, ext_col = _extension_table(tree, alphabet, nonword)
+    first, spans, col = _node_arrays(tree, alphabet, nonword)
+    size = len(first)
     n = len(matrices)
     texts = _Texts(alphabet.symbols, n)
     state = np.zeros((7, n), np.int32)
@@ -405,13 +415,21 @@ def _run_batch(
         tot = pb + pnb
         p_blank = tot * probs[row + blank]
         own = pnb * probs[row + last]  # 0.0 for the empty text, whose p_nonblank is 0.0
-        # Survivor i's extensions are rows ``start[i]`` on of these arrays.
-        count = ext_count[node]
-        start = np.cumsum(count, dtype=np.int32) - count
-        src = np.repeat(np.arange(s, dtype=np.int32), count)
-        slot = np.arange(len(src), dtype=np.int32) - np.repeat(start, count)
-        ext = np.repeat(ext_ptr[node], count) + slot
-        e_node, e_col = ext_node[ext], ext_col[ext]
+        # Survivor i's extensions are rows ``start[i]`` on of these arrays, in
+        # two runs: its node's children, then the non-word characters it may
+        # take. An extension's id ``ext`` is the child's node id, or ``size``
+        # plus the non-word character's index, its column ``col[ext]``. A
+        # run's ids are consecutive, so an id is its row plus the run's offset.
+        runs = spans[node].view(np.int32)
+        heads = np.cumsum(runs, dtype=np.int32) - runs  # each run's first row
+        start = heads[0::2]
+        offset = -heads
+        offset[0::2] += first[node]
+        offset[1::2] += size
+        src = np.repeat(np.arange(s, dtype=np.int32), runs[0::2] + runs[1::2])
+        ext = np.repeat(offset, runs)
+        ext += np.arange(len(src), dtype=np.int32)
+        e_col = col[ext]
         at = row[src]
         at += e_col
         mass = probs[at]
@@ -440,9 +458,11 @@ def _run_batch(
         xs = src[x]
         cand = np.concatenate((state, state[:, xs]), axis=1)
         new = cand[:, s:]
-        new[_NODE], new[_LAST], new[_PTID], new[_TID] = e_node[x], e_col[x], tid[xs], -1
-        new[_SLOT] = slot[x]
-        new[_WST, e_node[x] == 0] = -1
+        new[_NODE], new[_LAST], new[_PTID], new[_TID] = ext[x], e_col[x], tid[xs], -1
+        new[_SLOT] = x - start[xs]
+        leaves = new[_NODE] >= size  # a non-word character leaves the word
+        new[_NODE, leaves] = 0
+        new[_WST, leaves] = -1
         cand_pb = np.concatenate((p_blank, np.zeros(len(x))))
         cand_pnb = np.concatenate((p_nonblank, mass[x]))
         if t in endings:
@@ -454,6 +474,8 @@ def _run_batch(
         sel = _cut(cand, cand_pb + cand_pnb, width, n, texts)
         state, pb, pnb = cand[:, sel], cand_pb[sel], cand_pnb[sel]
         texts.name(state)
+        if len(texts.keys) - texts.kept > _COMPACT_AT:
+            texts.compact(state)
     return found
 
 
@@ -538,39 +560,50 @@ def _complete_batch(
             found[d] = (text, value)
 
 
-def _extension_table(tree: PrefixTree, alphabet: Alphabet, nonword: list[str]) -> tuple:
-    """``(count, ptr, node, col)``: per trie node ``n``, the extensions a
+def _node_arrays(tree: PrefixTree, alphabet: Alphabet, nonword: list[str]) -> tuple:
+    """``(first, spans, col)``: per trie node ``n``, the extensions a
     hypothesis there may take.
 
-    Rows ``ptr[n]`` to ``ptr[n] + count[n] - 1`` of ``(node, col)`` are its
-    children in order, then, at the root or a word end, the non-word
-    characters (node 0); an extension's slot is its row less ``ptr[n]``.
+    They are node ``n``'s children, ids ``first[n]`` on, then the non-word
+    characters at the root or a word end; an extension's slot is its place
+    in that order. ``spans[n]`` packs their two counts, as two int32 in one
+    int64. ``col[n]`` is node ``n``'s character column (0 at the root); the
+    non-word characters' columns follow, one past the last node.
     """
-    col = alphabet.column_map()
     first = np.frombuffer(tree._first, np.intc)
-    kids = np.fromiter(map(len, tree._kids), np.intc, len(tree._kids))
-    opens = np.frombuffer(tree._is_word, np.uint8).astype(bool)
-    opens[0] = True
-    count = kids + opens * np.intc(len(nonword))
-    ptr = np.cumsum(count, dtype=np.intc) - count
-    owner = np.repeat(np.arange(len(count)), count)
-    k = np.arange(len(owner)) - ptr[owner]
-    is_kid = k < kids[owner]
-    node = np.where(is_kid, first[owner] + k, 0).astype(np.intc)
-    node_col = np.array([0] + [col[ch] for ch in "".join(tree._kids)], np.intc)
-    cols = node_col[node]
-    nonword_col = np.array([col[ch] for ch in nonword], np.intc)
-    cols[~is_kid] = nonword_col[(k - kids[owner])[~is_kid]]
-    return count, ptr, node, cols
+    size = len(first)
+    spans = np.empty((size, 2), np.intc)
+    # Node ``n``'s children end where node ``n + 1``'s begin.
+    spans[:-1, 0] = first[1:] - first[:-1]
+    spans[-1, 0] = size - first[-1]
+    spans[:, 1] = np.frombuffer(tree._is_word, np.uint8)
+    spans[0, 1] = 1
+    spans[:, 1] *= len(nonword)
+    spans = spans.view(np.int64).ravel()  # a gather by node takes both counts
+    # Node ``n > 0``'s character is character ``n - 1`` of the child
+    # strings, each spelled here as the code point of its column.
+    column = {ord(ch): i for i, ch in enumerate(alphabet.symbols)}
+    col = np.zeros(size + len(nonword), np.intc)
+    col[1:size] = np.frombuffer("".join(tree._kids).translate(column).encode("utf-32-le"),
+                                np.uint32)
+    col[size:] = [column[ord(ch)] for ch in nonword]
+    return first, spans, col
+
+
+# Texts a batched search names between two compactions of its text table.
+_COMPACT_AT = 1 << 14
 
 
 class _Texts:
-    """The texts of one batched search, as canonical ids.
+    """The texts of one batched search, as ids canonical among live texts.
 
-    Ids ``0`` to ``n - 1`` are the decodes' empty texts; text ``parent +
-    symbols[col]`` has the id first handed to ``(parent, col)``, so the
-    equal texts of one decode always share one id, even when a text is
-    dropped and later built again.
+    A text is live while it or a text it is a prefix of is a survivor's.
+    Text ``parent + symbols[col]`` has the id first handed to ``(parent,
+    col)`` since it was last live, so the equal live texts of one decode
+    always share one id, even when a text is dropped and later built
+    again. The decodes' empty texts start as ids ``0`` to ``n - 1``.
+    ``compact`` forgets the texts that are no longer live, which no
+    candidate can name again, and renumbers the rest.
     """
 
     def __init__(self, symbols: str, n: int) -> None:
@@ -578,6 +611,7 @@ class _Texts:
         self.base = len(symbols) + 1  # a key is ``parent * base + col``
         self.ids: dict[int, int] = {}
         self.keys = [-1] * n  # by id
+        self.kept = n  # texts at the last compaction
 
     def name(self, cand: np.ndarray) -> None:
         """Give ids to the candidates that have none (and word-start ids outside a word).
@@ -597,6 +631,30 @@ class _Texts:
         cand[_TID, new] = ids
         start = np.flatnonzero(cand[_WST] < 0)
         cand[_WST, start] = cand[_TID, start]
+
+    def compact(self, state: np.ndarray) -> None:
+        """Keep only the live texts of the survivors ``state``, renumbered
+        in id order, and rewrite the ids in ``state``."""
+        keys = np.array(self.keys, np.int64)
+        live = np.zeros(len(keys), bool)
+        ids = state[_TID]
+        while ids.size:
+            live[ids] = True
+            ids = keys[ids] // self.base  # the parents; -1 past an empty text
+            ids = ids[ids >= 0]
+            ids = ids[~live[ids]]
+        renumber = np.cumsum(live) - 1
+        keys = keys[live]
+        parent, col = np.divmod(keys, self.base)
+        named = np.flatnonzero(keys >= 0)
+        keys[named] = renumber[parent[named]] * self.base + col[named]
+        self.keys = keys.tolist()
+        self.ids = dict(zip(keys[named].tolist(), named.tolist()))
+        self.kept = len(self.keys)
+        state[_TID] = renumber[state[_TID]]
+        state[_WST] = renumber[state[_WST]]
+        parent = state[_PTID]
+        state[_PTID] = np.where(parent >= 0, renumber[parent], -1)
 
     def text(self, i: int) -> str:
         chars = []

@@ -335,14 +335,116 @@ class TestDecodeCommand:
         assert capsys.readouterr().out == ignored
 
     def test_unusable_configuration_exit_code(self, synth_setup, tmp_path, capsys):
+        # The empty dictionary cannot start a beam over the first file's
+        # alphabet: that is reported, though a words-mode batch would decode
+        # the first file only after reading the malformed second one.
         paths, _ = synth_setup
         empty_dict = tmp_path / "empty.txt"
         empty_dict.write_text("# nothing\n", encoding="utf-8")
+        bad = tmp_path / "bad.mat"
+        bad.write_text("1 2\na\n0.5 x\n", encoding="utf-8")
         rc = main(
-            ["decode", paths[0], "--dict", str(empty_dict), "--mode", "words",
+            ["decode", paths[0], str(bad), "--dict", str(empty_dict), "--mode", "words",
              "--scheme", "plain"]
         )
         assert rc == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "wordbeam: configuration error: no beam can ever extend: the dictionary is "
+            "empty and there are no non-word characters\n")
+
+
+def _words_mode_lines(paths, dict_path, width, nonword=""):
+    """The ``decode --mode words`` output lines of plain-coded matrix files,
+    each file decoded on its own by ``decoder.decode``."""
+    from wordbeam import PrefixTree, decode
+
+    lines = []
+    for path in paths:
+        symbols, m = read_matrix_file(path)
+        alphabet = Alphabet(symbols)
+        tree = PrefixTree(load_word_list(dict_path), set(symbols) - set(nonword))
+        label, likelihood = decode(m, alphabet, tree, width=width)
+        lines.append(f"{path}\t{label}\t{likelihood!r}")
+    return lines
+
+
+@pytest.fixture
+def batch_spy(monkeypatch):
+    """The sizes of the ``decode_batch`` calls, with two matrices to a batch."""
+    from wordbeam import decoder
+
+    sizes = []
+    batch = decoder.decode_batch
+
+    def spy(matrices, *args):
+        sizes.append(len(matrices))
+        return batch(matrices, *args)
+
+    monkeypatch.setattr(decoder, "decode_batch", spy)
+    monkeypatch.setattr("wordbeam.cli.DECODE_BATCH", 2)
+    return sizes
+
+
+class TestWordsModeBatches:
+    """``words`` mode decodes files in batches, with the bytes of one decode per file."""
+
+    def test_interleaved_alphabets_match_per_file_decodes(self, tmp_path, capsys, batch_spy):
+        # Files of alphabets "ab " and "abc " alternate irregularly: "ab "
+        # has five files (batches of 2, 2 and a group of one), "abc " two.
+        rng = np.random.default_rng(21)
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("ab\nba\naab\nb\n", encoding="utf-8")
+        paths = []
+        for i, symbols in enumerate(["ab ", "abc ", "ab ", "ab ", "abc ", "ab ", "ab "]):
+            path = tmp_path / f"m{i}.mat"
+            write_matrix_file(path, random_matrix(rng, 4 + 3 * i, len(symbols) + 1), symbols)
+            paths.append(str(path))
+        command = ["decode", *paths, "--dict", str(dict_path), "--mode", "words",
+                   "--nonword-chars", " ", "--width", "4"]
+        assert main(command) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == "\n".join(_words_mode_lines(paths, dict_path, 4, " ")) + "\n"
+        assert sorted(batch_spy) == [2, 2, 2]
+
+    def test_ensemble_over_directories_matches_per_file_decodes(self, tmp_path, capsys,
+                                                                 batch_spy):
+        rng = np.random.default_rng(22)
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("ab\nba\naab\nb\n", encoding="utf-8")
+        dirs, tsvs = [], []
+        for k in range(3):
+            d = tmp_path / f"member{k}"
+            d.mkdir()
+            paths = []
+            for i in range(5):
+                write_matrix_file(d / f"s{i}.mat", random_matrix(rng, 6 + i, 4), "ab ")
+                paths.append(str(d / f"s{i}.mat"))
+            lines = _words_mode_lines(paths, dict_path, 3, " ")
+            tsv = tmp_path / f"member{k}.tsv"
+            tsv.write_text("".join(line.replace(f"{d}/", "") + "\n" for line in lines),
+                           encoding="utf-8")
+            dirs.append(str(d))
+            tsvs.append(str(tsv))
+        assert main(["ensemble", *tsvs]) == EXIT_OK
+        want = capsys.readouterr().out
+        assert main(["ensemble", *dirs, "--dict", str(dict_path), "--mode", "words",
+                     "--nonword-chars", " ", "--width", "3"]) == EXIT_OK
+        assert capsys.readouterr().out == want
+        assert batch_spy == [2] * 7  # 15 files, the last one decoded alone
+
+    def test_new_alphabet_fault_is_reported_before_a_later_parse_fault(self, tmp_path, capsys):
+        # File 2's alphabet cannot spell "cab"; file 3 does not parse.
+        write_matrix_file(tmp_path / "1.mat", PosteriorMatrix([[0.2, 0.2, 0.2, 0.4]]), "abc")
+        write_matrix_file(tmp_path / "2.mat", PosteriorMatrix([[0.25, 0.25, 0.5]]), "ab")
+        (tmp_path / "3.mat").write_text("1 3\nab\n0.5 x 0.25\n", encoding="utf-8")
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("ab\ncab\n", encoding="utf-8")
+        rc = main(["decode", *(str(tmp_path / f"{i}.mat") for i in (1, 2, 3)),
+                   "--dict", str(dict_path), "--mode", "words"])
+        assert rc == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"wordbeam: data format error: {dict_path}:2: word 'cab' has character 'c', "
+            "which is not a word character of the matrix alphabet 'ab'\n")
 
 
 class TestEnsembleCommand:

@@ -491,8 +491,7 @@ def _exact(results) -> list[tuple[str, str]]:
 class TestDecodeBatch:
     """``decode_batch`` against the scalar search, decode by decode."""
 
-    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
-    @given(
+    _cases = given(
         starts=st.lists(st.sampled_from(WORD_CHARS), min_size=10, max_size=12, unique=True),
         tails=st.lists(st.text(WORD_CHARS[:5], max_size=4), min_size=1, max_size=30),
         coding=st.sampled_from(["plain", "plain+space", "extrasep"]),
@@ -501,7 +500,9 @@ class TestDecodeBatch:
         rows=st.sampled_from(["random", "levels2", "levels3", "peaked", "uniform"]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_batch_equals_scalar(self, starts, tails, coding, lengths, width, rows, seed):
+
+    @staticmethod
+    def _check(starts, tails, coding, lengths, width, rows, seed):
         words = starts + [starts[i % len(starts)] + tail for i, tail in enumerate(tails)]
         alphabet = _coded(coding)
         tree = PrefixTree(words, set(WORD_CHARS))
@@ -509,6 +510,20 @@ class TestDecodeBatch:
         matrices = [_matrix(rows, rng, t, alphabet.num_classes) for t in lengths]
         want = [decode(m, alphabet, tree, width=width) for m in matrices]
         assert _exact(decode_batch(matrices, alphabet, tree, width)) == _exact(want)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @_cases
+    def test_batch_equals_scalar(self, starts, tails, coding, lengths, width, rows, seed):
+        self._check(starts, tails, coding, lengths, width, rows, seed)
+
+    @settings(max_examples=120, deadline=None, derandomize=True, database=None)
+    @_cases
+    def test_batch_equals_scalar_compacting_every_frame(self, starts, tails, coding, lengths,
+                                                        width, rows, seed):
+        # Every frame forgets the texts no survivor can reach and renumbers the rest.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(decoder, "_COMPACT_AT", -1)
+            self._check(starts, tails, coding, lengths, width, rows, seed)
 
     def test_text_order_decides_a_tie_across_the_cut(self):
         # Frame 0 leaves "" (0.5) and a tie at the cut of width 2: "b" and
