@@ -60,14 +60,16 @@ for many decodes at once: the trend experiment and the command line's
 ``words`` mode use it for groups of matrices, and a lone matrix and the
 language-model modes use ``decode``. A batch's memory stays bounded: it
 reads the trie through a few arrays by node, and its table of texts
-keeps only those a survivor can still reach.
+(arrays by text id, and a dense table of child ids by text and column)
+keeps only those a survivor can still reach, rebuilt at a size that no
+step between two compactions can outgrow. It completes its candidates
+by a gather from the ``words``-mode scorer's smallest-word array.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterator, Sequence
 from heapq import heapify, heapreplace
-from itertools import repeat
 from operator import itemgetter
 
 import numpy as np
@@ -400,7 +402,7 @@ def _run_batch(
     first, spans, col = _node_arrays(tree, alphabet, nonword)
     size = len(first)
     n = len(matrices)
-    texts = _Texts(alphabet.symbols, n)
+    texts = _Texts(alphabet.symbols, n, width)
     state = np.zeros((7, n), np.int32)
     state[_DEC] = state[_TID] = state[_WST] = np.arange(n)
     state[_LAST] = blank
@@ -440,7 +442,7 @@ def _run_batch(
         # Merges: survivor ``j`` whose parent text is survivor ``i``'s takes
         # i's extension by j's last character, row ``start[i] + slot[j]``.
         # The entry past the last text id stays -1, for the parent id -1.
-        survivor = np.full(len(texts.keys) + 1, -1, np.int32)
+        survivor = np.full(texts.count + 1, -1, np.int32)
         survivor[tid] = np.arange(s)
         i = survivor[state[_PTID]]
         j = np.flatnonzero(i >= 0)
@@ -474,7 +476,7 @@ def _run_batch(
         sel = _cut(cand, cand_pb + cand_pnb, width, n, texts)
         state, pb, pnb = cand[:, sel], cand_pb[sel], cand_pnb[sel]
         texts.name(state)
-        if len(texts.keys) - texts.kept > _COMPACT_AT:
+        if texts.count - texts.kept > _COMPACT_AT:
             texts.compact(state)
     return found
 
@@ -525,10 +527,11 @@ def _complete_batch(
     # order, more in Python. A text outside a word ends in a non-word
     # character or is empty, so it is no other candidate's completed text:
     # each such candidate is a group of its own.
+    # A candidate's word is the completion of its node, the smallest word
+    # below it (the node itself at a word end); outside a word it is 0.
     node = cand[_NODE]
-    word = node.copy()
-    is_open = (node != 0) & (np.frombuffer(tree._is_word, np.uint8)[node] == 0)
-    word[is_open] = [scorer.complete(v)[1] for v in node[is_open].tolist()]
+    word = scorer.lexmin[node]
+    word[node == 0] = 0
     key = np.where(word != 0, cand[_WST].astype(np.int64) * len(tree._kids) + word,
                    -1 - np.arange(len(word)))
     order = np.argsort(key)
@@ -602,16 +605,31 @@ class _Texts:
     col)`` since it was last live, so the equal live texts of one decode
     always share one id, even when a text is dropped and later built
     again. The decodes' empty texts start as ids ``0`` to ``n - 1``.
-    ``compact`` forgets the texts that are no longer live, which no
-    candidate can name again, and renumbers the rest.
+    Arrays by id hold each text's ``parent`` id (-1 for an empty text) and
+    ``col``, and a dense table ``child[parent, col]`` the id handed to that
+    pair (-1 for none), so a step names its new texts with one gather and
+    one scatter. ``compact`` forgets the texts that are no longer live,
+    which no candidate can name again, renumbers the rest and rebuilds the
+    arrays for them, with room for every text named before the next
+    compaction: at most ``_COMPACT_AT`` (0 if negative) plus one step's,
+    and a step names at most one text per survivor, ``n * width``.
     """
 
-    def __init__(self, symbols: str, n: int) -> None:
+    def __init__(self, symbols: str, n: int, width: int) -> None:
         self.symbols = symbols
-        self.base = len(symbols) + 1  # a key is ``parent * base + col``
-        self.ids: dict[int, int] = {}
-        self.keys = [-1] * n  # by id
-        self.kept = n  # texts at the last compaction
+        self.room = max(_COMPACT_AT, 0) + n * width
+        self._hold(np.full(n, -1, np.int32), np.zeros(n, np.int32))
+
+    def _hold(self, parent: np.ndarray, col: np.ndarray) -> None:
+        """Make the texts ``parent``/``col`` ids 0 on, with ``room`` ids free after them."""
+        self.count = self.kept = kept = len(parent)  # texts named; at the last compaction
+        self.child = None  # free the old table before building the new one
+        self.parent = np.empty(kept + self.room, np.int32)
+        self.col = np.empty(kept + self.room, np.int32)
+        self.parent[:kept], self.col[:kept] = parent, col
+        self.child = np.full((kept + self.room, len(self.symbols)), -1, np.int32)
+        named = np.flatnonzero(parent >= 0)
+        self.child[parent[named], col[named]] = named
 
     def name(self, cand: np.ndarray) -> None:
         """Give ids to the candidates that have none (and word-start ids outside a word).
@@ -620,14 +638,16 @@ class _Texts:
         need the same new id.
         """
         new = np.flatnonzero(cand[_TID] < 0)
-        keys = cand[_PTID, new].astype(np.int64) * self.base + cand[_LAST, new]
-        ids = np.fromiter(map(self.ids.get, keys.tolist(), repeat(-1)), np.int32, len(new))
+        parent, col = cand[_PTID, new], cand[_LAST, new]
+        ids = self.child[parent, col]
         unseen = np.flatnonzero(ids < 0)
-        fresh = keys[unseen].tolist()
-        fresh_ids = range(len(self.keys), len(self.keys) + len(fresh))
-        ids[unseen] = fresh_ids
-        self.ids.update(zip(fresh, fresh_ids))
-        self.keys += fresh
+        count = self.count + len(unseen)
+        fresh = np.arange(self.count, count, dtype=np.int32)
+        ids[unseen] = fresh
+        parent, col = parent[unseen], col[unseen]
+        self.child[parent, col] = fresh
+        self.parent[self.count:count], self.col[self.count:count] = parent, col
+        self.count = count
         cand[_TID, new] = ids
         start = np.flatnonzero(cand[_WST] < 0)
         cand[_WST, start] = cand[_TID, start]
@@ -635,22 +655,17 @@ class _Texts:
     def compact(self, state: np.ndarray) -> None:
         """Keep only the live texts of the survivors ``state``, renumbered
         in id order, and rewrite the ids in ``state``."""
-        keys = np.array(self.keys, np.int64)
-        live = np.zeros(len(keys), bool)
+        live = np.zeros(self.count, bool)
         ids = state[_TID]
         while ids.size:
             live[ids] = True
-            ids = keys[ids] // self.base  # the parents; -1 past an empty text
+            ids = self.parent[ids]  # -1 past an empty text
             ids = ids[ids >= 0]
             ids = ids[~live[ids]]
-        renumber = np.cumsum(live) - 1
-        keys = keys[live]
-        parent, col = np.divmod(keys, self.base)
-        named = np.flatnonzero(keys >= 0)
-        keys[named] = renumber[parent[named]] * self.base + col[named]
-        self.keys = keys.tolist()
-        self.ids = dict(zip(keys[named].tolist(), named.tolist()))
-        self.kept = len(self.keys)
+        renumber = np.cumsum(live, dtype=np.int32) - 1
+        keep = np.flatnonzero(live)
+        parent = self.parent[keep]
+        self._hold(np.where(parent >= 0, renumber[parent], -1), self.col[keep])
         state[_TID] = renumber[state[_TID]]
         state[_WST] = renumber[state[_WST]]
         parent = state[_PTID]
@@ -658,9 +673,9 @@ class _Texts:
 
     def text(self, i: int) -> str:
         chars = []
-        while self.keys[i] >= 0:
-            i, col = divmod(self.keys[i], self.base)
-            chars.append(self.symbols[col])
+        while self.parent[i] >= 0:
+            chars.append(self.symbols[self.col[i]])
+            i = self.parent[i]
         return "".join(reversed(chars))
 
     def of(self, cand: np.ndarray) -> str:

@@ -17,6 +17,8 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .errors import InputValidationError
 from .prefix_tree import PrefixTree
 
@@ -159,7 +161,10 @@ class TrieScorer:
     ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``, filled for the whole
     subtree at once (so it matches the per-completion sum to a few ulps);
     the completion count and the sampled forecast, drawn by index so that
-    no subtree is enumerated; and the best completion.
+    no subtree is enumerated; and the best completion. In ``words`` mode the
+    best completion is the smallest word below the node: the scorer reads
+    it from ``lexmin``, an array by node built with the scorer (``None`` in
+    the model modes, which search for it).
     """
 
     def __init__(self, tree: PrefixTree, lm: NgramModel | None = None,
@@ -172,6 +177,7 @@ class TrieScorer:
         self._sampled: dict = {}
         self._counts: dict = {}
         self._best: dict = {}
+        self.lexmin = None if mode.uses_lm else _smallest_words(tree)
 
     def word_probability(self, node: int) -> float:
         """``NgramModel.word_probability`` of the word ending at ``node``."""
@@ -243,7 +249,13 @@ class TrieScorer:
         ties to the smallest word (without a model, every probability is 1)."""
         best = self._best.get(node)
         if best is None:
-            best = self._best[node] = self._search(node, self.tree._prefix(node))
+            prefix = self.tree._prefix(node)
+            if self.lexmin is None:
+                best = self._search(node, prefix)
+            else:
+                word = int(self.lexmin[node])
+                best = (self.tree._prefix(word)[len(prefix):], word, 1.0)
+            self._best[node] = best
         return best
 
     def _search(self, node: int, prefix: str) -> tuple[str, int, float]:
@@ -251,7 +263,7 @@ class TrieScorer:
         # popped beats all unexplored completions. Products run left to right,
         # bit-identical to ``remainder_probability``, and only prefixes at
         # least as probable as the answer are visited.
-        cond = self.lm.conditional if self.mode.uses_lm else lambda _prefix, _c: 1.0
+        cond = self.lm.conditional
         is_word, children = self.tree._is_word, self.tree._children
         heap = [(-1.0, prefix, False, node)]
         while True:
@@ -262,3 +274,24 @@ class TrieScorer:
                 heapq.heappush(heap, (neg_p * cond(text, WORD_BOUNDARY), text, True, cur))
             for child, c in children(cur):
                 heapq.heappush(heap, (neg_p * cond(text, c), text + c, False, child))
+
+
+def _smallest_words(tree: PrefixTree) -> np.ndarray:
+    """Per node, the node of the smallest word that starts with its prefix.
+
+    A word node is its own smallest word, as a prefix sorts before its
+    extensions; any other node's is its first child's, as children come in
+    code-point order: ``lexmin[n] = n if is_word[n] else lexmin[first[n]]``.
+    Every node jumps along that chain at once, twice as far each pass, so
+    the passes are about log2 of the tree's depth.
+    """
+    first = np.frombuffer(tree._first, np.intc)
+    ids = np.arange(len(first), dtype=np.intc)
+    # A childless node is a word, but for the root of an empty tree, which keeps itself.
+    ends = np.frombuffer(tree._is_word, np.uint8).astype(bool) | (first >= len(first))
+    lexmin = np.where(ends, ids, first)
+    while True:
+        jumped = lexmin[lexmin]
+        if np.array_equal(jumped, lexmin):
+            return lexmin
+        lexmin = jumped

@@ -1,5 +1,7 @@
 """File formats and end-to-end command behaviour."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -540,7 +542,7 @@ class TestEnsembleCommand:
         member = tmp_path / "member"
         member.mkdir()
         for p in paths:
-            (member / p.split("/")[-1]).write_bytes(open(p, "rb").read())
+            (member / p.split("/")[-1]).write_bytes(Path(p).read_bytes())
         rc = main(["ensemble", str(member), *args])
         assert rc == EXIT_OK
         voted = [

@@ -525,6 +525,33 @@ class TestDecodeBatch:
             patch.setattr(decoder, "_COMPACT_AT", -1)
             self._check(starts, tails, coding, lengths, width, rows, seed)
 
+    def test_a_step_may_fill_the_text_table(self, monkeypatch):
+        # With ``_COMPACT_AT`` 0, each compaction leaves room for one step's
+        # new texts, one per survivor. Frame 0 has no blank mass, so the
+        # empty text's copy scores 0.0 and every decode keeps its three
+        # extensions "a", "b" and " ": four decodes name 12 texts at once.
+        alphabet = Alphabet("ab ")
+        tree = PrefixTree(["a", "b", "ab", "ba", "aab", "bba"], {"a", "b"})
+        rng = np.random.default_rng(3)
+        matrices = []
+        for t in (2, 3, 5, 8):
+            arr = rng.random((t, 4)) + 0.05
+            arr[0] = [0.3, 0.3, 0.4, 0.0]
+            matrices.append(PosteriorMatrix(arr / arr.sum(axis=1, keepdims=True)))
+        steps = []
+        name = decoder._Texts.name
+
+        def counted(texts, cand):
+            before = texts.count
+            name(texts, cand)
+            steps.append((texts.count - before, len(texts.child) - texts.count))
+
+        monkeypatch.setattr(decoder._Texts, "name", counted)
+        monkeypatch.setattr(decoder, "_COMPACT_AT", 0)
+        got = decode_batch(matrices, alphabet, tree, 3)
+        assert steps[0] == (4 * 3, 0)  # named: one per survivor; rows left free: none
+        assert _exact(got) == _exact([decode(m, alphabet, tree, width=3) for m in matrices])
+
     def test_text_order_decides_a_tie_across_the_cut(self):
         # Frame 0 leaves "" (0.5) and a tie at the cut of width 2: "b" and
         # " " (0.25 each). The smaller text, " ", survives, though the

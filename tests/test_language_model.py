@@ -1,6 +1,7 @@
 """N-gram training, smoothed conditionals and forecast scoring."""
 
 import random
+from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -221,6 +222,21 @@ class TestTrieScorerTables:
             # Bit-identical, ties included: the completion's products run in
             # the order of remainder_probability's.
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(words=st.lists(st.text("abé", min_size=1, max_size=6), min_size=1, max_size=30))
+    def test_smallest_word_array_equals_sorted_words(self, words):
+        # "é" sorts after "a" and "b" by code point, as Python compares text.
+        tree = PrefixTree(words, set("abé"))
+        scorer = TrieScorer(tree)
+        ordered = sorted(set(words))
+        for node in range(len(tree._kids)):
+            prefix = tree._prefix(node)
+            smallest = ordered[bisect_left(ordered, prefix)]
+            assert smallest.startswith(prefix)
+            word = int(scorer.lexmin[node])
+            assert tree._prefix(word) == smallest
+            assert scorer.complete(node) == (smallest[len(prefix):], word, 1.0)
 
     def test_sampled_forecast_is_the_enumerated_draw(self):
         # Samples of three or more terms: the sum runs in draw order.
