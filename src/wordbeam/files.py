@@ -129,15 +129,19 @@ def read_matrix_file(path: str | Path) -> tuple[str, PosteriorMatrix]:
 
 
 def load_word_list(path: str | Path) -> list[str]:
-    """Words from a UTF-8 file, one per line; comments and blanks skipped."""
-    words: list[str] = []
-    for i, raw in enumerate(read_text(path).split("\n"), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if len(line.split()) != 1:
-            raise DataFormatError(
-                f"word {line!r} contains embedded whitespace", path=str(path), line=i
-            )
-        words.append(line)
+    """Words from a UTF-8 file, one per line; comments and blanks skipped.
+
+    The stripped lines are tested for embedded whitespace in one pass: a
+    stripped line has none at its ends, so the words' concatenation has
+    whitespace only if a word does. Only then are the lines walked again,
+    one by one, to name the first faulty one.
+    """
+    lines = read_text(path).split("\n")
+    words = [line for line in map(str.strip, lines) if line and line[0] != "#"]
+    if len("".join(words).split(maxsplit=1)) > 1:
+        for i, line in enumerate(map(str.strip, lines), start=1):
+            if line and line[0] != "#" and len(line.split()) != 1:
+                raise DataFormatError(
+                    f"word {line!r} contains embedded whitespace", path=str(path), line=i
+                )
     return words

@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InputValidationError
-from .prefix_tree import PrefixTree
+from .prefix_tree import PrefixTree, _code_points
 
 WORD_BOUNDARY = "\x00"
 
@@ -89,30 +89,23 @@ class NgramModel:
     def train(
         cls, corpus: Sequence[str], order: int = 2, smoothing_k: float = 1.0
     ) -> "NgramModel":
-        """Count all length <= order windows over boundary-padded words."""
+        """Count every window of ``order`` characters over the words, each
+        padded with ``order - 1`` boundaries in front and one behind: per
+        context, the characters that follow it (``_window_counts``)."""
         if not corpus:
             raise InputValidationError("training corpus must be non-empty")
         if order < 1:
             raise InputValidationError("n-gram order must be at least 1")
         if not (math.isfinite(smoothing_k) and smoothing_k > 0):
             raise InputValidationError("smoothing constant must be positive and finite")
-        bad = next((word for word in corpus if not word or WORD_BOUNDARY in word), None)
-        if bad is not None:
+        text = "".join(corpus)
+        if not all(corpus) or WORD_BOUNDARY in text:
+            bad = next(word for word in corpus if not word or WORD_BOUNDARY in word)
             raise InputValidationError("corpus words must be non-empty" if not bad
                                        else "corpus word contains the boundary sentinel")
-        pad = WORD_BOUNDARY * (order - 1)
-        seqs = (pad + word + WORD_BOUNDARY for word in corpus)
-        windows = Counter(seq[i : i + order] for seq in seqs for i in range(len(seq) - order + 1))
-        # Split in first-occurrence order, so contexts, and each context's
-        # next characters, are inserted as a window-by-window count would.
-        counts: dict[str, Counter] = {}
-        for window, n in windows.items():
-            ctx = window[:-1]
-            ctr = counts.get(ctx)
-            if ctr is None:
-                ctr = counts[ctx] = Counter()
-            ctr[window[-1]] = n
-        return cls(order, smoothing_k, frozenset("".join(corpus)), counts)
+        vocabulary = frozenset(text)
+        del text
+        return cls(order, smoothing_k, vocabulary, _window_counts(corpus, order, vocabulary))
 
     @property
     def num_outcomes(self) -> int:
@@ -146,6 +139,67 @@ class NgramModel:
             p *= self.conditional(cur, ch)
             cur += ch
         return p * self.conditional(cur, WORD_BOUNDARY)
+
+
+def _window_counts(corpus: Sequence[str], order: int,
+                   vocabulary: frozenset[str]) -> dict[str, Counter]:
+    """Per context, the counts of the characters that follow it, over every
+    window of ``order`` characters of the boundary-padded words.
+
+    The padded words are laid end to end, and a window is named by the
+    position of its first character. A window whose last character is a
+    pad straddles two words: it ends on a boundary that follows another.
+    Each window gets an integer code, built one symbol at a time as a
+    number in base (symbols, boundary included); when the next symbol
+    would overflow the code, the codes are first renumbered densely. One
+    sort of ``code * windows + position`` then gives each distinct window
+    with its count and first position. Taken in first-occurrence order,
+    contexts, and each context's next characters, are inserted as a
+    window-by-window count would insert them.
+    """
+    symbols = [WORD_BOUNDARY, *sorted(vocabulary)]
+    flat = WORD_BOUNDARY * (order - 1) + (WORD_BOUNDARY * order).join(corpus) + WORD_BOUNDARY
+    top = ord(symbols[-1])
+    table = np.zeros(top + 1, np.min_scalar_type(len(symbols) - 1))
+    table[[ord(ch) for ch in symbols]] = np.arange(len(symbols))
+    sym = table[_code_points(flat, top)]  # the boundary is symbol 0
+    del table
+    base, n = len(symbols), len(flat) - order + 1
+    limit = np.iinfo(np.int64).max // n - 1  # the largest code, straddlers' included
+    code, span = np.zeros(n, np.uint8), 1  # codes are below span
+    for j in range(order):
+        if span * base > limit:
+            distinct, code = np.unique(code, return_inverse=True)
+            span = len(distinct)
+        span *= base
+        code = code.astype(np.min_scalar_type(span), copy=False) * base
+        code += sym[j:j + n]
+    boundary = sym == 0
+    straddles = boundary[order - 1:] & np.roll(boundary, 1)[order - 1:]
+    del sym, boundary
+    code = code.astype(np.min_scalar_type(span * n + n - 1))
+    code[straddles] = span  # sorts after every window of a word
+    kept = n - int(np.count_nonzero(straddles))
+    del straddles
+    code *= n
+    code += np.arange(n, dtype=code.dtype)
+    code.sort()
+    code = code[:kept]
+    window = code // n
+    starts = np.concatenate([[0], np.flatnonzero(window[1:] != window[:-1]) + 1])
+    del window
+    sizes = np.diff(starts, append=kept)
+    firsts = code[starts] % n
+    del code, starts
+    by_first = np.argsort(firsts)
+    counts: dict[str, Counter] = {}
+    for i, size in zip(firsts[by_first].tolist(), sizes[by_first].tolist()):
+        ctx = flat[i:i + order - 1]
+        ctr = counts.get(ctx)
+        if ctr is None:
+            ctr = counts[ctx] = Counter()
+        ctr[flat[i + order - 1]] = size
+    return counts
 
 
 class TrieScorer:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import chain
+from itertools import count
 from typing import Iterable
 
 import numpy as np
@@ -39,10 +39,11 @@ class PrefixTree:
         self.word_chars = frozenset(word_chars)
         self._scorers: dict = {}
         words = list(words)
-        distinct = set(words)  # duplicates carry no extra information here
-        if "" in distinct or not self.word_chars.issuperset(chain.from_iterable(distinct)):
+        distinct = sorted(set(words))  # duplicates carry no extra information here
+        used = set("".join(distinct))
+        if distinct[:1] == [""] or not self.word_chars.issuperset(used):
             _raise_first_fault(words, self.word_chars)
-        self._kids, self._first, self._is_word = _level_order(sorted(distinct))
+        self._kids, self._first, self._is_word = _level_order(distinct, used)
 
     def _children(self, node: int) -> enumerate:
         """``(child id, character)`` pairs of ``node``, in code-point order."""
@@ -74,45 +75,87 @@ def _raise_first_fault(words: list[str], word_chars: frozenset[str]) -> None:
             raise InputValidationError(f"word {word!r} contains non-word character {bad!r}")
 
 
-def _level_order(words: list[str]) -> tuple[list[str], array, bytearray]:
-    """``(kids, first, is_word)`` of the trie over sorted, distinct, non-empty words.
+def _level_order(words: list[str], used: set[str]) -> tuple[list[str], array, bytearray]:
+    """``(kids, first, is_word)`` of the trie over sorted, distinct, non-empty
+    words whose characters are ``used``.
 
-    One pass over the words: each word shares its longest common prefix
-    with the one before it, and adds a node for every character after
-    that. Nodes are appended to per-depth lists, so each depth's nodes come
-    in lexicographic order of their prefixes, which is level order, and
-    each node's children come in code-point order. The lists are then
-    flattened: node ``n``'s children follow those of every node before it,
-    so its first child is 1 plus the number of children of nodes ``< n``
-    (a running sum, taken in numpy).
+    Whole-array passes over the words' code points, each word followed by a
+    separator (a character no word has). A word shares its longest common
+    prefix, of ``lcp`` characters, with the word before it: the first
+    position where the two differ, the shorter word's separator at the
+    latest. It owns the nodes of its longer prefixes, one per depth ``d``
+    with ``lcp < d <= len(word)``. Owners come in sorted order, so a stable
+    sort of the nodes by depth puts them in level order, with each node's
+    children in code-point order. A node's parent is the node of the depth
+    above whose owner is the last one there at or before its own (the first
+    word with the parent's prefix). A node's first child is 1 plus the
+    number of children of nodes before it; the child strings are one string
+    split: each node's character, after the children of the nodes before its
+    parent and one separator per such node.
     """
-    depth = max(map(len, words), default=0)
-    level_kids: list[list[str]] = [[""]] + [[] for _ in range(depth)]
-    level_word = [bytearray(1)] + [bytearray() for _ in range(depth)]
-    prev = ""
-    for word in words:
-        # The word sorts after ``prev``, so it is not a prefix of it: the scan
-        # stops at a differing character or, if ``prev`` is a prefix of the
-        # word, at the end of ``prev``.
-        shared = 0
-        try:
-            while prev[shared] == word[shared]:
-                shared += 1
-        except IndexError:
-            pass
-        # The node of the shared prefix gains child ``word[shared]``; each new
-        # node below it has one child so far, the word's next character, and
-        # the last one ends the word.
-        level_kids[shared][-1] += word[shared]
-        end = len(word)
-        for d in range(shared + 1, end):
-            level_kids[d].append(word[d])
-            level_word[d].append(0)
-        level_kids[end].append("")
-        level_word[end].append(1)
-        prev = word
-    kids = list(chain.from_iterable(level_kids))
-    ends = np.cumsum(np.fromiter(map(len, kids), np.intc, len(kids)), dtype=np.intc)
+    sep = next(ch for ch in map(chr, count()) if ch not in used)
+    codes = _code_points(sep.join([*words, ""]), max(map(ord, used | {sep})))
+    ends = np.flatnonzero(codes == ord(sep)).astype(np.intc)
+    starts = np.zeros(len(words), np.intc)
+    starts[1:] = ends[:-1] + 1
+    lengths = ends - starts
+    del ends
+    # Compare each word with the one before it up to the shorter one's
+    # separator: ``at`` lists the compared positions that differ, and the
+    # first at or after a pair's ``seg`` is its lcp.
+    span = np.minimum(lengths[:-1], lengths[1:]) + 1
+    seg = np.cumsum(span, dtype=np.intc) - span
+    at = np.arange(seg[-1] + span[-1] if len(span) else 0, dtype=np.intc)
+    at += np.repeat(starts[:-1] - seg, span)  # positions in the earlier word
+    before = codes[at]
+    at += np.repeat(lengths[:-1] + 1, span)  # and in the later one
+    at = np.flatnonzero(before != codes[at]).astype(np.intc)
+    del before
+    lcp = np.zeros(len(words), np.intc)
+    lcp[1:] = at[at.searchsorted(seg)] - seg
+    del at, span, seg
+    # Owner and depth of each node, word by word, then in level order.
+    made = lengths - lcp
+    owner = np.repeat(np.arange(len(words), dtype=np.intc), made)
+    depth = np.repeat(lcp + 1 - (np.cumsum(made, dtype=np.intc) - made), made)
+    del made, lcp
+    depth += np.arange(len(depth), dtype=np.intc)
+    depth = depth.astype(np.min_scalar_type(depth.max(initial=0)))
+    order = np.argsort(depth, kind="stable")
+    owner, depth = owner[order], depth[order]
+    del order
+    key = np.zeros(len(owner) + 1, np.int64)  # depth * len(words) + owner, the root first
+    key[1:] = depth
+    key *= len(words)
+    key[1:] += owner
+    parent = key.searchsorted(key[1:] - len(words), "right").astype(np.intc) - 1
+    del key
+    chars = codes[starts[owner] + depth - 1]
+    is_word = bytearray(1)
+    is_word.extend((lengths[owner] == depth).view(np.uint8).tobytes())
+    del codes, starts, lengths, owner, depth
+    nodes = len(parent) + 1
     first = array("i", [1])  # C int, as np.intc
-    first.frombytes((ends[:-1] + 1).tobytes())
-    return kids, first, bytearray().join(level_word)
+    first.frombytes((np.cumsum(np.bincount(parent, minlength=nodes)[:-1], dtype=np.intc)
+                     + 1).tobytes())
+    # Node k >= 1 has index k - 1 among characters and ``parent[k]`` separators before it.
+    joined = np.full(2 * nodes - 2, ord(sep), chars.dtype)
+    parent += np.arange(nodes - 1, dtype=np.intc)
+    joined[parent] = chars
+    del parent, chars
+    return _text(joined).split(sep), first, is_word
+
+
+def _code_points(text: str, top: int) -> np.ndarray:
+    """The code points of ``text``, one byte each when ``top``, their
+    largest, fits in one, else four."""
+    if top < 0x100:
+        return np.frombuffer(text.encode("latin-1"), np.uint8)
+    return np.frombuffer(text.encode("utf-32-le", "surrogatepass"), np.uint32)
+
+
+def _text(codes: np.ndarray) -> str:
+    """The string of ``_code_points``' code points."""
+    if codes.dtype == np.uint8:
+        return codes.tobytes().decode("latin-1")
+    return codes.astype("<u4").tobytes().decode("utf-32-le", "surrogatepass")

@@ -24,7 +24,7 @@ from wordbeam import (
     collapse,
     encode_label,
 )
-from wordbeam.files import unescape_alphabet
+from wordbeam.files import read_text, unescape_alphabet
 
 
 def random_matrix(rng: np.random.Generator, t: int, c: int) -> PosteriorMatrix:
@@ -219,6 +219,23 @@ def reference_parse_matrix(text: str, path: str = "<string>") -> tuple[str, Post
         row = getattr(exc, "row", None)  # value row ``row`` is file line ``row + 3``
         raise DataFormatError(str(exc), path=path, line=None if row is None else row + 3) from exc
     return symbols, matrix
+
+
+def reference_load_word_list(path) -> list[str]:
+    """Word list reader that strips and checks one line at a time: comment
+    and blank lines skipped, a word with embedded whitespace an error that
+    names its line."""
+    words: list[str] = []
+    for i, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if len(line.split()) != 1:
+            raise DataFormatError(
+                f"word {line!r} contains embedded whitespace", path=str(path), line=i
+            )
+        words.append(line)
+    return words
 
 
 def reference_ngram_counts(corpus, order: int) -> dict[str, Counter]:

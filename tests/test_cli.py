@@ -1,5 +1,7 @@
 """File formats and end-to-end command behaviour."""
 
+import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +25,7 @@ from wordbeam.files import (
     write_matrix_file,
 )
 
-from _support import random_matrix, reference_parse_matrix
+from _support import random_matrix, reference_load_word_list, reference_parse_matrix
 
 
 class TestMatrixFile:
@@ -195,6 +197,41 @@ class TestWordList:
         with pytest.raises(DataFormatError) as err:
             load_word_list(p)
         assert err.value.line == 1
+
+    # Whitespace that ``str.strip`` and ``str.split`` see (the information
+    # separators, NEL, no-break, line separator and ideographic spaces) at
+    # a word's ends and inside it, among comment, blank and CRLF lines.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lines=st.lists(st.text("ab#é \t\r\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000", max_size=6),
+                          max_size=12),
+           end=st.sampled_from(["\n", "\r\n"]))
+    def test_matches_the_line_by_line_reader(self, tmp_path_factory, lines, end):
+        p = tmp_path_factory.mktemp("words") / "dict.txt"
+        p.write_bytes(end.join(lines).encode("utf-8"))
+        outcomes = []
+        for read in (load_word_list, reference_load_word_list):
+            try:
+                outcomes.append(("ok", read(p)))
+            except DataFormatError as exc:
+                outcomes.append(("error", str(exc), exc.line))
+        assert outcomes[0] == outcomes[1]
+
+    def test_fifty_thousand_words_keep_little_memory(self, tmp_path):
+        # The words of the trie's memory test, one per line: the lines, the
+        # words and one joined string of them, and no more.
+        rng = random.Random(50_000)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        words = ["".join(rng.choices(letters, k=rng.randint(2, 12))) for _ in range(50_000)]
+        p = tmp_path / "words50k.txt"
+        p.write_text("\n".join(words) + "\n", encoding="utf-8")
+        tracemalloc.start()
+        try:
+            got = load_word_list(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got == words
+        assert peak <= 4.5 * 2**20
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 """N-gram training, smoothed conditionals and forecast scoring."""
 
 import random
+import tracemalloc
 from bisect import bisect_left
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wordbeam import (
     InputValidationError,
@@ -28,6 +29,7 @@ from _support import (
 )
 
 WC = set("abcdefgh")
+_WIDE = "".join(map(chr, range(0x100, 0x150)))  # 80 characters
 
 
 class TestTraining:
@@ -60,13 +62,17 @@ class TestTraining:
         with pytest.raises(InputValidationError):
             NgramModel.train([])
 
+    # An astral character, so that code points need more than two bytes, and
+    # orders up to 12. The example's 81 symbols would make a window of 12 a
+    # number beyond 2**76, so its codes are renumbered on the way.
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(corpus=st.lists(st.text("ab\u00e9", min_size=1, max_size=5), min_size=1,
+    @given(corpus=st.lists(st.text("ab\u00e9\U0001d11e", min_size=1, max_size=5), min_size=1,
                            max_size=15),
            bad=st.lists(st.tuples(st.integers(0, 15),
                                   st.sampled_from(["", WORD_BOUNDARY, "a" + WORD_BOUNDARY])),
                         max_size=2),
-           order=st.integers(1, 4))
+           order=st.integers(1, 12))
+    @example(corpus=[_WIDE[:40], _WIDE[40:], _WIDE[::-1], _WIDE[:40]], bad=[], order=12)
     def test_counts_match_window_loop(self, corpus, bad, order):
         # Same counts in the same insertion order; for a bad corpus, the
         # first offending word decides the message.
@@ -83,6 +89,22 @@ class TestTraining:
         assert [(ctx, list(ctr.items())) for ctx, ctr in lm._counts.items()] == [
             (ctx, list(ctr.items())) for ctx, ctr in want.items()]
         assert lm.vocabulary == frozenset(ch for word in corpus for ch in word)
+
+    def test_training_on_fifty_thousand_words_keeps_little_memory(self):
+        # The dictionary of the trie's memory test: one narrow code per window
+        # and the sort of them, a few MiB, where the per-window counter this
+        # replaced took 0.4 MiB.
+        rng = random.Random(50_000)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        words = ["".join(rng.choices(letters, k=rng.randint(2, 12))) for _ in range(50_000)]
+        tracemalloc.start()
+        try:
+            lm = NgramModel.train(words, 2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
+        assert sum(lm._totals.values()) == sum(map(len, words)) + len(words)
 
     @pytest.mark.parametrize("corpus, message", [
         (["ab", "", "a" + WORD_BOUNDARY], "corpus words must be non-empty"),
