@@ -18,8 +18,9 @@ last frame, hypotheses whose trailing prefix is not yet a complete word
 are extended by their most probable completion without consuming
 posterior mass. Language-model scores are read at each in-word
 hypothesis' trie node from the ``TrieScorer`` of (tree, model, mode),
-which the tree keeps: its per-node tables fill on first use and serve
-every later decode with that tree, model and mode.
+which the tree keeps: it builds its arrays by node when a decode first
+needs it, and they serve every later decode with that tree, model and
+mode.
 
 The search state is one flat tuple per hypothesis, a candidate::
 
@@ -178,8 +179,8 @@ def _run_frames(
     # p_nonblank is 0.0 plus at most two terms (its own repeat and the
     # extension), whose sum does not depend on their order. Each row is read
     # by character, which yields the same floats as reading it by column.
-    # p_text and committed come from the same memoised ``forecast``/
-    # ``word_probability`` reads, at the same trie node.
+    # p_text and committed come from the same ``forecast``/``word_probability``
+    # reads, at the same trie node.
     #
     # Extensions that cannot survive the cut are never built. A frame with
     # ``width`` survivors, other than the last, starts a min-heap with the
@@ -212,8 +213,7 @@ def _run_frames(
     # being monotone, no extension of that survivor reaches ``thr``, which
     # only rises. The forecast modes keep the per-extension test, as a
     # child's forecast can exceed its parent's score. In ``ngrams`` mode a
-    # skipped survivor's ``word_probability`` is not read, so the tables
-    # fill less; their values do not change.
+    # skipped survivor's ``word_probability`` is not read.
     symbols, blank = alphabet.symbols, alphabet.blank_index
     uses_lm = scorer.mode.uses_lm
     uses_forecast = scorer.mode.uses_forecast
@@ -583,12 +583,11 @@ def _node_arrays(tree: PrefixTree, alphabet: Alphabet, nonword: list[str]) -> tu
     spans[0, 1] = 1
     spans[:, 1] *= len(nonword)
     spans = spans.view(np.int64).ravel()  # a gather by node takes both counts
-    # Node ``n > 0``'s character is character ``n - 1`` of the child
-    # strings, each spelled here as the code point of its column.
+    # Node ``n > 0``'s character is ``tree._chars[n - 1]``, spelled here as
+    # the code point of its column.
     column = {ord(ch): i for i, ch in enumerate(alphabet.symbols)}
     col = np.zeros(size + len(nonword), np.intc)
-    col[1:size] = np.frombuffer("".join(tree._kids).translate(column).encode("utf-32-le"),
-                                np.uint32)
+    col[1:size] = np.frombuffer(tree._chars.translate(column).encode("utf-32-le"), np.uint32)
     col[size:] = [column[ord(ch)] for ch in nonword]
     return first, spans, col
 

@@ -5,7 +5,8 @@ itself) with add-k smoothing, which keeps every conditional strictly
 positive; the decoder's multiplicative ranking requires that. Contexts
 never cross word boundaries: only the trailing run of word characters
 of a hypothesis feeds the conditioning context.
-The decoder reads every model score from a ``TrieScorer``'s per-node tables.
+The decoder reads every model score from a ``TrieScorer``, whose tables
+are arrays by trie node, built once per (trie, model, mode).
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ from __future__ import annotations
 import heapq
 import math
 import random
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InputValidationError
-from .prefix_tree import PrefixTree, _code_points
+from .prefix_tree import PrefixTree, _code_points, _text
 
 WORD_BOUNDARY = "\x00"
 
@@ -203,22 +206,32 @@ def _window_counts(corpus: Sequence[str], order: int,
 
 
 class TrieScorer:
-    """Language-model tables of one (trie, model, scoring mode), per trie node id.
+    """Language-model tables of one (trie, model, scoring mode), by trie node id.
 
-    A query names the current word by its trie node alone. Each entry is
-    filled the first time the search asks for it, from the node's prefix,
-    which the scorer rebuilds from the trie (``PrefixTree._prefix``); every
-    later query reads the entry and builds no string. The decoder keeps one
-    scorer per (model, mode) on the tree, so every decode with that
-    configuration shares its tables.
-    Per node: the word probability; the exact forecast
-    ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``, filled for the whole
-    subtree at once (so it matches the per-completion sum to a few ulps);
-    the completion count and the sampled forecast, drawn by index so that
-    no subtree is enumerated; and the best completion. In ``words`` mode the
-    best completion is the smallest word below the node: the scorer reads
-    it from ``lexmin``, an array by node built with the scorer (``None`` in
-    the model modes, which search for it).
+    A query names the current word by its trie node alone. The decoder
+    keeps one scorer per (model, mode) on the tree, so every decode with
+    that configuration shares its tables. The scorer builds, when it is
+    made, the arrays by node that its mode reads, in whole-array passes
+    over the trie (``_model_tables``), so a read is an index:
+
+    - ``word_prob[n]``, in every model mode: ``NgramModel.word_probability``
+      of the word ending at ``n``;
+    - ``exact[n]``, in the forecast modes: the exact forecast
+      ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``;
+    - ``counts[n]``, in the sampling mode: the number of words at or
+      below ``n``, by which a sampled forecast walks straight to the
+      completions it draws;
+    - ``lexmin[n]``, in ``words`` mode: the node of the smallest word
+      below ``n``, which is its best completion there.
+
+    A table its mode does not read is ``None``.
+
+    Two things stay lazy, filled per node the first time the search asks:
+    the sampled forecast, a seeded draw from the node's prefix, and the
+    best completion in the model modes, a search from the node (products
+    taken from a node down are not associative, so no bottom-up pass
+    reproduces ``remainder_probability``'s left-to-right ones). Both
+    spell the node's prefix out with ``PrefixTree._prefix``.
     """
 
     def __init__(self, tree: PrefixTree, lm: NgramModel | None = None,
@@ -226,50 +239,36 @@ class TrieScorer:
         if mode.uses_lm and lm is None:
             raise InputValidationError(f"scoring mode {mode.kind!r} requires a language model")
         self.tree, self.lm, self.mode = tree, lm, mode
-        self._word: dict = {}
-        self._forecast: dict = {}
         self._sampled: dict = {}
-        self._counts: dict = {}
         self._best: dict = {}
-        self.lexmin = None if mode.uses_lm else _smallest_words(tree)
+        self.lexmin = self.word_prob = self.exact = self.counts = None
+        if mode.uses_lm:
+            self.word_prob, self.exact, self.counts = _model_tables(tree, lm, mode)
+        else:
+            self.lexmin = _smallest_words(tree)
 
     def word_probability(self, node: int) -> float:
         """``NgramModel.word_probability`` of the word ending at ``node``."""
-        p = self._word.get(node)
-        if p is None:
-            p = self._word[node] = self.lm.word_probability(self.tree._prefix(node))
-        return p
+        return self.word_prob[node]
 
     def forecast(self, node: int) -> float:
         """Completion probability of the live prefix at ``node``; in the
-        sampling mode, summed over a seeded sample and rescaled (total / sampled)."""
-        if self.mode.kind != "ngrams_forecast_sample":
-            f = self._forecast.get(node)
-            return self._exact_forecast(node, self.tree._prefix(node)) if f is None else f
+        sampling mode, summed over a seeded sample and rescaled (total / sampled)
+        unless the sample would cover every completion."""
+        if self.counts is None or self.counts[node] <= self.mode.sample_size:
+            return self.exact[node]
         f = self._sampled.get(node)
         if f is None:
             prefix = self.tree._prefix(node)
-            n, k = self._count(node), self.mode.sample_size
-            if k >= n:
-                f = self._exact_forecast(node, prefix)
-            else:
-                # ``sample`` picks indices from the length alone, so drawing from
-                # ``range(n)`` chooses the same completions, in the same order, as
-                # drawing from the lexicographic list of them.
-                chosen = random.Random(f"forecast|{self.mode.seed}|{prefix}").sample(range(n), k)
-                f = sum(self.lm.remainder_probability(prefix, self._nth_remainder(node, i))
-                        for i in chosen) * (n / k)
-            self._sampled[node] = f
+            n, k = self.counts[node], self.mode.sample_size
+            # ``sample`` picks indices from the length alone, so drawing from
+            # ``range(n)`` chooses the same completions, in the same order, as
+            # drawing from the lexicographic list of them.
+            chosen = random.Random(f"forecast|{self.mode.seed}|{prefix}").sample(range(n), k)
+            f = self._sampled[node] = sum(
+                self.lm.remainder_probability(prefix, self._nth_remainder(node, i))
+                for i in chosen) * (n / k)
         return f
-
-    def _count(self, node: int) -> int:
-        """Number of stored words at or below ``node``."""
-        n = self._counts.get(node)
-        if n is None:
-            n = self.tree._is_word[node] + sum(
-                self._count(child) for child, _ in self.tree._children(node))
-            self._counts[node] = n
-        return n
 
     def _nth_remainder(self, node: int, i: int) -> str:
         """Remainder of the ``i``-th completion below ``node``, in lexicographic order."""
@@ -280,22 +279,12 @@ class TrieScorer:
                     return remainder
                 i -= 1
             for child, c in self.tree._children(node):
-                n = self._count(child)
+                n = self.counts[child]
                 if i < n:
                     remainder += c
                     node = child
                     break
                 i -= n
-
-    def _exact_forecast(self, node: int, prefix: str) -> float:
-        f = self._forecast.get(node)
-        if f is None:
-            cond = self.lm.conditional
-            f = cond(prefix, WORD_BOUNDARY) if self.tree._is_word[node] else 0.0
-            for child, c in self.tree._children(node):
-                f += cond(prefix, c) * self._exact_forecast(child, prefix + c)
-            self._forecast[node] = f
-        return f
 
     def complete(self, node: int) -> tuple[str, int, float]:
         """(remainder, word node, remainder probability) of the completion of
@@ -349,3 +338,157 @@ def _smallest_words(tree: PrefixTree) -> np.ndarray:
         if np.array_equal(jumped, lexmin):
             return lexmin
         lexmin = jumped
+
+
+def _model_tables(tree: PrefixTree, lm: NgramModel, mode: ScoringMode
+                  ) -> tuple[array, array | None, array | None]:
+    """``(word_prob, exact, counts)`` by node: each an ``array`` (whose reads
+    are Python numbers), or ``None`` where ``mode`` reads no such table.
+
+    Node ``n``'s character is ``c(n)``; ``step(n) = P(c(n) | ctx(parent))``
+    (1.0 at the root) and ``end(n) = P(⊥ | ctx(n))`` come from
+    ``_conditionals``. Level by level from the root, the prefix probability
+    is ``prob[n] = prob[parent] * step(n)``, so ``word_prob[n] = prob[n] *
+    end(n)`` is ``remainder_probability("", word)``'s product, taken in the
+    same order (``1.0 * x`` is exact). The exact forecast and the count are
+    sums over the children, taken bottom up (``_subtree_sums``) in child
+    order, which is the order of the recursion ``F(n) = [word]·P(⊥|n) +
+    Σ_c P(c|n)·F(child_c)``.
+    """
+    first = np.frombuffer(tree._first, np.intc)
+    n = len(first)
+    levels = [0, 1]  # a level's first node; the next level starts at its first child
+    while levels[-1] < n:
+        levels.append(first[levels[-1]])
+    kids = np.diff(first, append=n)
+    parent = np.zeros(n, np.intc)  # the root's is itself
+    for lo, hi, nxt in zip(levels, levels[1:], levels[2:]):
+        parent[hi:nxt] = np.repeat(np.arange(lo, hi, dtype=np.intc), kids[lo:hi])
+    del kids
+    seen, pair, end, ctx = _conditionals(tree, lm, parent)
+    word_prob, word = _table("d", n)
+    prob, above = np.ones(1), 0  # the level above's prefix probabilities, from node ``above``
+    for lo, hi in zip(levels, levels[1:]):
+        prob = prob[parent[lo:hi] - above] * seen[pair[lo:hi]]
+        np.multiply(prob, end[ctx[lo:hi]], out=word[lo:hi])
+        above = lo
+    exact = counts = None
+    is_word = np.frombuffer(tree._is_word, np.uint8)
+    if mode.uses_forecast:
+        exact, forecast = _table("d", n)
+        np.multiply(end[ctx], is_word, out=forecast)
+        _subtree_sums(parent, levels, forecast, seen[pair])
+    if mode.kind == "ngrams_forecast_sample":
+        counts, count = _table("q", n)
+        count += is_word
+        _subtree_sums(parent, levels, count)
+    return word_prob, exact, counts
+
+
+def _conditionals(tree: PrefixTree, lm: NgramModel, parent: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(seen, pair, end, ctx)``: ``step(n) = seen[pair[n]]`` is
+    ``P(c(n) | ctx(parent(n)))`` (1.0 at the root) and ``end(n) =
+    end[ctx[n]]`` is ``P(⊥ | ctx(n))``, each bit-identical to ``lm.conditional``.
+
+    A context is ``order - 1`` symbols, boundary-padded, the boundary being
+    symbol 0. A node's is the last symbols of its prefix, one per ancestor;
+    each of the model's is one key of its counts. All of them get a code, a
+    number in base (symbols), renumbered densely when the next symbol would
+    overflow it, so a node finds its context's index in the model's dicts
+    (from 1; 0 is an empty count, for a context the model lacks) without
+    spelling it out. The model's dicts are then read by C-level ``map``s,
+    in their own order: each context's total and boundary count, and the
+    count of each distinct (parent's context, character) pair of the trie.
+    (Read in node order, the same counters take several times as long,
+    each a cache miss.)
+    """
+    k, width, n = lm.smoothing_k, lm.order - 1, len(parent)
+    counters = [{}, *lm._counts.values()]  # the context at 0 is one the model lacks
+    symbols = "".join(sorted(lm.vocabulary | tree.word_chars | {WORD_BOUNDARY}))
+    base, top = len(symbols), ord(symbols[-1])
+    table = np.zeros(top + 1, np.min_scalar_type(base - 1))
+    table[_code_points(symbols, top)] = np.arange(base)
+    sym = np.zeros(n, table.dtype)
+    sym[1:] = table[_code_points(tree._chars, top)]
+    held = table[_code_points("".join(lm._counts), top)].reshape(len(counters) - 1, width)
+    del table
+    # Nodes, then the model's contexts; the newest symbol is the lowest digit.
+    code, span, digits = np.zeros(n + len(held), np.uint8), 1, sym
+    for j in range(width):
+        if span * base > np.iinfo(np.int64).max:
+            code, values = _dense(code, span)
+            span = len(values)
+        code = code.astype(np.min_scalar_type(span * base - 1), copy=False)
+        scale = code.dtype.type(span)
+        code[:n] += digits * scale
+        code[n:] += held[:, width - 1 - j] * scale
+        span *= base
+        digits = digits[parent]  # the symbols one ancestor up
+    del held, digits
+    if span > 4 * len(code):  # else the codes index ``found`` as they are
+        code, values = _dense(code, span)
+        span = len(values)
+    found = np.zeros(span, np.min_scalar_type(len(counters) - 1))
+    found[code[n:]] = np.arange(1, len(counters))
+    ctx = found[code[:n]]
+    del code, found
+    denominator = np.fromiter(chain([0], lm._totals.values()), np.float64, len(counters))
+    denominator += k * lm.num_outcomes
+    end = np.fromiter(map(dict.get, counters, repeat(WORD_BOUNDARY), repeat(0)), np.float64,
+                      len(counters))
+    end += k
+    end /= denominator
+    # A pair's code is context * base + symbol, and the root's is above them
+    # all: ranked, the pairs come in the model's order of contexts.
+    code = ctx[parent].astype(np.min_scalar_type(len(counters) * base))
+    code *= base
+    code += sym
+    code[0] = len(counters) * base
+    del sym
+    pair, code = _dense(code, len(counters) * base + 1)
+    pair_ctx = code[:-1] // base
+    seen = np.ones(len(code))
+    seen[:-1] = np.fromiter(map(dict.get, map(counters.__getitem__, pair_ctx.tolist()),
+                                _text(_code_points(symbols, top)[code[:-1] % base]),
+                                repeat(0)), np.float64, len(pair_ctx))
+    seen[:-1] += k
+    seen[:-1] /= denominator[pair_ctx]
+    return seen, pair, end, ctx
+
+
+def _dense(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(ranks, values)``: the distinct ``values`` of ``code`` (all below
+    ``span``), ascending, and per element the rank of its value among them.
+
+    A span of a few times the length is ranked by a table over every
+    value, a larger one by a sort.
+    """
+    if span > 4 * len(code):
+        values, ranks = np.unique(code, return_inverse=True)
+        return ranks.astype(np.intc), values
+    seen = np.zeros(span, bool)
+    seen[code] = True
+    return (np.cumsum(seen, dtype=np.intc) - 1)[code], np.flatnonzero(seen)
+
+
+def _subtree_sums(parent: np.ndarray, levels: list[int], own: np.ndarray,
+                  weight: np.ndarray | None = None) -> None:
+    """``own[n] += Σ_k weight[c_k] * own[c_k]`` over ``n``'s children ``c_k``
+    (weights 1 without ``weight``), each child's sum taken first.
+
+    Levels run deepest first, so a child is final before its parent reads
+    it. ``np.add.at`` adds a level's terms to their parents one at a time,
+    in node order, so each node's sum runs in child order.
+    """
+    for lo, hi in zip(levels[-2:0:-1], levels[:1:-1]):
+        np.add.at(own, parent[lo:hi], own[lo:hi] if weight is None else weight[lo:hi] * own[lo:hi])
+
+
+def _table(typecode: str, n: int) -> tuple[array, np.ndarray]:
+    """An ``array`` of ``n`` zeros of ``typecode`` and a numpy view to fill it
+    through. The scorer keeps the ``array``: its reads are Python numbers,
+    and a decode prints the ``repr`` of a float it read.
+    """
+    out = array(typecode, [0]) * n
+    return out, np.frombuffer(out, typecode)

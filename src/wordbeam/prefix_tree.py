@@ -19,8 +19,8 @@ class PrefixTree:
     others, so a decode's non-word characters (separators, punctuation) are
     its alphabet's other symbols. After construction its words and structure
     are immutable. It also holds the decoder's language-model tables, one
-    ``TrieScorer`` per (model, scoring mode), made and filled as decodes
-    first need them.
+    ``TrieScorer`` per (model, scoring mode), made when a decode first needs
+    it, with its arrays by node.
 
     The trie is stored as flat arrays over integer node ids, and those
     arrays are its interface: it has no per-node objects and no prefix
@@ -29,10 +29,12 @@ class PrefixTree:
     characters. Per node ``n``: ``_kids[n]`` is the string of its child
     characters, sorted; ``_first[n]`` is the id of its first child, so
     child ``k`` is ``_first[n] + k``; ``_is_word[n]`` is 1 when the node
-    ends a word. A node id is the only form in which the decoder and
-    ``TrieScorer`` hold a prefix: they walk children in that order without
-    sorting, and a table that misses rebuilds its node's prefix with
-    ``_prefix``.
+    ends a word; for ``n >= 1``, ``_chars[n - 1]`` is its own character,
+    so ``_chars`` is the child strings joined. A node id is the only form
+    in which the decoder and ``TrieScorer`` hold a prefix: they walk
+    children in that order without sorting. Only what the scorer fills
+    lazily (a sampled forecast, a best completion) and the spelling of a
+    completed text rebuild a node's prefix, with ``_prefix``.
     """
 
     def __init__(self, words: Iterable[str], word_chars: Iterable[str]) -> None:
@@ -43,7 +45,7 @@ class PrefixTree:
         used = set("".join(distinct))
         if distinct[:1] == [""] or not self.word_chars.issuperset(used):
             _raise_first_fault(words, self.word_chars)
-        self._kids, self._first, self._is_word = _level_order(distinct, used)
+        self._kids, self._first, self._is_word, self._chars = _level_order(distinct, used)
 
     def _children(self, node: int) -> enumerate:
         """``(child id, character)`` pairs of ``node``, in code-point order."""
@@ -53,15 +55,13 @@ class PrefixTree:
         """The characters on the path from the root to ``node``.
 
         Ids ascend with ``_first``, so a node's parent is the last node whose
-        first child is at or before it, and its character is the parent's
-        child string at its offset from that first child.
+        first child is at or before it.
         """
-        first, kids = self._first, self._kids
+        first, own = self._first, self._chars
         chars = []
         while node:
-            parent = bisect_right(first, node) - 1
-            chars.append(kids[parent][node - first[parent]])
-            node = parent
+            chars.append(own[node - 1])
+            node = bisect_right(first, node) - 1
         return "".join(reversed(chars))
 
 
@@ -75,9 +75,9 @@ def _raise_first_fault(words: list[str], word_chars: frozenset[str]) -> None:
             raise InputValidationError(f"word {word!r} contains non-word character {bad!r}")
 
 
-def _level_order(words: list[str], used: set[str]) -> tuple[list[str], array, bytearray]:
-    """``(kids, first, is_word)`` of the trie over sorted, distinct, non-empty
-    words whose characters are ``used``.
+def _level_order(words: list[str], used: set[str]) -> tuple[list[str], array, bytearray, str]:
+    """``(kids, first, is_word, chars)`` of the trie over sorted, distinct,
+    non-empty words whose characters are ``used``.
 
     Whole-array passes over the words' code points, each word followed by a
     separator (a character no word has). A word shares its longest common
@@ -142,8 +142,8 @@ def _level_order(words: list[str], used: set[str]) -> tuple[list[str], array, by
     joined = np.full(2 * nodes - 2, ord(sep), chars.dtype)
     parent += np.arange(nodes - 1, dtype=np.intc)
     joined[parent] = chars
-    del parent, chars
-    return _text(joined).split(sep), first, is_word
+    del parent
+    return _text(joined).split(sep), first, is_word, _text(chars)
 
 
 def _code_points(text: str, top: int) -> np.ndarray:

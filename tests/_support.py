@@ -417,6 +417,16 @@ def forecast_for_prefix(lm: NgramModel, root: RefNode, prefix: str, mode: Scorin
     return partial * (n / mode.sample_size)
 
 
+def reference_forecast(lm: NgramModel, node: RefNode, prefix: str) -> float:
+    """The exact forecast of the live ``prefix`` at its reference ``node`` by
+    the recursion ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``, children
+    added in code-point order: the order of the scorer's bottom-up pass."""
+    f = lm.conditional(prefix, WORD_BOUNDARY) if node.is_word else 0.0
+    for c in sorted(node.children):
+        f += lm.conditional(prefix, c) * reference_forecast(lm, node.children[c], prefix + c)
+    return f
+
+
 def best_completion(lm: NgramModel, root: RefNode, prefix: str) -> tuple[str, float]:
     """(word, remainder probability) of the most probable completion by
     enumeration, ties to the lexicographically smallest word."""

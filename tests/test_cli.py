@@ -14,6 +14,7 @@ from wordbeam import (
     PosteriorMatrix,
     RecognizerSim,
 )
+from wordbeam import cli, files, synth, trends
 from wordbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wordbeam.files import (
     escape_alphabet,
@@ -700,6 +701,46 @@ class TestReproduceTrendsCommand:
         assert rc == EXIT_OK
         text = out.read_text(encoding="utf-8")
         assert "ensemble" in text and "word-beam" in text
+
+
+class TestWrappedLayers:
+    """A tracer wraps layers where their callers look them up: each module
+    attribute below becomes a plain ``*args, **kwargs`` function. A
+    process that runs the same commands before and after must print the
+    same bytes and exit the same way."""
+
+    WRAPPED = [(cli, "decode"), (cli, "PrefixTree"), (trends, "PrefixTree"),
+               (trends, "best_path_decode"), (trends, "vote"), (synth, "PosteriorMatrix"),
+               (files, "PosteriorMatrix")]
+
+    @staticmethod
+    def _wrapper(fn):
+        def wrapper(*args, **kwargs):
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    def test_wrapped_layers_print_the_same(self, synth_setup, capsys, monkeypatch):
+        paths, dict_path = synth_setup
+        commands = [
+            ["reproduce-trends", "--seeds", "1", "--n-words", "30", "--members", "10",
+             "--width", "8"],
+            ["decode", *paths, "--dict", dict_path, "--mode", "ngrams-forecast",
+             "--scheme", "extrasep"],
+        ]
+
+        def run():
+            outs = []
+            for argv in commands:
+                code = main(argv)
+                outs.append((code, capsys.readouterr().out))
+            return outs
+
+        plain = run()
+        assert [code for code, _ in plain] == [EXIT_OK, EXIT_OK]
+        for owner, name in self.WRAPPED:
+            monkeypatch.setattr(owner, name, self._wrapper(getattr(owner, name)))
+        assert run() == plain
 
 
 class TestUnreadableInputs:

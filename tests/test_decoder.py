@@ -307,7 +307,7 @@ class TestSharedScorer:
         calls = self._count_conditionals(monkeypatch)
         for mode in self.MODES[1:]:
             first = decode(matrices[0], alphabet, tree, lm, 8, mode)
-            assert calls, mode  # the first decode filled tables
+            assert calls, mode  # the first decode filled the lazy entries
             calls.clear()
             assert decode(matrices[0], alphabet, tree, lm, 8, mode) == first
             assert calls == [], mode
@@ -454,11 +454,19 @@ class TestSurvivorSkip:
         m = PosteriorMatrix([[0.6, 0.3, 0.05, 0.05],
                              [0.1, 0.45, 0.05, 0.4],
                              [0.1, 0.1, 0.4, 0.4]])
+        scorer = decoder._scorer(tree, lm, NGRAMS)  # the one the decode reads
+        table_read = scorer.word_probability
+        read = []
+
+        def word_probability(node):
+            read.append(node)
+            return table_read(node)
+
+        scorer.word_probability = word_probability
         got = decode(m, alphabet, tree, lm, 2, NGRAMS)
-        filled = tree._scorers[(lm, NGRAMS)]._word
         root = reference_trie(["a", "ab", "b"])
-        assert trie_node(root, "a") in filled
-        assert trie_node(root, "b") not in filled
+        assert trie_node(root, "a") in read
+        assert trie_node(root, "b") not in read
         assert got == reference_decode(m, alphabet, tree, root, lm, 2, NGRAMS)
 
 

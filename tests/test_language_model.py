@@ -22,7 +22,10 @@ from wordbeam import (
 from _support import (
     best_completion,
     forecast_for_prefix,
+    node_prefixes,
+    ref_find,
     reference_completions,
+    reference_forecast,
     reference_ngram_counts,
     reference_trie,
     trie_node,
@@ -232,18 +235,59 @@ class TestTrieScorerTables:
             node = trie_node(root, prefix)
             if prefix in words:
                 assert exact.word_probability(node) == lm.word_probability(prefix)
-            assert exact.forecast(node) == pytest.approx(
-                forecast_for_prefix(lm, root, prefix, NGRAMS_FORECAST), rel=1e-12)
-            want = forecast_for_prefix(lm, root, prefix, sample_mode)
+            reference = reference_forecast(lm, ref_find(root, prefix), prefix)
+            assert exact.forecast(node) == reference
             if len(reference_completions(root, prefix)) > sample_mode.sample_size:
-                assert sampled.forecast(node) == want  # same draw, same sum order
+                # Same draw, same sum order.
+                assert sampled.forecast(node) == forecast_for_prefix(lm, root, prefix, sample_mode)
             else:  # the sample covers every completion: the exact table value
-                assert sampled.forecast(node) == pytest.approx(want, rel=1e-12)
+                assert sampled.forecast(node) == reference
             remainder, end, p = exact.complete(node)
             assert end == trie_node(root, prefix + remainder) and prefix + remainder in words
             # Bit-identical, ties included: the completion's products run in
             # the order of remainder_probability's.
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
+
+    # Every dictionary has an astral character, whose code point takes four
+    # bytes. With ``lacking`` the model is trained on a corpus of its own
+    # without it, as ``--lm-corpus`` allows: the contexts that hold it are
+    # ones the model never saw.
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        words=st.lists(st.text("abé\U0001d11e", min_size=1, max_size=5), max_size=12),
+        extra=st.lists(st.text("abé", min_size=1, max_size=4), min_size=1, max_size=6),
+        lacking=st.booleans(),
+        order=st.integers(1, 5),
+        smoothing_k=st.sampled_from([0.5, 1.0]),
+    )
+    def test_tables_equal_model_and_recursion_at_every_node(self, words, extra, lacking, order,
+                                                            smoothing_k):
+        words = words + ["b\U0001d11e"]
+        corpus = words + extra
+        if lacking:
+            corpus = [w for w in corpus if "\U0001d11e" not in w]
+        tree, root = PrefixTree(words, set("abé\U0001d11e")), reference_trie(words)
+        lm = NgramModel.train(corpus, order=order, smoothing_k=smoothing_k)
+        scorer = TrieScorer(tree, lm, forecast_sample(sample_size=2, seed=order))
+        word_only = TrieScorer(tree, lm, NGRAMS)
+        assert word_only.word_prob == scorer.word_prob and word_only.exact is None
+        for node, prefix in enumerate(node_prefixes(root)):
+            p = scorer.word_probability(node)
+            assert type(p) is float and p == lm.word_probability(prefix)
+            f = scorer.exact[node]
+            assert type(f) is float and f == reference_forecast(lm, ref_find(root, prefix), prefix)
+            assert scorer.counts[node] == len(reference_completions(root, prefix))
+
+    def test_tables_where_context_codes_are_renumbered(self):
+        # 81 symbols at order 12: a context's code would pass 2**63 on the
+        # way, so it is renumbered, as training renumbers its window codes.
+        words = [_WIDE[:40], _WIDE[40:], _WIDE[::-1], _WIDE[:20] + _WIDE[60:], _WIDE[:3]]
+        tree, root = PrefixTree(words, set(_WIDE)), reference_trie(words)
+        lm = NgramModel.train(words + [_WIDE[10:30]], order=12)
+        scorer = TrieScorer(tree, lm, NGRAMS_FORECAST)
+        for node, prefix in enumerate(node_prefixes(root)):
+            assert scorer.word_probability(node) == lm.word_probability(prefix)
+            assert scorer.exact[node] == reference_forecast(lm, ref_find(root, prefix), prefix)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
     @given(words=st.lists(st.text("abé", min_size=1, max_size=6), min_size=1, max_size=30))

@@ -152,6 +152,7 @@ def test_flat_layout_is_the_level_order_of_the_reference_trie(words, probes):
     root = reference_trie(words)
     kids, first, is_word = reference_level_order(root)
     assert t._kids == kids
+    assert t._chars == "".join(kids)
     assert list(t._first) == first
     assert list(t._is_word) == is_word
     # A walk of the flat arrays reaches, for every live prefix, the node
