@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
 from . import decoder
@@ -23,6 +24,7 @@ from .errors import (
     InputValidationError,
     UnreadableFileError,
     UnwritablePathError,
+    WordbeamError,
 )
 from .evaluation import build_report, format_report_kv, format_report_table
 from .files import load_word_list, read_matrix_file, read_text, write_matrix_file
@@ -40,7 +42,10 @@ EXIT_CONFIG = 3
 SYNTH_BATCH = 100
 # Matrices of one alphabet that ``decode`` and ``ensemble`` search as one
 # batch (``decode_batch``) in ``words`` mode; it bounds the matrices held.
+# It is also the most matrix files read as one group.
 DECODE_BATCH = 20
+# Bytes of matrix files read as one group; a larger file is a group alone.
+READ_BYTES = 1 << 20
 
 _MODES = ("bestpath", "words", "ngrams", "ngrams-forecast", "ngrams-forecast-sample")
 
@@ -120,16 +125,13 @@ def _add_decode_options(p: argparse.ArgumentParser) -> None:
                                        "instead of the dictionary")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="wordbeam", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("decode", help="decode posterior matrix files")
+def _decode_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("matrices", nargs="+", help="matrix file paths")
     _add_decode_options(p)
     p.set_defaults(func=cmd_decode)
 
-    p = sub.add_parser("ensemble", help="vote over recognizer outputs")
+
+def _ensemble_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "inputs",
         nargs="+",
@@ -138,7 +140,8 @@ def build_parser() -> _Parser:
     _add_decode_options(p)
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("eval", help="score predictions against ground truth")
+
+def _eval_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("preds", help="predictions (plain list or decode TSV)")
     p.add_argument("gt", help="ground truth (plain list or manifest TSV)")
     p.add_argument("--train-vocab", help="training vocabulary for the OOV/INV split")
@@ -146,7 +149,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", help="write report.txt and report.kv here instead of stdout")
     p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("synth", help="generate synthetic recognizer outputs")
+
+def _synth_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dict", dest="dict_path", required=True)
     p.add_argument("--n-words", type=_at_least_one, default=50)
     p.add_argument("--noise", type=_unit_interval, default=0.25)
@@ -161,7 +165,8 @@ def build_parser() -> _Parser:
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("reproduce-trends", help="run the synthetic trend experiment")
+
+def _reproduce_trends_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=7)
     p.add_argument("--seeds", type=_at_least_one, default=5, help="number of experiment seeds")
     p.add_argument("--n-words", type=_at_least_one, default=1000)
@@ -171,6 +176,26 @@ def build_parser() -> _Parser:
     p.add_argument("--out", help="write the report here instead of stdout")
     p.set_defaults(func=cmd_reproduce_trends)
 
+
+# Each subcommand's help line and the function that adds its arguments.
+_COMMANDS = {
+    "decode": ("decode posterior matrix files", _decode_arguments),
+    "ensemble": ("vote over recognizer outputs", _ensemble_arguments),
+    "eval": ("score predictions against ground truth", _eval_arguments),
+    "synth": ("generate synthetic recognizer outputs", _synth_arguments),
+    "reproduce-trends": ("run the synthetic trend experiment", _reproduce_trends_arguments),
+}
+
+
+def build_parser(commands: Iterable[str] = _COMMANDS) -> _Parser:
+    """The command-line parser. Every subcommand is listed with its help;
+    only those of ``commands`` get their arguments."""
+    parser = _Parser(prog="wordbeam", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name in commands:
+            add_arguments(p)
     return parser
 
 
@@ -196,7 +221,9 @@ def _alphabet_for(symbols: str, sep: str | None, path: str) -> Alphabet:
 
 
 # The benchmark's set-up clock stops at the first call of ``decode`` or
-# ``best_path_decode`` as this module looks them up (bench/README.md).
+# ``best_path_decode`` as this module looks them up, and leaves out the
+# time spent before it in ``read_matrix_file``, looked up the same way
+# (bench/README.md): matrix files are read only through that name.
 def decode(
     matrices: list[PosteriorMatrix],
     alphabet: Alphabet,
@@ -210,6 +237,39 @@ def decode(
     if mode is WORDS and len(matrices) > 1:
         return decoder.decode_batch(matrices, alphabet, tree, width)
     return [decoder.decode(m, alphabet, tree, lm, width, mode) for m in matrices]
+
+
+def _read(paths: list) -> Iterator[tuple[str, PosteriorMatrix]]:
+    """``(symbols, matrix)`` of each matrix file, in file order.
+
+    Files are read (``read_matrix_file``) in groups of consecutive files:
+    at most ``DECODE_BATCH`` of them and ``READ_BYTES`` in all, a larger
+    file alone. A group that raises is read again file by file, each file
+    when the caller has set up the one before, so the first fault in file
+    order, of a read or of a set-up, is the one raised.
+    """
+    group: list = []
+    size = 0
+    for path in paths:
+        try:
+            n = os.stat(path).st_size
+        except OSError:
+            n = 0  # reading it reports the fault
+        if group and (len(group) == DECODE_BATCH or size + n > READ_BYTES):
+            yield from _read_group(group)
+            group, size = [], 0
+        group.append(path)
+        size += n
+    if group:
+        yield from _read_group(group)
+
+
+def _read_group(group: list) -> Iterable[tuple[str, PosteriorMatrix]]:
+    """``(symbols, matrix)`` of each file of one group."""
+    try:
+        return read_matrix_file(group)
+    except WordbeamError:
+        return (read_matrix_file([path])[0] for path in group)
 
 
 class _DecodePipeline:
@@ -227,17 +287,17 @@ class _DecodePipeline:
         """Read and decode each matrix file; return ``row(i, label,
         likelihood)`` of each file ``paths[i]``, in file order.
 
-        Each file is read and its alphabet set up in file order, so the first
-        fault in that order is the one raised. Best path and the language-model
-        modes then decode the file at once; ``words`` mode collects each
-        alphabet's matrices and decodes them ``DECODE_BATCH`` at a time.
+        Files are read in groups (``_read``), and each file's alphabet is
+        set up in file order, so the first fault in that order is the one
+        raised. Best path and the language-model modes then decode the file
+        at once; ``words`` mode collects each alphabet's matrices and decodes
+        them ``DECODE_BATCH`` at a time.
         """
         batch = DECODE_BATCH if self.mode is WORDS else 1
         rows: list = [None] * len(paths)
         pending: dict[str, list[tuple[int, PosteriorMatrix]]] = {}
-        for i, path in enumerate(paths):
-            symbols, matrix = read_matrix_file(path)
-            alphabet, tree, lm = self._setup(symbols, str(path))
+        for i, (symbols, matrix) in enumerate(_read(paths)):
+            alphabet, tree, lm = self._setup(symbols, str(paths[i]))
             if self.mode is None:
                 label, likelihood = best_path_decode(matrix, alphabet)
                 rows[i] = row(i, decode_label(label, alphabet), likelihood)
@@ -504,8 +564,12 @@ def cmd_reproduce_trends(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # The top-level parser has no option that takes a value, so argparse
+    # hands the arguments to the subcommand named first, or fails at the
+    # top level before it hands them on; only that subcommand is built.
+    args = build_parser([arg for arg in argv if arg in _COMMANDS][:1]).parse_args(argv)
     try:
         return args.func(args)
     except (UnreadableFileError, UnwritablePathError) as exc:

@@ -111,6 +111,43 @@ class PosteriorMatrix:
         return f"PosteriorMatrix({self.num_frames}x{self.num_classes})"
 
 
+def posterior_matrices(stack: np.ndarray, frames: Sequence[int]) -> list[PosteriorMatrix]:
+    """``PosteriorMatrix`` of each block of rows of ``stack``, a float64
+    array: the first ``frames[0]`` rows, then the next ``frames[1]``, and
+    so on, ``sum(frames)`` rows in all.
+
+    The stack is checked once: its least value is not negative and every
+    row sums to 1 within ``ROW_SUM_TOLERANCE``, which no row with a
+    non-finite value does. The matrices are then read-only views of it,
+    not checked again. When that check fails, the blocks are made one by
+    one, so the first faulty block raises the error ``PosteriorMatrix``
+    raises for it.
+    """
+    if (stack.ndim == 2 and stack.shape[1] >= 2 and min(frames, default=0) >= 1
+            and stack.min() >= 0.0 and _sums_to_one(stack)):
+        stack.setflags(write=False)
+        make = _view
+    else:
+        make = PosteriorMatrix
+    ends = np.cumsum(frames).tolist()
+    return [make(stack[end - t:end]) for end, t in zip(ends, frames)]
+
+
+def _sums_to_one(stack: np.ndarray) -> bool:
+    """Whether every row sums to 1 within ``ROW_SUM_TOLERANCE``; a sum that
+    overflows fails quietly, as the block it lies in reports it."""
+    with np.errstate(over="ignore"):
+        sums = stack.sum(axis=1)
+    return bool((np.abs(sums - 1.0) <= ROW_SUM_TOLERANCE).all())
+
+
+def _view(probs: np.ndarray) -> PosteriorMatrix:
+    """A matrix over ``probs`` as it is, which the caller has checked."""
+    m = object.__new__(PosteriorMatrix)
+    m.probs = probs
+    return m
+
+
 def _row_fault(row, message: str) -> InputValidationError:
     """The error of a faulty value row; ``row`` (0-based) lets a matrix file name its line."""
     exc = InputValidationError(message)

@@ -3,18 +3,21 @@
 A matrix file is line oriented: a ``T C`` header, the non-blank alphabet
 as one backslash-escaped string (blank is implicit, last column), then T
 lines of C values separated by single spaces, each in Python ``float``
-syntax. Word lists hold one word per line; ``#`` starts a comment line
-and blank lines are skipped.
+syntax. Matrix files are read a group at a time (``read_matrix_file``),
+converted and checked as one stack unless a file needs the file-by-file
+parse (``parse_matrix``). Word lists hold one word per line; ``#``
+starts a comment line and blank lines are skipped.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
-from .ctc import PosteriorMatrix
-from .errors import DataFormatError, InputValidationError, UnreadableFileError
+from .ctc import PosteriorMatrix, posterior_matrices
+from .errors import DataFormatError, InputValidationError, UnreadableFileError, WordbeamError
 
 _ESCAPES = {"\\": "\\\\", " ": "\\ ", "\t": "\\t", "\n": "\\n", "\r": "\\r"}
 _UNESCAPES = {"\\": "\\", " ": " ", "t": "\t", "n": "\n", "r": "\r"}
@@ -54,28 +57,7 @@ def serialize_matrix(m: PosteriorMatrix, symbols: str) -> str:
 
 def parse_matrix(text: str, path: str = "<string>") -> tuple[str, PosteriorMatrix]:
     """Parse a matrix file body into (alphabet symbols, matrix)."""
-    lines = text.split("\n")
-    if lines and lines[-1] == "":
-        lines.pop()
-    if len(lines) < 2:
-        raise DataFormatError("expected a 'T C' header and an alphabet line", path=path, line=1)
-    header = lines[0].split()
-    if len(header) != 2:
-        raise DataFormatError(f"malformed header {lines[0]!r}", path=path, line=1)
-    try:
-        t, c = int(header[0]), int(header[1])
-    except ValueError:
-        raise DataFormatError(f"non-integer header {lines[0]!r}", path=path, line=1) from None
-    symbols = unescape_alphabet(lines[1], path=path, line=2)
-    if len(symbols) + 1 != c:
-        raise DataFormatError(
-            f"alphabet has {len(symbols)} symbols but header says C={c}", path=path, line=2
-        )
-    if len(lines) != 2 + t:
-        raise DataFormatError(
-            f"expected {t} value rows, found {len(lines) - 2}", path=path, line=len(lines)
-        )
-    body = lines[2:]
+    symbols, t, c, body = _layout(text, path, {})
     try:
         if not all(line.count(" ") == c - 1 for line in body):
             raise ValueError("a row has the wrong number of fields")
@@ -89,6 +71,91 @@ def parse_matrix(text: str, path: str = "<string>") -> tuple[str, PosteriorMatri
         row = getattr(exc, "row", None)  # a faulty value row is named by its line
         raise DataFormatError(str(exc), path=path, line=None if row is None else row + 3) from exc
     return symbols, matrix
+
+
+def parse_matrices(texts: Sequence[str], paths: Sequence[str]) -> list[tuple[str, PosteriorMatrix]]:
+    """``[parse_matrix(text, path) for text, path in zip(texts, paths)]``,
+    converted and checked as one group.
+
+    The value rows of each run of files with the same C go through one
+    ``np.loadtxt`` and the stack through one ``posterior_matrices`` check;
+    each distinct alphabet line is unescaped once. ``loadtxt`` takes a
+    subset of ``float()`` syntax with the same values, and the group is
+    parsed this way only if every file has its header, alphabet and row
+    count right, T >= 1, C >= 2, every run converts to its T x C rows and
+    the stack passes its check. Otherwise the files are parsed one by one
+    with ``parse_matrix``, so a field that only ``float()`` reads (``1_0``,
+    ``٠.5``) still parses, and the first faulty file raises its own error.
+    """
+    found = _parse_group(texts)
+    if found is None:
+        found = [parse_matrix(text, path) for text, path in zip(texts, paths)]
+    return found
+
+
+def _parse_group(texts: Sequence[str]) -> list[tuple[str, PosteriorMatrix]] | None:
+    """The ``parse_matrices`` of ``texts`` by the grouped conversion, or
+    None where any file needs ``parse_matrix``."""
+    alphabets: dict[str, str] = {}
+    symbols_of: list[str] = []  # per file
+    runs: list[tuple[int, list[str], list[int]]] = []  # (C, rows, Ts) per run of equal C
+    try:
+        for text in texts:
+            symbols, t, c, body = _layout(text, "", alphabets)
+            if t < 1 or c < 2:
+                return None
+            symbols_of.append(symbols)
+            if not runs or runs[-1][0] != c:
+                runs.append((c, [], []))
+            runs[-1][1].extend(body)
+            runs[-1][2].append(t)
+    except DataFormatError:
+        return None
+    matrices: list[PosteriorMatrix] = []
+    try:
+        for c, rows, frames in runs:
+            # loadtxt skips rows it sees as blank (and warns if all are) and
+            # reads no empty field, which no valid row has.
+            if "" in rows or "\r" in rows:
+                return None
+            stack = np.loadtxt(rows, delimiter=" ", comments=None, dtype=np.float64, ndmin=2)
+            if stack.shape != (len(rows), c):
+                return None
+            matrices += posterior_matrices(stack, frames)
+    except ValueError:  # InputValidationError included
+        return None
+    return list(zip(symbols_of, matrices))
+
+
+def _layout(text: str, path: str, alphabets: dict[str, str]) -> tuple[str, int, int, list[str]]:
+    """A matrix text's alphabet symbols, T, C and value rows, with its header,
+    alphabet and row count checked; ``alphabets`` keeps the symbols of each
+    alphabet line unescaped so far."""
+    lines = text.split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if len(lines) < 2:
+        raise DataFormatError("expected a 'T C' header and an alphabet line", path=path, line=1)
+    header = lines[0].split()
+    if len(header) != 2:
+        raise DataFormatError(f"malformed header {lines[0]!r}", path=path, line=1)
+    try:
+        t, c = int(header[0]), int(header[1])
+    except ValueError:
+        raise DataFormatError(f"non-integer header {lines[0]!r}", path=path, line=1) from None
+    symbols = alphabets.get(lines[1])
+    if symbols is None:
+        symbols = alphabets[lines[1]] = unescape_alphabet(lines[1], path=path, line=2)
+    if len(symbols) + 1 != c:
+        raise DataFormatError(
+            f"alphabet has {len(symbols)} symbols but header says C={c}", path=path, line=2
+        )
+    if len(lines) != 2 + t:
+        raise DataFormatError(
+            f"expected {t} value rows, found {len(lines) - 2}", path=path, line=len(lines)
+        )
+    del lines[:2]
+    return symbols, t, c, lines
 
 
 def _parse_rows(body: list[str], c: int, path: str) -> list[list[float]]:
@@ -112,7 +179,8 @@ def read_text(path: str | Path) -> str:
     """The UTF-8 text of a file; an unreadable path or bytes that are not
     UTF-8 raise a package error that names the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, encoding="utf-8") as f:  # as Path.read_text, without a Path
+            return f.read()
     except UnicodeDecodeError as exc:
         raise DataFormatError(f"not UTF-8 text: {exc.reason} at byte {exc.start}",
                               path=str(path)) from None
@@ -124,8 +192,23 @@ def write_matrix_file(path: str | Path, m: PosteriorMatrix, symbols: str) -> Non
     Path(path).write_text(serialize_matrix(m, symbols), encoding="utf-8")
 
 
-def read_matrix_file(path: str | Path) -> tuple[str, PosteriorMatrix]:
-    return parse_matrix(read_text(path), path=str(path))
+def read_matrix_file(paths: Sequence[str | Path]) -> list[tuple[str, PosteriorMatrix]]:
+    """``(symbols, matrix)`` of each matrix file of ``paths``, in order, read
+    and parsed as one group (``parse_matrices``). The files before one that
+    cannot be read are parsed first, so the first fault in file order is
+    the one raised."""
+    texts: list[str] = []
+    fault = None
+    for path in paths:
+        try:
+            texts.append(read_text(path))
+        except WordbeamError as exc:
+            fault = exc
+            break
+    found = parse_matrices(texts, [str(path) for path in paths[:len(texts)]])
+    if fault is not None:
+        raise fault
+    return found
 
 
 def load_word_list(path: str | Path) -> list[str]:

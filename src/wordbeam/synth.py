@@ -24,7 +24,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .coding import encode_label
-from .ctc import Alphabet, PosteriorMatrix
+from .ctc import Alphabet, PosteriorMatrix, posterior_matrices
 from .errors import InputValidationError
 
 
@@ -217,8 +217,7 @@ def _emit_width(plans: list, c_max: int) -> list[PosteriorMatrix]:
             _uniform(drawn[:, 0::2], drawn[:, 1::2]), target[rows],
             np.repeat(seps, job_rows)[rows], noise[rows], np.repeat(shares, job_rows)[rows],
         )
-    ends = np.cumsum(job_rows).tolist()
-    return [PosteriorMatrix(out[end - rows:end]) for end, rows in zip(ends, job_rows)]
+    return posterior_matrices(out, job_rows)
 
 
 def _uniform(a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,6 +1,9 @@
 """File formats and end-to-end command behaviour."""
 
+import itertools
+import json
 import random
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -13,12 +16,14 @@ from wordbeam import (
     DataFormatError,
     PosteriorMatrix,
     RecognizerSim,
+    WordbeamError,
 )
 from wordbeam import cli, files, synth, trends
 from wordbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from wordbeam.files import (
     escape_alphabet,
     load_word_list,
+    parse_matrices,
     parse_matrix,
     read_matrix_file,
     serialize_matrix,
@@ -68,7 +73,7 @@ class TestMatrixFile:
         m = random_matrix(rng, 3, 4)
         path = tmp_path / "m.mat"
         write_matrix_file(path, m, "abc")
-        symbols, parsed = read_matrix_file(path)
+        [(symbols, parsed)] = read_matrix_file([path])
         assert symbols == "abc"
         assert np.array_equal(parsed.probs, m.probs)
 
@@ -105,6 +110,8 @@ def _matrix_texts(draw):
 def _corrupt(text, fault, row):
     """Apply one fault to value row ``row`` (0-based) of a matrix text."""
     lines = text.split("\n")
+    if len(lines) < 4:  # no value row
+        return text
     i = 2 + row % (len(lines) - 3)
     fields = lines[i].split(" ")
     if fault == "drop field":
@@ -123,11 +130,39 @@ def _corrupt(text, fault, row):
         lines[i] = " ".join([fault] + fields[1:])
     elif fault == "crlf":
         return "\r\n".join(lines)
+    elif fault == "leading space":
+        lines[i] = " " + lines[i]
+    elif fault == "double space":
+        lines[i] = lines[i].replace(" ", "  ", 1)
+    elif fault == "ragged":  # the row's last field moves to the next row: equal totals
+        if i + 1 < len(lines) - 1:
+            lines[i] = " ".join(fields[:-1])
+            lines[i + 1] = fields[-1] + " " + lines[i + 1]
+    elif fault == "no rows":  # a T=0 header
+        return f"0 {lines[0].split()[1]}\n{lines[1]}\n"
+    # The rest keep the row valid in float() syntax, which loadtxt may not read.
+    elif fault == "underscore":
+        sign = fields[0][:1] if fields[0][:1] in "+-" else ""
+        lines[i] = " ".join([sign + "0_0" + fields[0][len(sign):]] + fields[1:])
+    elif fault == "arabic zero":
+        lines[i] = " ".join([fields[0].replace("0", "\u0660")] + fields[1:])
+    elif fault == "vertical tab":
+        lines[i] = " ".join([fields[0] + "\x0b"] + fields[1:])
+    elif fault in ("-0.0", "5e-324"):  # a zero field becomes -0.0 or a subnormal
+        zeros = [k for k, f in enumerate(fields) if f.strip("+-0.eE") == ""]
+        if zeros:
+            fields[zeros[0]] = fault
+            lines[i] = " ".join(fields)
     return "\n".join(lines)
 
 
 _FAULTS = ["drop field", "extra field", "bad float", "tab", "trailing space", "blank row",
            "nan", "inf", "-0.5", "1e400", "crlf"]
+# Faults for groups of files: the above, whitespace, row layout, a T=0
+# header, and valid fields that only float() reads or that read as -0.0
+# or a subnormal.
+_GROUP_FAULTS = _FAULTS + ["leading space", "double space", "ragged", "no rows", "underscore",
+                           "arabic zero", "vertical tab", "-0.0", "5e-324"]
 
 
 class TestBulkParse:
@@ -184,6 +219,107 @@ class TestBulkParse:
         # A field is whatever float() accepts, surrounding whitespace included.
         _, m = parse_matrix(f"1 2\na\n{row}\n")
         assert m.probs.tolist() == [values]
+
+
+def _group_outcome(read, texts):
+    """What a reader makes of a group of matrix texts: each file's symbols,
+    shape and bits, in order, or the first fault's type, message and line."""
+    try:
+        found = read(texts)
+    except WordbeamError as exc:
+        return ("error", type(exc), str(exc), getattr(exc, "line", None))
+    return ("ok", [(symbols, m.probs.shape, m.probs.tobytes()) for symbols, m in found])
+
+
+def _names(texts):
+    return [f"m{i}.mat" for i in range(len(texts))]
+
+
+def _per_file(texts):
+    return [parse_matrix(text, path) for text, path in zip(texts, _names(texts))]
+
+
+def _grouped(texts):
+    return parse_matrices(texts, _names(texts))
+
+
+@st.composite
+def _faulty_groups(draw):
+    """Groups of 1-4 matrix texts of mixed C, each with up to two faults."""
+    texts = []
+    for _ in range(draw(st.integers(1, 4))):
+        text = draw(_matrix_texts())
+        for fault, row in draw(st.lists(st.tuples(st.sampled_from(_GROUP_FAULTS),
+                                                  st.integers(0, 5)), max_size=2)):
+            text = _corrupt(text, fault, row)
+        texts.append(text)
+    return texts
+
+
+_A = "2 2\na\n0.5 0.5\n0.25 0.75\n"  # a valid file, C=2
+_B = "1 3\nab\n0.5 0.25 0.25\n"  # a valid file, C=3
+
+
+class TestGroupedParse:
+    """``parse_matrices`` converts a group of files at once; ``parse_matrix``
+    file by file is the specification, values and first fault alike."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(texts=st.lists(_matrix_texts(), min_size=1, max_size=4))
+    def test_valid_groups_convert_as_one_group(self, texts):
+        assert files._parse_group(texts) is not None  # not the file-by-file fallback
+        assert _group_outcome(_grouped, texts) == _group_outcome(_per_file, texts)
+
+    @settings(max_examples=500, deadline=None, derandomize=True, database=None)
+    @given(texts=_faulty_groups())
+    def test_faulty_groups_match_file_by_file(self, texts):
+        assert _group_outcome(_grouped, texts) == _group_outcome(_per_file, texts)
+
+    @pytest.mark.parametrize("texts, outcome", [
+        ([_A, "2 2\na\n0.5 0.5\n\n"], "error"),  # loadtxt skips a blank row
+        ([_A, "2 2\na\n0.5 0.5 0.0\n1.0\n"], "error"),  # ragged rows, equal totals
+        ([_A, "1 2\na\n 0.5 0.5\n"], "error"),
+        ([_A, "1 2\na\n0.5  0.5\n"], "error"),
+        ([_A, "1 2\na\n0.5 0.5 \n"], "error"),
+        ([_A, "1 2\na\n0.5\t0.5\n"], "error"),
+        ([_A, "1 2\na\n0.5\t 0.5\n"], "ok"),  # float() strips the tab
+        ([_A, "1 2\na\n1_0e-1 0\n"], "ok"),  # float() syntax that loadtxt rejects
+        ([_A, "1 2\na\n\u0660.5 0.5\n", _B], "ok"),
+        ([_B, "1 2\na\n0.5\x0b 0.5\n"], "ok"),
+        (["1 2\r\na\r\n0.5 0.5\r\n"], "error"),  # CRLF: the alphabet is "a\r"
+        (["1 3\r\na\r\n0.5 0.5 0.0\r\n", _A], "ok"),  # ... which C=3 allows
+        ([_A, "2 2\na\n-0.0 1\n5e-324 1\n"], "ok"),
+        ([_A, "1 2\na\ninf 0\n"], "error"),
+        ([_A, "1 2\na\nnan 0.5\n"], "error"),
+        (["0 2\na\n", _A], "error"),  # T=0: loadtxt would warn of no data
+        ([_A, _B, _A, _B], "ok"),  # mixed C
+        ([_A, "1 2\na\n0.5 0.5\n", _B, "1 3\nab\n0.5 x 0.5\n"], "error"),
+        ([_A, "1 2\na\\\n0.5 0.5\n"], "error"),  # a dangling escape
+        ([_A, "2 2\na\n0.5 0.5\n"], "error"),  # a missing row
+    ])
+    def test_named_cases_match_file_by_file(self, texts, outcome):
+        got = _group_outcome(_grouped, texts)
+        assert got[0] == outcome
+        assert got == _group_outcome(_per_file, texts)
+
+    def test_files_that_cannot_be_read_are_faults_in_file_order(self, tmp_path):
+        places = {"good": "1 2\na\n0.5 0.5\n", "other": _B,
+                  "bad row": "1 2\na\n0.5 x\n", "latin-1": b"1 2\n\xe9\n0.5 0.5\n"}
+        for name, body in places.items():
+            path = tmp_path / f"{name}.mat"
+            if isinstance(body, bytes):
+                path.write_bytes(body)
+            else:
+                path.write_text(body, encoding="utf-8")
+        paths = [str(tmp_path / f"{name}.mat") for name in places] + [str(tmp_path)]
+
+        def one_by_one(group):
+            return [parse_matrix(files.read_text(path), path) for path in group]
+
+        for group in itertools.permutations(paths, 3):
+            assert (_group_outcome(read_matrix_file, list(group))
+                    == _group_outcome(one_by_one, list(group)))
+        assert _group_outcome(read_matrix_file, paths[:2])[0] == "ok"
 
 
 class TestWordList:
@@ -400,7 +536,7 @@ def _words_mode_lines(paths, dict_path, width, nonword=""):
 
     lines = []
     for path in paths:
-        symbols, m = read_matrix_file(path)
+        [(symbols, m)] = read_matrix_file([path])
         alphabet = Alphabet(symbols)
         tree = PrefixTree(load_word_list(dict_path), set(symbols) - set(nonword))
         label, likelihood = decode(m, alphabet, tree, width=width)
@@ -485,6 +621,144 @@ class TestWordsModeBatches:
         assert capsys.readouterr().err == (
             f"wordbeam: data format error: {dict_path}:2: word 'cab' has character 'c', "
             "which is not a word character of the matrix alphabet 'ab'\n")
+
+
+class TestGroupedReads:
+    """``decode`` and ``ensemble`` read matrix files in groups, and report the
+    first fault in file order, whether a read or a set-up."""
+
+    @staticmethod
+    def _faulty_files(tmp_path, faults, folder=""):
+        """Matrix files 1-3 in ``folder`` and a dictionary; file 1 is sound,
+        and files 2 and 3 have the named faults: a malformed row, or an
+        alphabet that cannot spell the dictionary's "cab"."""
+        bodies = {"row": "1 3\nab\n0.5 x 0.25\n",
+                  "alphabet": serialize_matrix(PosteriorMatrix([[0.25, 0.25, 0.5]]), "ab")}
+        where = tmp_path / folder
+        where.mkdir(exist_ok=True)
+        write_matrix_file(where / "1.mat", PosteriorMatrix([[0.2, 0.2, 0.2, 0.4]]), "abc")
+        for i, fault in enumerate(faults, start=2):
+            (where / f"{i}.mat").write_text(bodies[fault], encoding="utf-8")
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("ab\ncab\n", encoding="utf-8")
+        return [str(where / f"{i}.mat") for i in (1, 2, 3)], str(dict_path)
+
+    @staticmethod
+    def _first_fault(faults, paths, dict_path, mode):
+        """The message of the first fault in file order."""
+        if faults[0] == "alphabet" and mode != "bestpath":  # best path reads no dictionary
+            return (f"{dict_path}:2: word 'cab' has character 'c', which is not a word "
+                    "character of the matrix alphabet 'ab'")
+        return f"{paths[faults.index('row') + 1]}:3: malformed float in row '0.5 x 0.25'"
+
+    @pytest.mark.parametrize("mode", ["words", "ngrams", "bestpath"])
+    @pytest.mark.parametrize("faults", [("row", "alphabet"), ("alphabet", "row")])
+    def test_first_fault_in_file_order(self, tmp_path, capsys, mode, faults):
+        paths, dict_path = self._faulty_files(tmp_path, faults)
+        rc = main(["decode", *paths, "--dict", dict_path, "--mode", mode])
+        assert rc == EXIT_DATA
+        want = self._first_fault(faults, paths, dict_path, mode)
+        assert capsys.readouterr() == ("", f"wordbeam: data format error: {want}\n")
+
+    @pytest.mark.parametrize("mode", ["words", "bestpath"])
+    @pytest.mark.parametrize("faults", [("row", "alphabet"), ("alphabet", "row")])
+    def test_first_fault_in_file_order_over_directories(self, tmp_path, capsys, mode, faults):
+        paths, dict_path = self._faulty_files(tmp_path, faults, "member0")
+        self._faulty_files(tmp_path, faults, "member1")
+        rc = main(["ensemble", str(tmp_path / "member0"), str(tmp_path / "member1"),
+                   "--dict", dict_path, "--mode", mode])
+        assert rc == EXIT_DATA
+        want = self._first_fault(faults, paths, dict_path, mode)
+        assert capsys.readouterr() == ("", f"wordbeam: data format error: {want}\n")
+
+    def test_groups_keep_to_the_batch_and_the_byte_budget(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(8)
+        small = random_matrix(rng, 3, 4)
+        paths = []
+        for i in range(9):  # file 3 is large, the others alike
+            path = tmp_path / f"{i}.mat"
+            write_matrix_file(path, random_matrix(rng, 40, 4) if i == 3 else small, "abc")
+            paths.append(str(path))
+        groups = []
+        reader = cli.read_matrix_file
+
+        def spy(group):
+            groups.append([Path(p).stem for p in group])
+            return reader(group)
+
+        monkeypatch.setattr(cli, "read_matrix_file", spy)
+        command = ["decode", *paths, "--mode", "bestpath"]
+        monkeypatch.setattr(cli, "DECODE_BATCH", 1)
+        assert main(command) == EXIT_OK
+        one_by_one = capsys.readouterr().out
+        assert len(groups) == 9
+
+        groups.clear()
+        monkeypatch.setattr(cli, "DECODE_BATCH", 20)
+        monkeypatch.setattr(cli, "READ_BYTES", 2 * Path(paths[0]).stat().st_size)
+        assert main(command) == EXIT_OK
+        assert capsys.readouterr().out == one_by_one
+        assert groups == [["0", "1"], ["2"], ["3"], ["4", "5"], ["6", "7"], ["8"]]
+
+        groups.clear()
+        monkeypatch.setattr(cli, "DECODE_BATCH", 4)
+        monkeypatch.setattr(cli, "READ_BYTES", 1 << 20)
+        assert main(command) == EXIT_OK
+        assert capsys.readouterr().out == one_by_one
+        assert groups == [["0", "1", "2", "3"], ["4", "5", "6", "7"], ["8"]]
+
+    @pytest.mark.parametrize("mode", ["bestpath", "words", "ngrams"])
+    @pytest.mark.parametrize("command", ["decode", "ensemble"])
+    def test_every_read_is_inside_a_group_read_before_the_first_decode(
+            self, synth_setup, capsys, monkeypatch, mode, command):
+        # The benchmark's set-up clock counts the time inside
+        # ``cli.read_matrix_file`` as reading, and stops at the first decode.
+        paths, dict_path = synth_setup
+        events = []
+        read_text, reader = files.read_text, cli.read_matrix_file
+
+        def logged_read(path):
+            if str(path).endswith(".mat"):
+                events.append(("read", reading))
+            return read_text(path)
+
+        def group(group):
+            nonlocal reading
+            events.append("group")
+            reading = True
+            try:
+                return reader(group)
+            finally:
+                reading = False
+
+        def decoder(fn):
+            def logged(*args, **kwargs):
+                events.append("decode")
+                return fn(*args, **kwargs)
+
+            return logged
+
+        reading = False
+        monkeypatch.setattr(files, "read_text", logged_read)
+        monkeypatch.setattr(cli, "read_matrix_file", group)
+        for name in ("decode", "best_path_decode"):
+            monkeypatch.setattr(cli, name, decoder(getattr(cli, name)))
+        if command == "decode":
+            inputs = paths
+        else:
+            member = Path(paths[0]).parent / "member"
+            member.mkdir()
+            for path in paths:
+                (member / Path(path).name).write_bytes(Path(path).read_bytes())
+            inputs = [str(member)] * 2
+        assert main([command, *inputs, "--dict", dict_path, "--mode", mode,
+                     "--scheme", "extrasep"]) == EXIT_OK
+        reads = [e for e in events if e != "group" and e != "decode"]
+        assert reads and all(inside for _, inside in reads)
+        assert events[0] == "group" and events[1][0] == "read"
+        assert "decode" in events and "decode" not in events[:events.index("decode")]
+        first_decode = events.index("decode")
+        assert first_decode > events.index(("read", True))
 
 
 class TestEnsembleCommand:
@@ -709,9 +983,9 @@ class TestWrappedLayers:
     process that runs the same commands before and after must print the
     same bytes and exit the same way."""
 
-    WRAPPED = [(cli, "decode"), (cli, "PrefixTree"), (trends, "PrefixTree"),
-               (trends, "best_path_decode"), (trends, "vote"), (synth, "PosteriorMatrix"),
-               (files, "PosteriorMatrix")]
+    WRAPPED = [(cli, "decode"), (cli, "best_path_decode"), (cli, "read_matrix_file"),
+               (cli, "PrefixTree"), (trends, "PrefixTree"), (trends, "best_path_decode"),
+               (trends, "vote"), (synth, "PosteriorMatrix"), (files, "PosteriorMatrix")]
 
     @staticmethod
     def _wrapper(fn):
@@ -722,10 +996,21 @@ class TestWrappedLayers:
 
     def test_wrapped_layers_print_the_same(self, synth_setup, capsys, monkeypatch):
         paths, dict_path = synth_setup
+        member = Path(paths[0]).parent / "member"
+        member.mkdir()
+        for path in paths:
+            (member / Path(path).name).write_bytes(Path(path).read_bytes())
+        # A field that only float() reads sends its group down the per-file parse.
+        text = Path(paths[0]).read_text(encoding="utf-8").replace("\n0 ", "\n0_0 ", 1)
+        assert "0_0" in text
+        (member / "w3.mat").write_text(text, encoding="utf-8")
         commands = [
             ["reproduce-trends", "--seeds", "1", "--n-words", "30", "--members", "10",
              "--width", "8"],
             ["decode", *paths, "--dict", dict_path, "--mode", "ngrams-forecast",
+             "--scheme", "extrasep"],
+            ["decode", *paths, "--mode", "bestpath", "--scheme", "extrasep"],
+            ["ensemble", str(member), str(member), "--dict", dict_path, "--mode", "words",
              "--scheme", "extrasep"],
         ]
 
@@ -737,7 +1022,7 @@ class TestWrappedLayers:
             return outs
 
         plain = run()
-        assert [code for code, _ in plain] == [EXIT_OK, EXIT_OK]
+        assert [code for code, _ in plain] == [EXIT_OK] * 4
         for owner, name in self.WRAPPED:
             monkeypatch.setattr(owner, name, self._wrapper(getattr(owner, name)))
         assert run() == plain
@@ -788,6 +1073,66 @@ class TestUnwritableOutputs:
             monkeypatch.setattr(f"wordbeam.cli.{name}", no_work)
         assert main([arg.format(**places) for arg in command]) == EXIT_USAGE
         assert capsys.readouterr().err == f"wordbeam: cannot write {places[bad]}: {reason}\n"
+
+
+_PARSER_OUTCOMES = json.loads((Path(__file__).parent / "parser_outcomes.json")
+                              .read_text(encoding="utf-8"))
+_COMMAND_FUNCTIONS = ["cmd_decode", "cmd_ensemble", "cmd_eval", "cmd_synth",
+                      "cmd_reproduce_trends"]
+
+
+def _parse_outcome(argv, capsys, monkeypatch):
+    """What ``main(argv)`` makes of its arguments: exit code, stdout, stderr,
+    and the parsed arguments with the name of the command function that
+    gets them (which is not run)."""
+    seen = {}
+
+    def recorder(name):
+        def record(args):
+            seen.update({k: v for k, v in vars(args).items() if k != "func"}, func=name)
+            return 0
+
+        return record
+
+    with monkeypatch.context() as patch:
+        for name in _COMMAND_FUNCTIONS:
+            patch.setattr(cli, name, recorder(name))
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = exc.code
+    out, err = capsys.readouterr()
+    return json.loads(json.dumps({"argv": argv, "code": code, "stdout": out, "stderr": err,
+                                  "args": seen or None}))
+
+
+class TestParser:
+    """``main`` builds only the subcommand it runs; help, usage, errors and
+    parsed arguments stay those of the parser with every subcommand built."""
+
+    @pytest.mark.parametrize("pinned", _PARSER_OUTCOMES, ids=lambda r: " ".join(r["argv"]))
+    def test_outcome_of_the_full_parser(self, capsys, monkeypatch, pinned):
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal
+        got = _parse_outcome(pinned["argv"], capsys, monkeypatch)
+        build = cli.build_parser
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "build_parser", lambda commands: build())
+            assert got == _parse_outcome(pinned["argv"], capsys, monkeypatch)
+        # Pinned from the parser that built every subcommand on each call;
+        # argparse's wording and layout differ between Python versions.
+        if sys.version_info[:2] == (3, 11):
+            assert got == pinned
+
+    def test_only_the_named_subcommand_is_built(self, capsys, monkeypatch):
+        built = []
+        for name, (text, add_arguments) in cli._COMMANDS.items():
+            def spy(p, name=name, add_arguments=add_arguments):
+                built.append(name)
+                add_arguments(p)
+
+            monkeypatch.setitem(cli._COMMANDS, name, (text, spy))
+        _parse_outcome(["eval", "decode", "synth"], capsys, monkeypatch)
+        assert built == ["eval"]
 
 
 class TestUsage:

@@ -13,6 +13,7 @@ from wordbeam import (
     best_path_decode,
     collapse,
 )
+from wordbeam.ctc import posterior_matrices
 
 from _support import (
     CapacityError,
@@ -86,6 +87,62 @@ class TestPosteriorMatrix:
         m = PosteriorMatrix([[0.5, 0.5]])
         with pytest.raises(ValueError):
             m.probs[0, 0] = 0.0
+
+
+def _made(make):
+    """Each block's bits, or the error that making them raised (its message and row)."""
+    try:
+        return [m.probs.tobytes() for m in make()]
+    except InputValidationError as exc:
+        return (str(exc), getattr(exc, "row", None))
+
+
+_VALUES = [0.0, -0.0, 0.25, 0.5, 1.0, 5e-324, -0.5, 1.5, np.inf, -np.inf, np.nan, 0.5 + 5e-7,
+           0.5 + 5e-6]
+
+
+class TestPosteriorMatrices:
+    """``posterior_matrices`` checks a stack of blocks once and makes what
+    ``PosteriorMatrix`` makes of each block, errors included."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(c=st.integers(1, 4), frames=st.lists(st.integers(0, 3), max_size=4), data=st.data())
+    def test_matches_one_matrix_per_block(self, c, frames, data):
+        rows = []
+        for _ in range(sum(frames)):
+            row = data.draw(st.lists(st.sampled_from(_VALUES), min_size=c, max_size=c))
+            if data.draw(st.booleans()):  # mostly valid rows
+                row = [1.0 / c] * c
+            rows.append(row)
+        stack = np.array(rows, dtype=np.float64).reshape(sum(frames), c)
+        ends = np.cumsum(frames)
+        want = _made(lambda: [PosteriorMatrix(stack[e - t:e]) for e, t in zip(ends, frames)])
+        assert _made(lambda: posterior_matrices(stack.copy(), frames)) == want
+
+    def test_blocks_are_read_only_views_of_the_stack(self):
+        stack = np.full((5, 4), 0.25)
+        a, b = posterior_matrices(stack, [2, 3])
+        assert a.probs.base is stack and b.probs.base is stack
+        assert (a.num_frames, b.num_frames, b.num_classes) == (2, 3, 4)
+        with pytest.raises(ValueError):
+            b.probs[0, 0] = 0.0
+
+    def test_first_faulty_block_raises_its_own_error(self):
+        stack = np.full((4, 2), 0.5)
+        stack[2] = [0.9, 0.9]  # the second block's second row
+        stack[3] = [np.nan, 1.0]
+        with pytest.raises(InputValidationError, match="row 1 sums to 1.8") as err:
+            posterior_matrices(stack, [1, 2, 1])
+        assert err.value.row == 1
+
+    def test_a_sum_that_overflows_is_the_block_check(self):
+        stack = np.array([[0.5, 0.5], [1e308, 1e308]])
+        with pytest.warns(RuntimeWarning, match="overflow"):  # PosteriorMatrix's own sum
+            with pytest.raises(InputValidationError, match="sums to inf"):
+                posterior_matrices(stack, [1, 1])
+
+    def test_no_blocks(self):
+        assert posterior_matrices(np.zeros((0, 3)), []) == []
 
 
 class TestCollapse:

@@ -244,6 +244,23 @@ class TestBatchedEmission:
         with pytest.raises(InputValidationError, match="not in the recognizer alphabet"):
             synth.emit_many([(sim, "ab"), (sim, "abz")])
 
+    def test_a_faulty_row_raises_the_error_of_its_own_matrix(self, monkeypatch):
+        # No stream draws a faulty row, so one is forced: row 2 of the second
+        # job, after the 9 rows of the first ("ab": 4 + 1 blank + 4 frames).
+        noisy_rows = synth._noisy_rows
+
+        def faulty(*args):
+            rows = noisy_rows(*args)
+            rows[9 + 2, 0] = np.nan
+            return rows
+
+        monkeypatch.setattr(synth, "_noisy_rows", faulty)
+        sim = RecognizerSim(alphabet=Alphabet("ab"), noise_level=0.3)
+        with pytest.raises(InputValidationError,
+                           match="^posterior matrix contains non-finite entries$") as err:
+            synth.emit_many([(sim, "ab"), (sim, "ba"), (sim, "a")])
+        assert err.value.row == 2
+
     @pytest.mark.parametrize("separator", [None, "|"])
     def test_all_zero_weights_spread_the_leak_evenly(self, separator):
         # Every allowed weight drawing 0.0 is far too rare to meet in a
