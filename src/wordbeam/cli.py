@@ -273,7 +273,7 @@ def _read_group(group: list) -> Iterable[tuple[str, PosteriorMatrix]]:
 
 
 class _DecodePipeline:
-    """Shared per-alphabet tree and model, rebuilt only when symbols change."""
+    """Per-alphabet trees, rebuilt only when symbols change, and one shared model."""
 
     def __init__(self, args):
         self.args = args
@@ -281,6 +281,7 @@ class _DecodePipeline:
         self.mode = None if args.mode == "bestpath" else _mode_from_args(args)
         self.words = load_word_list(args.dict_path) if args.dict_path else None
         self.lm_corpus = load_word_list(args.lm_corpus) if args.lm_corpus else None
+        self.lm: NgramModel | None = None
         self._cache: dict[str, tuple] = {}
 
     def decode_files(self, paths: list, row: Callable[[int, str, float], object]) -> list:
@@ -323,7 +324,7 @@ class _DecodePipeline:
         if cached is not None:
             return cached
         alphabet = _alphabet_for(symbols, self.sep, path)
-        tree = lm = None
+        tree = None
         if self.mode is not None:
             nonword = set(self.args.nonword_chars)
             word_chars = set(alphabet.characters) - nonword
@@ -336,13 +337,13 @@ class _DecodePipeline:
             if unknown:
                 raise ConfigurationError(f"--nonword-chars {unknown!r} are not symbols of the "
                                          f"matrix alphabet {symbols!r}")
-            if self.mode.uses_lm:
+            if self.mode.uses_lm and self.lm is None:
                 corpus = self.lm_corpus if self.lm_corpus is not None else self.words
-                lm = NgramModel.train(corpus, self.args.order, self.args.smoothing_k)
+                self.lm = NgramModel.train(corpus, self.args.order, self.args.smoothing_k)
             # A batch is decoded after later files are read, so its faults
             # must show here, at its first file.
-            decoder._prepare(alphabet, tree, lm, self.args.width, self.mode)
-        self._cache[symbols] = (alphabet, tree, lm)
+            decoder._prepare(alphabet, tree, self.lm, self.args.width, self.mode)
+        self._cache[symbols] = (alphabet, tree, self.lm)
         return self._cache[symbols]
 
     def _raise_unspellable(self, word_chars: set[str], symbols: str) -> None:

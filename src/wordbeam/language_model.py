@@ -5,8 +5,11 @@ itself) with add-k smoothing, which keeps every conditional strictly
 positive; the decoder's multiplicative ranking requires that. Contexts
 never cross word boundaries: only the trailing run of word characters
 of a hypothesis feeds the conditioning context.
-The decoder reads every model score from a ``TrieScorer``, whose tables
-are arrays by trie node, built once per (trie, model, mode).
+
+The model is count arrays under one context code (``_context_codes``),
+shared by training, the trie tables and scalar queries. The decoder reads
+every model score from a ``TrieScorer``, whose tables are arrays by trie
+node, built once per (trie, model, mode); no decode calls into the model.
 """
 
 from __future__ import annotations
@@ -14,16 +17,13 @@ from __future__ import annotations
 import heapq
 import math
 import random
-from array import array
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import InputValidationError
-from .prefix_tree import PrefixTree, _code_points, _text
+from .prefix_tree import PrefixTree, _code_points
 
 WORD_BOUNDARY = "\x00"
 
@@ -73,62 +73,76 @@ def forecast_sample(sample_size: int = 20, seed: int = 0) -> ScoringMode:
 
 
 class NgramModel:
-    """Add-k smoothed character n-gram model over word-boundary-padded words."""
+    """Add-k smoothed character n-gram model over word-boundary-padded words.
 
-    def __init__(
-        self,
-        order: int,
-        smoothing_k: float,
-        vocabulary: frozenset[str],
-        counts: dict[str, Counter],
-    ) -> None:
+    Its ``symbols`` are the boundary, digit 0, then the sorted vocabulary.
+    A context, the ``order - 1`` symbols before a position of a word,
+    boundary-padded, has a code from ``_context_codes``; a window, a context
+    and the symbol after it, has the code ``context * (len(symbols) + 1) +
+    symbol``, symbol ``len(symbols)`` standing for any other character. The
+    model keeps, as sorted ``uint64`` arrays, the codes of the distinct
+    ``windows`` it was trained on with their ``counts``, and of the distinct
+    ``contexts`` with their ``totals``. A context is coded by its newest
+    ``width`` symbols, ``order - 1`` or the longest word if that is shorter.
+    """
+
+    def __init__(self, order: int, smoothing_k: float, symbols: str, width: int,
+                 renumbered: tuple[np.ndarray, ...], windows: np.ndarray,
+                 counts: np.ndarray) -> None:
         self.order = order
         self.smoothing_k = smoothing_k
-        self.vocabulary = vocabulary
-        self._counts = counts
-        self._totals = {ctx: sum(ctr.values()) for ctx, ctr in counts.items()}
+        self.symbols = symbols
+        self.vocabulary = frozenset(symbols[1:])
+        self._width, self._renumbered = width, renumbered
+        self.windows, self.counts = windows, counts
+        context = windows // np.uint64(len(symbols) + 1)
+        starts = np.flatnonzero(np.concatenate([[True], context[1:] != context[:-1]]))
+        self.contexts, self.totals = context[starts], np.add.reduceat(counts, starts)
 
     @classmethod
     def train(
         cls, corpus: Sequence[str], order: int = 2, smoothing_k: float = 1.0
     ) -> "NgramModel":
-        """Count every window of ``order`` characters over the words, each
-        padded with ``order - 1`` boundaries in front and one behind: per
-        context, the characters that follow it (``_window_counts``)."""
+        """Count the window at every position of the words, each closed by
+        the boundary: that position's symbol after its context. Only real
+        positions are coded, so the work ends with the longest word."""
         if not corpus:
             raise InputValidationError("training corpus must be non-empty")
         if order < 1:
             raise InputValidationError("n-gram order must be at least 1")
         if not (math.isfinite(smoothing_k) and smoothing_k > 0):
             raise InputValidationError("smoothing constant must be positive and finite")
-        text = "".join(corpus)
-        if not all(corpus) or WORD_BOUNDARY in text:
+        text = WORD_BOUNDARY.join(corpus) + WORD_BOUNDARY
+        if not all(corpus) or text.count(WORD_BOUNDARY) > len(corpus):
             bad = next(word for word in corpus if not word or WORD_BOUNDARY in word)
             raise InputValidationError("corpus words must be non-empty" if not bad
                                        else "corpus word contains the boundary sentinel")
-        vocabulary = frozenset(text)
+        symbols = "".join(sorted(set(text)))  # the boundary sorts first
+        sym = _symbol_digits(symbols, text, ord(symbols[-1]))
         del text
-        return cls(order, smoothing_k, vocabulary, _window_counts(corpus, order, vocabulary))
+        width = min(order - 1, int(np.diff(np.flatnonzero(sym == 0), prepend=-1).max()) - 1)
+        renumbered: list[np.ndarray] = []
+        code, span = _context_codes(_window_digits(sym, order - 1), len(sym), len(symbols),
+                                    width, renumbered)
+        code *= len(symbols) + 1
+        code += sym
+        del sym
+        windows, counts = _tally(code, span * (len(symbols) + 1))
+        return cls(order, smoothing_k, symbols, width, tuple(renumbered), windows, counts)
 
     @property
     def num_outcomes(self) -> int:
         """Vocabulary size including the boundary sentinel."""
-        return len(self.vocabulary) + 1
-
-    def _context(self, word_prefix: str) -> str:
-        if self.order == 1:
-            return ""
-        width = self.order - 1
-        return (WORD_BOUNDARY * width + word_prefix)[-width:]
+        return len(self.symbols)
 
     def conditional(self, word_prefix: str, c: str) -> float:
-        """Smoothed P(c | last order-1 characters of the current word)."""
-        ctx = self._context(word_prefix)
-        ctr = self._counts.get(ctx)
-        count = ctr[c] if ctr is not None else 0
-        total = self._totals.get(ctx, 0)
-        k = self.smoothing_k
-        return (count + k) / (total + k * self.num_outcomes)
+        """Smoothed P(c | last order-1 characters of the current word).
+
+        A boundary in ``word_prefix`` ends a word there, so the current word
+        is what follows the last one, boundary-padded as at a word's start.
+        This holds for ``word_probability`` and ``remainder_probability`` too.
+        """
+        return self._chain(word_prefix + c)[len(word_prefix)]
 
     def word_probability(self, word: str) -> float:
         """Chain probability of a whole word, boundary close included."""
@@ -137,72 +151,120 @@ class NgramModel:
     def remainder_probability(self, prefix: str, remainder: str) -> float:
         """Chain probability of completing ``prefix`` with ``remainder``."""
         p = 1.0
-        cur = prefix
-        for ch in remainder:
-            p *= self.conditional(cur, ch)
-            cur += ch
-        return p * self.conditional(cur, WORD_BOUNDARY)
+        for q in self._chain(prefix + remainder)[len(prefix):]:
+            p *= q
+        return p
+
+    def _chain(self, word: str) -> list[float]:
+        """``P(word[i] | word[:i])`` at each position, then ``P(⊥ | word)``;
+        a boundary in ``word`` closes it."""
+        sym = _symbol_digits(self.symbols, word + WORD_BOUNDARY, ord(max(word, default="\0")))
+        code, span = _context_codes(_window_digits(sym, self.order - 1), len(sym),
+                                    len(self.symbols), self._width, self._renumbered)
+        return self._conditionals(code, span, sym).tolist()
+
+    def _conditionals(self, code: np.ndarray, span: int, sym) -> np.ndarray:
+        """``P(sym | context)``, each ``(count + k) / (total + k * V)``, for
+        contexts coded by ``_context_codes`` (below ``span``) and symbols by
+        ``_symbol_digits``."""
+        k, stride = self.smoothing_k, len(self.symbols) + 1
+        window = code * code.dtype.type(stride) + sym
+        p = _lookup(self.windows, self.counts, window, span * stride, k)
+        del window
+        p /= _lookup(self.contexts, self.totals, code, span, k * (stride - 1))
+        return p
 
 
-def _window_counts(corpus: Sequence[str], order: int,
-                   vocabulary: frozenset[str]) -> dict[str, Counter]:
-    """Per context, the counts of the characters that follow it, over every
-    window of ``order`` characters of the boundary-padded words.
+def _lookup(keys: np.ndarray, values: np.ndarray, queries: np.ndarray, span: int,
+            add: float) -> np.ndarray:
+    """Per query, ``add`` plus the value at its key in the sorted ``keys`` (0
+    where it has none), keys and queries below ``span``: read from a table
+    over the span when that is a few times the queries' number, else by
+    binary search. The table's sums are the same floats as the search's."""
+    if span <= 4 * len(queries):
+        table = np.full(span, add)
+        table[keys] += values
+        return table[queries]
+    at = np.minimum(keys.searchsorted(queries), len(keys) - 1)
+    return np.where(keys[at] == queries, values[at], 0) + add
 
-    The padded words are laid end to end, and a window is named by the
-    position of its first character. A window whose last character is a
-    pad straddles two words: it ends on a boundary that follows another.
-    Each window gets an integer code, built one symbol at a time as a
-    number in base (symbols, boundary included); when the next symbol
-    would overflow the code, the codes are first renumbered densely. One
-    sort of ``code * windows + position`` then gives each distinct window
-    with its count and first position. Taken in first-occurrence order,
-    contexts, and each context's next characters, are inserted as a
-    window-by-window count would insert them.
+
+def _symbol_digits(symbols: str, text: str, top: int) -> np.ndarray:
+    """Per character of ``text``, whose code points are at most ``top``, its
+    index in the sorted ``symbols``, or ``len(symbols)`` for a character
+    that is not one of them."""
+    top = max(top, ord(symbols[-1]))
+    digits = np.full(top + 1, len(symbols), np.min_scalar_type(len(symbols)))
+    digits[_code_points(symbols, top)] = np.arange(len(symbols))
+    return digits[_code_points(text, top)]
+
+
+def _window_digits(sym: np.ndarray, places: int) -> Iterator[np.ndarray]:
+    """The contexts of the windows of ``sym``, symbols of words each closed
+    by the boundary (0): per window, place by place from the newest, the
+    symbol ``place + 1`` before it, or 0 once that is before the word."""
+    alive = np.ones(len(sym), bool)
+    for place in range(places):
+        d = np.zeros_like(sym)
+        d[place + 1:] = sym[:max(len(sym) - place - 1, 0)]
+        alive &= d != 0
+        d *= alive
+        yield d
+
+
+def _context_codes(digits: Iterable[np.ndarray], n: int, base: int, width: int,
+                   renumbered: list | tuple) -> tuple[np.ndarray, int]:
+    """``(code, span)`` of ``n`` contexts whose symbols ``digits`` gives place
+    by place, newest first, one array of ``n`` per place (of which it reads
+    at most ``width + 1``).
+
+    The one context code of training, trie nodes and scalar queries. The
+    first ``width`` places are the digits of a number in base ``base``, the
+    newest the lowest, so boundary pads add nothing. Every code is below
+    ``span``, in a dtype that holds ``span * (base + 1)``, the span of the
+    window codes. When that span would pass 2**63, the codes are renumbered
+    by rank among the sorted codes training had there, ``renumbered[i]``,
+    and their number becomes the span. Training passes an empty list, to
+    which each renumbering adds its distinct codes; a query, with the
+    model's, replays the same spans and so meets the same renumberings.
+
+    Code ``span - 1`` is no trained context's: it is the code of every
+    context that holds a symbol outside ``base`` (digit ``base``), a symbol
+    at a place past ``width``, or a code that a renumbering lacks.
     """
-    symbols = [WORD_BOUNDARY, *sorted(vocabulary)]
-    flat = WORD_BOUNDARY * (order - 1) + (WORD_BOUNDARY * order).join(corpus) + WORD_BOUNDARY
-    top = ord(symbols[-1])
-    table = np.zeros(top + 1, np.min_scalar_type(len(symbols) - 1))
-    table[[ord(ch) for ch in symbols]] = np.arange(len(symbols))
-    sym = table[_code_points(flat, top)]  # the boundary is symbol 0
-    del table
-    base, n = len(symbols), len(flat) - order + 1
-    limit = np.iinfo(np.int64).max // n - 1  # the largest code, straddlers' included
-    code, span = np.zeros(n, np.uint8), 1  # codes are below span
-    for j in range(order):
-        if span * base > limit:
-            distinct, code = np.unique(code, return_inverse=True)
-            span = len(distinct)
+    code, span, unseen, done = np.zeros(n, np.uint8), 1, np.zeros(n, bool), 0
+    for place, d in zip(range(width + 1), digits):
+        if place == width:
+            unseen |= d != 0
+            continue
+        unseen |= d == base  # its digit may carry into other places: the code is replaced
+        code = code.astype(np.min_scalar_type(span * base), copy=False)
+        code += d * code.dtype.type(span)
         span *= base
-        code = code.astype(np.min_scalar_type(span), copy=False) * base
-        code += sym[j:j + n]
-    boundary = sym == 0
-    straddles = boundary[order - 1:] & np.roll(boundary, 1)[order - 1:]
-    del sym, boundary
-    code = code.astype(np.min_scalar_type(span * n + n - 1))
-    code[straddles] = span  # sorts after every window of a word
-    kept = n - int(np.count_nonzero(straddles))
-    del straddles
-    code *= n
-    code += np.arange(n, dtype=code.dtype)
+        if (span + 1) * (base + 1) > 2**63:
+            if done == len(renumbered):
+                renumbered.append(np.unique(code))
+            values = renumbered[done]
+            done += 1
+            rank = np.minimum(values.searchsorted(code), len(values) - 1)
+            unseen |= values[rank] != code
+            code, span = rank, len(values)
+    code = code.astype(np.min_scalar_type((span + 1) * (base + 1)), copy=False)
+    code[unseen] = span
+    return code, span + 1
+
+
+def _tally(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct values of ``code`` (all below ``span``), ascending, as
+    ``uint64``, with their counts: counted over every value when the span
+    is a few times the length, else by a sort."""
+    if span <= 4 * len(code):
+        counts = np.bincount(code, minlength=span)
+        values = np.flatnonzero(counts)
+        return values.astype(np.uint64), counts[values]
     code.sort()
-    code = code[:kept]
-    window = code // n
-    starts = np.concatenate([[0], np.flatnonzero(window[1:] != window[:-1]) + 1])
-    del window
-    sizes = np.diff(starts, append=kept)
-    firsts = code[starts] % n
-    del code, starts
-    by_first = np.argsort(firsts)
-    counts: dict[str, Counter] = {}
-    for i, size in zip(firsts[by_first].tolist(), sizes[by_first].tolist()):
-        ctx = flat[i:i + order - 1]
-        ctr = counts.get(ctx)
-        if ctr is None:
-            ctr = counts[ctx] = Counter()
-        ctr[flat[i + order - 1]] = size
-    return counts
+    starts = np.flatnonzero(np.concatenate([[True], code[1:] != code[:-1]]))
+    return code[starts].astype(np.uint64), np.diff(starts, append=len(code))
 
 
 class TrieScorer:
@@ -214,6 +276,9 @@ class TrieScorer:
     made, the arrays by node that its mode reads, in whole-array passes
     over the trie (``_model_tables``), so a read is an index:
 
+    - ``step[n]`` and ``end[n]``, in every model mode: ``P(c(n) | ctx(parent))``
+      (1.0 at the root) and ``P(⊥ | ctx(n))``, for node ``n``'s character
+      ``c(n)`` and the context ``ctx(n)`` its prefix ends in;
     - ``word_prob[n]``, in every model mode: ``NgramModel.word_probability``
       of the word ending at ``n``;
     - ``exact[n]``, in the forecast modes: the exact forecast
@@ -231,19 +296,21 @@ class TrieScorer:
     best completion in the model modes, a search from the node (products
     taken from a node down are not associative, so no bottom-up pass
     reproduces ``remainder_probability``'s left-to-right ones). Both
-    spell the node's prefix out with ``PrefixTree._prefix``.
+    multiply ``step`` and ``end`` factors in that order and spell the
+    node's prefix out with ``PrefixTree._prefix``; neither reads the model.
     """
 
     def __init__(self, tree: PrefixTree, lm: NgramModel | None = None,
                  mode: ScoringMode = WORDS) -> None:
         if mode.uses_lm and lm is None:
             raise InputValidationError(f"scoring mode {mode.kind!r} requires a language model")
-        self.tree, self.lm, self.mode = tree, lm, mode
+        self.tree, self.mode = tree, mode
         self._sampled: dict = {}
         self._best: dict = {}
-        self.lexmin = self.word_prob = self.exact = self.counts = None
+        self.lexmin = self.step = self.end = self.word_prob = self.exact = self.counts = None
         if mode.uses_lm:
-            self.word_prob, self.exact, self.counts = _model_tables(tree, lm, mode)
+            self.step, self.end, self.word_prob, self.exact, self.counts = _model_tables(
+                tree, lm, mode)
         else:
             self.lexmin = _smallest_words(tree)
 
@@ -265,23 +332,22 @@ class TrieScorer:
             # ``range(n)`` chooses the same completions, in the same order, as
             # drawing from the lexicographic list of them.
             chosen = random.Random(f"forecast|{self.mode.seed}|{prefix}").sample(range(n), k)
-            f = self._sampled[node] = sum(
-                self.lm.remainder_probability(prefix, self._nth_remainder(node, i))
-                for i in chosen) * (n / k)
+            f = self._sampled[node] = sum(self._nth_probability(node, i) for i in chosen) * (n / k)
         return f
 
-    def _nth_remainder(self, node: int, i: int) -> str:
-        """Remainder of the ``i``-th completion below ``node``, in lexicographic order."""
-        remainder = ""
+    def _nth_probability(self, node: int, i: int) -> float:
+        """``remainder_probability`` of the ``i``-th completion below ``node``,
+        in lexicographic order."""
+        p = 1.0
         while True:
             if self.tree._is_word[node]:
                 if i == 0:
-                    return remainder
+                    return p * self.end[node]
                 i -= 1
-            for child, c in self.tree._children(node):
+            for child, _ in self.tree._children(node):
                 n = self.counts[child]
                 if i < n:
-                    remainder += c
+                    p *= self.step[child]
                     node = child
                     break
                 i -= n
@@ -306,7 +372,7 @@ class TrieScorer:
         # popped beats all unexplored completions. Products run left to right,
         # bit-identical to ``remainder_probability``, and only prefixes at
         # least as probable as the answer are visited.
-        cond = self.lm.conditional
+        step, end = self.step, self.end
         is_word, children = self.tree._is_word, self.tree._children
         heap = [(-1.0, prefix, False, node)]
         while True:
@@ -314,9 +380,9 @@ class TrieScorer:
             if at_end:
                 return text[len(prefix):], cur, -neg_p
             if is_word[cur]:
-                heapq.heappush(heap, (neg_p * cond(text, WORD_BOUNDARY), text, True, cur))
+                heapq.heappush(heap, (neg_p * end[cur], text, True, cur))
             for child, c in children(cur):
-                heapq.heappush(heap, (neg_p * cond(text, c), text + c, False, child))
+                heapq.heappush(heap, (neg_p * step[child], text + c, False, child))
 
 
 def _smallest_words(tree: PrefixTree) -> np.ndarray:
@@ -340,20 +406,21 @@ def _smallest_words(tree: PrefixTree) -> np.ndarray:
         lexmin = jumped
 
 
-def _model_tables(tree: PrefixTree, lm: NgramModel, mode: ScoringMode
-                  ) -> tuple[array, array | None, array | None]:
-    """``(word_prob, exact, counts)`` by node: each an ``array`` (whose reads
-    are Python numbers), or ``None`` where ``mode`` reads no such table.
+def _model_tables(tree: PrefixTree, lm: NgramModel, mode: ScoringMode) -> tuple:
+    """``(step, end, word_prob, exact, counts)`` by node: each a memoryview
+    of a numpy array, whose reads are Python numbers (a decode prints the
+    ``repr`` of a float it read), or ``None`` where ``mode`` reads no such
+    table.
 
-    Node ``n``'s character is ``c(n)``; ``step(n) = P(c(n) | ctx(parent))``
-    (1.0 at the root) and ``end(n) = P(⊥ | ctx(n))`` come from
-    ``_conditionals``. Level by level from the root, the prefix probability
-    is ``prob[n] = prob[parent] * step(n)``, so ``word_prob[n] = prob[n] *
-    end(n)`` is ``remainder_probability("", word)``'s product, taken in the
-    same order (``1.0 * x`` is exact). The exact forecast and the count are
-    sums over the children, taken bottom up (``_subtree_sums``) in child
-    order, which is the order of the recursion ``F(n) = [word]·P(⊥|n) +
-    Σ_c P(c|n)·F(child_c)``.
+    Node contexts are coded from the symbols of each node and its ancestors,
+    and ``step`` and ``end`` are read from the model's arrays, bit-identical
+    to ``lm.conditional``. Level by level from the root, the prefix
+    probability is ``prob[n] = prob[parent] * step(n)``, so ``word_prob[n] =
+    prob[n] * end(n)`` is ``remainder_probability("", word)``'s product,
+    taken in the same order (``1.0 * x`` is exact). The exact forecast and
+    the count are sums over the children, taken bottom up (``_subtree_sums``)
+    in child order, which is the order of the recursion ``F(n) =
+    [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``.
     """
     first = np.frombuffer(tree._first, np.intc)
     n = len(first)
@@ -365,111 +432,37 @@ def _model_tables(tree: PrefixTree, lm: NgramModel, mode: ScoringMode
     for lo, hi, nxt in zip(levels, levels[1:], levels[2:]):
         parent[hi:nxt] = np.repeat(np.arange(lo, hi, dtype=np.intc), kids[lo:hi])
     del kids
-    seen, pair, end, ctx = _conditionals(tree, lm, parent)
-    word_prob, word = _table("d", n)
+    sym = np.zeros(n, np.min_scalar_type(lm.num_outcomes))  # the root's is the boundary
+    sym[1:] = _symbol_digits(lm.symbols, tree._chars, ord(max(tree.word_chars, default="\0")))
+    code, span = _context_codes(_ancestor_digits(sym, parent, lm.order - 1), n, lm.num_outcomes,
+                                lm._width, lm._renumbered)
+    step = lm._conditionals(code[parent], span, sym)
+    step[0] = 1.0
+    end = lm._conditionals(code, span, 0)
+    del code, sym
+    word = np.empty(n)
     prob, above = np.ones(1), 0  # the level above's prefix probabilities, from node ``above``
     for lo, hi in zip(levels, levels[1:]):
-        prob = prob[parent[lo:hi] - above] * seen[pair[lo:hi]]
-        np.multiply(prob, end[ctx[lo:hi]], out=word[lo:hi])
+        prob = prob[parent[lo:hi] - above] * step[lo:hi]
+        np.multiply(prob, end[lo:hi], out=word[lo:hi])
         above = lo
-    exact = counts = None
+    exact = count = None
     is_word = np.frombuffer(tree._is_word, np.uint8)
     if mode.uses_forecast:
-        exact, forecast = _table("d", n)
-        np.multiply(end[ctx], is_word, out=forecast)
-        _subtree_sums(parent, levels, forecast, seen[pair])
+        exact = end * is_word
+        _subtree_sums(parent, levels, exact, step)
     if mode.kind == "ngrams_forecast_sample":
-        counts, count = _table("q", n)
-        count += is_word
+        count = is_word.astype(np.int64)
         _subtree_sums(parent, levels, count)
-    return word_prob, exact, counts
+    return tuple(None if t is None else memoryview(t) for t in (step, end, word, exact, count))
 
 
-def _conditionals(tree: PrefixTree, lm: NgramModel, parent: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """``(seen, pair, end, ctx)``: ``step(n) = seen[pair[n]]`` is
-    ``P(c(n) | ctx(parent(n)))`` (1.0 at the root) and ``end(n) =
-    end[ctx[n]]`` is ``P(⊥ | ctx(n))``, each bit-identical to ``lm.conditional``.
-
-    A context is ``order - 1`` symbols, boundary-padded, the boundary being
-    symbol 0. A node's is the last symbols of its prefix, one per ancestor;
-    each of the model's is one key of its counts. All of them get a code, a
-    number in base (symbols), renumbered densely when the next symbol would
-    overflow it, so a node finds its context's index in the model's dicts
-    (from 1; 0 is an empty count, for a context the model lacks) without
-    spelling it out. The model's dicts are then read by C-level ``map``s,
-    in their own order: each context's total and boundary count, and the
-    count of each distinct (parent's context, character) pair of the trie.
-    (Read in node order, the same counters take several times as long,
-    each a cache miss.)
-    """
-    k, width, n = lm.smoothing_k, lm.order - 1, len(parent)
-    counters = [{}, *lm._counts.values()]  # the context at 0 is one the model lacks
-    symbols = "".join(sorted(lm.vocabulary | tree.word_chars | {WORD_BOUNDARY}))
-    base, top = len(symbols), ord(symbols[-1])
-    table = np.zeros(top + 1, np.min_scalar_type(base - 1))
-    table[_code_points(symbols, top)] = np.arange(base)
-    sym = np.zeros(n, table.dtype)
-    sym[1:] = table[_code_points(tree._chars, top)]
-    held = table[_code_points("".join(lm._counts), top)].reshape(len(counters) - 1, width)
-    del table
-    # Nodes, then the model's contexts; the newest symbol is the lowest digit.
-    code, span, digits = np.zeros(n + len(held), np.uint8), 1, sym
-    for j in range(width):
-        if span * base > np.iinfo(np.int64).max:
-            code, values = _dense(code, span)
-            span = len(values)
-        code = code.astype(np.min_scalar_type(span * base - 1), copy=False)
-        scale = code.dtype.type(span)
-        code[:n] += digits * scale
-        code[n:] += held[:, width - 1 - j] * scale
-        span *= base
-        digits = digits[parent]  # the symbols one ancestor up
-    del held, digits
-    if span > 4 * len(code):  # else the codes index ``found`` as they are
-        code, values = _dense(code, span)
-        span = len(values)
-    found = np.zeros(span, np.min_scalar_type(len(counters) - 1))
-    found[code[n:]] = np.arange(1, len(counters))
-    ctx = found[code[:n]]
-    del code, found
-    denominator = np.fromiter(chain([0], lm._totals.values()), np.float64, len(counters))
-    denominator += k * lm.num_outcomes
-    end = np.fromiter(map(dict.get, counters, repeat(WORD_BOUNDARY), repeat(0)), np.float64,
-                      len(counters))
-    end += k
-    end /= denominator
-    # A pair's code is context * base + symbol, and the root's is above them
-    # all: ranked, the pairs come in the model's order of contexts.
-    code = ctx[parent].astype(np.min_scalar_type(len(counters) * base))
-    code *= base
-    code += sym
-    code[0] = len(counters) * base
-    del sym
-    pair, code = _dense(code, len(counters) * base + 1)
-    pair_ctx = code[:-1] // base
-    seen = np.ones(len(code))
-    seen[:-1] = np.fromiter(map(dict.get, map(counters.__getitem__, pair_ctx.tolist()),
-                                _text(_code_points(symbols, top)[code[:-1] % base]),
-                                repeat(0)), np.float64, len(pair_ctx))
-    seen[:-1] += k
-    seen[:-1] /= denominator[pair_ctx]
-    return seen, pair, end, ctx
-
-
-def _dense(code: np.ndarray, span: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(ranks, values)``: the distinct ``values`` of ``code`` (all below
-    ``span``), ascending, and per element the rank of its value among them.
-
-    A span of a few times the length is ranked by a table over every
-    value, a larger one by a sort.
-    """
-    if span > 4 * len(code):
-        values, ranks = np.unique(code, return_inverse=True)
-        return ranks.astype(np.intc), values
-    seen = np.zeros(span, bool)
-    seen[code] = True
-    return (np.cumsum(seen, dtype=np.intc) - 1)[code], np.flatnonzero(seen)
+def _ancestor_digits(sym: np.ndarray, parent: np.ndarray, places: int) -> Iterator[np.ndarray]:
+    """The contexts of trie nodes: per node, place by place from the newest,
+    the symbol of its ``place``-th ancestor, 0 (the boundary) past the root."""
+    for _ in range(places):
+        yield sym
+        sym = sym[parent]
 
 
 def _subtree_sums(parent: np.ndarray, levels: list[int], own: np.ndarray,
@@ -483,12 +476,3 @@ def _subtree_sums(parent: np.ndarray, levels: list[int], own: np.ndarray,
     """
     for lo, hi in zip(levels[-2:0:-1], levels[:1:-1]):
         np.add.at(own, parent[lo:hi], own[lo:hi] if weight is None else weight[lo:hi] * own[lo:hi])
-
-
-def _table(typecode: str, n: int) -> tuple[array, np.ndarray]:
-    """An ``array`` of ``n`` zeros of ``typecode`` and a numpy view to fill it
-    through. The scorer keeps the ``array``: its reads are Python numbers,
-    and a decode prints the ``repr`` of a float it read.
-    """
-    out = array(typecode, [0]) * n
-    return out, np.frombuffer(out, typecode)

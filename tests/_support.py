@@ -258,6 +258,37 @@ def reference_ngram_counts(corpus, order: int) -> dict[str, Counter]:
     return counts
 
 
+def model_counts(lm: NgramModel) -> dict[str, dict[str, int]]:
+    """The model's window counts spelled out as ``{context: {character:
+    count}}``, contexts boundary-padded to ``order - 1`` characters.
+
+    Each window code is ``context * (base + 1) + symbol``, and a context code is
+    undone place by place from the oldest: a place added ``digit * span``,
+    where ``span`` is replayed from the model's symbols and renumberings,
+    and a renumbering is undone by reading the code it ranked.
+    """
+    base = len(lm.symbols)
+    places, span, renumbered = [], 1, iter(lm._renumbered)
+    for _ in range(lm._width):  # per place: its span, and the renumbering after it
+        values = next(renumbered) if (span * base + 1) * (base + 1) > 2**63 else None
+        places.append((span, values))
+        span = span * base if values is None else len(values)
+    assert next(renumbered, None) is None
+    counts: dict[str, dict[str, int]] = {}
+    for window, count in zip(lm.windows.tolist(), lm.counts.tolist()):
+        code, last = divmod(window, base + 1)
+        oldest_first = []
+        for span, values in reversed(places):
+            if values is not None:
+                code = int(values[code])
+            digit, code = divmod(code, span)
+            oldest_first.append(lm.symbols[digit])
+        assert code == 0
+        context = WORD_BOUNDARY * (lm.order - 1 - lm._width) + "".join(oldest_first)
+        counts.setdefault(context, {})[lm.symbols[last]] = count
+    return counts
+
+
 class RefNode:
     """A node of the reference trie: one object per prefix, children in a
     dict, and ``id``, its index in the level-order walk of the trie."""

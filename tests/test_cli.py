@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from wordbeam import (
     Alphabet,
     DataFormatError,
+    NgramModel,
     PosteriorMatrix,
     RecognizerSim,
     WordbeamError,
@@ -458,6 +459,33 @@ class TestDecodeCommand:
                 for line in capsys.readouterr().out.strip().split("\n")
             ]
             assert labels == ["advocaat", "data", "toccata"]
+
+    def test_model_is_trained_once_for_every_alphabet(self, synth_setup, tmp_path, capsys,
+                                                      monkeypatch):
+        # The model depends on the corpus and the flags alone, so files with
+        # another alphabet decode with the model the first one trained: the
+        # same rows as one command per file, each training its own.
+        paths, dict_path = synth_setup
+        wide = RecognizerSim(alphabet=Alphabet("acdotvx", separator="|"), noise_level=0.3, seed=2)
+        for i, word in enumerate(["data", "advocaat"]):
+            path = tmp_path / f"x{i}.mat"
+            write_matrix_file(path, wide.emit(word), wide.alphabet.symbols)
+            paths.insert(2 * i + 1, str(path))
+        flags = ["--dict", dict_path, "--mode", "ngrams", "--scheme", "extrasep", "--order", "3"]
+        alone = []
+        for path in paths:
+            assert main(["decode", path, *flags]) == EXIT_OK
+            alone.append(capsys.readouterr().out)
+        train, calls = NgramModel.train, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return train(*args, **kwargs)
+
+        monkeypatch.setattr(NgramModel, "train", counted)
+        assert main(["decode", *paths, *flags]) == EXIT_OK
+        assert capsys.readouterr().out == "".join(alone)
+        assert len(calls) == 1
 
     def test_missing_dict_is_usage_error(self, synth_setup, capsys):
         paths, _ = synth_setup
@@ -979,13 +1007,15 @@ class TestReproduceTrendsCommand:
 
 class TestWrappedLayers:
     """A tracer wraps layers where their callers look them up: each module
-    attribute below becomes a plain ``*args, **kwargs`` function. A
+    or class attribute below becomes a plain ``*args, **kwargs`` function. A
     process that runs the same commands before and after must print the
     same bytes and exit the same way."""
 
     WRAPPED = [(cli, "decode"), (cli, "best_path_decode"), (cli, "read_matrix_file"),
                (cli, "PrefixTree"), (trends, "PrefixTree"), (trends, "best_path_decode"),
-               (trends, "vote"), (synth, "PosteriorMatrix"), (files, "PosteriorMatrix")]
+               (trends, "vote"), (synth, "PosteriorMatrix"), (files, "PosteriorMatrix"),
+               (NgramModel, "train"), (NgramModel, "conditional"),
+               (NgramModel, "remainder_probability"), (NgramModel, "word_probability")]
 
     @staticmethod
     def _wrapper(fn):
@@ -1009,6 +1039,10 @@ class TestWrappedLayers:
              "--width", "8"],
             ["decode", *paths, "--dict", dict_path, "--mode", "ngrams-forecast",
              "--scheme", "extrasep"],
+            ["decode", *paths, "--dict", dict_path, "--mode", "ngrams", "--order", "3",
+             "--scheme", "extrasep"],
+            ["decode", *paths, "--dict", dict_path, "--mode", "ngrams-forecast-sample",
+             "--sample-size", "1", "--scheme", "extrasep"],
             ["decode", *paths, "--mode", "bestpath", "--scheme", "extrasep"],
             ["ensemble", str(member), str(member), "--dict", dict_path, "--mode", "words",
              "--scheme", "extrasep"],
@@ -1022,7 +1056,7 @@ class TestWrappedLayers:
             return outs
 
         plain = run()
-        assert [code for code, _ in plain] == [EXIT_OK] * 4
+        assert [code for code, _ in plain] == [EXIT_OK] * len(commands)
         for owner, name in self.WRAPPED:
             monkeypatch.setattr(owner, name, self._wrapper(getattr(owner, name)))
         assert run() == plain

@@ -283,15 +283,19 @@ class TestSharedScorer:
         return alphabet, words, tree, lm, matrices
 
     @staticmethod
-    def _count_conditionals(monkeypatch) -> list:
+    def _count_model_calls(monkeypatch) -> list:
+        """Names of the model's scoring methods, one per call."""
         calls = []
-        conditional = NgramModel.conditional
 
-        def counted(self, word_prefix, c):
-            calls.append(c)
-            return conditional(self, word_prefix, c)
+        def counted(name, method):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return method(*args, **kwargs)
 
-        monkeypatch.setattr(NgramModel, "conditional", counted)
+            return wrapper
+
+        for name in ("conditional", "remainder_probability", "word_probability"):
+            monkeypatch.setattr(NgramModel, name, counted(name, getattr(NgramModel, name)))
         return calls
 
     def test_tables_filled_by_earlier_decodes_change_nothing(self):
@@ -304,18 +308,20 @@ class TestSharedScorer:
 
     def test_second_decode_reads_only_tables(self, monkeypatch):
         alphabet, words, tree, lm, matrices = self._setup()
-        calls = self._count_conditionals(monkeypatch)
+        calls = self._count_model_calls(monkeypatch)
         for mode in self.MODES[1:]:
             first = decode(matrices[0], alphabet, tree, lm, 8, mode)
-            assert calls, mode  # the first decode filled the lazy entries
-            calls.clear()
+            scorer = tree._scorers[lm, mode]
+            memo = dict(scorer._best), dict(scorer._sampled)
+            assert any(memo), mode  # the first decode filled lazy entries
             assert decode(matrices[0], alphabet, tree, lm, 8, mode) == first
-            assert calls == [], mode
+            assert (scorer._best, scorer._sampled) == memo, mode
+        assert calls == []  # the lazy entries, too, are products of table entries
 
     def test_equal_modes_share_one_set_of_tables(self, monkeypatch):
         alphabet, words, tree, lm, matrices = self._setup()
         decode(matrices[0], alphabet, tree, lm, 8, forecast_sample(3, seed=4))
-        calls = self._count_conditionals(monkeypatch)
+        calls = self._count_model_calls(monkeypatch)
         decode(matrices[0], alphabet, tree, lm, 8, forecast_sample(3, seed=4))
         assert calls == []
         assert len(tree._scorers) == 1

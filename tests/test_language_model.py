@@ -22,6 +22,7 @@ from wordbeam import (
 from _support import (
     best_completion,
     forecast_for_prefix,
+    model_counts,
     node_prefixes,
     ref_find,
     reference_completions,
@@ -77,8 +78,8 @@ class TestTraining:
            order=st.integers(1, 12))
     @example(corpus=[_WIDE[:40], _WIDE[40:], _WIDE[::-1], _WIDE[:40]], bad=[], order=12)
     def test_counts_match_window_loop(self, corpus, bad, order):
-        # Same counts in the same insertion order; for a bad corpus, the
-        # first offending word decides the message.
+        # The same counts; for a bad corpus, the first offending word decides
+        # the message.
         for i, word in bad:
             corpus.insert(i, word)
         try:
@@ -89,25 +90,65 @@ class TestTraining:
             assert str(err.value) == str(exc)
             return
         lm = NgramModel.train(corpus, order=order)
-        assert [(ctx, list(ctr.items())) for ctx, ctr in lm._counts.items()] == [
-            (ctx, list(ctr.items())) for ctx, ctr in want.items()]
+        assert model_counts(lm) == {ctx: dict(ctr) for ctx, ctr in want.items()}
         assert lm.vocabulary == frozenset(ch for word in corpus for ch in word)
+
+    # Prefixes longer than every word, characters outside the vocabulary, a
+    # boundary inside the prefix, after which the context starts afresh, and
+    # in the example a context whose newest nine characters training never
+    # had: its code, renumbered, lands next to a trained one's.
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(corpus=st.lists(st.text("ab\u00e9\U0001d11e", min_size=1, max_size=4), min_size=1,
+                           max_size=10),
+           prefix=st.text("abc\u00e9\U0001d11e" + WORD_BOUNDARY, max_size=7),
+           c=st.sampled_from("abc\u00e9\U0001d11e" + WORD_BOUNDARY),
+           order=st.integers(1, 8), smoothing_k=st.sampled_from([0.5, 1.0]))
+    @example(corpus=[_WIDE[:40], _WIDE[40:], _WIDE[::-1], _WIDE[:40]],
+             prefix=_WIDE[9:19] + _WIDE[18], c=_WIDE[20], order=12, smoothing_k=1.0)
+    @example(corpus=["ab", "ba"], prefix="a" + WORD_BOUNDARY + "b", c="a", order=4,
+             smoothing_k=1.0)
+    def test_conditional_is_the_smoothed_count(self, corpus, prefix, c, order, smoothing_k):
+        word = prefix.rpartition(WORD_BOUNDARY)[2]
+        counts = reference_ngram_counts(corpus, order).get(
+            (WORD_BOUNDARY * (order - 1) + word)[len(word):], {})
+        lm = NgramModel.train(corpus, order=order, smoothing_k=smoothing_k)
+        assert lm.conditional(prefix, c) == (counts.get(c, 0) + smoothing_k) / (
+            sum(counts.values()) + smoothing_k * lm.num_outcomes)
 
     def test_training_on_fifty_thousand_words_keeps_little_memory(self):
         # The dictionary of the trie's memory test: one narrow code per window
-        # and the sort of them, a few MiB, where the per-window counter this
+        # and the count of them, a few MiB, where the per-window counter this
         # replaced took 0.4 MiB.
-        rng = random.Random(50_000)
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        words = ["".join(rng.choices(letters, k=rng.randint(2, 12))) for _ in range(50_000)]
-        tracemalloc.start()
-        try:
-            lm = NgramModel.train(words, 2)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        words = _fifty_thousand_words()
+        lm, peak = _trained(words, 2)
         assert peak <= 6 * 2**20
-        assert sum(lm._totals.values()) == sum(map(len, words)) + len(words)
+        assert int(lm.totals.sum()) == sum(map(len, words)) + len(words)
+
+    def test_order_five_training_on_fifty_thousand_words(self):
+        # A dict of counters per context peaked at 72.5 MiB here.
+        words = _fifty_thousand_words()
+        lm, peak = _trained(words, 5)
+        assert peak <= 36 * 2**20
+        assert int(lm.totals.sum()) == sum(map(len, words)) + len(words)
+
+    def test_orders_past_the_longest_word_change_nothing(self):
+        # A context never holds more than the longest word, 12 letters here,
+        # so order 13 and order 10,000 are the same model, at the same cost.
+        rng = random.Random(13)
+        words = ["".join(rng.choices("abcdef", k=rng.randint(1, 12))) for _ in range(2_000)]
+        words.append("abcdefabcdef")
+        tree = PrefixTree(words, set("abcdef"))
+        mode = forecast_sample(sample_size=3, seed=1)
+        (short, short_peak), (long, long_peak) = _trained(words, 13), _trained(words, 10_000)
+        assert long_peak <= 1.25 * short_peak
+        for prefix in ("", "a", "abcdef", "abcdefabcde", "abcdefabcdef", "fedcbafedcbaf"):
+            for c in "abcdefg" + WORD_BOUNDARY:
+                assert long.conditional(prefix, c) == short.conditional(prefix, c)
+        for word in words[:200] + ["abcdefabcdefa", "zz"]:
+            assert long.word_probability(word) == short.word_probability(word)
+        tables = [TrieScorer(tree, lm, mode) for lm in (short, long)]
+        for name in ("step", "end", "word_prob", "exact", "counts"):
+            assert getattr(tables[1], name) == getattr(tables[0], name), name
 
     @pytest.mark.parametrize("corpus, message", [
         (["ab", "", "a" + WORD_BOUNDARY], "corpus words must be non-empty"),
@@ -123,6 +164,23 @@ class TestTraining:
         for k in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InputValidationError, match="positive and finite"):
                 NgramModel.train(["ab"], smoothing_k=k)
+
+
+def _fifty_thousand_words() -> list[str]:
+    rng = random.Random(50_000)
+    letters = "abcdefghijklmnopqrstuvwxyz"
+    return ["".join(rng.choices(letters, k=rng.randint(2, 12))) for _ in range(50_000)]
+
+
+def _trained(words: list[str], order: int) -> tuple[NgramModel, int]:
+    """The model of ``words`` at ``order`` and the tracemalloc peak of training it."""
+    tracemalloc.start()
+    try:
+        lm = NgramModel.train(words, order)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return lm, peak
 
 
 class TestForecast:
@@ -257,7 +315,7 @@ class TestTrieScorerTables:
         words=st.lists(st.text("abé\U0001d11e", min_size=1, max_size=5), max_size=12),
         extra=st.lists(st.text("abé", min_size=1, max_size=4), min_size=1, max_size=6),
         lacking=st.booleans(),
-        order=st.integers(1, 5),
+        order=st.integers(1, 5) | st.just(40),  # 40: longer than every word
         smoothing_k=st.sampled_from([0.5, 1.0]),
     )
     def test_tables_equal_model_and_recursion_at_every_node(self, words, extra, lacking, order,
