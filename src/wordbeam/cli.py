@@ -42,9 +42,13 @@ EXIT_CONFIG = 3
 SYNTH_BATCH = 100
 # Matrices of one alphabet that ``decode`` and ``ensemble`` search as one
 # batch (``decode_batch``) in ``words`` mode; it bounds the matrices held.
-# It is also the most matrix files read as one group.
-DECODE_BATCH = 20
-# Bytes of matrix files read as one group; a larger file is a group alone.
+# A batch may span several read groups. Larger batches cost fewer numpy
+# steps per matrix and hold more matrices at once (the curve is in
+# CHANGES.md).
+DECODE_BATCH = 50
+# Matrix files, and bytes of them, read as one group; a larger file is a
+# group alone.
+READ_FILES = 20
 READ_BYTES = 1 << 20
 
 _MODES = ("bestpath", "words", "ngrams", "ngrams-forecast", "ngrams-forecast-sample")
@@ -243,7 +247,7 @@ def _read(paths: list) -> Iterator[tuple[str, PosteriorMatrix]]:
     """``(symbols, matrix)`` of each matrix file, in file order.
 
     Files are read (``read_matrix_file``) in groups of consecutive files:
-    at most ``DECODE_BATCH`` of them and ``READ_BYTES`` in all, a larger
+    at most ``READ_FILES`` of them and ``READ_BYTES`` in all, a larger
     file alone. A group that raises is read again file by file, each file
     when the caller has set up the one before, so the first fault in file
     order, of a read or of a set-up, is the one raised.
@@ -255,7 +259,7 @@ def _read(paths: list) -> Iterator[tuple[str, PosteriorMatrix]]:
             n = os.stat(path).st_size
         except OSError:
             n = 0  # reading it reports the fault
-        if group and (len(group) == DECODE_BATCH or size + n > READ_BYTES):
+        if group and (len(group) == READ_FILES or size + n > READ_BYTES):
             yield from _read_group(group)
             group, size = [], 0
         group.append(path)
@@ -292,7 +296,7 @@ class _DecodePipeline:
         set up in file order, so the first fault in that order is the one
         raised. Best path and the language-model modes then decode the file
         at once; ``words`` mode collects each alphabet's matrices and decodes
-        them ``DECODE_BATCH`` at a time.
+        up to ``DECODE_BATCH`` at a time.
         """
         batch = DECODE_BATCH if self.mode is WORDS else 1
         rows: list = [None] * len(paths)

@@ -55,21 +55,26 @@ best completed candidate.
 once and returns, bit for bit, what ``decode`` returns for each: every
 numpy step moves all live decodes one frame, over one array per field
 of all their survivors, with the same float operations in the same
-order (the arguments are in ``_run_batch``). Its per-step overhead makes
-a batch of one about three times slower than ``decode``, so it pays only
-for many decodes at once: the trend experiment and the command line's
-``words`` mode use it for groups of matrices, and a lone matrix and the
-language-model modes use ``decode``. A batch's memory stays bounded: it
-reads the trie through a few arrays by node, and its table of texts
-(arrays by text id, and a dense table of child ids by text and column)
-keeps only those a survivor can still reach, rebuilt at a size that no
-step between two compactions can outgrow. It completes its candidates
-by a gather from the ``words``-mode scorer's smallest-word array.
+order (the arguments are in ``_run_batch``). A step ranks its candidates
+first, as two arrays of their decodes and scores, and builds integer
+state only for the at most ``width`` per decode that the cut keeps. Its
+per-step overhead makes a batch of one about 2.5 times slower
+than ``decode``, so it pays only for many decodes at once: the trend
+experiment searches 100 matrices at a time and the command line's
+``words`` mode up to ``cli.DECODE_BATCH`` of one alphabet, while a lone
+matrix and the language-model modes use ``decode``. A batch's memory
+stays bounded: it copies the posteriors out a few dozen frames at a
+time, reads the trie through a few arrays by node, and its table of
+texts (arrays by text id, and a dense table of child ids by text and
+column) keeps only those a survivor can still reach, rebuilt at a size
+that no step between two compactions can outgrow. It completes its
+candidates by a gather from the ``words``-mode scorer's smallest-word
+array.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Sequence
+from collections.abc import Callable, Iterator, Sequence
 from heapq import heapify, heapreplace
 from operator import itemgetter
 
@@ -360,7 +365,7 @@ def decode_batch(
 # text's id, its parent text's id (-1 for the empty text), the id of the text
 # before the current word (the text itself outside a word), and the slot of
 # the last character in the parent's extensions (see ``_node_arrays``).
-# A new extension's id is -1 until it is kept, and so is its word-start id if
+# A new extension's id is -1 until it is named, and so is its word-start id if
 # it leaves the word.
 _DEC, _NODE, _LAST, _TID, _PTID, _WST, _SLOT = range(7)
 
@@ -384,20 +389,23 @@ def _run_batch(
     #   ``j`` takes the extension of the survivor whose text is ``j``'s parent
     #   text by ``j``'s last character;
     # - an extension strictly below the smallest copy lower bound of a decode
-    #   with ``width`` survivors (not on its last frame) is dropped before any
-    #   candidate row is built: the first bound of ``_run_frames``' heap, so
-    #   it drops only what the cut drops;
-    # - the cut ranks on (decode, -score); texts are built and compared only
-    #   in a decode whose ``width``-th and next scores tie.
+    #   with ``width`` survivors (not on its last frame) is dropped before it
+    #   is a candidate: the first bound of ``_run_frames``' heap, so it drops
+    #   only what the cut drops;
+    # - the cut ranks on (decode, -score), over two arrays of the candidates,
+    #   their decodes and scores; texts are spelled out and compared only in
+    #   a decode whose ``width``-th and next scores tie, an extension's as its
+    #   survivor's text plus its character;
+    # - only the winners get integer state: each takes its survivor's column,
+    #   and an extension writes its own node, last column, parent id and slot.
     # Texts are ids of a text trie per decode, canonical among the texts a
     # survivor can reach, so the join compares ids; every ``_COMPACT_AT`` new
     # texts the trie forgets the others. A decode's candidates on its last
-    # frame go, uncut, to ``_complete_batch``. Arrays by decode span the whole
-    # batch, finished decodes too.
+    # frame are built in full and go, uncut, to ``_complete_batch``. Arrays by
+    # decode span the whole batch, finished decodes too; the posteriors are
+    # copied out ``_FRAMES`` frames of every live matrix at a time.
     c, blank = alphabet.num_classes, alphabet.blank_index
     lengths = np.array([m.num_frames for m in matrices], np.int32)
-    probs = np.concatenate([m.probs for m in matrices]).ravel()
-    row0 = (np.cumsum(lengths, dtype=np.int32) - lengths) * c  # each decode's first row
     last_frame = lengths - 1
     first, spans, col = _node_arrays(tree, alphabet, nonword)
     size = len(first)
@@ -411,9 +419,11 @@ def _run_batch(
     found: list[tuple[str, float] | None] = [None] * n
     endings = set(last_frame.tolist())
     for t in range(int(lengths.max())):
+        if t % _FRAMES == 0:
+            probs, row0 = _frames(matrices, lengths, t)
         dec, node, last, tid = state[_DEC], state[_NODE], state[_LAST], state[_TID]
         s = len(dec)
-        row = row0[dec] + np.int32(t * c)
+        row = row0[dec] + t % _FRAMES * c
         tot = pb + pnb
         p_blank = tot * probs[row + blank]
         own = pnb * probs[row + last]  # 0.0 for the empty text, whose p_nonblank is 0.0
@@ -428,15 +438,18 @@ def _run_batch(
         offset = -heads
         offset[0::2] += first[node]
         offset[1::2] += size
-        src = np.repeat(np.arange(s, dtype=np.int32), runs[0::2] + runs[1::2])
+        # A value by survivor is spread over its extensions by ``np.repeat``,
+        # and other gathers are ``take``s: both beat indexing by an int32 array.
+        count = runs[0::2] + runs[1::2]
+        src = np.repeat(np.arange(s, dtype=np.int32), count)
         ext = np.repeat(offset, runs)
         ext += np.arange(len(src), dtype=np.int32)
-        e_col = col[ext]
-        at = row[src]
+        e_col = col.take(ext)
+        at = np.repeat(row, count)
         at += e_col
-        mass = probs[at]
-        base = tot[src]
-        same = np.flatnonzero(e_col == last[src])  # the repeat rule
+        mass = probs.take(at)
+        base = np.repeat(tot, count)
+        same = np.flatnonzero(e_col == np.repeat(last, count))  # the repeat rule
         base[same] = pb[src[same]]
         mass *= base
         # Merges: survivor ``j`` whose parent text is survivor ``i``'s takes
@@ -454,44 +467,92 @@ def _run_batch(
         bound = np.full(n, np.inf)
         np.minimum.at(bound, dec, p_blank + own)
         bound[(np.bincount(dec, minlength=n) < width) | (last_frame <= t)] = -1.0
-        keep = mass >= bound[dec][src]
+        keep = mass >= np.repeat(bound[dec], count)
         keep[merged] = False
+        # The candidates are the survivors' copies, 0 to s - 1, then the kept
+        # extensions, s on; only their decodes and scores exist until the cut.
         x = np.flatnonzero(keep)
         xs = src[x]
-        cand = np.concatenate((state, state[:, xs]), axis=1)
-        new = cand[:, s:]
-        new[_NODE], new[_LAST], new[_PTID], new[_TID] = ext[x], e_col[x], tid[xs], -1
-        new[_SLOT] = x - start[xs]
-        leaves = new[_NODE] >= size  # a non-word character leaves the word
-        new[_NODE, leaves] = 0
-        new[_WST, leaves] = -1
-        cand_pb = np.concatenate((p_blank, np.zeros(len(x))))
-        cand_pnb = np.concatenate((p_nonblank, mass[x]))
+        cand_dec = np.concatenate((dec, dec.take(xs)))
+        score = np.concatenate((p_blank + p_nonblank, mass[x]))
+
+        def build(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+            """State columns, p_blank and p_nonblank of candidates ``sel``."""
+            k = sel - s
+            e = np.flatnonzero(k >= 0)  # the extensions among them
+            k = k[e]
+            of = sel.copy()  # each one's survivor
+            of[e] = xs[k]
+            cols, cols_pb, cols_pnb = state[:, of], p_blank[of], p_nonblank[of]
+            k = x[k]
+            node = ext[k]
+            leaves = node >= size  # a non-word character leaves the word
+            node[leaves] = 0
+            cols[_NODE, e], cols[_LAST, e], cols[_PTID, e] = node, e_col[k], cols[_TID, e]
+            cols[_TID, e] = -1
+            cols[_SLOT, e] = k - start[of[e]]
+            cols[_WST, e[leaves]] = -1
+            cols_pb[e], cols_pnb[e] = 0.0, mass[k]
+            return cols, cols_pb, cols_pnb
+
+        pick = None
         if t in endings:
-            ends = last_frame[cand[_DEC]] == t
-            _complete_batch(cand[:, ends], cand_pb[ends], cand_pnb[ends], scorer, tree, texts,
-                            found)
-            go = ~ends
-            cand, cand_pb, cand_pnb = cand[:, go], cand_pb[go], cand_pnb[go]
-        sel = _cut(cand, cand_pb + cand_pnb, width, n, texts)
-        state, pb, pnb = cand[:, sel], cand_pb[sel], cand_pnb[sel]
+            ends = last_frame[cand_dec] == t
+            _complete_batch(*build(np.flatnonzero(ends)), scorer, tree, texts, found)
+            pick = np.flatnonzero(~ends)
+            cand_dec, score = cand_dec[pick], score[pick]
+
+        def text_of(i: int) -> str:
+            """Candidate ``i``'s text, spelled out for a tie at the cut."""
+            i = int(pick[i]) if pick is not None else i
+            if i < s:
+                return texts.text(int(tid[i]))
+            return texts.text(int(tid[xs[i - s]])) + texts.symbols[e_col[x[i - s]]]
+
+        sel = _cut(cand_dec, score, width, n, text_of)
+        state, pb, pnb = build(sel if pick is None else pick[sel])
         texts.name(state)
         if texts.count - texts.kept > _COMPACT_AT:
             texts.compact(state)
     return found
 
 
-def _cut(cand: np.ndarray, score: np.ndarray, width: int, n: int, texts: _Texts) -> np.ndarray:
-    """Indices of each decode's ``width`` best candidates by (-score, text), grouped by decode."""
+# Frames of every matrix that a batched search copies out at a time.
+_FRAMES = 64
+
+
+def _frames(matrices: Sequence[PosteriorMatrix], lengths: np.ndarray, t: int) -> tuple:
+    """``(probs, row0)``: frames ``t`` to ``t + _FRAMES - 1`` of every matrix
+    that has them, as one flat array, and where each one's frame ``t`` starts."""
+    live = np.flatnonzero(lengths > t)
+    sizes = np.minimum(lengths[live] - t, _FRAMES) * matrices[0].num_classes
+    row0 = np.zeros(len(matrices), np.intp)
+    row0[live] = np.cumsum(sizes) - sizes
+    probs = np.concatenate([matrices[d].probs[t:t + _FRAMES] for d in live.tolist()])
+    return probs.ravel(), row0
+
+
+def _cut(
+    dec: np.ndarray,
+    score: np.ndarray,
+    width: int,
+    n: int,
+    text_of: Callable[[int], str],
+) -> np.ndarray:
+    """Indices of each decode's ``width`` best candidates by (-score, text), grouped by decode.
+
+    Candidate ``i`` belongs to decode ``dec[i]``; ``text_of(i)`` spells its
+    text, which only a tie at the cut reads.
+    """
     # Best score first, then a stable sort by decode; fewer than 2**16
     # decodes sort on 16-bit keys, which numpy radix-sorts.
     order = np.argsort(score)[::-1]
-    sdec = cand[_DEC, order]
+    sdec = dec[order]
     order = order[np.argsort(sdec.astype(np.uint16) if n <= 1 << 16 else sdec, kind="stable")]
-    sdec = cand[_DEC, order]
+    sdec = dec[order]
     sizes = np.bincount(sdec, minlength=n)
     heads = np.cumsum(sizes) - sizes
-    keep = np.arange(len(sdec)) - heads[sdec] < width
+    keep = np.arange(len(sdec)) - heads.take(sdec) < width
     over = heads[sizes > width]
     if over.size:
         ranked = score[order]
@@ -503,7 +564,7 @@ def _cut(cand: np.ndarray, score: np.ndarray, width: int, n: int, texts: _Texts)
                 lo -= 1
             while hi < len(sdec) and sdec[hi] == sdec[head] and ranked[hi] == tied:
                 hi += 1
-            run = sorted(range(lo, hi), key=lambda p: texts.of(cand[:, order[p]]))
+            run = sorted(range(lo, hi), key=lambda p: text_of(int(order[p])))
             keep[lo:hi] = False
             keep[run[:head + width - lo]] = True
     return order[keep]

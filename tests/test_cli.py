@@ -574,7 +574,8 @@ def _words_mode_lines(paths, dict_path, width, nonword=""):
 
 @pytest.fixture
 def batch_spy(monkeypatch):
-    """The sizes of the ``decode_batch`` calls, with two matrices to a batch."""
+    """The sizes of the ``decode_batch`` calls, with two matrices to a batch
+    and three files to a read group."""
     from wordbeam import decoder
 
     sizes = []
@@ -585,7 +586,8 @@ def batch_spy(monkeypatch):
         return batch(matrices, *args)
 
     monkeypatch.setattr(decoder, "decode_batch", spy)
-    monkeypatch.setattr("wordbeam.cli.DECODE_BATCH", 2)
+    monkeypatch.setattr(cli, "DECODE_BATCH", 2)
+    monkeypatch.setattr(cli, "READ_FILES", 3)
     return sizes
 
 
@@ -635,6 +637,35 @@ class TestWordsModeBatches:
                      "--nonword-chars", " ", "--width", "3"]) == EXIT_OK
         assert capsys.readouterr().out == want
         assert batch_spy == [2] * 7  # 15 files, the last one decoded alone
+
+    def test_a_batch_spans_several_read_groups(self, tmp_path, capsys, monkeypatch, batch_spy):
+        # Groups of at most two files and two small files' bytes (file 3 is
+        # large, a group alone); batches of five matrices.
+        rng = np.random.default_rng(23)
+        dict_path = tmp_path / "dict.txt"
+        dict_path.write_text("ab\nba\naab\nb\n", encoding="utf-8")
+        paths = []
+        for i in range(7):
+            path = tmp_path / f"{i}.mat"
+            write_matrix_file(path, random_matrix(rng, 40 if i == 3 else 5 + i % 2, 4), "ab ")
+            paths.append(str(path))
+        groups = []
+        reader = cli.read_matrix_file
+
+        def spy(group):
+            groups.append([Path(p).stem for p in group])
+            return reader(group)
+
+        monkeypatch.setattr(cli, "read_matrix_file", spy)
+        monkeypatch.setattr(cli, "DECODE_BATCH", 5)
+        monkeypatch.setattr(cli, "READ_FILES", 2)
+        monkeypatch.setattr(cli, "READ_BYTES", 2 * Path(paths[1]).stat().st_size)
+        assert main(["decode", *paths, "--dict", str(dict_path), "--mode", "words",
+                     "--nonword-chars", " ", "--width", "4"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert out == "\n".join(_words_mode_lines(paths, dict_path, 4, " ")) + "\n"
+        assert batch_spy == [5, 2]
+        assert groups == [["0", "1"], ["2"], ["3"], ["4", "5"], ["6"]]
 
     def test_new_alphabet_fault_is_reported_before_a_later_parse_fault(self, tmp_path, capsys):
         # File 2's alphabet cannot spell "cab"; file 3 does not parse.
@@ -699,7 +730,7 @@ class TestGroupedReads:
         want = self._first_fault(faults, paths, dict_path, mode)
         assert capsys.readouterr() == ("", f"wordbeam: data format error: {want}\n")
 
-    def test_groups_keep_to_the_batch_and_the_byte_budget(self, tmp_path, capsys, monkeypatch):
+    def test_groups_keep_to_the_file_and_byte_budget(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(8)
         small = random_matrix(rng, 3, 4)
         paths = []
@@ -716,20 +747,20 @@ class TestGroupedReads:
 
         monkeypatch.setattr(cli, "read_matrix_file", spy)
         command = ["decode", *paths, "--mode", "bestpath"]
-        monkeypatch.setattr(cli, "DECODE_BATCH", 1)
+        monkeypatch.setattr(cli, "READ_FILES", 1)
         assert main(command) == EXIT_OK
         one_by_one = capsys.readouterr().out
         assert len(groups) == 9
 
         groups.clear()
-        monkeypatch.setattr(cli, "DECODE_BATCH", 20)
+        monkeypatch.setattr(cli, "READ_FILES", 20)
         monkeypatch.setattr(cli, "READ_BYTES", 2 * Path(paths[0]).stat().st_size)
         assert main(command) == EXIT_OK
         assert capsys.readouterr().out == one_by_one
         assert groups == [["0", "1"], ["2"], ["3"], ["4", "5"], ["6", "7"], ["8"]]
 
         groups.clear()
-        monkeypatch.setattr(cli, "DECODE_BATCH", 4)
+        monkeypatch.setattr(cli, "READ_FILES", 4)
         monkeypatch.setattr(cli, "READ_BYTES", 1 << 20)
         assert main(command) == EXIT_OK
         assert capsys.readouterr().out == one_by_one

@@ -581,6 +581,58 @@ class TestDecodeBatch:
         assert got[0] == got[2] == (" ", 0.3125)
         assert _exact(got) == _exact([decode(x, alphabet, tree, width=2) for x in (m, other, m)])
 
+    @staticmethod
+    def _spelled_at_the_cut(monkeypatch, matrices, alphabet, tree, width):
+        """``decode_batch``'s results, and the texts its cut spelled out for ties."""
+        spelled = []
+        cut = decoder._cut
+
+        def spy(dec, score, width, n, text_of):
+            def spell(i):
+                spelled.append(text_of(i))
+                return spelled[-1]
+
+            return cut(dec, score, width, n, spell)
+
+        monkeypatch.setattr(decoder, "_cut", spy)
+        return decode_batch(matrices, alphabet, tree, width), spelled
+
+    # Frame 0 keeps "", "a" and "b" (0.0, 0.5, 0.5), as width 3 cuts nothing.
+    _tie_tree = (["a", "b", "ab", "ba", "abb", "baa", "bab"], {"a", "b"})
+
+    @pytest.mark.parametrize("compact_at", [None, -1])
+    def test_a_tie_between_extensions_of_two_survivors_goes_by_text(self, monkeypatch,
+                                                                    compact_at):
+        # Frame 1 scores the copies of "a" and "b" 0.375 each, and their
+        # extensions "ab" and "ba", new texts, 0.125 each: the cut keeps the
+        # third place for "ab", the smaller text, spelled from its parent.
+        if compact_at is not None:
+            monkeypatch.setattr(decoder, "_COMPACT_AT", compact_at)
+        alphabet, tree = Alphabet("ab"), PrefixTree(*self._tie_tree)
+        m = PosteriorMatrix([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.3, 0.3, 0.4]])
+        frames = [sorted(c[1] for c in f) for f in frame_beams(m, alphabet, tree, width=3)]
+        assert frames[1] == ["a", "ab", "b"]
+        matrices = [m, random_matrix(np.random.default_rng(5), 6, 3), m]
+        got, spelled = self._spelled_at_the_cut(monkeypatch, matrices, alphabet, tree, 3)
+        assert {"ab", "ba"} <= set(spelled)
+        assert _exact(got) == _exact([decode(x, alphabet, tree, width=3) for x in matrices])
+
+    @pytest.mark.parametrize("compact_at", [None, -1])
+    def test_a_tie_between_a_copy_and_an_extension_goes_by_text(self, monkeypatch, compact_at):
+        # Frame 1 has no blank mass, so the copies of "a" and "b" score their
+        # own repeats, 0.3 and 0.2, and the extensions "ba" and "ab" the same:
+        # the third place falls to the extension "ab", before the copy "b".
+        if compact_at is not None:
+            monkeypatch.setattr(decoder, "_COMPACT_AT", compact_at)
+        alphabet, tree = Alphabet("ab"), PrefixTree(*self._tie_tree)
+        m = PosteriorMatrix([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [0.3, 0.5, 0.2]])
+        frames = [sorted(c[1] for c in f) for f in frame_beams(m, alphabet, tree, width=3)]
+        assert frames[1] == ["a", "ab", "ba"]
+        matrices = [m, random_matrix(np.random.default_rng(6), 6, 3), m]
+        got, spelled = self._spelled_at_the_cut(monkeypatch, matrices, alphabet, tree, 3)
+        assert {"ab", "b"} <= set(spelled)
+        assert _exact(got) == _exact([decode(x, alphabet, tree, width=3) for x in matrices])
+
     def test_three_or_more_candidates_complete_to_one_word(self):
         # Every non-empty text of the last frame is a prefix of "abcd" and
         # completes to it, so their masses are summed, in text order.
