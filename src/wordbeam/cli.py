@@ -40,10 +40,10 @@ EXIT_CONFIG = 3
 
 # Matrices ``synth`` emits as one batch (``emit_many``) before writing them.
 SYNTH_BATCH = 100
-# Matrices of one alphabet that ``decode`` and ``ensemble`` search as one
-# batch (``decode_batch``) in ``words`` mode; it bounds the matrices held.
-# A batch may span several read groups. Larger batches cost fewer numpy
-# steps per matrix and hold more matrices at once (the curve is in
+# Matrices of one alphabet that ``decode`` and ``ensemble`` pass to one
+# ``decoder.decode_batch`` call; it bounds the matrices held. A batch may
+# span several read groups. In ``words`` mode larger batches cost fewer
+# numpy steps per matrix and hold more matrices at once (the curve is in
 # CHANGES.md).
 DECODE_BATCH = 50
 # Matrix files, and bytes of them, read as one group; a larger file is a
@@ -228,19 +228,7 @@ def _alphabet_for(symbols: str, sep: str | None, path: str) -> Alphabet:
 # ``best_path_decode`` as this module looks them up, and leaves out the
 # time spent before it in ``read_matrix_file``, looked up the same way
 # (bench/README.md): matrix files are read only through that name.
-def decode(
-    matrices: list[PosteriorMatrix],
-    alphabet: Alphabet,
-    tree: PrefixTree,
-    lm: NgramModel | None,
-    width: int,
-    mode: ScoringMode,
-) -> list[tuple[str, float]]:
-    """``decoder.decode`` of each matrix; several in ``words`` mode run as one
-    ``decode_batch``, which returns the same bit for bit."""
-    if mode is WORDS and len(matrices) > 1:
-        return decoder.decode_batch(matrices, alphabet, tree, width)
-    return [decoder.decode(m, alphabet, tree, lm, width, mode) for m in matrices]
+decode = decoder.decode_batch
 
 
 def _read(paths: list) -> Iterator[tuple[str, PosteriorMatrix]]:
@@ -294,11 +282,10 @@ class _DecodePipeline:
 
         Files are read in groups (``_read``), and each file's alphabet is
         set up in file order, so the first fault in that order is the one
-        raised. Best path and the language-model modes then decode the file
-        at once; ``words`` mode collects each alphabet's matrices and decodes
-        up to ``DECODE_BATCH`` at a time.
+        raised. Best path then decodes the file at once; a dictionary mode
+        collects each alphabet's matrices and decodes up to ``DECODE_BATCH``
+        at a time.
         """
-        batch = DECODE_BATCH if self.mode is WORDS else 1
         rows: list = [None] * len(paths)
         pending: dict[str, list[tuple[int, PosteriorMatrix]]] = {}
         for i, (symbols, matrix) in enumerate(_read(paths)):
@@ -309,7 +296,7 @@ class _DecodePipeline:
                 continue
             group = pending.setdefault(symbols, [])
             group.append((i, matrix))
-            if len(group) == batch:
+            if len(group) == DECODE_BATCH:
                 self._decode(symbols, pending.pop(symbols), row, rows)
         for symbols, group in pending.items():
             self._decode(symbols, group, row, rows)

@@ -51,24 +51,23 @@ the last frame, the merged, uncut set, as lists of candidates;
 ``complete_beams`` completes that last set, and ``decode`` takes the
 best completed candidate.
 
-``decode_batch`` runs the ``words``-mode search of many matrices at
-once and returns, bit for bit, what ``decode`` returns for each: every
-numpy step moves all live decodes one frame, over one array per field
-of all their survivors, with the same float operations in the same
-order (the arguments are in ``_run_batch``). A step ranks its candidates
-first, as two arrays of their decodes and scores, and builds integer
-state only for the at most ``width`` per decode that the cut keeps. Its
-per-step overhead makes a batch of one about 2.5 times slower
-than ``decode``, so it pays only for many decodes at once: the trend
-experiment searches 100 matrices at a time and the command line's
-``words`` mode up to ``cli.DECODE_BATCH`` of one alphabet, while a lone
-matrix and the language-model modes use ``decode``. A batch's memory
-stays bounded: it copies the posteriors out a few dozen frames at a
-time, reads the trie through a few arrays by node, and its table of
-texts (arrays by text id, and a dense table of child ids by text and
-column) keeps only those a survivor can still reach, rebuilt at a size
-that no step between two compactions can outgrow. It completes its
-candidates by a gather from the ``words``-mode scorer's smallest-word
+``decode_batch`` is the one call for any number of matrices in any
+mode: it returns, bit for bit, what ``decode`` returns for each, and it
+alone chooses the engine. Two or more ``words``-mode matrices run as one
+batched search, in which every numpy step moves all live decodes one
+frame, over one array per field of all their survivors, with the same
+float operations in the same order (the arguments are in
+``_run_batch``). A step ranks its candidates first, as two arrays of
+their decodes and scores, and builds integer state only for the at most
+``width`` per decode that the cut keeps. Its per-step overhead makes a
+batch of one about 2.5 times slower than ``decode``, so a lone matrix,
+and every matrix of a language-model mode, is decoded by ``decode``. A
+batch's memory stays bounded: it copies the posteriors out a few dozen
+frames at a time, reads the trie through a few arrays by node, and its
+table of texts (arrays by text id, and a dense table of child ids by
+text and column) keeps only those a survivor can still reach, rebuilt at
+a size that no step between two compactions can outgrow. It completes
+its candidates by a gather from the ``words``-mode scorer's smallest-word
 array.
 """
 
@@ -344,20 +343,24 @@ def decode_batch(
     matrices: Sequence[PosteriorMatrix],
     alphabet: Alphabet,
     tree: PrefixTree,
+    lm: NgramModel | None = None,
     width: int = 25,
+    mode: ScoringMode = WORDS,
 ) -> list[tuple[str, float]]:
-    """``[decode(m, alphabet, tree, width=width) for m in matrices]``, bit for bit.
+    """``[decode(m, alphabet, tree, lm, width, mode) for m in matrices]``, bit for bit.
 
-    A ``words``-mode search that moves every live decode one frame per
-    numpy step; the arguments are checked as ``decode`` checks them, all
-    before the first frame.
+    The arguments are checked as ``decode`` checks them, all before the
+    first frame. Two or more ``words``-mode matrices run as one batched
+    search; any other call decodes each matrix by ``decode``.
     """
     if not matrices:
         return []
-    scorer, nonword = _prepare(alphabet, tree, None, width, WORDS, matrices[0])
+    scorer, nonword = _prepare(alphabet, tree, lm, width, mode, matrices[0])
     for m in matrices[1:]:
         _check_shape(m, alphabet)
-    return _run_batch(matrices, alphabet, width, scorer, tree, nonword)
+    if len(matrices) > 1 and not mode.uses_lm:
+        return _run_batch(matrices, alphabet, width, scorer, tree, nonword)
+    return [decode(m, alphabet, tree, lm, width, mode) for m in matrices]
 
 
 # Rows of the batched search's integer state: the decode, the trie node (the

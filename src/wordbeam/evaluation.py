@@ -92,7 +92,10 @@ class EvalReport:
     oov_count: int = 0
     inv_count: int = 0
     confusion_samples: list[tuple[str, str, int]] = field(default_factory=list)
-    per_frequency: list[tuple[int, float]] = field(default_factory=list)
+
+
+# Misrecognized pairs a report lists, the first in input order.
+MAX_CONFUSIONS = 20
 
 
 def build_report(
@@ -100,7 +103,6 @@ def build_report(
     gts: Sequence[str],
     train_vocab: Iterable[str] | None = None,
     case_insensitive: bool = False,
-    max_confusions: int = 20,
 ) -> EvalReport:
     ci = case_insensitive
     acc = word_accuracy(preds, gts, ci)
@@ -122,21 +124,11 @@ def build_report(
                 [preds[i] for i in oov], [gts[i] for i in oov], ci
             )
     for p, g in zip(preds, gts):
-        if len(report.confusion_samples) >= max_confusions:
+        if len(report.confusion_samples) >= MAX_CONFUSIONS:
             break
         p_c, g_c = _canon(p, ci), _canon(g, ci)
         if p_c != g_c:
             report.confusion_samples.append((g, p, levenshtein(g_c, p_c)))
-    # Raw (test-set frequency, accuracy) pairs per ground-truth class;
-    # binning is left to the consumer.
-    freq: Counter[str] = Counter(_canon(g, ci) for g in gts)
-    class_hits: Counter[str] = Counter()
-    for p, g in zip(preds, gts):
-        g_c = _canon(g, ci)
-        class_hits[g_c] += _canon(p, ci) == g_c
-    report.per_frequency = sorted(
-        (freq[w], 100.0 * class_hits[w] / freq[w]) for w in freq
-    )
     return report
 
 

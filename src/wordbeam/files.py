@@ -57,14 +57,8 @@ def serialize_matrix(m: PosteriorMatrix, symbols: str) -> str:
 
 def parse_matrix(text: str, path: str = "<string>") -> tuple[str, PosteriorMatrix]:
     """Parse a matrix file body into (alphabet symbols, matrix)."""
-    symbols, t, c, body = _layout(text, path, {})
-    try:
-        if not all(line.count(" ") == c - 1 for line in body):
-            raise ValueError("a row has the wrong number of fields")
-        # numpy converts each field with Python's float(), in one call
-        probs = np.array(" ".join(body).split(" "), dtype=np.float64).reshape(t, c)
-    except ValueError:
-        probs = _parse_rows(body, c, path)  # raises the first faulty row's error
+    symbols, _, c, body = _layout(text, path, {})
+    probs = _parse_rows(body, c, path)  # raises the first faulty row's error
     try:
         matrix = PosteriorMatrix(probs)
     except InputValidationError as exc:

@@ -8,7 +8,7 @@ sizes under plurality voting. The two coding lanes differ only in the
 recognizer's alphabet; they share one tree per seed. Each distinct
 (member, word) of a lane is emitted and decoded once, in batches of at
 most ``BATCH_DECODES`` jobs: a batched emission (``synth.emit_many``)
-and a batched word beam search (``decoder.decode_batch``) each.
+and one word beam search call (``decoder.decode_batch``) each.
 Everything is seeded, so reports are byte-identical across runs.
 """
 
@@ -143,8 +143,8 @@ def _decode_lane(
 
     The calls are pure and the list repeats words, so each distinct (member,
     word) is emitted and decoded once. A batch of at most ``BATCH_DECODES``
-    jobs is emitted (``emit_many``) when it is next, and decoded as one
-    batched search. The lane's first matrix is emitted alone, by
+    jobs is emitted (``emit_many``) when it is next, and decoded by one
+    ``decode_batch`` call. The lane's first matrix is emitted alone, by
     ``RecognizerSim.emit``, and its best path taken before any other job is
     made, so the first matrix comes before any other work of the lane.
     """
@@ -169,7 +169,7 @@ def _decode_lane(
         matrices += rest
         if not matrices:
             break
-        found += decode_batch(matrices, alphabet, tree, width)
+        found += decode_batch(matrices, alphabet, tree, width=width)
         matrices = []
     hyps = []
     for at in range(0, len(found), len(distinct)):

@@ -14,10 +14,14 @@ from hypothesis import given, settings, strategies as st
 from wordbeam import (
     Alphabet,
     DataFormatError,
+    NGRAMS,
+    NGRAMS_FORECAST,
     NgramModel,
     PosteriorMatrix,
     RecognizerSim,
+    WORDS,
     WordbeamError,
+    forecast_sample,
 )
 from wordbeam import cli, files, synth, trends
 from wordbeam.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_USAGE, main
@@ -557,9 +561,9 @@ class TestDecodeCommand:
             "empty and there are no non-word characters\n")
 
 
-def _words_mode_lines(paths, dict_path, width, nonword=""):
-    """The ``decode --mode words`` output lines of plain-coded matrix files,
-    each file decoded on its own by ``decoder.decode``."""
+def _per_file_lines(paths, dict_path, width, nonword="", lm=None, mode=WORDS):
+    """The ``decode`` output lines of plain-coded matrix files in ``mode``
+    (``words`` by default), each file decoded on its own by ``decoder.decode``."""
     from wordbeam import PrefixTree, decode
 
     lines = []
@@ -567,36 +571,34 @@ def _words_mode_lines(paths, dict_path, width, nonword=""):
         [(symbols, m)] = read_matrix_file([path])
         alphabet = Alphabet(symbols)
         tree = PrefixTree(load_word_list(dict_path), set(symbols) - set(nonword))
-        label, likelihood = decode(m, alphabet, tree, width=width)
+        label, likelihood = decode(m, alphabet, tree, lm, width, mode)
         lines.append(f"{path}\t{label}\t{likelihood!r}")
     return lines
 
 
 @pytest.fixture
 def batch_spy(monkeypatch):
-    """The sizes of the ``decode_batch`` calls, with two matrices to a batch
+    """The sizes of the CLI's ``decode`` calls, with two matrices to a batch
     and three files to a read group."""
-    from wordbeam import decoder
-
     sizes = []
-    batch = decoder.decode_batch
+    batch = cli.decode
 
     def spy(matrices, *args):
         sizes.append(len(matrices))
         return batch(matrices, *args)
 
-    monkeypatch.setattr(decoder, "decode_batch", spy)
+    monkeypatch.setattr(cli, "decode", spy)
     monkeypatch.setattr(cli, "DECODE_BATCH", 2)
     monkeypatch.setattr(cli, "READ_FILES", 3)
     return sizes
 
 
 class TestWordsModeBatches:
-    """``words`` mode decodes files in batches, with the bytes of one decode per file."""
+    """Dictionary modes decode files in batches, with the bytes of one decode per file."""
 
     def test_interleaved_alphabets_match_per_file_decodes(self, tmp_path, capsys, batch_spy):
         # Files of alphabets "ab " and "abc " alternate irregularly: "ab "
-        # has five files (batches of 2, 2 and a group of one), "abc " two.
+        # has five files (batches of 2, 2 and 1), "abc " two.
         rng = np.random.default_rng(21)
         dict_path = tmp_path / "dict.txt"
         dict_path.write_text("ab\nba\naab\nb\n", encoding="utf-8")
@@ -609,8 +611,33 @@ class TestWordsModeBatches:
                    "--nonword-chars", " ", "--width", "4"]
         assert main(command) == EXIT_OK
         out = capsys.readouterr().out
-        assert out == "\n".join(_words_mode_lines(paths, dict_path, 4, " ")) + "\n"
-        assert sorted(batch_spy) == [2, 2, 2]
+        assert out == "\n".join(_per_file_lines(paths, dict_path, 4, " ")) + "\n"
+        assert sorted(batch_spy) == [1, 2, 2, 2]
+
+    @pytest.mark.parametrize("name, mode", [("ngrams", NGRAMS),
+                                            ("ngrams-forecast", NGRAMS_FORECAST),
+                                            ("ngrams-forecast-sample", forecast_sample(3, 5))],
+                             ids=["ngrams", "forecast", "sample"])
+    def test_language_model_modes_match_per_file_decodes(self, tmp_path, capsys, batch_spy,
+                                                         name, mode):
+        # Four files of alphabet "ab " and three of "abc ", interleaved, more
+        # than a batch of two each; the model is trained on the dictionary.
+        rng = np.random.default_rng(24)
+        dict_path = tmp_path / "dict.txt"
+        words = ["ab", "ba", "aab", "b", "abba", "bab"]
+        dict_path.write_text("\n".join(words) + "\n", encoding="utf-8")
+        paths = []
+        for i, symbols in enumerate(["ab ", "abc ", "abc ", "ab ", "ab ", "abc ", "ab "]):
+            path = tmp_path / f"m{i}.mat"
+            write_matrix_file(path, random_matrix(rng, 3 + 2 * i, len(symbols) + 1), symbols)
+            paths.append(str(path))
+        assert main(["decode", *paths, "--dict", str(dict_path), "--mode", name,
+                     "--nonword-chars", " ", "--width", "3", "--order", "3",
+                     "--sample-size", "3", "--seed", "5"]) == EXIT_OK
+        lm = NgramModel.train(words, order=3)
+        want = _per_file_lines(paths, dict_path, 3, " ", lm, mode)
+        assert capsys.readouterr().out == "\n".join(want) + "\n"
+        assert sorted(batch_spy) == [1, 2, 2, 2]
 
     def test_ensemble_over_directories_matches_per_file_decodes(self, tmp_path, capsys,
                                                                  batch_spy):
@@ -625,7 +652,7 @@ class TestWordsModeBatches:
             for i in range(5):
                 write_matrix_file(d / f"s{i}.mat", random_matrix(rng, 6 + i, 4), "ab ")
                 paths.append(str(d / f"s{i}.mat"))
-            lines = _words_mode_lines(paths, dict_path, 3, " ")
+            lines = _per_file_lines(paths, dict_path, 3, " ")
             tsv = tmp_path / f"member{k}.tsv"
             tsv.write_text("".join(line.replace(f"{d}/", "") + "\n" for line in lines),
                            encoding="utf-8")
@@ -636,7 +663,7 @@ class TestWordsModeBatches:
         assert main(["ensemble", *dirs, "--dict", str(dict_path), "--mode", "words",
                      "--nonword-chars", " ", "--width", "3"]) == EXIT_OK
         assert capsys.readouterr().out == want
-        assert batch_spy == [2] * 7  # 15 files, the last one decoded alone
+        assert batch_spy == [2] * 7 + [1]  # 15 files, the last one decoded alone
 
     def test_a_batch_spans_several_read_groups(self, tmp_path, capsys, monkeypatch, batch_spy):
         # Groups of at most two files and two small files' bytes (file 3 is
@@ -663,7 +690,7 @@ class TestWordsModeBatches:
         assert main(["decode", *paths, "--dict", str(dict_path), "--mode", "words",
                      "--nonword-chars", " ", "--width", "4"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out == "\n".join(_words_mode_lines(paths, dict_path, 4, " ")) + "\n"
+        assert out == "\n".join(_per_file_lines(paths, dict_path, 4, " ")) + "\n"
         assert batch_spy == [5, 2]
         assert groups == [["0", "1"], ["2"], ["3"], ["4", "5"], ["6"]]
 

@@ -505,7 +505,7 @@ def _exact(results) -> list[tuple[str, str]]:
 class TestDecodeBatch:
     """``decode_batch`` against the scalar search, decode by decode."""
 
-    _cases = given(
+    _strategies = dict(
         starts=st.lists(st.sampled_from(WORD_CHARS), min_size=10, max_size=12, unique=True),
         tails=st.lists(st.text(WORD_CHARS[:5], max_size=4), min_size=1, max_size=30),
         coding=st.sampled_from(["plain", "plain+space", "extrasep"]),
@@ -514,16 +514,21 @@ class TestDecodeBatch:
         rows=st.sampled_from(["random", "levels2", "levels3", "peaked", "uniform"]),
         seed=st.integers(0, 2**32 - 1),
     )
+    _cases = given(**_strategies)
+    # Every mode, with a model of order 1 to 3 trained on the dictionary.
+    _modes = dict(mode=st.sampled_from([WORDS, NGRAMS, NGRAMS_FORECAST, forecast_sample(3, 1)]),
+                  order=st.integers(1, 3))
 
     @staticmethod
-    def _check(starts, tails, coding, lengths, width, rows, seed):
+    def _check(starts, tails, coding, lengths, width, rows, seed, mode=WORDS, order=2):
         words = starts + [starts[i % len(starts)] + tail for i, tail in enumerate(tails)]
         alphabet = _coded(coding)
         tree = PrefixTree(words, set(WORD_CHARS))
+        lm = NgramModel.train(words, order) if mode.uses_lm else None
         rng = np.random.default_rng(seed)
         matrices = [_matrix(rows, rng, t, alphabet.num_classes) for t in lengths]
-        want = [decode(m, alphabet, tree, width=width) for m in matrices]
-        assert _exact(decode_batch(matrices, alphabet, tree, width)) == _exact(want)
+        want = [decode(m, alphabet, tree, lm, width, mode) for m in matrices]
+        assert _exact(decode_batch(matrices, alphabet, tree, lm, width, mode)) == _exact(want)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @_cases
@@ -538,6 +543,19 @@ class TestDecodeBatch:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(decoder, "_COMPACT_AT", -1)
             self._check(starts, tails, coding, lengths, width, rows, seed)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**_strategies, **_modes)
+    def test_every_mode_equals_scalar(self, starts, tails, coding, lengths, width, rows, seed,
+                                      mode, order):
+        self._check(starts, tails, coding, lengths, width, rows, seed, mode, order)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**{**_strategies, "lengths": st.lists(st.integers(1, 60), min_size=1, max_size=1)},
+           **_modes)
+    def test_a_batch_of_one_equals_scalar(self, starts, tails, coding, lengths, width, rows,
+                                          seed, mode, order):
+        self._check(starts, tails, coding, lengths, width, rows, seed, mode, order)
 
     def test_a_step_may_fill_the_text_table(self, monkeypatch):
         # With ``_COMPACT_AT`` 0, each compaction leaves room for one step's
@@ -562,7 +580,7 @@ class TestDecodeBatch:
 
         monkeypatch.setattr(decoder._Texts, "name", counted)
         monkeypatch.setattr(decoder, "_COMPACT_AT", 0)
-        got = decode_batch(matrices, alphabet, tree, 3)
+        got = decode_batch(matrices, alphabet, tree, width=3)
         assert steps[0] == (4 * 3, 0)  # named: one per survivor; rows left free: none
         assert _exact(got) == _exact([decode(m, alphabet, tree, width=3) for m in matrices])
 
@@ -577,7 +595,7 @@ class TestDecodeBatch:
         first = next(iter(frame_beams(m, alphabet, tree, width=2)))
         assert sorted(c[1] for c in first) == ["", " "]
         other = PosteriorMatrix([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5], [0.6, 0.2, 0.2]])
-        got = decode_batch([m, other, m], alphabet, tree, 2)
+        got = decode_batch([m, other, m], alphabet, tree, width=2)
         assert got[0] == got[2] == (" ", 0.3125)
         assert _exact(got) == _exact([decode(x, alphabet, tree, width=2) for x in (m, other, m)])
 
@@ -595,7 +613,7 @@ class TestDecodeBatch:
             return cut(dec, score, width, n, spell)
 
         monkeypatch.setattr(decoder, "_cut", spy)
-        return decode_batch(matrices, alphabet, tree, width), spelled
+        return decode_batch(matrices, alphabet, tree, width=width), spelled
 
     # Frame 0 keeps "", "a" and "b" (0.0, 0.5, 0.5), as width 3 cuts nothing.
     _tie_tree = (["a", "b", "ab", "ba", "abb", "baa", "bab"], {"a", "b"})
@@ -642,7 +660,7 @@ class TestDecodeBatch:
         matrices = [random_matrix(rng, t, 5) for t in (3, 4, 5, 6) * 10]
         last = list(frame_beams(matrices[0], alphabet, tree, width=10))[-1]
         assert sorted(c[1] for c in last) == ["", "a", "ab", "abc"]
-        got = decode_batch(matrices, alphabet, tree, 10)
+        got = decode_batch(matrices, alphabet, tree, width=10)
         assert {text for text, _ in got} == {"abcd"}
         assert _exact(got) == _exact([decode(m, alphabet, tree, width=10) for m in matrices])
 
@@ -667,11 +685,11 @@ class TestDecodeBatch:
 
         monkeypatch.setattr(decoder, "_run_batch", searched)
         with pytest.raises(error) as batched:
-            decode_batch(matrices, alphabet, tree, width)
+            decode_batch(matrices, alphabet, tree, width=width)
         assert str(batched.value) == str(scalar.value)
 
     def test_empty_batch(self):
-        assert decode_batch([], Alphabet("a"), PrefixTree(["a"], {"a"}), 3) == []
+        assert decode_batch([], Alphabet("a"), PrefixTree(["a"], {"a"}), width=3) == []
 
 
 class TestForwardOracle:

@@ -128,7 +128,6 @@ class TestReport:
         assert report.inv_accuracy == pytest.approx(50.0)
         assert report.oov_accuracy == pytest.approx(100.0)
         assert report.confusion_samples == [("bb", "xb", 1)]
-        assert (1, 100.0) in [(f, a) for f, a in report.per_frequency]
         table = format_report_table(report)
         kv = format_report_kv(report)
         assert "word_accuracy" in table

@@ -45,11 +45,11 @@ def test_each_member_decodes_each_distinct_word_once(monkeypatch):
     batches: list[int] = []
     decode_batch = trends.decode_batch
 
-    def counted(matrices, alphabet, tree, width):
+    def counted(matrices, alphabet, tree, *, width):
         batches.append(len(matrices))
         for m in matrices:
             calls[alphabet, m.probs.tobytes()] += 1  # one matrix per (member, lane, word)
-        return decode_batch(matrices, alphabet, tree, width)
+        return decode_batch(matrices, alphabet, tree, width=width)
 
     monkeypatch.setattr(trends, "decode_batch", counted)
     report = run_trend_experiment(cfg).format()
@@ -76,9 +76,9 @@ def test_both_lanes_share_one_tree_per_seed(monkeypatch):
         built.append(tree_class(*args))
         return built[-1]
 
-    def recorded(matrices, alphabet, tree, width):
+    def recorded(matrices, alphabet, tree, *, width):
         alphabets.setdefault(id(tree), set()).add(alphabet)
-        return decode_batch(matrices, alphabet, tree, width)
+        return decode_batch(matrices, alphabet, tree, width=width)
 
     monkeypatch.setattr(trends, "PrefixTree", counted_tree)
     monkeypatch.setattr(trends, "decode_batch", recorded)
