@@ -588,9 +588,11 @@ def _complete_batch(
     # completed node, so in-word candidates that complete to one text are
     # those with one (word-start id, completed node), as text ids belong to
     # one decode; their masses are summed in text order: two terms in either
-    # order, more in Python. A text outside a word ends in a non-word
-    # character or is empty, so it is no other candidate's completed text:
-    # each such candidate is a group of its own.
+    # order, more in Python. Their nodes lie on the path from the root to the
+    # completed word, so their texts are nested prefixes and text order is
+    # depth order, which is node order (ids are level order). A text outside
+    # a word ends in a non-word character or is empty, so it is no other
+    # candidate's completed text: each such candidate is a group of its own.
     # A candidate's word is the completion of its node, the smallest word
     # below it (the node itself at a word end); outside a word it is 0.
     node = cand[_NODE]
@@ -605,8 +607,7 @@ def _complete_batch(
     group_pb = np.add.reduceat(pb[order], heads)
     group_pnb = np.add.reduceat(pnb[order], heads)
     for g in np.flatnonzero(sizes > 2).tolist():
-        members = sorted(order[heads[g]:heads[g] + sizes[g]].tolist(),
-                         key=lambda q: texts.of(cand[:, q]))
+        members = sorted(order[heads[g]:heads[g] + sizes[g]].tolist(), key=lambda q: node[q])
         a, b = float(pb[members[0]]), float(pnb[members[0]])
         for q in members[1:]:
             a, b = a + float(pb[q]), b + float(pnb[q])

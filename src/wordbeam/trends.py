@@ -6,10 +6,11 @@ and measures word accuracy for best-path versus dictionary-constrained
 decoding, plain versus extra-separator coding, and growing ensemble
 sizes under plurality voting. The two coding lanes differ only in the
 recognizer's alphabet; they share one tree per seed. Each distinct
-(member, word) of a lane is emitted and decoded once, in batches of at
-most ``BATCH_DECODES`` jobs: a batched emission (``synth.emit_many``)
-and one word beam search call (``decoder.decode_batch``) each.
-Everything is seeded, so reports are byte-identical across runs.
+(member, word) of a lane is emitted and decoded once, shortest word
+first, in batches of at most ``BATCH_DECODES`` jobs: batched emissions
+(``synth.emit_many``) of at most a third of a batch each, and one word
+beam search call (``decoder.decode_batch``). Everything is seeded, so
+reports are byte-identical across runs.
 """
 
 from __future__ import annotations
@@ -128,10 +129,14 @@ def _make_dictionary(rng: random.Random, cfg: TrendConfig) -> list[str]:
 
 
 # The most decodes one batched search holds: a batch's matrices, arrays and
-# texts grow with it, and the gain levels off. On a 2-vCPU VM one default seed
-# (2,360 extra-separator decodes) peaks at about 33 MiB with batches of 100
-# and 66 MiB as one batch, which saves at most a tenth of its time.
-BATCH_DECODES = 100
+# texts grow with it, and the gain levels off. Emission holds about 18 KiB
+# of temporaries per job and the search about 13 KiB per decode, so a batch
+# is emitted at most a third at a time. On a 2-vCPU VM one default seed
+# (2,360 extra-separator decodes) peaks at 35.7 MiB with batches of 150,
+# 34.7 MiB with 100, 39.0 MiB with 300 and 65.4 MiB as one batch, which
+# took 0.46 s of CPU time against 0.50 s with batches of 150 (medians of
+# eight runs).
+BATCH_DECODES = 150
 
 
 def _decode_lane(
@@ -142,40 +147,45 @@ def _decode_lane(
     for ``words``, in list order, and the first member's best-path texts.
 
     The calls are pure and the list repeats words, so each distinct (member,
-    word) is emitted and decoded once. A batch of at most ``BATCH_DECODES``
-    jobs is emitted (``emit_many``) when it is next, and decoded by one
-    ``decode_batch`` call. The lane's first matrix is emitted alone, by
-    ``RecognizerSim.emit``, and its best path taken before any other job is
-    made, so the first matrix comes before any other work of the lane.
+    word) is emitted and decoded once. A word's frame count follows from its
+    length alone, so the jobs go shortest word first, each word by every
+    member: a batch spans one or two lengths, its search runs to its own
+    longest matrix, and its decodes end on few distinct frames. A batch of
+    at most ``BATCH_DECODES`` jobs is emitted when it is next, by
+    ``emit_many`` at most ``BATCH_DECODES // 3`` (at least one) at a time,
+    and decoded by one ``decode_batch`` call; each hypothesis is filed under
+    its (member, word). The lane's first matrix is emitted alone, by
+    ``RecognizerSim.emit``, and its best path taken before any other job or
+    recognizer copy is made, so the first matrix comes before any other work
+    of the lane.
     """
-    distinct = list(dict.fromkeys(words))
-    sims = (replace(member, alphabet=alphabet) for member in members)
-    jobs = ((k, sim, word) for k, sim in enumerate(sims) for word in distinct)
+    jobs = ((k, word) for word in sorted(dict.fromkeys(words), key=len)
+            for k in range(len(members)))
+    chunk = max(1, BATCH_DECODES // 3)
     best_path: dict[str, str] = {}
-    found: list[tuple[str, float]] = []
+    found: dict[tuple[int, str], Hypothesis] = {}
 
-    def take_best_paths(batch, matrices) -> None:
-        for (k, _, word), matrix in zip(batch, matrices):
+    def emitted(part: list[tuple[int, str]], matrices: list) -> list:
+        for (k, word), matrix in zip(part, matrices):
             if not k:
                 best_path[word] = decode_label(best_path_decode(matrix, alphabet)[0], alphabet)
+        return matrices
 
-    head = list(islice(jobs, 1))
-    matrices = [sim.emit(word) for _, sim, word in head]
-    take_best_paths(head, matrices)
+    batch = list(islice(jobs, 1))
+    matrices = emitted(batch, [replace(members[k], alphabet=alphabet).emit(word)
+                               for k, word in batch])
+    sims = [replace(member, alphabet=alphabet) for member in members]
     while True:
-        batch = list(islice(jobs, BATCH_DECODES - len(matrices)))
-        rest = emit_many([(sim, word) for _, sim, word in batch])
-        take_best_paths(batch, rest)
-        matrices += rest
-        if not matrices:
+        while part := list(islice(jobs, min(chunk, BATCH_DECODES - len(batch)))):
+            batch += part
+            matrices += emitted(part, emit_many([(sims[k], word) for k, word in part]))
+        if not batch:
             break
-        found += decode_batch(matrices, alphabet, tree, width=width)
-        matrices = []
-    hyps = []
-    for at in range(0, len(found), len(distinct)):
-        by_word = {word: Hypothesis(decode_label(text, alphabet), likelihood)
-                   for word, (text, likelihood) in zip(distinct, found[at:at + len(distinct)])}
-        hyps.append([by_word[word] for word in words])
+        for job, (text, likelihood) in zip(batch, decode_batch(matrices, alphabet, tree,
+                                                               width=width)):
+            found[job] = Hypothesis(decode_label(text, alphabet), likelihood)
+        batch, matrices = [], []
+    hyps = [[found[k, word] for word in words] for k in range(len(members))]
     return hyps, [best_path[word] for word in words]
 
 

@@ -664,6 +664,37 @@ class TestDecodeBatch:
         assert {text for text, _ in got} == {"abcd"}
         assert _exact(got) == _exact([decode(m, alphabet, tree, width=10) for m in matrices])
 
+    def test_a_group_sums_in_node_order_which_is_text_order(self, monkeypatch):
+        # Lines of several words over a trie of shared prefixes: groups of
+        # three or more candidates of one decode, after one word-start text,
+        # complete to one word. Completion sums each group in node order;
+        # the scalar search sums it in text order.
+        alphabet = Alphabet("abcd ")
+        tree = PrefixTree(["abcd", "abca", "abdd", "bcda", "bcdb", "cab", "d"], set("abcd"))
+        rng = np.random.default_rng(11)
+        matrices = [random_matrix(rng, t, 6) for t in range(4, 16) for _ in range(4)]
+        sizes = []
+        complete = decoder._complete_batch
+
+        def spy(cand, pb, pnb, scorer, tree, texts, found):
+            node = cand[decoder._NODE]
+            groups: dict = {}
+            for q in np.flatnonzero(node).tolist():
+                key = (int(cand[decoder._WST, q]), int(scorer.lexmin[node[q]]))
+                groups.setdefault(key, []).append(q)
+            for (start, _), group in groups.items():
+                if len(group) > 2:
+                    sizes.append((len(group), texts.text(start)))
+                    by_node = sorted(group, key=lambda q: node[q])
+                    assert by_node == sorted(group, key=lambda q: texts.of(cand[:, q]))
+            return complete(cand, pb, pnb, scorer, tree, texts, found)
+
+        monkeypatch.setattr(decoder, "_complete_batch", spy)
+        got = decode_batch(matrices, alphabet, tree, width=12)
+        assert max(sizes)[0] > 3
+        assert len({start for _, start in sizes}) > 3  # groups after several word-start texts
+        assert _exact(got) == _exact([decode(m, alphabet, tree, width=12) for m in matrices])
+
     @pytest.mark.parametrize("words, word_chars, symbols, width, classes, error", [
         (["ab"], "ab", "ab", 0, 3, InputValidationError),   # width below 1
         (["ab"], "ab", "ab", 5, 4, InputValidationError),   # a matrix of the wrong width

@@ -4,6 +4,8 @@ import hashlib
 import random
 from collections import Counter
 
+import pytest
+
 from wordbeam import trends
 from wordbeam.trends import SeedOutcome, TrendConfig, TrendReport, run_trend_experiment
 
@@ -124,4 +126,44 @@ def test_first_matrix_is_emitted_alone_and_best_path_decoded_first(monkeypatch):
     report = run_trend_experiment(_MEMO_CFG).format()
     assert events[:3] == ["emit", "best_path", "emit_many"]
     assert "emit_many" in events[events.index("emit", 1):]  # each lane batches its rest
+    assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
+
+
+def test_a_lane_decodes_its_batches_shortest_first(monkeypatch):
+    # A lane's jobs go by word length, so a batch's longest matrix is no
+    # longer than the next batch's shortest.
+    monkeypatch.setattr(trends, "BATCH_DECODES", 7)
+    lanes: dict = {}
+    decode_batch = trends.decode_batch
+
+    def recorded(matrices, alphabet, tree, *, width):
+        frames = [m.num_frames for m in matrices]
+        lanes.setdefault((id(tree), alphabet), []).append((min(frames), max(frames)))
+        return decode_batch(matrices, alphabet, tree, width=width)
+
+    monkeypatch.setattr(trends, "decode_batch", recorded)
+    report = run_trend_experiment(_MEMO_CFG).format()
+    assert len(lanes) == 2 * _MEMO_CFG.n_seeds
+    for spans in lanes.values():
+        assert len(spans) > 2
+        for (_, longest), (shortest, _) in zip(spans, spans[1:]):
+            assert longest <= shortest
+    assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
+
+
+@pytest.mark.parametrize("batch", [None, 7, 2])
+def test_emission_goes_a_third_of_a_batch_at_a_time(monkeypatch, batch):
+    if batch is not None:
+        monkeypatch.setattr(trends, "BATCH_DECODES", batch)
+    chunk = max(1, trends.BATCH_DECODES // 3)
+    sizes: list[int] = []
+    emit_many = trends.emit_many
+
+    def recorded(pairs):
+        sizes.append(len(pairs))
+        return emit_many(pairs)
+
+    monkeypatch.setattr(trends, "emit_many", recorded)
+    report = run_trend_experiment(_MEMO_CFG).format()
+    assert max(sizes) == chunk
     assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
