@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import decoder
 from .coding import choose_separator, decode_label
-from .ctc import Alphabet, PosteriorMatrix, best_path_decode
+from .ctc import Alphabet, PosteriorMatrix, best_path_batch
 from .ensemble import Hypothesis, vote, winning_group_size
 from .errors import (
     ConfigurationError,
@@ -42,8 +42,8 @@ EXIT_CONFIG = 3
 SYNTH_BATCH = 100
 # Matrices of one alphabet that ``decode`` and ``ensemble`` pass to one
 # ``decoder.decode_batch`` call; it bounds the matrices held. A batch may
-# span several read groups. In ``words`` mode larger batches cost fewer
-# numpy steps per matrix and hold more matrices at once (the curve is in
+# span several read groups. Larger batches cost fewer numpy steps per
+# matrix and hold more matrices at once (the ``words``-mode curve is in
 # CHANGES.md).
 DECODE_BATCH = 50
 # Matrix files, and bytes of them, read as one group; a larger file is a
@@ -227,18 +227,21 @@ def _alphabet_for(symbols: str, sep: str | None, path: str) -> Alphabet:
 # The benchmark's set-up clock stops at the first call of ``decode`` or
 # ``best_path_decode`` as this module looks them up, and leaves out the
 # time spent before it in ``read_matrix_file``, looked up the same way
-# (bench/README.md): matrix files are read only through that name.
+# (bench/README.md): matrix files are read only through that name. Both
+# decode a list of matrices of one alphabet.
 decode = decoder.decode_batch
+best_path_decode = best_path_batch
 
 
-def _read(paths: list) -> Iterator[tuple[str, PosteriorMatrix]]:
-    """``(symbols, matrix)`` of each matrix file, in file order.
+def _read(paths: list) -> Iterator[list[tuple[str, PosteriorMatrix]]]:
+    """``(symbols, matrix)`` of each matrix file, in file order, a list per
+    group read.
 
     Files are read (``read_matrix_file``) in groups of consecutive files:
     at most ``READ_FILES`` of them and ``READ_BYTES`` in all, a larger
-    file alone. A group that raises is read again file by file, each file
-    when the caller has set up the one before, so the first fault in file
-    order, of a read or of a set-up, is the one raised.
+    file alone. A group that raises is read again file by file, each file,
+    a list of its own, when the caller has set up the one before, so the
+    first fault in file order, of a read or of a set-up, is the one raised.
     """
     group: list = []
     size = 0
@@ -256,12 +259,12 @@ def _read(paths: list) -> Iterator[tuple[str, PosteriorMatrix]]:
         yield from _read_group(group)
 
 
-def _read_group(group: list) -> Iterable[tuple[str, PosteriorMatrix]]:
-    """``(symbols, matrix)`` of each file of one group."""
+def _read_group(group: list) -> Iterable[list[tuple[str, PosteriorMatrix]]]:
+    """``(symbols, matrix)`` of each file of one group: one list, or one per file."""
     try:
-        return read_matrix_file(group)
+        return [read_matrix_file(group)]
     except WordbeamError:
-        return (read_matrix_file([path])[0] for path in group)
+        return (read_matrix_file([path]) for path in group)
 
 
 class _DecodePipeline:
@@ -282,31 +285,41 @@ class _DecodePipeline:
 
         Files are read in groups (``_read``), and each file's alphabet is
         set up in file order, so the first fault in that order is the one
-        raised. Best path then decodes the file at once; a dictionary mode
-        collects each alphabet's matrices and decodes up to ``DECODE_BATCH``
-        at a time.
+        raised. Each alphabet's matrices are collected and decoded up to
+        ``DECODE_BATCH`` at a time; best path decodes them at the end of
+        each group read.
         """
         rows: list = [None] * len(paths)
         pending: dict[str, list[tuple[int, PosteriorMatrix]]] = {}
-        for i, (symbols, matrix) in enumerate(_read(paths)):
-            alphabet, tree, lm = self._setup(symbols, str(paths[i]))
+
+        def flush() -> None:
+            for symbols, group in pending.items():
+                self._decode(symbols, group, row, rows)
+            pending.clear()
+
+        i = 0
+        for read in _read(paths):
+            for symbols, matrix in read:
+                self._setup(symbols, str(paths[i]))
+                group = pending.setdefault(symbols, [])
+                group.append((i, matrix))
+                i += 1
+                if len(group) == DECODE_BATCH:
+                    self._decode(symbols, pending.pop(symbols), row, rows)
             if self.mode is None:
-                label, likelihood = best_path_decode(matrix, alphabet)
-                rows[i] = row(i, decode_label(label, alphabet), likelihood)
-                continue
-            group = pending.setdefault(symbols, [])
-            group.append((i, matrix))
-            if len(group) == DECODE_BATCH:
-                self._decode(symbols, pending.pop(symbols), row, rows)
-        for symbols, group in pending.items():
-            self._decode(symbols, group, row, rows)
+                flush()
+        flush()
         return rows
 
     def _decode(self, symbols: str, group: list[tuple[int, PosteriorMatrix]],
                 row: Callable[[int, str, float], object], rows: list) -> None:
         """Decode the matrices of one alphabet into their places in ``rows``."""
         alphabet, tree, lm = self._cache[symbols]
-        found = decode([m for _, m in group], alphabet, tree, lm, self.args.width, self.mode)
+        matrices = [m for _, m in group]
+        if self.mode is None:
+            found = best_path_decode(matrices, alphabet)
+        else:
+            found = decode(matrices, alphabet, tree, lm, self.args.width, self.mode)
         for (i, _), (label, likelihood) in zip(group, found):
             rows[i] = row(i, decode_label(label, alphabet), likelihood)
 

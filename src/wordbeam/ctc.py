@@ -187,6 +187,37 @@ def best_path_decode(m: PosteriorMatrix, alphabet: Alphabet) -> tuple[str, float
     return collapse(path, alphabet), math.prod(m.probs.max(axis=1).tolist())
 
 
+def best_path_batch(matrices: Sequence[PosteriorMatrix],
+                    alphabet: Alphabet) -> list[tuple[str, float]]:
+    """``[best_path_decode(m, alphabet) for m in matrices]``, bit for bit,
+    from one ``argmax`` and one ``max`` over the matrices' stacked rows.
+
+    A frame adds its column's symbol to its matrix's labeling when that is
+    not the blank and the frame is its matrix's first or differs from the
+    frame before it. Each likelihood is still the product of its rows'
+    maxima, multiplied in frame order.
+    """
+    if not matrices:
+        return []
+    for m in matrices:
+        _check_shape(m, alphabet)
+    probs = np.concatenate([m.probs for m in matrices]) if len(matrices) > 1 else matrices[0].probs
+    ends = np.cumsum([m.num_frames for m in matrices])
+    path = probs.argmax(axis=1)
+    emits = np.empty(len(path), bool)
+    emits[0] = True
+    np.not_equal(path[1:], path[:-1], out=emits[1:])
+    emits[ends[:-1]] = True  # each matrix's first frame
+    emits &= path != alphabet.blank_index
+    codes = np.frombuffer(alphabet.symbols.encode("utf-32-le", "surrogatepass"), np.uint32)
+    text = codes[path[emits]].tobytes().decode("utf-32-le", "surrogatepass")
+    cuts = [0, *np.cumsum(emits)[ends - 1].tolist()]  # where the labelings end in ``text``
+    rows = [0, *ends.tolist()]
+    peaks = probs.max(axis=1).tolist()
+    return [(text[cuts[i]:cuts[i + 1]], math.prod(peaks[rows[i]:rows[i + 1]]))
+            for i in range(len(matrices))]
+
+
 def _check_shape(m: PosteriorMatrix, alphabet: Alphabet) -> None:
     if m.num_classes != alphabet.num_classes:
         raise InputValidationError(

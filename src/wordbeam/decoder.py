@@ -53,22 +53,25 @@ best completed candidate.
 
 ``decode_batch`` is the one call for any number of matrices in any
 mode: it returns, bit for bit, what ``decode`` returns for each, and it
-alone chooses the engine. Two or more ``words``-mode matrices run as one
-batched search, in which every numpy step moves all live decodes one
-frame, over one array per field of all their survivors, with the same
-float operations in the same order (the arguments are in
-``_run_batch``). A step ranks its candidates first, as two arrays of
-their decodes and scores, and builds integer state only for the at most
-``width`` per decode that the cut keeps. Its per-step overhead makes a
-batch of one about 2.5 times slower than ``decode``, so a lone matrix,
-and every matrix of a language-model mode, is decoded by ``decode``. A
-batch's memory stays bounded: it copies the posteriors out a few dozen
-frames at a time, reads the trie through a few arrays by node, and its
-table of texts (arrays by text id, and a dense table of child ids by
-text and column) keeps only those a survivor can still reach, rebuilt at
-a size that no step between two compactions can outgrow. It completes
-its candidates by a gather from the ``words``-mode scorer's smallest-word
-array.
+alone chooses the engine. Two or more matrices run as one batched
+search, in which every numpy step moves all live decodes one frame, over
+one array per field of all their survivors, with the same float
+operations in the same order (the arguments are in ``_run_batch``). A
+step ranks its candidates first, as two arrays of their decodes and
+scores, and builds integer state only for the at most ``width`` per
+decode that the cut keeps. In a language-model mode the survivors carry
+``p_text`` and ``committed`` arrays too, and an extension's score is a
+gather from the scorer's word probabilities or forecasts. Its per-step
+overhead makes a batch of one about 2.5 times slower than ``decode``,
+so a lone matrix is decoded by ``decode``. A batch's memory stays
+bounded: it copies the posteriors out a few dozen frames at a time,
+reads the trie through a few arrays by node, and its table of texts
+(arrays by text id, and a dense table of child ids by text and column)
+keeps only those a survivor can still reach, growing as texts are named
+up to a size that no step between two compactions can outgrow. It
+completes its candidates by gathers from the scorer's arrays: the
+smallest word in ``words`` mode, the best completion's path in the
+others.
 """
 
 from __future__ import annotations
@@ -350,15 +353,15 @@ def decode_batch(
     """``[decode(m, alphabet, tree, lm, width, mode) for m in matrices]``, bit for bit.
 
     The arguments are checked as ``decode`` checks them, all before the
-    first frame. Two or more ``words``-mode matrices run as one batched
-    search; any other call decodes each matrix by ``decode``.
+    first frame. Two or more matrices run as one batched search; a lone
+    matrix is decoded by ``decode``.
     """
     if not matrices:
         return []
     scorer, nonword = _prepare(alphabet, tree, lm, width, mode, matrices[0])
     for m in matrices[1:]:
         _check_shape(m, alphabet)
-    if len(matrices) > 1 and not mode.uses_lm:
+    if len(matrices) > 1:
         return _run_batch(matrices, alphabet, width, scorer, tree, nonword)
     return [decode(m, alphabet, tree, lm, width, mode) for m in matrices]
 
@@ -382,19 +385,24 @@ def _run_batch(
     nonword: list[str],
 ) -> list[tuple[str, float]]:
     # The batch holds the survivors of every live decode, grouped by decode,
-    # one array per field, and performs ``_run_frames``' float operations in
-    # ``words`` mode, where ``p_text`` and ``committed`` are 1.0 and every
-    # product with them is the identity:
+    # one array per field, and performs ``_run_frames``' float operations.
+    # In ``words`` mode ``p_text`` and ``committed`` are 1.0, every product
+    # with them is the identity, and the batch carries neither:
     # - an extension's mass is ``(pb if c == last else tot) * row[c]``, and it
-    #   scores its mass;
+    #   scores ``p_ext * mass``: by a child, ``p_text`` (``ngrams``) or
+    #   ``committed`` times the child's forecast; by a non-word character,
+    #   ``committed`` times the word probability of the word it leaves, or
+    #   ``p_text`` outside a word, which is then its ``p_text`` and
+    #   ``committed`` both;
     # - a copy keeps ``p_blank = tot * blank`` and ``p_nonblank = pnb *
-    #   row[last] + merged mass``; the merge is an array join, as survivor
-    #   ``j`` takes the extension of the survivor whose text is ``j``'s parent
-    #   text by ``j``'s last character;
-    # - an extension strictly below the smallest copy lower bound of a decode
-    #   with ``width`` survivors (not on its last frame) is dropped before it
-    #   is a candidate: the first bound of ``_run_frames``' heap, so it drops
-    #   only what the cut drops;
+    #   row[last] + merged mass``, and scores ``p_text * (p_blank +
+    #   p_nonblank)``; the merge is an array join, as survivor ``j`` takes the
+    #   extension of the survivor whose text is ``j``'s parent text by ``j``'s
+    #   last character;
+    # - an extension strictly below the smallest copy lower bound ``p_text *
+    #   (p_blank + own repeat)`` of a decode with ``width`` survivors (not on
+    #   its last frame) is dropped before it is a candidate: the first bound
+    #   of ``_run_frames``' heap, so it drops only what the cut drops;
     # - the cut ranks on (decode, -score), over two arrays of the candidates,
     #   their decodes and scores; texts are spelled out and compared only in
     #   a decode whose ``width``-th and next scores tie, an extension's as its
@@ -413,18 +421,23 @@ def _run_batch(
     first, spans, col = _node_arrays(tree, alphabet, nonword)
     size = len(first)
     n = len(matrices)
+    uses_lm, uses_forecast = scorer.mode.uses_lm, scorer.mode.uses_forecast
+    word_prob = np.asarray(scorer.word_prob) if uses_lm else None
     texts = _Texts(alphabet.symbols, n, width)
     state = np.zeros((7, n), np.int32)
     state[_DEC] = state[_TID] = state[_WST] = np.arange(n)
     state[_LAST] = blank
     state[_PTID] = -1
-    pb, pnb = np.ones(n), np.zeros(n)
+    fields = [np.ones(n), np.zeros(n)]  # p_blank and p_nonblank
+    if uses_lm:
+        fields += [np.ones(n), np.ones(n)]  # p_text and committed
     found: list[tuple[str, float] | None] = [None] * n
     endings = set(last_frame.tolist())
     for t in range(int(lengths.max())):
         if t % _FRAMES == 0:
             probs, row0 = _frames(matrices, lengths, t)
         dec, node, last, tid = state[_DEC], state[_NODE], state[_LAST], state[_TID]
+        pb, pnb = fields[:2]
         s = len(dec)
         row = row0[dec] + t % _FRAMES * c
         tot = pb + pnb
@@ -465,28 +478,47 @@ def _run_batch(
         merged = start[i[j]] + state[_SLOT, j]
         p_nonblank = own.copy()
         p_nonblank[j] += mass[merged]
+        copy_score = p_blank + p_nonblank
+        low = p_blank + own  # a lower bound of each copy's score
+        ext_score = mass
+        if uses_lm:
+            p_text, committed = fields[2:]
+            copy_score *= p_text
+            low *= p_text
+            # Leaving a word commits its word probability; outside a word
+            # ``p_text`` is what is committed.
+            leave = np.where(node > 0, committed * word_prob.take(node), p_text)
+            per_run = np.empty(2 * s)
+            per_run[0::2] = committed if uses_forecast else p_text
+            per_run[1::2] = leave
+            p_ext = np.repeat(per_run, runs)
+            if uses_forecast:
+                kid = np.flatnonzero(ext < size)
+                p_ext[kid] *= scorer.forecasts(ext[kid])
+            ext_score = p_ext * mass
         # The cut's bound, per decode with ``width`` survivors before its last
         # frame; -1.0 keeps every extension.
         bound = np.full(n, np.inf)
-        np.minimum.at(bound, dec, p_blank + own)
+        np.minimum.at(bound, dec, low)
         bound[(np.bincount(dec, minlength=n) < width) | (last_frame <= t)] = -1.0
-        keep = mass >= np.repeat(bound[dec], count)
+        keep = ext_score >= np.repeat(bound[dec], count)
         keep[merged] = False
         # The candidates are the survivors' copies, 0 to s - 1, then the kept
         # extensions, s on; only their decodes and scores exist until the cut.
         x = np.flatnonzero(keep)
         xs = src[x]
         cand_dec = np.concatenate((dec, dec.take(xs)))
-        score = np.concatenate((p_blank + p_nonblank, mass[x]))
+        score = np.concatenate((copy_score, ext_score[x]))
+        copies = [p_blank, p_nonblank] + fields[2:]
 
-        def build(sel: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-            """State columns, p_blank and p_nonblank of candidates ``sel``."""
+        def build(sel: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+            """State columns and float fields of candidates ``sel``."""
             k = sel - s
             e = np.flatnonzero(k >= 0)  # the extensions among them
             k = k[e]
             of = sel.copy()  # each one's survivor
             of[e] = xs[k]
-            cols, cols_pb, cols_pnb = state[:, of], p_blank[of], p_nonblank[of]
+            cols, floats = state[:, of], [f[of] for f in copies]
             k = x[k]
             node = ext[k]
             leaves = node >= size  # a non-word character leaves the word
@@ -495,8 +527,11 @@ def _run_batch(
             cols[_TID, e] = -1
             cols[_SLOT, e] = k - start[of[e]]
             cols[_WST, e[leaves]] = -1
-            cols_pb[e], cols_pnb[e] = 0.0, mass[k]
-            return cols, cols_pb, cols_pnb
+            floats[0][e], floats[1][e] = 0.0, mass[k]
+            if uses_lm:
+                floats[2][e] = p_ext[k]
+                floats[3][e[leaves]] = leave[of[e[leaves]]]
+            return cols, floats
 
         pick = None
         if t in endings:
@@ -513,7 +548,7 @@ def _run_batch(
             return texts.text(int(tid[xs[i - s]])) + texts.symbols[e_col[x[i - s]]]
 
         sel = _cut(cand_dec, score, width, n, text_of)
-        state, pb, pnb = build(sel if pick is None else pick[sel])
+        state, fields = build(sel if pick is None else pick[sel])
         texts.name(state)
         if texts.count - texts.kept > _COMPACT_AT:
             texts.compact(state)
@@ -575,8 +610,7 @@ def _cut(
 
 def _complete_batch(
     cand: np.ndarray,
-    pb: np.ndarray,
-    pnb: np.ndarray,
+    fields: list[np.ndarray],
     scorer: TrieScorer,
     tree: PrefixTree,
     texts: _Texts,
@@ -590,13 +624,30 @@ def _complete_batch(
     # one decode; their masses are summed in text order: two terms in either
     # order, more in Python. Their nodes lie on the path from the root to the
     # completed word, so their texts are nested prefixes and text order is
-    # depth order, which is node order (ids are level order). A text outside
-    # a word ends in a non-word character or is empty, so it is no other
+    # depth order, which is node order (ids are level order); a group keeps
+    # the model score of its first member in that order. A text outside a
+    # word ends in a non-word character or is empty, so it is no other
     # candidate's completed text: each such candidate is a group of its own.
-    # A candidate's word is the completion of its node, the smallest word
-    # below it (the node itself at a word end); outside a word it is 0.
+    # A candidate's word is its node at a word end, else the completion of
+    # its node; outside a word it is 0. In a model mode a completed
+    # candidate's ``p_text`` is, as in ``complete_beams``, its ``p_text``
+    # times the word's probability (``ngrams``) or its ``committed`` times
+    # the remainder's (the forecast modes).
+    pb, pnb = fields[:2]
     node = cand[_NODE]
-    word = scorer.lexmin[node]
+    if scorer.lexmin is not None:
+        word = scorer.lexmin[node]
+    else:
+        p_text, committed = fields[2:]
+        inside = np.flatnonzero(np.frombuffer(tree._is_word, np.uint8).take(node) == 0)
+        inside = inside[node[inside] > 0]
+        word = node.copy()
+        word[inside], prob = scorer.completions_at(node[inside])
+        p_text = p_text.copy()
+        if scorer.mode.uses_forecast:
+            p_text[inside] = committed[inside] * prob
+        else:
+            p_text[inside] *= np.asarray(scorer.word_prob).take(word[inside])
     word[node == 0] = 0
     key = np.where(word != 0, cand[_WST].astype(np.int64) * len(tree._kids) + word,
                    -1 - np.arange(len(word)))
@@ -606,15 +657,22 @@ def _complete_batch(
     sizes = np.diff(np.r_[heads, len(key)])
     group_pb = np.add.reduceat(pb[order], heads)
     group_pnb = np.add.reduceat(pnb[order], heads)
+    # Each group's members in node order: a pair swaps, a larger group sorts.
+    pair = heads[sizes == 2]
+    pair = pair[node[order[pair]] > node[order[pair + 1]]]
+    order[pair], order[pair + 1] = order[pair + 1], order[pair]
     for g in np.flatnonzero(sizes > 2).tolist():
         members = sorted(order[heads[g]:heads[g] + sizes[g]].tolist(), key=lambda q: node[q])
+        order[heads[g]:heads[g] + sizes[g]] = members
         a, b = float(pb[members[0]]), float(pnb[members[0]])
         for q in members[1:]:
             a, b = a + float(pb[q]), b + float(pnb[q])
         group_pb[g], group_pnb[g] = a, b
     score = group_pb + group_pnb
-    # Each decode's best groups, then the smallest of their completed texts.
     first = order[heads]
+    if scorer.lexmin is None:
+        score *= p_text[first]
+    # Each decode's best groups, then the smallest of their completed texts.
     dec = cand[_DEC, first]
     best = np.full(len(found), -1.0)
     np.maximum.at(best, dec, score)
@@ -674,26 +732,41 @@ class _Texts:
     pair (-1 for none), so a step names its new texts with one gather and
     one scatter. ``compact`` forgets the texts that are no longer live,
     which no candidate can name again, renumbers the rest and rebuilds the
-    arrays for them, with room for every text named before the next
-    compaction: at most ``_COMPACT_AT`` (0 if negative) plus one step's,
-    and a step names at most one text per survivor, ``n * width``.
+    arrays for them. The arrays start with room for one step's new texts,
+    at most one per survivor, ``n * width``, and double as texts are named,
+    up to the most that can be named before the next compaction:
+    ``_COMPACT_AT`` (0 if negative) plus one step's.
     """
 
     def __init__(self, symbols: str, n: int, width: int) -> None:
         self.symbols = symbols
-        self.room = max(_COMPACT_AT, 0) + n * width
+        self.step = n * width
+        self.room = max(_COMPACT_AT, 0) + self.step
         self._hold(np.full(n, -1, np.int32), np.zeros(n, np.int32))
 
     def _hold(self, parent: np.ndarray, col: np.ndarray) -> None:
-        """Make the texts ``parent``/``col`` ids 0 on, with ``room`` ids free after them."""
+        """Make the texts ``parent``/``col`` ids 0 on, with one step's ids free after them."""
         self.count = self.kept = kept = len(parent)  # texts named; at the last compaction
         self.child = None  # free the old table before building the new one
-        self.parent = np.empty(kept + self.room, np.int32)
-        self.col = np.empty(kept + self.room, np.int32)
+        self.parent = np.empty(kept + self.step, np.int32)
+        self.col = np.empty(kept + self.step, np.int32)
         self.parent[:kept], self.col[:kept] = parent, col
-        self.child = np.full((kept + self.room, len(self.symbols)), -1, np.int32)
+        self.child = np.full((kept + self.step, len(self.symbols)), -1, np.int32)
         named = np.flatnonzero(parent >= 0)
         self.child[parent[named], col[named]] = named
+
+    def _grow(self, count: int) -> None:
+        """Room for ids below ``count``: the arrays double, up to the most
+        that can be named before the next compaction. They grow in place
+        (``realloc``), so the table is never held twice: no view of them
+        outlives a method of this class, which ``refcheck`` cannot see
+        under a profiler."""
+        before = len(self.parent)
+        size = min(max(count, 2 * before), self.kept + self.room)
+        self.parent.resize(size, refcheck=False)
+        self.col.resize(size, refcheck=False)
+        self.child.resize((size, len(self.symbols)), refcheck=False)
+        self.child[before:] = -1
 
     def name(self, cand: np.ndarray) -> None:
         """Give ids to the candidates that have none (and word-start ids outside a word).
@@ -706,6 +779,8 @@ class _Texts:
         ids = self.child[parent, col]
         unseen = np.flatnonzero(ids < 0)
         count = self.count + len(unseen)
+        if count > len(self.parent):
+            self._grow(count)
         fresh = np.arange(self.count, count, dtype=np.int32)
         ids[unseen] = fresh
         parent, col = parent[unseen], col[unseen]

@@ -284,20 +284,27 @@ class TrieScorer:
     - ``exact[n]``, in the forecast modes: the exact forecast
       ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``;
     - ``counts[n]``, in the sampling mode: the number of words at or
-      below ``n``, by which a sampled forecast walks straight to the
-      completions it draws;
+      below ``n``, from which a sampled forecast ranks the completions it
+      draws and walks straight to them (``_word_keys``);
     - ``lexmin[n]``, in ``words`` mode: the node of the smallest word
       below ``n``, which is its best completion there.
 
     A table its mode does not read is ``None``.
 
-    Two things stay lazy, filled per node the first time the search asks:
-    the sampled forecast, a seeded draw from the node's prefix, and the
-    best completion in the model modes, a search from the node (products
-    taken from a node down are not associative, so no bottom-up pass
-    reproduces ``remainder_probability``'s left-to-right ones). Both
-    multiply ``step`` and ``end`` factors in that order and spell the
-    node's prefix out with ``PrefixTree._prefix``; neither reads the model.
+    The model modes build one more array when a completion first asks for
+    it, not before, so that a command's set-up does not pay for it
+    (``_best_completions``): ``via[n]``, the first node on the way from
+    ``n`` down to the word whose completion of ``n``'s prefix has the
+    largest ``remainder_probability``, ties to the smallest word; ``n``
+    itself where that is its own word. A completion follows ``via`` to its
+    word, multiplying the ``step`` factors on the way and the word's
+    ``end`` from the left, as the model does, so its probability is
+    ``remainder_probability``'s bit for bit. Where rounding leaves the pick
+    in doubt, ``via[n]`` is -1 and ``complete`` settles the node by a
+    search from it (``_search``), memoised. The sampled forecast stays lazy
+    too, a seeded draw from the node's prefix, filled per node the first
+    time the search asks; the batched search draws the nodes a step asks
+    for together (``forecasts``). Neither reads the model.
     """
 
     def __init__(self, tree: PrefixTree, lm: NgramModel | None = None,
@@ -306,8 +313,10 @@ class TrieScorer:
             raise InputValidationError(f"scoring mode {mode.kind!r} requires a language model")
         self.tree, self.mode = tree, mode
         self._sampled: dict = {}
-        self._best: dict = {}
+        self._keys = None
+        self._searched: dict = {}
         self.lexmin = self.step = self.end = self.word_prob = self.exact = self.counts = None
+        self.via = None
         if mode.uses_lm:
             self.step, self.end, self.word_prob, self.exact, self.counts = _model_tables(
                 tree, lm, mode)
@@ -324,61 +333,116 @@ class TrieScorer:
         unless the sample would cover every completion."""
         if self.counts is None or self.counts[node] <= self.mode.sample_size:
             return self.exact[node]
-        f = self._sampled.get(node)
-        if f is None:
-            prefix = self.tree._prefix(node)
-            n, k = self.counts[node], self.mode.sample_size
-            # ``sample`` picks indices from the length alone, so drawing from
-            # ``range(n)`` chooses the same completions, in the same order, as
-            # drawing from the lexicographic list of them.
-            chosen = random.Random(f"forecast|{self.mode.seed}|{prefix}").sample(range(n), k)
-            f = self._sampled[node] = sum(self._nth_probability(node, i) for i in chosen) * (n / k)
+        if node not in self._sampled:
+            self._draw([node])
+        return self._sampled[node]
+
+    def forecasts(self, nodes: np.ndarray) -> np.ndarray:
+        """``forecast`` at each of ``nodes``, an array; the sampled forecasts
+        not yet drawn are drawn together, once per distinct node."""
+        f = np.take(self.exact, nodes)
+        if self.counts is not None:
+            drawn = np.flatnonzero(np.take(self.counts, nodes) > self.mode.sample_size)
+            if drawn.size:
+                distinct, at = np.unique(nodes[drawn], return_inverse=True)
+                distinct = distinct.tolist()
+                self._draw([v for v in distinct if v not in self._sampled])
+                f[drawn] = np.array([self._sampled[v] for v in distinct])[at]
         return f
 
-    def _nth_probability(self, node: int, i: int) -> float:
-        """``remainder_probability`` of the ``i``-th completion below ``node``,
-        in lexicographic order."""
-        p = 1.0
-        while True:
-            if self.tree._is_word[node]:
-                if i == 0:
-                    return p * self.end[node]
-                i -= 1
-            for child, _ in self.tree._children(node):
-                n = self.counts[child]
-                if i < n:
-                    p *= self.step[child]
-                    node = child
-                    break
-                i -= n
+    def _draw(self, nodes: list[int]) -> None:
+        """Fill the sampled forecasts of ``nodes``: at each, the sum, in draw
+        order, of the ``remainder_probability`` of a seeded sample of its
+        completions, times (total / sampled)."""
+        if not nodes:
+            return
+        k, counts = self.mode.sample_size, self.counts
+        # ``sample`` picks indices from the length alone, so drawing from
+        # ``range(n)`` chooses the same completions, in the same order, as
+        # drawing from the lexicographic list of them.
+        chosen = [random.Random(f"forecast|{self.mode.seed}|{self.tree._prefix(v)}")
+                  .sample(range(counts[v]), k) for v in nodes]
+        p = self._nth_probabilities(np.repeat(nodes, k), np.array(chosen).ravel())
+        for v, row in zip(nodes, p.reshape(-1, k).tolist()):
+            self._sampled[v] = sum(row) * (counts[v] / k)
+
+    def _nth_probabilities(self, node: np.ndarray, i: np.ndarray) -> np.ndarray:
+        """``remainder_probability`` of the ``i``-th completion below each
+        ``node``, in lexicographic order: walks down to it, all in step,
+        each taking the child whose words hold that rank (``_word_keys``)."""
+        if self._keys is None:
+            self._keys = _word_keys(self.tree, self.counts)
+        keys, span = self._keys, self.counts[0] + 1
+        is_word = np.frombuffer(self.tree._is_word, np.uint8)
+        target = keys.take(node) % span + i  # the rank of the word sought
+        cur, p, out = node.copy(), np.ones(len(node)), np.empty(len(node))
+        go = np.arange(len(node))
+        while go.size:
+            key = keys.take(cur[go])
+            here = (is_word.take(cur[go]) == 1) & (key % span == target[go])
+            out[go[here]] = p[go[here]] * np.take(self.end, cur[go[here]])
+            go, key = go[~here], key[~here]
+            child = keys.searchsorted((key // span + 1) * span + target[go], "right") - 1
+            cur[go] = child
+            p[go] *= np.take(self.step, child)
+        return out
+
+    def completions_at(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``complete``'s word nodes and probabilities at ``nodes``, an array,
+        in a model mode: each walk follows ``via``, all in step."""
+        via, step = np.asarray(self._via()), np.asarray(self.step)
+        word, p = nodes.copy(), np.ones(len(nodes))
+        first = via.take(nodes)
+        go = np.flatnonzero((first != nodes) & (first >= 0))
+        while go.size:
+            nxt = via.take(word[go])
+            word[go] = nxt
+            p[go] *= step.take(nxt)
+            go = go[via.take(nxt) != nxt]
+        p *= np.take(self.end, word)
+        for i in np.flatnonzero(first < 0).tolist():
+            _, word[i], p[i] = self.complete(int(nodes[i]))
+        return word, p
 
     def complete(self, node: int) -> tuple[str, int, float]:
         """(remainder, word node, remainder probability) of the completion of
         the live prefix at ``node`` with the largest ``remainder_probability``,
         ties to the smallest word (without a model, every probability is 1)."""
-        best = self._best.get(node)
-        if best is None:
-            prefix = self.tree._prefix(node)
-            if self.lexmin is None:
-                best = self._search(node, prefix)
-            else:
-                word = int(self.lexmin[node])
-                best = (self.tree._prefix(word)[len(prefix):], word, 1.0)
-            self._best[node] = best
-        return best
+        if self.lexmin is not None:
+            word, p = int(self.lexmin[node]), 1.0
+        else:
+            via, step = self._via(), self.step
+            word, nxt, p = node, via[node], 1.0
+            if nxt < 0:
+                best = self._searched.get(node)
+                if best is None:
+                    best = self._searched[node] = self._search(node)
+                return best
+            while nxt != word:
+                word = nxt
+                p *= step[word]
+                nxt = via[word]
+            p *= self.end[word]
+        return self.tree._prefix(word, node), word, p
 
-    def _search(self, node: int, prefix: str) -> tuple[str, int, float]:
+    def _via(self) -> memoryview:
+        """The ``via`` array of a model mode, built on the first call."""
+        if self.via is None:
+            self.via = _best_completions(self.tree, self.step, self.end)
+        return self.via
+
+    def _search(self, node: int) -> tuple[str, int, float]:
         # Uniform-cost search: every factor is at most 1, so the first word end
         # popped beats all unexplored completions. Products run left to right,
         # bit-identical to ``remainder_probability``, and only prefixes at
         # least as probable as the answer are visited.
         step, end = self.step, self.end
         is_word, children = self.tree._is_word, self.tree._children
-        heap = [(-1.0, prefix, False, node)]
+        heap = [(-1.0, "", False, node)]
         while True:
             neg_p, text, at_end, cur = heapq.heappop(heap)
             if at_end:
-                return text[len(prefix):], cur, -neg_p
+                return text, cur, -neg_p
             if is_word[cur]:
                 heapq.heappush(heap, (neg_p * end[cur], text, True, cur))
             for child, c in children(cur):
@@ -424,9 +488,7 @@ def _model_tables(tree: PrefixTree, lm: NgramModel, mode: ScoringMode) -> tuple:
     """
     first = np.frombuffer(tree._first, np.intc)
     n = len(first)
-    levels = [0, 1]  # a level's first node; the next level starts at its first child
-    while levels[-1] < n:
-        levels.append(first[levels[-1]])
+    levels = _levels(first)
     kids = np.diff(first, append=n)
     parent = np.zeros(n, np.intc)  # the root's is itself
     for lo, hi, nxt in zip(levels, levels[1:], levels[2:]):
@@ -455,6 +517,116 @@ def _model_tables(tree: PrefixTree, lm: NgramModel, mode: ScoringMode) -> tuple:
         count = is_word.astype(np.int64)
         _subtree_sums(parent, levels, count)
     return tuple(None if t is None else memoryview(t) for t in (step, end, word, exact, count))
+
+
+def _levels(first: np.ndarray) -> list[int]:
+    """Each level's first node id, then the number of nodes: a level starts
+    at the first child of the level above's first node."""
+    levels = [0, 1]
+    while levels[-1] < len(first):
+        levels.append(int(first[levels[-1]]))
+    return levels
+
+
+# Nodes of one level that ``_best_completions`` takes at a time, which bounds
+# its temporaries.
+_PARENTS = 1 << 12
+# The least best product ``_best_completions`` certifies by rounding bounds
+# (a lone completion needs none): a product of factors at most 1 that ends
+# there has kept every partial product normal.
+_NORMAL = 2.0 ** -1000
+
+
+def _best_completions(tree: PrefixTree, step, end) -> memoryview:
+    """``via`` by node (see ``TrieScorer``), as a memoryview like
+    ``_model_tables``' arrays.
+
+    A completion of node ``n`` to word ``w`` has the probability of the
+    ``step`` factors of the nodes below ``n`` down to ``w``, then ``end[w]``,
+    multiplied from the left as ``remainder_probability`` multiplies. Level
+    by level from the deepest, each node keeps the best and the runner-up of
+    its completions' products taken from the right: its own word's ``end``,
+    and each child's two, times the child's ``step``. Rounding is monotone,
+    so these are the two best products from the right. Ties go to the
+    smallest word: the node's own, then the children's in code-point order.
+
+    The two orders of a product of ``f`` factors round ``f - 1`` times each,
+    so both lie within a factor ``1 ± (f - 1) * 2**-53`` (to first order)
+    of the exact product. A node is certain where it has one completion, or
+    where its best is at least ``_NORMAL`` and its runner-up falls short of
+    it by more than ``(f + 1) * 2**-50``, ``f`` the factors of its longest
+    completion: then the best from the right is the best from the left too,
+    strictly. The gap grows by ``2**-50`` a level up, more than one product
+    can close, so the ``via`` chain of a certain node meets only certain
+    nodes. An uncertain node's ``via`` is -1.
+
+    Besides ``via``, the passes hold a level's arrays and its children's at
+    a time.
+    """
+    first = np.frombuffer(tree._first, np.intc)
+    levels = _levels(first)
+    is_word = np.frombuffer(tree._is_word, np.uint8).view(bool)
+    step, end = np.asarray(step), np.asarray(end)
+    via = np.empty(len(first), np.intc)
+    deepest = len(levels) - 2
+    top = bot = None  # the best and runner-up products of the level below
+    for d in range(deepest, -1, -1):
+        lo, hi = levels[d], levels[d + 1]
+        best = np.where(is_word[lo:hi], end[lo:hi], -np.inf)  # -inf: none, whatever scales it
+        run = np.full(hi - lo, -np.inf)
+        via[lo:hi] = np.arange(lo, hi, dtype=np.intc)
+        parents = hi if d < deepest else lo  # the deepest level's have no children
+        # Nodes ``a`` to ``b`` at a time, and their children ``first[a]`` to ``first[b]``.
+        for a in range(lo, parents, _PARENTS):
+            b = min(a + _PARENTS, hi)
+            c0, c1 = first[a] - hi, first[b] - hi
+            products, factor = top[c0:c1], step[hi + c0:hi + c1]
+            products *= factor
+            kids = np.diff(first[a:b + 1])
+            has = np.flatnonzero(kids)
+            starts = first[a:b][has] - (hi + c0)
+            m = np.maximum.reduceat(products, starts)
+            k = np.flatnonzero(products == np.repeat(m, kids[has]))  # children that reach it
+            if len(k) > len(m):  # ties: the first child of each node
+                k = k[np.r_[True, np.diff(np.searchsorted(starts, k, "right")) > 0]]
+            second = factor[k] * bot[c0 + k]
+            products[k] = -np.inf
+            np.maximum(second, np.maximum.reduceat(products, starts), out=second)
+            has += a - lo
+            own = best[has]
+            mine = own >= m
+            best[has] = np.where(mine, own, m)
+            run[has] = np.where(mine, m, np.maximum(own, second))
+            child = ~mine
+            via[lo + has[child]] = k[child] + (hi + c0)
+        top = bot = None  # freed before the test's temporaries
+        gap = (deepest - d + 2) * 2.0 ** -50
+        via[lo:hi][(run >= 0) & ((best < _NORMAL) | (run >= best * (1 - gap)))] = -1
+        top, bot = best, run
+    return memoryview(via)
+
+
+def _word_keys(tree: PrefixTree, counts) -> np.ndarray:
+    """Per node, ``depth * (words + 1) + rank``: its depth, and the number of
+    words that sort before every word at or below it. A node's own word is
+    the smallest there; its children's words follow in child order. A
+    level's nodes come in text order and ids are level order, so the keys
+    ascend with the ids, and the child at or above rank ``r`` at depth
+    ``d`` is the last node whose key is at most ``d * (words + 1) + r``."""
+    first = np.frombuffer(tree._first, np.intc)
+    levels = _levels(first)
+    is_word = np.frombuffer(tree._is_word, np.uint8)
+    counts = np.asarray(counts)
+    span = int(counts[0]) + 1
+    keys = np.zeros(len(first), np.int64)
+    for d, (lo, hi, below) in enumerate(zip(levels, levels[1:], levels[2:])):
+        kids = np.diff(first[lo:hi + 1])
+        has = np.flatnonzero(kids)
+        before = np.cumsum(counts[hi:below]) - counts[hi:below]  # words of earlier children
+        before -= np.repeat(before[first[lo:hi][has] - hi], kids[has])  # ... of the same node
+        before += np.repeat((keys[lo:hi] % span + is_word[lo:hi])[has], kids[has])
+        keys[hi:below] = (d + 1) * span + before
+    return keys
 
 
 def _ancestor_digits(sym: np.ndarray, parent: np.ndarray, places: int) -> Iterator[np.ndarray]:

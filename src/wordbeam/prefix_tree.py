@@ -51,15 +51,16 @@ class PrefixTree:
         """``(child id, character)`` pairs of ``node``, in code-point order."""
         return enumerate(self._kids[node], self._first[node])
 
-    def _prefix(self, node: int) -> str:
-        """The characters on the path from the root to ``node``.
+    def _prefix(self, node: int, top: int = 0) -> str:
+        """The characters on the path from ``top``, the root unless given, down
+        to ``node``, which must lie below it.
 
         Ids ascend with ``_first``, so a node's parent is the last node whose
         first child is at or before it.
         """
         first, own = self._first, self._chars
         chars = []
-        while node:
+        while node != top:
             chars.append(own[node - 1])
             node = bisect_right(first, node) - 1
         return "".join(reversed(chars))

@@ -709,6 +709,80 @@ class TestWordsModeBatches:
             "which is not a word character of the matrix alphabet 'ab'\n")
 
 
+class TestBestPathGroups:
+    """Best path decodes the matrices of each group read, an alphabet at a
+    time, with the bytes of one ``ctc.best_path_decode`` per file."""
+
+    @staticmethod
+    def _per_file_lines(paths, scheme="plain"):
+        from wordbeam import best_path_decode
+        from wordbeam.coding import decode_label
+
+        lines = []
+        for path in paths:
+            [(symbols, m)] = read_matrix_file([path])
+            alphabet = Alphabet(symbols) if scheme == "plain" else Alphabet(symbols[:-1], "|")
+            label, likelihood = best_path_decode(m, alphabet)
+            lines.append(f"{path}\t{decode_label(label, alphabet)}\t{likelihood!r}")
+        return lines
+
+    @pytest.fixture
+    def group_spy(self, monkeypatch):
+        """The alphabets and sizes of the CLI's ``best_path_decode`` calls, with
+        three files to a read group."""
+        calls = []
+        decode = cli.best_path_decode
+
+        def spy(matrices, alphabet):
+            calls.append((alphabet.symbols, len(matrices)))
+            return decode(matrices, alphabet)
+
+        monkeypatch.setattr(cli, "best_path_decode", spy)
+        monkeypatch.setattr(cli, "READ_FILES", 3)
+        return calls
+
+    def _files(self, tmp_path, alphabets, seed):
+        rng = np.random.default_rng(seed)
+        paths = []
+        for i, symbols in enumerate(alphabets):
+            path = tmp_path / f"m{i}.mat"
+            c = len(symbols) + 1
+            # Rows of few levels tie, and a file of one frame is a labeling of one frame.
+            arr = rng.integers(1, 3, (1 + 4 * i % 9, c)).astype(float)
+            write_matrix_file(path, PosteriorMatrix(arr / arr.sum(axis=1, keepdims=True)), symbols)
+            paths.append(str(path))
+        return paths
+
+    @pytest.mark.parametrize("scheme", ["plain", "extrasep"])
+    def test_groups_of_mixed_alphabets_match_per_file_decodes(self, tmp_path, capsys,
+                                                              group_spy, scheme):
+        alphabets = ["ab|", "abc|", "ab|", "b\U0001d11e|", "abc|", "ab|", "ab|", "abc|"]
+        paths = self._files(tmp_path, alphabets, 31)
+        assert main(["decode", *paths, "--mode", "bestpath", "--scheme", scheme]) == EXIT_OK
+        assert capsys.readouterr().out == "\n".join(self._per_file_lines(paths, scheme)) + "\n"
+        # Groups of three files, each decoded an alphabet at a time, in order of first file.
+        assert group_spy == [("ab|", 2), ("abc|", 1), ("b\U0001d11e|", 1), ("abc|", 1),
+                             ("ab|", 1), ("ab|", 1), ("abc|", 1)]
+
+    def test_the_file_by_file_parse_matches_per_file_decodes(self, tmp_path, capsys,
+                                                             monkeypatch, group_spy):
+        # A field that only float() reads sends the second group down the
+        # file-by-file parse, so its matrices are no views of one stack.
+        paths = self._files(tmp_path, ["ab", "ab", "abc", "ab", "ab", "abc", "ab"], 32)
+        text = Path(paths[4]).read_text(encoding="utf-8").split("\n")
+        text[2] = text[2].replace("0.", "0_0.", 1)
+        assert "0_0." in text[2]
+        Path(paths[4]).write_text("\n".join(text), encoding="utf-8")
+        parsed = []
+        parse = files.parse_matrix
+        monkeypatch.setattr(files, "parse_matrix", lambda text, path: parsed.append(path)
+                            or parse(text, path))
+        assert main(["decode", *paths, "--mode", "bestpath"]) == EXIT_OK
+        assert parsed == paths[3:6]
+        assert capsys.readouterr().out == "\n".join(self._per_file_lines(paths)) + "\n"
+        assert group_spy == [("ab", 2), ("abc", 1), ("ab", 2), ("abc", 1), ("ab", 1)]
+
+
 class TestGroupedReads:
     """``decode`` and ``ensemble`` read matrix files in groups, and report the
     first fault in file order, whether a read or a set-up."""

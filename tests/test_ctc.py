@@ -13,7 +13,7 @@ from wordbeam import (
     best_path_decode,
     collapse,
 )
-from wordbeam.ctc import posterior_matrices
+from wordbeam.ctc import best_path_batch, posterior_matrices
 
 from _support import (
     CapacityError,
@@ -218,6 +218,31 @@ class TestBestPath:
         ref_label, ref_likelihood = reference_best_path(m, alphabet)
         assert label == ref_label
         assert likelihood.hex() == ref_likelihood.hex()
+
+
+class TestBestPathBatch:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(symbols=st.lists(st.sampled_from("ab|é\U0001d11e"), min_size=1, max_size=5,
+                            unique=True),
+           data=st.data())
+    def test_equals_each_matrix_decoded_alone(self, symbols, data):
+        # Quantised rows tie often and repeat columns across the boundary of
+        # two matrices, which must not merge their labelings.
+        alphabet = Alphabet("".join(symbols))
+        c = alphabet.num_classes
+        rows = st.lists(st.integers(0, 2), min_size=c, max_size=c).filter(any)
+        matrices = [PosteriorMatrix([[w / sum(row) for w in row] for row in weights])
+                    for weights in data.draw(st.lists(st.lists(rows, min_size=1, max_size=12),
+                                                      min_size=1, max_size=6))]
+        got = best_path_batch(matrices, alphabet)
+        want = [best_path_decode(m, alphabet) for m in matrices]
+        assert [(label, p.hex()) for label, p in got] == [(label, p.hex()) for label, p in want]
+
+    def test_empty_and_mismatched(self):
+        assert best_path_batch([], AB) == []
+        good, bad = PosteriorMatrix([[0.5, 0.2, 0.3]]), PosteriorMatrix([[0.5, 0.5]])
+        with pytest.raises(InputValidationError):
+            best_path_batch([good, bad], AB)
 
 
 class TestLabelingProbability:

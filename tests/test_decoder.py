@@ -22,7 +22,7 @@ from wordbeam import (
     decode,
     forecast_sample,
 )
-from wordbeam import decoder
+from wordbeam import decoder, language_model
 from wordbeam.decoder import complete_beams, decode_batch, frame_beams
 
 from _support import (
@@ -309,13 +309,22 @@ class TestSharedScorer:
     def test_second_decode_reads_only_tables(self, monkeypatch):
         alphabet, words, tree, lm, matrices = self._setup()
         calls = self._count_model_calls(monkeypatch)
+        built = []
+        build = language_model._best_completions
+        monkeypatch.setattr(language_model, "_best_completions",
+                            lambda *args: built.append(args) or build(*args))
         for mode in self.MODES[1:]:
-            first = decode(matrices[0], alphabet, tree, lm, 8, mode)
-            scorer = tree._scorers[lm, mode]
-            memo = dict(scorer._best), dict(scorer._sampled)
-            assert any(memo), mode  # the first decode filled lazy entries
-            assert decode(matrices[0], alphabet, tree, lm, 8, mode) == first
-            assert (scorer._best, scorer._sampled) == memo, mode
+            for engine in (lambda m: [decode(m, alphabet, tree, lm, 8, mode)],
+                           lambda m: decode_batch([m, m], alphabet, tree, lm, 8, mode)):
+                first = engine(matrices[0])
+                scorer = tree._scorers[lm, mode]
+                via = scorer.via
+                assert via is not None, mode  # the first completion built it
+                memo = dict(scorer._searched), dict(scorer._sampled)
+                assert engine(matrices[0]) == first
+                assert scorer.via is via
+                assert (scorer._searched, scorer._sampled) == memo, mode
+            assert len(built) == len(tree._scorers)  # once per scorer
         assert calls == []  # the lazy entries, too, are products of table entries
 
     def test_equal_modes_share_one_set_of_tables(self, monkeypatch):
@@ -676,7 +685,7 @@ class TestDecodeBatch:
         sizes = []
         complete = decoder._complete_batch
 
-        def spy(cand, pb, pnb, scorer, tree, texts, found):
+        def spy(cand, fields, scorer, tree, texts, found):
             node = cand[decoder._NODE]
             groups: dict = {}
             for q in np.flatnonzero(node).tolist():
@@ -687,7 +696,7 @@ class TestDecodeBatch:
                     sizes.append((len(group), texts.text(start)))
                     by_node = sorted(group, key=lambda q: node[q])
                     assert by_node == sorted(group, key=lambda q: texts.of(cand[:, q]))
-            return complete(cand, pb, pnb, scorer, tree, texts, found)
+            return complete(cand, fields, scorer, tree, texts, found)
 
         monkeypatch.setattr(decoder, "_complete_batch", spy)
         got = decode_batch(matrices, alphabet, tree, width=12)
@@ -718,6 +727,35 @@ class TestDecodeBatch:
         with pytest.raises(error) as batched:
             decode_batch(matrices, alphabet, tree, width=width)
         assert str(batched.value) == str(scalar.value)
+
+    def test_every_mode_batches_two_or_more_matrices(self, monkeypatch):
+        # Two or more matrices of any mode run as one batched search; a lone
+        # matrix is decoded by ``decode``. At order 1 "cab" and "cba" tie from
+        # "c", which completion settles by a search.
+        alphabet = _coded("plain+space")
+        words = ["abd", "cab", "cba", "a", "dab", "bcd"]
+        tree = PrefixTree(words, set(WORD_CHARS))
+        lm = NgramModel.train(words, order=1)
+        rng = np.random.default_rng(12)
+        matrices = [_matrix("random", rng, t, alphabet.num_classes) for t in (5, 9, 7)]
+        batched = []
+        run = decoder._run_batch
+
+        def spy(matrices, alphabet, width, scorer, tree, nonword):
+            batched.append((scorer.mode, len(matrices)))
+            return run(matrices, alphabet, width, scorer, tree, nonword)
+
+        monkeypatch.setattr(decoder, "_run_batch", spy)
+        modes = [WORDS, NGRAMS, NGRAMS_FORECAST, forecast_sample(2, 3)]
+        for mode in modes:
+            for k in (1, 2, 3):
+                want = [decode(m, alphabet, tree, lm, 6, mode) for m in matrices[:k]]
+                got = decode_batch(matrices[:k], alphabet, tree, lm, 6, mode)
+                assert _exact(got) == _exact(want)
+        assert batched == [(mode, k) for mode in modes for k in (2, 3)]
+        c = tree._first[0] + tree._kids[0].index("c")
+        for mode in modes[1:]:
+            assert list(decoder._scorer(tree, lm, mode)._searched) == [c]
 
     def test_empty_batch(self):
         assert decode_batch([], Alphabet("a"), PrefixTree(["a"], {"a"}), width=3) == []

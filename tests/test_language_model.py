@@ -3,6 +3,9 @@
 import random
 import tracemalloc
 from bisect import bisect_left
+from itertools import permutations
+
+import numpy as np
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -390,6 +393,88 @@ class TestTrieScorerTables:
         scorer = TrieScorer(tree, lm, NGRAMS)
         for prefix in ("", "b"):
             remainder, _, p = scorer.complete(trie_node(root, prefix))
+            assert (prefix + remainder, p) == best_completion(lm, root, prefix)
+
+
+class TestBestCompletions:
+    """``via`` and the completions walked along it against ``_search`` and
+    enumeration, at every node."""
+
+    @staticmethod
+    def _closed(words, swapped, permuted):
+        """``words`` with each word's a/b swap (the model then scores a word
+        and its swap alike, exact ties) and the orders of the letters of the
+        first ``permuted`` words (equal products in exact arithmetic, which
+        rounding parts by a few ulps)."""
+        out = set(words)
+        if swapped:
+            out |= {w.translate(str.maketrans("ab", "ba")) for w in words}
+        for w in words[:permuted]:
+            out |= {"".join(p) for p in permutations(w)}
+        return sorted(out)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(
+        words=st.lists(st.text("abc", min_size=1, max_size=5), min_size=1, max_size=10),
+        swapped=st.booleans(),
+        permuted=st.integers(0, 3),
+        order=st.integers(1, 5),
+        smoothing_k=st.sampled_from([0.5, 1.0]),
+    )
+    def test_completions_equal_search_at_every_node(self, words, swapped, permuted, order,
+                                                    smoothing_k):
+        words = self._closed(words, swapped, permuted)
+        tree, root = PrefixTree(words, set("abc")), reference_trie(words)
+        lm = NgramModel.train(words, order=order, smoothing_k=smoothing_k)
+        scorer = TrieScorer(tree, lm, NGRAMS)
+        nodes = np.arange(len(tree._kids), dtype=np.intc)
+        word, p = scorer.completions_at(nodes)
+        via = np.asarray(scorer.via)
+        for node, prefix in enumerate(node_prefixes(root)):
+            remainder, end, prob = scorer._search(node)
+            assert scorer.complete(node) == (remainder, end, prob)
+            assert (int(word[node]), float(p[node])) == (end, prob)
+            assert (prefix + remainder, prob) == best_completion(lm, root, prefix)
+            if via[node] >= 0:  # certain: the chain of ``via`` reaches the word
+                hop = node
+                while via[hop] != hop:
+                    hop = int(via[hop])
+                assert hop == end
+
+    def test_search_runs_only_at_uncertain_nodes(self, monkeypatch):
+        # Swapped and permuted words at order 1: exact ties and near-ties.
+        words = self._closed(["abc", "aab", "bca", "cab", "ab", "ccab"], True, 4)
+        tree, root = PrefixTree(words, set("abc")), reference_trie(words)
+        lm = NgramModel.train(words, order=1)
+        scorer = TrieScorer(tree, lm, NGRAMS)
+        searched = []
+        search = TrieScorer._search
+        monkeypatch.setattr(TrieScorer, "_search",
+                            lambda self, node: searched.append(node) or search(self, node))
+        nodes = np.arange(len(tree._kids), dtype=np.intc)
+        scorer.completions_at(nodes)
+        for node, prefix in enumerate(node_prefixes(root)):
+            remainder, _, p = scorer.complete(node)
+            assert (prefix + remainder, p) == best_completion(lm, root, prefix)
+        uncertain = np.flatnonzero(np.asarray(scorer.via) < 0).tolist()
+        assert 0 < len(uncertain) < len(nodes) // 2
+        assert searched == uncertain  # once each: the memo serves the second ask
+
+    def test_products_below_the_normal_range_are_searched(self):
+        # Completions of 700 to 750 factors below 0.4: their products lie
+        # below 2**-1000 (the last one underflows to 0.0), where ``via`` does
+        # not trust rounding bounds unless a node has one completion.
+        words = ["a" * 750, "a" * 749 + "b", "b" * 700]
+        tree, root = PrefixTree(words, set("ab")), reference_trie(words)
+        lm = NgramModel.train(words + ["ccd"] * 400, order=1)
+        scorer = TrieScorer(tree, lm, NGRAMS)
+        via = np.asarray(scorer._via())
+        assert via[0] == via[trie_node(root, "a")] == -1
+        assert via[trie_node(root, "b" * 100)] >= 0  # one completion
+        assert via[trie_node(root, "a" * 100)] >= 0  # products of 2**-900 or so
+        for prefix in ("", "a", "a" * 5, "b" * 100, "a" * 100):
+            remainder, _, p = scorer.complete(trie_node(root, prefix))
+            assert (p < 2.0 ** -1000) == (prefix != "a" * 100)
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
 
 
