@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -42,18 +43,25 @@ class Alphabet:
                     f"separator {self.separator!r} collides with the alphabet"
                 )
 
-    @property
+    # The derived values below are computed on first read and kept in the
+    # instance dict, which equality, hashing and repr do not read;
+    # ``__getstate__`` leaves them out of a pickle too.
+
+    @cached_property
     def symbols(self) -> str:
         """All non-blank symbols in column order."""
         return self.characters + (self.separator or "")
 
-    @property
+    @cached_property
     def num_classes(self) -> int:
         return len(self.symbols) + 1
 
-    @property
+    @cached_property
     def blank_index(self) -> int:
         return self.num_classes - 1
+
+    def __getstate__(self) -> dict:
+        return {"characters": self.characters, "separator": self.separator}
 
     def column_map(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.symbols)}

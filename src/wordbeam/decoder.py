@@ -418,7 +418,10 @@ def _run_batch(
     c, blank = alphabet.num_classes, alphabet.blank_index
     lengths = np.array([m.num_frames for m in matrices], np.int32)
     last_frame = lengths - 1
-    first, spans, col = _node_arrays(tree, alphabet, nonword)
+    arrays = tree._extensions.get(alphabet.symbols)
+    if arrays is None:
+        arrays = tree._extensions[alphabet.symbols] = _node_arrays(tree, alphabet, nonword)
+    first, spans, col = arrays
     size = len(first)
     n = len(matrices)
     uses_lm, uses_forecast = scorer.mode.uses_lm, scorer.mode.uses_forecast
@@ -694,7 +697,9 @@ def _node_arrays(tree: PrefixTree, alphabet: Alphabet, nonword: list[str]) -> tu
     characters at the root or a word end; an extension's slot is its place
     in that order. ``spans[n]`` packs their two counts, as two int32 in one
     int64. ``col[n]`` is node ``n``'s character column (0 at the root); the
-    non-word characters' columns follow, one past the last node.
+    non-word characters' columns follow, one past the last node. They depend
+    only on the tree and the alphabet's column order, so ``_run_batch`` keeps
+    them on the tree, read-only, by ``alphabet.symbols``.
     """
     first = np.frombuffer(tree._first, np.intc)
     size = len(first)
@@ -712,6 +717,8 @@ def _node_arrays(tree: PrefixTree, alphabet: Alphabet, nonword: list[str]) -> tu
     col = np.zeros(size + len(nonword), np.intc)
     col[1:size] = np.frombuffer(tree._chars.translate(column).encode("utf-32-le"), np.uint32)
     col[size:] = [column[ord(ch)] for ch in nonword]
+    for a in (first, spans, col):
+        a.flags.writeable = False
     return first, spans, col
 
 

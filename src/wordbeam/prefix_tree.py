@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_right
-from itertools import count
 from typing import Iterable
 
 import numpy as np
@@ -20,7 +19,8 @@ class PrefixTree:
     its alphabet's other symbols. After construction its words and structure
     are immutable. It also holds the decoder's language-model tables, one
     ``TrieScorer`` per (model, scoring mode), made when a decode first needs
-    it, with its arrays by node.
+    it, with its arrays by node, and the batched search's arrays of the
+    extensions a node allows, one set per alphabet column order.
 
     The trie is stored as flat arrays over integer node ids, and those
     arrays are its interface: it has no per-node objects and no prefix
@@ -34,18 +34,17 @@ class PrefixTree:
     in which the decoder and ``TrieScorer`` hold a prefix: they walk
     children in that order without sorting. Only what the scorer fills
     lazily (a sampled forecast, a best completion) and the spelling of a
-    completed text rebuild a node's prefix, with ``_prefix``.
+    completed text rebuild a node's prefix, with ``_prefix``. The build
+    (``_build``) sorts and numbers the words in whole-array passes, in
+    memory linear in the dictionary's characters.
     """
 
     def __init__(self, words: Iterable[str], word_chars: Iterable[str]) -> None:
         self.word_chars = frozenset(word_chars)
         self._scorers: dict = {}
-        words = list(words)
-        distinct = sorted(set(words))  # duplicates carry no extra information here
-        used = set("".join(distinct))
-        if distinct[:1] == [""] or not self.word_chars.issuperset(used):
-            _raise_first_fault(words, self.word_chars)
-        self._kids, self._first, self._is_word, self._chars = _level_order(distinct, used)
+        self._extensions: dict = {}
+        self._kids, self._first, self._is_word, self._chars = _build(list(words),
+                                                                     self.word_chars)
 
     def _children(self, node: int) -> enumerate:
         """``(child id, character)`` pairs of ``node``, in code-point order."""
@@ -76,75 +75,178 @@ def _raise_first_fault(words: list[str], word_chars: frozenset[str]) -> None:
             raise InputValidationError(f"word {word!r} contains non-word character {bad!r}")
 
 
-def _level_order(words: list[str], used: set[str]) -> tuple[list[str], array, bytearray, str]:
-    """``(kids, first, is_word, chars)`` of the trie over sorted, distinct,
-    non-empty words whose characters are ``used``.
+def _build(words: list[str],
+           word_chars: frozenset[str]) -> tuple[list[str], array, bytearray, str]:
+    """``(kids, first, is_word, chars)`` of the trie over ``words``; calls
+    ``_raise_first_fault`` when a word is empty or has a non-word character.
 
-    Whole-array passes over the words' code points, each word followed by a
-    separator (a character no word has). A word shares its longest common
-    prefix, of ``lcp`` characters, with the word before it: the first
-    position where the two differ, the shorter word's separator at the
-    latest. It owns the nodes of its longer prefixes, one per depth ``d``
-    with ``lcp < d <= len(word)``. Owners come in sorted order, so a stable
-    sort of the nodes by depth puts them in level order, with each node's
-    children in code-point order. A node's parent is the node of the depth
-    above whose owner is the last one there at or before its own (the first
-    word with the parent's prefix). A node's first child is 1 plus the
-    number of children of nodes before it; the child strings are one string
-    split: each node's character, after the children of the nodes before its
-    parent and one separator per such node.
+    Whole-array passes over the words' code points laid end to end, each
+    word followed by a 0. A code point becomes its rank 1..k among the k
+    that the words use, so ranks compare as the characters do, with the 0
+    below them all. Memory stays linear in the number of characters.
+
+    Sort: a key per word packs the ranks of its first ``width`` characters
+    in base k + 1, as many as an int64 holds, up to twice the mean word
+    length. Words with equal keys are the
+    same word unless both have as many characters as the key or more; only
+    such groups are sorted again, on their next characters, until none is
+    tied. Equal neighbours then go.
+
+    Nodes: a distinct word makes the node of its ``d``-prefix, for each
+    ``d`` up to its length, when it is the first word in sorted order with
+    that prefix, that is when the prefix differs from the word's before it.
+    Taken depth by depth, and within a depth in word order, these nodes are
+    in level order, siblings in code-point order. The depths go in blocks,
+    over a matrix of the ranks of the words that reach the block, a row per
+    depth and a column per word: a word makes a node at a row when its path
+    node at the block's top, or its rank at any row down to that one,
+    differs from its left neighbour's, and its rank there is not 0. One
+    cumulative sum of those flags numbers the nodes row by row, and gives
+    each word the id of its node at every depth: a node's parent is its
+    word's node a row up. A node's first child is 1 plus the number of
+    children of nodes before it; the child strings are one string split:
+    each node's character, after the children of the nodes before its
+    parent and one separator (a code point no word has) per such node.
     """
-    sep = next(ch for ch in map(chr, count()) if ch not in used)
-    codes = _code_points(sep.join([*words, ""]), max(map(ord, used | {sep})))
-    ends = np.flatnonzero(codes == ord(sep)).astype(np.intc)
-    starts = np.zeros(len(words), np.intc)
-    starts[1:] = ends[:-1] + 1
-    lengths = ends - starts
-    del ends
-    # Compare each word with the one before it up to the shorter one's
-    # separator: ``at`` lists the compared positions that differ, and the
-    # first at or after a pair's ``seg`` is its lcp.
-    span = np.minimum(lengths[:-1], lengths[1:]) + 1
-    seg = np.cumsum(span, dtype=np.intc) - span
-    at = np.arange(seg[-1] + span[-1] if len(span) else 0, dtype=np.intc)
-    at += np.repeat(starts[:-1] - seg, span)  # positions in the earlier word
-    before = codes[at]
-    at += np.repeat(lengths[:-1] + 1, span)  # and in the later one
-    at = np.flatnonzero(before != codes[at]).astype(np.intc)
-    del before
-    lcp = np.zeros(len(words), np.intc)
-    lcp[1:] = at[at.searchsorted(seg)] - seg
-    del at, span, seg
-    # Owner and depth of each node, word by word, then in level order.
-    made = lengths - lcp
-    owner = np.repeat(np.arange(len(words), dtype=np.intc), made)
-    depth = np.repeat(lcp + 1 - (np.cumsum(made, dtype=np.intc) - made), made)
-    del made, lcp
-    depth += np.arange(len(depth), dtype=np.intc)
-    depth = depth.astype(np.min_scalar_type(depth.max(initial=0)))
-    order = np.argsort(depth, kind="stable")
-    owner, depth = owner[order], depth[order]
-    del order
-    key = np.zeros(len(owner) + 1, np.int64)  # depth * len(words) + owner, the root first
-    key[1:] = depth
-    key *= len(words)
-    key[1:] += owner
-    parent = key.searchsorted(key[1:] - len(words), "right").astype(np.intc) - 1
-    del key
-    chars = codes[starts[owner] + depth - 1]
-    is_word = bytearray(1)
-    is_word.extend((lengths[owner] == depth).view(np.uint8).tobytes())
-    del codes, starts, lengths, owner, depth
+    if not words:
+        return [""], array("i", [1]), bytearray(1), ""
+    lengths = np.fromiter(map(len, words), np.intc, len(words))
+    text = "\0".join([*words, ""])  # each word ends in a "\0", ranked 0 below
+    try:
+        codes = _code_points(text, 0xFF)
+    except UnicodeEncodeError:
+        codes = _code_points(text, 0x10FFFF)
+    del text
+    ends = np.cumsum(lengths + 1, dtype=np.intc) - 1
+    starts = ends - lengths
+    # Ranks from a table by code point, or from a sort where the table would
+    # span the astral planes; "\0" is a character used only if a word has it.
+    if codes.dtype == np.uint8 or codes.max() < 1 << 16:
+        counts = np.bincount(codes)
+        counts[0] -= len(words)
+        used = np.flatnonzero(counts)
+        ranks = np.cumsum(counts > 0, dtype=np.min_scalar_type(len(used))).take(codes)
+    else:
+        used, ranks, counts = np.unique(codes, return_inverse=True, return_counts=True)
+        if counts[0] == len(words):
+            used = used[1:]
+        else:
+            ranks += 1
+        ranks = ranks.astype(np.min_scalar_type(len(used)))
+    del codes, counts
+    ranks[ends] = 0  # past each word's end
+    if lengths.min() == 0 or not word_chars.issuperset(map(chr, used.tolist())):
+        _raise_first_fault(words, word_chars)
+    # Characters per key: as many as an int64 holds (radix ** width <= 2 **
+    # 63), but no more than the longest word has, nor twice the mean length,
+    # which bounds the first block's matrix by the number of characters.
+    radix, longest = len(used) + 1, int(lengths.max())
+    most = min(longest, 2 * (len(ranks) - len(words)) // len(words))
+    width = 1
+    while width < most and radix ** (width + 1) <= 1 << 63:
+        width += 1
+
+    # Sort, refine the ties of words as long as the key or longer, and drop duplicates.
+    block = _rows(ranks, starts, ends, 0, width + 1)
+    key = _key(block[:width], radix)
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(len(order), bool)  # the first of its equals in sorted order
+    new[0] = True
+    np.not_equal(key[1:], key[:-1], out=new[1:])
+    # Equal keys so far mean the same word, or two of ``top`` characters or
+    # more: sort each group of those on their next characters, twice as
+    # many each round.
+    long, top, count = np.arange(len(order)), width, 1
+    while top < longest:
+        tied = ~new[long]
+        tied[:-1] |= tied[1:]
+        tied &= lengths[order[long]] >= top
+        long = long[tied]
+        if not len(long):
+            break
+        word = order[long]
+        rows = _rows(ranks, starts[word], ends[word], top, count * width)
+        key = _key(rows.reshape(count, width, -1).swapaxes(0, 1), radix)
+        by = np.lexsort((*key[::-1], np.cumsum(new[long])))
+        order[long], key = word[by], key[:, by]
+        new[long[1:]] |= (key[:, 1:] != key[:, :-1]).any(axis=0)
+        top, count = top + count * width, 2 * count
+    alive = order[new]
+    block = block.take(alive, axis=1)
+    del order, new, key, long
+
+    # Nodes, a block of depths at a time: the first ``width``, then as many
+    # as the words left have characters on average, at least ``width``.
+    path = np.zeros(len(alive), np.intc)  # each word's node at the block's top
+    parents, chars, is_word = [], [], [np.zeros(1, bool)]
+    last, top = 0, 0  # the last node id, and the depth above the block
+    while True:
+        rows, size = len(block) - 1, len(alive)
+        made = np.empty((rows, size), bool)
+        made[:, 0] = True  # no word before the first reaches this block
+        np.not_equal(block[:rows, 1:], block[:rows, :-1], out=made[:, 1:])
+        made[0, 1:] |= path[1:] != path[:-1]
+        shift = 1  # or each row into those below it, in log2(rows) passes
+        while shift < rows:
+            made[shift:] |= made[:-shift]
+            shift *= 2
+        np.logical_and(made, block[:rows], out=made)
+        ids = np.empty((rows + 1) * size, np.intc)
+        ids[:size] = path
+        np.cumsum(made, dtype=np.intc, out=ids[size:])
+        ids[size:] += last
+        at = np.flatnonzero(made)
+        del made
+        parents.append(ids.take(at))
+        last, top = int(ids[-1]), top + rows
+        deeper = block[rows] != 0
+        alive, path = alive[deeper], ids[-size:][deeper]
+        del ids
+        chars.append(block.take(at))
+        is_word.append(block[1:].ravel().take(at) == 0)
+        if top == longest:
+            break
+        rows = max(width, (int(lengths[alive].sum()) - top * len(alive)) // len(alive))
+        block = _rows(ranks, starts[alive], ends[alive], top, min(rows, longest - top) + 1)
+    del block, at, path, alive, ranks, starts, ends, lengths
+
+    parent = np.concatenate(parents)
+    del parents
     nodes = len(parent) + 1
     first = array("i", [1])  # C int, as np.intc
     first.frombytes((np.cumsum(np.bincount(parent, minlength=nodes)[:-1], dtype=np.intc)
                      + 1).tobytes())
+    sep = next(c for c, u in enumerate([*used.tolist(), -1]) if c != u)
     # Node k >= 1 has index k - 1 among characters and ``parent[k]`` separators before it.
-    joined = np.full(2 * nodes - 2, ord(sep), chars.dtype)
+    spell = np.zeros(radix, np.uint8 if max(sep, used[-1]) < 0x100 else np.uint32)
+    spell[1:] = used
+    chars = spell.take(np.concatenate(chars))
+    joined = np.full(2 * nodes - 2, sep, chars.dtype)
     parent += np.arange(nodes - 1, dtype=np.intc)
     joined[parent] = chars
     del parent
-    return _text(joined).split(sep), first, is_word, _text(chars)
+    return (_text(joined).split(chr(sep)), first,
+            bytearray(np.concatenate(is_word).view(np.uint8)), _text(chars))
+
+
+def _rows(ranks: np.ndarray, starts: np.ndarray, ends: np.ndarray, top: int,
+          count: int) -> np.ndarray:
+    """The ranks of characters ``top`` to ``top + count - 1`` of the words
+    that start at ``starts`` and end at ``ends``, where a 0 stands, a row
+    per character and a column per word; 0 past a word's end."""
+    at = np.arange(top, top + count)[:, None] + starts  # intp, as ``take`` wants
+    np.minimum(at, ends, out=at)
+    return ranks.take(at)
+
+
+def _key(rows: np.ndarray, radix: int) -> np.ndarray:
+    """The int64 that packs each column of ``rows``, the first row most significant."""
+    key = rows[0].astype(np.int64)
+    for row in rows[1:]:
+        key *= radix
+        key += row
+    return key
 
 
 def _code_points(text: str, top: int) -> np.ndarray:

@@ -1,5 +1,6 @@
 """Alphabet/matrix validation, collapse, best path and the path-sum oracle."""
 
+import pickle
 import string
 
 import numpy as np
@@ -45,6 +46,22 @@ class TestAlphabet:
         assert a.index_of("|") == n
         assert a.blank_index == n + 1
         assert Alphabet(characters).num_classes == n + 1
+
+    def test_derived_values_leave_equality_hash_repr_and_pickle_as_they_were(self):
+        # ``symbols``, ``num_classes`` and ``blank_index`` are kept once read;
+        # an alphabet still compares, hashes, prints and pickles by its two
+        # fields alone, to the bytes it pickled to before they were kept.
+        read, fresh = Alphabet("ab", "|"), Alphabet("ab", "|")
+        assert (read.symbols, read.num_classes, read.blank_index) == ("ab|", 4, 3)
+        assert read == fresh and hash(read) == hash(fresh) == hash(("ab", "|"))
+        assert repr(read) == "Alphabet(characters='ab', separator='|')"
+        assert pickle.dumps(read, protocol=4) == pickle.dumps(fresh, protocol=4) == (
+            b"\x80\x04\x95G\x00\x00\x00\x00\x00\x00\x00\x8c\x0cwordbeam.ctc\x94\x8c\x08"
+            b"Alphabet\x94\x93\x94)\x81\x94}\x94(\x8c\ncharacters\x94\x8c\x02ab\x94\x8c\t"
+            b"separator\x94\x8c\x01|\x94ub.")
+        copy = pickle.loads(pickle.dumps(read))
+        assert copy == read and (copy.symbols, copy.blank_index) == ("ab|", 3)
+        assert Alphabet("xy") != Alphabet("xy", "|")
 
     def test_duplicate_characters_rejected(self):
         with pytest.raises(InputValidationError):

@@ -757,6 +757,28 @@ class TestDecodeBatch:
         for mode in modes[1:]:
             assert list(decoder._scorer(tree, lm, mode)._searched) == [c]
 
+    def test_node_arrays_are_built_once_per_tree_and_alphabet(self, monkeypatch):
+        # Two batches over one tree and alphabet build the extension arrays
+        # once; a second alphabet on that tree (the trend lanes' plain and
+        # extra-separator alphabets) builds its own, and reuses them too.
+        tree = PrefixTree(["a", "ab", "ba"], {"a", "b"})
+        plain, sep = Alphabet("ab"), Alphabet("ab", "|")
+        rng = np.random.default_rng(5)
+        built = []
+        build = decoder._node_arrays
+
+        def spy(tree, alphabet, nonword):
+            built.append(alphabet.symbols)
+            return build(tree, alphabet, nonword)
+
+        monkeypatch.setattr(decoder, "_node_arrays", spy)
+        for alphabet in (plain, plain, sep, sep, plain):
+            matrices = [_matrix("random", rng, t, alphabet.num_classes) for t in (3, 5)]
+            want = [decode(m, alphabet, tree, width=4) for m in matrices]
+            assert _exact(decode_batch(matrices, alphabet, tree, width=4)) == _exact(want)
+        assert built == ["ab", "ab|"]
+        assert not tree._extensions["ab|"][2].flags.writeable
+
     def test_empty_batch(self):
         assert decode_batch([], Alphabet("a"), PrefixTree(["a"], {"a"}), width=3) == []
 

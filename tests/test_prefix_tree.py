@@ -171,6 +171,76 @@ def test_flat_layout_is_the_level_order_of_the_reference_trie(words, probes):
     assert sum(t._is_word) == len(set(words))
 
 
+def _reference_layout(words, word_chars) -> PrefixTree:
+    """The tree of ``words``, after checking its arrays against the reference trie's."""
+    t = PrefixTree(words, word_chars)
+    kids, first, is_word = reference_level_order(reference_trie(words))
+    assert t._kids == kids
+    assert t._chars == "".join(kids)
+    assert list(t._first) == first
+    assert list(t._is_word) == is_word
+    return t
+
+
+_LETTERS = "abcdefghijklmnopqrstuvwxyz"
+
+
+def _stems_and_tails(seed: int) -> list[str]:
+    """14-20-letter words, many sharing their first 13 letters (as many as one
+    key of a-z holds), and a 13-letter word among its extensions."""
+    rng = random.Random(seed)
+    stems = ["".join(rng.choices(_LETTERS, k=rng.randint(13, 16))) for _ in range(8)]
+    words = [(rng.choice(stems) + "".join(rng.choices(_LETTERS, k=4)))[:rng.randint(14, 20)]
+             for _ in range(300)]
+    return words + [stems[0][:13], _LETTERS]
+
+
+def _long_among_short(seed: int) -> list[str]:
+    """A 5,000-letter word, a copy of it with another last letter and one of
+    its prefixes, among 2,000 words of 1-12 letters."""
+    rng = random.Random(seed)
+    long = "".join(rng.choices(_LETTERS, k=5_000))
+    short = ["".join(rng.choices(_LETTERS, k=rng.randint(1, 12))) for _ in range(2_000)]
+    return short[:1_000] + [long, long[:-1] + "z", long[:2_500]] + short[1_000:]
+
+
+@pytest.mark.parametrize("words, word_chars", [
+    (["\x00a", "a\x00", "a\x00b", "\x00", "\x00\x00", "\n", "a\nb", "ab\n", "ab"], "ab\x00\n"),
+    (["\x00\U0001d11e", "\U0001d11e\x00", "\U0001d11e", "\x00", "a\x00\n"], "a\x00\n\U0001d11e"),
+    ([chr(c) + chr(255 - c) for c in range(256)] + ["\xff\x00\x01"], [chr(c) for c in range(256)]),
+    (["".join(chr(0x100 + (7 * i + j) % 300) for j in range(i % 5 + 1)) for i in range(900)],
+     [chr(0x100 + c) for c in range(300)]),
+    (_stems_and_tails(14), _LETTERS),
+    (_long_among_short(5_000), _LETTERS),
+], ids=["nul-and-newline", "nul-and-astral", "256-latin-1", "300-bmp", "14-20-letters",
+        "5000-letters"])
+def test_edge_dictionaries_match_the_reference_trie(words, word_chars):
+    # Code points the build could take for its own markers, more distinct
+    # characters than one byte ranks, ties past one sort key, and a word
+    # far longer than the rest.
+    _reference_layout(words, word_chars)
+
+
+def test_shuffled_and_duplicated_input_gives_identical_arrays():
+    words = _stems_and_tails(7) + _long_among_short(8)
+    rng = random.Random(9)
+    shuffled = words + rng.sample(words, 1_000)
+    rng.shuffle(shuffled)
+    a, b = PrefixTree(sorted(set(words)), _LETTERS), _reference_layout(shuffled, _LETTERS)
+    assert (a._kids, a._first, a._is_word, a._chars) == (b._kids, b._first, b._is_word, b._chars)
+
+
+@pytest.mark.parametrize("words, message", [
+    (["ab", "a|", ""], "word 'a|' contains non-word character '|'"),
+    (["ab", "", "a|"], "dictionary words must be non-empty"),
+    (["hb", "hb", "zz", "aq", ""], "word 'zz' contains non-word character 'z'"),
+])
+def test_fault_error_names_the_first_faulty_word_in_input_order(words, message):
+    with pytest.raises(InputValidationError) as err:
+        PrefixTree(words, WC)
+    assert str(err.value) == message
+
+
 def test_large_trie_keeps_little_memory_and_few_collector_objects():
     # 50,000 words, the size of a lexicon the decoder must hold: the flat
     # arrays keep a few MiB and add a handful of objects the cyclic
@@ -190,7 +260,8 @@ def test_large_trie_keeps_little_memory_and_few_collector_objects():
     gc.collect()
     assert len(gc.get_objects()) - tracked < 100
     assert retained < 15 * 2**20
-    # The build's arrays live a stage at a time: its peak stays near the
-    # 9.8 MiB of a build that kept no arrays beside the word lists.
-    assert peak <= 12 * 2**20
+    # The build's arrays live a stage at a time, and its matrices of ranks
+    # are bounded by the number of characters: 7.5 MiB on a build that
+    # sorted the words as strings, 7.8 MiB on the one over ranks.
+    assert peak <= 9 * 2**20
     assert sum(tree._is_word) == len(set(words))
