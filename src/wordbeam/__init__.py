@@ -9,12 +9,7 @@ for desk-scale benchmarks.
 """
 
 from .coding import choose_separator, decode_label, encode_label
-from .ctc import (
-    Alphabet,
-    PosteriorMatrix,
-    best_path_decode,
-    collapse,
-)
+from .ctc import Alphabet, PosteriorMatrix, best_path_decode
 from .decoder import decode
 from .ensemble import Hypothesis, vote, winning_group_size
 from .errors import (
@@ -76,7 +71,6 @@ __all__ = [
     "best_path_decode",
     "build_report",
     "choose_separator",
-    "collapse",
     "decode",
     "decode_label",
     "encode_label",

@@ -66,12 +66,6 @@ class Alphabet:
     def column_map(self) -> dict[str, int]:
         return {c: i for i, c in enumerate(self.symbols)}
 
-    def index_of(self, char: str) -> int:
-        i = self.symbols.find(char)
-        if i < 0:
-            raise InputValidationError(f"character {char!r} is not in the alphabet")
-        return i
-
 
 class PosteriorMatrix:
     """T x C row-stochastic matrix of per-frame class probabilities.
@@ -163,47 +157,24 @@ def _row_fault(row, message: str) -> InputValidationError:
     return exc
 
 
-def collapse(path: Sequence[int], alphabet: Alphabet) -> str:
-    """Map a frame-level path to its labeling.
-
-    Adjacent repeats are merged first, then blanks are removed.
-    """
-    blank = alphabet.blank_index
-    symbols = alphabet.symbols
-    n = alphabet.num_classes
-    out: list[str] = []
-    last = -1
-    for idx in path:
-        if not 0 <= idx < n:
-            raise InputValidationError(f"path index {idx} out of range for {n} classes")
-        if idx != last and idx != blank:
-            out.append(symbols[idx])
-        last = idx
-    return "".join(out)
-
-
 def best_path_decode(m: PosteriorMatrix, alphabet: Alphabet) -> tuple[str, float]:
-    """Greedy CTC decoding: per-frame argmax followed by collapse.
-
-    Each frame takes its first maximal column (``argmax`` over the row).
-    The likelihood is the product of the per-frame maxima, multiplied in
-    frame order starting from 1.0, so it is bit-identical to a running
-    product over the rows.
-    """
-    _check_shape(m, alphabet)
-    path = m.probs.argmax(axis=1).tolist()
-    return collapse(path, alphabet), math.prod(m.probs.max(axis=1).tolist())
+    """Greedy CTC decoding of one matrix: ``best_path_batch([m], alphabet)[0]``."""
+    return best_path_batch([m], alphabet)[0]
 
 
 def best_path_batch(matrices: Sequence[PosteriorMatrix],
                     alphabet: Alphabet) -> list[tuple[str, float]]:
-    """``[best_path_decode(m, alphabet) for m in matrices]``, bit for bit,
-    from one ``argmax`` and one ``max`` over the matrices' stacked rows.
+    """Greedy CTC decoding of each matrix: its per-frame argmax path, with
+    adjacent repeats merged and then blanks removed, and that path's
+    likelihood, from one ``argmax`` and one ``max`` over the matrices'
+    stacked rows.
 
-    A frame adds its column's symbol to its matrix's labeling when that is
-    not the blank and the frame is its matrix's first or differs from the
-    frame before it. Each likelihood is still the product of its rows'
-    maxima, multiplied in frame order.
+    Each frame takes its first maximal column. A frame adds its column's
+    symbol to its matrix's labeling when that is not the blank and the
+    frame is its matrix's first or differs from the frame before it. Each
+    likelihood is the product of its rows' maxima, multiplied in frame
+    order starting from 1.0, so it is bit-identical to a running product
+    over the rows.
     """
     if not matrices:
         return []

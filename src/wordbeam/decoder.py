@@ -49,7 +49,9 @@ bound (the arguments are in ``_run_frames``). ``decode`` runs two
 stages: ``frame_beams`` yields each frame's ``width`` survivors and, for
 the last frame, the merged, uncut set, as lists of candidates;
 ``complete_beams`` completes that last set, and ``decode`` takes the
-best completed candidate.
+best completed candidate. The frame loop is the only stage written
+twice: both engines complete their candidates by one rule over arrays
+(``_completed``), which gives each its word and completed ``p_text``.
 
 ``decode_batch`` is the one call for any number of matrices in any
 mode: it returns, bit for bit, what ``decode`` returns for each, and it
@@ -68,10 +70,7 @@ bounded: it copies the posteriors out a few dozen frames at a time,
 reads the trie through a few arrays by node, and its table of texts
 (arrays by text id, and a dense table of child ids by text and column)
 keeps only those a survivor can still reach, growing as texts are named
-up to a size that no step between two compactions can outgrow. It
-completes its candidates by gathers from the scorer's arrays: the
-smallest word in ``words`` mode, the best completion's path in the
-others.
+up to a size that no step between two compactions can outgrow.
 """
 
 from __future__ import annotations
@@ -311,35 +310,68 @@ def complete_beams(
 ) -> list[tuple]:
     """Extend candidates ending in an incomplete prefix to their best completion.
 
-    Posterior mass is never consumed: a completed candidate keeps its
-    ``p_blank``/``p_nonblank``. Candidates already ending in a complete
-    word or in non-word state are unchanged. When a completion collides
-    with another candidate's text, the masses are summed and the first
-    candidate's language-model score (in text order) is kept. In the
-    forecast modes a completion scores the candidate's committed score
-    times the remainder probability. Returns the merged candidates.
+    Each candidate's word and completed ``p_text`` are ``_completed``'s, in
+    one call over them all. Posterior mass is never consumed: a completed
+    candidate keeps its ``p_blank``/``p_nonblank``. Candidates already
+    ending in a complete word or in non-word state are unchanged. When a
+    completion collides with another candidate's text, the masses are
+    summed and the first candidate's language-model score (in text order)
+    is kept. Returns the merged candidates.
     """
-    scorer = _scorer(tree, lm, mode)
-    kind, uses_forecast = mode.kind, mode.uses_forecast
-    is_word = tree._is_word
+    beams = sorted(beams, key=itemgetter(1))
+    node = np.array([cand[6] for cand in beams], np.intc)
+    p_text = np.array([cand[4] for cand in beams])
+    word, p_text = _completed(_scorer(tree, lm, mode), node, p_text,
+                              np.array([cand[5] for cand in beams]))
     out: dict[str, tuple] = {}
-    for cand in sorted(beams, key=itemgetter(1)):
-        _, text, pb, pnb, p_text, committed, node = cand
-        if node and not is_word[node]:
-            remainder, node, prob = scorer.complete(node)
-            text += remainder
-            if kind == "ngrams":
-                p_text = p_text * scorer.word_probability(node)
-            elif uses_forecast:
-                p_text = committed * prob
-            cand = (-(p_text * (pb + pnb)), text, pb, pnb, p_text, committed, node)
+    for cand, w, p in zip(beams, word.tolist(), p_text.tolist()):
+        _, text, pb, pnb, _, committed, node = cand
+        if w != node:
+            text += tree._prefix(w, node)
+            cand = (-(p * (pb + pnb)), text, pb, pnb, p, committed, w)
         cur = out.get(text)
         if cur is None:
             out[text] = cand
         else:
-            pb, pnb, p_text = cur[2] + pb, cur[3] + pnb, cur[4]
-            out[text] = (-(p_text * (pb + pnb)), text, pb, pnb, p_text, *cur[5:])
+            pb, pnb, p = cur[2] + pb, cur[3] + pnb, cur[4]
+            out[text] = (-(p * (pb + pnb)), text, pb, pnb, p, *cur[5:])
     return list(out.values())
+
+
+def _completed(
+    scorer: TrieScorer,
+    node: np.ndarray,
+    p_text: np.ndarray | None,
+    committed: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The completion rule of both engines: each candidate's word and its
+    ``p_text`` once completed, for candidates at trie nodes ``node`` with
+    ``p_text`` and ``committed`` arrays, which ``words`` mode does not read
+    (the batched search passes ``None`` there).
+
+    A candidate's word is its node at a word end, 0 outside a word, and
+    else its node's best completion: the smallest word below it (``lexmin``)
+    in ``words`` mode, the most probable in the others
+    (``completions_at``). A completed candidate's ``p_text`` is its
+    ``p_text`` times the word's probability (``ngrams``) or its
+    ``committed`` times the remainder's (the forecast modes); in ``words``
+    mode it stays as it is.
+    """
+    if scorer.lexmin is not None:
+        word = scorer.lexmin[node]
+    else:
+        inside = np.flatnonzero(np.frombuffer(scorer.tree._is_word, np.uint8).take(node) == 0)
+        inside = inside[node[inside] > 0]
+        word = node.copy()
+        if inside.size:  # ``via`` is built at the first completion
+            word[inside], prob = scorer.completions_at(node[inside])
+            p_text = p_text.copy()
+            if scorer.mode.uses_forecast:
+                p_text[inside] = committed[inside] * prob
+            else:
+                p_text[inside] *= np.asarray(scorer.word_prob).take(word[inside])
+    word[node == 0] = 0
+    return word, p_text
 
 
 def decode_batch(
@@ -631,27 +663,9 @@ def _complete_batch(
     # the model score of its first member in that order. A text outside a
     # word ends in a non-word character or is empty, so it is no other
     # candidate's completed text: each such candidate is a group of its own.
-    # A candidate's word is its node at a word end, else the completion of
-    # its node; outside a word it is 0. In a model mode a completed
-    # candidate's ``p_text`` is, as in ``complete_beams``, its ``p_text``
-    # times the word's probability (``ngrams``) or its ``committed`` times
-    # the remainder's (the forecast modes).
     pb, pnb = fields[:2]
     node = cand[_NODE]
-    if scorer.lexmin is not None:
-        word = scorer.lexmin[node]
-    else:
-        p_text, committed = fields[2:]
-        inside = np.flatnonzero(np.frombuffer(tree._is_word, np.uint8).take(node) == 0)
-        inside = inside[node[inside] > 0]
-        word = node.copy()
-        word[inside], prob = scorer.completions_at(node[inside])
-        p_text = p_text.copy()
-        if scorer.mode.uses_forecast:
-            p_text[inside] = committed[inside] * prob
-        else:
-            p_text[inside] *= np.asarray(scorer.word_prob).take(word[inside])
-    word[node == 0] = 0
+    word, p_text = _completed(scorer, node, *(fields[2:] or (None, None)))
     key = np.where(word != 0, cand[_WST].astype(np.int64) * len(tree._kids) + word,
                    -1 - np.arange(len(word)))
     order = np.argsort(key)
@@ -673,7 +687,7 @@ def _complete_batch(
         group_pb[g], group_pnb[g] = a, b
     score = group_pb + group_pnb
     first = order[heads]
-    if scorer.lexmin is None:
+    if p_text is not None:
         score *= p_text[first]
     # Each decode's best groups, then the smallest of their completed texts.
     dec = cand[_DEC, first]

@@ -299,12 +299,13 @@ class TrieScorer:
     itself where that is its own word. A completion follows ``via`` to its
     word, multiplying the ``step`` factors on the way and the word's
     ``end`` from the left, as the model does, so its probability is
-    ``remainder_probability``'s bit for bit. Where rounding leaves the pick
-    in doubt, ``via[n]`` is -1 and ``complete`` settles the node by a
-    search from it (``_search``), memoised. The sampled forecast stays lazy
-    too, a seeded draw from the node's prefix, filled per node the first
-    time the search asks; the batched search draws the nodes a step asks
-    for together (``forecasts``). Neither reads the model.
+    ``remainder_probability``'s bit for bit (``completions_at``). Where
+    rounding leaves the pick in doubt, ``via[n]`` is -1 and
+    ``completions_at`` settles the node by a search from it (``_search``),
+    memoised. The sampled forecast stays lazy too, a seeded draw from the
+    node's prefix, filled per node the first time the search asks; the
+    batched search draws the nodes a step asks for together
+    (``forecasts``). Neither reads the model.
     """
 
     def __init__(self, tree: PrefixTree, lm: NgramModel | None = None,
@@ -388,8 +389,11 @@ class TrieScorer:
         return out
 
     def completions_at(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``complete``'s word nodes and probabilities at ``nodes``, an array,
-        in a model mode: each walk follows ``via``, all in step."""
+        """The word nodes and ``remainder_probability`` of the best
+        completions of the live prefixes at ``nodes``, an array, in a model
+        mode: the largest probability, ties to the smallest word. Each walk
+        follows ``via``, all in step; a node whose ``via`` is -1 is settled
+        by ``_search``, memoised."""
         via, step = np.asarray(self._via()), np.asarray(self.step)
         word, p = nodes.copy(), np.ones(len(nodes))
         first = via.take(nodes)
@@ -401,29 +405,12 @@ class TrieScorer:
             go = go[via.take(nxt) != nxt]
         p *= np.take(self.end, word)
         for i in np.flatnonzero(first < 0).tolist():
-            _, word[i], p[i] = self.complete(int(nodes[i]))
+            node = int(nodes[i])
+            best = self._searched.get(node)
+            if best is None:
+                best = self._searched[node] = self._search(node)
+            word[i], p[i] = best
         return word, p
-
-    def complete(self, node: int) -> tuple[str, int, float]:
-        """(remainder, word node, remainder probability) of the completion of
-        the live prefix at ``node`` with the largest ``remainder_probability``,
-        ties to the smallest word (without a model, every probability is 1)."""
-        if self.lexmin is not None:
-            word, p = int(self.lexmin[node]), 1.0
-        else:
-            via, step = self._via(), self.step
-            word, nxt, p = node, via[node], 1.0
-            if nxt < 0:
-                best = self._searched.get(node)
-                if best is None:
-                    best = self._searched[node] = self._search(node)
-                return best
-            while nxt != word:
-                word = nxt
-                p *= step[word]
-                nxt = via[word]
-            p *= self.end[word]
-        return self.tree._prefix(word, node), word, p
 
     def _via(self) -> memoryview:
         """The ``via`` array of a model mode, built on the first call."""
@@ -431,18 +418,19 @@ class TrieScorer:
             self.via = _best_completions(self.tree, self.step, self.end)
         return self.via
 
-    def _search(self, node: int) -> tuple[str, int, float]:
+    def _search(self, node: int) -> tuple[int, float]:
         # Uniform-cost search: every factor is at most 1, so the first word end
-        # popped beats all unexplored completions. Products run left to right,
-        # bit-identical to ``remainder_probability``, and only prefixes at
-        # least as probable as the answer are visited.
+        # popped beats all unexplored completions, ties to the smallest text.
+        # Products run left to right, bit-identical to
+        # ``remainder_probability``, and only prefixes at least as probable as
+        # the answer are visited.
         step, end = self.step, self.end
         is_word, children = self.tree._is_word, self.tree._children
         heap = [(-1.0, "", False, node)]
         while True:
             neg_p, text, at_end, cur = heapq.heappop(heap)
             if at_end:
-                return text, cur, -neg_p
+                return cur, -neg_p
             if is_word[cur]:
                 heapq.heappush(heap, (neg_p * end[cur], text, True, cur))
             for child, c in children(cur):

@@ -21,10 +21,34 @@ from wordbeam import (
     RecognizerSim,
     ScoringMode,
     TrieScorer,
-    collapse,
     encode_label,
 )
 from wordbeam.files import read_text, unescape_alphabet
+
+
+def collapse(path: list[int], alphabet: Alphabet) -> str:
+    """The labeling of a frame-level path: adjacent repeats merged, then
+    blanks removed."""
+    blank, symbols = alphabet.blank_index, alphabet.symbols
+    out: list[str] = []
+    last = -1
+    for idx in path:
+        if idx != last and idx != blank:
+            out.append(symbols[idx])
+        last = idx
+    return "".join(out)
+
+
+def scorer_completion(scorer: TrieScorer, node: int) -> tuple[str, int, float]:
+    """(remainder, word node, remainder probability) of ``scorer``'s best
+    completion of the live prefix at ``node``: its ``lexmin`` word, with
+    probability 1, in ``words`` mode, else ``completions_at``'s."""
+    if scorer.lexmin is not None:
+        word, p = int(scorer.lexmin[node]), 1.0
+    else:
+        words, probs = scorer.completions_at(np.array([node], np.intc))
+        word, p = int(words[0]), float(probs[0])
+    return scorer.tree._prefix(word, node), word, p
 
 
 def random_matrix(rng: np.random.Generator, t: int, c: int) -> PosteriorMatrix:
@@ -619,7 +643,7 @@ def reference_complete_beams(beams, tree: PrefixTree, root: RefNode,
         text, word_prefix, p_text = b.text, b.word_prefix, b.p_text
         node = ref_find(root, word_prefix)
         if not node.is_word and word_prefix:
-            remainder, end, prob = scorer.complete(node.id)
+            remainder, end, prob = scorer_completion(scorer, node.id)
             text += remainder
             word_prefix += remainder
             if mode.kind == "ngrams":

@@ -209,6 +209,9 @@ class TestBulkParse:
         ("1 2\na\n-0.5 1.5\n", "m.mat:3: posterior matrix contains negative entries"),
         ("2 2\na\n0.5 0.5\n0.75 0.75\n",
          "m.mat:4: row 1 sums to 1.5; matrices are rejected, not renormalized"),
+        ("1 2\n", "m.mat:1: expected a 'T C' header and an alphabet line"),
+        ("1\na\n0.5 0.5\n", "m.mat:1: malformed header '1'"),
+        ("1 two\na\n0.5 0.5\n", "m.mat:1: non-integer header '1 two'"),
     ])
     def test_first_fault_names_its_line(self, text, message):
         with pytest.raises(DataFormatError) as err:
@@ -525,6 +528,16 @@ class TestDecodeCommand:
         path.write_text(f"1 4\n{symbols}\n0.25 0.25 0.25 0.25\n", encoding="utf-8")
         assert main(["decode", str(path), "--mode", "bestpath", "--scheme", scheme]) == EXIT_DATA
         assert capsys.readouterr().err == f"wordbeam: data format error: {path}:2: {message}\n"
+
+    def test_extrasep_alphabet_without_the_separator_names_the_matrix_line(self, tmp_path,
+                                                                             capsys):
+        path = tmp_path / "m.mat"
+        write_matrix_file(path, PosteriorMatrix([[0.25, 0.25, 0.5]]), "ab")
+        command = ["decode", str(path), "--mode", "bestpath", "--scheme", "extrasep"]
+        assert main(command) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"wordbeam: data format error: {path}:2: expected separator '|' as the last "
+            "alphabet symbol\n")
 
     def test_nonword_chars_outside_the_alphabet(self, tmp_path, capsys):
         # A configuration error where a tree is built; best path builds none.
@@ -966,6 +979,31 @@ class TestEnsembleCommand:
         assert capsys.readouterr().err == (
             f"wordbeam: data format error: {a}:2: likelihood must be finite and "
             f"non-negative, got {likelihood!r}\n")
+
+    @pytest.mark.parametrize("row, message", [
+        ("s1\tdog", "expected 'id<TAB>label<TAB>likelihood', got 's1\\tdog'"),
+        ("s1\tdog\t0.2\t0.3",
+         "expected 'id<TAB>label<TAB>likelihood', got 's1\\tdog\\t0.2\\t0.3'"),
+        ("s1\tdog\tlikely", "malformed likelihood 'likely'"),
+    ], ids=["two fields", "four fields", "malformed likelihood"])
+    def test_bad_row_names_line(self, tmp_path, capsys, row, message):
+        a = tmp_path / "a.tsv"
+        a.write_text(f"s0\tcat\t0.1\n{row}\n", encoding="utf-8")
+        b = self._write(tmp_path, "b.tsv", [("s0", "cat", 0.1), ("s1", "dog", 0.2)])
+        assert main(["ensemble", str(a), b]) == EXIT_DATA
+        assert capsys.readouterr().err == f"wordbeam: data format error: {a}:2: {message}\n"
+
+    @pytest.mark.parametrize("short_first", [False, True])
+    def test_prefix_of_another_tsv_names_the_first_missing_id(self, tmp_path, capsys,
+                                                              short_first):
+        # Misaligned outputs have no line to name: the error names the file.
+        long = self._write(tmp_path, "long.tsv", [("s0", "cat", 0.1), ("s1", "dog", 0.2)])
+        short = self._write(tmp_path, "short.tsv", [("s0", "cat", 0.1)])
+        files = [short, long] if short_first else [long, short]
+        assert main(["ensemble", *files]) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            f"wordbeam: data format error: {files[1]}: recognizer outputs are misaligned, "
+            "first mismatch at 's1'\n")
 
     def test_misaligned_ids_named(self, tmp_path, capsys):
         a = self._write(tmp_path, "a.tsv", [("s0", "cat", 0.1), ("s1", "dog", 0.2)])

@@ -14,6 +14,7 @@ from wordbeam import (
     oov_split,
     word_accuracy,
 )
+from wordbeam.evaluation import MAX_CONFUSIONS
 
 
 def random_word(rng, n=6, letters="abcdef"):
@@ -137,3 +138,11 @@ class TestReport:
             line.split("=", 1) for line in kv.strip().split("\n")
         )
         assert pairs["samples"] == "3"
+
+    def test_confusions_are_the_first_ones_in_input_order(self):
+        # Every other pair is misrecognized, more of them than a report lists.
+        gts = [f"w{i}" for i in range(3 * MAX_CONFUSIONS)]
+        preds = [g if i % 2 else g + "x" for i, g in enumerate(gts)]
+        report = build_report(preds, gts)
+        listed = gts[0::2][:MAX_CONFUSIONS]
+        assert report.confusion_samples == [(g, g + "x", 1) for g in listed]

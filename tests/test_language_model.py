@@ -32,6 +32,7 @@ from _support import (
     reference_forecast,
     reference_ngram_counts,
     reference_trie,
+    scorer_completion,
     trie_node,
 )
 
@@ -203,7 +204,7 @@ class TestForecast:
         # vocab {a,b,c,d} plus boundary: V = 5
         assert lm.remainder_probability("ab", "c") == pytest.approx((3 / 8) * (3 / 7))
         assert lm.remainder_probability("ab", "d") == pytest.approx((2 / 8) * (2 / 6))
-        remainder, _, p = TrieScorer(tree, lm, NGRAMS).complete(trie_node(root, "ab"))
+        remainder, _, p = scorer_completion(TrieScorer(tree, lm, NGRAMS), trie_node(root, "ab"))
         assert remainder == "c"
         assert p == pytest.approx((3 / 8) * (3 / 7))
 
@@ -303,7 +304,7 @@ class TestTrieScorerTables:
                 assert sampled.forecast(node) == forecast_for_prefix(lm, root, prefix, sample_mode)
             else:  # the sample covers every completion: the exact table value
                 assert sampled.forecast(node) == reference
-            remainder, end, p = exact.complete(node)
+            remainder, end, p = scorer_completion(exact, node)
             assert end == trie_node(root, prefix + remainder) and prefix + remainder in words
             # Bit-identical, ties included: the completion's products run in
             # the order of remainder_probability's.
@@ -363,7 +364,7 @@ class TestTrieScorerTables:
             assert smallest.startswith(prefix)
             word = int(scorer.lexmin[node])
             assert tree._prefix(word) == smallest
-            assert scorer.complete(node) == (smallest[len(prefix):], word, 1.0)
+            assert scorer_completion(scorer, node) == (smallest[len(prefix):], word, 1.0)
 
     def test_sampled_forecast_is_the_enumerated_draw(self):
         # Samples of three or more terms: the sum runs in draw order.
@@ -392,7 +393,7 @@ class TestTrieScorerTables:
         lm = NgramModel.train(words, order=3, smoothing_k=0.5)
         scorer = TrieScorer(tree, lm, NGRAMS)
         for prefix in ("", "b"):
-            remainder, _, p = scorer.complete(trie_node(root, prefix))
+            remainder, _, p = scorer_completion(scorer, trie_node(root, prefix))
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
 
 
@@ -431,8 +432,8 @@ class TestBestCompletions:
         word, p = scorer.completions_at(nodes)
         via = np.asarray(scorer.via)
         for node, prefix in enumerate(node_prefixes(root)):
-            remainder, end, prob = scorer._search(node)
-            assert scorer.complete(node) == (remainder, end, prob)
+            end, prob = scorer._search(node)
+            remainder = tree._prefix(end, node)
             assert (int(word[node]), float(p[node])) == (end, prob)
             assert (prefix + remainder, prob) == best_completion(lm, root, prefix)
             if via[node] >= 0:  # certain: the chain of ``via`` reaches the word
@@ -454,7 +455,7 @@ class TestBestCompletions:
         nodes = np.arange(len(tree._kids), dtype=np.intc)
         scorer.completions_at(nodes)
         for node, prefix in enumerate(node_prefixes(root)):
-            remainder, _, p = scorer.complete(node)
+            remainder, _, p = scorer_completion(scorer, node)
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
         uncertain = np.flatnonzero(np.asarray(scorer.via) < 0).tolist()
         assert 0 < len(uncertain) < len(nodes) // 2
@@ -473,7 +474,7 @@ class TestBestCompletions:
         assert via[trie_node(root, "b" * 100)] >= 0  # one completion
         assert via[trie_node(root, "a" * 100)] >= 0  # products of 2**-900 or so
         for prefix in ("", "a", "a" * 5, "b" * 100, "a" * 100):
-            remainder, _, p = scorer.complete(trie_node(root, prefix))
+            remainder, _, p = scorer_completion(scorer, trie_node(root, prefix))
             assert (p < 2.0 ** -1000) == (prefix != "a" * 100)
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
 

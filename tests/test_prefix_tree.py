@@ -15,6 +15,7 @@ from _support import (
     reference_completions,
     reference_level_order,
     reference_trie,
+    scorer_completion,
     trie_node,
 )
 
@@ -124,7 +125,7 @@ def test_first_completion_matches_full_enumeration():
         if node is None:
             assert completions == []
             continue
-        remainder, end, p = scorer.complete(node)
+        remainder, end, p = scorer_completion(scorer, node)
         assert (prefix + remainder, remainder) == completions[0]
         assert end == trie_node(root, prefix + remainder) and t._is_word[end]
         assert p == 1.0

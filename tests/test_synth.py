@@ -103,7 +103,7 @@ def test_separator_region_is_reliable():
     a = Alphabet("abcde", separator="|")
     sim = RecognizerSim(alphabet=a, noise_level=0.5, seed=8, frames_per_char=3)
     m = sim.emit("abcde")
-    sep_col = a.index_of("|")
+    sep_col = a.symbols.index("|")
     sep_frames = m.probs[-3:, sep_col]
     assert np.all(sep_frames > 0.5)
     assert np.all(m.probs[:-3, sep_col] == 0.0)
@@ -278,7 +278,7 @@ class TestBatchedEmission:
         alphabet = Alphabet("abc", separator)
         sim = RecognizerSim(alphabet=alphabet, noise_level=0.4, confusion_spread=1.5)
         c_max = alphabet.num_classes
-        sep_col = None if separator is None else alphabet.index_of(separator)
+        sep_col = None if separator is None else alphabet.symbols.index(separator)
         targets = [0, 2, c_max - 1] + ([] if sep_col is None else [sep_col])
         expected = [reference_row(Scripted(), sim, c_max, t, 0.4, sep_col) for t in targets]
         got = synth._noisy_rows(

@@ -103,7 +103,7 @@ def test_the_report_does_not_depend_on_the_batch_size(monkeypatch):
 def test_first_matrix_is_emitted_alone_and_best_path_decoded_first(monkeypatch):
     # A command's set-up ends at its first decode, less the time spent
     # emitting before it: the first matrix comes from ``RecognizerSim.emit``
-    # alone and is best-path decoded before anything else is emitted.
+    # alone and is best-path decoded alone before anything else is emitted.
     events: list[str] = []
     emit, emit_many = trends.RecognizerSim.emit, trends.emit_many
     best_path_decode = trends.best_path_decode
@@ -116,15 +116,15 @@ def test_first_matrix_is_emitted_alone_and_best_path_decoded_first(monkeypatch):
         events.append("emit_many")
         return emit_many(pairs)
 
-    def recorded_best_path(m, alphabet):
-        events.append("best_path")
-        return best_path_decode(m, alphabet)
+    def recorded_best_path(matrices, alphabet):
+        events.append(f"best_path {len(matrices)}")
+        return best_path_decode(matrices, alphabet)
 
     monkeypatch.setattr(trends.RecognizerSim, "emit", recorded_emit)
     monkeypatch.setattr(trends, "emit_many", recorded_emit_many)
     monkeypatch.setattr(trends, "best_path_decode", recorded_best_path)
     report = run_trend_experiment(_MEMO_CFG).format()
-    assert events[:3] == ["emit", "best_path", "emit_many"]
+    assert events[:3] == ["emit", "best_path 1", "emit_many"]
     assert "emit_many" in events[events.index("emit", 1):]  # each lane batches its rest
     assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
 
