@@ -14,7 +14,7 @@ import sys
 from collections.abc import Callable, Iterable, Iterator
 from pathlib import Path
 
-from . import decoder
+from . import decoder, fanout
 from .coding import choose_separator, decode_label
 from .ctc import Alphabet, PosteriorMatrix, best_path_batch
 from .ensemble import Hypothesis, vote, winning_group_size
@@ -233,34 +233,35 @@ decode = decoder.decode_batch
 best_path_decode = best_path_batch
 
 
-def _read(paths: list) -> Iterator[list[tuple[str, PosteriorMatrix]]]:
-    """``(symbols, matrix)`` of each matrix file, in file order, a list per
-    group read.
+def _read_groups(paths: list) -> Iterator[tuple[tuple[int, list], int]]:
+    """The groups in which ``paths`` are read, each as ``((index of its
+    first file, its files), bytes)``, in file order, each file's size taken
+    when its group is next.
 
-    Files are read (``read_matrix_file``) in groups of consecutive files:
-    at most ``READ_FILES`` of them and ``READ_BYTES`` in all, a larger
-    file alone. A group that raises is read again file by file, each file,
-    a list of its own, when the caller has set up the one before, so the
-    first fault in file order, of a read or of a set-up, is the one raised.
+    A group is a run of consecutive files: at most ``READ_FILES`` of them
+    and ``READ_BYTES`` in all, a larger file alone.
     """
     group: list = []
     size = 0
-    for path in paths:
+    for i, path in enumerate(paths):
         try:
             n = os.stat(path).st_size
         except OSError:
             n = 0  # reading it reports the fault
         if group and (len(group) == READ_FILES or size + n > READ_BYTES):
-            yield from _read_group(group)
+            yield (i - len(group), group), size
             group, size = [], 0
         group.append(path)
         size += n
     if group:
-        yield from _read_group(group)
+        yield (len(paths) - len(group), group), size
 
 
 def _read_group(group: list) -> Iterable[list[tuple[str, PosteriorMatrix]]]:
-    """``(symbols, matrix)`` of each file of one group: one list, or one per file."""
+    """``(symbols, matrix)`` of each file of one group (``read_matrix_file``),
+    in file order: one list, or, when the group raises, one list per file,
+    each read when the caller has set up the one before, so the first fault
+    in file order, of a read or of a set-up, is the one raised."""
     try:
         return [read_matrix_file(group)]
     except WordbeamError:
@@ -283,45 +284,74 @@ class _DecodePipeline:
         """Read and decode each matrix file; return ``row(i, label,
         likelihood)`` of each file ``paths[i]``, in file order.
 
-        Files are read in groups (``_read``), and each file's alphabet is
-        set up in file order, so the first fault in that order is the one
-        raised. Each alphabet's matrices are collected and decoded up to
-        ``DECODE_BATCH`` at a time; best path decodes them at the end of
-        each group read.
+        Files are read in groups (``_read_groups``). Where this process may
+        fork workers (``fanout.processes``), the first group is decoded
+        here, which sets up its alphabets; the other groups are then split
+        into shares of about equal bytes, one per CPU (``fanout.run``), the
+        first decoded here and each other by a forked worker, which
+        inherits the set-up. Otherwise every group is decoded here, as one
+        share. Each share raises its own first fault, so the first fault in
+        file order is the one raised.
         """
-        rows: list = [None] * len(paths)
+        groups = _read_groups(paths)
+        if fanout.processes() == 1:
+            return self._decode_share((group for group, _ in groups), row)
+        first = next(groups, None)
+        rows = self._decode_share([first[0]], row) if first else []
+        rest = list(groups)
+        return rows + fanout.run([group for group, _ in rest],
+                                 lambda share: self._decode_share(share, row),
+                                 [size for _, size in rest])
+
+    def _decode_share(self, groups: Iterable[tuple[int, list]],
+                      row: Callable[[int, str, float], object]) -> list:
+        """``row(i, label, likelihood)`` of each file of ``groups``, each
+        group ``(i of its first file, its files)``, in file order.
+
+        Each file's alphabet is set up in file order, so the first fault in
+        that order is the one raised. Each alphabet's matrices are collected
+        and decoded up to ``DECODE_BATCH`` at a time; best path decodes them
+        at the end of each group read.
+        """
+        rows: list = []
+        base = 0  # i of the first file
         pending: dict[str, list[tuple[int, PosteriorMatrix]]] = {}
 
-        def flush() -> None:
-            for symbols, group in pending.items():
-                self._decode(symbols, group, row, rows)
-            pending.clear()
+        def decode_pending(symbols: str) -> None:
+            batch = pending.pop(symbols)
+            for (i, _), (label, likelihood) in zip(batch, self._decode(symbols, batch)):
+                rows[i - base] = row(i, label, likelihood)
 
-        i = 0
-        for read in _read(paths):
-            for symbols, matrix in read:
-                self._setup(symbols, str(paths[i]))
-                group = pending.setdefault(symbols, [])
-                group.append((i, matrix))
-                i += 1
-                if len(group) == DECODE_BATCH:
-                    self._decode(symbols, pending.pop(symbols), row, rows)
-            if self.mode is None:
-                flush()
-        flush()
+        for start, group in groups:
+            if not rows:
+                base = start
+            rows += [None] * len(group)
+            i = start
+            for read in _read_group(group):
+                for symbols, matrix in read:
+                    self._setup(symbols, str(group[i - start]))
+                    batch = pending.setdefault(symbols, [])
+                    batch.append((i, matrix))
+                    i += 1
+                    if len(batch) == DECODE_BATCH:
+                        decode_pending(symbols)
+                if self.mode is None:
+                    for symbols in list(pending):
+                        decode_pending(symbols)
+        for symbols in list(pending):
+            decode_pending(symbols)
         return rows
 
-    def _decode(self, symbols: str, group: list[tuple[int, PosteriorMatrix]],
-                row: Callable[[int, str, float], object], rows: list) -> None:
-        """Decode the matrices of one alphabet into their places in ``rows``."""
+    def _decode(self, symbols: str,
+                batch: list[tuple[int, PosteriorMatrix]]) -> list[tuple[str, float]]:
+        """The labels and likelihoods of matrices of one alphabet."""
         alphabet, tree, lm = self._cache[symbols]
-        matrices = [m for _, m in group]
+        matrices = [m for _, m in batch]
         if self.mode is None:
             found = best_path_decode(matrices, alphabet)
         else:
             found = decode(matrices, alphabet, tree, lm, self.args.width, self.mode)
-        for (i, _), (label, likelihood) in zip(group, found):
-            rows[i] = row(i, decode_label(label, alphabet), likelihood)
+        return [(decode_label(label, alphabet), likelihood) for label, likelihood in found]
 
     def _setup(self, symbols: str, path: str):
         cached = self._cache.get(symbols)

@@ -48,10 +48,12 @@ its total mass times the row's largest non-blank value, is below that
 bound (the arguments are in ``_run_frames``). ``decode`` runs two
 stages: ``frame_beams`` yields each frame's ``width`` survivors and, for
 the last frame, the merged, uncut set, as lists of candidates;
-``complete_beams`` completes that last set, and ``decode`` takes the
-best completed candidate. The frame loop is the only stage written
-twice: both engines complete their candidates by one rule over arrays
-(``_completed``), which gives each its word and completed ``p_text``.
+``complete_beams`` completes that last set and returns its best merged
+candidates, and ``decode`` takes the one with the smallest text. The
+frame loop is the only stage written twice: both engines complete their
+candidates by one rule over arrays (``_completed``), which gives each
+its word and completed ``p_text``, and merge them by (text before the
+word, word).
 
 ``decode_batch`` is the one call for any number of matrices in any
 mode: it returns, bit for bit, what ``decode`` returns for each, and it
@@ -308,34 +310,44 @@ def complete_beams(
     lm: NgramModel | None = None,
     mode: ScoringMode = WORDS,
 ) -> list[tuple]:
-    """Extend candidates ending in an incomplete prefix to their best completion.
+    """The best candidates once those ending in an incomplete prefix are
+    extended to their best completion.
 
     Each candidate's word and completed ``p_text`` are ``_completed``'s, in
     one call over them all. Posterior mass is never consumed: a completed
     candidate keeps its ``p_blank``/``p_nonblank``. Candidates already
     ending in a complete word or in non-word state are unchanged. When a
     completion collides with another candidate's text, the masses are
-    summed and the first candidate's language-model score (in text order)
-    is kept. Returns the merged candidates.
+    summed in text order and the first candidate's language-model score
+    is kept. A completed in-word text is the text before its word plus the
+    word, so candidates that complete to one text are those with one (text
+    before the word, word), as in ``_complete_batch``; the texts of the
+    merged candidates with the best score alone are spelled, and those are
+    returned.
     """
     beams = sorted(beams, key=itemgetter(1))
     node = np.array([cand[6] for cand in beams], np.intc)
     p_text = np.array([cand[4] for cand in beams])
     word, p_text = _completed(_scorer(tree, lm, mode), node, p_text,
                               np.array([cand[5] for cand in beams]))
-    out: dict[str, tuple] = {}
-    for cand, w, p in zip(beams, word.tolist(), p_text.tolist()):
-        _, text, pb, pnb, _, committed, node = cand
-        if w != node:
-            text += tree._prefix(w, node)
-            cand = (-(p * (pb + pnb)), text, pb, pnb, p, committed, w)
-        cur = out.get(text)
+    depth = np.searchsorted(tree._levels, node, "right") - 1
+    merged: dict[tuple[str, int], list] = {}
+    for cand, w, p, d in zip(beams, word.tolist(), p_text.tolist(), depth.tolist()):
+        text, pb, pnb = cand[1:4]
+        key = text[:len(text) - d], w
+        cur = merged.get(key)
         if cur is None:
-            out[text] = cand
+            merged[key] = [pb, pnb, p, cand]
         else:
-            pb, pnb, p = cur[2] + pb, cur[3] + pnb, cur[4]
-            out[text] = (-(p * (pb + pnb)), text, pb, pnb, p, *cur[5:])
-    return list(out.values())
+            cur[0] += pb
+            cur[1] += pnb
+    best = max((p * (pb + pnb) for pb, pnb, p, _ in merged.values()), default=0.0)
+    out = []
+    for (_, w), (pb, pnb, p, cand) in merged.items():
+        if p * (pb + pnb) == best:
+            text = cand[1] if w == cand[6] else cand[1] + tree._prefix(w, cand[6])
+            out.append((-best, text, pb, pnb, p, cand[5], w))
+    return out
 
 
 def _completed(

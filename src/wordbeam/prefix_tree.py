@@ -30,9 +30,11 @@ class PrefixTree:
     characters, sorted; ``_first[n]`` is the id of its first child, so
     child ``k`` is ``_first[n] + k``; ``_is_word[n]`` is 1 when the node
     ends a word; for ``n >= 1``, ``_chars[n - 1]`` is its own character,
-    so ``_chars`` is the child strings joined. A node id is the only form
-    in which the decoder and ``TrieScorer`` hold a prefix: they walk
-    children in that order without sorting. Only what the scorer fills
+    so ``_chars`` is the child strings joined. Level order puts the nodes
+    of depth ``d`` at ids ``_levels[d]`` to ``_levels[d + 1] - 1``, so a
+    node's depth, the length of its prefix, is one ``bisect``. A node id
+    is the only form in which the decoder and ``TrieScorer`` hold a
+    prefix: they walk children in that order without sorting. Only what the scorer fills
     lazily (a sampled forecast, a best completion) and the spelling of a
     completed text rebuild a node's prefix, with ``_prefix``. The build
     (``_build``) sorts and numbers the words in whole-array passes, in
@@ -45,6 +47,13 @@ class PrefixTree:
         self._extensions: dict = {}
         self._kids, self._first, self._is_word, self._chars = _build(list(words),
                                                                      self.word_chars)
+        # The first node id of each depth, then the node count; the nodes of
+        # a depth are the children of the nodes of the depth above.
+        self._levels = [0, 1]
+        while self._levels[-1] > self._levels[-2]:
+            last = self._levels[-1] - 1
+            self._levels.append(self._first[last] + len(self._kids[last]))
+        self._levels.pop()
 
     def _children(self, node: int) -> enumerate:
         """``(child id, character)`` pairs of ``node``, in code-point order."""

@@ -19,6 +19,7 @@ import random
 from dataclasses import dataclass, field, replace
 from itertools import islice
 
+from . import fanout
 from .coding import decode_label
 from .ctc import Alphabet, best_path_batch
 from .decoder import decode_batch
@@ -158,12 +159,12 @@ def _decode_lane(
     longest matrix, and its decodes end on few distinct frames. A batch of
     at most ``BATCH_DECODES`` jobs is emitted when it is next, by
     ``emit_many`` at most ``BATCH_DECODES // 3`` (at least one) at a time,
-    and decoded by one ``decode_batch`` call; each hypothesis is filed under
-    its (member, word). The first member's best paths are taken by one
-    ``best_path_batch`` call per emitted part. The lane's first matrix is
-    emitted alone, by ``RecognizerSim.emit``, and its best path taken before
-    any other job or recognizer copy is made, so the first matrix comes
-    before any other work of the lane.
+    and decoded by one ``decode_batch`` call, after one ``best_path_batch``
+    call for the first member's matrices; each hypothesis is filed under
+    its (member, word). The lane's first matrix is emitted alone, by
+    ``RecognizerSim.emit``, and its best path taken before any other job or
+    recognizer copy is made, so the first matrix comes before any other
+    work of the lane.
     """
     jobs = ((k, word) for word in sorted(dict.fromkeys(words), key=len)
             for k in range(len(members)))
@@ -171,38 +172,47 @@ def _decode_lane(
     best_path: dict[str, str] = {}
     found: dict[tuple[int, str], Hypothesis] = {}
 
-    def emitted(part: list[tuple[int, str]], matrices: list) -> list:
+    def take_best_paths(part: list[tuple[int, str]], matrices: list) -> None:
         firsts = [(word, matrix) for (k, word), matrix in zip(part, matrices) if not k]
-        paths = best_path_decode([matrix for _, matrix in firsts], alphabet)
-        for (word, _), (text, _) in zip(firsts, paths):
-            best_path[word] = decode_label(text, alphabet)
-        return matrices
+        if firsts:
+            paths = best_path_decode([matrix for _, matrix in firsts], alphabet)
+            for (word, _), (text, _) in zip(firsts, paths):
+                best_path[word] = decode_label(text, alphabet)
 
     batch = list(islice(jobs, 1))
-    matrices = emitted(batch, [replace(members[k], alphabet=alphabet).emit(word)
-                               for k, word in batch])
+    matrices = [replace(members[k], alphabet=alphabet).emit(word) for k, word in batch]
+    take_best_paths(batch, matrices)
+    taken = len(batch)  # jobs of the batch whose best paths are taken
     sims = [replace(member, alphabet=alphabet) for member in members]
     while True:
         while part := list(islice(jobs, min(chunk, BATCH_DECODES - len(batch)))):
             batch += part
-            matrices += emitted(part, emit_many([(sims[k], word) for k, word in part]))
+            matrices += emit_many([(sims[k], word) for k, word in part])
         if not batch:
             break
+        take_best_paths(batch[taken:], matrices[taken:])
         for job, (text, likelihood) in zip(batch, decode_batch(matrices, alphabet, tree,
                                                                width=width)):
             found[job] = Hypothesis(decode_label(text, alphabet), likelihood)
-        batch, matrices = [], []
+        batch, matrices, taken = [], [], 0
     hyps = [[found[k, word] for word in words] for k in range(len(members))]
     return hyps, [best_path[word] for word in words]
 
 
 def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
-    cfg = config
+    """The trend report of ``config``: its seeds are independent, so they
+    are split into shares over the CPUs (``fanout.run``), each share's
+    outcomes computed in a process of its own, and joined in seed order."""
+    seeds = [config.seed + 1000 * k for k in range(config.n_seeds)]
+    return TrendReport(config=config,
+                       outcomes=fanout.run(seeds, lambda share: _seed_outcomes(config, share)))
+
+
+def _seed_outcomes(cfg: TrendConfig, seeds: list[int]) -> list[SeedOutcome]:
     plain_alphabet = Alphabet(cfg.alphabet_characters)
     sep_alphabet = Alphabet(cfg.alphabet_characters, cfg.separator)
-    report = TrendReport(config=cfg)
-    for k in range(cfg.n_seeds):
-        seed = cfg.seed + 1000 * k
+    outcomes = []
+    for seed in seeds:
         rng = random.Random(f"trend|{seed}")
         dictionary = _make_dictionary(rng, cfg)
         gt = [rng.choice(dictionary) for _ in range(cfg.n_words)]
@@ -231,7 +241,7 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
         (plain_hyps,), bp_plain_preds = _decode_lane(members[:1], plain_alphabet, tree, gt,
                                                      cfg.width)
 
-        report.outcomes.append(
+        outcomes.append(
             SeedOutcome(
                 seed=seed,
                 ensemble_accuracy=ensemble_accuracy,
@@ -241,4 +251,4 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
                 bestpath_extrasep=word_accuracy(bp_x_preds, gt),
             )
         )
-    return report
+    return outcomes

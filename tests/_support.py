@@ -745,3 +745,22 @@ def _sum_left_to_right(values: list[float]) -> float:
     for v in values:
         total += v
     return total
+
+
+# Matrix texts with a fault, and the message that names the first one, for a
+# file named m.mat.
+FIRST_FAULTS = [
+    ("0 3\nab\n", "m.mat: posterior matrix must be two-dimensional"),
+    ("2 2\na\n0.5 0.5\n\n", "m.mat:4: expected 2 values, found 1"),
+    ("2 2\na\n0.5 0.5 \n0.5\t0.5\n", "m.mat:3: expected 2 values, found 3"),
+    ("3 2\na\n0.5 0.5\n0.5 x\n0.5\n", "m.mat:4: malformed float in row '0.5 x'"),
+    ("2 2\na\n0.5 nan\n-1 2\n", "m.mat:3: posterior matrix contains non-finite entries"),
+    ("3 2\na\n0.5 0.5\n-1 2\n0.5 inf\n",
+     "m.mat:5: posterior matrix contains non-finite entries"),
+    ("1 2\na\n-0.5 1.5\n", "m.mat:3: posterior matrix contains negative entries"),
+    ("2 2\na\n0.5 0.5\n0.75 0.75\n",
+     "m.mat:4: row 1 sums to 1.5; matrices are rejected, not renormalized"),
+    ("1 2\n", "m.mat:1: expected a 'T C' header and an alphabet line"),
+    ("1\na\n0.5 0.5\n", "m.mat:1: malformed header '1'"),
+    ("1 two\na\n0.5 0.5\n", "m.mat:1: non-integer header '1 two'"),
+]

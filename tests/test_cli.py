@@ -36,7 +36,12 @@ from wordbeam.files import (
     write_matrix_file,
 )
 
-from _support import random_matrix, reference_load_word_list, reference_parse_matrix
+from _support import (
+    FIRST_FAULTS,
+    random_matrix,
+    reference_load_word_list,
+    reference_parse_matrix,
+)
 
 
 class TestMatrixFile:
@@ -198,21 +203,7 @@ class TestBulkParse:
         assert got[0] == "error"
         assert got == _outcome(reference_parse_matrix, text)
 
-    @pytest.mark.parametrize("text, message", [
-        ("0 3\nab\n", "m.mat: posterior matrix must be two-dimensional"),
-        ("2 2\na\n0.5 0.5\n\n", "m.mat:4: expected 2 values, found 1"),
-        ("2 2\na\n0.5 0.5 \n0.5\t0.5\n", "m.mat:3: expected 2 values, found 3"),
-        ("3 2\na\n0.5 0.5\n0.5 x\n0.5\n", "m.mat:4: malformed float in row '0.5 x'"),
-        ("2 2\na\n0.5 nan\n-1 2\n", "m.mat:3: posterior matrix contains non-finite entries"),
-        ("3 2\na\n0.5 0.5\n-1 2\n0.5 inf\n",
-         "m.mat:5: posterior matrix contains non-finite entries"),
-        ("1 2\na\n-0.5 1.5\n", "m.mat:3: posterior matrix contains negative entries"),
-        ("2 2\na\n0.5 0.5\n0.75 0.75\n",
-         "m.mat:4: row 1 sums to 1.5; matrices are rejected, not renormalized"),
-        ("1 2\n", "m.mat:1: expected a 'T C' header and an alphabet line"),
-        ("1\na\n0.5 0.5\n", "m.mat:1: malformed header '1'"),
-        ("1 two\na\n0.5 0.5\n", "m.mat:1: non-integer header '1 two'"),
-    ])
+    @pytest.mark.parametrize("text, message", FIRST_FAULTS)
     def test_first_fault_names_its_line(self, text, message):
         with pytest.raises(DataFormatError) as err:
             parse_matrix(text, path="m.mat")
@@ -590,9 +581,9 @@ def _per_file_lines(paths, dict_path, width, nonword="", lm=None, mode=WORDS):
 
 
 @pytest.fixture
-def batch_spy(monkeypatch):
+def batch_spy(monkeypatch, one_process):
     """The sizes of the CLI's ``decode`` calls, with two matrices to a batch
-    and three files to a read group."""
+    and three files to a read group, all in this process."""
     sizes = []
     batch = cli.decode
 
@@ -740,9 +731,9 @@ class TestBestPathGroups:
         return lines
 
     @pytest.fixture
-    def group_spy(self, monkeypatch):
+    def group_spy(self, monkeypatch, one_process):
         """The alphabets and sizes of the CLI's ``best_path_decode`` calls, with
-        three files to a read group."""
+        three files to a read group, all in this process."""
         calls = []
         decode = cli.best_path_decode
 
@@ -844,7 +835,8 @@ class TestGroupedReads:
         want = self._first_fault(faults, paths, dict_path, mode)
         assert capsys.readouterr() == ("", f"wordbeam: data format error: {want}\n")
 
-    def test_groups_keep_to_the_file_and_byte_budget(self, tmp_path, capsys, monkeypatch):
+    def test_groups_keep_to_the_file_and_byte_budget(self, tmp_path, capsys, monkeypatch,
+                                                     one_process):
         rng = np.random.default_rng(8)
         small = random_matrix(rng, 3, 4)
         paths = []

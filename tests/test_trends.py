@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -41,7 +42,7 @@ _MEMO_CFG = TrendConfig(seed=11, n_seeds=2, n_words=80, members=3, member_counts
 _MEMO_REPORT_SHA256 = "c78374a097dc6ea44392d9c7eb950fd297ed0f73f38a631b60ac08d9e6e5d975"
 
 
-def test_each_member_decodes_each_distinct_word_once(monkeypatch):
+def test_each_member_decodes_each_distinct_word_once(monkeypatch, one_process):
     cfg = _MEMO_CFG
     calls: Counter = Counter()
     batches: list[int] = []
@@ -68,7 +69,7 @@ def test_each_member_decodes_each_distinct_word_once(monkeypatch):
     assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
 
 
-def test_both_lanes_share_one_tree_per_seed(monkeypatch):
+def test_both_lanes_share_one_tree_per_seed(monkeypatch, one_process):
     cfg = _MEMO_CFG
     built: list = []
     alphabets: dict[int, set] = {}
@@ -100,13 +101,14 @@ def test_the_report_does_not_depend_on_the_batch_size(monkeypatch):
     assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
 
 
-def test_first_matrix_is_emitted_alone_and_best_path_decoded_first(monkeypatch):
+def test_first_matrix_is_emitted_alone_and_best_path_decoded_first(monkeypatch, one_process):
     # A command's set-up ends at its first decode, less the time spent
     # emitting before it: the first matrix comes from ``RecognizerSim.emit``
     # alone and is best-path decoded alone before anything else is emitted.
+    # The first member's other best paths are taken once per decode batch.
     events: list[str] = []
     emit, emit_many = trends.RecognizerSim.emit, trends.emit_many
-    best_path_decode = trends.best_path_decode
+    best_path_decode, decode_batch = trends.best_path_decode, trends.decode_batch
 
     def recorded_emit(self, word):
         events.append("emit")
@@ -122,14 +124,27 @@ def test_first_matrix_is_emitted_alone_and_best_path_decoded_first(monkeypatch):
 
     monkeypatch.setattr(trends.RecognizerSim, "emit", recorded_emit)
     monkeypatch.setattr(trends, "emit_many", recorded_emit_many)
+    def recorded_decode_batch(matrices, alphabet, tree, *, width):
+        events.append("decode")
+        return decode_batch(matrices, alphabet, tree, width=width)
+
     monkeypatch.setattr(trends, "best_path_decode", recorded_best_path)
+    monkeypatch.setattr(trends, "decode_batch", recorded_decode_batch)
+    monkeypatch.setattr(trends, "BATCH_DECODES", 7)
     report = run_trend_experiment(_MEMO_CFG).format()
     assert events[:3] == ["emit", "best_path 1", "emit_many"]
     assert "emit_many" in events[events.index("emit", 1):]  # each lane batches its rest
+    # Each lane: its lone first matrix, then one best path call before the
+    # decode of each batch that holds first-member jobs.
+    calls = "".join(f"{e};" for e in events if not e.startswith("emit"))
+    lanes = re.findall(r"best_path 1;(?:(?:best_path \d+;)?decode;)+", calls)
+    assert "".join(lanes) == calls
+    assert len(lanes) == 2 * _MEMO_CFG.n_seeds
+    assert calls.count("decode") > len(lanes)
     assert hashlib.sha256(report.encode()).hexdigest() == _MEMO_REPORT_SHA256
 
 
-def test_a_lane_decodes_its_batches_shortest_first(monkeypatch):
+def test_a_lane_decodes_its_batches_shortest_first(monkeypatch, one_process):
     # A lane's jobs go by word length, so a batch's longest matrix is no
     # longer than the next batch's shortest.
     monkeypatch.setattr(trends, "BATCH_DECODES", 7)
