@@ -36,24 +36,24 @@ the tree rejects empty words. The search never spells that run out;
 the ``TrieScorer`` takes the node alone. Texts are unique, so ranking on
 the tuple compares (-score, text) only.
 
-Each posterior row is read by character, and the trie keeps every
-node's child characters as one sorted string, so a decode builds no
-extension table of its own; a child's id is computed only for an
-extension that is kept (or, in the forecast modes, scored). Within a
-frame the search keeps a running lower bound on the ``width``-th best
-score and never builds an extension strictly below it, as the cut to
-``width`` would drop it anyway; in ``words`` and ``ngrams`` mode it also
-skips a whole survivor whose best possible extension, ``p_text`` times
-its total mass times the row's largest non-blank value, is below that
-bound (the arguments are in ``_run_frames``). ``decode`` runs two
-stages: ``frame_beams`` yields each frame's ``width`` survivors and, for
-the last frame, the merged, uncut set, as lists of candidates;
-``complete_beams`` completes that last set and returns its best merged
-candidates, and ``decode`` takes the one with the smallest text. The
-frame loop is the only stage written twice: both engines complete their
-candidates by one rule over arrays (``_completed``), which gives each
-its word and completed ``p_text``, and merge them by (text before the
-word, word).
+Each posterior row is read by character, and a node's children are a run
+of ids whose characters, sorted, are one slice of the trie's character
+string, so a decode builds no extension table of its own; a child's id
+is computed only for an extension that is kept (or, in the forecast
+modes, scored). Within a frame the search keeps a running lower bound on
+the ``width``-th best score and never builds an extension strictly below
+it, as the cut to ``width`` would drop it anyway; in ``words`` and
+``ngrams`` mode it also skips a whole survivor whose best possible
+extension, ``p_text`` times its total mass times the row's largest
+non-blank value, is below that bound (the arguments are in
+``_run_frames``). ``decode`` runs two stages: ``frame_beams`` yields
+each frame's ``width`` survivors and, for the last frame, the merged,
+uncut set, as lists of candidates; ``complete_beams`` completes that
+last set and returns its best merged candidates, and ``decode`` takes
+the one with the smallest text. The frame loop is the only stage written
+twice: both engines complete their candidates by one rule over arrays
+(``_completed``), which gives each its word and completed ``p_text``,
+and merge them by (text before the word, word).
 
 ``decode_batch`` is the one call for any number of matrices in any
 mode: it returns, bit for bit, what ``decode`` returns for each, and it
@@ -151,7 +151,7 @@ def _prepare(
     if missing:
         raise ConfigurationError(f"word characters {sorted(missing)!r} are not alphabet symbols")
     nonword = sorted(set(alphabet.symbols) - tree.word_chars)
-    if not tree._kids[0] and not nonword:
+    if tree._first[-1] == 1 and not nonword:  # the root is the only node
         raise ConfigurationError(
             "no beam can ever extend: the dictionary is empty and there are "
             "no non-word characters"
@@ -226,7 +226,9 @@ def _run_frames(
     uses_lm = scorer.mode.uses_lm
     uses_forecast = scorer.mode.uses_forecast
     forecast, word_probability = scorer.forecast, scorer.word_probability
-    tree_kids, first, is_word = tree._kids, tree._first, tree._is_word
+    # Node ``n``'s character at ``n`` (a placeholder at the root), so that
+    # node ``n``'s children's are ``chars[first[n]:first[n + 1]]``.
+    chars, first, is_word = "\0" + tree._chars, tree._first, tree._is_word
     rows = m.probs.tolist()
     last_frame = len(rows) - 1
     survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, 0)]
@@ -256,24 +258,24 @@ def _run_frames(
                 continue
             # Children of the trie node (the root's outside a word), plus
             # non-word characters outside a word or once the node is itself
-            # a complete word. Child ``k``'s id, ``first[node] + k``, is
-            # computed only for an extension that is scored by its forecast
-            # or kept.
+            # a complete word. Child ``k``'s id, ``lo + k``, is computed only
+            # for an extension that is scored by its forecast or kept.
             last = text[-1:]
             sep_exts = nonword if not node or is_word[node] else ()
-            for k, c in enumerate(tree_kids[node]):
+            lo = first[node]
+            for k, c in enumerate(chars[lo:first[node + 1]]):
                 mass = (pb if c == last else tot) * row[c]
                 if into is not None and c in into:
                     copy_nb[into[c]] += mass
                     continue
                 if uses_forecast:
-                    p_ext = committed * forecast(first[node] + k)
+                    p_ext = committed * forecast(lo + k)
                 else:
                     p_ext = p_text
                 score = p_ext * mass
                 if score < thr:
                     continue
-                append((-score, text + c, 0.0, mass, p_ext, committed, first[node] + k))
+                append((-score, text + c, 0.0, mass, p_ext, committed, lo + k))
                 if score > thr and heap:
                     heapreplace(heap, score)
                     thr = heap[0]
@@ -466,7 +468,7 @@ def _run_batch(
     if arrays is None:
         arrays = tree._extensions[alphabet.symbols] = _node_arrays(tree, alphabet, nonword)
     first, spans, col = arrays
-    size = len(first)
+    size = len(spans)  # the node count
     n = len(matrices)
     uses_lm, uses_forecast = scorer.mode.uses_lm, scorer.mode.uses_forecast
     word_prob = np.asarray(scorer.word_prob) if uses_lm else None
@@ -678,7 +680,7 @@ def _complete_batch(
     pb, pnb = fields[:2]
     node = cand[_NODE]
     word, p_text = _completed(scorer, node, *(fields[2:] or (None, None)))
-    key = np.where(word != 0, cand[_WST].astype(np.int64) * len(tree._kids) + word,
+    key = np.where(word != 0, cand[_WST].astype(np.int64) * tree._first[-1] + word,
                    -1 - np.arange(len(word)))
     order = np.argsort(key)
     key = key[order]
@@ -719,20 +721,19 @@ def _node_arrays(tree: PrefixTree, alphabet: Alphabet, nonword: list[str]) -> tu
     """``(first, spans, col)``: per trie node ``n``, the extensions a
     hypothesis there may take.
 
-    They are node ``n``'s children, ids ``first[n]`` on, then the non-word
-    characters at the root or a word end; an extension's slot is its place
-    in that order. ``spans[n]`` packs their two counts, as two int32 in one
+    They are node ``n``'s children, ids ``first[n]`` to ``first[n + 1] -
+    1`` (``first`` is the tree's, which ends with the node count), then the
+    non-word characters at the root or a word end; an extension's slot is
+    its place in that order. ``spans[n]`` packs their two counts, as two int32 in one
     int64. ``col[n]`` is node ``n``'s character column (0 at the root); the
     non-word characters' columns follow, one past the last node. They depend
     only on the tree and the alphabet's column order, so ``_run_batch`` keeps
     them on the tree, read-only, by ``alphabet.symbols``.
     """
     first = np.frombuffer(tree._first, np.intc)
-    size = len(first)
+    size = len(first) - 1
     spans = np.empty((size, 2), np.intc)
-    # Node ``n``'s children end where node ``n + 1``'s begin.
-    spans[:-1, 0] = first[1:] - first[:-1]
-    spans[-1, 0] = size - first[-1]
+    spans[:, 0] = np.diff(first)
     spans[:, 1] = np.frombuffer(tree._is_word, np.uint8)
     spans[0, 1] = 1
     spans[:, 1] *= len(nonword)

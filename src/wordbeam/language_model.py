@@ -425,7 +425,7 @@ class TrieScorer:
         # ``remainder_probability``, and only prefixes at least as probable as
         # the answer are visited.
         step, end = self.step, self.end
-        is_word, children = self.tree._is_word, self.tree._children
+        is_word, first, chars = self.tree._is_word, self.tree._first, self.tree._chars
         heap = [(-1.0, "", False, node)]
         while True:
             neg_p, text, at_end, cur = heapq.heappop(heap)
@@ -433,7 +433,8 @@ class TrieScorer:
                 return cur, -neg_p
             if is_word[cur]:
                 heapq.heappush(heap, (neg_p * end[cur], text, True, cur))
-            for child, c in children(cur):
+            lo = first[cur]
+            for child, c in enumerate(chars[lo - 1:first[cur + 1] - 1], lo):
                 heapq.heappush(heap, (neg_p * step[child], text + c, False, child))
 
 
@@ -447,10 +448,10 @@ def _smallest_words(tree: PrefixTree) -> np.ndarray:
     the passes are about log2 of the tree's depth.
     """
     first = np.frombuffer(tree._first, np.intc)
-    ids = np.arange(len(first), dtype=np.intc)
+    ids = np.arange(len(first) - 1, dtype=np.intc)
     # A childless node is a word, but for the root of an empty tree, which keeps itself.
-    ends = np.frombuffer(tree._is_word, np.uint8).astype(bool) | (first >= len(first))
-    lexmin = np.where(ends, ids, first)
+    ends = np.frombuffer(tree._is_word, np.uint8).astype(bool) | (np.diff(first) == 0)
+    lexmin = np.where(ends, ids, first[:-1])
     while True:
         jumped = lexmin[lexmin]
         if np.array_equal(jumped, lexmin):
@@ -475,13 +476,9 @@ def _model_tables(tree: PrefixTree, lm: NgramModel, mode: ScoringMode) -> tuple:
     [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``.
     """
     first = np.frombuffer(tree._first, np.intc)
-    n = len(first)
-    levels = _levels(first)
-    kids = np.diff(first, append=n)
+    n, levels = len(first) - 1, tree._levels
     parent = np.zeros(n, np.intc)  # the root's is itself
-    for lo, hi, nxt in zip(levels, levels[1:], levels[2:]):
-        parent[hi:nxt] = np.repeat(np.arange(lo, hi, dtype=np.intc), kids[lo:hi])
-    del kids
+    parent[1:] = np.repeat(np.arange(n, dtype=np.intc), np.diff(first))
     sym = np.zeros(n, np.min_scalar_type(lm.num_outcomes))  # the root's is the boundary
     sym[1:] = _symbol_digits(lm.symbols, tree._chars, ord(max(tree.word_chars, default="\0")))
     code, span = _context_codes(_ancestor_digits(sym, parent, lm.order - 1), n, lm.num_outcomes,
@@ -505,15 +502,6 @@ def _model_tables(tree: PrefixTree, lm: NgramModel, mode: ScoringMode) -> tuple:
         count = is_word.astype(np.int64)
         _subtree_sums(parent, levels, count)
     return tuple(None if t is None else memoryview(t) for t in (step, end, word, exact, count))
-
-
-def _levels(first: np.ndarray) -> list[int]:
-    """Each level's first node id, then the number of nodes: a level starts
-    at the first child of the level above's first node."""
-    levels = [0, 1]
-    while levels[-1] < len(first):
-        levels.append(int(first[levels[-1]]))
-    return levels
 
 
 # Nodes of one level that ``_best_completions`` takes at a time, which bounds
@@ -551,11 +539,10 @@ def _best_completions(tree: PrefixTree, step, end) -> memoryview:
     Besides ``via``, the passes hold a level's arrays and its children's at
     a time.
     """
-    first = np.frombuffer(tree._first, np.intc)
-    levels = _levels(first)
+    first, levels = np.frombuffer(tree._first, np.intc), tree._levels
     is_word = np.frombuffer(tree._is_word, np.uint8).view(bool)
     step, end = np.asarray(step), np.asarray(end)
-    via = np.empty(len(first), np.intc)
+    via = np.empty(len(first) - 1, np.intc)
     deepest = len(levels) - 2
     top = bot = None  # the best and runner-up products of the level below
     for d in range(deepest, -1, -1):
@@ -601,12 +588,11 @@ def _word_keys(tree: PrefixTree, counts) -> np.ndarray:
     level's nodes come in text order and ids are level order, so the keys
     ascend with the ids, and the child at or above rank ``r`` at depth
     ``d`` is the last node whose key is at most ``d * (words + 1) + r``."""
-    first = np.frombuffer(tree._first, np.intc)
-    levels = _levels(first)
+    first, levels = np.frombuffer(tree._first, np.intc), tree._levels
     is_word = np.frombuffer(tree._is_word, np.uint8)
     counts = np.asarray(counts)
     span = int(counts[0]) + 1
-    keys = np.zeros(len(first), np.int64)
+    keys = np.zeros(len(first) - 1, np.int64)
     for d, (lo, hi, below) in enumerate(zip(levels, levels[1:], levels[2:])):
         kids = np.diff(first[lo:hi + 1])
         has = np.flatnonzero(kids)

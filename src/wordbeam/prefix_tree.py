@@ -26,38 +26,33 @@ class PrefixTree:
     arrays are its interface: it has no per-node objects and no prefix
     queries. Nodes are numbered in level order with the root at 0, and a
     node's children have consecutive ids in code-point order of their
-    characters. Per node ``n``: ``_kids[n]`` is the string of its child
-    characters, sorted; ``_first[n]`` is the id of its first child, so
-    child ``k`` is ``_first[n] + k``; ``_is_word[n]`` is 1 when the node
-    ends a word; for ``n >= 1``, ``_chars[n - 1]`` is its own character,
-    so ``_chars`` is the child strings joined. Level order puts the nodes
-    of depth ``d`` at ids ``_levels[d]`` to ``_levels[d + 1] - 1``, so a
-    node's depth, the length of its prefix, is one ``bisect``. A node id
-    is the only form in which the decoder and ``TrieScorer`` hold a
-    prefix: they walk children in that order without sorting. Only what the scorer fills
-    lazily (a sampled forecast, a best completion) and the spelling of a
-    completed text rebuild a node's prefix, with ``_prefix``. The build
-    (``_build``) sorts and numbers the words in whole-array passes, in
-    memory linear in the dictionary's characters.
+    characters. Per node ``n``: ``_first[n]`` is the id of its first
+    child; ``_is_word[n]`` is 1 when it ends a word; for ``n >= 1``,
+    ``_chars[n - 1]`` is its own character. ``_first`` ends with the node
+    count, so node ``n``'s children are ids ``_first[n]`` to ``_first[n +
+    1] - 1``, their characters, sorted, are ``_chars[_first[n] -
+    1:_first[n + 1] - 1]``, and ``np.diff(_first)`` counts every node's
+    children. Level order puts the nodes of depth ``d`` at ids
+    ``_levels[d]`` to ``_levels[d + 1] - 1``, so a node's depth, the length
+    of its prefix, is one ``bisect``. A node id is the only form in which
+    the decoder and ``TrieScorer`` hold a prefix: they walk children in
+    that order without sorting. Only what the scorer fills lazily (a
+    sampled forecast, a best completion) and the spelling of a completed
+    text rebuild a node's prefix, with ``_prefix``. The build (``_build``)
+    sorts and numbers the words in whole-array passes, in memory linear in
+    the dictionary's characters.
     """
 
     def __init__(self, words: Iterable[str], word_chars: Iterable[str]) -> None:
         self.word_chars = frozenset(word_chars)
         self._scorers: dict = {}
         self._extensions: dict = {}
-        self._kids, self._first, self._is_word, self._chars = _build(list(words),
-                                                                     self.word_chars)
-        # The first node id of each depth, then the node count; the nodes of
-        # a depth are the children of the nodes of the depth above.
+        self._first, self._is_word, self._chars = _build(list(words), self.word_chars)
+        # The first node id of each depth, then the node count: a depth
+        # starts at the first child of the depth above's first node.
         self._levels = [0, 1]
-        while self._levels[-1] > self._levels[-2]:
-            last = self._levels[-1] - 1
-            self._levels.append(self._first[last] + len(self._kids[last]))
-        self._levels.pop()
-
-    def _children(self, node: int) -> enumerate:
-        """``(child id, character)`` pairs of ``node``, in code-point order."""
-        return enumerate(self._kids[node], self._first[node])
+        while self._levels[-1] < self._first[-1]:
+            self._levels.append(self._first[self._levels[-1]])
 
     def _prefix(self, node: int, top: int = 0) -> str:
         """The characters on the path from ``top``, the root unless given, down
@@ -84,9 +79,8 @@ def _raise_first_fault(words: list[str], word_chars: frozenset[str]) -> None:
             raise InputValidationError(f"word {word!r} contains non-word character {bad!r}")
 
 
-def _build(words: list[str],
-           word_chars: frozenset[str]) -> tuple[list[str], array, bytearray, str]:
-    """``(kids, first, is_word, chars)`` of the trie over ``words``; calls
+def _build(words: list[str], word_chars: frozenset[str]) -> tuple[array, bytearray, str]:
+    """``(first, is_word, chars)`` of the trie over ``words``; calls
     ``_raise_first_fault`` when a word is empty or has a non-word character.
 
     Whole-array passes over the words' code points laid end to end, each
@@ -113,12 +107,11 @@ def _build(words: list[str],
     cumulative sum of those flags numbers the nodes row by row, and gives
     each word the id of its node at every depth: a node's parent is its
     word's node a row up. A node's first child is 1 plus the number of
-    children of nodes before it; the child strings are one string split:
-    each node's character, after the children of the nodes before its
-    parent and one separator (a code point no word has) per such node.
+    children of nodes before it, and the nodes' characters, in id order,
+    are ``chars``.
     """
     if not words:
-        return [""], array("i", [1]), bytearray(1), ""
+        return array("i", [1, 1]), bytearray(1), ""
     lengths = np.fromiter(map(len, words), np.intc, len(words))
     text = "\0".join([*words, ""])  # each word ends in a "\0", ranked 0 below
     try:
@@ -222,21 +215,14 @@ def _build(words: list[str],
 
     parent = np.concatenate(parents)
     del parents
-    nodes = len(parent) + 1
     first = array("i", [1])  # C int, as np.intc
-    first.frombytes((np.cumsum(np.bincount(parent, minlength=nodes)[:-1], dtype=np.intc)
+    first.frombytes((np.cumsum(np.bincount(parent, minlength=len(parent) + 1), dtype=np.intc)
                      + 1).tobytes())
-    sep = next(c for c, u in enumerate([*used.tolist(), -1]) if c != u)
-    # Node k >= 1 has index k - 1 among characters and ``parent[k]`` separators before it.
-    spell = np.zeros(radix, np.uint8 if max(sep, used[-1]) < 0x100 else np.uint32)
-    spell[1:] = used
-    chars = spell.take(np.concatenate(chars))
-    joined = np.full(2 * nodes - 2, sep, chars.dtype)
-    parent += np.arange(nodes - 1, dtype=np.intc)
-    joined[parent] = chars
     del parent
-    return (_text(joined).split(chr(sep)), first,
-            bytearray(np.concatenate(is_word).view(np.uint8)), _text(chars))
+    spell = np.zeros(radix, np.uint8 if used[-1] < 0x100 else np.uint32)
+    spell[1:] = used
+    return (first, bytearray(np.concatenate(is_word).view(np.uint8)),
+            _text(spell.take(np.concatenate(chars))))
 
 
 def _rows(ranks: np.ndarray, starts: np.ndarray, ends: np.ndarray, top: int,

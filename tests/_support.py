@@ -356,7 +356,8 @@ def reference_level_order(root: RefNode) -> tuple[list[str], list[int], list[int
     """``(kids, first, is_word)`` of a breadth-first walk of the reference
     trie that visits children in sorted order of their characters: per node
     in visiting order, its sorted child characters, the visiting index of
-    its first child, and 1 if it ends a word."""
+    its first child, and 1 if it ends a word; ``first`` ends with the node
+    count."""
     kids: list[str] = []
     first: list[int] = []
     is_word: list[int] = []
@@ -366,7 +367,12 @@ def reference_level_order(root: RefNode) -> tuple[list[str], list[int], list[int
         first.append(seen)
         is_word.append(int(node.is_word))
         seen += len(node.children)
-    return kids, first, is_word
+    return kids, first + [seen], is_word
+
+
+def children(tree: PrefixTree, node: int) -> str:
+    """The characters of ``node``'s children in the flat trie, in id order."""
+    return tree._chars[tree._first[node] - 1:tree._first[node + 1] - 1]
 
 
 def ref_find(root: RefNode, prefix: str) -> RefNode | None:

@@ -28,6 +28,7 @@ from wordbeam.decoder import complete_beams, decode_batch, frame_beams
 from _support import (
     Beam,
     candidate,
+    children,
     constrained_argmax,
     entries,
     forward_probability,
@@ -757,7 +758,7 @@ class TestDecodeBatch:
                 got = decode_batch(matrices[:k], alphabet, tree, lm, 6, mode)
                 assert _exact(got) == _exact(want)
         assert batched == [(mode, k) for mode in modes for k in (2, 3)]
-        c = tree._first[0] + tree._kids[0].index("c")
+        c = tree._first[0] + children(tree, 0).index("c")
         for mode in modes[1:]:
             assert list(decoder._scorer(tree, lm, mode)._searched) == [c]
 

@@ -358,7 +358,7 @@ class TestTrieScorerTables:
         tree = PrefixTree(words, set("abé"))
         scorer = TrieScorer(tree)
         ordered = sorted(set(words))
-        for node in range(len(tree._kids)):
+        for node in range(len(tree._first) - 1):
             prefix = tree._prefix(node)
             smallest = ordered[bisect_left(ordered, prefix)]
             assert smallest.startswith(prefix)
@@ -428,7 +428,7 @@ class TestBestCompletions:
         tree, root = PrefixTree(words, set("abc")), reference_trie(words)
         lm = NgramModel.train(words, order=order, smoothing_k=smoothing_k)
         scorer = TrieScorer(tree, lm, NGRAMS)
-        nodes = np.arange(len(tree._kids), dtype=np.intc)
+        nodes = np.arange(len(tree._first) - 1, dtype=np.intc)
         word, p = scorer.completions_at(nodes)
         via = np.asarray(scorer.via)
         for node, prefix in enumerate(node_prefixes(root)):
@@ -452,7 +452,7 @@ class TestBestCompletions:
         search = TrieScorer._search
         monkeypatch.setattr(TrieScorer, "_search",
                             lambda self, node: searched.append(node) or search(self, node))
-        nodes = np.arange(len(tree._kids), dtype=np.intc)
+        nodes = np.arange(len(tree._first) - 1, dtype=np.intc)
         scorer.completions_at(nodes)
         for node, prefix in enumerate(node_prefixes(root)):
             remainder, _, p = scorer_completion(scorer, node)

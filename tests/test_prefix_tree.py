@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from wordbeam import InputValidationError, PrefixTree, TrieScorer
 
 from _support import (
+    children,
     node_prefixes,
     reference_completions,
     reference_level_order,
@@ -23,8 +24,10 @@ WC = set("abcdefgh")
 
 
 def layout(t: PrefixTree) -> tuple[list[str], list[int], list[int]]:
-    """``(kids, first, is_word)`` of a tree as plain lists."""
-    return t._kids, list(t._first), list(t._is_word)
+    """``(kids, first, is_word)`` of a tree as plain lists: each node's child
+    characters, ``_first`` (its last entry the node count) and ``_is_word``."""
+    return ([children(t, n) for n in range(len(t._first) - 1)], list(t._first),
+            list(t._is_word))
 
 
 def scan_next_chars(words, prefix):
@@ -37,23 +40,24 @@ def scan_completions(words, prefix):
 
 def test_branching():
     # root -a-> 1, whose children b and c are nodes 2 and 3
-    assert layout(PrefixTree(["ab", "ac"], WC)) == (["a", "bc", "", ""], [1, 2, 4, 4],
+    assert layout(PrefixTree(["ab", "ac"], WC)) == (["a", "bc", "", ""], [1, 2, 4, 4, 4],
                                                    [0, 0, 1, 1])
 
 
 def test_empty_dictionary():
-    assert layout(PrefixTree([], WC)) == ([""], [1], [0])
+    assert layout(PrefixTree([], WC)) == ([""], [1, 1], [0])
 
 
 def test_dead_prefix():
     # "a" is the root's only child and "b" the only one of "a": "x" and "ax" are dead
-    assert PrefixTree(["ab"], WC)._kids[:2] == ["a", "b"]
+    t = PrefixTree(["ab"], WC)
+    assert [children(t, 0), children(t, 1)] == ["a", "b"]
 
 
 def test_membership():
     # "ab" ends a word at node 2, its prefix "a" (node 1) does not
     t = PrefixTree(["ab", "abc"], WC)
-    assert layout(t) == (["a", "b", "c", ""], [1, 2, 3, 4], [0, 0, 1, 1])
+    assert layout(t) == (["a", "b", "c", ""], [1, 2, 3, 4, 4], [0, 0, 1, 1])
 
 
 def test_deduplication():
@@ -107,7 +111,7 @@ def test_random_dictionary_matches_scan():
         if node is None:
             assert not scan_completions(words, prefix)
             continue
-        assert t._kids[node] == "".join(sorted(scan_next_chars(set(words), prefix)))
+        assert children(t, node) == "".join(sorted(scan_next_chars(set(words), prefix)))
         assert t._is_word[node] == (prefix in set(words))
 
 
@@ -152,17 +156,16 @@ def test_flat_layout_is_the_level_order_of_the_reference_trie(words, probes):
     t = PrefixTree(words, set(_TRIE_CHARS))
     root = reference_trie(words)
     kids, first, is_word = reference_level_order(root)
-    assert t._kids == kids
+    assert layout(t) == (kids, first, is_word)
+    assert t._first[-1] == len(kids)
     assert t._chars == "".join(kids)
-    assert list(t._first) == first
-    assert list(t._is_word) == is_word
     # A walk of the flat arrays reaches, for every live prefix, the node
     # whose id the reference trie gives it, and no node for a dead one; and
     # ``_prefix`` walks every node back to its prefix.
     for prefix in {w[:i] for w in words for i in range(len(w) + 1)} | set(probes):
         node = 0
         for ch in prefix:
-            k = t._kids[node].find(ch)
+            k = children(t, node).find(ch)
             if k < 0:
                 node = None
                 break
@@ -176,10 +179,9 @@ def _reference_layout(words, word_chars) -> PrefixTree:
     """The tree of ``words``, after checking its arrays against the reference trie's."""
     t = PrefixTree(words, word_chars)
     kids, first, is_word = reference_level_order(reference_trie(words))
-    assert t._kids == kids
+    assert layout(t) == (kids, first, is_word)
+    assert t._first[-1] == len(kids)
     assert t._chars == "".join(kids)
-    assert list(t._first) == first
-    assert list(t._is_word) == is_word
     return t
 
 
@@ -228,7 +230,7 @@ def test_shuffled_and_duplicated_input_gives_identical_arrays():
     shuffled = words + rng.sample(words, 1_000)
     rng.shuffle(shuffled)
     a, b = PrefixTree(sorted(set(words)), _LETTERS), _reference_layout(shuffled, _LETTERS)
-    assert (a._kids, a._first, a._is_word, a._chars) == (b._kids, b._first, b._is_word, b._chars)
+    assert (a._first, a._is_word, a._chars) == (b._first, b._is_word, b._chars)
 
 
 @pytest.mark.parametrize("words, message", [
@@ -244,7 +246,8 @@ def test_fault_error_names_the_first_faulty_word_in_input_order(words, message):
 
 def test_large_trie_keeps_little_memory_and_few_collector_objects():
     # 50,000 words, the size of a lexicon the decoder must hold: the flat
-    # arrays keep a few MiB and add a handful of objects the cyclic
+    # arrays keep under 2 MiB (1.3 MiB; 3.8 MiB with a string of child
+    # characters per node) and add a handful of objects the cyclic
     # collector tracks, where a trie of node objects kept about 46 MiB
     # and 400k tracked objects of this dictionary.
     rng = random.Random(50_000)
@@ -260,7 +263,7 @@ def test_large_trie_keeps_little_memory_and_few_collector_objects():
         tracemalloc.stop()
     gc.collect()
     assert len(gc.get_objects()) - tracked < 100
-    assert retained < 15 * 2**20
+    assert retained < 2 * 2**20
     # The build's arrays live a stage at a time, and its matrices of ranks
     # are bounded by the number of characters: 7.5 MiB on a build that
     # sorted the words as strings, 7.8 MiB on the one over ranks.
