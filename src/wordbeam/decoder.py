@@ -18,7 +18,7 @@ last frame, hypotheses whose trailing prefix is not yet a complete word
 are extended by their most probable completion without consuming
 posterior mass. Language-model scores are read at each in-word
 hypothesis' trie node from the ``TrieScorer`` of (tree, model, mode),
-which the tree keeps: it builds its arrays by node when a decode first
+which the tree owns: it builds its arrays by node when a decode first
 needs it, and they serve every later decode with that tree, model and
 mode.
 
@@ -66,9 +66,11 @@ scores, and builds integer state only for the at most ``width`` per
 decode that the cut keeps. In a language-model mode the survivors carry
 ``p_text`` and ``committed`` arrays too, and an extension's score is a
 gather from the scorer's word probabilities or forecasts. Its per-step
-overhead makes a batch of one about 2.5 times slower than ``decode``,
-so a lone matrix is decoded by ``decode``. A batch's memory stays
-bounded: it copies the posteriors out a few dozen frames at a time,
+overhead makes a batch of one 2.4-2.5 times slower than ``decode`` on
+the benchmark's seed-1 short-words files (about 27 frames) and 1.9-2.1
+times on its first 12 long lines by name (``words`` mode, width 25, CPU
+time on one CPU of a 2-vCPU VM), so a lone matrix is decoded by
+``decode``. A batch's memory stays bounded: it copies the posteriors out a few dozen frames at a time,
 reads the trie through a few arrays by node, and its table of texts
 (arrays by text id, and a dense table of child ids by text and column)
 keeps only those a survivor can still reach, growing as texts are named
@@ -374,7 +376,7 @@ def _completed(
     if scorer.lexmin is not None:
         word = scorer.lexmin[node]
     else:
-        inside = np.flatnonzero(np.frombuffer(scorer.tree._is_word, np.uint8).take(node) == 0)
+        inside = np.flatnonzero(np.frombuffer(scorer._is_word, np.uint8).take(node) == 0)
         inside = inside[node[inside] > 0]
         word = node.copy()
         if inside.size:  # ``via`` is built at the first completion

@@ -7,9 +7,9 @@ never cross word boundaries: only the trailing run of word characters
 of a hypothesis feeds the conditioning context.
 
 The model is count arrays under one context code (``_context_codes``),
-shared by training, the trie tables and scalar queries. The decoder reads
-every model score from a ``TrieScorer``, whose tables are arrays by trie
-node, built once per (trie, model, mode); no decode calls into the model.
+shared by training and the trie tables. The decoder reads every model
+score from a ``TrieScorer``, whose tables are arrays by trie node, built
+once per (trie, model, mode); no decode calls into the model.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .errors import InputValidationError
-from .prefix_tree import PrefixTree, _code_points
+from .prefix_tree import PrefixTree, _code_points, _spell
 
 WORD_BOUNDARY = "\x00"
 
@@ -84,6 +84,13 @@ class NgramModel:
     ``windows`` it was trained on with their ``counts``, and of the distinct
     ``contexts`` with their ``totals``. A context is coded by its newest
     ``width`` symbols, ``order - 1`` or the longest word if that is shorter.
+
+    Its one query, ``_conditionals``, reads ``P(c | ctx) = (count(ctx, c)
+    + k) / (total(ctx) + k * V)`` for ``V`` symbols, ``ctx`` being the
+    context before ``c``. A word's probability is the product, from the
+    left from 1.0, of ``P`` of each of its characters, then of the closing
+    boundary ``⊥``; a completion of prefix ``p`` by remainder ``r`` takes
+    the factors of ``p + r`` from position ``len(p)`` on.
     """
 
     def __init__(self, order: int, smoothing_k: float, symbols: str, width: int,
@@ -134,34 +141,6 @@ class NgramModel:
     def num_outcomes(self) -> int:
         """Vocabulary size including the boundary sentinel."""
         return len(self.symbols)
-
-    def conditional(self, word_prefix: str, c: str) -> float:
-        """Smoothed P(c | last order-1 characters of the current word).
-
-        A boundary in ``word_prefix`` ends a word there, so the current word
-        is what follows the last one, boundary-padded as at a word's start.
-        This holds for ``word_probability`` and ``remainder_probability`` too.
-        """
-        return self._chain(word_prefix + c)[len(word_prefix)]
-
-    def word_probability(self, word: str) -> float:
-        """Chain probability of a whole word, boundary close included."""
-        return self.remainder_probability("", word)
-
-    def remainder_probability(self, prefix: str, remainder: str) -> float:
-        """Chain probability of completing ``prefix`` with ``remainder``."""
-        p = 1.0
-        for q in self._chain(prefix + remainder)[len(prefix):]:
-            p *= q
-        return p
-
-    def _chain(self, word: str) -> list[float]:
-        """``P(word[i] | word[:i])`` at each position, then ``P(⊥ | word)``;
-        a boundary in ``word`` closes it."""
-        sym = _symbol_digits(self.symbols, word + WORD_BOUNDARY, ord(max(word, default="\0")))
-        code, span = _context_codes(_window_digits(sym, self.order - 1), len(sym),
-                                    len(self.symbols), self._width, self._renumbered)
-        return self._conditionals(code, span, sym).tolist()
 
     def _conditionals(self, code: np.ndarray, span: int, sym) -> np.ndarray:
         """``P(sym | context)``, each ``(count + k) / (total + k * V)``, for
@@ -218,15 +197,15 @@ def _context_codes(digits: Iterable[np.ndarray], n: int, base: int, width: int,
     by place, newest first, one array of ``n`` per place (of which it reads
     at most ``width + 1``).
 
-    The one context code of training, trie nodes and scalar queries. The
-    first ``width`` places are the digits of a number in base ``base``, the
+    The one context code of training and of trie nodes. The first
+    ``width`` places are the digits of a number in base ``base``, the
     newest the lowest, so boundary pads add nothing. Every code is below
     ``span``, in a dtype that holds ``span * (base + 1)``, the span of the
     window codes. When that span would pass 2**63, the codes are renumbered
     by rank among the sorted codes training had there, ``renumbered[i]``,
     and their number becomes the span. Training passes an empty list, to
-    which each renumbering adds its distinct codes; a query, with the
-    model's, replays the same spans and so meets the same renumberings.
+    which each renumbering adds its distinct codes; the trie's nodes, with
+    the model's, replay the same spans and so meet the same renumberings.
 
     Code ``span - 1`` is no trained context's: it is the code of every
     context that holds a symbol outside ``base`` (digit ``base``), a symbol
@@ -272,15 +251,17 @@ class TrieScorer:
 
     A query names the current word by its trie node alone. The decoder
     keeps one scorer per (model, mode) on the tree, so every decode with
-    that configuration shares its tables. The scorer builds, when it is
+    that configuration shares its tables. It keeps the trie arrays it
+    reads (``_first``, ``_is_word``, ``_chars``, ``_levels``), not the
+    tree, so it goes with the tree, its one owner. It builds, when it is
     made, the arrays by node that its mode reads, in whole-array passes
     over the trie (``_model_tables``), so a read is an index:
 
     - ``step[n]`` and ``end[n]``, in every model mode: ``P(c(n) | ctx(parent))``
       (1.0 at the root) and ``P(⊥ | ctx(n))``, for node ``n``'s character
       ``c(n)`` and the context ``ctx(n)`` its prefix ends in;
-    - ``word_prob[n]``, in every model mode: ``NgramModel.word_probability``
-      of the word ending at ``n``;
+    - ``word_prob[n]``, in every model mode: the probability of the word
+      ending at ``n``;
     - ``exact[n]``, in the forecast modes: the exact forecast
       ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``;
     - ``counts[n]``, in the sampling mode: the number of words at or
@@ -294,12 +275,11 @@ class TrieScorer:
     The model modes build one more array when a completion first asks for
     it, not before, so that a command's set-up does not pay for it
     (``_best_completions``): ``via[n]``, the first node on the way from
-    ``n`` down to the word whose completion of ``n``'s prefix has the
-    largest ``remainder_probability``, ties to the smallest word; ``n``
-    itself where that is its own word. A completion follows ``via`` to its
+    ``n`` down to the word whose completion of ``n``'s prefix is the most
+    probable (see ``NgramModel``), ties to the smallest word; ``n`` itself
+    where that is its own word. ``completions_at`` follows ``via`` to the
     word, multiplying the ``step`` factors on the way and the word's
-    ``end`` from the left, as the model does, so its probability is
-    ``remainder_probability``'s bit for bit (``completions_at``). Where
+    ``end`` from the left, which is that probability bit for bit. Where
     rounding leaves the pick in doubt, ``via[n]`` is -1 and
     ``completions_at`` settles the node by a search from it (``_search``),
     memoised. The sampled forecast stays lazy too, a seeded draw from the
@@ -312,7 +292,9 @@ class TrieScorer:
                  mode: ScoringMode = WORDS) -> None:
         if mode.uses_lm and lm is None:
             raise InputValidationError(f"scoring mode {mode.kind!r} requires a language model")
-        self.tree, self.mode = tree, mode
+        self.mode = mode
+        self._first, self._is_word, self._chars = tree._first, tree._is_word, tree._chars
+        self._levels = tree._levels
         self._sampled: dict = {}
         self._keys = None
         self._searched: dict = {}
@@ -325,7 +307,7 @@ class TrieScorer:
             self.lexmin = _smallest_words(tree)
 
     def word_probability(self, node: int) -> float:
-        """``NgramModel.word_probability`` of the word ending at ``node``."""
+        """The probability of the word ending at ``node`` (``word_prob``)."""
         return self.word_prob[node]
 
     def forecast(self, node: int) -> float:
@@ -353,28 +335,29 @@ class TrieScorer:
 
     def _draw(self, nodes: list[int]) -> None:
         """Fill the sampled forecasts of ``nodes``: at each, the sum, in draw
-        order, of the ``remainder_probability`` of a seeded sample of its
-        completions, times (total / sampled)."""
+        order, of the probabilities of a seeded sample of its completions,
+        times (total / sampled)."""
         if not nodes:
             return
         k, counts = self.mode.sample_size, self.counts
         # ``sample`` picks indices from the length alone, so drawing from
         # ``range(n)`` chooses the same completions, in the same order, as
         # drawing from the lexicographic list of them.
-        chosen = [random.Random(f"forecast|{self.mode.seed}|{self.tree._prefix(v)}")
+        seed, first, chars = self.mode.seed, self._first, self._chars
+        chosen = [random.Random(f"forecast|{seed}|{_spell(first, chars, v)}")
                   .sample(range(counts[v]), k) for v in nodes]
         p = self._nth_probabilities(np.repeat(nodes, k), np.array(chosen).ravel())
         for v, row in zip(nodes, p.reshape(-1, k).tolist()):
             self._sampled[v] = sum(row) * (counts[v] / k)
 
     def _nth_probabilities(self, node: np.ndarray, i: np.ndarray) -> np.ndarray:
-        """``remainder_probability`` of the ``i``-th completion below each
+        """The probability of the ``i``-th completion below each
         ``node``, in lexicographic order: walks down to it, all in step,
         each taking the child whose words hold that rank (``_word_keys``)."""
         if self._keys is None:
-            self._keys = _word_keys(self.tree, self.counts)
+            self._keys = _word_keys(self._first, self._is_word, self._levels, self.counts)
         keys, span = self._keys, self.counts[0] + 1
-        is_word = np.frombuffer(self.tree._is_word, np.uint8)
+        is_word = np.frombuffer(self._is_word, np.uint8)
         target = keys.take(node) % span + i  # the rank of the word sought
         cur, p, out = node.copy(), np.ones(len(node)), np.empty(len(node))
         go = np.arange(len(node))
@@ -389,11 +372,11 @@ class TrieScorer:
         return out
 
     def completions_at(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The word nodes and ``remainder_probability`` of the best
-        completions of the live prefixes at ``nodes``, an array, in a model
-        mode: the largest probability, ties to the smallest word. Each walk
-        follows ``via``, all in step; a node whose ``via`` is -1 is settled
-        by ``_search``, memoised."""
+        """The word nodes and probabilities of the best completions of the
+        live prefixes at ``nodes``, an array, in a model mode: the largest
+        probability, ties to the smallest word. Each walk follows ``via``,
+        all in step; a node whose ``via`` is -1 is settled by ``_search``,
+        memoised."""
         via, step = np.asarray(self._via()), np.asarray(self.step)
         word, p = nodes.copy(), np.ones(len(nodes))
         first = via.take(nodes)
@@ -415,17 +398,18 @@ class TrieScorer:
     def _via(self) -> memoryview:
         """The ``via`` array of a model mode, built on the first call."""
         if self.via is None:
-            self.via = _best_completions(self.tree, self.step, self.end)
+            self.via = _best_completions(self._first, self._is_word, self._levels,
+                                         self.step, self.end)
         return self.via
 
     def _search(self, node: int) -> tuple[int, float]:
         # Uniform-cost search: every factor is at most 1, so the first word end
         # popped beats all unexplored completions, ties to the smallest text.
-        # Products run left to right, bit-identical to
-        # ``remainder_probability``, and only prefixes at least as probable as
-        # the answer are visited.
+        # Products run left to right, as a completion's probability is
+        # defined, and only prefixes at least as probable as the answer are
+        # visited.
         step, end = self.step, self.end
-        is_word, first, chars = self.tree._is_word, self.tree._first, self.tree._chars
+        is_word, first, chars = self._is_word, self._first, self._chars
         heap = [(-1.0, "", False, node)]
         while True:
             neg_p, text, at_end, cur = heapq.heappop(heap)
@@ -466,14 +450,14 @@ def _model_tables(tree: PrefixTree, lm: NgramModel, mode: ScoringMode) -> tuple:
     table.
 
     Node contexts are coded from the symbols of each node and its ancestors,
-    and ``step`` and ``end`` are read from the model's arrays, bit-identical
-    to ``lm.conditional``. Level by level from the root, the prefix
+    and ``step`` and ``end`` are read from the model's arrays
+    (``lm._conditionals``). Level by level from the root, the prefix
     probability is ``prob[n] = prob[parent] * step(n)``, so ``word_prob[n] =
-    prob[n] * end(n)`` is ``remainder_probability("", word)``'s product,
-    taken in the same order (``1.0 * x`` is exact). The exact forecast and
-    the count are sums over the children, taken bottom up (``_subtree_sums``)
-    in child order, which is the order of the recursion ``F(n) =
-    [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``.
+    prob[n] * end(n)`` is the word's probability, its product taken from
+    the left as ``NgramModel`` defines it (``1.0 * x`` is exact). The exact
+    forecast and the count are sums over the children, taken bottom up
+    (``_subtree_sums``) in child order, which is the order of the recursion
+    ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``.
     """
     first = np.frombuffer(tree._first, np.intc)
     n, levels = len(first) - 1, tree._levels
@@ -513,13 +497,13 @@ _PARENTS = 1 << 12
 _NORMAL = 2.0 ** -1000
 
 
-def _best_completions(tree: PrefixTree, step, end) -> memoryview:
+def _best_completions(first, is_word, levels: list[int], step, end) -> memoryview:
     """``via`` by node (see ``TrieScorer``), as a memoryview like
     ``_model_tables``' arrays.
 
     A completion of node ``n`` to word ``w`` has the probability of the
-    ``step`` factors of the nodes below ``n`` down to ``w``, then ``end[w]``,
-    multiplied from the left as ``remainder_probability`` multiplies. Level
+    ``step`` factors of the nodes below ``n`` down to ``w``, then
+    ``end[w]``, multiplied from the left. Level
     by level from the deepest, each node keeps the best and the runner-up of
     its completions' products taken from the right: its own word's ``end``,
     and each child's two, times the child's ``step``. Rounding is monotone,
@@ -539,8 +523,8 @@ def _best_completions(tree: PrefixTree, step, end) -> memoryview:
     Besides ``via``, the passes hold a level's arrays and its children's at
     a time.
     """
-    first, levels = np.frombuffer(tree._first, np.intc), tree._levels
-    is_word = np.frombuffer(tree._is_word, np.uint8).view(bool)
+    first = np.frombuffer(first, np.intc)
+    is_word = np.frombuffer(is_word, np.uint8).view(bool)
     step, end = np.asarray(step), np.asarray(end)
     via = np.empty(len(first) - 1, np.intc)
     deepest = len(levels) - 2
@@ -581,15 +565,14 @@ def _best_completions(tree: PrefixTree, step, end) -> memoryview:
     return memoryview(via)
 
 
-def _word_keys(tree: PrefixTree, counts) -> np.ndarray:
+def _word_keys(first, is_word, levels: list[int], counts) -> np.ndarray:
     """Per node, ``depth * (words + 1) + rank``: its depth, and the number of
     words that sort before every word at or below it. A node's own word is
     the smallest there; its children's words follow in child order. A
     level's nodes come in text order and ids are level order, so the keys
     ascend with the ids, and the child at or above rank ``r`` at depth
     ``d`` is the last node whose key is at most ``d * (words + 1) + r``."""
-    first, levels = np.frombuffer(tree._first, np.intc), tree._levels
-    is_word = np.frombuffer(tree._is_word, np.uint8)
+    first, is_word = np.frombuffer(first, np.intc), np.frombuffer(is_word, np.uint8)
     counts = np.asarray(counts)
     span = int(counts[0]) + 1
     keys = np.zeros(len(first) - 1, np.int64)

@@ -17,10 +17,12 @@ class PrefixTree:
     ``word_chars`` are the characters legal inside words; the tree keeps no
     others, so a decode's non-word characters (separators, punctuation) are
     its alphabet's other symbols. After construction its words and structure
-    are immutable. It also holds the decoder's language-model tables, one
+    are immutable. It also owns the decoder's language-model tables, one
     ``TrieScorer`` per (model, scoring mode), made when a decode first needs
     it, with its arrays by node, and the batched search's arrays of the
-    extensions a node allows, one set per alphabet column order.
+    extensions a node allows, one set per alphabet column order. Neither
+    refers back to the tree (a scorer keeps the trie arrays it reads), so
+    they go with the tree's last reference, without a collector pass.
 
     The trie is stored as flat arrays over integer node ids, and those
     arrays are its interface: it has no per-node objects and no prefix
@@ -38,7 +40,7 @@ class PrefixTree:
     the decoder and ``TrieScorer`` hold a prefix: they walk children in
     that order without sorting. Only what the scorer fills lazily (a
     sampled forecast, a best completion) and the spelling of a completed
-    text rebuild a node's prefix, with ``_prefix``. The build (``_build``)
+    text rebuild a node's prefix, with ``_spell``. The build (``_build``)
     sorts and numbers the words in whole-array passes, in memory linear in
     the dictionary's characters.
     """
@@ -55,18 +57,23 @@ class PrefixTree:
             self._levels.append(self._first[self._levels[-1]])
 
     def _prefix(self, node: int, top: int = 0) -> str:
-        """The characters on the path from ``top``, the root unless given, down
-        to ``node``, which must lie below it.
+        """``_spell`` over this tree's arrays."""
+        return _spell(self._first, self._chars, node, top)
 
-        Ids ascend with ``_first``, so a node's parent is the last node whose
-        first child is at or before it.
-        """
-        first, own = self._first, self._chars
-        chars = []
-        while node != top:
-            chars.append(own[node - 1])
-            node = bisect_right(first, node) - 1
-        return "".join(reversed(chars))
+
+def _spell(first: array, chars: str, node: int, top: int = 0) -> str:
+    """The characters on the path from ``top``, the root unless given, down
+    to ``node``, which must lie below it, in the trie of ``first`` and
+    ``chars`` (see ``PrefixTree``).
+
+    Ids ascend with ``first``, so a node's parent is the last node whose
+    first child is at or before it.
+    """
+    out = []
+    while node != top:
+        out.append(chars[node - 1])
+        node = bisect_right(first, node) - 1
+    return "".join(reversed(out))
 
 
 def _raise_first_fault(words: list[str], word_chars: frozenset[str]) -> None:

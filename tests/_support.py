@@ -24,6 +24,7 @@ from wordbeam import (
     encode_label,
 )
 from wordbeam.files import read_text, unescape_alphabet
+from wordbeam.language_model import _context_codes, _symbol_digits, _window_digits
 
 
 def collapse(path: list[int], alphabet: Alphabet) -> str:
@@ -39,16 +40,18 @@ def collapse(path: list[int], alphabet: Alphabet) -> str:
     return "".join(out)
 
 
-def scorer_completion(scorer: TrieScorer, node: int) -> tuple[str, int, float]:
+def scorer_completion(tree: PrefixTree, scorer: TrieScorer,
+                      node: int) -> tuple[str, int, float]:
     """(remainder, word node, remainder probability) of ``scorer``'s best
-    completion of the live prefix at ``node``: its ``lexmin`` word, with
-    probability 1, in ``words`` mode, else ``completions_at``'s."""
+    completion of the live prefix at ``node`` of ``tree``, the scorer's
+    trie: its ``lexmin`` word, with probability 1, in ``words`` mode, else
+    ``completions_at``'s."""
     if scorer.lexmin is not None:
         word, p = int(scorer.lexmin[node]), 1.0
     else:
         words, probs = scorer.completions_at(np.array([node], np.intc))
         word, p = int(words[0]), float(probs[0])
-    return scorer.tree._prefix(word, node), word, p
+    return tree._prefix(word, node), word, p
 
 
 def random_matrix(rng: np.random.Generator, t: int, c: int) -> PosteriorMatrix:
@@ -313,6 +316,36 @@ def model_counts(lm: NgramModel) -> dict[str, dict[str, int]]:
     return counts
 
 
+def chain(lm: NgramModel, word: str) -> list[float]:
+    """``P(word[i] | word[:i])`` at each position, then ``P(⊥ | word)``,
+    read from the model's count arrays; a boundary in ``word`` closes it
+    there, so the current word is what follows the last one,
+    boundary-padded as at a word's start."""
+    sym = _symbol_digits(lm.symbols, word + WORD_BOUNDARY, ord(max(word, default="\0")))
+    code, span = _context_codes(_window_digits(sym, lm.order - 1), len(sym),
+                                len(lm.symbols), lm._width, lm._renumbered)
+    return lm._conditionals(code, span, sym).tolist()
+
+
+def conditional(lm: NgramModel, word_prefix: str, c: str) -> float:
+    """Smoothed P(c | last order-1 characters of the current word)."""
+    return chain(lm, word_prefix + c)[len(word_prefix)]
+
+
+def remainder_probability(lm: NgramModel, prefix: str, remainder: str) -> float:
+    """Chain probability of completing ``prefix`` with ``remainder``, the
+    product taken from the left."""
+    p = 1.0
+    for q in chain(lm, prefix + remainder)[len(prefix):]:
+        p *= q
+    return p
+
+
+def word_probability(lm: NgramModel, word: str) -> float:
+    """Chain probability of a whole word, boundary close included."""
+    return remainder_probability(lm, "", word)
+
+
 class RefNode:
     """A node of the reference trie: one object per prefix, children in a
     dict, and ``id``, its index in the level-order walk of the trie."""
@@ -471,10 +504,10 @@ def forecast_for_prefix(lm: NgramModel, root: RefNode, prefix: str, mode: Scorin
     if n == 0:
         return 0.0
     if mode.kind != "ngrams_forecast_sample" or mode.sample_size >= n:
-        return sum(lm.remainder_probability(prefix, r) for _, r in completions)
+        return sum(remainder_probability(lm, prefix, r) for _, r in completions)
     rng = random.Random(f"forecast|{mode.seed}|{prefix}")
     chosen = rng.sample(completions, mode.sample_size)
-    partial = sum(lm.remainder_probability(prefix, r) for _, r in chosen)
+    partial = sum(remainder_probability(lm, prefix, r) for _, r in chosen)
     return partial * (n / mode.sample_size)
 
 
@@ -482,16 +515,16 @@ def reference_forecast(lm: NgramModel, node: RefNode, prefix: str) -> float:
     """The exact forecast of the live ``prefix`` at its reference ``node`` by
     the recursion ``F(n) = [word]·P(⊥|n) + Σ_c P(c|n)·F(child_c)``, children
     added in code-point order: the order of the scorer's bottom-up pass."""
-    f = lm.conditional(prefix, WORD_BOUNDARY) if node.is_word else 0.0
+    f = conditional(lm, prefix, WORD_BOUNDARY) if node.is_word else 0.0
     for c in sorted(node.children):
-        f += lm.conditional(prefix, c) * reference_forecast(lm, node.children[c], prefix + c)
+        f += conditional(lm, prefix, c) * reference_forecast(lm, node.children[c], prefix + c)
     return f
 
 
 def best_completion(lm: NgramModel, root: RefNode, prefix: str) -> tuple[str, float]:
     """(word, remainder probability) of the most probable completion by
     enumeration, ties to the lexicographically smallest word."""
-    scored = [(lm.remainder_probability(prefix, r), w)
+    scored = [(remainder_probability(lm, prefix, r), w)
               for w, r in reference_completions(root, prefix)]
     p, word = min(scored, key=lambda pw: (-pw[0], pw[1]))
     return word, p
@@ -649,7 +682,7 @@ def reference_complete_beams(beams, tree: PrefixTree, root: RefNode,
         text, word_prefix, p_text = b.text, b.word_prefix, b.p_text
         node = ref_find(root, word_prefix)
         if not node.is_word and word_prefix:
-            remainder, end, prob = scorer_completion(scorer, node.id)
+            remainder, end, prob = scorer_completion(tree, scorer, node.id)
             text += remainder
             word_prefix += remainder
             if mode.kind == "ngrams":

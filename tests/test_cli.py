@@ -1,10 +1,12 @@
 """File formats and end-to-end command behaviour."""
 
+import gc
 import itertools
 import json
 import random
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -1167,6 +1169,56 @@ class TestReproduceTrendsCommand:
         assert "ensemble" in text and "word-beam" in text
 
 
+class TestTreeLifetime:
+    """A command's trees, with their scorers and extension arrays, are gone
+    when ``main`` returns, without the cyclic collector."""
+
+    @staticmethod
+    def _record_trees(monkeypatch, owner) -> list:
+        """Weak references to every tree ``owner`` builds from now on."""
+        trees = []
+        build = owner.PrefixTree
+
+        def recorded(*args, **kwargs):
+            tree = build(*args, **kwargs)
+            trees.append(weakref.ref(tree))
+            return tree
+
+        monkeypatch.setattr(owner, "PrefixTree", recorded)
+        return trees
+
+    @staticmethod
+    def _alive_after(argv: list[str], trees: list) -> list:
+        """Run ``argv`` with the collector off; the recorded trees still alive
+        when ``main`` returns, read before the collector is back on."""
+        gc.disable()
+        try:
+            assert main(argv) == EXIT_OK
+            assert trees
+            return [tree for tree in trees if tree() is not None]
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("mode", ["words", "ngrams", "ngrams-forecast",
+                                      "ngrams-forecast-sample"])
+    def test_decode_trees_die_when_main_returns(self, synth_setup, capsys, monkeypatch,
+                                                mode):
+        paths, dict_path = synth_setup
+        trees = self._record_trees(monkeypatch, cli)
+        for files_of in (paths[:1], paths):  # one matrix, then a batch
+            argv = ["decode", *files_of, "--dict", dict_path, "--mode", mode,
+                    "--sample-size", "1", "--scheme", "extrasep"]
+            assert self._alive_after(argv, trees) == []
+            trees.clear()
+        assert "toccata" in capsys.readouterr().out
+
+    def test_trend_trees_die_when_main_returns(self, capsys, monkeypatch):
+        trees = self._record_trees(monkeypatch, trends)
+        argv = ["reproduce-trends", "--seeds", "1", "--n-words", "20", "--members", "2"]
+        assert self._alive_after(argv, trees) == []
+        assert "word-beam" in capsys.readouterr().out
+
+
 class TestWrappedLayers:
     """A tracer wraps layers where their callers look them up: each module
     or class attribute below becomes a plain ``*args, **kwargs`` function. A
@@ -1176,8 +1228,7 @@ class TestWrappedLayers:
     WRAPPED = [(cli, "decode"), (cli, "best_path_decode"), (cli, "read_matrix_file"),
                (cli, "PrefixTree"), (trends, "PrefixTree"), (trends, "best_path_decode"),
                (trends, "vote"), (synth, "PosteriorMatrix"), (files, "PosteriorMatrix"),
-               (NgramModel, "train"), (NgramModel, "conditional"),
-               (NgramModel, "remainder_probability"), (NgramModel, "word_probability")]
+               (NgramModel, "train")]
 
     @staticmethod
     def _wrapper(fn):

@@ -1,7 +1,9 @@
 """Dual-state word beam search: bookkeeping, constraints and completion."""
 
+import gc
 import random
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -39,7 +41,9 @@ from _support import (
     reference_decode,
     reference_frame_beams,
     reference_trie,
+    remainder_probability,
     trie_node,
+    word_probability,
 )
 
 WC = set("abcdefgh")
@@ -203,7 +207,7 @@ class TestScoringModes:
         label_w, p_w = decode(m, alphabet, tree, None, 50, WORDS)
         label_n, p_n = decode(m, alphabet, tree, lm, 50, NGRAMS)
         assert label_w == label_n == "ab|"
-        assert p_n == pytest.approx(p_w * lm.word_probability("ab"))
+        assert p_n == pytest.approx(p_w * word_probability(lm, "ab"))
 
     def test_forecast_modes_agree_on_completed_words(self):
         alphabet, tree, m, lm = self._setup()
@@ -232,7 +236,7 @@ class TestScoringModes:
         label_ngrams, _ = decode(m, alphabet, tree, lm, 200, NGRAMS)
         assert label_words == "ab|"
         assert label_ngrams == "aa|"
-        assert lm.word_probability("aa") > lm.word_probability("ab")
+        assert word_probability(lm, "aa") > word_probability(lm, "ab")
 
 
 class TestCompleteBeams:
@@ -258,7 +262,7 @@ class TestCompleteBeams:
         lm = NgramModel.train(["abc", "abc", "abd"], order=2)
         out = self._complete(["abc", "abd"], [("ab", "ab", 0.2, 0.2)], lm, NGRAMS)
         assert list(out) == ["abc"]  # hand-checked: (3/8)(3/7) > (2/8)(2/6)
-        assert out["abc"][3] == pytest.approx(lm.word_probability("abc"))
+        assert out["abc"][3] == pytest.approx(word_probability(lm, "abc"))
 
     def test_lexicographic_completion_in_words_mode(self):
         assert list(self._complete(["abd", "abc"], [("ab", "ab", 0.2, 0.2)])) == ["abc"]
@@ -285,18 +289,15 @@ class TestSharedScorer:
 
     @staticmethod
     def _count_model_calls(monkeypatch) -> list:
-        """Names of the model's scoring methods, one per call."""
+        """One entry per call of ``NgramModel._conditionals``, the model's one query."""
         calls = []
+        query = NgramModel._conditionals
 
-        def counted(name, method):
-            def wrapper(*args, **kwargs):
-                calls.append(name)
-                return method(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append("_conditionals")
+            return query(*args, **kwargs)
 
-            return wrapper
-
-        for name in ("conditional", "remainder_probability", "word_probability"):
-            monkeypatch.setattr(NgramModel, name, counted(name, getattr(NgramModel, name)))
+        monkeypatch.setattr(NgramModel, "_conditionals", counted)
         return calls
 
     def test_tables_filled_by_earlier_decodes_change_nothing(self):
@@ -315,10 +316,13 @@ class TestSharedScorer:
         monkeypatch.setattr(language_model, "_best_completions",
                             lambda *args: built.append(args) or build(*args))
         for mode in self.MODES[1:]:
+            scorer = decoder._scorer(tree, lm, mode)
+            assert calls  # building the tables queried the model ...
+            calls.clear()
             for engine in (lambda m: [decode(m, alphabet, tree, lm, 8, mode)],
                            lambda m: decode_batch([m, m], alphabet, tree, lm, 8, mode)):
                 first = engine(matrices[0])
-                scorer = tree._scorers[lm, mode]
+                assert tree._scorers[lm, mode] is scorer
                 via = scorer.via
                 assert via is not None, mode  # the first completion built it
                 memo = dict(scorer._searched), dict(scorer._sampled)
@@ -326,7 +330,7 @@ class TestSharedScorer:
                 assert scorer.via is via
                 assert (scorer._searched, scorer._sampled) == memo, mode
             assert len(built) == len(tree._scorers)  # once per scorer
-        assert calls == []  # the lazy entries, too, are products of table entries
+            assert calls == []  # ... the lazy entries are products of table entries
 
     def test_equal_modes_share_one_set_of_tables(self, monkeypatch):
         alphabet, words, tree, lm, matrices = self._setup()
@@ -349,7 +353,42 @@ class TestSharedScorer:
             assert ab[4] != 1.0  # ranked by the forecast of "ab"
             out = entries(complete_beams([ab], tree, lm, mode), reference_trie(["abc", "abd"]))
             # nothing committed before "ab", so the completion scores its remainder
-            assert out["abc"][3] == pytest.approx(lm.remainder_probability("ab", "c"))
+            assert out["abc"][3] == pytest.approx(remainder_probability(lm, "ab", "c"))
+
+
+class TestLifetime:
+    """A tree's scorers and extension arrays go with it: without the cyclic
+    collector, the tree dies as soon as its last outside reference does."""
+
+    @pytest.mark.parametrize("mode", TestSharedScorer.MODES[:3] + (forecast_sample(1, seed=2),),
+                             ids=lambda mode: mode.kind)
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_tree_dies_with_its_last_reference(self, mode, count):
+        # "ab" and "ac" tie at "a" ("ba" and "ca" tie their ends too), so the
+        # completion of "a" is searched; in the sampling mode its forecast
+        # draws one of its two words.
+        alphabet = Alphabet("abc", separator="|")
+        words = ["ab", "ac", "ba", "ca"]
+        lm = NgramModel.train(words, order=2)
+        ends_at_a = PosteriorMatrix([[0.8, 0.05, 0.05, 0.05, 0.05]] * 3)
+        rng = np.random.default_rng(5)
+        matrices = [ends_at_a] + [random_matrix(rng, 6, 5) for _ in range(count - 1)]
+        tree = PrefixTree(words, set("abc"))
+        gc.disable()
+        try:
+            decode_batch(matrices, alphabet, tree, lm, 4, mode)
+            scorer = tree._scorers[lm if mode.uses_lm else None, mode]
+            if mode.uses_lm:
+                assert scorer.via is not None and scorer._searched
+            if mode.kind == "ngrams_forecast_sample":
+                assert scorer._sampled
+            assert bool(tree._extensions) == (count > 1)
+            del scorer
+            alive = weakref.ref(tree)
+            del tree
+            assert alive() is None
+        finally:
+            gc.enable()
 
 
 WORD_CHARS = "abcdefghijkl"

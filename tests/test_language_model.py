@@ -24,6 +24,7 @@ from wordbeam import (
 
 from _support import (
     best_completion,
+    conditional,
     forecast_for_prefix,
     model_counts,
     node_prefixes,
@@ -32,8 +33,10 @@ from _support import (
     reference_forecast,
     reference_ngram_counts,
     reference_trie,
+    remainder_probability,
     scorer_completion,
     trie_node,
+    word_probability,
 )
 
 WC = set("abcdefgh")
@@ -45,12 +48,12 @@ class TestTraining:
         lm = NgramModel.train(["ab"], order=2, smoothing_k=1.0)
         # one observation of b after a, vocab {a, b} plus boundary
         assert lm.num_outcomes == 3
-        assert lm.conditional("a", "b") == pytest.approx((1 + 1) / (1 + 1 * 3))
+        assert conditional(lm, "a", "b") == pytest.approx((1 + 1) / (1 + 1 * 3))
 
     def test_unigram_frequency(self):
         lm = NgramModel.train(["aa", "aa"], order=1)
         outcomes = ["a", WORD_BOUNDARY]
-        probs = {c: lm.conditional("", c) for c in outcomes}
+        probs = {c: conditional(lm, "", c) for c in outcomes}
         assert max(probs, key=probs.get) == "a"
 
     def test_conditionals_sum_to_one(self):
@@ -63,7 +66,7 @@ class TestTraining:
             lm = NgramModel.train(corpus, order=order, smoothing_k=0.5)
             outcomes = sorted(lm.vocabulary) + [WORD_BOUNDARY]
             for prefix in ("", "a", "ab", "dcba", "zz"):
-                total = sum(lm.conditional(prefix, c) for c in outcomes)
+                total = sum(conditional(lm, prefix, c) for c in outcomes)
                 assert total == pytest.approx(1.0, abs=1e-9)
 
     def test_empty_corpus_rejected(self):
@@ -116,7 +119,7 @@ class TestTraining:
         counts = reference_ngram_counts(corpus, order).get(
             (WORD_BOUNDARY * (order - 1) + word)[len(word):], {})
         lm = NgramModel.train(corpus, order=order, smoothing_k=smoothing_k)
-        assert lm.conditional(prefix, c) == (counts.get(c, 0) + smoothing_k) / (
+        assert conditional(lm, prefix, c) == (counts.get(c, 0) + smoothing_k) / (
             sum(counts.values()) + smoothing_k * lm.num_outcomes)
 
     def test_training_on_fifty_thousand_words_keeps_little_memory(self):
@@ -147,9 +150,9 @@ class TestTraining:
         assert long_peak <= 1.25 * short_peak
         for prefix in ("", "a", "abcdef", "abcdefabcde", "abcdefabcdef", "fedcbafedcbaf"):
             for c in "abcdefg" + WORD_BOUNDARY:
-                assert long.conditional(prefix, c) == short.conditional(prefix, c)
+                assert conditional(long, prefix, c) == conditional(short, prefix, c)
         for word in words[:200] + ["abcdefabcdefa", "zz"]:
-            assert long.word_probability(word) == short.word_probability(word)
+            assert word_probability(long, word) == word_probability(short, word)
         tables = [TrieScorer(tree, lm, mode) for lm in (short, long)]
         for name in ("step", "end", "word_prob", "exact", "counts"):
             assert getattr(tables[1], name) == getattr(tables[0], name), name
@@ -202,16 +205,17 @@ class TestForecast:
     def test_hand_computed_remainders(self):
         lm, tree, root = self._fixture()
         # vocab {a,b,c,d} plus boundary: V = 5
-        assert lm.remainder_probability("ab", "c") == pytest.approx((3 / 8) * (3 / 7))
-        assert lm.remainder_probability("ab", "d") == pytest.approx((2 / 8) * (2 / 6))
-        remainder, _, p = scorer_completion(TrieScorer(tree, lm, NGRAMS), trie_node(root, "ab"))
+        assert remainder_probability(lm, "ab", "c") == pytest.approx((3 / 8) * (3 / 7))
+        assert remainder_probability(lm, "ab", "d") == pytest.approx((2 / 8) * (2 / 6))
+        scorer = TrieScorer(tree, lm, NGRAMS)
+        remainder, _, p = scorer_completion(tree, scorer, trie_node(root, "ab"))
         assert remainder == "c"
         assert p == pytest.approx((3 / 8) * (3 / 7))
 
     def test_forecast_is_sum_over_completions(self):
         lm, tree, root = self._fixture()
         expected = sum(
-            lm.remainder_probability("ab", r) for _, r in reference_completions(root, "ab")
+            remainder_probability(lm, "ab", r) for _, r in reference_completions(root, "ab")
         )
         assert self._forecast(lm, tree, root, "ab", NGRAMS_FORECAST) == pytest.approx(expected)
         assert forecast_for_prefix(lm, root, "ab", NGRAMS_FORECAST) == pytest.approx(expected)
@@ -221,7 +225,7 @@ class TestForecast:
         tree = PrefixTree(["abc"], WC)
         root = reference_trie(["abc"])
         assert self._forecast(lm, tree, root, "ab", NGRAMS_FORECAST) == pytest.approx(
-            lm.remainder_probability("ab", "c")
+            remainder_probability(lm, "ab", "c")
         )
 
     def test_dead_prefix_scores_zero(self):
@@ -296,7 +300,7 @@ class TestTrieScorerTables:
         for prefix in data.draw(st.permutations(prefixes)):
             node = trie_node(root, prefix)
             if prefix in words:
-                assert exact.word_probability(node) == lm.word_probability(prefix)
+                assert exact.word_probability(node) == word_probability(lm, prefix)
             reference = reference_forecast(lm, ref_find(root, prefix), prefix)
             assert exact.forecast(node) == reference
             if len(reference_completions(root, prefix)) > sample_mode.sample_size:
@@ -304,7 +308,7 @@ class TestTrieScorerTables:
                 assert sampled.forecast(node) == forecast_for_prefix(lm, root, prefix, sample_mode)
             else:  # the sample covers every completion: the exact table value
                 assert sampled.forecast(node) == reference
-            remainder, end, p = scorer_completion(exact, node)
+            remainder, end, p = scorer_completion(tree, exact, node)
             assert end == trie_node(root, prefix + remainder) and prefix + remainder in words
             # Bit-identical, ties included: the completion's products run in
             # the order of remainder_probability's.
@@ -335,7 +339,7 @@ class TestTrieScorerTables:
         assert word_only.word_prob == scorer.word_prob and word_only.exact is None
         for node, prefix in enumerate(node_prefixes(root)):
             p = scorer.word_probability(node)
-            assert type(p) is float and p == lm.word_probability(prefix)
+            assert type(p) is float and p == word_probability(lm, prefix)
             f = scorer.exact[node]
             assert type(f) is float and f == reference_forecast(lm, ref_find(root, prefix), prefix)
             assert scorer.counts[node] == len(reference_completions(root, prefix))
@@ -348,7 +352,7 @@ class TestTrieScorerTables:
         lm = NgramModel.train(words + [_WIDE[10:30]], order=12)
         scorer = TrieScorer(tree, lm, NGRAMS_FORECAST)
         for node, prefix in enumerate(node_prefixes(root)):
-            assert scorer.word_probability(node) == lm.word_probability(prefix)
+            assert scorer.word_probability(node) == word_probability(lm, prefix)
             assert scorer.exact[node] == reference_forecast(lm, ref_find(root, prefix), prefix)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -364,7 +368,7 @@ class TestTrieScorerTables:
             assert smallest.startswith(prefix)
             word = int(scorer.lexmin[node])
             assert tree._prefix(word) == smallest
-            assert scorer_completion(scorer, node) == (smallest[len(prefix):], word, 1.0)
+            assert scorer_completion(tree, scorer, node) == (smallest[len(prefix):], word, 1.0)
 
     def test_sampled_forecast_is_the_enumerated_draw(self):
         # Samples of three or more terms: the sum runs in draw order.
@@ -393,7 +397,7 @@ class TestTrieScorerTables:
         lm = NgramModel.train(words, order=3, smoothing_k=0.5)
         scorer = TrieScorer(tree, lm, NGRAMS)
         for prefix in ("", "b"):
-            remainder, _, p = scorer_completion(scorer, trie_node(root, prefix))
+            remainder, _, p = scorer_completion(tree, scorer, trie_node(root, prefix))
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
 
 
@@ -455,7 +459,7 @@ class TestBestCompletions:
         nodes = np.arange(len(tree._first) - 1, dtype=np.intc)
         scorer.completions_at(nodes)
         for node, prefix in enumerate(node_prefixes(root)):
-            remainder, _, p = scorer_completion(scorer, node)
+            remainder, _, p = scorer_completion(tree, scorer, node)
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
         uncertain = np.flatnonzero(np.asarray(scorer.via) < 0).tolist()
         assert 0 < len(uncertain) < len(nodes) // 2
@@ -474,7 +478,7 @@ class TestBestCompletions:
         assert via[trie_node(root, "b" * 100)] >= 0  # one completion
         assert via[trie_node(root, "a" * 100)] >= 0  # products of 2**-900 or so
         for prefix in ("", "a", "a" * 5, "b" * 100, "a" * 100):
-            remainder, _, p = scorer_completion(scorer, trie_node(root, prefix))
+            remainder, _, p = scorer_completion(tree, scorer, trie_node(root, prefix))
             assert (p < 2.0 ** -1000) == (prefix != "a" * 100)
             assert (prefix + remainder, p) == best_completion(lm, root, prefix)
 

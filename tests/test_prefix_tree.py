@@ -129,7 +129,7 @@ def test_first_completion_matches_full_enumeration():
         if node is None:
             assert completions == []
             continue
-        remainder, end, p = scorer_completion(scorer, node)
+        remainder, end, p = scorer_completion(t, scorer, node)
         assert (prefix + remainder, remainder) == completions[0]
         assert end == trie_node(root, prefix + remainder) and t._is_word[end]
         assert p == 1.0
