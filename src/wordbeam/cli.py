@@ -24,11 +24,10 @@ from .errors import (
     InputValidationError,
     UnreadableFileError,
     UnwritablePathError,
-    WordbeamError,
 )
 from .evaluation import build_report, format_report_kv, format_report_table
 from .files import load_word_list, read_matrix_file, read_text, write_matrix_file
-from .language_model import NGRAMS, NGRAMS_FORECAST, NgramModel, ScoringMode, WORDS, forecast_sample
+from .language_model import NgramModel, ScoringMode
 from .prefix_tree import PrefixTree
 from .synth import RecognizerSim, emit_many, make_ensemble
 from .trends import TrendConfig, run_trend_experiment
@@ -203,17 +202,6 @@ def build_parser(commands: Iterable[str] = _COMMANDS) -> _Parser:
     return parser
 
 
-def _mode_from_args(args) -> ScoringMode:
-    name = args.mode
-    if name == "words":
-        return WORDS
-    if name == "ngrams":
-        return NGRAMS
-    if name == "ngrams-forecast":
-        return NGRAMS_FORECAST
-    return forecast_sample(args.sample_size, args.seed)
-
-
 def _alphabet_for(symbols: str, sep: str | None, path: str) -> Alphabet:
     """The alphabet of a matrix file's alphabet line; its faults name the file and line."""
     try:
@@ -257,24 +245,14 @@ def _read_groups(paths: list) -> Iterator[tuple[tuple[int, list], int]]:
         yield (len(paths) - len(group), group), size
 
 
-def _read_group(group: list) -> Iterable[list[tuple[str, PosteriorMatrix]]]:
-    """``(symbols, matrix)`` of each file of one group (``read_matrix_file``),
-    in file order: one list, or, when the group raises, one list per file,
-    each read when the caller has set up the one before, so the first fault
-    in file order, of a read or of a set-up, is the one raised."""
-    try:
-        return [read_matrix_file(group)]
-    except WordbeamError:
-        return (read_matrix_file([path]) for path in group)
-
-
 class _DecodePipeline:
     """Per-alphabet trees, rebuilt only when symbols change, and one shared model."""
 
     def __init__(self, args):
         self.args = args
         self.sep = (args.sep or "|") if args.scheme == "extrasep" else None
-        self.mode = None if args.mode == "bestpath" else _mode_from_args(args)
+        self.mode = (None if args.mode == "bestpath"
+                     else ScoringMode(args.mode.replace("-", "_"), args.sample_size, args.seed))
         self.words = load_word_list(args.dict_path) if args.dict_path else None
         self.lm_corpus = load_word_list(args.lm_corpus) if args.lm_corpus else None
         self.lm: NgramModel | None = None
@@ -308,10 +286,12 @@ class _DecodePipeline:
         """``row(i, label, likelihood)`` of each file of ``groups``, each
         group ``(i of its first file, its files)``, in file order.
 
-        Each file's alphabet is set up in file order, so the first fault in
-        that order is the one raised. Each alphabet's matrices are collected
-        and decoded up to ``DECODE_BATCH`` at a time; best path decodes them
-        at the end of each group read.
+        Each group's files are set up in file order up to its first fault
+        of a read or a parse (``read_matrix_file``), which is raised next,
+        so the first fault in file order, of a read, a parse or a set-up, is
+        the one raised. Each alphabet's matrices are collected and decoded
+        up to ``DECODE_BATCH`` at a time; best path decodes them at the end
+        of each group read.
         """
         rows: list = []
         base = 0  # i of the first file
@@ -326,18 +306,18 @@ class _DecodePipeline:
             if not rows:
                 base = start
             rows += [None] * len(group)
-            i = start
-            for read in _read_group(group):
-                for symbols, matrix in read:
-                    self._setup(symbols, str(group[i - start]))
-                    batch = pending.setdefault(symbols, [])
-                    batch.append((i, matrix))
-                    i += 1
-                    if len(batch) == DECODE_BATCH:
-                        decode_pending(symbols)
-                if self.mode is None:
-                    for symbols in list(pending):
-                        decode_pending(symbols)
+            found, fault = read_matrix_file(group)
+            for i, (symbols, matrix) in enumerate(found, start):
+                self._setup(symbols, str(group[i - start]))
+                batch = pending.setdefault(symbols, [])
+                batch.append((i, matrix))
+                if len(batch) == DECODE_BATCH:
+                    decode_pending(symbols)
+            if fault is not None:
+                raise fault
+            if self.mode is None:
+                for symbols in list(pending):
+                    decode_pending(symbols)
         for symbols in list(pending):
             decode_pending(symbols)
         return rows

@@ -49,11 +49,12 @@ non-blank value, is below that bound (the arguments are in
 ``_run_frames``). ``decode`` runs two stages: ``frame_beams`` yields
 each frame's ``width`` survivors and, for the last frame, the merged,
 uncut set, as lists of candidates; ``complete_beams`` completes that
-last set and returns its best merged candidates, and ``decode`` takes
-the one with the smallest text. The frame loop is the only stage written
-twice: both engines complete their candidates by one rule over arrays
-(``_completed``), which gives each its word and completed ``p_text``,
-and merge them by (text before the word, word).
+last set and returns ``decode``'s pick, the smallest text among the best
+merged candidates, with its score. The frame loop is the only stage
+written twice: both engines complete, merge and pick by one routine over
+arrays (``_pick_completed``), which gives each candidate its word and
+completed ``p_text`` (``_completed``), merges candidates by (text before
+the word, word) and keeps each decode's pick.
 
 ``decode_batch`` is the one call for any number of matrices in any
 mode: it returns, bit for bit, what ``decode`` returns for each, and it
@@ -70,8 +71,9 @@ overhead makes a batch of one 2.4-2.5 times slower than ``decode`` on
 the benchmark's seed-1 short-words files (about 27 frames) and 1.9-2.1
 times on its first 12 long lines by name (``words`` mode, width 25, CPU
 time on one CPU of a 2-vCPU VM), so a lone matrix is decoded by
-``decode``. A batch's memory stays bounded: it copies the posteriors out a few dozen frames at a time,
-reads the trie through a few arrays by node, and its table of texts
+``decode``. A batch's memory stays bounded: it copies the posteriors
+out a few dozen frames at a time, reads the trie through a few arrays
+by node, and its table of texts
 (arrays by text id, and a dense table of child ids by text and column)
 keeps only those a survivor can still reach, growing as texts are named
 up to a size that no step between two compactions can outgrow.
@@ -81,7 +83,6 @@ from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
 from heapq import heapify, heapreplace
-from operator import itemgetter
 
 import numpy as np
 
@@ -107,8 +108,7 @@ def decode(
     cands: list[tuple] = []
     for cands in frame_beams(m, alphabet, tree, lm, width, mode):
         pass
-    neg_score, text = min(complete_beams(cands, tree, lm, mode))[:2]
-    return text, -neg_score
+    return complete_beams(cands, tree, lm, mode)
 
 
 # The benchmark's tracer wraps the two stages below by name and reads their width/mode.
@@ -313,45 +313,95 @@ def complete_beams(
     tree: PrefixTree,
     lm: NgramModel | None = None,
     mode: ScoringMode = WORDS,
-) -> list[tuple]:
-    """The best candidates once those ending in an incomplete prefix are
-    extended to their best completion.
+) -> tuple[str, float]:
+    """``decode``'s pick, ``(text, score)``, among one decode's last
+    candidates ``beams``, texts distinct, once completed (``_pick_completed``).
 
-    Each candidate's word and completed ``p_text`` are ``_completed``'s, in
-    one call over them all. Posterior mass is never consumed: a completed
-    candidate keeps its ``p_blank``/``p_nonblank``. Candidates already
-    ending in a complete word or in non-word state are unchanged. When a
-    completion collides with another candidate's text, the masses are
-    summed in text order and the first candidate's language-model score
-    is kept. A completed in-word text is the text before its word plus the
-    word, so candidates that complete to one text are those with one (text
-    before the word, word), as in ``_complete_batch``; the texts of the
-    merged candidates with the best score alone are spelled, and those are
-    returned.
+    Each candidate's text before its word is numbered here, in a dict, as
+    the batched search numbers texts, so the two engines complete, merge
+    and pick by one routine.
     """
-    beams = sorted(beams, key=itemgetter(1))
     node = np.array([cand[6] for cand in beams], np.intc)
-    p_text = np.array([cand[4] for cand in beams])
-    word, p_text = _completed(_scorer(tree, lm, mode), node, p_text,
-                              np.array([cand[5] for cand in beams]))
     depth = np.searchsorted(tree._levels, node, "right") - 1
-    merged: dict[tuple[str, int], list] = {}
-    for cand, w, p, d in zip(beams, word.tolist(), p_text.tolist(), depth.tolist()):
-        text, pb, pnb = cand[1:4]
-        key = text[:len(text) - d], w
-        cur = merged.get(key)
-        if cur is None:
-            merged[key] = [pb, pnb, p, cand]
-        else:
-            cur[0] += pb
-            cur[1] += pnb
-    best = max((p * (pb + pnb) for pb, pnb, p, _ in merged.values()), default=0.0)
-    out = []
-    for (_, w), (pb, pnb, p, cand) in merged.items():
-        if p * (pb + pnb) == best:
-            text = cand[1] if w == cand[6] else cand[1] + tree._prefix(w, cand[6])
-            out.append((-best, text, pb, pnb, p, cand[5], w))
-    return out
+    starts: dict[str, int] = {}
+    wst = [starts.setdefault(cand[1][:len(cand[1]) - d], len(starts)) if d else -1
+           for cand, d in zip(beams, depth.tolist())]
+    found: list[tuple[str, float] | None] = [None]
+    _pick_completed(np.zeros(len(beams), np.intp), np.array(wst, np.int64), node,
+                    [np.array([cand[k] for cand in beams]) for k in range(2, 6)],
+                    _scorer(tree, lm, mode), tree, lambda q: beams[q][1], found)
+    return found[0]
+
+
+def _pick_completed(
+    dec: np.ndarray,
+    wst: np.ndarray,
+    node: np.ndarray,
+    fields: list[np.ndarray],
+    scorer: TrieScorer,
+    tree: PrefixTree,
+    text: Callable[[int], str],
+    found: list[tuple[str, float] | None],
+) -> None:
+    """Complete the last candidates of the decodes that end together,
+    merge them, and write each decode's pick to ``found``.
+
+    Candidate ``q`` of decode ``dec[q]`` is at trie node ``node[q]``, has
+    the float fields ``fields`` (``p_blank``, ``p_nonblank``, then
+    ``p_text`` and ``committed``, which ``words`` mode may leave out), the
+    id ``wst[q]`` of its text before its word (unread outside a word), and
+    the text ``text(q)``; its word and completed ``p_text`` are
+    ``_completed``'s. A decode's pick is the smallest completed text among
+    its best merged candidates, with their score. Posterior mass is never
+    consumed: a merged candidate's mass is its members'.
+    """
+    # A completed in-word text is its word-start text plus the prefix of its
+    # word, so in-word candidates that complete to one text are those with one
+    # (word-start id, word), as text ids belong to one decode; their masses
+    # are summed in text order: two terms in either order, more in Python.
+    # Their nodes lie on the path from the root to the word, so their texts
+    # are nested prefixes and text order is depth order, which is node order
+    # (ids are level order); a group keeps the model score of its first
+    # member in that order. A text outside a word ends in a non-word
+    # character or is empty, so it is no other candidate's completed text:
+    # each such candidate is a group of its own.
+    pb, pnb = fields[:2]
+    word, p_text = _completed(scorer, node, *(fields[2:] or (None, None)))
+    key = np.where(word != 0, wst.astype(np.int64) * tree._first[-1] + word,
+                   -1 - np.arange(len(word)))
+    order = np.argsort(key)
+    key = key[order]
+    heads = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    sizes = np.diff(heads, append=len(key))
+    group_pb = np.add.reduceat(pb[order], heads)
+    group_pnb = np.add.reduceat(pnb[order], heads)
+    # Each group's members in node order: a pair swaps, a larger group sorts.
+    pair = heads[sizes == 2]
+    pair = pair[node[order[pair]] > node[order[pair + 1]]]
+    order[pair], order[pair + 1] = order[pair + 1], order[pair]
+    for g in np.flatnonzero(sizes > 2).tolist():
+        members = sorted(order[heads[g]:heads[g] + sizes[g]].tolist(), key=lambda q: node[q])
+        order[heads[g]:heads[g] + sizes[g]] = members
+        a, b = float(pb[members[0]]), float(pnb[members[0]])
+        for q in members[1:]:
+            a, b = a + float(pb[q]), b + float(pnb[q])
+        group_pb[g], group_pnb[g] = a, b
+    score = group_pb + group_pnb
+    first = order[heads]
+    if p_text is not None:
+        score *= p_text[first]
+    # Each decode's best groups, then the smallest of their completed texts:
+    # a member's text plus the rest of the path from its node to the word.
+    dec = dec[first]
+    best = np.full(len(found), -1.0)
+    np.maximum.at(best, dec, score)
+    top = np.flatnonzero(score == best[dec])
+    picks = first[top]
+    for q, w, n, d, value in zip(picks.tolist(), word[picks].tolist(), node[picks].tolist(),
+                                 dec[top].tolist(), score[top].tolist()):
+        completed = text(q) + tree._prefix(w, n)
+        if found[d] is None or completed < found[d][0]:
+            found[d] = (completed, value)
 
 
 def _completed(
@@ -460,7 +510,7 @@ def _run_batch(
     # Texts are ids of a text trie per decode, canonical among the texts a
     # survivor can reach, so the join compares ids; every ``_COMPACT_AT`` new
     # texts the trie forgets the others. A decode's candidates on its last
-    # frame are built in full and go, uncut, to ``_complete_batch``. Arrays by
+    # frame are built in full and go, uncut, to ``_pick_completed``. Arrays by
     # decode span the whole batch, finished decodes too; the posteriors are
     # copied out ``_FRAMES`` frames of every live matrix at a time.
     c, blank = alphabet.num_classes, alphabet.blank_index
@@ -587,7 +637,9 @@ def _run_batch(
         pick = None
         if t in endings:
             ends = last_frame[cand_dec] == t
-            _complete_batch(*build(np.flatnonzero(ends)), scorer, tree, texts, found)
+            cols, floats = build(np.flatnonzero(ends))
+            _pick_completed(cols[_DEC], cols[_WST], cols[_NODE], floats, scorer, tree,
+                            lambda q: texts.of(cols[:, q]), found)
             pick = np.flatnonzero(~ends)
             cand_dec, score = cand_dec[pick], score[pick]
 
@@ -657,66 +709,6 @@ def _cut(
             keep[lo:hi] = False
             keep[run[:head + width - lo]] = True
     return order[keep]
-
-
-def _complete_batch(
-    cand: np.ndarray,
-    fields: list[np.ndarray],
-    scorer: TrieScorer,
-    tree: PrefixTree,
-    texts: _Texts,
-    found: list[tuple[str, float] | None],
-) -> None:
-    # ``complete_beams`` and ``decode``'s pick for the decodes that end on
-    # this frame, over their uncut candidates, new ones without text ids. A
-    # completed in-word text is its word-start text plus the prefix of its
-    # completed node, so in-word candidates that complete to one text are
-    # those with one (word-start id, completed node), as text ids belong to
-    # one decode; their masses are summed in text order: two terms in either
-    # order, more in Python. Their nodes lie on the path from the root to the
-    # completed word, so their texts are nested prefixes and text order is
-    # depth order, which is node order (ids are level order); a group keeps
-    # the model score of its first member in that order. A text outside a
-    # word ends in a non-word character or is empty, so it is no other
-    # candidate's completed text: each such candidate is a group of its own.
-    pb, pnb = fields[:2]
-    node = cand[_NODE]
-    word, p_text = _completed(scorer, node, *(fields[2:] or (None, None)))
-    key = np.where(word != 0, cand[_WST].astype(np.int64) * tree._first[-1] + word,
-                   -1 - np.arange(len(word)))
-    order = np.argsort(key)
-    key = key[order]
-    heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-    sizes = np.diff(np.r_[heads, len(key)])
-    group_pb = np.add.reduceat(pb[order], heads)
-    group_pnb = np.add.reduceat(pnb[order], heads)
-    # Each group's members in node order: a pair swaps, a larger group sorts.
-    pair = heads[sizes == 2]
-    pair = pair[node[order[pair]] > node[order[pair + 1]]]
-    order[pair], order[pair + 1] = order[pair + 1], order[pair]
-    for g in np.flatnonzero(sizes > 2).tolist():
-        members = sorted(order[heads[g]:heads[g] + sizes[g]].tolist(), key=lambda q: node[q])
-        order[heads[g]:heads[g] + sizes[g]] = members
-        a, b = float(pb[members[0]]), float(pnb[members[0]])
-        for q in members[1:]:
-            a, b = a + float(pb[q]), b + float(pnb[q])
-        group_pb[g], group_pnb[g] = a, b
-    score = group_pb + group_pnb
-    first = order[heads]
-    if p_text is not None:
-        score *= p_text[first]
-    # Each decode's best groups, then the smallest of their completed texts.
-    dec = cand[_DEC, first]
-    best = np.full(len(found), -1.0)
-    np.maximum.at(best, dec, score)
-    top = np.flatnonzero(score == best[dec])
-    for q, d, value in zip(first[top].tolist(), dec[top].tolist(), score[top].tolist()):
-        if word[q]:
-            text = texts.text(int(cand[_WST, q])) + tree._prefix(int(word[q]))
-        else:
-            text = texts.of(cand[:, q])
-        if found[d] is None or text < found[d][0]:
-            found[d] = (text, value)
 
 
 def _node_arrays(tree: PrefixTree, alphabet: Alphabet, nonword: list[str]) -> tuple:

@@ -67,9 +67,11 @@ def parse_matrix(text: str, path: str = "<string>") -> tuple[str, PosteriorMatri
     return symbols, matrix
 
 
-def parse_matrices(texts: Sequence[str], paths: Sequence[str]) -> list[tuple[str, PosteriorMatrix]]:
-    """``[parse_matrix(text, path) for text, path in zip(texts, paths)]``,
-    converted and checked as one group.
+def parse_matrices(texts: Sequence[str],
+                   paths: Sequence[str]) -> tuple[list, WordbeamError | None]:
+    """``(found, fault)``: ``parse_matrix(text, path)`` of each of
+    ``texts`` and ``paths``, in order, up to the first file that raises,
+    and that file's error, or None; converted and checked as one group.
 
     The value rows of each run of files with the same C go through one
     ``np.loadtxt`` and the stack through one ``posterior_matrices`` check;
@@ -79,12 +81,19 @@ def parse_matrices(texts: Sequence[str], paths: Sequence[str]) -> list[tuple[str
     count right, T >= 1, C >= 2, every run converts to its T x C rows and
     the stack passes its check. Otherwise the files are parsed one by one
     with ``parse_matrix``, so a field that only ``float()`` reads (``1_0``,
-    ``٠.5``) still parses, and the first faulty file raises its own error.
+    ``٠.5``) still parses, up to the first faulty file, whose own error is
+    the fault.
     """
     found = _parse_group(texts)
-    if found is None:
-        found = [parse_matrix(text, path) for text, path in zip(texts, paths)]
-    return found
+    if found is not None:
+        return found, None
+    found = []
+    for text, path in zip(texts, paths):
+        try:
+            found.append(parse_matrix(text, path))
+        except WordbeamError as exc:
+            return found, exc
+    return found, None
 
 
 def _parse_group(texts: Sequence[str]) -> list[tuple[str, PosteriorMatrix]] | None:
@@ -186,11 +195,11 @@ def write_matrix_file(path: str | Path, m: PosteriorMatrix, symbols: str) -> Non
     Path(path).write_text(serialize_matrix(m, symbols), encoding="utf-8")
 
 
-def read_matrix_file(paths: Sequence[str | Path]) -> list[tuple[str, PosteriorMatrix]]:
-    """``(symbols, matrix)`` of each matrix file of ``paths``, in order, read
-    and parsed as one group (``parse_matrices``). The files before one that
-    cannot be read are parsed first, so the first fault in file order is
-    the one raised."""
+def read_matrix_file(paths: Sequence[str | Path]) -> tuple[list, WordbeamError | None]:
+    """``(found, fault)``: ``(symbols, matrix)`` of each matrix file of
+    ``paths``, in order, up to the first fault in file order, of a read or
+    of a parse, and that fault, or None. The files before the first one
+    that cannot be read are parsed as one group (``parse_matrices``)."""
     texts: list[str] = []
     fault = None
     for path in paths:
@@ -199,10 +208,8 @@ def read_matrix_file(paths: Sequence[str | Path]) -> list[tuple[str, PosteriorMa
         except WordbeamError as exc:
             fault = exc
             break
-    found = parse_matrices(texts, [str(path) for path in paths[:len(texts)]])
-    if fault is not None:
-        raise fault
-    return found
+    found, parse_fault = parse_matrices(texts, [str(path) for path in paths[:len(texts)]])
+    return found, parse_fault if parse_fault is not None else fault
 
 
 def load_word_list(path: str | Path) -> list[str]:

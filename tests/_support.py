@@ -672,9 +672,9 @@ def reference_complete_beams(beams, tree: PrefixTree, root: RefNode,
                              lm: NgramModel | None = None, mode: ScoringMode = WORDS,
                              scorer: TrieScorer | None = None) -> dict[str, Beam]:
     """Completion with one Beam per input and per output, merged in a dict
-    in text order: the reference for ``complete_beams``. ``beams`` are
-    Beams or a text -> Beam dict; each one's trie node is looked up in
-    ``root`` by its word prefix."""
+    in text order: the merged candidates ``reference_pick`` picks from.
+    ``beams`` are Beams or a text -> Beam dict; each one's trie node is
+    looked up in ``root`` by its word prefix."""
     scorer = scorer or TrieScorer(tree, lm, mode)
     items = beams.values() if isinstance(beams, dict) else beams
     out: dict[str, Beam] = {}
@@ -698,18 +698,30 @@ def reference_complete_beams(beams, tree: PrefixTree, root: RefNode,
     return out
 
 
+def reference_pick(beams, tree: PrefixTree, root: RefNode, lm: NgramModel | None = None,
+                   mode: ScoringMode = WORDS,
+                   scorer: TrieScorer | None = None) -> tuple[str, float]:
+    """The (text, score) of the best of ``reference_complete_beams``, the
+    smallest text among equal scores: the reference for ``complete_beams``.
+    ``beams`` may also be candidate tuples with distinct texts."""
+    if not isinstance(beams, dict):
+        prefixes = node_prefixes(root)
+        beams = [Beam.of(b, prefixes) if isinstance(b, tuple) else b for b in beams]
+    best = min(reference_complete_beams(beams, tree, root, lm, mode, scorer).values(),
+               key=_rank_key)
+    return best.text, best.score
+
+
 def reference_decode(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTree, root: RefNode,
                      lm: NgramModel | None = None, width: int = 25,
                      mode: ScoringMode = WORDS) -> tuple[str, float]:
     """``decode`` driven by ``reference_frame_beams`` and
-    ``reference_complete_beams``, with a scorer of its own."""
+    ``reference_pick``, with a scorer of its own."""
     scorer = TrieScorer(tree, lm, mode)
     beams: dict[str, Beam] = {}
     for beams in reference_frame_beams(m, alphabet, tree, root, lm, width, mode, scorer):
         pass
-    best = min(reference_complete_beams(beams, tree, root, lm, mode, scorer).values(),
-               key=_rank_key)
-    return best.text, best.score
+    return reference_pick(beams, tree, root, lm, mode, scorer)
 
 
 def reference_emit(sim: RecognizerSim, word: str) -> PosteriorMatrix:

@@ -85,7 +85,8 @@ class TestMatrixFile:
         m = random_matrix(rng, 3, 4)
         path = tmp_path / "m.mat"
         write_matrix_file(path, m, "abc")
-        [(symbols, parsed)] = read_matrix_file([path])
+        [(symbols, parsed)], fault = read_matrix_file([path])
+        assert fault is None
         assert symbols == "abc"
         assert np.array_equal(parsed.probs, m.probs)
 
@@ -223,13 +224,26 @@ class TestBulkParse:
 
 
 def _group_outcome(read, texts):
-    """What a reader makes of a group of matrix texts: each file's symbols,
-    shape and bits, in order, or the first fault's type, message and line."""
-    try:
-        found = read(texts)
-    except WordbeamError as exc:
-        return ("error", type(exc), str(exc), getattr(exc, "line", None))
-    return ("ok", [(symbols, m.probs.shape, m.probs.tobytes()) for symbols, m in found])
+    """What a reader's ``(found, fault)`` of a group of matrix texts is:
+    each file's symbols, shape and bits, in order, up to the first fault,
+    and that fault's type, message and line."""
+    found, fault = read(texts)
+    files = [(symbols, m.probs.shape, m.probs.tobytes()) for symbols, m in found]
+    if fault is None:
+        return ("ok", files)
+    return ("error", files, type(fault), str(fault), getattr(fault, "line", None))
+
+
+def _one_by_one(parse, items):
+    """``(found, fault)``: ``parse(item)`` of each of ``items`` up to the
+    first that raises, and its error, or None."""
+    found = []
+    for item in items:
+        try:
+            found.append(parse(item))
+        except WordbeamError as exc:
+            return found, exc
+    return found, None
 
 
 def _names(texts):
@@ -237,7 +251,7 @@ def _names(texts):
 
 
 def _per_file(texts):
-    return [parse_matrix(text, path) for text, path in zip(texts, _names(texts))]
+    return _one_by_one(lambda item: parse_matrix(*item), zip(texts, _names(texts)))
 
 
 def _grouped(texts):
@@ -315,7 +329,7 @@ class TestGroupedParse:
         paths = [str(tmp_path / f"{name}.mat") for name in places] + [str(tmp_path)]
 
         def one_by_one(group):
-            return [parse_matrix(files.read_text(path), path) for path in group]
+            return _one_by_one(lambda path: parse_matrix(files.read_text(path), path), group)
 
         for group in itertools.permutations(paths, 3):
             assert (_group_outcome(read_matrix_file, list(group))
@@ -574,7 +588,7 @@ def _per_file_lines(paths, dict_path, width, nonword="", lm=None, mode=WORDS):
 
     lines = []
     for path in paths:
-        [(symbols, m)] = read_matrix_file([path])
+        [(symbols, m)], _ = read_matrix_file([path])
         alphabet = Alphabet(symbols)
         tree = PrefixTree(load_word_list(dict_path), set(symbols) - set(nonword))
         label, likelihood = decode(m, alphabet, tree, lm, width, mode)
@@ -726,7 +740,7 @@ class TestBestPathGroups:
 
         lines = []
         for path in paths:
-            [(symbols, m)] = read_matrix_file([path])
+            [(symbols, m)], _ = read_matrix_file([path])
             alphabet = Alphabet(symbols) if scheme == "plain" else Alphabet(symbols[:-1], "|")
             label, likelihood = best_path_decode(m, alphabet)
             lines.append(f"{path}\t{decode_label(label, alphabet)}\t{likelihood!r}")

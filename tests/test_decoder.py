@@ -28,18 +28,16 @@ from wordbeam import decoder, language_model
 from wordbeam.decoder import complete_beams, decode_batch, frame_beams
 
 from _support import (
-    Beam,
     candidate,
     children,
     constrained_argmax,
     entries,
     forward_probability,
     labeling_distribution,
-    node_prefixes,
     random_matrix,
-    reference_complete_beams,
     reference_decode,
     reference_frame_beams,
+    reference_pick,
     reference_trie,
     remainder_probability,
     trie_node,
@@ -242,35 +240,54 @@ class TestScoringModes:
 class TestCompleteBeams:
     @staticmethod
     def _complete(words, hand, lm=None, mode=WORDS):
-        """Complete hand-built ``(text, word_prefix, p_blank, p_nonblank)``
-        hypotheses over ``words``; the entries of the result."""
+        """``complete_beams``' pick among hand-built ``(text, word_prefix,
+        p_blank, p_nonblank[, p_text])`` hypotheses over ``words``, checked
+        bit for bit against the reference's."""
         tree = PrefixTree(words, WC)
         root = reference_trie(words)
-        return entries(complete_beams([candidate(root, *h) for h in hand], tree, lm, mode), root)
+        cands = [candidate(root, *h) for h in hand]
+        got = complete_beams(cands, tree, lm, mode)
+        assert _exact([got]) == _exact([reference_pick(cands, tree, root, lm, mode)])
+        return got
 
     def test_unique_completion(self):
-        out = self._complete(["abc"], [("ab", "ab", 0.3, 0.2)])
-        assert out == {"abc": ("abc", 0.3, 0.2, 1.0)}
+        assert self._complete(["abc"], [("ab", "ab", 0.3, 0.2)]) == ("abc", 0.5)
 
     def test_complete_word_untouched(self):
-        assert list(self._complete(["ab", "abc"], [("ab", "ab", 0.1, 0.1)])) == ["ab"]
+        assert self._complete(["ab", "abc"], [("ab", "ab", 0.1, 0.1)])[0] == "ab"
 
     def test_nonword_state_untouched(self):
-        assert list(self._complete(["ab"], [("ab|", "", 0.1, 0.1)])) == ["ab|"]
+        assert self._complete(["ab"], [("ab|", "", 0.1, 0.1)])[0] == "ab|"
 
     def test_lm_ranked_completion(self):
         lm = NgramModel.train(["abc", "abc", "abd"], order=2)
-        out = self._complete(["abc", "abd"], [("ab", "ab", 0.2, 0.2)], lm, NGRAMS)
-        assert list(out) == ["abc"]  # hand-checked: (3/8)(3/7) > (2/8)(2/6)
-        assert out["abc"][3] == pytest.approx(word_probability(lm, "abc"))
+        text, score = self._complete(["abc", "abd"], [("ab", "ab", 0.2, 0.2)], lm, NGRAMS)
+        assert text == "abc"  # hand-checked: (3/8)(3/7) > (2/8)(2/6)
+        assert score == pytest.approx(0.4 * word_probability(lm, "abc"))
 
     def test_lexicographic_completion_in_words_mode(self):
-        assert list(self._complete(["abd", "abc"], [("ab", "ab", 0.2, 0.2)])) == ["abc"]
+        assert self._complete(["abd", "abc"], [("ab", "ab", 0.2, 0.2)])[0] == "abc"
 
     def test_collision_sums_mass(self):
-        out = self._complete(["abc"], [("ab", "ab", 0.1, 0.2), ("abc", "abc", 0.05, 0.15)])
-        assert list(out) == ["abc"]
-        assert sum(out["abc"][1:3]) == pytest.approx(0.5)
+        got = self._complete(["abc"], [("ab", "ab", 0.1, 0.2), ("abc", "abc", 0.05, 0.15)])
+        assert got == ("abc", pytest.approx(0.5))
+
+    def test_best_score_then_smallest_text(self):
+        hand = [("b|", "", 0.25, 0.0), ("a|", "", 0.0, 0.25), ("ab", "ab", 0.1, 0.1)]
+        assert self._complete(["ab"], hand) == ("a|", 0.25)
+
+    def test_a_group_of_three_sums_in_text_order_and_keeps_the_first_model_score(self):
+        # "a", "ab" and "abc" complete to "abcd". Summed from "a" on, each
+        # 2**-54 is half an ulp of 0.5 and rounds away (to even); summed the
+        # other way, the two add up to a whole ulp first, which the
+        # reference check tells apart. The group is ranked by the model
+        # score of "a", its first member in text order.
+        lm = NgramModel.train(["abcd"], order=2)
+        hand = [("abc", "abc", 2.0 ** -54, 0.0, 0.25), ("a", "a", 0.5, 0.0, 0.5),
+                ("ab", "ab", 2.0 ** -54, 0.0, 0.75)]
+        text, score = self._complete(["abcd"], hand, lm, NGRAMS)
+        assert text == "abcd"
+        assert score == pytest.approx(0.25 * word_probability(lm, "abcd"))
 
 
 class TestSharedScorer:
@@ -351,9 +368,12 @@ class TestSharedScorer:
                 pass
             ab = next(c for c in beams if c[1] == "ab")
             assert ab[4] != 1.0  # ranked by the forecast of "ab"
-            out = entries(complete_beams([ab], tree, lm, mode), reference_trie(["abc", "abd"]))
+            got = complete_beams([ab], tree, lm, mode)
+            root = reference_trie(["abc", "abd"])
+            assert _exact([got]) == _exact([reference_pick([ab], tree, root, lm, mode)])
             # nothing committed before "ab", so the completion scores its remainder
-            assert out["abc"][3] == pytest.approx(remainder_probability(lm, "ab", "c"))
+            mass = ab[2] + ab[3]
+            assert got == ("abc", pytest.approx(mass * remainder_probability(lm, "ab", "c")))
 
 
 class TestLifetime:
@@ -458,8 +478,8 @@ class TestFlatFrameLoop:
 
 
 class TestCompletionEqualsReference:
-    """``complete_beams`` against the best merged candidates of the
-    Beam-per-input reference."""
+    """``complete_beams``' pick against the best merged candidate of the
+    Beam-per-input reference, text and score bits."""
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @given(
@@ -470,7 +490,7 @@ class TestCompletionEqualsReference:
         seed=st.integers(0, 2**32 - 1),
         hand=st.lists(st.tuples(st.integers(0, 10**6), st.sampled_from(["", "|", "a|", "ab|"]),
                                 st.floats(0, 1), st.floats(0, 1), st.floats(0.01, 1)),
-                      max_size=12),
+                      min_size=1, max_size=12),
     )
     def test_completion_equals_reference(self, words, mode, t, width, seed, hand):
         alphabet = Alphabet("abc", separator="|")
@@ -481,22 +501,19 @@ class TestCompletionEqualsReference:
         last = None
         for last in frame_beams(m, alphabet, tree, lm, width, mode):
             pass
-        # Hand-built candidates: any live prefix after a non-word head, texts repeating.
+        # Hand-built candidates: any live prefix after a non-word head, the
+        # first of each text kept, as a decode's texts are distinct.
         prefixes = sorted({w[:k] for w in words for k in range(len(w) + 1)})
-        hand_built = [candidate(root, head + prefixes[i % len(prefixes)],
-                                prefixes[i % len(prefixes)], pb, pnb, p_text)
-                      for i, head, pb, pnb, p_text in hand]
+        hand_built: dict[str, tuple] = {}
+        for i, head, pb, pnb, p_text in hand:
+            prefix = prefixes[i % len(prefixes)]
+            hand_built.setdefault(head + prefix, candidate(root, head + prefix, prefix, pb, pnb,
+                                                           p_text))
         # A live prefix often completes to another candidate's text, so the
         # masses of the two are merged.
-        prefixes = node_prefixes(root)
-        for cands in (last, hand_built):
+        for cands in (last, list(hand_built.values())):
             got = complete_beams(cands, tree, lm, mode)
-            want = reference_complete_beams([Beam.of(c, prefixes) for c in cands], tree, root,
-                                            lm, mode)
-            best = max((b.score for b in want.values()), default=0.0)
-            want = {text: b for text, b in want.items() if b.score == best}
-            assert list(entries(got, root).items()) == list(entries(want).items())
-            assert all(-c[0] == best for c in got)
+            assert _exact([got]) == _exact([reference_pick(cands, tree, root, lm, mode)])
 
 
 class TestSurvivorSkip:
@@ -720,33 +737,43 @@ class TestDecodeBatch:
     def test_a_group_sums_in_node_order_which_is_text_order(self, monkeypatch):
         # Lines of several words over a trie of shared prefixes: groups of
         # three or more candidates of one decode, after one word-start text,
-        # complete to one word. Completion sums each group in node order;
-        # the scalar search sums it in text order.
+        # complete to one word, in the batched search and in lone decodes
+        # alike. Completion sums each group in node order, which is text
+        # order. The engines share that routine, so both are also checked
+        # against the reference search.
         alphabet = Alphabet("abcd ")
-        tree = PrefixTree(["abcd", "abca", "abdd", "bcda", "bcdb", "cab", "d"], set("abcd"))
+        words = ["abcd", "abca", "abdd", "bcda", "bcdb", "cab", "d"]
+        tree = PrefixTree(words, set("abcd"))
         rng = np.random.default_rng(11)
         matrices = [random_matrix(rng, t, 6) for t in range(4, 16) for _ in range(4)]
-        sizes = []
-        complete = decoder._complete_batch
+        sizes: list[list] = []
+        pick = decoder._pick_completed
 
-        def spy(cand, fields, scorer, tree, texts, found):
-            node = cand[decoder._NODE]
+        def spy(dec, wst, node, fields, scorer, tree, text, found):
             groups: dict = {}
             for q in np.flatnonzero(node).tolist():
-                key = (int(cand[decoder._WST, q]), int(scorer.lexmin[node[q]]))
+                key = (int(dec[q]), int(wst[q]), int(scorer.lexmin[node[q]]))
                 groups.setdefault(key, []).append(q)
-            for (start, _), group in groups.items():
+            for group in groups.values():
                 if len(group) > 2:
-                    sizes.append((len(group), texts.text(start)))
-                    by_node = sorted(group, key=lambda q: node[q])
-                    assert by_node == sorted(group, key=lambda q: texts.of(cand[:, q]))
-            return complete(cand, fields, scorer, tree, texts, found)
+                    texts = [text(q) for q in sorted(group, key=lambda q: node[q])]
+                    assert texts == sorted(texts)
+                    depth = np.searchsorted(tree._levels, node[group[0]], "right") - 1
+                    start = text(group[0])[:len(text(group[0])) - depth]
+                    sizes[-1].append((len(group), start))
+            return pick(dec, wst, node, fields, scorer, tree, text, found)
 
-        monkeypatch.setattr(decoder, "_complete_batch", spy)
-        got = decode_batch(matrices, alphabet, tree, width=12)
-        assert max(sizes)[0] > 3
-        assert len({start for _, start in sizes}) > 3  # groups after several word-start texts
-        assert _exact(got) == _exact([decode(m, alphabet, tree, width=12) for m in matrices])
+        monkeypatch.setattr(decoder, "_pick_completed", spy)
+        got = []
+        for engine in (lambda: decode_batch(matrices, alphabet, tree, width=12),
+                       lambda: [decode(m, alphabet, tree, width=12) for m in matrices]):
+            sizes.append([])
+            got.append(_exact(engine()))
+            assert max(sizes[-1])[0] > 3
+            assert len({start for _, start in sizes[-1]}) > 3  # after several word-start texts
+        root = reference_trie(words)
+        want = [reference_decode(m, alphabet, tree, root, width=12) for m in matrices]
+        assert got[0] == got[1] == _exact(want)
 
     @pytest.mark.parametrize("words, word_chars, symbols, width, classes, error", [
         (["ab"], "ab", "ab", 0, 3, InputValidationError),   # width below 1
