@@ -12,6 +12,7 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
+from itertools import islice
 from pathlib import Path
 
 from . import decoder, fanout
@@ -262,21 +263,16 @@ class _DecodePipeline:
         """Read and decode each matrix file; return ``row(i, label,
         likelihood)`` of each file ``paths[i]``, in file order.
 
-        Files are read in groups (``_read_groups``). Where this process may
-        fork workers (``fanout.processes``), the first group is decoded
-        here, which sets up its alphabets; the other groups are then split
+        Files are read in groups (``_read_groups``). The first group is
+        decoded here, which sets up its alphabets; the others are split
         into shares of about equal bytes, one per CPU (``fanout.run``), the
         first decoded here and each other by a forked worker, which
-        inherits the set-up. Otherwise every group is decoded here, as one
-        share. Each share raises its own first fault, so the first fault in
-        file order is the one raised.
+        inherits the set-up. Each share raises its own first fault, so the
+        first fault in file order is the one raised.
         """
         groups = _read_groups(paths)
-        if fanout.processes() == 1:
-            return self._decode_share((group for group, _ in groups), row)
-        first = next(groups, None)
-        rows = self._decode_share([first[0]], row) if first else []
-        rest = list(groups)
+        rows = self._decode_share([group for group, _ in islice(groups, 1)], row)
+        rest = list(groups)  # the first decode need not wait for every file's size
         return rows + fanout.run([group for group, _ in rest],
                                  lambda share: self._decode_share(share, row),
                                  [size for _, size in rest])

@@ -71,9 +71,14 @@ overhead makes a batch of one 2.4-2.5 times slower than ``decode`` on
 the benchmark's seed-1 short-words files (about 27 frames) and 1.9-2.1
 times on its first 12 long lines by name (``words`` mode, width 25, CPU
 time on one CPU of a 2-vCPU VM), so a lone matrix is decoded by
-``decode``. A batch's memory stays bounded: it copies the posteriors
-out a few dozen frames at a time, reads the trie through a few arrays
-by node, and its table of texts
+``decode``. Once a decode's scores underflow to 0.0, every candidate
+ties at the cut and the tie goes by text: on the benchmark's seed-1 long
+line 8 (969 frames, ``ngrams`` mode, same clock) a batch of one took
+5.7-8.0 s, against 0.10-0.17 s for ``decode``, while each tied text was
+spelled from scratch, and takes 0.17-0.29 s with each step's texts
+spelled on from the step before's (``_Texts``). A batch's memory stays
+bounded: it copies the posteriors out a few dozen frames at a time,
+reads the trie through a few arrays by node, and its table of texts
 (arrays by text id, and a dense table of child ids by text and column)
 keeps only those a survivor can still reach, growing as texts are named
 up to a size that no step between two compactions can outgrow.
@@ -643,14 +648,23 @@ def _run_batch(
             pick = np.flatnonzero(~ends)
             cand_dec, score = cand_dec[pick], score[pick]
 
-        def text_of(i: int) -> str:
-            """Candidate ``i``'s text, spelled out for a tie at the cut."""
-            i = int(pick[i]) if pick is not None else i
-            if i < s:
-                return texts.text(int(tid[i]))
-            return texts.text(int(tid[xs[i - s]])) + texts.symbols[e_col[x[i - s]]]
+        def texts_of(i: np.ndarray) -> list[str]:
+            """Candidates ``i``'s texts, spelled out for a tie at the cut: each
+            survivor's once, and an extension's as its survivor's plus its
+            character."""
+            i = i if pick is None else pick[i]
+            e = np.flatnonzero(i >= s)
+            k = x[i[e] - s]
+            of = i.copy()
+            of[e] = src[k]
+            col = np.full(len(i), -1)  # column -1 adds "", the last of ``chars``
+            col[e] = e_col[k]
+            of = tid[of].tolist()
+            spelled = {t: texts.text(t) for t in set(of)}
+            chars = [*texts.symbols, ""]
+            return [spelled[t] + chars[c] for t, c in zip(of, col.tolist())]
 
-        sel = _cut(cand_dec, score, width, n, text_of)
+        sel = _cut(cand_dec, score, width, n, texts_of)
         state, fields = build(sel if pick is None else pick[sel])
         texts.name(state)
         if texts.count - texts.kept > _COMPACT_AT:
@@ -678,12 +692,12 @@ def _cut(
     score: np.ndarray,
     width: int,
     n: int,
-    text_of: Callable[[int], str],
+    texts_of: Callable[[np.ndarray], list[str]],
 ) -> np.ndarray:
     """Indices of each decode's ``width`` best candidates by (-score, text), grouped by decode.
 
-    Candidate ``i`` belongs to decode ``dec[i]``; ``text_of(i)`` spells its
-    text, which only a tie at the cut reads.
+    Candidate ``i`` belongs to decode ``dec[i]``; ``texts_of(i)`` spells
+    the texts of candidates ``i``, which only a tie at the cut reads.
     """
     # Best score first, then a stable sort by decode; fewer than 2**16
     # decodes sort on 16-bit keys, which numpy radix-sorts.
@@ -698,16 +712,15 @@ def _cut(
     if over.size:
         ranked = score[order]
         for head in over[ranked[over + width - 1] == ranked[over + width]].tolist():
-            # The cut splits a run of equal scores: keep its smallest texts.
-            tied = ranked[head + width - 1]
-            lo, hi = head + width - 1, head + width
-            while lo > head and ranked[lo - 1] == tied:
-                lo -= 1
-            while hi < len(sdec) and sdec[hi] == sdec[head] and ranked[hi] == tied:
-                hi += 1
-            run = sorted(range(lo, hi), key=lambda p: text_of(int(order[p])))
+            # The cut splits a run of equal scores, which is contiguous, as a
+            # decode's scores are descending: keep its smallest texts.
+            scores = ranked[head:head + sizes[sdec[head]]]
+            tied = scores[width - 1]
+            lo = head + int(np.count_nonzero(scores > tied))
+            hi = lo + int(np.count_nonzero(scores == tied))
+            run = sorted(range(hi - lo), key=texts_of(order[lo:hi]).__getitem__)
             keep[lo:hi] = False
-            keep[run[:head + width - lo]] = True
+            keep[lo + np.array(run[:head + width - lo], np.intp)] = True
     return order[keep]
 
 
@@ -763,7 +776,11 @@ class _Texts:
     arrays for them. The arrays start with room for one step's new texts,
     at most one per survivor, ``n * width``, and double as texts are named,
     up to the most that can be named before the next compaction:
-    ``_COMPACT_AT`` (0 if negative) plus one step's.
+    ``_COMPACT_AT`` (0 if negative) plus one step's. ``text`` spells a text
+    back to the nearest one it spelled in this step or the one before
+    (``name`` ends a step, ``compact`` forgets both), so where every step
+    ties at the cut, as once a decode's scores underflow, a text costs a
+    character or two to spell, not its length.
     """
 
     def __init__(self, symbols: str, n: int, width: int) -> None:
@@ -775,6 +792,8 @@ class _Texts:
     def _hold(self, parent: np.ndarray, col: np.ndarray) -> None:
         """Make the texts ``parent``/``col`` ids 0 on, with one step's ids free after them."""
         self.count = self.kept = kept = len(parent)  # texts named; at the last compaction
+        self._spelled: dict[int, str] = {}  # texts spelled in this step, by id
+        self._before: dict[int, str] = {}  # and in the step before
         self.child = None  # free the old table before building the new one
         self.parent = np.empty(kept + self.step, np.int32)
         self.col = np.empty(kept + self.step, np.int32)
@@ -797,7 +816,8 @@ class _Texts:
         self.child[before:] = -1
 
     def name(self, cand: np.ndarray) -> None:
-        """Give ids to the candidates that have none (and word-start ids outside a word).
+        """Give ids to the survivors of a step that have none (and word-start
+        ids outside a word), which ends the step.
 
         The texts of one decode's candidates are distinct, so no two of them
         need the same new id.
@@ -816,6 +836,7 @@ class _Texts:
         self.parent[self.count:count], self.col[self.count:count] = parent, col
         self.count = count
         cand[_TID, new] = ids
+        self._before, self._spelled = self._spelled, {}
         start = np.flatnonzero(cand[_WST] < 0)
         cand[_WST, start] = cand[_TID, start]
 
@@ -839,11 +860,18 @@ class _Texts:
         state[_PTID] = np.where(parent >= 0, renumber[parent], -1)
 
     def text(self, i: int) -> str:
+        """Text ``i``, spelled back to the nearest text spelled in this step
+        or the one before, or to an empty text."""
         chars = []
-        while self.parent[i] >= 0:
-            chars.append(self.symbols[self.col[i]])
-            i = self.parent[i]
-        return "".join(reversed(chars))
+        j = i
+        while (head := self._spelled.get(j, self._before.get(j))) is None:
+            if self.parent[j] < 0:
+                head = ""
+                break
+            chars.append(self.symbols[self.col[j]])
+            j = int(self.parent[j])
+        text = self._spelled[i] = head + "".join(reversed(chars))
+        return text
 
     def of(self, cand: np.ndarray) -> str:
         """The text of one candidate column, named or not."""

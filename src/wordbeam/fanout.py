@@ -48,12 +48,6 @@ def available_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def processes() -> int:
-    """The processes ``run`` splits its units over at most: the CPUs this
-    process may run on, or one in a worker or where ``os.fork`` is missing."""
-    return 1 if _in_worker or not hasattr(os, "fork") else available_cpus()
-
-
 def plan(weights: Sequence[float], cpus: int) -> list[range]:
     """Contiguous, non-empty shares of the units ``range(len(weights))``:
     ``min(cpus, len(weights))`` of them (at least one), each cut placed at
@@ -75,7 +69,8 @@ def run(units: Sequence, work: Callable[[Sequence], list],
     """``work(share)`` for each share of ``units`` (see the module
     docstring), its results joined in share order; ``weights`` are the
     units' costs, 1 each by default."""
-    shares = plan([1] * len(units) if weights is None else weights, processes())
+    cpus = 1 if _in_worker or not hasattr(os, "fork") else available_cpus()
+    shares = plan([1] * len(units) if weights is None else weights, cpus)
     pending: list[tuple[int, int]] = []  # (pid, read end of its pipe) of each unreaped worker
     peaks: list[tuple[int, int]] = []
     tail = len(units)  # the units from here on run in this process, after the workers' shares

@@ -599,7 +599,8 @@ def _per_file_lines(paths, dict_path, width, nonword="", lm=None, mode=WORDS):
 @pytest.fixture
 def batch_spy(monkeypatch, one_process):
     """The sizes of the CLI's ``decode`` calls, with two matrices to a batch
-    and three files to a read group, all in this process."""
+    and three files to a read group, all in this process: the first group's
+    batches, then those of the other groups as one share."""
     sizes = []
     batch = cli.decode
 
@@ -618,7 +619,8 @@ class TestWordsModeBatches:
 
     def test_interleaved_alphabets_match_per_file_decodes(self, tmp_path, capsys, batch_spy):
         # Files of alphabets "ab " and "abc " alternate irregularly: "ab "
-        # has five files (batches of 2, 2 and 1), "abc " two.
+        # has five files (batches of 2, 2 and 1), "abc " two, one in the
+        # first read group (files 0-2) and one after it (batches of 1).
         rng = np.random.default_rng(21)
         dict_path = tmp_path / "dict.txt"
         dict_path.write_text("ab\nba\naab\nb\n", encoding="utf-8")
@@ -632,7 +634,7 @@ class TestWordsModeBatches:
         assert main(command) == EXIT_OK
         out = capsys.readouterr().out
         assert out == "\n".join(_per_file_lines(paths, dict_path, 4, " ")) + "\n"
-        assert sorted(batch_spy) == [1, 2, 2, 2]
+        assert sorted(batch_spy) == [1, 1, 1, 2, 2]
 
     @pytest.mark.parametrize("name, mode", [("ngrams", NGRAMS),
                                             ("ngrams-forecast", NGRAMS_FORECAST),
@@ -641,7 +643,8 @@ class TestWordsModeBatches:
     def test_language_model_modes_match_per_file_decodes(self, tmp_path, capsys, batch_spy,
                                                          name, mode):
         # Four files of alphabet "ab " and three of "abc ", interleaved, more
-        # than a batch of two each; the model is trained on the dictionary.
+        # than a batch of two each, and split by the end of the first read
+        # group (files 0-2); the model is trained on the dictionary.
         rng = np.random.default_rng(24)
         dict_path = tmp_path / "dict.txt"
         words = ["ab", "ba", "aab", "b", "abba", "bab"]
@@ -657,7 +660,7 @@ class TestWordsModeBatches:
         lm = NgramModel.train(words, order=3)
         want = _per_file_lines(paths, dict_path, 3, " ", lm, mode)
         assert capsys.readouterr().out == "\n".join(want) + "\n"
-        assert sorted(batch_spy) == [1, 2, 2, 2]
+        assert sorted(batch_spy) == [1, 1, 1, 2, 2]
 
     def test_ensemble_over_directories_matches_per_file_decodes(self, tmp_path, capsys,
                                                                  batch_spy):
@@ -683,11 +686,13 @@ class TestWordsModeBatches:
         assert main(["ensemble", *dirs, "--dict", str(dict_path), "--mode", "words",
                      "--nonword-chars", " ", "--width", "3"]) == EXIT_OK
         assert capsys.readouterr().out == want
-        assert batch_spy == [2] * 7 + [1]  # 15 files, the last one decoded alone
+        # 15 files: the first read group's three, then the other twelve.
+        assert batch_spy == [2, 1] + [2] * 6
 
     def test_a_batch_spans_several_read_groups(self, tmp_path, capsys, monkeypatch, batch_spy):
         # Groups of at most two files and two small files' bytes (file 3 is
-        # large, a group alone); batches of five matrices.
+        # large, a group alone); batches of five matrices. The first group
+        # is decoded alone, and a batch spans the four groups after it.
         rng = np.random.default_rng(23)
         dict_path = tmp_path / "dict.txt"
         dict_path.write_text("ab\nba\naab\nb\n", encoding="utf-8")
@@ -711,7 +716,7 @@ class TestWordsModeBatches:
                      "--nonword-chars", " ", "--width", "4"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out == "\n".join(_per_file_lines(paths, dict_path, 4, " ")) + "\n"
-        assert batch_spy == [5, 2]
+        assert batch_spy == [2, 5]
         assert groups == [["0", "1"], ["2"], ["3"], ["4", "5"], ["6"]]
 
     def test_new_alphabet_fault_is_reported_before_a_later_parse_fault(self, tmp_path, capsys):

@@ -675,10 +675,11 @@ class TestDecodeBatch:
         spelled = []
         cut = decoder._cut
 
-        def spy(dec, score, width, n, text_of):
+        def spy(dec, score, width, n, texts_of):
             def spell(i):
-                spelled.append(text_of(i))
-                return spelled[-1]
+                texts = texts_of(i)
+                spelled.extend(texts)
+                return texts
 
             return cut(dec, score, width, n, spell)
 
@@ -720,6 +721,36 @@ class TestDecodeBatch:
         got, spelled = self._spelled_at_the_cut(monkeypatch, matrices, alphabet, tree, 3)
         assert {"ab", "b"} <= set(spelled)
         assert _exact(got) == _exact([decode(x, alphabet, tree, width=3) for x in matrices])
+
+    def test_ties_after_an_underflow_spell_each_text_from_the_last_step(self, monkeypatch):
+        # A 20-word line's ngrams score underflows to 0.0 long before its
+        # last frame, and from there every candidate ties at the cut. Each
+        # step's texts are spelled on from the step before's, so the
+        # characters walked stay near one per survivor and frame, where
+        # spelling each text in full walks frames times the text's length.
+        letters = "abcdef"
+        rng = random.Random(3)
+        words = sorted({"".join(rng.choices(letters, k=rng.randint(3, 7))) for _ in range(100)})
+        alphabet, tree = Alphabet(letters + " "), PrefixTree(words, set(letters))
+        lm = NgramModel.train(words, 2, 1.0)
+        line = " ".join(rng.choice(words) for _ in range(20))
+        matrices = [RecognizerSim(alphabet, noise_level=0.3, seed=1).emit(line),
+                    RecognizerSim(alphabet, noise_level=0.3, seed=2).emit(words[0])]
+        want = [decode(m, alphabet, tree, lm, 4, NGRAMS) for m in matrices]
+        assert want[0][1] == 0.0
+        walked = []
+
+        class Counted(str):
+            def __getitem__(self, k):
+                walked.append(k)
+                return str.__getitem__(self, k)
+
+        init = decoder._Texts.__init__
+        monkeypatch.setattr(decoder._Texts, "__init__",
+                            lambda texts, symbols, *rest: init(texts, Counted(symbols), *rest))
+        got = decode_batch(matrices, alphabet, tree, lm, 4, NGRAMS)
+        assert _exact(got) == _exact(want)
+        assert 0 < len(walked) <= 2 * matrices[0].num_frames * 4
 
     def test_three_or_more_candidates_complete_to_one_word(self):
         # Every non-empty text of the last frame is a prefix of "abcd" and
