@@ -60,46 +60,28 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _at_least_one(text: str) -> int:
-    """An argparse type: an integer of at least 1, rejected before any work."""
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _number(convert: Callable[[str], float], holds: Callable[[float], bool],
+            requirement: str) -> Callable[[str], float]:
+    """An argparse type: ``convert``'s value of the text, rejected before any
+    work unless it ``holds``, which the message names as ``requirement``."""
+    def parse(text: str) -> float:
+        try:
+            x = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"invalid {convert.__name__} value: {text!r}") from None
+        if not holds(x):
+            raise argparse.ArgumentTypeError(f"{requirement}, got {x}")
+        return x
+    return parse
 
 
-def _float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
-
-
-def _positive_finite(text: str) -> float:
-    """An argparse type: a finite float above 0, rejected before any work."""
-    x = _float(text)
-    if not (math.isfinite(x) and x > 0):
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {x}")
-    return x
-
-
-def _non_negative_finite(text: str) -> float:
-    """An argparse type: a finite float of at least 0, rejected before any work."""
-    x = _float(text)
-    if not (math.isfinite(x) and x >= 0):
-        raise argparse.ArgumentTypeError(f"must be non-negative and finite, got {x}")
-    return x
-
-
-def _unit_interval(text: str) -> float:
-    """An argparse type: a float in [0, 1] (so not NaN), rejected before any work."""
-    x = _float(text)
-    if not 0.0 <= x <= 1.0:
-        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {x}")
-    return x
+_at_least_one = _number(int, lambda n: n >= 1, "must be at least 1")
+_positive_finite = _number(float, lambda x: math.isfinite(x) and x > 0,
+                           "must be positive and finite")
+_non_negative_finite = _number(float, lambda x: math.isfinite(x) and x >= 0,
+                               "must be non-negative and finite")
+_unit_interval = _number(float, lambda x: 0.0 <= x <= 1.0, "must lie in [0, 1]")  # not NaN
 
 
 def _separator(text: str) -> str:

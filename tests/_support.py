@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import string
 from collections import Counter
 
 import numpy as np
@@ -815,3 +816,13 @@ FIRST_FAULTS = [
     ("1\na\n0.5 0.5\n", "m.mat:1: malformed header '1'"),
     ("1 two\na\n0.5 0.5\n", "m.mat:1: non-integer header '1 two'"),
 ]
+
+
+def words_50k() -> tuple[list[str], random.Random]:
+    """50,000 random lower-case words of 2 to 12 letters, a lexicon of the
+    size the decoder must hold, and the generator that drew them, for
+    drawing lines of them: the dictionary of the memory tests and of
+    ``ci_peaks.py``."""
+    rng = random.Random(50_000)
+    letters = string.ascii_lowercase
+    return ["".join(rng.choices(letters, k=rng.randint(2, 12))) for _ in range(50_000)], rng

@@ -3,7 +3,6 @@
 import gc
 import itertools
 import json
-import random
 import sys
 import tracemalloc
 import weakref
@@ -16,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from wordbeam import (
     Alphabet,
     DataFormatError,
+    InputValidationError,
     NGRAMS,
     NGRAMS_FORECAST,
     NgramModel,
@@ -43,6 +43,7 @@ from _support import (
     random_matrix,
     reference_load_word_list,
     reference_parse_matrix,
+    words_50k,
 )
 
 
@@ -75,6 +76,11 @@ class TestMatrixFile:
     def test_wrong_row_count(self):
         with pytest.raises(DataFormatError):
             parse_matrix("3 3\nab\n0.5 0.25 0.25\n")
+
+    def test_symbols_must_match_the_columns(self):
+        with pytest.raises(InputValidationError,
+                           match="alphabet of 3 symbols does not match 3 columns"):
+            serialize_matrix(PosteriorMatrix(np.full((2, 3), 1 / 3)), "abc")
 
     def test_row_sum_failure_becomes_data_error(self):
         with pytest.raises(DataFormatError):
@@ -371,9 +377,7 @@ class TestWordList:
     def test_fifty_thousand_words_keep_little_memory(self, tmp_path):
         # The words of the trie's memory test, one per line: the lines, the
         # words and one joined string of them, and no more.
-        rng = random.Random(50_000)
-        letters = "abcdefghijklmnopqrstuvwxyz"
-        words = ["".join(rng.choices(letters, k=rng.randint(2, 12))) for _ in range(50_000)]
+        words, _ = words_50k()
         p = tmp_path / "words50k.txt"
         p.write_text("\n".join(words) + "\n", encoding="utf-8")
         tracemalloc.start()
@@ -1119,8 +1123,36 @@ class TestEvalCommand:
         assert "oov_accuracy=100.000000" in kv
         assert (tmp_path / "report" / "report.txt").exists()
 
+    def test_plain_lists_skip_comment_lines(self, tmp_path, capsys):
+        (tmp_path / "pred.txt").write_text("# predictions\naa\n#\nbb\n", encoding="utf-8")
+        (tmp_path / "gt.txt").write_text("aa\n# truth\nbb\n", encoding="utf-8")
+        assert main(["eval", str(tmp_path / "pred.txt"), str(tmp_path / "gt.txt")]) == EXIT_OK
+        out, err = capsys.readouterr()
+        assert "word_accuracy=100.000000" in out
+        assert err == ""
+
 
 class TestSynthCommand:
+    def test_dictionary_of_comments_only_is_configuration_error(self, tmp_path, capsys):
+        (tmp_path / "dict.txt").write_text("# no words\n#\n", encoding="utf-8")
+        command = ["synth", "--dict", str(tmp_path / "dict.txt"),
+                   "--out-dir", str(tmp_path / "out")]
+        assert main(command) == EXIT_CONFIG
+        assert capsys.readouterr().err == (
+            "wordbeam: configuration error: the dictionary file holds no words\n")
+        assert not (tmp_path / "out").exists()
+
+    def test_words_holding_every_separator_candidate_are_invalid_input(self, tmp_path, capsys):
+        # Each of coding.SEPARATOR_CANDIDATES occurs, so none is left to pick.
+        (tmp_path / "dict.txt").write_text("a|\nb#\nc~\nd\u00a4\n", encoding="utf-8")
+        command = ["synth", "--dict", str(tmp_path / "dict.txt"), "--scheme", "extrasep",
+                   "--out-dir", str(tmp_path / "out")]
+        assert main(command) == EXIT_DATA
+        assert capsys.readouterr().err == (
+            "wordbeam: invalid input: all candidate separators ('|', '#', '~', '\u00a4') "
+            "occur in the dataset\n")
+        assert not (tmp_path / "out").exists()
+
     def test_layout_and_determinism(self, tmp_path, capsys):
         dict_path = tmp_path / "dict.txt"
         dict_path.write_text("cat\ndog\ncow\n", encoding="utf-8")

@@ -65,6 +65,10 @@ class TestAlphabet:
         with pytest.raises(InputValidationError):
             Alphabet("ab|", separator="|")
 
+    def test_separator_of_two_characters_rejected(self):
+        with pytest.raises(InputValidationError, match="separator must be a single character"):
+            Alphabet("ab", separator="||")
+
 
 class TestPosteriorMatrix:
     def test_row_sum_enforced(self):

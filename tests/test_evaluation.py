@@ -49,6 +49,10 @@ class TestWordAccuracy:
         with pytest.raises(InputValidationError):
             word_accuracy(["a"], ["a", "b"])
 
+    def test_empty_inputs_rejected(self):
+        with pytest.raises(InputValidationError, match="word_accuracy needs at least one pair"):
+            word_accuracy([], [])
+
     def test_case_insensitive_never_worse(self):
         rng = random.Random(41)
         for _ in range(100):
@@ -103,6 +107,11 @@ class TestLengthBreakdown:
     def test_single_bucket(self):
         out = length_breakdown(["ab"], ["ab"])
         assert out == {2: (100.0, 1)}
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(InputValidationError,
+                           match="length_breakdown needs equal-length, non-empty inputs"):
+            length_breakdown(["ab"], ["ab", "cd"])
 
     def test_planted_rates(self):
         gts = ["a"] * 4 + ["bb"] * 5

@@ -37,6 +37,7 @@ from _support import (
     scorer_completion,
     trie_node,
     word_probability,
+    words_50k,
 )
 
 WC = set("abcdefgh")
@@ -126,14 +127,14 @@ class TestTraining:
         # The dictionary of the trie's memory test: one narrow code per window
         # and the count of them, a few MiB, where the per-window counter this
         # replaced took 0.4 MiB.
-        words = _fifty_thousand_words()
+        words, _ = words_50k()
         lm, peak = _trained(words, 2)
         assert peak <= 6 * 2**20
         assert int(lm.totals.sum()) == sum(map(len, words)) + len(words)
 
     def test_order_five_training_on_fifty_thousand_words(self):
         # A dict of counters per context peaked at 72.5 MiB here.
-        words = _fifty_thousand_words()
+        words, _ = words_50k()
         lm, peak = _trained(words, 5)
         assert peak <= 36 * 2**20
         assert int(lm.totals.sum()) == sum(map(len, words)) + len(words)
@@ -171,12 +172,6 @@ class TestTraining:
         for k in (0.0, -1.0, float("nan"), float("inf"), float("-inf")):
             with pytest.raises(InputValidationError, match="positive and finite"):
                 NgramModel.train(["ab"], smoothing_k=k)
-
-
-def _fifty_thousand_words() -> list[str]:
-    rng = random.Random(50_000)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    return ["".join(rng.choices(letters, k=rng.randint(2, 12))) for _ in range(50_000)]
 
 
 def _trained(words: list[str], order: int) -> tuple[NgramModel, int]:

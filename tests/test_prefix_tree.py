@@ -3,6 +3,7 @@ the reference trie."""
 
 import gc
 import random
+import string
 import tracemalloc
 
 import pytest
@@ -18,6 +19,7 @@ from _support import (
     reference_trie,
     scorer_completion,
     trie_node,
+    words_50k,
 )
 
 WC = set("abcdefgh")
@@ -250,14 +252,12 @@ def test_large_trie_keeps_little_memory_and_few_collector_objects():
     # characters per node) and add a handful of objects the cyclic
     # collector tracks, where a trie of node objects kept about 46 MiB
     # and 400k tracked objects of this dictionary.
-    rng = random.Random(50_000)
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    words = ["".join(rng.choices(letters, k=rng.randint(2, 12))) for _ in range(50_000)]
+    words, _ = words_50k()
     gc.collect()
     tracked = len(gc.get_objects())
     tracemalloc.start()
     try:
-        tree = PrefixTree(words, letters)
+        tree = PrefixTree(words, string.ascii_lowercase)
         retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

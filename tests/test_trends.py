@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from wordbeam import trends
+from wordbeam import InputValidationError, trends
 from wordbeam.trends import SeedOutcome, TrendConfig, TrendReport, run_trend_experiment
 
 
@@ -34,6 +34,16 @@ def test_long_seed_is_its_own_cell():
 def test_short_seed_keeps_the_column_layout():
     row = _seed_row(_report(7))
     assert row == "7         96.67    90.00    93.33    100.00"
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_words": 0}, "n_seeds, n_words and members must be positive"),
+    ({"members": 3, "member_counts": (1, 5)}, "member_counts may not exceed members"),
+    ({"min_word_length": 4, "max_word_length": 3}, "bad word length range"),
+])
+def test_config_rejects_bad_fields(fields, message):
+    with pytest.raises(InputValidationError, match=message):
+        TrendConfig(**fields)
 
 
 # 80 words drawn from 20 per seed: most of the list repeats.
