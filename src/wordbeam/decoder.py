@@ -13,73 +13,38 @@ Per frame, each hypothesis tracks the path mass ending in blank
 merging of equal-text hypotheses and the repeated-character rule exact:
 extending with the hypothesis' own last character may only use the
 blank-ending mass, everything else uses the total. Hypotheses are ranked
-by the product of the language-model score and the total mass. After the
-last frame, hypotheses whose trailing prefix is not yet a complete word
-are extended by their most probable completion without consuming
-posterior mass. Language-model scores are read at each in-word
+by ``score = p_text * (p_blank + p_nonblank)``, with ``p_text`` the
+language-model score (1 in words mode); ``committed`` is the score of a
+hypothesis' finished words alone, which the forecast modes multiply by a
+forecast or a completion's remainder probability. The current word is
+the trie node id of the trailing run of word characters; outside a word
+it is the root, 0, which is never a word, as the tree rejects empty
+words. At the ``width``-th score of a frame, ties go to the smaller
+text. After the last frame, hypotheses whose trailing prefix is not yet
+a complete word are extended by their most probable completion without
+consuming posterior mass. Language-model scores are read at each in-word
 hypothesis' trie node from the ``TrieScorer`` of (tree, model, mode),
 which the tree owns: it builds its arrays by node when a decode first
 needs it, and they serve every later decode with that tree, model and
 mode.
 
-The search state is one flat tuple per hypothesis, a candidate::
-
-    (-score, text, p_blank, p_nonblank, p_text, committed, node)
-
-``score`` is ``p_text * (p_blank + p_nonblank)``; ``p_text`` is the
-language-model score it is ranked by (1 in words mode) and ``committed``
-the score of its finished words alone, which the forecast modes multiply
-by a forecast or a completion's remainder probability. ``node`` is the
-current word: the trie node id of the trailing run of word characters of
-``text``. Outside a word it is the root, 0, which is never a word, as
-the tree rejects empty words. The search never spells that run out;
-the ``TrieScorer`` takes the node alone. Texts are unique, so ranking on
-the tuple compares (-score, text) only.
-
-Each posterior row is read by character, and a node's children are a run
-of ids whose characters, sorted, are one slice of the trie's character
-string, so a decode builds no extension table of its own; a child's id
-is computed only for an extension that is kept (or, in the forecast
-modes, scored). Within a frame the search keeps a running lower bound on
-the ``width``-th best score and never builds an extension strictly below
-it, as the cut to ``width`` would drop it anyway; in ``words`` and
-``ngrams`` mode it also skips a whole survivor whose best possible
-extension, ``p_text`` times its total mass times the row's largest
-non-blank value, is below that bound (the arguments are in
-``_run_frames``). ``decode`` runs two stages: ``frame_beams`` yields
-each frame's ``width`` survivors and, for the last frame, the merged,
-uncut set, as lists of candidates; ``complete_beams`` completes that
-last set and returns ``decode``'s pick, the smallest text among the best
-merged candidates, with its score. The frame loop is the only stage
-written twice: both engines complete, merge and pick by one routine over
-arrays (``_pick_completed``), which gives each candidate its word and
-completed ``p_text`` (``_completed``), merges candidates by (text before
-the word, word) and keeps each decode's pick.
-
-``decode_batch`` is the one call for any number of matrices in any
-mode: it returns, bit for bit, what ``decode`` returns for each, and it
-alone chooses the engine. Two or more matrices run as one batched
-search, in which every numpy step moves all live decodes one frame, over
-one array per field of all their survivors, with the same float
-operations in the same order (the arguments are in ``_run_batch``). A
-step ranks its candidates first, as two arrays of their decodes and
-scores, and builds integer state only for the at most ``width`` per
-decode that the cut keeps. In a language-model mode the survivors carry
-``p_text`` and ``committed`` arrays too, and an extension's score is a
-gather from the scorer's word probabilities or forecasts. Its per-step
-overhead makes a batch of one 2.4-2.5 times slower than ``decode`` on
-the benchmark's seed-1 short-words files (about 27 frames) and 1.9-2.1
-times on its first 12 long lines by name (``words`` mode, width 25, CPU
-time on one CPU of a 2-vCPU VM), so a lone matrix is decoded by
-``decode``. Once a decode's scores underflow to 0.0, every candidate
-ties at the cut and the tie goes by text: on the benchmark's seed-1 long
-line 8 (969 frames, ``ngrams`` mode, same clock) a batch of one took
-5.7-8.0 s, against 0.10-0.17 s for ``decode``, while each tied text was
-spelled from scratch, and takes 0.17-0.29 s with each step's texts
-spelled on from the step before's (``_Texts``). A batch's memory stays
+There is one search, run over any number of matrices at once: every
+numpy step moves all live decodes one frame, over one array per field of
+all their survivors. ``decode`` is a batch of one. ``decode_batch``
+drives the two stages: ``frame_beams`` yields each frame's candidates,
+the ``width`` survivors of each decode that goes on and the merged,
+uncut set of each decode that ends on that frame, and ``complete_beams``
+completes a set of last candidates, merges them and picks each decode's
+result, the smallest text among its best merged candidates, with its
+score. A step ranks its candidates first, as two arrays of their decodes
+and scores, and builds integer state only for the at most ``width`` per
+decode that the cut keeps; texts are ids in a table of texts
+(``_Texts``), spelled out only where a tie straddles the cut and for the
+picks. In a language-model mode the survivors carry ``p_text`` and
+``committed`` arrays too, and an extension's score is a gather from the
+scorer's word probabilities or forecasts. A batch's memory stays
 bounded: it copies the posteriors out a few dozen frames at a time,
 reads the trie through a few arrays by node, and its table of texts
-(arrays by text id, and a dense table of child ids by text and column)
 keeps only those a survivor can still reach, growing as texts are named
 up to a size that no step between two compactions can outgrow.
 """
@@ -87,7 +52,6 @@ up to a size that no step between two compactions can outgrow.
 from __future__ import annotations
 
 from collections.abc import Callable, Iterator, Sequence
-from heapq import heapify, heapreplace
 
 import numpy as np
 
@@ -110,30 +74,32 @@ def decode(
     The reported score is the winning hypothesis' ``p_text * (p_blank +
     p_nonblank)``, the quantity the search ranks by.
     """
-    cands: list[tuple] = []
-    for cands in frame_beams(m, alphabet, tree, lm, width, mode):
-        pass
-    return complete_beams(cands, tree, lm, mode)
+    return decode_batch([m], alphabet, tree, lm, width, mode)[0]
 
 
-# The benchmark's tracer wraps the two stages below by name and reads their width/mode.
-def frame_beams(
-    m: PosteriorMatrix,
+def decode_batch(
+    matrices: Sequence[PosteriorMatrix],
     alphabet: Alphabet,
     tree: PrefixTree,
     lm: NgramModel | None = None,
     width: int = 25,
     mode: ScoringMode = WORDS,
-) -> Iterator[list[tuple]]:
-    """Yield the candidates after each frame.
+) -> list[tuple[str, float]]:
+    """Search ``matrices`` as one batch; return each one's (labeling,
+    score), as ``decode`` describes it.
 
-    Every list but the last holds the frame's survivors: its at most
-    ``width`` best candidates by (score, text), the ones the next frame
-    extends. The last list is the frame's merged, uncut set, as completion
-    may re-rank it. Every word character of ``tree`` must be an alphabet symbol.
+    A matrix's result is the same, bit for bit, alone and in any batch, in
+    any order. The arguments are checked before the first frame.
     """
-    scorer, nonword = _prepare(alphabet, tree, lm, width, mode, m)
-    return _run_frames(m, alphabet, width, scorer, tree, nonword)
+    found: list[tuple[str, float] | None] = [None] * len(matrices)
+    if not matrices:
+        return found
+    for frame in frame_beams(matrices, alphabet, tree, lm, width, mode):
+        if frame.ending is not None:
+            cols, floats = frame.ending
+            complete_beams(cols[_DEC], cols[_WST], cols[_NODE], floats, frame.scorer, tree,
+                           lambda q: frame.texts.of(cols[:, q]), found)
+    return found
 
 
 def _prepare(
@@ -142,17 +108,12 @@ def _prepare(
     lm: NgramModel | None,
     width: int,
     mode: ScoringMode,
-    m: PosteriorMatrix | None = None,
 ) -> tuple[TrieScorer, list[str]]:
-    """Check a decode's arguments; return its scorer and sorted non-word characters.
-
-    Without a matrix it checks all the rest, so that a caller can report
-    an unusable configuration before it has read any matrix.
-    """
+    """Check all of a decode's arguments but its matrices; return its scorer and
+    sorted non-word characters, so that a caller can report an unusable
+    configuration before it has read any matrix."""
     if width < 1:
         raise InputValidationError("beam width must be at least 1")
-    if m is not None:
-        _check_shape(m, alphabet)
     scorer = _scorer(tree, lm, mode)
     missing = tree.word_chars.difference(alphabet.symbols)
     if missing:
@@ -175,322 +136,62 @@ def _scorer(tree: PrefixTree, lm: NgramModel | None, mode: ScoringMode) -> TrieS
     return scorer
 
 
-def _run_frames(
-    m: PosteriorMatrix,
-    alphabet: Alphabet,
-    width: int,
-    scorer: TrieScorer,
-    tree: PrefixTree,
-    nonword: list[str],
-) -> Iterator[list[tuple]]:
-    # Every candidate, a survivor's copy or an extension, is one tuple of the
-    # layout in the module docstring. A full ``sorted`` runs in C, which beats
-    # ``heapq.nsmallest`` at these sizes.
-    #
-    # This stays bit-exact with a loop that builds and merges one object per
-    # candidate. Survivor texts are distinct and every symbol is one
-    # character, so extension texts are unique, and an extension can only
-    # merge into the copy of the survivor with the same text. That copy's
-    # p_nonblank is 0.0 plus at most two terms (its own repeat and the
-    # extension), whose sum does not depend on their order. Each row is read
-    # by character, which yields the same floats as reading it by column.
-    # p_text and committed come from the same ``forecast``/``word_probability``
-    # reads, at the same trie node.
-    #
-    # Extensions that cannot survive the cut are never built. A frame with
-    # ``width`` survivors, other than the last, starts a min-heap with the
-    # ``width`` lower bounds ``p_text * (p_blank + own repeat)`` of the
-    # survivors' copies; ``thr`` is its smallest value. An extension scoring
-    # strictly below ``thr`` is skipped before its text or tuple is built; a
-    # kept one scoring above it replaces the smallest value, so ``thr`` rises
-    # as the frame goes on. This loses nothing:
-    # - the heap always holds lower bounds of ``width`` distinct candidates:
-    #   a copy's bound or an extension's exact score;
-    # - under round-to-nearest, adding non-negative terms and multiplying by
-    #   non-negative factors never lowers a value, so the merges added to a
-    #   copy later can only lift its score above its bound;
-    # - so an extension strictly below ``thr`` ranks below ``width`` other
-    #   candidates whatever its text, and the cut would drop it anyway.
-    # When every score has underflowed to 0.0, ``thr`` is 0.0 and nothing is
-    # skipped. Frames with fewer survivors keep an empty heap and skip
-    # nothing, and so does the last frame, which completion re-ranks uncut.
-    # Merges into copies are added in full, and forecasts are read before
-    # the test.
-    #
-    # In ``words`` and ``ngrams`` mode a whole survivor is skipped, before
-    # any of its extensions, when none of them merges into a copy and
-    # ``p_text * (tot * row_max) < thr``, with ``row_max`` the row's largest
-    # non-blank value (computed only in frames with a heap, as ``thr`` is
-    # -1.0 in the others). In these modes ``p_text == committed``: a word
-    # extension scores ``p_text * mass`` and a non-word one
-    # ``p_text * word_probability * mass``, every ``mass`` is at most
-    # ``tot * row_max`` and every word probability at most 1, so, rounding
-    # being monotone, no extension of that survivor reaches ``thr``, which
-    # only rises. The forecast modes keep the per-extension test, as a
-    # child's forecast can exceed its parent's score. In ``ngrams`` mode a
-    # skipped survivor's ``word_probability`` is not read.
-    symbols, blank = alphabet.symbols, alphabet.blank_index
-    uses_lm = scorer.mode.uses_lm
-    uses_forecast = scorer.mode.uses_forecast
-    forecast, word_probability = scorer.forecast, scorer.word_probability
-    # Node ``n``'s character at ``n`` (a placeholder at the root), so that
-    # node ``n``'s children's are ``chars[first[n]:first[n + 1]]``.
-    chars, first, is_word = "\0" + tree._chars, tree._first, tree._is_word
-    rows = m.probs.tolist()
-    last_frame = len(rows) - 1
-    survivors = [(-1.0, "", 1.0, 0.0, 1.0, 1.0, 0)]
-    for t, r in enumerate(rows):
-        # The blank is the last column, so ``zip`` with the symbols leaves it out.
-        row, blank_p = dict(zip(symbols, r)), r[blank]
-        # Extensions of survivor ``text[:-1]`` by ``text[-1]`` merge into survivor ``text``.
-        texts = {s[1] for s in survivors}
-        merges: dict[str, dict[str, int]] = {}
-        for i, s in enumerate(survivors):
-            text = s[1]
-            if text and text[:-1] in texts:
-                merges.setdefault(text[:-1], {})[text[-1]] = i
-        copy_nb = [s[3] * row[s[1][-1]] if s[1] else 0.0 for s in survivors]
-        heap: list[float] = []
-        if t < last_frame and len(survivors) == width:
-            heap = [s[4] * ((s[2] + s[3]) * blank_p + nb) for s, nb in zip(survivors, copy_nb)]
-            heapify(heap)
-        thr = heap[0] if heap else -1.0
-        row_max = max(row.values()) if heap and not uses_forecast else 0.0
-        cands = []
-        append = cands.append
-        for _, text, pb, pnb, p_text, committed, node in survivors:
-            tot = pb + pnb
-            into = merges.get(text)
-            if into is None and not uses_forecast and p_text * (tot * row_max) < thr:
-                continue
-            # Children of the trie node (the root's outside a word), plus
-            # non-word characters outside a word or once the node is itself
-            # a complete word. Child ``k``'s id, ``lo + k``, is computed only
-            # for an extension that is scored by its forecast or kept.
-            last = text[-1:]
-            sep_exts = nonword if not node or is_word[node] else ()
-            lo = first[node]
-            for k, c in enumerate(chars[lo:first[node + 1]]):
-                mass = (pb if c == last else tot) * row[c]
-                if into is not None and c in into:
-                    copy_nb[into[c]] += mass
-                    continue
-                if uses_forecast:
-                    p_ext = committed * forecast(lo + k)
-                else:
-                    p_ext = p_text
-                score = p_ext * mass
-                if score < thr:
-                    continue
-                append((-score, text + c, 0.0, mass, p_ext, committed, lo + k))
-                if score > thr and heap:
-                    heapreplace(heap, score)
-                    thr = heap[0]
-            if not sep_exts:
-                continue
-            if node and uses_lm:
-                committed = p_text = committed * word_probability(node)
-            for c in sep_exts:
-                mass = (pb if c == last else tot) * row[c]
-                if into is not None and c in into:
-                    copy_nb[into[c]] += mass
-                    continue
-                score = p_text * mass
-                if score < thr:
-                    continue
-                append((-score, text + c, 0.0, mass, p_text, committed, 0))
-                if score > thr and heap:
-                    heapreplace(heap, score)
-                    thr = heap[0]
-        for (_, text, pb, pnb, p_text, committed, node), p_nonblank in zip(survivors, copy_nb):
-            p_blank = (pb + pnb) * blank_p
-            append((-(p_text * (p_blank + p_nonblank)), text, p_blank, p_nonblank, p_text,
-                    committed, node))
-        if t < last_frame:
-            survivors = sorted(cands)[:width]
-            yield survivors
-        else:
-            yield cands
+# Rows of the search's integer state: the decode, the trie node (the current
+# word), the text's last column (the blank for the empty text), the text's id,
+# its parent text's id (-1 for the empty text), the id of the text before the
+# current word (the text itself outside a word), and the slot of the last
+# character in the parent's extensions (see ``_node_arrays``). A new
+# extension's id is -1 until it is named, and so is its word-start id if it
+# leaves the word.
+_DEC, _NODE, _LAST, _TID, _PTID, _WST, _SLOT = range(7)
 
 
-def complete_beams(
-    beams: list[tuple],
-    tree: PrefixTree,
-    lm: NgramModel | None = None,
-    mode: ScoringMode = WORDS,
-) -> tuple[str, float]:
-    """``decode``'s pick, ``(text, score)``, among one decode's last
-    candidates ``beams``, texts distinct, once completed (``_pick_completed``).
+class _Frame:
+    """The candidates ``frame_beams`` yields after one frame.
 
-    Each candidate's text before its word is numbered here, in a dict, as
-    the batched search numbers texts, so the two engines complete, merge
-    and pick by one routine.
+    ``survivors`` and ``ending`` are ``(state, fields)`` pairs: integer
+    state columns (rows ``_DEC`` to ``_SLOT``) and the float fields
+    ``p_blank``, ``p_nonblank``, then, in a language-model mode,
+    ``p_text`` and ``committed``. ``survivors`` are the at most ``width``
+    best candidates by (score, text) of each decode that goes on, the ones
+    the next frame extends; ``ending`` the merged, uncut candidates of the
+    decodes whose last frame this is, or None. ``texts.of(column)`` spells
+    a candidate's text, right only until the next frame is asked for.
     """
-    node = np.array([cand[6] for cand in beams], np.intc)
-    depth = np.searchsorted(tree._levels, node, "right") - 1
-    starts: dict[str, int] = {}
-    wst = [starts.setdefault(cand[1][:len(cand[1]) - d], len(starts)) if d else -1
-           for cand, d in zip(beams, depth.tolist())]
-    found: list[tuple[str, float] | None] = [None]
-    _pick_completed(np.zeros(len(beams), np.intp), np.array(wst, np.int64), node,
-                    [np.array([cand[k] for cand in beams]) for k in range(2, 6)],
-                    _scorer(tree, lm, mode), tree, lambda q: beams[q][1], found)
-    return found[0]
+
+    __slots__ = ("survivors", "ending", "scorer", "texts")
+
+    def __init__(self, survivors: tuple, ending: tuple | None, scorer: TrieScorer,
+                 texts: _Texts) -> None:
+        self.survivors, self.ending, self.scorer, self.texts = survivors, ending, scorer, texts
+
+    def __len__(self) -> int:
+        ending = 0 if self.ending is None else self.ending[0].shape[1]
+        return self.survivors[0].shape[1] + ending
 
 
-def _pick_completed(
-    dec: np.ndarray,
-    wst: np.ndarray,
-    node: np.ndarray,
-    fields: list[np.ndarray],
-    scorer: TrieScorer,
-    tree: PrefixTree,
-    text: Callable[[int], str],
-    found: list[tuple[str, float] | None],
-) -> None:
-    """Complete the last candidates of the decodes that end together,
-    merge them, and write each decode's pick to ``found``.
-
-    Candidate ``q`` of decode ``dec[q]`` is at trie node ``node[q]``, has
-    the float fields ``fields`` (``p_blank``, ``p_nonblank``, then
-    ``p_text`` and ``committed``, which ``words`` mode may leave out), the
-    id ``wst[q]`` of its text before its word (unread outside a word), and
-    the text ``text(q)``; its word and completed ``p_text`` are
-    ``_completed``'s. A decode's pick is the smallest completed text among
-    its best merged candidates, with their score. Posterior mass is never
-    consumed: a merged candidate's mass is its members'.
-    """
-    # A completed in-word text is its word-start text plus the prefix of its
-    # word, so in-word candidates that complete to one text are those with one
-    # (word-start id, word), as text ids belong to one decode; their masses
-    # are summed in text order: two terms in either order, more in Python.
-    # Their nodes lie on the path from the root to the word, so their texts
-    # are nested prefixes and text order is depth order, which is node order
-    # (ids are level order); a group keeps the model score of its first
-    # member in that order. A text outside a word ends in a non-word
-    # character or is empty, so it is no other candidate's completed text:
-    # each such candidate is a group of its own.
-    pb, pnb = fields[:2]
-    word, p_text = _completed(scorer, node, *(fields[2:] or (None, None)))
-    key = np.where(word != 0, wst.astype(np.int64) * tree._first[-1] + word,
-                   -1 - np.arange(len(word)))
-    order = np.argsort(key)
-    key = key[order]
-    heads = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
-    sizes = np.diff(heads, append=len(key))
-    group_pb = np.add.reduceat(pb[order], heads)
-    group_pnb = np.add.reduceat(pnb[order], heads)
-    # Each group's members in node order: a pair swaps, a larger group sorts.
-    pair = heads[sizes == 2]
-    pair = pair[node[order[pair]] > node[order[pair + 1]]]
-    order[pair], order[pair + 1] = order[pair + 1], order[pair]
-    for g in np.flatnonzero(sizes > 2).tolist():
-        members = sorted(order[heads[g]:heads[g] + sizes[g]].tolist(), key=lambda q: node[q])
-        order[heads[g]:heads[g] + sizes[g]] = members
-        a, b = float(pb[members[0]]), float(pnb[members[0]])
-        for q in members[1:]:
-            a, b = a + float(pb[q]), b + float(pnb[q])
-        group_pb[g], group_pnb[g] = a, b
-    score = group_pb + group_pnb
-    first = order[heads]
-    if p_text is not None:
-        score *= p_text[first]
-    # Each decode's best groups, then the smallest of their completed texts:
-    # a member's text plus the rest of the path from its node to the word.
-    dec = dec[first]
-    best = np.full(len(found), -1.0)
-    np.maximum.at(best, dec, score)
-    top = np.flatnonzero(score == best[dec])
-    picks = first[top]
-    for q, w, n, d, value in zip(picks.tolist(), word[picks].tolist(), node[picks].tolist(),
-                                 dec[top].tolist(), score[top].tolist()):
-        completed = text(q) + tree._prefix(w, n)
-        if found[d] is None or completed < found[d][0]:
-            found[d] = (completed, value)
-
-
-def _completed(
-    scorer: TrieScorer,
-    node: np.ndarray,
-    p_text: np.ndarray | None,
-    committed: np.ndarray | None,
-) -> tuple[np.ndarray, np.ndarray | None]:
-    """The completion rule of both engines: each candidate's word and its
-    ``p_text`` once completed, for candidates at trie nodes ``node`` with
-    ``p_text`` and ``committed`` arrays, which ``words`` mode does not read
-    (the batched search passes ``None`` there).
-
-    A candidate's word is its node at a word end, 0 outside a word, and
-    else its node's best completion: the smallest word below it (``lexmin``)
-    in ``words`` mode, the most probable in the others
-    (``completions_at``). A completed candidate's ``p_text`` is its
-    ``p_text`` times the word's probability (``ngrams``) or its
-    ``committed`` times the remainder's (the forecast modes); in ``words``
-    mode it stays as it is.
-    """
-    if scorer.lexmin is not None:
-        word = scorer.lexmin[node]
-    else:
-        inside = np.flatnonzero(np.frombuffer(scorer._is_word, np.uint8).take(node) == 0)
-        inside = inside[node[inside] > 0]
-        word = node.copy()
-        if inside.size:  # ``via`` is built at the first completion
-            word[inside], prob = scorer.completions_at(node[inside])
-            p_text = p_text.copy()
-            if scorer.mode.uses_forecast:
-                p_text[inside] = committed[inside] * prob
-            else:
-                p_text[inside] *= np.asarray(scorer.word_prob).take(word[inside])
-    word[node == 0] = 0
-    return word, p_text
-
-
-def decode_batch(
+# The benchmark's tracer wraps the two stages below by name and reads their width.
+def frame_beams(
     matrices: Sequence[PosteriorMatrix],
     alphabet: Alphabet,
     tree: PrefixTree,
     lm: NgramModel | None = None,
     width: int = 25,
     mode: ScoringMode = WORDS,
-) -> list[tuple[str, float]]:
-    """``[decode(m, alphabet, tree, lm, width, mode) for m in matrices]``, bit for bit.
+) -> Iterator[_Frame]:
+    """Yield the candidates of every decode of ``matrices`` after each
+    frame, as a ``_Frame``, up to the last frame of the longest matrix.
 
-    The arguments are checked as ``decode`` checks them, all before the
-    first frame. Two or more matrices run as one batched search; a lone
-    matrix is decoded by ``decode``.
+    The arguments are checked before the first frame. Every word
+    character of ``tree`` must be an alphabet symbol.
     """
-    if not matrices:
-        return []
-    scorer, nonword = _prepare(alphabet, tree, lm, width, mode, matrices[0])
-    for m in matrices[1:]:
+    scorer, nonword = _prepare(alphabet, tree, lm, width, mode)
+    for m in matrices:
         _check_shape(m, alphabet)
-    if len(matrices) > 1:
-        return _run_batch(matrices, alphabet, width, scorer, tree, nonword)
-    return [decode(m, alphabet, tree, lm, width, mode) for m in matrices]
-
-
-# Rows of the batched search's integer state: the decode, the trie node (the
-# current word), the text's last column (the blank for the empty text), the
-# text's id, its parent text's id (-1 for the empty text), the id of the text
-# before the current word (the text itself outside a word), and the slot of
-# the last character in the parent's extensions (see ``_node_arrays``).
-# A new extension's id is -1 until it is named, and so is its word-start id if
-# it leaves the word.
-_DEC, _NODE, _LAST, _TID, _PTID, _WST, _SLOT = range(7)
-
-
-def _run_batch(
-    matrices: Sequence[PosteriorMatrix],
-    alphabet: Alphabet,
-    width: int,
-    scorer: TrieScorer,
-    tree: PrefixTree,
-    nonword: list[str],
-) -> list[tuple[str, float]]:
     # The batch holds the survivors of every live decode, grouped by decode,
-    # one array per field, and performs ``_run_frames``' float operations.
-    # In ``words`` mode ``p_text`` and ``committed`` are 1.0, every product
-    # with them is the identity, and the batch carries neither:
+    # one array per field. In ``words`` mode ``p_text`` and ``committed`` are
+    # 1.0, every product with them is the identity, and the batch carries
+    # neither:
     # - an extension's mass is ``(pb if c == last else tot) * row[c]``, and it
     #   scores ``p_ext * mass``: by a child, ``p_text`` (``ngrams``) or
     #   ``committed`` times the child's forecast; by a non-word character,
@@ -501,11 +202,17 @@ def _run_batch(
     #   row[last] + merged mass``, and scores ``p_text * (p_blank +
     #   p_nonblank)``; the merge is an array join, as survivor ``j`` takes the
     #   extension of the survivor whose text is ``j``'s parent text by ``j``'s
-    #   last character;
+    #   last character. Texts are distinct and every symbol is one character,
+    #   so an extension merges into no other candidate, and a merged
+    #   ``p_nonblank`` is 0.0 plus two terms, whose sum does not depend on
+    #   their order;
     # - an extension strictly below the smallest copy lower bound ``p_text *
     #   (p_blank + own repeat)`` of a decode with ``width`` survivors (not on
-    #   its last frame) is dropped before it is a candidate: the first bound
-    #   of ``_run_frames``' heap, so it drops only what the cut drops;
+    #   its last frame) is dropped before it is a candidate. Under
+    #   round-to-nearest, adding non-negative terms and multiplying by
+    #   non-negative factors never lowers a value, so the copies, each a
+    #   distinct text, all score at least that bound, and the cut would drop
+    #   the extension anyway;
     # - the cut ranks on (decode, -score), over two arrays of the candidates,
     #   their decodes and scores; texts are spelled out and compared only in
     #   a decode whose ``width``-th and next scores tie, an extension's as its
@@ -515,17 +222,18 @@ def _run_batch(
     # Texts are ids of a text trie per decode, canonical among the texts a
     # survivor can reach, so the join compares ids; every ``_COMPACT_AT`` new
     # texts the trie forgets the others. A decode's candidates on its last
-    # frame are built in full and go, uncut, to ``_pick_completed``. Arrays by
-    # decode span the whole batch, finished decodes too; the posteriors are
-    # copied out ``_FRAMES`` frames of every live matrix at a time.
+    # frame are built in full and go, uncut, to completion. Arrays by decode
+    # span the whole batch, finished decodes too; the posteriors are copied
+    # out ``_FRAMES`` frames of every live matrix at a time.
     c, blank = alphabet.num_classes, alphabet.blank_index
     lengths = np.array([m.num_frames for m in matrices], np.int32)
     last_frame = lengths - 1
     arrays = tree._extensions.get(alphabet.symbols)
     if arrays is None:
         arrays = tree._extensions[alphabet.symbols] = _node_arrays(tree, alphabet, nonword)
-    first, spans, col = arrays
-    size = len(spans)  # the node count
+    spans, col = arrays
+    first = np.frombuffer(tree._first, np.intc)
+    size = len(first) - 1  # the node count
     n = len(matrices)
     uses_lm, uses_forecast = scorer.mode.uses_lm, scorer.mode.uses_forecast
     word_prob = np.asarray(scorer.word_prob) if uses_lm else None
@@ -537,9 +245,8 @@ def _run_batch(
     fields = [np.ones(n), np.zeros(n)]  # p_blank and p_nonblank
     if uses_lm:
         fields += [np.ones(n), np.ones(n)]  # p_text and committed
-    found: list[tuple[str, float] | None] = [None] * n
     endings = set(last_frame.tolist())
-    for t in range(int(lengths.max())):
+    for t in range(int(lengths.max(initial=0))):
         if t % _FRAMES == 0:
             probs, row0 = _frames(matrices, lengths, t)
         dec, node, last, tid = state[_DEC], state[_NODE], state[_LAST], state[_TID]
@@ -554,11 +261,11 @@ def _run_batch(
         # take. An extension's id ``ext`` is the child's node id, or ``size``
         # plus the non-word character's index, its column ``col[ext]``. A
         # run's ids are consecutive, so an id is its row plus the run's offset.
-        runs = spans[node].view(np.int32)
+        runs = spans.take(node).view(col.dtype)
         heads = np.cumsum(runs, dtype=np.int32) - runs  # each run's first row
         start = heads[0::2]
         offset = -heads
-        offset[0::2] += first[node]
+        offset[0::2] += first.take(node)
         offset[1::2] += size
         # A value by survivor is spread over its extensions by ``np.repeat``,
         # and other gathers are ``take``s: both beat indexing by an int32 array.
@@ -639,12 +346,10 @@ def _run_batch(
                 floats[3][e[leaves]] = leave[of[e[leaves]]]
             return cols, floats
 
-        pick = None
+        ending = pick = None
         if t in endings:
             ends = last_frame[cand_dec] == t
-            cols, floats = build(np.flatnonzero(ends))
-            _pick_completed(cols[_DEC], cols[_WST], cols[_NODE], floats, scorer, tree,
-                            lambda q: texts.of(cols[:, q]), found)
+            ending = build(np.flatnonzero(ends))
             pick = np.flatnonzero(~ends)
             cand_dec, score = cand_dec[pick], score[pick]
 
@@ -666,13 +371,121 @@ def _run_batch(
 
         sel = _cut(cand_dec, score, width, n, texts_of)
         state, fields = build(sel if pick is None else pick[sel])
+        yield _Frame((state, fields), ending, scorer, texts)
         texts.name(state)
         if texts.count - texts.kept > _COMPACT_AT:
             texts.compact(state)
-    return found
 
 
-# Frames of every matrix that a batched search copies out at a time.
+def complete_beams(
+    dec: np.ndarray,
+    wst: np.ndarray,
+    node: np.ndarray,
+    fields: list[np.ndarray],
+    scorer: TrieScorer,
+    tree: PrefixTree,
+    text: Callable[[int], str],
+    found: list[tuple[str, float] | None],
+) -> None:
+    """Complete the last candidates of the decodes that end together,
+    merge them, and write each decode's pick to ``found``.
+
+    Candidate ``q`` of decode ``dec[q]`` is at trie node ``node[q]``, has
+    the float fields ``fields`` (``p_blank``, ``p_nonblank``, then
+    ``p_text`` and ``committed``, which ``words`` mode may leave out), the
+    id ``wst[q]`` of its text before its word (unread outside a word), and
+    the text ``text(q)``; a decode's texts are distinct. Its word and
+    completed ``p_text`` are ``_completed``'s. A decode's pick is the
+    smallest completed text among its best merged candidates, with their
+    score. Posterior mass is never consumed: a merged candidate's mass is
+    its members'.
+    """
+    # A completed in-word text is its word-start text plus the prefix of its
+    # word, so in-word candidates that complete to one text are those with one
+    # (word-start id, word), as text ids belong to one decode; their masses
+    # are summed in text order: two terms in either order, more in Python.
+    # Their nodes lie on the path from the root to the word, so their texts
+    # are nested prefixes and text order is depth order, which is node order
+    # (ids are level order); a group keeps the model score of its first
+    # member in that order. A text outside a word ends in a non-word
+    # character or is empty, so it is no other candidate's completed text:
+    # each such candidate is a group of its own.
+    pb, pnb = fields[:2]
+    word, p_text = _completed(scorer, node, *(fields[2:] or (None, None)))
+    key = np.where(word != 0, wst.astype(np.int64) * tree._first[-1] + word,
+                   -1 - np.arange(len(word)))
+    order = np.argsort(key)
+    key = key[order]
+    heads = np.flatnonzero(np.diff(key, prepend=key[:1] - 1))
+    sizes = np.diff(heads, append=len(key))
+    group_pb = np.add.reduceat(pb[order], heads)
+    group_pnb = np.add.reduceat(pnb[order], heads)
+    # Each group's members in node order: a pair swaps, a larger group sorts.
+    pair = heads[sizes == 2]
+    pair = pair[node[order[pair]] > node[order[pair + 1]]]
+    order[pair], order[pair + 1] = order[pair + 1], order[pair]
+    for g in np.flatnonzero(sizes > 2).tolist():
+        members = sorted(order[heads[g]:heads[g] + sizes[g]].tolist(), key=lambda q: node[q])
+        order[heads[g]:heads[g] + sizes[g]] = members
+        a, b = float(pb[members[0]]), float(pnb[members[0]])
+        for q in members[1:]:
+            a, b = a + float(pb[q]), b + float(pnb[q])
+        group_pb[g], group_pnb[g] = a, b
+    score = group_pb + group_pnb
+    first = order[heads]
+    if p_text is not None:
+        score *= p_text[first]
+    # Each decode's best groups, then the smallest of their completed texts:
+    # a member's text plus the rest of the path from its node to the word.
+    dec = dec[first]
+    best = np.full(len(found), -1.0)
+    np.maximum.at(best, dec, score)
+    top = np.flatnonzero(score == best[dec])
+    picks = first[top]
+    for q, w, n, d, value in zip(picks.tolist(), word[picks].tolist(), node[picks].tolist(),
+                                 dec[top].tolist(), score[top].tolist()):
+        completed = text(q) + tree._prefix(w, n)
+        if found[d] is None or completed < found[d][0]:
+            found[d] = (completed, value)
+
+
+def _completed(
+    scorer: TrieScorer,
+    node: np.ndarray,
+    p_text: np.ndarray | None,
+    committed: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The completion rule: each candidate's word and its ``p_text`` once
+    completed, for candidates at trie nodes ``node`` with ``p_text`` and
+    ``committed`` arrays, which ``words`` mode does not read (the search
+    passes ``None`` there).
+
+    A candidate's word is its node at a word end, 0 outside a word, and
+    else its node's best completion: the smallest word below it (``lexmin``)
+    in ``words`` mode, the most probable in the others
+    (``completions_at``). A completed candidate's ``p_text`` is its
+    ``p_text`` times the word's probability (``ngrams``) or its
+    ``committed`` times the remainder's (the forecast modes); in ``words``
+    mode it stays as it is.
+    """
+    if scorer.lexmin is not None:
+        word = scorer.lexmin[node]
+    else:
+        inside = np.flatnonzero(np.frombuffer(scorer._is_word, np.uint8).take(node) == 0)
+        inside = inside[node[inside] > 0]
+        word = node.copy()
+        if inside.size:  # ``via`` is built at the first completion
+            word[inside], prob = scorer.completions_at(node[inside])
+            p_text = p_text.copy()
+            if scorer.mode.uses_forecast:
+                p_text[inside] = committed[inside] * prob
+            else:
+                p_text[inside] *= np.asarray(scorer.word_prob).take(word[inside])
+    word[node == 0] = 0
+    return word, p_text
+
+
+# Frames of every matrix that a search copies out at a time.
 _FRAMES = 64
 
 
@@ -725,43 +538,45 @@ def _cut(
 
 
 def _node_arrays(tree: PrefixTree, alphabet: Alphabet, nonword: list[str]) -> tuple:
-    """``(first, spans, col)``: per trie node ``n``, the extensions a
-    hypothesis there may take.
+    """``(spans, col)``: per trie node ``n``, the extensions a hypothesis
+    there may take.
 
-    They are node ``n``'s children, ids ``first[n]`` to ``first[n + 1] -
-    1`` (``first`` is the tree's, which ends with the node count), then the
+    They are node ``n``'s children, ids ``tree._first[n]`` on, then the
     non-word characters at the root or a word end; an extension's slot is
-    its place in that order. ``spans[n]`` packs their two counts, as two int32 in one
-    int64. ``col[n]`` is node ``n``'s character column (0 at the root); the
-    non-word characters' columns follow, one past the last node. They depend
-    only on the tree and the alphabet's column order, so ``_run_batch`` keeps
-    them on the tree, read-only, by ``alphabet.symbols``.
+    its place in that order. ``spans[n]`` packs their two counts, two
+    values of ``col``'s dtype in one of twice its size, so that one gather
+    by node reads both. ``col[n]`` is node ``n``'s character column (0 at
+    the root); the non-word characters' columns follow, one past the last
+    node. Both take the smallest unsigned dtype that holds the symbol
+    count: a node's two counts add up to at most that. They depend only on
+    the tree and the alphabet's column order, so ``frame_beams`` keeps them
+    on the tree, read-only, by ``alphabet.symbols``.
     """
-    first = np.frombuffer(tree._first, np.intc)
-    size = len(first) - 1
-    spans = np.empty((size, 2), np.intc)
-    spans[:, 0] = np.diff(first)
+    narrow = np.min_scalar_type(len(alphabet.symbols))
+    size = tree._first[-1]
+    spans = np.empty((size, 2), narrow)
+    spans[:, 0] = np.diff(np.frombuffer(tree._first, np.intc))
     spans[:, 1] = np.frombuffer(tree._is_word, np.uint8)
     spans[0, 1] = 1
     spans[:, 1] *= len(nonword)
-    spans = spans.view(np.int64).ravel()  # a gather by node takes both counts
+    spans = spans.view(f"u{2 * narrow.itemsize}").ravel()
     # Node ``n > 0``'s character is ``tree._chars[n - 1]``, spelled here as
     # the code point of its column.
     column = {ord(ch): i for i, ch in enumerate(alphabet.symbols)}
-    col = np.zeros(size + len(nonword), np.intc)
+    col = np.zeros(size + len(nonword), narrow)
     col[1:size] = np.frombuffer(tree._chars.translate(column).encode("utf-32-le"), np.uint32)
     col[size:] = [column[ord(ch)] for ch in nonword]
-    for a in (first, spans, col):
+    for a in (spans, col):
         a.flags.writeable = False
-    return first, spans, col
+    return spans, col
 
 
-# Texts a batched search names between two compactions of its text table.
+# Texts a search names between two compactions of its text table.
 _COMPACT_AT = 1 << 14
 
 
 class _Texts:
-    """The texts of one batched search, as ids canonical among live texts.
+    """The texts of one search, as ids canonical among live texts.
 
     A text is live while it or a text it is a prefix of is a survivor's.
     Text ``parent + symbols[col]`` has the id first handed to ``(parent,
@@ -774,9 +589,10 @@ class _Texts:
     one scatter. ``compact`` forgets the texts that are no longer live,
     which no candidate can name again, renumbers the rest and rebuilds the
     arrays for them. The arrays start with room for one step's new texts,
-    at most one per survivor, ``n * width``, and double as texts are named,
-    up to the most that can be named before the next compaction:
-    ``_COMPACT_AT`` (0 if negative) plus one step's. ``text`` spells a text
+    at most one per survivor, ``n * width``, and one per symbol and live
+    text, and double as texts are named, up to the most that can be named
+    before the next compaction: ``_COMPACT_AT`` (0 if negative) plus one
+    step's. ``text`` spells a text
     back to the nearest one it spelled in this step or the one before
     (``name`` ends a step, ``compact`` forgets both), so where every step
     ties at the cut, as once a decode's scores underflow, a text costs a
@@ -795,10 +611,11 @@ class _Texts:
         self._spelled: dict[int, str] = {}  # texts spelled in this step, by id
         self._before: dict[int, str] = {}  # and in the step before
         self.child = None  # free the old table before building the new one
-        self.parent = np.empty(kept + self.step, np.int32)
-        self.col = np.empty(kept + self.step, np.int32)
+        size = kept + min(self.step, kept * len(self.symbols))
+        self.parent = np.empty(size, np.int32)
+        self.col = np.empty(size, np.int32)
         self.parent[:kept], self.col[:kept] = parent, col
-        self.child = np.full((kept + self.step, len(self.symbols)), -1, np.int32)
+        self.child = np.full((size, len(self.symbols)), -1, np.int32)
         named = np.flatnonzero(parent >= 0)
         self.child[parent[named], col[named]] = named
 

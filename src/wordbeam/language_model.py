@@ -284,8 +284,8 @@ class TrieScorer:
     ``completions_at`` settles the node by a search from it (``_search``),
     memoised. The sampled forecast stays lazy too, a seeded draw from the
     node's prefix, filled per node the first time the search asks; the
-    batched search draws the nodes a step asks for together
-    (``forecasts``). Neither reads the model.
+    search draws the nodes a step asks for together (``forecasts``).
+    Neither reads the model.
     """
 
     def __init__(self, tree: PrefixTree, lm: NgramModel | None = None,
@@ -306,23 +306,12 @@ class TrieScorer:
         else:
             self.lexmin = _smallest_words(tree)
 
-    def word_probability(self, node: int) -> float:
-        """The probability of the word ending at ``node`` (``word_prob``)."""
-        return self.word_prob[node]
-
-    def forecast(self, node: int) -> float:
-        """Completion probability of the live prefix at ``node``; in the
-        sampling mode, summed over a seeded sample and rescaled (total / sampled)
-        unless the sample would cover every completion."""
-        if self.counts is None or self.counts[node] <= self.mode.sample_size:
-            return self.exact[node]
-        if node not in self._sampled:
-            self._draw([node])
-        return self._sampled[node]
-
     def forecasts(self, nodes: np.ndarray) -> np.ndarray:
-        """``forecast`` at each of ``nodes``, an array; the sampled forecasts
-        not yet drawn are drawn together, once per distinct node."""
+        """The completion probability of the live prefix at each of
+        ``nodes``, an array: ``exact``, or in the sampling mode, where the
+        sample would not cover every completion, the sum over a seeded
+        sample, rescaled (total / sampled). The sampled forecasts not yet
+        drawn are drawn together, once per distinct node."""
         f = np.take(self.exact, nodes)
         if self.counts is not None:
             drawn = np.flatnonzero(np.take(self.counts, nodes) > self.mode.sample_size)

@@ -19,7 +19,7 @@ class PrefixTree:
     its alphabet's other symbols. After construction its words and structure
     are immutable. It also owns the decoder's language-model tables, one
     ``TrieScorer`` per (model, scoring mode), made when a decode first needs
-    it, with its arrays by node, and the batched search's arrays of the
+    it, with its arrays by node, and the search's arrays of the
     extensions a node allows, one set per alphabet column order. Neither
     refers back to the tree (a scorer keeps the trie arrays it reads), so
     they go with the tree's last reference, without a collector pass.

@@ -24,6 +24,7 @@ from wordbeam import (
     TrieScorer,
     encode_label,
 )
+from wordbeam import decoder
 from wordbeam.files import read_text, unescape_alphabet
 from wordbeam.language_model import _context_codes, _symbol_digits, _window_digits
 
@@ -53,6 +54,57 @@ def scorer_completion(tree: PrefixTree, scorer: TrieScorer,
         words, probs = scorer.completions_at(np.array([node], np.intc))
         word, p = int(words[0]), float(probs[0])
     return tree._prefix(word, node), word, p
+
+
+def scorer_forecast(scorer: TrieScorer, node: int) -> float:
+    """``scorer``'s forecast of the live prefix at ``node``, as the search
+    reads it (``forecasts``)."""
+    return float(scorer.forecasts(np.array([node]))[0])
+
+
+def scorer_word_probability(scorer: TrieScorer, node: int) -> float:
+    """``scorer``'s probability of the word ending at ``node``."""
+    return scorer.word_prob[node]
+
+
+def search_frames(matrices, alphabet: Alphabet, tree: PrefixTree, lm: NgramModel | None = None,
+                  width: int = 25, mode: ScoringMode = WORDS):
+    """``decoder.frame_beams`` with each frame read as candidate tuples
+    ``(-score, text, p_blank, p_nonblank, p_text, committed, node)``: yields
+    a list per matrix of that frame's candidates, ranked by (-score, text),
+    empty for a matrix already decoded. A frame's texts are read before the
+    search goes on, as they are right only until then."""
+    dec, node = decoder._DEC, decoder._NODE
+    for frame in decoder.frame_beams(matrices, alphabet, tree, lm, width, mode):
+        cands: list[list[tuple]] = [[] for _ in matrices]
+        for part in (frame.survivors, frame.ending):
+            if part is None:
+                continue
+            state, fields = part
+            ones = np.ones(state.shape[1])  # ``p_text`` and ``committed`` in words mode
+            pb, pnb, p_text, committed = (f.tolist() for f in (fields + [ones, ones])[:4])
+            for q in range(state.shape[1]):
+                cands[state[dec, q]].append((-(p_text[q] * (pb[q] + pnb[q])),
+                                             frame.texts.of(state[:, q]), pb[q], pnb[q],
+                                             p_text[q], committed[q], int(state[node, q])))
+        yield [sorted(c) for c in cands]
+
+
+def complete_candidates(cands: list[tuple], tree: PrefixTree, lm: NgramModel | None = None,
+                        mode: ScoringMode = WORDS) -> tuple[str, float]:
+    """``decoder.complete_beams``' pick, ``(text, score)``, among candidate
+    tuples ``cands`` of one decode, texts distinct. Each one's text before
+    its word is numbered here, in a dict, as the search numbers its texts."""
+    node = np.array([cand[6] for cand in cands], np.intc)
+    depth = np.searchsorted(tree._levels, node, "right") - 1
+    starts: dict[str, int] = {}
+    wst = [starts.setdefault(cand[1][:len(cand[1]) - d], len(starts)) if d else -1
+           for cand, d in zip(cands, depth.tolist())]
+    found: list[tuple[str, float] | None] = [None]
+    decoder.complete_beams(np.zeros(len(cands), np.intp), np.array(wst, np.int64), node,
+                           [np.array([cand[k] for cand in cands]) for k in range(2, 6)],
+                           decoder._scorer(tree, lm, mode), tree, lambda q: cands[q][1], found)
+    return found[0]
 
 
 def random_matrix(rng: np.random.Generator, t: int, c: int) -> PosteriorMatrix:
@@ -533,9 +585,9 @@ def best_completion(lm: NgramModel, root: RefNode, prefix: str) -> tuple[str, fl
 
 def candidate(root: RefNode, text: str, word_prefix: str, p_blank: float, p_nonblank: float,
               p_text: float = 1.0) -> tuple:
-    """The decoder's candidate tuple of a hand-built hypothesis whose word
-    prefix is live, at that prefix's reference node; nothing is committed
-    before it, so ``committed`` is ``p_text``."""
+    """The candidate tuple (see ``search_frames``) of a hand-built
+    hypothesis whose word prefix is live, at that prefix's reference node;
+    nothing is committed before it, so ``committed`` is ``p_text``."""
     node = trie_node(root, word_prefix)
     assert node is not None, f"dead word prefix {word_prefix!r}"
     return (-(p_text * (p_blank + p_nonblank)), text, p_blank, p_nonblank, p_text, p_text, node)
@@ -629,11 +681,11 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
         if is_word_char:
             prefix = b.word_prefix + c
             if uses_forecast:
-                p_text = committed * scorer.forecast(child)
+                p_text = committed * scorer_forecast(scorer, child)
         else:
             prefix = ""
             if b.word_prefix and kind != "words":
-                committed = p_text = committed * scorer.word_probability(b._node)
+                committed = p_text = committed * scorer_word_probability(scorer, b._node)
         nb = Beam(b.text + c, prefix, 0.0, 0.0, p_text)
         nb._node = child
         nb._committed = committed
@@ -687,7 +739,7 @@ def reference_complete_beams(beams, tree: PrefixTree, root: RefNode,
             text += remainder
             word_prefix += remainder
             if mode.kind == "ngrams":
-                p_text = b.p_text * scorer.word_probability(end)
+                p_text = b.p_text * scorer_word_probability(scorer, end)
             elif mode.uses_forecast:
                 p_text = b._committed * prob
         cur = out.get(text)

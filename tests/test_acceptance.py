@@ -36,6 +36,7 @@ from _support import (
     naive_best_path,
     random_matrix,
     reference_trie,
+    scorer_forecast,
     trie_node,
 )
 
@@ -121,7 +122,7 @@ def test_criterion_4_forecast_sampling_estimator():
         node = trie_node(reference_trie(corpus), "a")
 
         def forecast(mode):  # the value the decoder reads for prefix "a"
-            return TrieScorer(tree, lm, mode).forecast(node)
+            return scorer_forecast(TrieScorer(tree, lm, mode), node)
 
         exact = forecast(NGRAMS_FORECAST)
         draws = [forecast(forecast_sample(sample_size=3, seed=s)) for s in range(10_000)]

@@ -25,11 +25,12 @@ from wordbeam import (
     forecast_sample,
 )
 from wordbeam import decoder, language_model
-from wordbeam.decoder import complete_beams, decode_batch, frame_beams
+from wordbeam.decoder import decode_batch, frame_beams
 
 from _support import (
     candidate,
     children,
+    complete_candidates,
     constrained_argmax,
     entries,
     forward_probability,
@@ -40,11 +41,13 @@ from _support import (
     reference_pick,
     reference_trie,
     remainder_probability,
-    trie_node,
+    search_frames,
+    words_50k,
     word_probability,
 )
 
 WC = set("abcdefgh")
+LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
 class TestDecodeBasics:
@@ -69,10 +72,8 @@ class TestDecodeBasics:
         alphabet = Alphabet("a")
         tree = PrefixTree(["a"], {"a"})
         m = PosteriorMatrix([[0.5, 0.5], [0.5, 0.5]])
-        beams = None
-        for beams in frame_beams(m, alphabet, tree, width=100):
-            pass
-        last = entries(beams, reference_trie(["a"]))
+        *_, beams = search_frames([m], alphabet, tree, width=100)
+        last = entries(beams[0], reference_trie(["a"]))
         assert last["a"][1:3] == pytest.approx((0.25, 0.5))
         assert sum(last[""][1:3]) == pytest.approx(0.25)
         label, p = decode(m, alphabet, tree, width=100)
@@ -170,14 +171,17 @@ class TestOracleEquivalence:
 
     def test_mass_conservation_without_constraints(self):
         # With no word characters every symbol is non-word and the search
-        # is unconstrained, so the merged beams must carry all path mass.
+        # is unconstrained, so the merged beams must carry all path mass:
+        # each frame's survivors, and the last frame's uncut candidates.
         rng = np.random.default_rng(21)
         alphabet = Alphabet("ab")
         tree = PrefixTree([], set())
         for _ in range(10):
             m = random_matrix(rng, int(rng.integers(1, 8)), 3)
-            for beams in frame_beams(m, alphabet, tree, width=10**9):
-                assert sum(c[2] + c[3] for c in beams) == pytest.approx(1.0, abs=1e-9)
+            for frame in frame_beams([m], alphabet, tree, width=10**9):
+                parts = [frame.survivors] + ([frame.ending] if frame.ending else [])
+                mass = sum(fields[0].sum() + fields[1].sum() for _, fields in parts)
+                assert mass == pytest.approx(1.0, abs=1e-9)
 
 
 class TestScoringModes:
@@ -246,7 +250,7 @@ class TestCompleteBeams:
         tree = PrefixTree(words, WC)
         root = reference_trie(words)
         cands = [candidate(root, *h) for h in hand]
-        got = complete_beams(cands, tree, lm, mode)
+        got = complete_candidates(cands, tree, lm, mode)
         assert _exact([got]) == _exact([reference_pick(cands, tree, root, lm, mode)])
         return got
 
@@ -363,12 +367,10 @@ class TestSharedScorer:
         lm = NgramModel.train(["abc", "abc", "abd"], order=2)
         m = PosteriorMatrix([[0.9, 0.02, 0.02, 0.02, 0.04], [0.02, 0.9, 0.02, 0.02, 0.04]])
         for mode in (NGRAMS_FORECAST, forecast_sample(1, seed=0)):
-            beams = None
-            for beams in frame_beams(m, alphabet, tree, lm, 50, mode):
-                pass
-            ab = next(c for c in beams if c[1] == "ab")
+            *_, beams = search_frames([m], alphabet, tree, lm, 50, mode)
+            ab = next(c for c in beams[0] if c[1] == "ab")
             assert ab[4] != 1.0  # ranked by the forecast of "ab"
-            got = complete_beams([ab], tree, lm, mode)
+            got = complete_candidates([ab], tree, lm, mode)
             root = reference_trie(["abc", "abd"])
             assert _exact([got]) == _exact([reference_pick([ab], tree, root, lm, mode)])
             # nothing committed before "ab", so the completion scores its remainder
@@ -402,7 +404,7 @@ class TestLifetime:
                 assert scorer.via is not None and scorer._searched
             if mode.kind == "ngrams_forecast_sample":
                 assert scorer._sampled
-            assert bool(tree._extensions) == (count > 1)
+            assert list(tree._extensions) == [alphabet.symbols]  # every decode reads them
             del scorer
             alive = weakref.ref(tree)
             del tree
@@ -442,7 +444,7 @@ def _top(beams, width: int) -> dict:
 
 
 class TestFlatFrameLoop:
-    """The candidate-tuple frame loop against the Beam-per-candidate reference."""
+    """The frame loop against the Beam-per-candidate reference."""
 
     @settings(max_examples=150, deadline=None, derandomize=True, database=None)
     @given(
@@ -464,7 +466,7 @@ class TestFlatFrameLoop:
         lm = NgramModel.train(words, order=order)
         m = _matrix(rows, np.random.default_rng(seed), t, alphabet.num_classes)
         root = reference_trie(words)
-        frames = list(frame_beams(m, alphabet, tree, lm, width, mode))
+        frames = [f[0] for f in search_frames([m], alphabet, tree, lm, width, mode)]
         reference = list(reference_frame_beams(m, alphabet, tree, root, lm, width, mode))
         assert len(frames) == len(reference) == t
         # Every frame but the last yields the reference's top ``width``; the
@@ -498,9 +500,7 @@ class TestCompletionEqualsReference:
         root = reference_trie(words)
         lm = NgramModel.train(words, order=2)
         m = random_matrix(np.random.default_rng(seed), t, alphabet.num_classes)
-        last = None
-        for last in frame_beams(m, alphabet, tree, lm, width, mode):
-            pass
+        *_, last = search_frames([m], alphabet, tree, lm, width, mode)
         # Hand-built candidates: any live prefix after a non-word head, the
         # first of each text kept, as a decode's texts are distinct.
         prefixes = sorted({w[:k] for w in words for k in range(len(w) + 1)})
@@ -511,39 +511,9 @@ class TestCompletionEqualsReference:
                                                            p_text))
         # A live prefix often completes to another candidate's text, so the
         # masses of the two are merged.
-        for cands in (last, list(hand_built.values())):
-            got = complete_beams(cands, tree, lm, mode)
+        for cands in (last[0], list(hand_built.values())):
+            got = complete_candidates(cands, tree, lm, mode)
             assert _exact([got]) == _exact([reference_pick(cands, tree, root, lm, mode)])
-
-
-class TestSurvivorSkip:
-    def test_skipped_survivor_reads_no_word_probability(self):
-        # Width 2. After frame 0 the survivors are "a" (0.6) and "b" (0.3).
-        # Frame 1 starts with thr = 0.255 ("b"'s copy); "a" extends to "ab"
-        # (0.27), which lifts thr to 0.27. "b"'s best extension is at most
-        # 0.3 * 0.45 = 0.135, so "b" is skipped whole: its "b|" extension,
-        # which would read the word probability of "b", is never looked at,
-        # and "b" drops out at the cut.
-        alphabet = Alphabet("ab", separator="|")
-        tree = PrefixTree(["a", "ab", "b"], {"a", "b"})
-        lm = NgramModel.train(["a", "ab", "b"], order=2)
-        m = PosteriorMatrix([[0.6, 0.3, 0.05, 0.05],
-                             [0.1, 0.45, 0.05, 0.4],
-                             [0.1, 0.1, 0.4, 0.4]])
-        scorer = decoder._scorer(tree, lm, NGRAMS)  # the one the decode reads
-        table_read = scorer.word_probability
-        read = []
-
-        def word_probability(node):
-            read.append(node)
-            return table_read(node)
-
-        scorer.word_probability = word_probability
-        got = decode(m, alphabet, tree, lm, 2, NGRAMS)
-        root = reference_trie(["a", "ab", "b"])
-        assert trie_node(root, "a") in read
-        assert trie_node(root, "b") not in read
-        assert got == reference_decode(m, alphabet, tree, root, lm, 2, NGRAMS)
 
 
 class TestRealisticSize:
@@ -572,8 +542,16 @@ def _exact(results) -> list[tuple[str, str]]:
     return [(text, score.hex()) for text, score in results]
 
 
+def _reference(matrices, alphabet, tree, words, lm=None, width=25, mode=WORDS):
+    """``_exact`` of the reference search's result for each of ``matrices``;
+    ``tree`` is the trie of ``words``."""
+    root = reference_trie(words)
+    return _exact([reference_decode(m, alphabet, tree, root, lm, width, mode) for m in matrices])
+
+
 class TestDecodeBatch:
-    """``decode_batch`` against the scalar search, decode by decode."""
+    """``decode_batch`` against the scalar reference search
+    (``reference_decode``), decode by decode."""
 
     _strategies = dict(
         starts=st.lists(st.sampled_from(WORD_CHARS), min_size=10, max_size=12, unique=True),
@@ -590,15 +568,22 @@ class TestDecodeBatch:
                   order=st.integers(1, 3))
 
     @staticmethod
-    def _check(starts, tails, coding, lengths, width, rows, seed, mode=WORDS, order=2):
+    def _setup(starts, tails, coding, lengths, rows, seed, mode, order):
+        """``(words, alphabet, tree, lm, matrices)`` of one drawn case."""
         words = starts + [starts[i % len(starts)] + tail for i, tail in enumerate(tails)]
         alphabet = _coded(coding)
         tree = PrefixTree(words, set(WORD_CHARS))
         lm = NgramModel.train(words, order) if mode.uses_lm else None
         rng = np.random.default_rng(seed)
-        matrices = [_matrix(rows, rng, t, alphabet.num_classes) for t in lengths]
-        want = [decode(m, alphabet, tree, lm, width, mode) for m in matrices]
-        assert _exact(decode_batch(matrices, alphabet, tree, lm, width, mode)) == _exact(want)
+        return words, alphabet, tree, lm, [_matrix(rows, rng, t, alphabet.num_classes)
+                                           for t in lengths]
+
+    @classmethod
+    def _check(cls, starts, tails, coding, lengths, width, rows, seed, mode=WORDS, order=2):
+        words, alphabet, tree, lm, matrices = cls._setup(starts, tails, coding, lengths, rows,
+                                                         seed, mode, order)
+        want = _reference(matrices, alphabet, tree, words, lm, width, mode)
+        assert _exact(decode_batch(matrices, alphabet, tree, lm, width, mode)) == want
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @_cases
@@ -627,13 +612,33 @@ class TestDecodeBatch:
                                           seed, mode, order):
         self._check(starts, tails, coding, lengths, width, rows, seed, mode, order)
 
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(**{**_strategies, "lengths": st.lists(st.integers(1, 60), min_size=1, max_size=8)},
+           **_modes, data=st.data())
+    def test_a_decode_is_the_same_alone_in_any_split_and_in_any_order(
+            self, starts, tails, coding, lengths, width, rows, seed, mode, order, data):
+        _, alphabet, tree, lm, matrices = self._setup(starts, tails, coding, lengths, rows, seed,
+                                                      mode, order)
+        alone = [decode(m, alphabet, tree, lm, width, mode) for m in matrices]
+        k = len(matrices)
+        perm = data.draw(st.permutations(range(k)))
+        cuts = sorted(data.draw(st.sets(st.integers(1, k - 1)))) if k > 1 else []
+        got = [None] * k
+        for a, b in zip([0] + cuts, cuts + [k]):
+            batch = perm[a:b]
+            for i, result in zip(batch, decode_batch([matrices[i] for i in batch], alphabet,
+                                                     tree, lm, width, mode)):
+                got[i] = result
+        assert _exact(got) == _exact(alone)
+
     def test_a_step_may_fill_the_text_table(self, monkeypatch):
         # With ``_COMPACT_AT`` 0, each compaction leaves room for one step's
         # new texts, one per survivor. Frame 0 has no blank mass, so the
         # empty text's copy scores 0.0 and every decode keeps its three
         # extensions "a", "b" and " ": four decodes name 12 texts at once.
         alphabet = Alphabet("ab ")
-        tree = PrefixTree(["a", "b", "ab", "ba", "aab", "bba"], {"a", "b"})
+        words = ["a", "b", "ab", "ba", "aab", "bba"]
+        tree = PrefixTree(words, {"a", "b"})
         rng = np.random.default_rng(3)
         matrices = []
         for t in (2, 3, 5, 8):
@@ -652,7 +657,7 @@ class TestDecodeBatch:
         monkeypatch.setattr(decoder, "_COMPACT_AT", 0)
         got = decode_batch(matrices, alphabet, tree, width=3)
         assert steps[0] == (4 * 3, 0)  # named: one per survivor; rows left free: none
-        assert _exact(got) == _exact([decode(m, alphabet, tree, width=3) for m in matrices])
+        assert _exact(got) == _reference(matrices, alphabet, tree, words, width=3)
 
     def test_text_order_decides_a_tie_across_the_cut(self):
         # Frame 0 leaves "" (0.5) and a tie at the cut of width 2: "b" and
@@ -662,12 +667,12 @@ class TestDecodeBatch:
         alphabet = Alphabet("b ")
         tree = PrefixTree(["b"], {"b"})
         m = PosteriorMatrix([[0.25, 0.25, 0.5], [0.25, 0.25, 0.5]])
-        first = next(iter(frame_beams(m, alphabet, tree, width=2)))
-        assert sorted(c[1] for c in first) == ["", " "]
+        first = next(search_frames([m], alphabet, tree, width=2))
+        assert sorted(c[1] for c in first[0]) == ["", " "]
         other = PosteriorMatrix([[0.5, 0.25, 0.25], [0.25, 0.25, 0.5], [0.6, 0.2, 0.2]])
         got = decode_batch([m, other, m], alphabet, tree, width=2)
         assert got[0] == got[2] == (" ", 0.3125)
-        assert _exact(got) == _exact([decode(x, alphabet, tree, width=2) for x in (m, other, m)])
+        assert _exact(got) == _reference([m, other, m], alphabet, tree, ["b"], width=2)
 
     @staticmethod
     def _spelled_at_the_cut(monkeypatch, matrices, alphabet, tree, width):
@@ -699,12 +704,12 @@ class TestDecodeBatch:
             monkeypatch.setattr(decoder, "_COMPACT_AT", compact_at)
         alphabet, tree = Alphabet("ab"), PrefixTree(*self._tie_tree)
         m = PosteriorMatrix([[0.5, 0.5, 0.0], [0.25, 0.25, 0.5], [0.3, 0.3, 0.4]])
-        frames = [sorted(c[1] for c in f) for f in frame_beams(m, alphabet, tree, width=3)]
+        frames = [sorted(c[1] for c in f[0]) for f in search_frames([m], alphabet, tree, width=3)]
         assert frames[1] == ["a", "ab", "b"]
         matrices = [m, random_matrix(np.random.default_rng(5), 6, 3), m]
         got, spelled = self._spelled_at_the_cut(monkeypatch, matrices, alphabet, tree, 3)
         assert {"ab", "ba"} <= set(spelled)
-        assert _exact(got) == _exact([decode(x, alphabet, tree, width=3) for x in matrices])
+        assert _exact(got) == _reference(matrices, alphabet, tree, self._tie_tree[0], width=3)
 
     @pytest.mark.parametrize("compact_at", [None, -1])
     def test_a_tie_between_a_copy_and_an_extension_goes_by_text(self, monkeypatch, compact_at):
@@ -715,12 +720,12 @@ class TestDecodeBatch:
             monkeypatch.setattr(decoder, "_COMPACT_AT", compact_at)
         alphabet, tree = Alphabet("ab"), PrefixTree(*self._tie_tree)
         m = PosteriorMatrix([[0.5, 0.5, 0.0], [0.6, 0.4, 0.0], [0.3, 0.5, 0.2]])
-        frames = [sorted(c[1] for c in f) for f in frame_beams(m, alphabet, tree, width=3)]
+        frames = [sorted(c[1] for c in f[0]) for f in search_frames([m], alphabet, tree, width=3)]
         assert frames[1] == ["a", "ab", "ba"]
         matrices = [m, random_matrix(np.random.default_rng(6), 6, 3), m]
         got, spelled = self._spelled_at_the_cut(monkeypatch, matrices, alphabet, tree, 3)
         assert {"ab", "b"} <= set(spelled)
-        assert _exact(got) == _exact([decode(x, alphabet, tree, width=3) for x in matrices])
+        assert _exact(got) == _reference(matrices, alphabet, tree, self._tie_tree[0], width=3)
 
     def test_ties_after_an_underflow_spell_each_text_from_the_last_step(self, monkeypatch):
         # A 20-word line's ngrams score underflows to 0.0 long before its
@@ -736,8 +741,8 @@ class TestDecodeBatch:
         line = " ".join(rng.choice(words) for _ in range(20))
         matrices = [RecognizerSim(alphabet, noise_level=0.3, seed=1).emit(line),
                     RecognizerSim(alphabet, noise_level=0.3, seed=2).emit(words[0])]
-        want = [decode(m, alphabet, tree, lm, 4, NGRAMS) for m in matrices]
-        assert want[0][1] == 0.0
+        want = _reference(matrices, alphabet, tree, words, lm, 4, NGRAMS)
+        assert want[0][1] == (0.0).hex()
         walked = []
 
         class Counted(str):
@@ -749,7 +754,7 @@ class TestDecodeBatch:
         monkeypatch.setattr(decoder._Texts, "__init__",
                             lambda texts, symbols, *rest: init(texts, Counted(symbols), *rest))
         got = decode_batch(matrices, alphabet, tree, lm, 4, NGRAMS)
-        assert _exact(got) == _exact(want)
+        assert _exact(got) == want
         assert 0 < len(walked) <= 2 * matrices[0].num_frames * 4
 
     def test_three_or_more_candidates_complete_to_one_word(self):
@@ -759,26 +764,25 @@ class TestDecodeBatch:
         tree = PrefixTree(["abcd"], set("abcd"))
         rng = np.random.default_rng(8)
         matrices = [random_matrix(rng, t, 5) for t in (3, 4, 5, 6) * 10]
-        last = list(frame_beams(matrices[0], alphabet, tree, width=10))[-1]
-        assert sorted(c[1] for c in last) == ["", "a", "ab", "abc"]
+        *_, last = search_frames(matrices[:1], alphabet, tree, width=10)
+        assert sorted(c[1] for c in last[0]) == ["", "a", "ab", "abc"]
         got = decode_batch(matrices, alphabet, tree, width=10)
         assert {text for text, _ in got} == {"abcd"}
-        assert _exact(got) == _exact([decode(m, alphabet, tree, width=10) for m in matrices])
+        assert _exact(got) == _reference(matrices, alphabet, tree, ["abcd"], width=10)
 
     def test_a_group_sums_in_node_order_which_is_text_order(self, monkeypatch):
         # Lines of several words over a trie of shared prefixes: groups of
         # three or more candidates of one decode, after one word-start text,
-        # complete to one word, in the batched search and in lone decodes
-        # alike. Completion sums each group in node order, which is text
-        # order. The engines share that routine, so both are also checked
-        # against the reference search.
+        # complete to one word, in one batch and in batches of one alike.
+        # Completion sums each group in node order, which is text order;
+        # both are also checked against the reference search.
         alphabet = Alphabet("abcd ")
         words = ["abcd", "abca", "abdd", "bcda", "bcdb", "cab", "d"]
         tree = PrefixTree(words, set("abcd"))
         rng = np.random.default_rng(11)
         matrices = [random_matrix(rng, t, 6) for t in range(4, 16) for _ in range(4)]
         sizes: list[list] = []
-        pick = decoder._pick_completed
+        pick = decoder.complete_beams
 
         def spy(dec, wst, node, fields, scorer, tree, text, found):
             groups: dict = {}
@@ -794,7 +798,7 @@ class TestDecodeBatch:
                     sizes[-1].append((len(group), start))
             return pick(dec, wst, node, fields, scorer, tree, text, found)
 
-        monkeypatch.setattr(decoder, "_pick_completed", spy)
+        monkeypatch.setattr(decoder, "complete_beams", spy)
         got = []
         for engine in (lambda: decode_batch(matrices, alphabet, tree, width=12),
                        lambda: [decode(m, alphabet, tree, width=12) for m in matrices]):
@@ -802,9 +806,7 @@ class TestDecodeBatch:
             got.append(_exact(engine()))
             assert max(sizes[-1])[0] > 3
             assert len({start for _, start in sizes[-1]}) > 3  # after several word-start texts
-        root = reference_trie(words)
-        want = [reference_decode(m, alphabet, tree, root, width=12) for m in matrices]
-        assert got[0] == got[1] == _exact(want)
+        assert got[0] == got[1] == _reference(matrices, alphabet, tree, words, width=12)
 
     @pytest.mark.parametrize("words, word_chars, symbols, width, classes, error", [
         (["ab"], "ab", "ab", 0, 3, InputValidationError),   # width below 1
@@ -819,21 +821,21 @@ class TestDecodeBatch:
         good = PosteriorMatrix([[0.4, 0.3, 0.3]])
         # A faulty matrix is named even at the end of the batch.
         matrices = [good, good, PosteriorMatrix(np.full((1, classes), 1.0 / classes))]
-        with pytest.raises(error) as scalar:
+        with pytest.raises(error) as alone:
             [decode(m, alphabet, tree, width=width) for m in matrices]
 
         def searched(*args):
-            raise AssertionError("the batch was searched")
+            raise AssertionError("a frame was searched")
 
-        monkeypatch.setattr(decoder, "_run_batch", searched)
+        monkeypatch.setattr(decoder, "_frames", searched)
         with pytest.raises(error) as batched:
             decode_batch(matrices, alphabet, tree, width=width)
-        assert str(batched.value) == str(scalar.value)
+        assert str(batched.value) == str(alone.value)
 
     def test_every_mode_batches_two_or_more_matrices(self, monkeypatch):
-        # Two or more matrices of any mode run as one batched search; a lone
-        # matrix is decoded by ``decode``. At order 1 "cab" and "cba" tie from
-        # "c", which completion settles by a search.
+        # Any number of matrices of any mode, one included, run as one search
+        # of their frames. At order 1 "cab" and "cba" tie from "c", which
+        # completion settles by a search.
         alphabet = _coded("plain+space")
         words = ["abd", "cab", "cba", "a", "dab", "bcd"]
         tree = PrefixTree(words, set(WORD_CHARS))
@@ -841,20 +843,20 @@ class TestDecodeBatch:
         rng = np.random.default_rng(12)
         matrices = [_matrix("random", rng, t, alphabet.num_classes) for t in (5, 9, 7)]
         batched = []
-        run = decoder._run_batch
+        run = decoder.frame_beams
 
-        def spy(matrices, alphabet, width, scorer, tree, nonword):
-            batched.append((scorer.mode, len(matrices)))
-            return run(matrices, alphabet, width, scorer, tree, nonword)
+        def spy(matrices, alphabet, tree, lm, width, mode):
+            batched.append((mode, len(matrices)))
+            return run(matrices, alphabet, tree, lm, width, mode)
 
-        monkeypatch.setattr(decoder, "_run_batch", spy)
+        monkeypatch.setattr(decoder, "frame_beams", spy)
         modes = [WORDS, NGRAMS, NGRAMS_FORECAST, forecast_sample(2, 3)]
         for mode in modes:
             for k in (1, 2, 3):
-                want = [decode(m, alphabet, tree, lm, 6, mode) for m in matrices[:k]]
                 got = decode_batch(matrices[:k], alphabet, tree, lm, 6, mode)
-                assert _exact(got) == _exact(want)
-        assert batched == [(mode, k) for mode in modes for k in (2, 3)]
+                assert _exact(got) == _reference(matrices[:k], alphabet, tree, words, lm, 6, mode)
+            assert _exact([decode(matrices[0], alphabet, tree, lm, 6, mode)]) == _exact(got[:1])
+        assert batched == [(mode, k) for mode in modes for k in (1, 2, 3, 1)]
         c = tree._first[0] + children(tree, 0).index("c")
         for mode in modes[1:]:
             assert list(decoder._scorer(tree, lm, mode)._searched) == [c]
@@ -863,7 +865,8 @@ class TestDecodeBatch:
         # Two batches over one tree and alphabet build the extension arrays
         # once; a second alphabet on that tree (the trend lanes' plain and
         # extra-separator alphabets) builds its own, and reuses them too.
-        tree = PrefixTree(["a", "ab", "ba"], {"a", "b"})
+        words = ["a", "ab", "ba"]
+        tree = PrefixTree(words, {"a", "b"})
         plain, sep = Alphabet("ab"), Alphabet("ab", "|")
         rng = np.random.default_rng(5)
         built = []
@@ -876,10 +879,20 @@ class TestDecodeBatch:
         monkeypatch.setattr(decoder, "_node_arrays", spy)
         for alphabet in (plain, plain, sep, sep, plain):
             matrices = [_matrix("random", rng, t, alphabet.num_classes) for t in (3, 5)]
-            want = [decode(m, alphabet, tree, width=4) for m in matrices]
-            assert _exact(decode_batch(matrices, alphabet, tree, width=4)) == _exact(want)
+            want = _reference(matrices, alphabet, tree, words, width=4)
+            assert _exact(decode_batch(matrices, alphabet, tree, width=4)) == want
         assert built == ["ab", "ab|"]
-        assert not tree._extensions["ab|"][2].flags.writeable
+        assert not any(a.flags.writeable for a in tree._extensions["ab|"])
+
+    def test_node_arrays_take_few_bytes_a_node(self):
+        # They are read at every decode, so the arrays of a 50,000-word trie
+        # take at most 4 bytes a node (an int64 and an int32 a node took 12).
+        words, _ = words_50k()
+        tree = PrefixTree(words, LETTERS)
+        matrix = PosteriorMatrix(np.full((3, 28), 1 / 28))
+        decode_batch([matrix, matrix], Alphabet(LETTERS + " "), tree)
+        [arrays] = tree._extensions.values()
+        assert sum(a.nbytes for a in arrays) <= 4 * tree._first[-1]
 
     def test_empty_batch(self):
         assert decode_batch([], Alphabet("a"), PrefixTree(["a"], {"a"}), width=3) == []
@@ -918,8 +931,8 @@ class TestForwardOracle:
             m = PosteriorMatrix(arr)
         else:
             m = random_matrix(rng, t, c)
-        last = list(frame_beams(m, alphabet, tree, width=len(word) + 1))[-1]
-        normal = [cand for cand in last if cand[2] + cand[3] >= sys.float_info.min]
+        *_, last = search_frames([m], alphabet, tree, width=len(word) + 1)
+        normal = [cand for cand in last[0] if cand[2] + cand[3] >= sys.float_info.min]
         assert normal
         for _, text, p_blank, p_nonblank, *_ in normal:
             assert word.startswith(text)

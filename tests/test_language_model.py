@@ -35,6 +35,8 @@ from _support import (
     reference_trie,
     remainder_probability,
     scorer_completion,
+    scorer_forecast,
+    scorer_word_probability,
     trie_node,
     word_probability,
     words_50k,
@@ -195,7 +197,7 @@ class TestForecast:
 
     @staticmethod
     def _forecast(lm, tree, root, prefix, mode):
-        return TrieScorer(tree, lm, mode).forecast(trie_node(root, prefix))
+        return scorer_forecast(TrieScorer(tree, lm, mode), trie_node(root, prefix))
 
     def test_hand_computed_remainders(self):
         lm, tree, root = self._fixture()
@@ -241,8 +243,8 @@ class TestForecast:
         tree, root = PrefixTree(corpus, WC), reference_trie(corpus)
         mode = forecast_sample(sample_size=3, seed=12)
         scorer = TrieScorer(tree, lm, mode)
-        first = scorer.forecast(trie_node(root, "a"))
-        assert scorer.forecast(trie_node(root, "a")) == first
+        first = scorer_forecast(scorer, trie_node(root, "a"))
+        assert scorer_forecast(scorer, trie_node(root, "a")) == first
         assert self._forecast(lm, tree, root, "a", mode) == first  # a fresh scorer agrees
         assert first == forecast_for_prefix(lm, root, "a", mode)  # same draw and arithmetic
 
@@ -295,14 +297,15 @@ class TestTrieScorerTables:
         for prefix in data.draw(st.permutations(prefixes)):
             node = trie_node(root, prefix)
             if prefix in words:
-                assert exact.word_probability(node) == word_probability(lm, prefix)
+                assert scorer_word_probability(exact, node) == word_probability(lm, prefix)
             reference = reference_forecast(lm, ref_find(root, prefix), prefix)
-            assert exact.forecast(node) == reference
+            assert scorer_forecast(exact, node) == reference
             if len(reference_completions(root, prefix)) > sample_mode.sample_size:
                 # Same draw, same sum order.
-                assert sampled.forecast(node) == forecast_for_prefix(lm, root, prefix, sample_mode)
+                assert scorer_forecast(sampled, node) == forecast_for_prefix(lm, root, prefix,
+                                                                             sample_mode)
             else:  # the sample covers every completion: the exact table value
-                assert sampled.forecast(node) == reference
+                assert scorer_forecast(sampled, node) == reference
             remainder, end, p = scorer_completion(tree, exact, node)
             assert end == trie_node(root, prefix + remainder) and prefix + remainder in words
             # Bit-identical, ties included: the completion's products run in
@@ -333,7 +336,7 @@ class TestTrieScorerTables:
         word_only = TrieScorer(tree, lm, NGRAMS)
         assert word_only.word_prob == scorer.word_prob and word_only.exact is None
         for node, prefix in enumerate(node_prefixes(root)):
-            p = scorer.word_probability(node)
+            p = scorer_word_probability(scorer, node)
             assert type(p) is float and p == word_probability(lm, prefix)
             f = scorer.exact[node]
             assert type(f) is float and f == reference_forecast(lm, ref_find(root, prefix), prefix)
@@ -347,7 +350,7 @@ class TestTrieScorerTables:
         lm = NgramModel.train(words + [_WIDE[10:30]], order=12)
         scorer = TrieScorer(tree, lm, NGRAMS_FORECAST)
         for node, prefix in enumerate(node_prefixes(root)):
-            assert scorer.word_probability(node) == word_probability(lm, prefix)
+            assert scorer_word_probability(scorer, node) == word_probability(lm, prefix)
             assert scorer.exact[node] == reference_forecast(lm, ref_find(root, prefix), prefix)
 
     @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -379,7 +382,7 @@ class TestTrieScorerTables:
             for prefix in sorted({w[:i] for w in words for i in range(len(w))}):
                 if len(reference_completions(root, prefix)) > k:
                     sampled += 1
-                    assert scorer.forecast(trie_node(root, prefix)) == (
+                    assert scorer_forecast(scorer, trie_node(root, prefix)) == (
                         forecast_for_prefix(lm, root, prefix, mode))
             assert sampled >= 5
 
