@@ -12,7 +12,6 @@ import math
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from itertools import islice
 from pathlib import Path
 
 from . import decoder, fanout
@@ -245,19 +244,30 @@ class _DecodePipeline:
         """Read and decode each matrix file; return ``row(i, label,
         likelihood)`` of each file ``paths[i]``, in file order.
 
-        Files are read in groups (``_read_groups``). The first group is
-        decoded here, which sets up its alphabets; the others are split
-        into shares of about equal bytes, one per CPU (``fanout.run``), the
-        first decoded here and each other by a forked worker, which
-        inherits the set-up. Each share raises its own first fault, so the
-        first fault in file order is the one raised.
+        Files are read in groups (``_read_groups``). Files that make up one
+        group are decoded here, as one batch, which a batch of the first
+        file alone would slow. Otherwise the first file is read and decoded
+        here, which sets up its alphabet, before the size of any later
+        group is taken; the rest of the first group and the other groups
+        are then split into shares of about equal bytes, one per CPU
+        (``fanout.run``), the first decoded here and each other by a forked
+        worker, which inherits the set-up. Each share raises its own first
+        fault, so the first fault in file order is the one raised.
         """
         groups = _read_groups(paths)
-        rows = self._decode_share([group for group, _ in islice(groups, 1)], row)
-        rest = list(groups)  # the first decode need not wait for every file's size
-        return rows + fanout.run([group for group, _ in rest],
+        (_, group), size = next(groups, ((0, []), 0))  # no files, no group
+        if len(group) == len(paths):
+            return self._decode_share([(0, group)], row)
+        rows = self._decode_share([(0, group[:1])], row)
+        try:
+            size -= os.stat(group[0]).st_size
+        except OSError:
+            pass  # a weight only, of a file read above
+        rest = [((1, group[1:]), size)] if len(group) > 1 else []
+        rest += groups
+        return rows + fanout.run([unit for unit, _ in rest],
                                  lambda share: self._decode_share(share, row),
-                                 [size for _, size in rest])
+                                 [weight for _, weight in rest])
 
     def _decode_share(self, groups: Iterable[tuple[int, list]],
                       row: Callable[[int, str, float], object]) -> list:

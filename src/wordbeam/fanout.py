@@ -40,12 +40,20 @@ worker_peaks: list[tuple[int, int]] = []
 _in_worker = False
 
 
-def available_cpus() -> int:
-    """The CPUs this process may run on."""
+def available_cpus(cpu_max: str = "/sys/fs/cgroup/cpu.max") -> int:
+    """The CPUs this process may run on, at most its cgroup's CPU quota
+    rounded up. ``cpu_max`` is the cgroup v2 file that holds the quota,
+    ``"<quota> <period>"`` in microseconds, or ``"max <period>"`` for none."""
     try:
-        return len(os.sched_getaffinity(0))
+        cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # not on every platform
-        return os.cpu_count() or 1
+        cpus = os.cpu_count() or 1
+    try:
+        with open(cpu_max, encoding="ascii") as f:
+            quota, period = map(int, f.read().split())
+        return max(1, min(cpus, -(-quota // period)))
+    except (OSError, ValueError, ZeroDivisionError):  # no file, or "max": no quota
+        return cpus
 
 
 def plan(weights: Sequence[float], cpus: int) -> list[range]:

@@ -34,9 +34,9 @@ from wordbeam.files import write_matrix_file
 
 LETTERS = string.ascii_lowercase
 DICTIONARY = "words50k.txt"
-# The words-mode lines: the first read group, decoded before any fork, and
-# three groups for each process.
-WORDS_MODE_LINES = READ_FILES * (1 + 3 * fanout.available_cpus())
+# The words-mode lines: the first, decoded before any fork, and three
+# groups' worth of files for each process.
+WORDS_MODE_LINES = 1 + 3 * READ_FILES * fanout.available_cpus()
 
 
 def _paths(count: int) -> list[str]:
@@ -87,15 +87,18 @@ def _words_one_cpu() -> tuple[list[str], list[str]]:
     through it, as it did when the limit was set."""
     assert DECODE_BATCH == 50, "measure the words-mode limit again for the new batch bound"
     paths, words = _write_lines(WORDS_MODE_LINES, 12)
-    first = len(next(_read_groups(paths))[0][1])  # ((i of its first file, its files), bytes)
-    return _one_cpu(_decode(paths[:first + DECODE_BATCH], "words")), words
+    return _one_cpu(_decode(paths[:1 + DECODE_BATCH], "words")), words
 
 
 def _words_fanout() -> list[str]:
     paths = _paths(WORDS_MODE_LINES)
-    groups = list(_read_groups(paths))[1:]
-    shares = fanout.plan([size for _, size in groups], fanout.available_cpus())
-    assert all(sum(len(groups[k][0][1]) for k in share) >= DECODE_BATCH for share in shares)
+    # The units the CLI splits, ((i of its first file, its files), bytes)
+    # each: the rest of the first read group, then the other groups.
+    units = list(_read_groups(paths))
+    (_, first), size = units[0]
+    units[0] = (1, first[1:]), size - os.stat(paths[0]).st_size
+    shares = fanout.plan([weight for _, weight in units], fanout.available_cpus())
+    assert all(sum(len(units[k][0][1]) for k in share) >= DECODE_BATCH for share in shares)
     return _decode(paths, "words")
 
 
@@ -164,12 +167,13 @@ SCENARIOS = {
     # 10.7-10.8 MiB (2-vCPU VM) plus 11%.
     "trie": Scenario(_long_word_list, growth, 12, _build_trie),
     # The limit: five runs at 60.1-60.2 MiB (2-vCPU VM) plus 11%, for
-    # batches of 50. It holds this process on one CPU, decoding the first
-    # read group alone and then one full batch of the files after it.
+    # batches of 50; five runs read 55.7-55.9 MiB with the first file
+    # decoded alone. It holds this process on one CPU, decoding the first
+    # file alone and then one full batch of the files after it.
     "words-one-cpu": Scenario(_words_one_cpu, peak, 67, lambda held: main(held[0])),
     # The same limit holds this process and each forked worker, and each
-    # decodes at least one full batch. A worker's peak counts only the
-    # inherited pages it touches.
+    # decodes at least one full batch (five runs: 53.4-53.7 and 47.4-47.6
+    # MiB). A worker's peak counts only the inherited pages it touches.
     "words-fanout": Scenario(_words_fanout, partial(peak, forks=True), 67),
     # 40 lines of 221 characters, about 675 KB a file.
     "bestpath-lines": Scenario(lambda: _write_lines(40, 40, 221, frames=1104)),

@@ -603,8 +603,8 @@ def _per_file_lines(paths, dict_path, width, nonword="", lm=None, mode=WORDS):
 @pytest.fixture
 def batch_spy(monkeypatch, one_process):
     """The sizes of the CLI's ``decode`` calls, with two matrices to a batch
-    and three files to a read group, all in this process: the first group's
-    batches, then those of the other groups as one share."""
+    and three files to a read group, all in this process: the first file
+    alone, then the batches of the other files as one share."""
     sizes = []
     batch = cli.decode
 
@@ -623,8 +623,9 @@ class TestWordsModeBatches:
 
     def test_interleaved_alphabets_match_per_file_decodes(self, tmp_path, capsys, batch_spy):
         # Files of alphabets "ab " and "abc " alternate irregularly: "ab "
-        # has five files (batches of 2, 2 and 1), "abc " two, one in the
-        # first read group (files 0-2) and one after it (batches of 1).
+        # has five files (the first alone, then batches of 2 and 2), "abc "
+        # two, one in the first read group (files 0-2) and one after it,
+        # which make one batch.
         rng = np.random.default_rng(21)
         dict_path = tmp_path / "dict.txt"
         dict_path.write_text("ab\nba\naab\nb\n", encoding="utf-8")
@@ -638,7 +639,7 @@ class TestWordsModeBatches:
         assert main(command) == EXIT_OK
         out = capsys.readouterr().out
         assert out == "\n".join(_per_file_lines(paths, dict_path, 4, " ")) + "\n"
-        assert sorted(batch_spy) == [1, 1, 1, 2, 2]
+        assert sorted(batch_spy) == [1, 2, 2, 2]
 
     @pytest.mark.parametrize("name, mode", [("ngrams", NGRAMS),
                                             ("ngrams-forecast", NGRAMS_FORECAST),
@@ -647,8 +648,8 @@ class TestWordsModeBatches:
     def test_language_model_modes_match_per_file_decodes(self, tmp_path, capsys, batch_spy,
                                                          name, mode):
         # Four files of alphabet "ab " and three of "abc ", interleaved, more
-        # than a batch of two each, and split by the end of the first read
-        # group (files 0-2); the model is trained on the dictionary.
+        # than a batch of two each: file 0 alone, then batches of 2, 2, 1
+        # and 1; the model is trained on the dictionary.
         rng = np.random.default_rng(24)
         dict_path = tmp_path / "dict.txt"
         words = ["ab", "ba", "aab", "b", "abba", "bab"]
@@ -690,13 +691,14 @@ class TestWordsModeBatches:
         assert main(["ensemble", *dirs, "--dict", str(dict_path), "--mode", "words",
                      "--nonword-chars", " ", "--width", "3"]) == EXIT_OK
         assert capsys.readouterr().out == want
-        # 15 files: the first read group's three, then the other twelve.
-        assert batch_spy == [2, 1] + [2] * 6
+        # 15 files: the first alone, then the other fourteen.
+        assert batch_spy == [1] + [2] * 7
 
     def test_a_batch_spans_several_read_groups(self, tmp_path, capsys, monkeypatch, batch_spy):
         # Groups of at most two files and two small files' bytes (file 3 is
-        # large, a group alone); batches of five matrices. The first group
-        # is decoded alone, and a batch spans the four groups after it.
+        # large, a group alone); batches of five matrices. The first file
+        # is read and decoded alone, and a batch spans the rest of its group
+        # and the three groups after it.
         rng = np.random.default_rng(23)
         dict_path = tmp_path / "dict.txt"
         dict_path.write_text("ab\nba\naab\nb\n", encoding="utf-8")
@@ -720,8 +722,8 @@ class TestWordsModeBatches:
                      "--nonword-chars", " ", "--width", "4"]) == EXIT_OK
         out = capsys.readouterr().out
         assert out == "\n".join(_per_file_lines(paths, dict_path, 4, " ")) + "\n"
-        assert batch_spy == [2, 5]
-        assert groups == [["0", "1"], ["2"], ["3"], ["4", "5"], ["6"]]
+        assert batch_spy == [1, 5, 1]
+        assert groups == [["0"], ["1"], ["2"], ["3"], ["4", "5"], ["6"]]
 
     def test_new_alphabet_fault_is_reported_before_a_later_parse_fault(self, tmp_path, capsys):
         # File 2's alphabet cannot spell "cab"; file 3 does not parse.
@@ -789,9 +791,11 @@ class TestBestPathGroups:
         paths = self._files(tmp_path, alphabets, 31)
         assert main(["decode", *paths, "--mode", "bestpath", "--scheme", scheme]) == EXIT_OK
         assert capsys.readouterr().out == "\n".join(self._per_file_lines(paths, scheme)) + "\n"
-        # Groups of three files, each decoded an alphabet at a time, in order of first file.
-        assert group_spy == [("ab|", 2), ("abc|", 1), ("b\U0001d11e|", 1), ("abc|", 1),
-                             ("ab|", 1), ("ab|", 1), ("abc|", 1)]
+        # The first file alone, then the rest of its group and the groups of
+        # three files after it, each decoded an alphabet at a time, in order
+        # of first file.
+        assert group_spy == [("ab|", 1), ("abc|", 1), ("ab|", 1), ("b\U0001d11e|", 1),
+                             ("abc|", 1), ("ab|", 1), ("ab|", 1), ("abc|", 1)]
 
     def test_the_file_by_file_parse_matches_per_file_decodes(self, tmp_path, capsys,
                                                              monkeypatch, group_spy):
@@ -809,7 +813,7 @@ class TestBestPathGroups:
         assert main(["decode", *paths, "--mode", "bestpath"]) == EXIT_OK
         assert parsed == paths[3:6]
         assert capsys.readouterr().out == "\n".join(self._per_file_lines(paths)) + "\n"
-        assert group_spy == [("ab", 2), ("abc", 1), ("ab", 2), ("abc", 1), ("ab", 1)]
+        assert group_spy == [("ab", 1), ("ab", 1), ("abc", 1), ("ab", 2), ("abc", 1), ("ab", 1)]
 
 
 class TestGroupedReads:
@@ -888,14 +892,15 @@ class TestGroupedReads:
         monkeypatch.setattr(cli, "READ_BYTES", 2 * Path(paths[0]).stat().st_size)
         assert main(command) == EXIT_OK
         assert capsys.readouterr().out == one_by_one
-        assert groups == [["0", "1"], ["2"], ["3"], ["4", "5"], ["6", "7"], ["8"]]
+        # The first file is read alone, before the rest of its group.
+        assert groups == [["0"], ["1"], ["2"], ["3"], ["4", "5"], ["6", "7"], ["8"]]
 
         groups.clear()
         monkeypatch.setattr(cli, "READ_FILES", 4)
         monkeypatch.setattr(cli, "READ_BYTES", 1 << 20)
         assert main(command) == EXIT_OK
         assert capsys.readouterr().out == one_by_one
-        assert groups == [["0", "1", "2", "3"], ["4", "5", "6", "7"], ["8"]]
+        assert groups == [["0"], ["1", "2", "3"], ["4", "5", "6", "7"], ["8"]]
 
     @pytest.mark.parametrize("mode", ["bestpath", "words", "ngrams"])
     @pytest.mark.parametrize("command", ["decode", "ensemble"])

@@ -37,6 +37,20 @@ def cpus(monkeypatch):
     assert _no_child_left()
 
 
+class TestAvailableCpus:
+    """The affinity's CPUs, at most the cgroup v2 quota rounded up."""
+
+    @pytest.mark.parametrize("text, want", [("max 100000\n", 4), ("150000 100000\n", 2),
+                                            ("50000 100000\n", 1), (None, 4)],
+                             ids=["no quota", "one and a half", "one half", "no file"])
+    def test_a_quota_caps_the_cpus(self, tmp_path, monkeypatch, text, want):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        cpu_max = tmp_path / "cpu.max"
+        if text is not None:
+            cpu_max.write_text(text, encoding="ascii")
+        assert fanout.available_cpus(str(cpu_max)) == want
+
+
 class TestPlan:
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(weights=st.lists(st.integers(0, 100), max_size=30), cpus=st.integers(1, 40))
@@ -237,17 +251,20 @@ def matrix_files(tmp_path, monkeypatch):
     """Eight noisy matrix files of each coding, read two files to a group."""
     monkeypatch.setattr(cli, "READ_FILES", 2)
     (tmp_path / "dict.txt").write_text("\n".join(WORDS) + "\n", encoding="utf-8")
-    out = {}
-    for scheme, alphabet in (("plain", Alphabet("abcde")), ("extrasep", Alphabet("abcde", "|"))):
-        paths = []
-        for i in range(8):
-            sim = RecognizerSim(alphabet, noise_level=0.5, seed=i)
-            path = tmp_path / scheme / f"m{i}.mat"
-            path.parent.mkdir(exist_ok=True)
-            write_matrix_file(path, sim.emit(WORDS[i % len(WORDS)]), alphabet.symbols)
-            paths.append(str(path))
-        out[scheme] = paths
-    return out, str(tmp_path / "dict.txt")
+    schemes = {"plain": Alphabet("abcde"), "extrasep": Alphabet("abcde", "|")}
+    return ({scheme: _write_files(tmp_path / scheme, alphabet, 8)
+             for scheme, alphabet in schemes.items()}, str(tmp_path / "dict.txt"))
+
+
+def _write_files(folder: Path, alphabet: Alphabet, count: int) -> list[str]:
+    """The paths of ``count`` noisy matrix files of ``WORDS`` in ``folder``."""
+    folder.mkdir(exist_ok=True)
+    paths = []
+    for i in range(count):
+        sim = RecognizerSim(alphabet, noise_level=0.5, seed=i)
+        write_matrix_file(folder / f"m{i}.mat", sim.emit(WORDS[i % len(WORDS)]), alphabet.symbols)
+        paths.append(str(folder / f"m{i}.mat"))
+    return paths
 
 
 def _outputs(capsys, cpus, argv) -> list[str]:
@@ -295,41 +312,68 @@ class TestOutputsDoNotDependOnTheProcessCount:
         assert outs[1] == outs[0] and outs[2] == outs[0]
 
 
-def test_the_first_read_group_is_decoded_alone_at_every_cpu_count(matrix_files, capsys, cpus,
-                                                                   monkeypatch):
-    # Eight files of one alphabet, two to a read group. The first group is
-    # decoded before ``fanout.run`` splits the others, whatever the CPUs.
-    files, dict_path = matrix_files
-    sizes = []
-    decode = cli.decode
+@pytest.fixture
+def call_spy(monkeypatch):
+    """The CLI's ``decode`` calls, as ``("decode", matrices)``, and the forks
+    of ``fanout.run``, as ``"fork"``, in the order this process makes them."""
+    events = []
+    decode, fork = cli.decode, fanout._fork
 
-    def spy(matrices, *args):
-        sizes.append(len(matrices))
+    def spy_decode(matrices, *args):
+        events.append(("decode", len(matrices)))
         return decode(matrices, *args)
 
-    monkeypatch.setattr(cli, "decode", spy)
-    for n in (1, 2, 3):
-        cpus(n)
-        sizes.clear()
-        assert main(["decode", *files["plain"], "--mode", "words", "--dict", dict_path]) == 0
-        assert sizes[0] == 2
+    def spy_fork(*args):
+        events.append("fork")
+        return fork(*args)
+
+    monkeypatch.setattr(cli, "decode", spy_decode)
+    monkeypatch.setattr(fanout, "_fork", spy_fork)
+    return events
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_the_first_file_alone_is_decoded_before_any_fork(matrix_files, capsys, cpus, call_spy,
+                                                         n):
+    # Eight files of one alphabet, two to a read group: the first file is
+    # decoded, then the other seven are split over the CPUs.
+    files, dict_path = matrix_files
+    cpus(n)
+    assert main(["decode", *files["plain"], "--mode", "words", "--dict", dict_path]) == EXIT_OK
+    assert call_spy[:n] == [("decode", 1)] + ["fork"] * (n - 1)
+    assert call_spy.count("fork") == n - 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_files_of_one_read_group_are_one_batch_in_one_process(tmp_path, capsys, cpus, call_spy,
+                                                              n):
+    (tmp_path / "dict.txt").write_text("\n".join(WORDS) + "\n", encoding="utf-8")
+    paths = _write_files(tmp_path, Alphabet("abcde"), 15)
+    cpus(n)
+    assert main(["decode", *paths, "--mode", "ngrams", "--dict", str(tmp_path / "dict.txt"),
+                 "--width", "4"]) == EXIT_OK
+    assert call_spy == [("decode", 15)]
+    assert capsys.readouterr().out.count("\n") == 15
 
 
 class TestFirstFaultInFileOrder:
     """A fault in a matrix file is reported as without workers, whether it
-    lies in the first read group, which is decoded before any fork, in the
-    share of the groups after it that this process decodes, in the share a
-    worker decodes, or in both shares."""
+    lies in the first file, which is decoded before any fork, in the rest of
+    the first read group, which begins the share this process decodes, in
+    both parts of that group, later in that share, in the share a worker
+    decodes, or in both shares."""
 
-    WHERE = pytest.mark.parametrize("where", [(1,), (3,), (8,), (3, 8)],
-                                    ids=["first group", "first share", "second share",
+    WHERE = pytest.mark.parametrize("where", [(0,), (1,), (0, 1), (3,), (8,), (3, 8)],
+                                    ids=["first file", "rest of the first group",
+                                         "first group", "first share", "second share",
                                          "both shares"])
 
     @staticmethod
     def _files(tmp_path, monkeypatch, faults: dict[int, str]) -> list[str]:
         """Ten files, read two to a group, the faulty ones with ``faults``;
-        the nine groups after the first split into shares of two."""
+        after the first file, the rest of its group and the four groups
+        after it split into shares of three units and two."""
         monkeypatch.setattr(cli, "READ_FILES", 2)
         paths = []
         for i in range(10):
@@ -341,7 +385,8 @@ class TestFirstFaultInFileOrder:
                 write_matrix_file(path, sim.emit("cab"), "abc")
             paths.append(str(path))
         sizes = [size for _, size in cli._read_groups(paths)]
-        assert [list(s) for s in fanout.plan(sizes[1:], 2)] == [[0, 1], [2, 3]]
+        sizes[0] -= Path(paths[0]).stat().st_size
+        assert [list(s) for s in fanout.plan(sizes, 2)] == [[0, 1, 2], [3, 4]]
         return paths
 
     @pytest.mark.parametrize("text, message", FIRST_FAULTS)
