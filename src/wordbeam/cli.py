@@ -25,7 +25,7 @@ from .errors import (
     UnreadableFileError,
     UnwritablePathError,
 )
-from .evaluation import build_report, format_report_kv, format_report_table
+from .evaluation import build_report, check_pairs, format_report_kv, format_report_table
 from .files import load_word_list, read_matrix_file, read_text, write_matrix_file
 from .language_model import NgramModel, ScoringMode
 from .prefix_tree import PrefixTree
@@ -488,6 +488,7 @@ def cmd_eval(args) -> int:
     preds = _read_labels(args.preds)
     gts = _read_labels(args.gt)
     vocab = load_word_list(args.train_vocab) if args.train_vocab else None
+    check_pairs(preds, gts)  # before the output directory is made
     out = _out_dir(args.out_dir) if args.out_dir else None
     report = build_report(preds, gts, vocab, args.case_insensitive)
     table = format_report_table(report)
@@ -541,16 +542,11 @@ def cmd_synth(args) -> int:
 
 
 def cmd_reproduce_trends(args) -> int:
-    defaults = TrendConfig()
-    counts = tuple(c for c in defaults.member_counts if c <= args.members)
-    if args.members not in counts:
-        counts = counts + (args.members,)
     config = TrendConfig(
         seed=args.seed,
         n_seeds=args.seeds,
         n_words=args.n_words,
         members=args.members,
-        member_counts=counts,
         width=args.width,
         noise_level=args.noise,
     )

@@ -21,16 +21,21 @@ def _canon(s: str, case_insensitive: bool) -> str:
     return s.casefold() if case_insensitive else s
 
 
-def word_accuracy(
-    preds: Sequence[str], gts: Sequence[str], case_insensitive: bool = False
-) -> float:
-    """Percentage of exact matches after NFC normalization (and optional folding)."""
+def check_pairs(preds: Sequence[str], gts: Sequence[str]) -> None:
+    """Fail unless ``preds`` and ``gts`` pair up, one pair or more."""
     if len(preds) != len(gts):
         raise InputValidationError(
             f"prediction/ground-truth length mismatch: {len(preds)} vs {len(gts)}"
         )
     if not gts:
         raise InputValidationError("word_accuracy needs at least one pair")
+
+
+def word_accuracy(
+    preds: Sequence[str], gts: Sequence[str], case_insensitive: bool = False
+) -> float:
+    """Percentage of exact matches after NFC normalization (and optional folding)."""
+    check_pairs(preds, gts)
     hits = sum(
         _canon(p, case_insensitive) == _canon(g, case_insensitive)
         for p, g in zip(preds, gts)

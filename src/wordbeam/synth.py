@@ -28,22 +28,25 @@ from .ctc import Alphabet, PosteriorMatrix, posterior_matrices
 from .errors import InputValidationError
 
 
+# Scales the noise on separator-peaked frames: the separator models the
+# end-of-word region (pen lift, trailing whitespace), which a recognizer
+# detects far more reliably than any glyph.
+SEPARATOR_NOISE_FACTOR = 0.35
+
+# The most jobs ``emit_many`` emits at a time: emission holds about 18 KiB
+# of temporaries a job, more than the word beam search holds a decode.
+EMIT_JOBS = 50
+
+
 @dataclass(frozen=True)
 class RecognizerSim:
-    """Seeded stand-in for a trained recognizer.
-
-    ``separator_noise_factor`` scales the noise on separator-peaked
-    frames: the separator models the end-of-word region (pen lift,
-    trailing whitespace), which a recognizer detects far more reliably
-    than any glyph.
-    """
+    """Seeded stand-in for a trained recognizer."""
 
     alphabet: Alphabet
     frames_per_char: int = 4
     noise_level: float = 0.0
     confusion_spread: float = 1.0
     seed: int = 0
-    separator_noise_factor: float = 0.35
 
     def __post_init__(self) -> None:
         if not isinstance(self.frames_per_char, numbers.Integral):
@@ -54,8 +57,6 @@ class RecognizerSim:
             raise InputValidationError("noise_level must lie in [0, 1]")
         if not (math.isfinite(self.confusion_spread) and self.confusion_spread >= 0.0):
             raise InputValidationError("confusion_spread must be non-negative and finite")
-        if not 0.0 <= self.separator_noise_factor <= 1.0:
-            raise InputValidationError("separator_noise_factor must lie in [0, 1]")
 
     def emit(self, word: str) -> PosteriorMatrix:
         """Noisy posterior matrix for ``word``, coded by this recognizer's alphabet."""
@@ -63,7 +64,8 @@ class RecognizerSim:
 
 
 def emit_many(pairs: Sequence[tuple[RecognizerSim, str]]) -> list[PosteriorMatrix]:
-    """``[sim.emit(word) for sim, word in pairs]``, emitted as one batch.
+    """``[sim.emit(word) for sim, word in pairs]``, emitted in batches of at
+    most ``EMIT_JOBS`` jobs.
 
     Each job draws from its own generator, seeded by (seed, label), and
     every draw is a 32-bit Mersenne Twister word, so a job's stream is
@@ -82,8 +84,10 @@ def emit_many(pairs: Sequence[tuple[RecognizerSim, str]]) -> list[PosteriorMatri
     for i, (sim, *_) in enumerate(plans):
         by_width.setdefault(sim.alphabet.num_classes, []).append(i)
     for c_max, group in by_width.items():
-        for i, matrix in zip(group, _emit_width([plans[i] for i in group], c_max)):
-            matrices[i] = matrix
+        for at in range(0, len(group), EMIT_JOBS):
+            part = group[at:at + EMIT_JOBS]
+            for i, matrix in zip(part, _emit_width([plans[i] for i in part], c_max)):
+                matrices[i] = matrix
     return matrices
 
 
@@ -107,7 +111,7 @@ def _plan(sim: RecognizerSim, word: str) -> tuple[str, list[tuple[int, float, in
             runs.append((alphabet.blank_index, sim.noise_level, 1))
         noise = sim.noise_level
         if target == sep_col:
-            noise = noise * sim.separator_noise_factor
+            noise = noise * SEPARATOR_NOISE_FACTOR
         runs.append((target, noise, sim.frames_per_char))
     return label, runs, sep_col
 

@@ -7,10 +7,11 @@ decoding, plain versus extra-separator coding, and growing ensemble
 sizes under plurality voting. The two coding lanes differ only in the
 recognizer's alphabet; they share one tree per seed. Each distinct
 (member, word) of a lane is emitted and decoded once, shortest word
-first, in batches of at most ``BATCH_DECODES`` jobs: batched emissions
-(``synth.emit_many``) of at most a third of a batch each, and one word
-beam search call (``decoder.decode_batch``). Everything is seeded, so
-reports are byte-identical across runs.
+first, in batches of at most ``BATCH_DECODES`` jobs: one batched emission
+(``synth.emit_many``) and one word beam search call
+(``decoder.decode_batch``) each. Everything is seeded, so reports are
+byte-identical across runs. The experiment's design is module constants,
+printed in the report's config line; a run's settings are ``TrendConfig``.
 """
 
 from __future__ import annotations
@@ -30,31 +31,35 @@ from .prefix_tree import PrefixTree
 from .synth import RecognizerSim, emit_many, make_ensemble
 
 
+# The experiment's design: each seed's dictionary and its recognizers.
+DICTIONARY_SIZE = 240
+MIN_WORD_LENGTH = 3
+MAX_WORD_LENGTH = 6
+ALPHABET_CHARACTERS = "abcdefghij"
+SEPARATOR = "|"
+CONFUSION_SPREAD = 1.5
+JITTER = 0.05
+FRAMES_PER_CHAR = 3
+
+
 @dataclass(frozen=True)
 class TrendConfig:
     seed: int = 7
     n_seeds: int = 5
     n_words: int = 1000
     members: int = 10
-    member_counts: tuple[int, ...] = (1, 3, 5, 10)
-    dictionary_size: int = 240
-    min_word_length: int = 3
-    max_word_length: int = 6
-    alphabet_characters: str = "abcdefghij"
-    separator: str = "|"
     noise_level: float = 0.37
-    confusion_spread: float = 1.5
-    jitter: float = 0.05
-    frames_per_char: int = 3
     width: int = 8
 
     def __post_init__(self) -> None:
         if self.n_seeds < 1 or self.n_words < 1 or self.members < 1:
             raise InputValidationError("n_seeds, n_words and members must be positive")
-        if max(self.member_counts) > self.members:
-            raise InputValidationError("member_counts may not exceed members")
-        if not 1 <= self.min_word_length <= self.max_word_length:
-            raise InputValidationError("bad word length range")
+
+    @property
+    def member_counts(self) -> tuple[int, ...]:
+        """The ensemble sizes the report compares: 1, 3, 5 and 10 below
+        ``members``, then ``members``."""
+        return tuple(c for c in (1, 3, 5, 10) if c < self.members) + (self.members,)
 
 
 @dataclass
@@ -88,10 +93,10 @@ class TrendReport:
             "synthetic decoder and ensemble trend report",
             (
                 f"config: seed={cfg.seed} seeds={cfg.n_seeds} words={cfg.n_words} "
-                f"members={cfg.members} dict={cfg.dictionary_size} "
-                f"alphabet={cfg.alphabet_characters} sep={cfg.separator} "
-                f"noise={cfg.noise_level:.2f} spread={cfg.confusion_spread:.2f} "
-                f"jitter={cfg.jitter:.2f} fpc={cfg.frames_per_char} width={cfg.width}"
+                f"members={cfg.members} dict={DICTIONARY_SIZE} "
+                f"alphabet={ALPHABET_CHARACTERS} sep={SEPARATOR} "
+                f"noise={cfg.noise_level:.2f} spread={CONFUSION_SPREAD:.2f} "
+                f"jitter={JITTER:.2f} fpc={FRAMES_PER_CHAR} width={cfg.width}"
             ),
             "",
             "word accuracy (%) by ensemble size (extra separator, dictionary decoding):",
@@ -124,24 +129,21 @@ class TrendReport:
 best_path_decode = best_path_batch
 
 
-def _make_dictionary(rng: random.Random, cfg: TrendConfig) -> list[str]:
+def _make_dictionary(rng: random.Random) -> list[str]:
     words: set[str] = set()
-    chars = cfg.alphabet_characters
-    target = cfg.dictionary_size
-    while len(words) < target:
-        length = rng.randint(cfg.min_word_length, cfg.max_word_length)
-        words.add("".join(rng.choice(chars) for _ in range(length)))
+    while len(words) < DICTIONARY_SIZE:
+        length = rng.randint(MIN_WORD_LENGTH, MAX_WORD_LENGTH)
+        words.add("".join(rng.choice(ALPHABET_CHARACTERS) for _ in range(length)))
     return sorted(words)
 
 
 # The most decodes one batched search holds: a batch's matrices, arrays and
-# texts grow with it, and the gain levels off. Emission holds about 18 KiB
-# of temporaries per job and the search about 13 KiB per decode, so a batch
-# is emitted at most a third at a time. On a 2-vCPU VM one default seed
-# (2,360 extra-separator decodes) peaks at 35.7 MiB with batches of 150,
-# 34.7 MiB with 100, 39.0 MiB with 300 and 65.4 MiB as one batch, which
-# took 0.46 s of CPU time against 0.50 s with batches of 150 (medians of
-# eight runs).
+# texts grow with it, and the gain levels off. The search holds about
+# 13 KiB per decode; emission bounds its own temporaries
+# (``synth.EMIT_JOBS``). On a 2-vCPU VM one default seed (2,360
+# extra-separator decodes) peaks at 35.7 MiB with batches of 150, 34.7 MiB
+# with 100, 39.0 MiB with 300 and 65.4 MiB as one batch, which took 0.46 s
+# of CPU time against 0.50 s with batches of 150 (medians of eight runs).
 BATCH_DECODES = 150
 
 
@@ -157,18 +159,16 @@ def _decode_lane(
     length alone, so the jobs go shortest word first, each word by every
     member: a batch spans one or two lengths, its search runs to its own
     longest matrix, and its decodes end on few distinct frames. A batch of
-    at most ``BATCH_DECODES`` jobs is emitted when it is next, by
-    ``emit_many`` at most ``BATCH_DECODES // 3`` (at least one) at a time,
-    and decoded by one ``decode_batch`` call, after one ``best_path_batch``
-    call for the first member's matrices; each hypothesis is filed under
-    its (member, word). The lane's first matrix is emitted alone, by
-    ``RecognizerSim.emit``, and its best path taken before any other job or
-    recognizer copy is made, so the first matrix comes before any other
-    work of the lane.
+    at most ``BATCH_DECODES`` jobs is emitted when it is next, by one
+    ``emit_many`` call, and decoded by one ``decode_batch`` call, after one
+    ``best_path_batch`` call for the first member's matrices; each
+    hypothesis is filed under its (member, word). The lane's first matrix
+    is emitted alone, by ``RecognizerSim.emit``, and its best path taken
+    before any other job or recognizer copy is made, so the first matrix
+    comes before any other work of the lane.
     """
     jobs = ((k, word) for word in sorted(dict.fromkeys(words), key=len)
             for k in range(len(members)))
-    chunk = max(1, BATCH_DECODES // 3)
     best_path: dict[str, str] = {}
     found: dict[tuple[int, str], Hypothesis] = {}
 
@@ -185,7 +185,7 @@ def _decode_lane(
     taken = len(batch)  # jobs of the batch whose best paths are taken
     sims = [replace(member, alphabet=alphabet) for member in members]
     while True:
-        while part := list(islice(jobs, min(chunk, BATCH_DECODES - len(batch)))):
+        if part := list(islice(jobs, BATCH_DECODES - len(batch))):
             batch += part
             matrices += emit_many([(sims[k], word) for k, word in part])
         if not batch:
@@ -209,33 +209,26 @@ def run_trend_experiment(config: TrendConfig = TrendConfig()) -> TrendReport:
 
 
 def _seed_outcomes(cfg: TrendConfig, seeds: list[int]) -> list[SeedOutcome]:
-    plain_alphabet = Alphabet(cfg.alphabet_characters)
-    sep_alphabet = Alphabet(cfg.alphabet_characters, cfg.separator)
+    plain_alphabet = Alphabet(ALPHABET_CHARACTERS)
+    sep_alphabet = Alphabet(ALPHABET_CHARACTERS, SEPARATOR)
     outcomes = []
     for seed in seeds:
         rng = random.Random(f"trend|{seed}")
-        dictionary = _make_dictionary(rng, cfg)
+        dictionary = _make_dictionary(rng)
         gt = [rng.choice(dictionary) for _ in range(cfg.n_words)]
         # One tree for both lanes: the separator is non-word as the tree lacks it.
-        tree = PrefixTree(dictionary, cfg.alphabet_characters)
-        base = RecognizerSim(
-            alphabet=plain_alphabet,
-            frames_per_char=cfg.frames_per_char,
-            noise_level=cfg.noise_level,
-            confusion_spread=cfg.confusion_spread,
-            seed=seed,
-        )
-        members = make_ensemble(base, cfg.members, jitter=cfg.jitter)
+        tree = PrefixTree(dictionary, ALPHABET_CHARACTERS)
+        base = RecognizerSim(alphabet=plain_alphabet, frames_per_char=FRAMES_PER_CHAR,
+                             noise_level=cfg.noise_level, confusion_spread=CONFUSION_SPREAD,
+                             seed=seed)
+        members = make_ensemble(base, cfg.members, jitter=JITTER)
 
         # Extra-separator lane: every member decodes the full word list.
         hyps, bp_x_preds = _decode_lane(members, sep_alphabet, tree, gt, cfg.width)
 
-        ensemble_accuracy: dict[int, float] = {}
-        for count in cfg.member_counts:
-            voted = [
-                vote([hyps[j][i] for j in range(count)]).text for i in range(cfg.n_words)
-            ]
-            ensemble_accuracy[count] = word_accuracy(voted, gt)
+        columns = list(zip(*hyps))  # each word's hypotheses, member by member
+        ensemble_accuracy = {count: word_accuracy([vote(c[:count]).text for c in columns], gt)
+                             for count in cfg.member_counts}
 
         # Plain lane: member 0 only, for the coding and decoder grid.
         (plain_hyps,), bp_plain_preds = _decode_lane(members[:1], plain_alphabet, tree, gt,

@@ -24,7 +24,7 @@ from wordbeam import (
     TrieScorer,
     encode_label,
 )
-from wordbeam import decoder
+from wordbeam import decoder, synth
 from wordbeam.files import read_text, unescape_alphabet
 from wordbeam.language_model import _context_codes, _symbol_digits, _window_digits
 
@@ -803,7 +803,7 @@ def reference_emit(sim: RecognizerSim, word: str) -> PosteriorMatrix:
             rows.append(reference_row(rng, sim, c_max, blank, sim.noise_level, sep_col))
         noise = sim.noise_level
         if target == sep_col:
-            noise = noise * sim.separator_noise_factor
+            noise = noise * synth.SEPARATOR_NOISE_FACTOR
         for _ in range(sim.frames_per_char):
             rows.append(reference_row(rng, sim, c_max, target, noise, sep_col))
     return PosteriorMatrix(rows)

@@ -185,8 +185,8 @@ _GROUP_FAULTS = _FAULTS + ["leading space", "double space", "ragged", "no rows",
 
 
 class TestBulkParse:
-    """``parse_matrix`` converts the whole body at once; the row-by-row
-    reference parser is the specification."""
+    """``parse_matrix`` parses the body row by row and checks the rows as
+    one matrix; the reference parser is the specification."""
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(text=_matrix_texts())
@@ -1135,6 +1135,19 @@ class TestEvalCommand:
         out, err = capsys.readouterr()
         assert "word_accuracy=100.000000" in out
         assert err == ""
+
+    @pytest.mark.parametrize("preds, gts, message", [
+        ("aa\nbb\n", "aa\n", "prediction/ground-truth length mismatch: 2 vs 1"),
+        ("", "", "word_accuracy needs at least one pair"),
+    ])
+    def test_unpaired_inputs_make_no_out_dir(self, tmp_path, capsys, preds, gts, message):
+        (tmp_path / "pred.txt").write_text(preds, encoding="utf-8")
+        (tmp_path / "gt.txt").write_text(gts, encoding="utf-8")
+        out = tmp_path / "report"
+        assert main(["eval", str(tmp_path / "pred.txt"), str(tmp_path / "gt.txt"),
+                     "--out-dir", str(out)]) == EXIT_DATA
+        assert capsys.readouterr().err == f"wordbeam: invalid input: {message}\n"
+        assert not out.exists()
 
 
 class TestSynthCommand:

@@ -550,8 +550,8 @@ def _reference(matrices, alphabet, tree, words, lm=None, width=25, mode=WORDS):
 
 
 class TestDecodeBatch:
-    """``decode_batch`` against the scalar reference search
-    (``reference_decode``), decode by decode."""
+    """``decode_batch`` against the reference search (``reference_decode``,
+    a beam per candidate), decode by decode."""
 
     _strategies = dict(
         starts=st.lists(st.sampled_from(WORD_CHARS), min_size=10, max_size=12, unique=True),
@@ -587,13 +587,13 @@ class TestDecodeBatch:
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @_cases
-    def test_batch_equals_scalar(self, starts, tails, coding, lengths, width, rows, seed):
+    def test_batch_equals_reference(self, starts, tails, coding, lengths, width, rows, seed):
         self._check(starts, tails, coding, lengths, width, rows, seed)
 
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @_cases
-    def test_batch_equals_scalar_compacting_every_frame(self, starts, tails, coding, lengths,
-                                                        width, rows, seed):
+    def test_batch_equals_reference_compacting_every_frame(self, starts, tails, coding,
+                                                           lengths, width, rows, seed):
         # Every frame forgets the texts no survivor can reach and renumbers the rest.
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(decoder, "_COMPACT_AT", -1)
@@ -601,15 +601,15 @@ class TestDecodeBatch:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(**_strategies, **_modes)
-    def test_every_mode_equals_scalar(self, starts, tails, coding, lengths, width, rows, seed,
-                                      mode, order):
+    def test_every_mode_equals_reference(self, starts, tails, coding, lengths, width, rows,
+                                         seed, mode, order):
         self._check(starts, tails, coding, lengths, width, rows, seed, mode, order)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(**{**_strategies, "lengths": st.lists(st.integers(1, 60), min_size=1, max_size=1)},
            **_modes)
-    def test_a_batch_of_one_equals_scalar(self, starts, tails, coding, lengths, width, rows,
-                                          seed, mode, order):
+    def test_a_batch_of_one_equals_reference(self, starts, tails, coding, lengths, width,
+                                             rows, seed, mode, order):
         self._check(starts, tails, coding, lengths, width, rows, seed, mode, order)
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -1,6 +1,8 @@
 """Synthetic recognizer determinism, validity, noise behaviour and the
 batched emitter's bit identity with the one-row-at-a-time reference."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -81,8 +83,6 @@ def test_parameter_validation():
         RecognizerSim(alphabet=Alphabet("ab"), noise_level=1.5)
     with pytest.raises(InputValidationError):
         RecognizerSim(alphabet=Alphabet("ab"), frames_per_char=0)
-    with pytest.raises(InputValidationError):
-        RecognizerSim(alphabet=Alphabet("ab"), separator_noise_factor=2.0)
 
 
 @pytest.mark.parametrize("fpc", [2.5, 3.0, "3", None])
@@ -213,7 +213,6 @@ def _emit_jobs(draw):
         noise_level=draw(st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)),
         confusion_spread=draw(st.sampled_from([0.0, 1.5]) | st.floats(0.0, 20.0)),
         seed=draw(st.integers(0, 2**48)),
-        separator_noise_factor=draw(st.sampled_from([0.0, 0.35, 1.0]) | st.floats(0.0, 1.0)),
     )
     return sim, draw(st.text(alphabet.characters, min_size=1, max_size=8))
 
@@ -227,14 +226,38 @@ class TestBatchedEmission:
         sim, word = jobs[0]
         assert sim.emit(word).probs.tobytes() == expected[0]
 
-    def test_trend_sized_batch(self):
-        # A batch as a trend lane makes: ten members, jittered noise, 100 jobs.
+    @staticmethod
+    def _trend_jobs() -> list:
+        """A batch as a trend lane makes: ten members, jittered noise, 100 jobs."""
         base = RecognizerSim(Alphabet("abcdefghij", "|"), frames_per_char=3,
                              noise_level=0.37, confusion_spread=1.5, seed=5)
         words = ["abc", "jihgf", "aaaa", "bead", "cafe", "jab", "hide", "fig", "dig", "ace"]
-        jobs = [(sim, word) for sim in make_ensemble(base, 10) for word in words]
+        return [(sim, word) for sim in make_ensemble(base, 10) for word in words]
+
+    def test_trend_sized_batch(self):
+        jobs = self._trend_jobs()
         got = [m.probs.tobytes() for m in synth.emit_many(jobs)]
         assert got == [reference_emit(sim, word).probs.tobytes() for sim, word in jobs]
+
+    @pytest.mark.parametrize("bound", [None, 1, 7])
+    def test_a_batch_is_emitted_in_parts_of_at_most_emit_jobs(self, monkeypatch, bound):
+        if bound is not None:
+            monkeypatch.setattr(synth, "EMIT_JOBS", bound)
+        parts: list[int] = []
+        emit_width = synth._emit_width
+
+        def recorded(plans, c_max):
+            parts.append(len(plans))
+            return emit_width(plans, c_max)
+
+        monkeypatch.setattr(synth, "_emit_width", recorded)
+        # Every third job codes without the separator: two widths, one part list each.
+        jobs = [(replace(sim, alphabet=Alphabet("abcdefghij")) if not i % 3 else sim, word)
+                for i, (sim, word) in enumerate(self._trend_jobs())]
+        got = [m.probs.tobytes() for m in synth.emit_many(jobs)]
+        assert got == [reference_emit(sim, word).probs.tobytes() for sim, word in jobs]
+        assert max(parts) == synth.EMIT_JOBS
+        assert sum(parts) == len(jobs)
 
     def test_empty_batch(self):
         assert synth.emit_many([]) == []
