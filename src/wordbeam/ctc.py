@@ -12,7 +12,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -60,11 +61,13 @@ class Alphabet:
     def blank_index(self) -> int:
         return self.num_classes - 1
 
+    @cached_property
+    def column_map(self) -> Mapping[str, int]:
+        """Each symbol's column, read-only."""
+        return MappingProxyType({c: i for i, c in enumerate(self.symbols)})
+
     def __getstate__(self) -> dict:
         return {"characters": self.characters, "separator": self.separator}
-
-    def column_map(self) -> dict[str, int]:
-        return {c: i for i, c in enumerate(self.symbols)}
 
 
 class PosteriorMatrix:

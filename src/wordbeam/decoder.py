@@ -40,13 +40,14 @@ score. A step ranks its candidates first, as two arrays of their decodes
 and scores, and builds integer state only for the at most ``width`` per
 decode that the cut keeps; texts are ids in a table of texts
 (``_Texts``), spelled out only where a tie straddles the cut and for the
-picks. In a language-model mode the survivors carry ``p_text`` and
-``committed`` arrays too, and an extension's score is a gather from the
-scorer's word probabilities or forecasts. A batch's memory stays
-bounded: it copies the posteriors out a few dozen frames at a time,
-reads the trie through a few arrays by node, and its table of texts
-keeps only those a survivor can still reach, growing as texts are named
-up to a size that no step between two compactions can outgrow.
+picks, all of a completion's together. In a language-model mode the
+survivors carry ``p_text`` and ``committed`` arrays too, and an
+extension's score is a gather from the scorer's word probabilities or
+forecasts. A batch's memory stays bounded: it copies the posteriors out
+a few dozen frames at a time, reads the trie through a few arrays by
+node, and its table of texts keeps only those a survivor can still
+reach, growing as texts are named up to a size that no step between two
+compactions can outgrow.
 """
 
 from __future__ import annotations
@@ -98,7 +99,7 @@ def decode_batch(
         if frame.ending is not None:
             cols, floats = frame.ending
             complete_beams(cols[_DEC], cols[_WST], cols[_NODE], floats, frame.scorer, tree,
-                           lambda q: frame.texts.of(cols[:, q]), found)
+                           lambda q: frame.texts.of(cols.take(q, axis=1)), found)
     return found
 
 
@@ -141,8 +142,8 @@ def _scorer(tree: PrefixTree, lm: NgramModel | None, mode: ScoringMode) -> TrieS
 # its parent text's id (-1 for the empty text), the id of the text before the
 # current word (the text itself outside a word), and the slot of the last
 # character in the parent's extensions (see ``_node_arrays``). A new
-# extension's id is -1 until it is named, and so is its word-start id if it
-# leaves the word.
+# extension's id is -1 until it is named; one that leaves the word keeps its
+# survivor's word-start id until then, and takes its own id as it is named.
 _DEC, _NODE, _LAST, _TID, _PTID, _WST, _SLOT = range(7)
 
 
@@ -155,8 +156,8 @@ class _Frame:
     ``p_text`` and ``committed``. ``survivors`` are the at most ``width``
     best candidates by (score, text) of each decode that goes on, the ones
     the next frame extends; ``ending`` the merged, uncut candidates of the
-    decodes whose last frame this is, or None. ``texts.of(column)`` spells
-    a candidate's text, right only until the next frame is asked for.
+    decodes whose last frame this is, or None. ``texts.of(columns)`` spells
+    candidates' texts, right only until the next frame is asked for.
     """
 
     __slots__ = ("survivors", "ending", "scorer", "texts")
@@ -202,13 +203,14 @@ def frame_beams(
     #   row[last] + merged mass``, and scores ``p_text * (p_blank +
     #   p_nonblank)``; the merge is an array join, as survivor ``j`` takes the
     #   extension of the survivor whose text is ``j``'s parent text by ``j``'s
-    #   last character. Texts are distinct and every symbol is one character,
-    #   so an extension merges into no other candidate, and a merged
-    #   ``p_nonblank`` is 0.0 plus two terms, whose sum does not depend on
-    #   their order;
+    #   last character, found through the text table's array by id ``at``.
+    #   Texts are distinct and every symbol is one character, so an
+    #   extension merges into no other candidate, and a merged ``p_nonblank``
+    #   is 0.0 plus two terms, whose sum does not depend on their order;
     # - an extension strictly below the smallest copy lower bound ``p_text *
     #   (p_blank + own repeat)`` of a decode with ``width`` survivors (not on
-    #   its last frame) is dropped before it is a candidate. Under
+    #   its last frame) is dropped before it is a candidate; survivors come
+    #   grouped by decode, so that bound is one ``reduceat``. Under
     #   round-to-nearest, adding non-negative terms and multiplying by
     #   non-negative factors never lowers a value, so the copies, each a
     #   distinct text, all score at least that bound, and the cut would drop
@@ -252,47 +254,46 @@ def frame_beams(
         dec, node, last, tid = state[_DEC], state[_NODE], state[_LAST], state[_TID]
         pb, pnb = fields[:2]
         s = len(dec)
-        row = row0[dec] + t % _FRAMES * c
+        row = row0.take(dec) + t % _FRAMES * c
         tot = pb + pnb
-        p_blank = tot * probs[row + blank]
-        own = pnb * probs[row + last]  # 0.0 for the empty text, whose p_nonblank is 0.0
+        p_blank = tot * probs.take(row + blank)
+        p_nonblank = pnb * probs.take(row + last)  # the own repeat, 0.0 for the empty text
         # Survivor i's extensions are rows ``start[i]`` on of these arrays, in
         # two runs: its node's children, then the non-word characters it may
         # take. An extension's id ``ext`` is the child's node id, or ``size``
         # plus the non-word character's index, its column ``col[ext]``. A
         # run's ids are consecutive, so an id is its row plus the run's offset.
         runs = spans.take(node).view(col.dtype)
-        heads = np.cumsum(runs, dtype=np.int32) - runs  # each run's first row
+        heads = runs.cumsum(dtype=np.int32) - runs  # each run's first row
         start = heads[0::2]
         offset = -heads
         offset[0::2] += first.take(node)
         offset[1::2] += size
-        # A value by survivor is spread over its extensions by ``np.repeat``,
-        # and other gathers are ``take``s: both beat indexing by an int32 array.
+        # A value by survivor is spread over its extensions by ``repeat`` and
+        # other gathers are ``take``s, both beating indexing by an int32 array;
+        # array methods skip ``np.repeat``'s and ``np.flatnonzero``'s wrappers.
         count = runs[0::2] + runs[1::2]
-        src = np.repeat(np.arange(s, dtype=np.int32), count)
-        ext = np.repeat(offset, runs)
+        src = np.arange(s, dtype=np.int32).repeat(count)
+        ext = offset.repeat(runs)
         ext += np.arange(len(src), dtype=np.int32)
         e_col = col.take(ext)
-        at = np.repeat(row, count)
+        at = row.repeat(count)
         at += e_col
         mass = probs.take(at)
-        base = np.repeat(tot, count)
-        same = np.flatnonzero(e_col == np.repeat(last, count))  # the repeat rule
+        base = tot.repeat(count)
+        same = (e_col == last.repeat(count)).nonzero()[0]  # the repeat rule
         base[same] = pb[src[same]]
         mass *= base
+        low = p_blank + p_nonblank  # a lower bound of each copy's score
         # Merges: survivor ``j`` whose parent text is survivor ``i``'s takes
         # i's extension by j's last character, row ``start[i] + slot[j]``.
-        # The entry past the last text id stays -1, for the parent id -1.
-        survivor = np.full(texts.count + 1, -1, np.int32)
-        survivor[tid] = np.arange(s)
-        i = survivor[state[_PTID]]
-        j = np.flatnonzero(i >= 0)
+        texts.at[tid] = np.arange(s, dtype=np.int32)
+        i = texts.at.take(state[_PTID])  # parent id -1 reads the slot past the last row
+        texts.at[tid] = -1
+        j = (i >= 0).nonzero()[0]
         merged = start[i[j]] + state[_SLOT, j]
-        p_nonblank = own.copy()
         p_nonblank[j] += mass[merged]
         copy_score = p_blank + p_nonblank
-        low = p_blank + own  # a lower bound of each copy's score
         ext_score = mass
         if uses_lm:
             p_text, committed = fields[2:]
@@ -304,53 +305,56 @@ def frame_beams(
             per_run = np.empty(2 * s)
             per_run[0::2] = committed if uses_forecast else p_text
             per_run[1::2] = leave
-            p_ext = np.repeat(per_run, runs)
+            p_ext = per_run.repeat(runs)
             if uses_forecast:
-                kid = np.flatnonzero(ext < size)
+                kid = (ext < size).nonzero()[0]
                 p_ext[kid] *= scorer.forecasts(ext[kid])
             ext_score = p_ext * mass
         # The cut's bound, per decode with ``width`` survivors before its last
-        # frame; -1.0 keeps every extension.
-        bound = np.full(n, np.inf)
-        np.minimum.at(bound, dec, low)
-        bound[(np.bincount(dec, minlength=n) < width) | (last_frame <= t)] = -1.0
-        keep = ext_score >= np.repeat(bound[dec], count)
+        # frame; -1.0 keeps every extension. Survivors come grouped by decode,
+        # in decode order, so each live decode's are one run of ``low``.
+        sizes = np.bincount(dec, minlength=n)
+        live = sizes.nonzero()[0]
+        sizes = sizes[live]
+        bound = np.minimum.reduceat(low, sizes.cumsum() - sizes)
+        bound[(sizes < width) | (last_frame[live] <= t)] = -1.0
+        keep = ext_score >= bound.repeat(sizes).repeat(count)
         keep[merged] = False
         # The candidates are the survivors' copies, 0 to s - 1, then the kept
         # extensions, s on; only their decodes and scores exist until the cut.
-        x = np.flatnonzero(keep)
+        x = keep.nonzero()[0]
         xs = src[x]
         cand_dec = np.concatenate((dec, dec.take(xs)))
         score = np.concatenate((copy_score, ext_score[x]))
         copies = [p_blank, p_nonblank] + fields[2:]
 
-        def build(sel: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-            """State columns and float fields of candidates ``sel``."""
+        def build(sel: np.ndarray) -> tuple:
+            """Candidates ``sel``' state and float fields; where its extensions and leavers are."""
             k = sel - s
-            e = np.flatnonzero(k >= 0)  # the extensions among them
+            e = (k >= 0).nonzero()[0]  # the extensions among them
             k = k[e]
             of = sel.copy()  # each one's survivor
-            of[e] = xs[k]
-            cols, floats = state[:, of], [f[of] for f in copies]
+            of[e] = of_e = xs[k]
+            cols, floats = state.take(of, axis=1), [f[of] for f in copies]
             k = x[k]
             node = ext[k]
             leaves = node >= size  # a non-word character leaves the word
             node[leaves] = 0
             cols[_NODE, e], cols[_LAST, e], cols[_PTID, e] = node, e_col[k], cols[_TID, e]
             cols[_TID, e] = -1
-            cols[_SLOT, e] = k - start[of[e]]
-            cols[_WST, e[leaves]] = -1
+            cols[_SLOT, e] = k - start[of_e]
             floats[0][e], floats[1][e] = 0.0, mass[k]
+            leaves = e[leaves]
             if uses_lm:
                 floats[2][e] = p_ext[k]
-                floats[3][e[leaves]] = leave[of[e[leaves]]]
-            return cols, floats
+                floats[3][leaves] = leave[of[leaves]]
+            return (cols, floats), e, leaves
 
         ending = pick = None
         if t in endings:
             ends = last_frame[cand_dec] == t
-            ending = build(np.flatnonzero(ends))
-            pick = np.flatnonzero(~ends)
+            ending = build(ends.nonzero()[0])[0]
+            pick = (~ends).nonzero()[0]
             cand_dec, score = cand_dec[pick], score[pick]
 
         def texts_of(i: np.ndarray) -> list[str]:
@@ -358,7 +362,7 @@ def frame_beams(
             survivor's once, and an extension's as its survivor's plus its
             character."""
             i = i if pick is None else pick[i]
-            e = np.flatnonzero(i >= s)
+            e = (i >= s).nonzero()[0]
             k = x[i[e] - s]
             of = i.copy()
             of[e] = src[k]
@@ -370,9 +374,9 @@ def frame_beams(
             return [spelled[t] + chars[c] for t, c in zip(of, col.tolist())]
 
         sel = _cut(cand_dec, score, width, n, texts_of)
-        state, fields = build(sel if pick is None else pick[sel])
+        (state, fields), new, starts = build(sel if pick is None else pick[sel])
         yield _Frame((state, fields), ending, scorer, texts)
-        texts.name(state)
+        texts.name(state, new, starts)
         if texts.count - texts.kept > _COMPACT_AT:
             texts.compact(state)
 
@@ -384,7 +388,7 @@ def complete_beams(
     fields: list[np.ndarray],
     scorer: TrieScorer,
     tree: PrefixTree,
-    text: Callable[[int], str],
+    texts: Callable[[np.ndarray], list[str]],
     found: list[tuple[str, float] | None],
 ) -> None:
     """Complete the last candidates of the decodes that end together,
@@ -394,7 +398,8 @@ def complete_beams(
     the float fields ``fields`` (``p_blank``, ``p_nonblank``, then
     ``p_text`` and ``committed``, which ``words`` mode may leave out), the
     id ``wst[q]`` of its text before its word (unread outside a word), and
-    the text ``text(q)``; a decode's texts are distinct. Its word and
+    the text ``texts(q)[0]``, for an index array ``q``; a decode's texts
+    are distinct. Its word and
     completed ``p_text`` are ``_completed``'s. A decode's pick is the
     smallest completed text among its best merged candidates, with their
     score. Posterior mass is never consumed: a merged candidate's mass is
@@ -442,9 +447,9 @@ def complete_beams(
     np.maximum.at(best, dec, score)
     top = np.flatnonzero(score == best[dec])
     picks = first[top]
-    for q, w, n, d, value in zip(picks.tolist(), word[picks].tolist(), node[picks].tolist(),
-                                 dec[top].tolist(), score[top].tolist()):
-        completed = text(q) + tree._prefix(w, n)
+    for text, w, n, d, value in zip(texts(picks), word[picks].tolist(), node[picks].tolist(),
+                                    dec[top].tolist(), score[top].tolist()):
+        completed = text + tree._prefix(w, n)
         if found[d] is None or completed < found[d][0]:
             found[d] = (completed, value)
 
@@ -517,17 +522,16 @@ def _cut(
     order = np.argsort(score)[::-1]
     sdec = dec[order]
     order = order[np.argsort(sdec.astype(np.uint16) if n <= 1 << 16 else sdec, kind="stable")]
-    sdec = dec[order]
-    sizes = np.bincount(sdec, minlength=n)
-    heads = np.cumsum(sizes) - sizes
-    keep = np.arange(len(sdec)) - heads.take(sdec) < width
+    sizes = np.bincount(dec, minlength=n)
+    heads = sizes.cumsum() - sizes
+    keep = np.arange(len(order)) - heads.repeat(sizes) < width
     over = heads[sizes > width]
     if over.size:
         ranked = score[order]
         for head in over[ranked[over + width - 1] == ranked[over + width]].tolist():
             # The cut splits a run of equal scores, which is contiguous, as a
             # decode's scores are descending: keep its smallest texts.
-            scores = ranked[head:head + sizes[sdec[head]]]
+            scores = ranked[head:head + sizes[dec[order[head]]]]
             tied = scores[width - 1]
             lo = head + int(np.count_nonzero(scores > tied))
             hi = lo + int(np.count_nonzero(scores == tied))
@@ -583,27 +587,29 @@ class _Texts:
     col)`` since it was last live, so the equal live texts of one decode
     always share one id, even when a text is dropped and later built
     again. The decodes' empty texts start as ids ``0`` to ``n - 1``.
-    Arrays by id hold each text's ``parent`` id (-1 for an empty text) and
-    ``col``, and a dense table ``child[parent, col]`` the id handed to that
-    pair (-1 for none), so a step names its new texts with one gather and
-    one scatter. ``compact`` forgets the texts that are no longer live,
-    which no candidate can name again, renumbers the rest and rebuilds the
-    arrays for them. The arrays start with room for one step's new texts,
-    at most one per survivor, ``n * width``, and one per symbol and live
-    text, and double as texts are named, up to the most that can be named
-    before the next compaction: ``_COMPACT_AT`` (0 if negative) plus one
-    step's. ``text`` spells a text
-    back to the nearest one it spelled in this step or the one before
-    (``name`` ends a step, ``compact`` forgets both), so where every step
-    ties at the cut, as once a decode's scores underflow, a text costs a
-    character or two to spell, not its length.
+    Arrays by id hold each text's ``parent`` id and ``col`` (-1 and
+    ``len(symbols)`` for an empty text and in the slot past the last id,
+    which a gather at id -1 reads), and a dense table ``child[parent,
+    col]`` the id handed to that pair (-1 for none), so a step names its
+    new texts with one gather and one scatter; ``at``, -1 between steps,
+    joins a step's survivors by id. ``compact`` forgets the texts that
+    are no longer live, which no candidate can name again, renumbers the
+    rest and rebuilds the arrays for them. The arrays start with room for
+    one step's new texts, at most one per survivor, ``n * width``, and one
+    per symbol and live text, and double as texts are named, up to the
+    most that can be named before the next compaction: ``_COMPACT_AT`` (0
+    if negative) plus one step's. ``text`` spells a text back to the
+    nearest one it spelled in this step or the one before (``name`` ends a
+    step, ``compact`` forgets both), so where every step ties at the cut,
+    as once a decode's scores underflow, a text costs a character or two
+    to spell, not its length; ``of`` spells many texts at once.
     """
 
     def __init__(self, symbols: str, n: int, width: int) -> None:
         self.symbols = symbols
         self.step = n * width
         self.room = max(_COMPACT_AT, 0) + self.step
-        self._hold(np.full(n, -1, np.int32), np.zeros(n, np.int32))
+        self._hold(np.full(n, -1, np.int32), np.full(n, len(symbols), np.int32))
 
     def _hold(self, parent: np.ndarray, col: np.ndarray) -> None:
         """Make the texts ``parent``/``col`` ids 0 on, with one step's ids free after them."""
@@ -612,11 +618,12 @@ class _Texts:
         self._before: dict[int, str] = {}  # and in the step before
         self.child = None  # free the old table before building the new one
         size = kept + min(self.step, kept * len(self.symbols))
-        self.parent = np.empty(size, np.int32)
-        self.col = np.empty(size, np.int32)
+        self.parent = np.full(size + 1, -1, np.int32)
+        self.col = np.full(size + 1, len(self.symbols), np.int32)
         self.parent[:kept], self.col[:kept] = parent, col
+        self.at = np.full(size + 1, -1, np.int32)
         self.child = np.full((size, len(self.symbols)), -1, np.int32)
-        named = np.flatnonzero(parent >= 0)
+        named = (parent >= 0).nonzero()[0]
         self.child[parent[named], col[named]] = named
 
     def _grow(self, count: int) -> None:
@@ -625,37 +632,34 @@ class _Texts:
         (``realloc``), so the table is never held twice: no view of them
         outlives a method of this class, which ``refcheck`` cannot see
         under a profiler."""
-        before = len(self.parent)
+        before = len(self.child)
         size = min(max(count, 2 * before), self.kept + self.room)
-        self.parent.resize(size, refcheck=False)
-        self.col.resize(size, refcheck=False)
+        for a in (self.parent, self.col, self.at):
+            a.resize(size + 1, refcheck=False)
+        self.parent[size], self.col[size] = -1, len(self.symbols)
+        self.at[before:] = -1
         self.child.resize((size, len(self.symbols)), refcheck=False)
         self.child[before:] = -1
 
-    def name(self, cand: np.ndarray) -> None:
-        """Give ids to the survivors of a step that have none (and word-start
-        ids outside a word), which ends the step.
-
-        The texts of one decode's candidates are distinct, so no two of them
-        need the same new id.
-        """
-        new = np.flatnonzero(cand[_TID] < 0)
+    def name(self, cand: np.ndarray, new: np.ndarray, starts: np.ndarray) -> None:
+        """Give ids to the survivors ``cand[:, new]``, which have none, and
+        word-start ids to those ``starts`` that left a word, ending a step.
+        No two need one new id, as a decode's candidates' texts are distinct."""
         parent, col = cand[_PTID, new], cand[_LAST, new]
-        ids = self.child[parent, col]
-        unseen = np.flatnonzero(ids < 0)
+        pair = parent * len(self.symbols) + col  # the flat index of (parent, col)
+        ids = self.child.take(pair)
+        unseen = (ids < 0).nonzero()[0]
         count = self.count + len(unseen)
-        if count > len(self.parent):
+        if count > len(self.child):
             self._grow(count)
         fresh = np.arange(self.count, count, dtype=np.int32)
         ids[unseen] = fresh
-        parent, col = parent[unseen], col[unseen]
-        self.child[parent, col] = fresh
-        self.parent[self.count:count], self.col[self.count:count] = parent, col
+        self.child.put(pair[unseen], fresh)
+        self.parent[self.count:count], self.col[self.count:count] = parent[unseen], col[unseen]
         self.count = count
         cand[_TID, new] = ids
+        cand[_WST, starts] = cand[_TID, starts]
         self._before, self._spelled = self._spelled, {}
-        start = np.flatnonzero(cand[_WST] < 0)
-        cand[_WST, start] = cand[_TID, start]
 
     def compact(self, state: np.ndarray) -> None:
         """Keep only the live texts of the survivors ``state``, renumbered
@@ -690,8 +694,27 @@ class _Texts:
         text = self._spelled[i] = head + "".join(reversed(chars))
         return text
 
-    def of(self, cand: np.ndarray) -> str:
-        """The text of one candidate column, named or not."""
-        if cand[_TID] >= 0:
-            return self.text(int(cand[_TID]))
-        return self.text(int(cand[_PTID])) + self.symbols[cand[_LAST]]
+    def of(self, cand: np.ndarray) -> list[str]:
+        """The texts of candidate columns ``cand``, named or not, spelled
+        together from the last character back: each step of the walk gathers
+        every text's column and parent at once (an unnamed text's last are
+        its own), reading ``len(symbols)`` and -1 past an empty text. A
+        text's columns thus end a run, padded in front, of one array, whose
+        code points decode to one string; a text is cut from it by its count
+        of symbol columns, so a final ``"\\x00"`` symbol is kept.
+        """
+        tid = cand[_TID]
+        new = tid < 0
+        cols = [np.where(new, cand[_LAST], self.col.take(tid))]
+        ids = np.where(new, cand[_PTID], self.parent.take(tid))
+        while ids.max(initial=-1) >= 0:
+            cols.append(self.col.take(ids))
+            ids = self.parent.take(ids)
+        cols = np.stack(cols[::-1], axis=1)
+        depth = cols.shape[1]
+        lengths = (cols < len(self.symbols)).sum(axis=1).tolist()
+        codes = np.frombuffer(self.symbols.encode("utf-32-le", "surrogatepass"), np.uint32)
+        # The padding's column, ``len(symbols)``, clips to the last symbol's.
+        chars = codes.take(cols, mode="clip").tobytes().decode("utf-32-le", "surrogatepass")
+        return [chars[end - k:end] for end, k in zip(range(depth, len(chars) + 1, depth),
+                                                      lengths)]

@@ -83,10 +83,11 @@ def search_frames(matrices, alphabet: Alphabet, tree: PrefixTree, lm: NgramModel
             state, fields = part
             ones = np.ones(state.shape[1])  # ``p_text`` and ``committed`` in words mode
             pb, pnb, p_text, committed = (f.tolist() for f in (fields + [ones, ones])[:4])
+            texts = frame.texts.of(state)
             for q in range(state.shape[1]):
-                cands[state[dec, q]].append((-(p_text[q] * (pb[q] + pnb[q])),
-                                             frame.texts.of(state[:, q]), pb[q], pnb[q],
-                                             p_text[q], committed[q], int(state[node, q])))
+                cands[state[dec, q]].append((-(p_text[q] * (pb[q] + pnb[q])), texts[q], pb[q],
+                                             pnb[q], p_text[q], committed[q],
+                                             int(state[node, q])))
         yield [sorted(c) for c in cands]
 
 
@@ -103,7 +104,8 @@ def complete_candidates(cands: list[tuple], tree: PrefixTree, lm: NgramModel | N
     found: list[tuple[str, float] | None] = [None]
     decoder.complete_beams(np.zeros(len(cands), np.intp), np.array(wst, np.int64), node,
                            [np.array([cand[k] for cand in cands]) for k in range(2, 6)],
-                           decoder._scorer(tree, lm, mode), tree, lambda q: cands[q][1], found)
+                           decoder._scorer(tree, lm, mode), tree,
+                           lambda q: [cands[i][1] for i in q.tolist()], found)
     return found[0]
 
 
@@ -176,7 +178,7 @@ def forward_probability(m: PosteriorMatrix, labeling: str, alphabet: Alphabet) -
     is the final mass times the summed scale, below the normal range only
     where the probability is.
     """
-    col = alphabet.column_map()
+    col = alphabet.column_map
     blank = alphabet.blank_index
     states = [blank]  # the labeling with a blank around each symbol
     for ch in labeling:
@@ -656,7 +658,7 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
     the word characters and the scorer. The non-word characters are the
     alphabet's other symbols."""
     scorer = scorer or TrieScorer(tree, lm, mode)
-    col = alphabet.column_map()
+    col = alphabet.column_map
     nonword_exts = [(c, col[c]) for c in sorted(set(alphabet.symbols) - tree.word_chars)]
     blank = alphabet.blank_index
     rows = m.probs.tolist()
@@ -783,7 +785,7 @@ def reference_emit(sim: RecognizerSim, word: str) -> PosteriorMatrix:
     label = encode_label(word, sim.alphabet)
     if not label:
         raise InputValidationError("cannot emit a matrix for an empty label")
-    col = sim.alphabet.column_map()
+    col = sim.alphabet.column_map
     targets: list[int] = []
     for ch in label:
         if ch not in col:

@@ -590,6 +590,46 @@ class TestDecodeBatch:
     def test_batch_equals_reference(self, starts, tails, coding, lengths, width, rows, seed):
         self._check(starts, tails, coding, lengths, width, rows, seed)
 
+    @pytest.mark.parametrize("mode", [WORDS, NGRAMS])
+    @pytest.mark.parametrize("lengths", [[30, 5, 30], [30, 30, 5]])
+    def test_a_decode_that_ends_early_leaves_the_others_as_alone(self, lengths, mode):
+        # A decode that ends frames before its neighbours, in the middle of
+        # the batch and at its end: from its last frame on, its run of
+        # survivors is empty, which the cut's bound, one ``reduceat`` over the
+        # runs of the live decodes, skips. Width 2 keeps the bound active.
+        words, alphabet, tree, lm, matrices = self._setup(
+            list("abcdefghij"), ["ab", "c", "dd", "ba"], "extrasep", lengths, "random", 7,
+            mode, 2)
+        alone = [decode(m, alphabet, tree, lm, 2, mode) for m in matrices]
+        got = decode_batch(matrices, alphabet, tree, lm, 2, mode)
+        assert _exact(got) == _exact(alone) == _reference(matrices, alphabet, tree, words, lm,
+                                                          2, mode)
+
+    def test_picked_texts_that_end_in_nul_or_the_separator_come_back_whole(self):
+        # "\x00" is a non-word symbol here, so a text may end in it or be it
+        # alone. The picks are spelled together, through an array of code
+        # points, where a fixed-width string view would drop a final NUL.
+        alphabet = Alphabet("ab\x00", "|")
+        words = ["ab", "ba"]
+        tree = PrefixTree(words, {"a", "b"})
+
+        def spelling(labeling: str) -> PosteriorMatrix:
+            # Each symbol's row peaks at its column, then a blank row.
+            arr = np.full((2 * len(labeling), alphabet.num_classes), 0.02)
+            for k, ch in enumerate(labeling):
+                arr[2 * k, alphabet.column_map[ch]] = arr[2 * k + 1, alphabet.blank_index] = 0.92
+            return PosteriorMatrix(arr)
+
+        want = ["ab\x00", "ab|", "\x00", "ba\x00\x00", "\x00ab\x00"]
+        matrices = [spelling(text) for text in want]
+        alone = [decode(m, alphabet, tree, width=4) for m in matrices]
+        assert [text for text, _ in alone] == want
+        rng = np.random.default_rng(9)
+        mixed = matrices + [random_matrix(rng, 7, alphabet.num_classes)]
+        got = decode_batch(mixed, alphabet, tree, width=4)
+        assert _exact(got[:len(want)]) == _exact(alone)
+        assert _exact(got) == _reference(mixed, alphabet, tree, words, width=4)
+
     @settings(max_examples=120, deadline=None, derandomize=True, database=None)
     @_cases
     def test_batch_equals_reference_compacting_every_frame(self, starts, tails, coding,
@@ -648,9 +688,9 @@ class TestDecodeBatch:
         steps = []
         name = decoder._Texts.name
 
-        def counted(texts, cand):
+        def counted(texts, *args):
             before = texts.count
-            name(texts, cand)
+            name(texts, *args)
             steps.append((texts.count - before, len(texts.child) - texts.count))
 
         monkeypatch.setattr(decoder._Texts, "name", counted)
@@ -784,19 +824,19 @@ class TestDecodeBatch:
         sizes: list[list] = []
         pick = decoder.complete_beams
 
-        def spy(dec, wst, node, fields, scorer, tree, text, found):
+        def spy(dec, wst, node, fields, scorer, tree, texts, found):
             groups: dict = {}
             for q in np.flatnonzero(node).tolist():
                 key = (int(dec[q]), int(wst[q]), int(scorer.lexmin[node[q]]))
                 groups.setdefault(key, []).append(q)
             for group in groups.values():
                 if len(group) > 2:
-                    texts = [text(q) for q in sorted(group, key=lambda q: node[q])]
-                    assert texts == sorted(texts)
+                    group = sorted(group, key=lambda q: node[q])
+                    spelled = texts(np.array(group))
+                    assert spelled == sorted(spelled)
                     depth = np.searchsorted(tree._levels, node[group[0]], "right") - 1
-                    start = text(group[0])[:len(text(group[0])) - depth]
-                    sizes[-1].append((len(group), start))
-            return pick(dec, wst, node, fields, scorer, tree, text, found)
+                    sizes[-1].append((len(group), spelled[0][:len(spelled[0]) - depth]))
+            return pick(dec, wst, node, fields, scorer, tree, texts, found)
 
         monkeypatch.setattr(decoder, "complete_beams", spy)
         got = []
@@ -925,7 +965,7 @@ class TestForwardOracle:
         if rows == "spelled":  # peaked rows, the peaks spelling the word between blanks
             arr = rng.random((t, c)) + 1e-3
             arr = 0.1 * arr / arr.sum(axis=1, keepdims=True)
-            col = alphabet.column_map()
+            col = alphabet.column_map
             peaks = [c - 1 if k % 2 else col[word[k * len(word) // t]] for k in range(t)]
             arr[np.arange(t), peaks] += 0.9
             m = PosteriorMatrix(arr)
