@@ -62,9 +62,12 @@ class Alphabet:
         return self.num_classes - 1
 
     @cached_property
-    def column_map(self) -> Mapping[str, int]:
-        """Each symbol's column, read-only."""
+    def _columns(self) -> Mapping[str, int]:
         return MappingProxyType({c: i for i, c in enumerate(self.symbols)})
+
+    def column_map(self) -> Mapping[str, int]:
+        """Each symbol's column, read-only; one mapping per alphabet."""
+        return self._columns
 
     def __getstate__(self) -> dict:
         return {"characters": self.characters, "separator": self.separator}

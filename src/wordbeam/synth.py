@@ -98,7 +98,7 @@ def _plan(sim: RecognizerSim, word: str) -> tuple[str, list[tuple[int, float, in
     label = encode_label(word, alphabet)
     if not label:
         raise InputValidationError("cannot emit a matrix for an empty label")
-    col = alphabet.column_map
+    col = alphabet.column_map()
     sep_col = col.get(alphabet.separator, -1)
     runs: list[tuple[int, float, int]] = []
     for ch in label:

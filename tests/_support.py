@@ -178,7 +178,7 @@ def forward_probability(m: PosteriorMatrix, labeling: str, alphabet: Alphabet) -
     is the final mass times the summed scale, below the normal range only
     where the probability is.
     """
-    col = alphabet.column_map
+    col = alphabet.column_map()
     blank = alphabet.blank_index
     states = [blank]  # the labeling with a blank around each symbol
     for ch in labeling:
@@ -658,7 +658,7 @@ def reference_frame_beams(m: PosteriorMatrix, alphabet: Alphabet, tree: PrefixTr
     the word characters and the scorer. The non-word characters are the
     alphabet's other symbols."""
     scorer = scorer or TrieScorer(tree, lm, mode)
-    col = alphabet.column_map
+    col = alphabet.column_map()
     nonword_exts = [(c, col[c]) for c in sorted(set(alphabet.symbols) - tree.word_chars)]
     blank = alphabet.blank_index
     rows = m.probs.tolist()
@@ -785,7 +785,7 @@ def reference_emit(sim: RecognizerSim, word: str) -> PosteriorMatrix:
     label = encode_label(word, sim.alphabet)
     if not label:
         raise InputValidationError("cannot emit a matrix for an empty label")
-    col = sim.alphabet.column_map
+    col = sim.alphabet.column_map()
     targets: list[int] = []
     for ch in label:
         if ch not in col:

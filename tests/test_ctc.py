@@ -42,16 +42,16 @@ class TestAlphabet:
         assert Alphabet(characters).num_classes == n + 1
 
     def test_derived_values_leave_equality_hash_repr_and_pickle_as_they_were(self):
-        # ``symbols``, ``num_classes``, ``blank_index`` and ``column_map`` are
-        # kept once read; an alphabet still compares, hashes, prints and
-        # pickles by its two fields alone, to the bytes it pickled to before
-        # they were kept.
+        # ``symbols``, ``num_classes``, ``blank_index`` and the mapping
+        # ``column_map()`` returns are kept once read; an alphabet still
+        # compares, hashes, prints and pickles by its two fields alone, to the
+        # bytes it pickled to before they were kept.
         read, fresh = Alphabet("ab", "|"), Alphabet("ab", "|")
         assert (read.symbols, read.num_classes, read.blank_index) == ("ab|", 4, 3)
-        assert read.column_map == {"a": 0, "b": 1, "|": 2}
-        assert read.column_map is read.column_map  # one mapping per alphabet
+        assert read.column_map() == {"a": 0, "b": 1, "|": 2}
+        assert read.column_map() is read.column_map()  # one mapping per alphabet
         with pytest.raises(TypeError):
-            read.column_map["c"] = 3  # read-only
+            read.column_map()["c"] = 3  # read-only
         assert read == fresh and hash(read) == hash(fresh) == hash(("ab", "|"))
         assert repr(read) == "Alphabet(characters='ab', separator='|')"
         assert pickle.dumps(read, protocol=4) == pickle.dumps(fresh, protocol=4) == (
@@ -60,7 +60,7 @@ class TestAlphabet:
             b"separator\x94\x8c\x01|\x94ub.")
         copy = pickle.loads(pickle.dumps(read))
         assert copy == read and (copy.symbols, copy.blank_index) == ("ab|", 3)
-        assert copy.column_map == read.column_map
+        assert copy.column_map() == read.column_map()
         assert Alphabet("xy") != Alphabet("xy", "|")
 
     def test_duplicate_characters_rejected(self):

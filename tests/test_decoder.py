@@ -612,12 +612,13 @@ class TestDecodeBatch:
         alphabet = Alphabet("ab\x00", "|")
         words = ["ab", "ba"]
         tree = PrefixTree(words, {"a", "b"})
+        col = alphabet.column_map()
 
         def spelling(labeling: str) -> PosteriorMatrix:
             # Each symbol's row peaks at its column, then a blank row.
             arr = np.full((2 * len(labeling), alphabet.num_classes), 0.02)
             for k, ch in enumerate(labeling):
-                arr[2 * k, alphabet.column_map[ch]] = arr[2 * k + 1, alphabet.blank_index] = 0.92
+                arr[2 * k, col[ch]] = arr[2 * k + 1, alphabet.blank_index] = 0.92
             return PosteriorMatrix(arr)
 
         want = ["ab\x00", "ab|", "\x00", "ba\x00\x00", "\x00ab\x00"]
@@ -965,7 +966,7 @@ class TestForwardOracle:
         if rows == "spelled":  # peaked rows, the peaks spelling the word between blanks
             arr = rng.random((t, c)) + 1e-3
             arr = 0.1 * arr / arr.sum(axis=1, keepdims=True)
-            col = alphabet.column_map
+            col = alphabet.column_map()
             peaks = [c - 1 if k % 2 else col[word[k * len(word) // t]] for k in range(t)]
             arr[np.arange(t), peaks] += 0.9
             m = PosteriorMatrix(arr)

@@ -102,17 +102,12 @@ def main(argv: list[str] | None = None) -> int:
                     metavar="SEED:PAIRS", help="run PAIRS pairs at benchmark seed SEED")
     ap.add_argument("--seconds", type=float, default=20.0)
     ap.add_argument("--what", default="", help="what the change does, for the reader")
-    ap.add_argument("--work", type=Path, help="where to unpack the two trees (default: a "
-                    "temporary directory, removed at the end)")
-    ap.add_argument("--out", type=Path, help="the output file (default: "
-                    "BENCH_<workload>.json at the root of the repository)")
     args = ap.parse_args(argv)
     commits = {side: _git("rev-parse", "--verify", f"{ref}^{{commit}}").decode().strip()
                for side, ref in zip(SIDES, (args.parent, args.change))}
-    out = args.out or ROOT / f"BENCH_{args.workload}.json"
+    out = ROOT / f"BENCH_{args.workload}.json"
     with tempfile.TemporaryDirectory() as tmp:
-        work = args.work or Path(tmp)
-        trees = {side: unpack(commits[side], work / side) for side in SIDES}
+        trees = {side: unpack(commits[side], Path(tmp) / side) for side in SIDES}
         pairs = []
         for seed, count in args.pairs:
             command = bench_argv(args.workload, seed, args.seconds)
